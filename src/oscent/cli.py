@@ -52,6 +52,13 @@ def _precision_default() -> float | None:
     return val
 
 
+def _tolerance(raw: str) -> float:
+    val = float(raw)
+    if not 0 < val < 1:
+        raise argparse.ArgumentTypeError(f"tolerance must lie in (0, 1), got {val}")
+    return val
+
+
 def _round15(x):
     if isinstance(x, float):
         return float(f"{x:.15g}")
@@ -193,9 +200,10 @@ def _cmd_uncertainty(args) -> list[dict]:
         rec = entropy.uncertainty_sum(state, params, None, "shannon",
                                       mode=args.mode)
     else:
-        q = args.q if args.q is not None else args.p / (2.0 * args.p - 1.0)
+        pair = (entropy.ConjugatePair.of(args.p) if args.q is None
+                else (args.p, args.q))
         rec = entropy.uncertainty_sum(
-            state, params, (args.p, q), "renyi", mode=args.mode,
+            state, params, pair, "renyi", mode=args.mode,
             allow_nonconjugate=args.allow_nonconjugate)
     return [{"quantity": "uncertainty-sum", "n": args.n, "l": args.l,
              "m": args.m, "kind": rec.kind, "p": rec.p, "q": rec.q,
@@ -378,7 +386,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--bits", action="store_true",
                         help="report entropies in bits instead of nats")
         sp.add_argument("--lam", type=float, default=1.0)
-        sp.add_argument("--rtol", type=float, default=None)
+        sp.add_argument("--rtol", type=_tolerance, default=None)
 
     sp = sub.add_parser("angular", help="angular power integral and entropy")
     sp.add_argument("--l", type=int, required=True)

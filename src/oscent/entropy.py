@@ -205,8 +205,7 @@ def uncertainty_sum(state: QuantumState,
     warns: tuple[str, ...] = ()
     if entropy_kind == "shannon":
         pos = shannon_total(state, params, mode)
-        mom = momentum_renyi(shannon_total(state, params, mode).total,
-                             params, shannon=True)
+        mom = momentum_renyi(pos.total, params, shannon=True)
         warns += pos.warnings
         total = pos.total + mom
         bound = SHANNON_SUM_BOUND

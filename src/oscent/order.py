@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,8 +24,10 @@ class EntropyOrder:
     p: float
 
     def __post_init__(self):
-        if not (self.p > 0) or self.p != self.p:
-            raise DomainError(f"entropic order must be positive, got {self.p}")
+        # 2p must stay finite for the lattice test and the radial weights
+        if not (self.p > 0 and math.isfinite(2.0 * self.p)):
+            raise DomainError(
+                f"entropic order must be positive and finite, got {self.p}")
 
     @property
     def is_unity(self) -> bool:

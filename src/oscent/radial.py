@@ -17,6 +17,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -39,6 +40,7 @@ _LN_PI = math.log(math.pi)
 # exact symbolic path is priced by the polynomial-power degree
 SYMBOLIC_COST_CAP = 120
 _SLICE_BUDGET = 6000
+_POINT_CAP = 200000  # points per recurrence call; bounds a batch's memory
 _LOG_VARIATION_CAP = 16.0
 
 
@@ -143,51 +145,42 @@ def radial_density(state: QuantumState, params: OscillatorParams | None = None):
 # ---------------------------------------------------------------------------
 # root handling
 
-_root_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def _refined_roots(n: int, alpha: Fraction) -> np.ndarray:
-    """Laguerre roots polished to extended precision by vector bisection."""
+    """Laguerre roots: Golub-Welsch start polished by long-double Newton steps.
+
+    Each start is first bracketed by a sign change of the recurrence; the
+    brackets are disjoint, so a polished root that stays in its bracket is
+    the one root there.  Newton uses x p_n' = n p_n - sqrt(n(n+alpha)) p_{n-1}
+    and stops once every step is a few ulp of 2n + alpha + 1 + x, the scale
+    at which x enters the recurrence.
+    """
     if n == 0:
         return np.zeros(0, dtype=np.longdouble)
-    key = (n, alpha.numerator, alpha.denominator)
-    cached = _root_cache.get(key)
-    if cached is not None:
-        return cached
     af = float(alpha)
     diag = 2.0 * np.arange(n) + af + 1.0
     off = np.sqrt(np.arange(1, n) * (np.arange(1, n) + af))
-    base = eigvalsh_tridiagonal(diag, off).astype(np.longdouble)
-    gaps = np.empty(n, dtype=np.longdouble)
-    if n == 1:
-        gaps[0] = max(base[0], np.longdouble(1.0))
-    else:
-        d = np.diff(base)
-        gaps[0] = d[0]
-        gaps[-1] = d[-1]
-        if n > 2:
-            gaps[1:-1] = np.minimum(d[:-1], d[1:])
-    delta = 0.45 * np.minimum(gaps, base / 0.46)
-
-    def f(x):
-        return specfun.laguerre_orthonormal_weighted(n, alpha, x)
-
-    lo = base - delta
-    hi = base + delta
-    flo = f(lo)
-    if np.any(flo * f(hi) > 0):
+    x = eigvalsh_tridiagonal(diag, off).astype(np.longdouble)
+    d = np.diff(x)
+    gaps = np.minimum(np.append(d, np.inf), np.append(np.inf, d))
+    delta = 0.45 * np.minimum(gaps, x / 0.46)
+    lo, hi = x - delta, x + delta
+    if np.any(specfun.laguerre_orthonormal_weighted(n, alpha, lo)
+              * specfun.laguerre_orthonormal_weighted(n, alpha, hi) > 0):
         raise AccuracyError(f"failed to bracket Laguerre roots for n={n}")
-    slo = np.sign(flo)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        sm = np.sign(f(mid))
-        take_lo = sm * slo > 0
-        lo = np.where(take_lo, mid, lo)
-        slo = np.where(take_lo, sm, slo)
-        hi = np.where(take_lo, hi, mid)
-    roots = 0.5 * (lo + hi)
-    _root_cache[key] = roots
-    return roots
+    c = np.sqrt(np.longdouble(n) * (n + np.longdouble(af)))
+    ulps = 4 * np.finfo(np.longdouble).eps * (2 * n + af + 1 + x)
+    for _ in range(8):
+        pn = specfun.laguerre_orthonormal_weighted(n, alpha, x)
+        pm = specfun.laguerre_orthonormal_weighted(n - 1, alpha, x)
+        step = x * pn / (n * pn - c * pm)
+        x = x - step
+        if np.all(np.abs(step) <= ulps):
+            break
+    if np.any(np.abs(step) > ulps) or not np.all((lo < x) & (x < hi)):
+        raise AccuracyError(f"Newton root polishing failed to settle inside the "
+                            f"root brackets for n={n}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -229,81 +222,97 @@ def _emit_slices(a, b, bk, ak, q2, gma, roots, out, depth=0):
     _emit_slices(mid, b, "plain", ak, q2, gma, roots, out, depth + 1)
 
 
-def _norm_quad_value(n: int, l: int, p: float, m_nodes: int) -> np.longdouble:
-    alpha = Fraction(2 * l + 1, 2)
-    gma = p * l + 0.5
-    q2 = 2.0 * p
-    roots = _refined_roots(n, alpha)
-    rts = [float(r) for r in roots]
+def _root_slices(rts: list, c0: float, q2: float, gma: float) -> list[tuple]:
+    """Slices of [0, last root], split at the roots, or of [0, c0] at n = 0."""
+    ends = rts or [c0]
+    out: list[tuple] = []
+    for i, b in enumerate(ends):
+        _emit_slices(ends[i - 1] if i else 0.0, b, "root" if i else "zero",
+                     "root" if rts else "plain", q2, gma, rts, out)
+    return out
 
-    def psi_abs(x):
-        return np.abs(specfun.laguerre_orthonormal_weighted(n, alpha, x))
 
-    def slice_value(lo, hi, bk, ak):
-        A = q2 if ak == "root" else 0.0
-        B = gma if bk == "zero" else (q2 if bk == "root" else 0.0)
-        t, w = specfun.gauss_jacobi(m_nodes, A, B)
-        h = (np.longdouble(hi) - np.longdouble(lo)) / 2
-        x = np.longdouble(lo) + h * (1.0 + t.astype(np.longdouble))
-        den = np.ones_like(x)
-        if bk == "root":
-            den = den * (x - np.longdouble(lo))
-        if ak == "root":
-            den = den * (np.longdouble(hi) - x)
-        g = (psi_abs(x) / den) ** np.longdouble(q2)
-        if bk != "zero":
-            g = g * x ** np.longdouble(gma)
-        return h ** np.longdouble(A + B + 1) * np.dot(w.astype(np.longdouble), g)
+def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
+    """Panels (lo, hi, lo_kind, hi_kind) covering (0, inf) for N_{n,l}(p).
 
-    slices: list[tuple] = []
-    if n == 0:
-        c0 = (gma + 4.0) / p
-        _emit_slices(0.0, c0, "zero", "plain", q2, gma, rts, slices)
-        tail_from = c0
-    else:
-        _emit_slices(0.0, rts[0], "zero", "root", q2, gma, rts, slices)
-        for i in range(n - 1):
-            _emit_slices(rts[i], rts[i + 1], "root", "root", q2, gma, rts, slices)
-        tail_from = rts[-1]
+    Past the last root the integrand f = C x^gma prod (x - r_i)^{2p} e^{-p x}
+    is log-concave, so the mass beyond a point e where log f falls is at most
+    f(e) / |(log f)'(e)|.  The tail list ends with the first panel whose start
+    has that bound below 1e-25 of a lower bound on the tail mass: never before
+    the last lobe's maximum, and with a last panel of negligible share.
+    """
+    gma, q2 = p * l + 0.5, 2.0 * p
+    rts = [float(r) for r in _refined_roots(n, Fraction(2 * l + 1, 2))]
+    r = np.array(rts)
+    e = rts[-1] if n else (gma + 4.0) / p
+    panels = _root_slices(rts, e, q2, gma)
 
-    total = np.longdouble(0.0)
-    for lo, hi, bk, ak in slices:
-        total += slice_value(lo, hi, bk, ak)
+    def log_f(x):
+        return q2 * np.sum(np.log(x - r)) + gma * math.log(x) - p * x
 
-    # decaying tail in panels sized to the local logarithmic derivative
-    e = tail_from
-    prev_w = None
-    first = n > 0
-    small_streak = 0
-    for k in range(400):
-        w = _LOG_VARIATION_CAP / (p + gma / e
-                                  + (q2 / max(e - rts[-1], prev_w or 1e-3) if n else 0.0))
-        contrib = slice_value(e, e + w, "root" if first else "plain", "plain")
-        total += contrib
-        first = False
-        e += w
-        prev_w = w
-        if contrib < 1e-25 * total:
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-    else:
-        raise AccuracyError(f"radial tail failed to converge for n={n}, l={l}, p={p}",
-                            estimate=float(total))
-    return total
+    lf, log_mass, prev_w = (-math.inf if n else log_f(e)), -math.inf, None
+    for _ in range(400):
+        w = _LOG_VARIATION_CAP / (p + gma / e + (
+            q2 / max(e - rts[-1], prev_w or 1e-3) if n else 0.0))
+        panels.append((e, e + w, "root" if n and prev_w is None else "plain",
+                       "plain"))
+        slope = q2 * np.sum(1.0 / (e - r)) + gma / e - p if lf > -math.inf else 0.0
+        if slope < 0 and lf - math.log(-slope) < log_mass + math.log(1e-25):
+            return panels
+        lf_next = log_f(e + w)
+        log_mass = np.logaddexp(log_mass, math.log(w) + min(lf, lf_next))
+        e, lf, prev_w = e + w, lf_next, w
+    raise AccuracyError(f"radial tail failed to converge for n={n}, l={l}, p={p}")
 
 
 def _norm_quadrature(n: int, l: int, p: float, rtol: float, nodes: int,
                      extra_warns: tuple[str, ...] = ()) -> LaguerreNorm:
-    v1 = _norm_quad_value(n, l, p, nodes)
-    v2 = _norm_quad_value(n, l, p, nodes + nodes // 2)
+    """Panel quadrature of N_{n,l}(p), certified by a second node count.
+
+    Jacobi end weights absorb the power at zero and the |x - r|^{2p} zeros at
+    root ends.  Each pass evaluates every node of every panel in one batched
+    recurrence call (split only above _POINT_CAP points).
+    """
+    alpha = Fraction(2 * l + 1, 2)
+    gma, q2 = p * l + 0.5, 2.0 * p
+    panels = _norm_panels(n, l, p)
+    lo = np.array([s[0] for s in panels], dtype=np.longdouble)[:, None]
+    hi = np.array([s[1] for s in panels], dtype=np.longdouble)[:, None]
+    h = (hi - lo) / 2
+    bk = np.array([s[2] for s in panels])[:, None]
+    ak = np.array([s[3] for s in panels])[:, None]
+    kinds = [(q2 if s[3] == "root" else 0.0,
+              gma if s[2] == "zero" else (q2 if s[2] == "root" else 0.0))
+             for s in panels]
+    scale = h[:, 0] ** np.array([a + b + 1 for a, b in kinds], dtype=np.longdouble)
+
+    def value(m_nodes: int) -> np.longdouble:
+        rules = {k: specfun.gauss_jacobi(m_nodes, *k) for k in set(kinds)}
+        t = np.array([rules[k][0] for k in kinds], dtype=np.longdouble)
+        w = np.array([rules[k][1] for k in kinds], dtype=np.longdouble)
+        x = lo + h * (1.0 + t)
+        psi = np.concatenate([
+            specfun.laguerre_orthonormal_weighted(n, alpha, chunk)
+            for chunk in np.array_split(x.ravel(), -(-x.size // _POINT_CAP))])
+        g = np.abs(psi.reshape(x.shape)) / np.where(bk == "root", x - lo, 1.0)
+        g = (g / np.where(ak == "root", hi - x, 1.0)) ** q2
+        parts = scale * np.sum(w * g * np.where(bk == "zero", 1.0, x ** gma), axis=1)
+        total = parts.sum()
+        # node doubling cannot see a region the panels miss; a list that
+        # ends on a negligible, decaying panel has passed the last lobe
+        if parts[-1] > min(1e-20 * total, parts[-2]):
+            raise AccuracyError(
+                f"radial tail list ends inside a lobe for n={n}, l={l}, p={p}",
+                estimate=float(total))
+        return total
+
+    v1 = value(nodes)
+    v2 = value(nodes + nodes // 2)
     tol = max(rtol, 5e-13)
     rel = abs(float((v1 - v2) / v2)) if v2 != 0 else float("inf")
     warns = extra_warns
     if rel > tol:
-        v3 = _norm_quad_value(n, l, p, nodes * 2 + nodes // 4)
+        v3 = value(nodes * 2 + nodes // 4)
         rel2 = abs(float((v2 - v3) / v3)) if v3 != 0 else float("inf")
         if rel2 > tol:
             raise AccuracyError(
@@ -521,17 +530,8 @@ def _graded_edges(lo: float, hi: float, toward_lo: bool, levels: int) -> list:
 def _shannon_segments(n: int, l: int) -> list[tuple[float, float]]:
     alpha = Fraction(2 * l + 1, 2)
     roots = [float(r) for r in _refined_roots(n, alpha)]
-    slices: list[tuple] = []
-    if n == 0:
-        c0 = float(alpha) + 8.0
-        _emit_slices(0.0, c0, "zero", "plain", 2.0, l + 0.5, roots, slices)
-        tail_from = c0
-    else:
-        _emit_slices(0.0, roots[0], "zero", "root", 2.0, l + 0.5, roots, slices)
-        for i in range(n - 1):
-            _emit_slices(roots[i], roots[i + 1], "root", "root", 2.0, l + 0.5,
-                         roots, slices)
-        tail_from = roots[-1]
+    tail_from = roots[-1] if n else float(alpha) + 8.0
+    slices = _root_slices(roots, tail_from, 2.0, l + 0.5)
 
     segs: list[tuple[float, float]] = []
 
@@ -590,7 +590,7 @@ def shannon_radial_exact(state: QuantumState,
         wl = w.astype(np.longdouble)
         total = np.longdouble(0.0)
         # batch segments to keep the recurrence vectorised
-        chunk = max(1, 200000 // m_nodes)
+        chunk = max(1, _POINT_CAP // m_nodes)
         for i in range(0, len(segs), chunk):
             part = segs[i:i + chunk]
             los = np.array([s[0] for s in part], dtype=np.longdouble)[:, None]

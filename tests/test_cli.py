@@ -4,11 +4,13 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import oscent
 from oscent.cli import run
 
 
@@ -147,6 +149,18 @@ def test_domain_errors_exit_2(capsys):
     assert run(["angular", "--l", "2", "--m", "5", "--p", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["radial", "--n", "1", "--l", "0", "--p", "inf"], 2),
+    (["total", "--n", "1", "--l", "0", "--p", "1e308"], 2),
+    (["uncertainty", "--n", "0", "--l", "0", "--p", "0.5"], 2),
+    (["radial", "--n", "1", "--l", "0", "--p", "2", "--rtol", "-1"], 64),
+    (["radial", "--n", "1", "--l", "0", "--p", "2", "--rtol", "0"], 64),
+])
+def test_bad_inputs_exit_without_traceback(capsys, argv, code):
+    assert run(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_precision_env(capsys, monkeypatch):
     monkeypatch.setenv("OSCENT_PRECISION", "1e-8")
     code, payload = invoke_json(capsys, "radial", "--n", "1", "--l", "0",
@@ -159,9 +173,13 @@ def test_precision_env(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(oscent.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "oscent.cli", "angular", "--l", "0", "--m",
-         "0", "--p", "3"], capture_output=True, text=True)
+         "0", "--p", "3"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["results"][0]["renyi"] == pytest.approx(

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from oscent import entropy
 from oscent.entropy import (SHANNON_SUM_BOUND, ConjugatePair, disequilibrium,
                             momentum_renyi, renyi_sum_bound, renyi_total,
                             shannon_total, tsallis_from_renyi,
@@ -97,6 +98,18 @@ def test_ground_shannon_sum():
     assert rec.sum == pytest.approx(SHANNON_SUM_BOUND, abs=1e-9)
     assert rec.saturated
     assert rec.p == rec.q == 1.0
+
+
+def test_shannon_sum_computes_position_total_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shannon_total(*args, **kwargs)
+
+    monkeypatch.setattr(entropy, "shannon_total", counted)
+    uncertainty_sum(QuantumState(1, 1, 0), entropy_kind="shannon")
+    assert len(calls) == 1
 
 
 def test_excited_states_exceed_bound():
