@@ -3,8 +3,9 @@
 The squared spherical harmonic |Y_{l,m}|^2 integrates against its own p-th
 power through three independent routes: an exact linearization of the
 Gegenbauer power into hypergeometric-type rational sums, an exact
-Bell-polynomial expansion of the orthonormal Jacobi power, and direct
-adaptive quadrature.  Closed forms cover the (l, l), (l, l-1) families.
+Bell-polynomial expansion of the orthonormal Jacobi power, and Gauss-Jacobi
+panel quadrature between the Gegenbauer roots.  Closed forms cover the
+(l, l), (l, l-1) families.
 """
 
 from __future__ import annotations
@@ -236,30 +237,52 @@ def _angular_roots(l: int, m: int) -> tuple[float, ...]:
 
 
 def _lambda_quad_value(state: AngularState, p: float, rtol: float) -> float:
+    """2 pi A^{2p} integral of |C(t)|^{2p} (1 - t^2)^{mp} over [-1, 1].
+
+    Gauss-Jacobi panels run between the Gegenbauer roots: |t - r|^{2p} is
+    absorbed at root ends and (1 -+ t)^{mp} at the ends +-1.  The factor
+    divided out at an end follows from what the end is: at m = 2 both carry
+    the exponent 2p.  Certified by a second node count, like the radial
+    engine.
+    """
     l, m = state.l, state.m_abs
-    mp = m * p
-    lam = Fraction(2 * m + 1, 2)
     n = l - m
-    log_a2 = math.log(norm_const_squared(state))
+    lam = Fraction(2 * m + 1, 2)
+    q2, mp = 2.0 * p, m * p
+    ends = np.array((-1.0,) + _angular_roots(l, m) + (1.0,), dtype=np.longdouble)
+    lo, hi = ends[:-1, None], ends[1:, None]
+    lo_root = np.arange(n + 1)[:, None] > 0
+    hi_root = np.arange(n + 1)[:, None] < n
 
-    def f(t: float) -> float:
-        c = specfun.gegenbauer_eval(n, lam, t)
-        if c == 0.0:
-            return 0.0
-        base = (1.0 - t * t)
-        return abs(c) ** (2.0 * p) * (base ** mp if m else 1.0)
+    def value(m_nodes: int) -> np.longdouble:
+        t, w = specfun.jacobi_panels(lo, hi, np.where(lo_root, q2, mp),
+                                     np.where(hi_root, q2, mp), m_nodes)
+        c = np.abs(specfun.gegenbauer_eval(n, lam, t))
+        c = c / np.where(lo_root, t - lo, 1.0) / np.where(hi_root, hi - t, 1.0)
+        g = c ** q2 * np.where(lo_root, 1 + t, 1.0) ** mp \
+            * np.where(hi_root, 1 - t, 1.0) ** mp
+        return np.sum(w * g)
 
-    spec = specfun.QuadratureSpec(rel_tol=rtol, abs_tol=1e-14, max_subdivisions=400)
-    integral = specfun.integrate(f, -1.0, 1.0, spec=spec,
-                                 breakpoints=_angular_roots(l, m))
-    return 2.0 * math.pi * math.exp(p * log_a2) * integral
+    v1 = value(48)
+    v2 = value(72)
+    tol = max(rtol, 5e-13)
+    if abs(float((v1 - v2) / v2)) > tol:
+        v3 = value(108)
+        rel = abs(float((v2 - v3) / v3))
+        if rel > tol:
+            raise AccuracyError(
+                f"angular quadrature did not settle for l={l}, m={m}, p={p}",
+                estimate=float(v3), error_bound=rel)
+        v2 = v3
+    a2p = math.exp(p * math.log(norm_const_squared(state)))
+    return 2.0 * math.pi * a2p * float(v2)
 
 
 def lambda_quadrature(state: AngularState, p, rtol: float = 1e-12) -> AngularResult:
-    """Power integral of |Y_{l,m}|^2 by adaptive quadrature.
+    """Power integral of |Y_{l,m}|^2 by Gauss-Jacobi panel quadrature.
 
-    Valid for any real p > 0; panels are split at the Gegenbauer roots where
-    |.|^{2p} loses smoothness.
+    Valid for any real p > 0; panels end at the Gegenbauer roots, where
+    |.|^{2p} loses smoothness, and their end weights absorb it.
     """
     order = as_order(p)
     val = _lambda_quad_value(state, order.p, rtol)

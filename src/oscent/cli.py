@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, angular, entropy, oracle, radial, rydberg
 from .angular import AngularState
@@ -252,16 +251,8 @@ def emit_convergence_table(p, l: int, lam: float,
 
 def _cmd_sweep(args) -> list[dict]:
     params = OscillatorParams(args.lam)
-    jobs = max(1, args.jobs)
-
-    def parallel(fn, points):
-        if jobs == 1 or len(points) <= 1:
-            return [fn(pt) for pt in points]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, points))
-
+    ls = _int_list(args.l)
     if args.quantity == "angular-renyi":
-        ls = _int_list(args.l)
 
         def point(l: int) -> dict:
             res = angular.renyi_angular(AngularState(l, args.m), args.p)
@@ -270,30 +261,33 @@ def _cmd_sweep(args) -> list[dict]:
                     "renyi": res.renyi, "method": res.method,
                     "warnings": res.warnings}
 
-        return parallel(point, ls)
+        return [point(l) for l in ls]
 
     ns = _int_list(args.n)
+    if len(ls) != 1:
+        raise UsageError(f"an n ladder takes exactly one --l value, got {args.l!r}")
+    l = ls[0]
     if args.quantity in ("radial-renyi", "radial-shannon"):
         p = 1.0 if args.quantity == "radial-shannon" else args.p
-        rows = emit_convergence_table(p, int(args.l), args.lam, ns,
+        rows = emit_convergence_table(p, l, args.lam, ns,
                                       args.rtol or _precision_default())
         return [{"quantity": args.quantity, **row} for row in rows]
     if args.quantity in ("total-renyi", "total-shannon"):
 
         def point(n: int) -> dict:
-            state = QuantumState(n, int(args.l), args.m)
+            state = QuantumState(n, l, args.m)
             if args.quantity == "total-shannon":
                 dec = entropy.shannon_total(state, params, args.mode)
                 p = 1.0
             else:
                 dec = entropy.renyi_total(state, params, args.p, args.mode)
                 p = args.p
-            return {"quantity": args.quantity, "n": n, "l": int(args.l),
+            return {"quantity": args.quantity, "n": n, "l": l,
                     "m": args.m, "p": p, "lam": args.lam, "mode": dec.mode,
                     "radial": dec.radial, "angular": dec.angular,
                     "total": dec.total, "warnings": dec.warnings}
 
-        return parallel(point, ns)
+        return [point(n) for n in ns]
     raise UsageError(f"unknown sweep quantity {args.quantity!r}")
 
 
@@ -448,7 +442,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--mode", choices=("exact", "asymptotic"), default="exact")
-    sp.add_argument("--jobs", type=int, default=1)
     common(sp)
 
     return parser

@@ -278,25 +278,19 @@ def _norm_quadrature(n: int, l: int, p: float, rtol: float, nodes: int,
     panels = _norm_panels(n, l, p)
     lo = np.array([s[0] for s in panels], dtype=np.longdouble)[:, None]
     hi = np.array([s[1] for s in panels], dtype=np.longdouble)[:, None]
-    h = (hi - lo) / 2
     bk = np.array([s[2] for s in panels])[:, None]
     ak = np.array([s[3] for s in panels])[:, None]
-    kinds = [(q2 if s[3] == "root" else 0.0,
-              gma if s[2] == "zero" else (q2 if s[2] == "root" else 0.0))
-             for s in panels]
-    scale = h[:, 0] ** np.array([a + b + 1 for a, b in kinds], dtype=np.longdouble)
+    lo_exp = np.where(bk == "zero", gma, np.where(bk == "root", q2, 0.0))
+    hi_exp = np.where(ak == "root", q2, 0.0)
 
     def value(m_nodes: int) -> np.longdouble:
-        rules = {k: specfun.gauss_jacobi(m_nodes, *k) for k in set(kinds)}
-        t = np.array([rules[k][0] for k in kinds], dtype=np.longdouble)
-        w = np.array([rules[k][1] for k in kinds], dtype=np.longdouble)
-        x = lo + h * (1.0 + t)
+        x, w = specfun.jacobi_panels(lo, hi, lo_exp, hi_exp, m_nodes)
         psi = np.concatenate([
             specfun.laguerre_orthonormal_weighted(n, alpha, chunk)
             for chunk in np.array_split(x.ravel(), -(-x.size // _POINT_CAP))])
         g = np.abs(psi.reshape(x.shape)) / np.where(bk == "root", x - lo, 1.0)
         g = (g / np.where(ak == "root", hi - x, 1.0)) ** q2
-        parts = scale * np.sum(w * g * np.where(bk == "zero", 1.0, x ** gma), axis=1)
+        parts = np.sum(w * g * np.where(bk == "zero", 1.0, x ** gma), axis=1)
         total = parts.sum()
         # node doubling cannot see a region the panels miss; a list that
         # ends on a negligible, decaying panel has passed the last lobe
@@ -409,34 +403,25 @@ def negparam_laguerre_integral(n: int, nu: float, x: float, *,
     """Laguerre value with parameter -n-nu computed from its integral form.
 
     ((-1)^n / (n! Gamma(nu))) integral_0^inf (x+y)^n y^(nu-1) e^{-y} dy,
-    reduced by y = u^2 so a Jacobi panel absorbs the endpoint power
-    u^(2nu-1) exactly; plain panels then ride the Gaussian decay.  Equals
-    laguerre_eval_negparam(n, -n - nu, x) for every real x.
+    reduced by y = u^2 so a Jacobi end weight absorbs the power u^(2nu-1)
+    on the first unit panel; plain unit panels then ride the Gaussian decay.
+    Past u0 = sqrt(2n + 2nu + 2|x|) the log of the integrand has slope below
+    -2 (u - u0), so nine unit panels beyond u0 drop it by more than e^-81.
+    Equals laguerre_eval_negparam(n, -n - nu, x) for every real x.
     """
     if n < 0:
         raise DomainError(f"polynomial degree must be >= 0, got n={n}")
     if not nu > 0:
         raise DomainError(f"integral form requires nu > 0, got nu={nu}")
+    count = math.ceil(math.sqrt(2.0 * (n + nu + abs(x)))) + 9
+    edges = np.arange(count + 1, dtype=float)
+    lo_exp = np.where(edges[:-1] == 0.0, 2.0 * nu - 1.0, 0.0)
 
     def run(m: int) -> float:
-        t, w = specfun.gauss_jacobi(m, 0.0, 2.0 * nu - 1.0)
-        u = 0.5 * (1.0 + t)
-        total = 2.0 ** (-2.0 * nu) * np.dot(w, (x + u * u) ** n * np.exp(-u * u))
-        tg, wg = specfun.gauss_legendre(m)
-        lo, streak = 1.0, 0
-        for _ in range(80):
-            u = lo + 0.5 * (1.0 + tg)
-            part = 0.5 * np.dot(
-                wg, (x + u * u) ** n * u ** (2.0 * nu - 1.0) * np.exp(-u * u))
-            total += part
-            lo += 1.0
-            if abs(part) < 1e-24 * max(abs(total), 1e-300):
-                streak += 1
-                if streak >= 2:
-                    break
-            else:
-                streak = 0
-        return 2.0 * total
+        u, w = specfun.jacobi_panels(edges[:-1], edges[1:], lo_exp, 0.0, m)
+        g = (x + u * u) ** n * np.exp(-u * u)
+        g[1:] *= u[1:] ** (2.0 * nu - 1.0)
+        return 2.0 * float(np.sum(w * g))
 
     v1 = run(nodes)
     v2 = run(nodes + nodes // 2)
@@ -528,17 +513,13 @@ def _graded_edges(lo: float, hi: float, toward_lo: bool, levels: int) -> list:
 
 
 def _shannon_segments(n: int, l: int) -> list[tuple[float, float]]:
-    alpha = Fraction(2 * l + 1, 2)
-    roots = [float(r) for r in _refined_roots(n, alpha)]
-    tail_from = roots[-1] if n else float(alpha) + 8.0
-    slices = _root_slices(roots, tail_from, 2.0, l + 0.5)
-
+    """The p = 1 norm panels, graded toward their origin and root ends."""
     segs: list[tuple[float, float]] = []
 
     def push(pts):
         segs.extend(zip(pts[:-1], pts[1:]))
 
-    for lo, hi, bk, ak in slices:
+    for lo, hi, bk, ak in _norm_panels(n, l, 1.0):
         lo_kink = bk in ("zero", "root")
         hi_kink = ak == "root"
         lev_lo = 44 if bk == "zero" else 24
@@ -552,20 +533,6 @@ def _shannon_segments(n: int, l: int) -> list[tuple[float, float]]:
             push(_graded_edges(lo, hi, False, 24))
         else:
             segs.append((lo, hi))
-
-    # tail: graded away from the last kink, then growing smooth panels
-    h0 = max(2.0, 0.1 * (tail_from if n else 1.0))
-    if n:
-        push(_graded_edges(tail_from, tail_from + h0, True, 24))
-    e = tail_from + (h0 if n else 0.0)
-    w = max(4.0, h0)
-    # decay e^{-x}: sixty panels of capped width always suffice
-    for _ in range(60):
-        segs.append((e, e + w))
-        e += w
-        w = min(1.6 * w, 25.0)
-        if e > tail_from + 25.0 * (l + 3) + 20 * math.sqrt(n + 1) + 120:
-            break
     return segs
 
 
@@ -582,29 +549,19 @@ def shannon_radial_exact(state: QuantumState,
     n, l = state.n, state.l
     params = params or OscillatorParams()
     alpha = Fraction(2 * l + 1, 2)
-    segs = _shannon_segments(n, l)
+    edges = np.array(_shannon_segments(n, l), dtype=np.longdouble).T
 
     def accumulate(m_nodes: int) -> np.longdouble:
-        t, w = specfun.gauss_legendre(m_nodes)
-        t = t.astype(np.longdouble)
-        wl = w.astype(np.longdouble)
         total = np.longdouble(0.0)
-        # batch segments to keep the recurrence vectorised
-        chunk = max(1, _POINT_CAP // m_nodes)
-        for i in range(0, len(segs), chunk):
-            part = segs[i:i + chunk]
-            los = np.array([s[0] for s in part], dtype=np.longdouble)[:, None]
-            his = np.array([s[1] for s in part], dtype=np.longdouble)[:, None]
-            half = 0.5 * (his - los)
-            x = los + half * (1.0 + t[None, :])
-            psi = specfun.laguerre_orthonormal_weighted(n, alpha, x.ravel())
-            psi = psi.reshape(x.shape)
-            t2 = psi * psi
+        # blocks of at most _POINT_CAP nodes bound the memory of a pass
+        blocks = -(-edges.shape[1] * m_nodes // _POINT_CAP)
+        for lo, hi in np.array_split(edges, blocks, axis=1):
+            x, w = specfun.jacobi_panels(lo, hi, 0.0, 0.0, m_nodes)
+            t2 = specfun.laguerre_orthonormal_weighted(n, alpha, x) ** 2
             with np.errstate(divide="ignore", invalid="ignore"):
                 lnt = np.where(t2 > 0, np.log(np.where(t2 > 0, t2, 1.0)), 0.0)
                 lnx = np.log(x)
-            f = t2 * x ** np.longdouble(l + 0.5) * (lnt + l * lnx)
-            total += np.sum(half[:, 0] * (f @ wl))
+            total += np.sum(w * t2 * x ** np.longdouble(l + 0.5) * (lnt + l * lnx))
         return total
 
     j1 = accumulate(nodes)

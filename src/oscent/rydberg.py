@@ -127,25 +127,14 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float,
     q2 = 2.0 * p
     mu = 2.0 * beta + 1.0 + q2 * alpha  # origin exponent of t
     zs = np.array(bessel_zeros(alpha, kzeros + 1)) / 2.0  # zeros of J_a(2t)
-    terms = np.empty(kzeros + 1)
-
-    def panel(a, b):
-        t, w = specfun.gauss_jacobi(m_nodes, q2, q2)
-        half = 0.5 * (b - a)
-        x = a + half * (1.0 + t)
-        g = (np.abs(jv(alpha, 2.0 * x)) / ((x - a) * (b - x))) ** q2
-        g = g * x ** (2.0 * beta + 1.0)
-        return half ** (2.0 * q2 + 1.0) * np.dot(w, g)
-
-    # head [0, z_1]: weight t^mu at the origin, zero factor at z_1
-    t, w = specfun.gauss_jacobi(m_nodes, q2, mu)
-    half = 0.5 * zs[0]
-    x = half * (1.0 + t)
-    g = (np.abs(jv(alpha, 2.0 * x)) / (x ** alpha * (zs[0] - x))) ** q2
-    terms[0] = half ** (q2 + mu + 1.0) * np.dot(w, g)
-    for k in range(kzeros):
-        terms[k + 1] = panel(zs[k], zs[k + 1])
-    return terms
+    lo = np.concatenate(([0.0], zs[:-1]))[:, None]
+    hi = zs[:, None]
+    # head [0, z_1]: weight t^mu at the origin; zero factors at every root end
+    x, w = specfun.jacobi_panels(lo, hi, np.where(lo > 0, q2, mu), q2, m_nodes)
+    origin = np.where(lo > 0, x - lo, x ** alpha)
+    g = (np.abs(jv(alpha, 2.0 * x)) / (origin * (hi - x))) ** q2
+    g = g * np.where(lo > 0, x ** (2.0 * beta + 1.0), 1.0)
+    return np.sum(w * g, axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,9 @@
 
 Exact rational orthogonal-polynomial coefficients, Gamma-family helpers on
 the half-integer lattice, partial Bell polynomials, polynomial powers with a
-dual-route consistency assertion, stable high-degree Laguerre evaluation in
-extended precision, and adaptive quadrature plumbing.
+dual-route consistency assertion, stable high-degree Laguerre and Gegenbauer
+recurrences in extended precision, the batched Gauss-Jacobi panel rule and
+adaptive quadrature plumbing.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "gegenbauer_roots", "laguerre_poly", "laguerre_eval",
     "laguerre_orthonormal_weighted", "laguerre_eval_negparam", "bessel_j",
     "QuadratureSpec", "integrate", "gauss_legendre", "gauss_jacobi",
+    "jacobi_panels",
 ]
 
 
@@ -114,17 +116,11 @@ class RationalPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction input, numeric otherwise."""
-        if isinstance(x, Fraction):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        xs = np.asarray(x)
-        acc = np.zeros_like(xs, dtype=xs.dtype if xs.dtype.kind == "f" else float)
+        """Horner evaluation; exact for Fraction input."""
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * xs + float(c)
-        return acc if acc.shape else float(acc)
+            acc = acc * x + c
+        return acc
 
     def __add__(self, other: "RationalPoly") -> "RationalPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -282,60 +278,46 @@ def orthonormal_jacobi(n: int, a, b) -> OrthonormalPoly:
     return OrthonormalPoly(base=base, norm_square=ns)
 
 
-@lru_cache(maxsize=None)
-def _gegenbauer_parts(n: int, lam2: int) -> tuple[Fraction, RationalPoly]:
-    lam = Fraction(lam2, 2)
-    pref = pochhammer(2 * lam, n) / pochhammer(lam + Fraction(1, 2), n)
-    base = jacobi_poly(n, lam - Fraction(1, 2), lam - Fraction(1, 2))
-    return pref, base
-
-
 def gegenbauer_eval(n: int, lam, t):
-    """Gegenbauer C_n^{(lam)}(t) via the exact Jacobi route.
+    """Gegenbauer C_n^{(lam)}(t) by the forward three-term recurrence.
 
-    Uses C_n^{(lam)} = (2 lam)_n / (lam + 1/2)_n * P_n^{(lam-1/2, lam-1/2)}.
+    (k + 1) C_{k+1} = 2 (k + lam) t C_k - (k + 2 lam - 1) C_{k-1}, run in
+    extended precision; stable on [-1, 1].  Long-double input gives
+    long-double output, anything else float.
     """
     if n < 0:
         raise DomainError(f"gegenbauer degree must be >= 0, got {n}")
-    lam = Fraction(lam)
-    if lam <= 0:
+    if not lam > 0:
         raise DomainError(f"gegenbauer parameter must be positive, got {lam}")
-    if lam.denominator not in (1, 2):
-        raise DomainError("gegenbauer parameter must lie on the half-integer lattice")
-    pref, base = _gegenbauer_parts(n, int(2 * lam))
-    if isinstance(t, Fraction):
-        return pref * base(t)
-    return float(pref) * base(t)
+    t = np.asarray(t)
+    ts = t.astype(np.longdouble)
+    a = np.longdouble(lam)
+    c0, c1 = np.ones_like(ts), 2 * a * ts
+    for k in range(1, n):
+        c0, c1 = c1, (2 * (k + a) * ts * c1 - (k + 2 * a - 1) * c0) / (k + 1)
+    out = c0 if n == 0 else c1
+    if t.ndim == 0:
+        return float(out)
+    return out if t.dtype == np.longdouble else out.astype(float)
 
 
 def gegenbauer_roots(n: int, lam) -> np.ndarray:
-    """Roots of C_n^{(lam)} in (-1, 1) by sign-change bracketing and bisection."""
+    """Roots of C_n^{(lam)} in (-1, 1): the Golub-Welsch Gauss-Jacobi nodes.
+
+    Each root must be bracketed by a sign change of the recurrence on a
+    window of 0.45 times its distance to the nearest neighbour or end.
+    """
     if n == 0:
         return np.array([])
-    grid = np.linspace(-1.0, 1.0, max(200, 40 * n) + 1)[1:-1]
-    vals = gegenbauer_eval(n, lam, grid)
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0:
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = gegenbauer_eval(n, lam, mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if len(roots) != n:
-        raise AccuracyError(f"expected {n} roots, bracketed {len(roots)}")
-    return np.array(roots)
+    # a copy: the cached rule is shared with every other caller
+    x = np.array(gauss_jacobi(n, float(lam) - 0.5, float(lam) - 0.5)[0])
+    d = np.diff(np.concatenate(([-1.0], x, [1.0])))
+    delta = 0.45 * np.minimum(d[:-1], d[1:])
+    if np.any(gegenbauer_eval(n, lam, x - delta)
+              * gegenbauer_eval(n, lam, x + delta) > 0):
+        raise AccuracyError(f"failed to bracket the {n} Gegenbauer roots "
+                            f"for lam={lam}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +443,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 200
-    oscillation_hint: int | None = None
-    tail_decay: float | None = None  # algebraic tail exponent; None = exponential
 
 
 @lru_cache(maxsize=None)
@@ -481,76 +461,49 @@ def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _quad_finite(f, lo, hi, spec, points):
-    inner = [p for p in points if lo < p < hi]
-    try:
-        val, err = scipy.integrate.quad(
-            f, lo, hi, points=inner if inner else None,
-            epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=max(spec.max_subdivisions, 50))
-    except Exception as exc:  # quadpack failures surface as accuracy errors
-        raise AccuracyError(f"quadrature failed on [{lo}, {hi}]: {exc}") from exc
-    return val, err
+def jacobi_panels(lo, hi, lo_exp, hi_exp, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights mapped onto a batch of panels.
+
+    Row i holds the m-point rule for the weight (x - lo_i)^lo_exp_i
+    (hi_i - x)^hi_exp_i on [lo_i, hi_i], so sum(w * g(x), axis=1) is each
+    panel's integral of that weight times g.  The arithmetic runs in the
+    wider of float and the dtype of lo and hi.  Callers divide the end
+    factors out of their integrand by what each end is, not by comparing
+    exponents: two factors can carry the same exponent.
+    """
+    dtype = np.result_type(np.asarray(lo), np.asarray(hi), np.float64)
+    lo = np.asarray(lo, dtype=dtype).reshape(-1, 1)
+    hi = np.asarray(hi, dtype=dtype).reshape(-1, 1)
+    a = np.broadcast_to(np.asarray(hi_exp, dtype=float).ravel(), lo.shape[:1])
+    b = np.broadcast_to(np.asarray(lo_exp, dtype=float).ravel(), lo.shape[:1])
+    kinds, which = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
+    rules = [gauss_jacobi(m, float(ka), float(kb)) for ka, kb in kinds]
+    t = np.array([r[0] for r in rules], dtype=dtype)[which.ravel()]
+    w = np.array([r[1] for r in rules], dtype=dtype)[which.ravel()]
+    h = (hi - lo) / 2
+    power = (a + b + 1).astype(dtype)[:, None]
+    return lo + h * (1 + t), w * h ** power
 
 
 def integrate(f: Callable[[float], float], lo: float, hi: float,
               spec: QuadratureSpec | None = None,
               breakpoints: Sequence[float] | None = None) -> float:
-    """Adaptive quadrature of f over [lo, hi] (hi may be inf).
+    """Adaptive quadrature of f over the finite interval [lo, hi].
 
-    Oscillatory integrands can be pre-split either through explicit
-    breakpoints or through spec.oscillation_hint (uniform pre-split so each
-    panel spans at most one oscillation). Infinite upper limits are mapped,
-    not truncated: exponentially decaying tails go through the standard
-    semi-infinite transformation, algebraically decaying ones (exponent s
-    supplied via spec.tail_decay, s > 1) through a rational substitution.
+    Interior breakpoints split the interval where f loses smoothness.
     """
     spec = spec or QuadratureSpec()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"integration limits must be finite, got [{lo}, {hi}]")
     if not hi > lo:
         raise DomainError(f"integration limits must satisfy lo < hi, got [{lo}, {hi}]")
-    pts = sorted(float(p) for p in (breakpoints or []))
-
-    if math.isinf(hi):
-        cut = pts[-1] if pts else (lo + 1.0)
-        total = 0.0
-        errs = 0.0
-        if cut > lo:
-            v, e = _quad_finite(f, lo, cut, spec, pts)
-            total += v
-            errs += e
-        else:
-            cut = lo
-        if spec.tail_decay is not None:
-            s = spec.tail_decay
-            if not s > 1:
-                raise DomainError(f"algebraic tail decay must exceed 1, got {s}")
-            scale = max(abs(cut), 1.0)
-
-            def mapped(u):
-                x = cut + scale * (1.0 - u) / u
-                return f(x) * scale / (u * u)
-
-            v, e = _quad_finite(mapped, 0.0, 1.0, spec, [])
-        else:
-            try:
-                v, e = scipy.integrate.quad(
-                    f, cut, np.inf, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                    limit=max(spec.max_subdivisions, 50))
-            except Exception as exc:
-                raise AccuracyError(f"tail quadrature failed beyond {cut}: {exc}") from exc
-        total += v
-        errs += e
-        bound = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if errs > 50 * bound:
-            raise AccuracyError("quadrature error estimate exceeds tolerance",
-                                estimate=total, error_bound=errs)
-        return total
-
-    if spec.oscillation_hint:
-        k = max(int(spec.oscillation_hint), 1)
-        edges = np.linspace(lo, hi, k + 1)
-        pts = sorted(set(pts) | set(edges[1:-1].tolist()))
-    val, err = _quad_finite(f, lo, hi, spec, pts)
+    inner = sorted(float(p) for p in (breakpoints or []) if lo < p < hi)
+    try:
+        val, err = scipy.integrate.quad(
+            f, lo, hi, points=inner or None, epsabs=spec.abs_tol,
+            epsrel=spec.rel_tol, limit=max(spec.max_subdivisions, 50))
+    except Exception as exc:  # quadpack failures surface as accuracy errors
+        raise AccuracyError(f"quadrature failed on [{lo}, {hi}]: {exc}") from exc
     bound = max(spec.abs_tol, spec.rel_tol * abs(val))
     if err > 50 * bound:
         raise AccuracyError("quadrature error estimate exceeds tolerance",

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
+from scipy.special import lpmv, roots_jacobi, roots_legendre
 
 from oscent.angular import (AngularState, lambda_bell, lambda_closed,
                             lambda_linearization, lambda_quadrature,
@@ -89,6 +91,32 @@ def test_closed_family_sectoral_and_next(l, p):
         quad = lambda_quadrature(state, p)
         assert closed.lambda_value == pytest.approx(quad.lambda_value,
                                                     rel=1e-9)
+
+
+def lpmv_lambda(l, m, p, nodes=64):
+    """Power integral of |Y_{l,m}|^2 by Gauss-Legendre panels on lpmv values.
+
+    The panels end at the roots of P_l^m, so each one sees |.|^{2p} only
+    through a power of the distance to its ends.
+    """
+    roots = roots_jacobi(l - m, m, m)[0] if l > m else np.array([])
+    edges = np.concatenate(([-1.0], roots, [1.0]))
+    t0, w0 = roots_legendre(nodes)
+    h = np.diff(edges)[:, None] / 2
+    t = edges[:-1, None] + h * (1 + t0)
+    log_norm = (math.log((2 * l + 1) / (4 * math.pi))
+                + math.lgamma(l - m + 1) - math.lgamma(l + m + 1))
+    y = math.exp(log_norm) * lpmv(m, l, t) ** 2
+    return 2 * math.pi * float(np.sum(h * w0 * y ** p))
+
+
+@pytest.mark.parametrize("l,m,p", [(30, 0, 2.0), (30, 0, 2.2), (60, 0, 2.0),
+                                   (100, 5, 3.3), (8, 2, 2.5), (5, 2, 3.3)])
+def test_quadrature_matches_lpmv_reference(l, m, p):
+    # at m = 2 the end weight (1 + t)^{mp} and the root weight |t - r|^{2p}
+    # share one exponent; each panel must still divide out the right factor
+    got = lambda_quadrature(AngularState(l, m), p).lambda_value
+    assert got == pytest.approx(lpmv_lambda(l, m, p), rel=1e-10)
 
 
 def test_closed_family_absent_elsewhere():

@@ -128,12 +128,15 @@ def test_sweep_convergence_table(capsys):
     assert ratios[1] < ratios[0]
 
 
-def test_sweep_parallel_matches_serial(capsys):
-    args = ("sweep", "--quantity", "total-renyi", "--p", "2",
-            "--n", "0,1,2", "--l", "1", "--m", "0", "--format", "csv")
-    _, serial = invoke_csv(capsys, *args)
-    _, parallel = invoke_csv(capsys, *args, "--jobs", "3")
-    assert serial == parallel
+def test_sweep_total_matches_single_points(capsys):
+    _, rows = invoke_csv(capsys, "sweep", "--quantity", "total-renyi", "--p",
+                         "2", "--n", "0,1,2", "--l", "1", "--m", "0",
+                         "--format", "csv")
+    assert [int(r["n"]) for r in rows] == [0, 1, 2]
+    for r in rows:
+        _, single = invoke_csv(capsys, "total", "--n", r["n"], "--l", "1",
+                               "--p", "2", "--format", "csv")
+        assert r["total"] == single[0]["total"]
 
 
 def test_usage_errors_exit_64(capsys):
@@ -155,6 +158,10 @@ def test_domain_errors_exit_2(capsys):
     (["uncertainty", "--n", "0", "--l", "0", "--p", "0.5"], 2),
     (["radial", "--n", "1", "--l", "0", "--p", "2", "--rtol", "-1"], 64),
     (["radial", "--n", "1", "--l", "0", "--p", "2", "--rtol", "0"], 64),
+    (["sweep", "--quantity", "radial-renyi", "--n", "3,4", "--l", "1,2"], 64),
+    (["sweep", "--quantity", "total-renyi", "--n", "1", "--l", "x"], 64),
+    (["sweep", "--quantity", "total-renyi", "--n", "0,1", "--l", "0",
+      "--jobs", "2"], 64),
 ])
 def test_bad_inputs_exit_without_traceback(capsys, argv, code):
     assert run(argv) == code

@@ -294,10 +294,19 @@ def test_outer_lobe_kept_at_non_lattice_order():
 
 
 @pytest.mark.parametrize("n,l,p", [(15, 0, 4)] + [
-    (n, l, p) for n in (10, 20, 30) for l in (0, 1) for p in (3, 4)])
+    (n, l, p) for n in (10, 20, 30, 40) for l in (0, 1) for p in (3, 4)])
 def test_high_order_quadrature_matches_exact(n, l, p):
     got = laguerre_norm(n, l, float(p), path="quadrature")
     assert got.value == pytest.approx(exact_norm(n, l, p), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [10, 40])
+@pytest.mark.parametrize("l", [0, 1])
+def test_odd_two_p_quadrature_matches_mpmath(n, l):
+    # 2p = 5: the auto route is quadrature of the absolute power
+    got = laguerre_norm(n, l, 2.5)
+    assert got.path == "quadrature"
+    assert got.value == pytest.approx(mpmath_norm(n, l, 2.5), rel=1e-10)
 
 
 def test_tail_self_check_sees_a_missing_lobe(monkeypatch):

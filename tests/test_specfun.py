@@ -9,6 +9,7 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as hst
 
 from oscent import specfun
+from oscent.errors import DomainError
 
 
 def test_log_gamma_matches_scipy():
@@ -119,6 +120,21 @@ def test_gegenbauer_roots_are_roots():
         assert abs(sp.eval_gegenbauer(5, 1.5, t)) < 1e-12
 
 
+@pytest.mark.parametrize("n,lam", [(60, 0.5), (200, 3.5)])
+def test_high_degree_gegenbauer_roots_match_scipy(n, lam):
+    roots = specfun.gegenbauer_roots(n, lam)
+    want = sp.roots_jacobi(n, lam - 0.5, lam - 0.5)[0]
+    assert np.allclose(roots, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n,lam", [(20, 0.5), (60, 3.5), (100, 5.5)])
+def test_gegenbauer_recurrence_high_degree(n, lam):
+    t = np.linspace(-0.99, 0.99, 41)
+    got = specfun.gegenbauer_eval(n, lam, t)
+    want = sp.eval_gegenbauer(n, lam, t)
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("n,alpha", [(0, 0.5), (2, 1.5), (5, 2.5), (9, 0.5)])
 def test_laguerre_eval_matches_scipy(n, alpha):
     for x in (0.0, 0.3, 2.0, 11.0):
@@ -182,10 +198,25 @@ def test_gauss_rules_integrate_polynomials_exactly():
     assert weights @ nodes ** 2 == pytest.approx(want, rel=1e-12)
 
 
-def test_integrate_infinite_upper_limit():
-    val = specfun.integrate(lambda x: math.exp(-x), 0.0, math.inf)
-    assert val == pytest.approx(1.0, rel=1e-11)
-    spec = specfun.QuadratureSpec(tail_decay=2.0)
-    val = specfun.integrate(lambda x: x ** -2.0, 1.0, math.inf,
-                            spec=spec, breakpoints=[3.0])
-    assert val == pytest.approx(1.0, rel=1e-9)
+def test_integrate_rejects_non_finite_limits():
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            specfun.integrate(lambda x: math.exp(-x), lo, hi)
+
+
+def test_jacobi_panels_match_beta_closed_forms():
+    # integral_lo^hi (x-lo)^a (hi-x)^b (x-lo)^j dx = H^(a+b+j+1) B(a+j+1, b+1)
+    lo = np.array([0.0, 1.0, -1.0, -1.0, 0.3, 2.0])
+    hi = np.array([2.0, 4.0, 0.5, -0.2, 0.9, 2.5])
+    lo_exp = np.array([0.5, 2.5, 4.4, 0.0, 6.6, 3.0])
+    hi_exp = np.array([1.5, 0.0, 4.4, 6.6, 0.0, 3.0])
+    j = np.array([0, 3, 1, 2, 4, 0])
+    x, w = specfun.jacobi_panels(lo, hi, lo_exp, hi_exp, 12)
+    got = np.sum(w * (x - lo[:, None]) ** j[:, None], axis=1)
+    span = hi - lo
+    want = span ** (lo_exp + hi_exp + j + 1) * sp.beta(lo_exp + j + 1, hi_exp + 1)
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+    # long-double ends keep long-double nodes and weights
+    x, w = specfun.jacobi_panels(lo.astype(np.longdouble), hi, 0.0, 0.0, 4)
+    assert x.dtype == w.dtype == np.longdouble
+    assert np.allclose(np.sum(w, axis=1).astype(float), span, rtol=1e-15)
