@@ -3,7 +3,8 @@
 Subcommands map onto the library modules one-to-one and emit deterministic
 JSON or CSV records (fixed field order, 15 significant digits) so runs can
 be diffed as regression artifacts.  Exit codes: 0 success, 1 verification
-failure, 2 domain error, 3 accuracy error, 64 usage error.
+failure, 2 domain error, 3 accuracy error, 64 usage error, 141 output pipe
+closed by the reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -188,7 +189,11 @@ def _cmd_total(args) -> list[dict]:
     if args.tsallis:
         rec["tsallis"] = entropy.tsallis_from_renyi(dec.total, args.p)
     if args.disequilibrium:
-        rec["disequilibrium"] = entropy.disequilibrium(state, params)
+        # <rho> = exp(-R_2): reuse the total when it already is R_2
+        if args.p == 2.0 and dec.mode == "exact" and dec.space == "position":
+            rec["disequilibrium"] = math.exp(-dec.total)
+        else:
+            rec["disequilibrium"] = entropy.disequilibrium(state, params)
     return [rec]
 
 
@@ -467,8 +472,16 @@ def run(argv=None) -> int:
                 "sweep": _cmd_sweep,
             }[args.command]
             records, ok = handler(args), True
-        _emit(_request_echo(args), _present(records, args.bits),
-              args.format, sys.stdout)
+        try:
+            _emit(_request_echo(args), _present(records, args.bits),
+                  args.format, sys.stdout)
+        except BrokenPipeError:
+            # the reader went away (`| head`); the rest of the buffer goes to
+            # devnull so the flush at shutdown cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
         return 0 if ok else 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

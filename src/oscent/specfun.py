@@ -1,10 +1,10 @@
 """Special-function kernel.
 
 Exact rational orthogonal-polynomial coefficients, Gamma-family helpers on
-the half-integer lattice, partial Bell polynomials, polynomial powers with a
-dual-route consistency assertion, stable high-degree Laguerre and Gegenbauer
-recurrences in extended precision, the batched Gauss-Jacobi panel rule and
-adaptive quadrature plumbing.
+the half-integer lattice, partial Bell polynomials, powers by convolution
+(the Bell expansion is a test oracle), stable high-degree Laguerre and
+Gegenbauer recurrences in extended precision, the batched Gauss-Jacobi panel
+rule and adaptive quadrature plumbing.
 """
 
 from __future__ import annotations
@@ -184,42 +184,18 @@ def bell_partial(n: int, k: int, xs: Sequence):
     return table[n][k]
 
 
-def _poly_power_conv(poly: RationalPoly, q: int) -> RationalPoly:
+def poly_power(poly: RationalPoly, q: int) -> RationalPoly:
+    """q-th power of an exact polynomial, q >= 1.
+
+    Powers by convolution; the Bell expansion is a test oracle
+    (``_poly_power_bell`` in ``tests/test_specfun.py``).
+    """
+    if q < 1:
+        raise DomainError(f"poly_power requires q >= 1, got {q}")
     out = RationalPoly.from_list([1])
     for _ in range(q):
         out = out * poly
     return out
-
-
-def _poly_power_bell(poly: RationalPoly, q: int) -> RationalPoly:
-    # [sum_k c_k x^k]^q = sum_k  q!/(k+q)! B_{k+q,q}(1! c_0, 2! c_1, ...) x^k
-    deg = poly.degree
-    cs = list(poly.coeffs)
-    top = deg * q
-    args = [math.factorial(i + 1) * (cs[i] if i <= deg else Fraction(0))
-            for i in range(top + 1)]
-    out = []
-    qfact = math.factorial(q)
-    for k in range(top + 1):
-        b = bell_partial(k + q, q, args[:k + 1])
-        out.append(Fraction(qfact, math.factorial(k + q)) * b)
-    return RationalPoly.from_list(out)
-
-
-def poly_power(poly: RationalPoly, q: int) -> RationalPoly:
-    """q-th power of an exact polynomial, computed by two independent routes.
-
-    Repeated convolution and the Bell-polynomial expansion must agree
-    coefficient by coefficient; a mismatch indicates a kernel bug and raises.
-    """
-    if q < 1:
-        raise DomainError(f"poly_power requires q >= 1, got {q}")
-    conv = _poly_power_conv(poly, q)
-    bell = _poly_power_bell(poly, q)
-    if conv.coeffs != bell.coeffs:
-        raise AssertionError(
-            f"polynomial power routes disagree for degree {poly.degree}, q={q}")
-    return conv
 
 
 @lru_cache(maxsize=None)

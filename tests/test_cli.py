@@ -11,7 +11,9 @@ import sys
 import pytest
 
 import oscent
-from oscent.cli import run
+from oscent import entropy
+from oscent.cli import _cmd_total, build_parser, run
+from oscent.radial import OscillatorParams, QuantumState
 
 
 def invoke(capsys, *argv):
@@ -147,6 +149,40 @@ def test_usage_errors_exit_64(capsys):
     assert run([]) == 64
 
 
+def total_record(*argv):
+    """The unrounded record of `oscent total`."""
+    return _cmd_total(build_parser().parse_args(["total", *argv]))[0]
+
+
+@pytest.mark.parametrize("extra,calls", [
+    ((), 1),
+    (("--p", "3"), 2),
+    (("--mode", "asymptotic"), 2),
+    (("--space", "momentum"), 2),
+])
+def test_disequilibrium_reuses_an_order_two_total(monkeypatch, extra, calls):
+    seen = []
+    renyi_total = entropy.renyi_total
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return renyi_total(*args, **kwargs)
+
+    monkeypatch.setattr(entropy, "renyi_total", counting)
+    total_record("--n", "3", "--l", "1", "--m", "1", "--p", "2",
+                 "--disequilibrium", *extra)
+    assert len(seen) == calls
+
+
+def test_disequilibrium_from_total_is_bitwise_unchanged():
+    for n, l, m, lam in ((0, 0, 0, 1.0), (3, 1, 1, 1.0), (5, 2, 0, 1.7)):
+        rec = total_record("--n", str(n), "--l", str(l), "--m", str(m),
+                           "--p", "2", "--lam", str(lam), "--disequilibrium")
+        want = entropy.disequilibrium(QuantumState(n, l, m),
+                                      OscillatorParams(lam))
+        assert rec["disequilibrium"] == want
+
+
 def test_domain_errors_exit_2(capsys):
     assert run(["radial", "--n", "1", "--l", "0", "--p", "-1"]) == 2
     assert run(["angular", "--l", "2", "--m", "5", "--p", "2"]) == 2
@@ -179,15 +215,34 @@ def test_precision_env(capsys, monkeypatch):
     assert run(["radial", "--n", "1", "--l", "0", "--p", "0.5"]) == 64
 
 
-def test_module_entry_point():
+def child_env():
     # the child imports the same package as this process, installed or not
     src = os.path.dirname(os.path.dirname(oscent.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "oscent.cli", "angular", "--l", "0", "--m",
-         "0", "--p", "3"], capture_output=True, text=True, env=env)
+         "0", "--p", "3"], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["results"][0]["renyi"] == pytest.approx(
         math.log(4.0 * math.pi), rel=1e-12)
+
+
+def test_closed_output_pipe_exits_141_without_traceback():
+    # ~220 kB of JSON, more than a pipe buffers, so the child is still
+    # writing when the reader closes its end after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oscent.cli", "sweep", "--quantity",
+         "angular-renyi", "--l", ",".join(["0"] * 1000), "--p", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert code == 141
+    assert "Traceback" not in err

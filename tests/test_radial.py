@@ -57,6 +57,14 @@ def test_symbolic_vs_quadrature(n, l, q):
     assert quad.value == pytest.approx(sym.value, rel=1e-11)
 
 
+@pytest.mark.parametrize("l", [0, 3])
+def test_symbolic_at_grid_top_order_matches_quadrature(l):
+    # n = 10, 2p = 6: the costliest exact power the low-lying table computes
+    sym = laguerre_norm(10, l, 3.0, path="symbolic")
+    quad = laguerre_norm(10, l, 3.0, path="quadrature")
+    assert sym.value == pytest.approx(quad.value, rel=1e-12)
+
+
 def test_degree_cap_falls_back_to_quadrature():
     auto = laguerre_norm(31, 0, 2.0)
     assert auto.path == "quadrature"

@@ -8,7 +8,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as hst
 
-from oscent import specfun
+from oscent import angular, specfun
 from oscent.errors import DomainError
 
 
@@ -66,6 +66,49 @@ def test_poly_power_cube_of_binomial():
     p = specfun.RationalPoly.from_list([1, 1])
     cube = specfun.poly_power(p, 3)
     assert cube.coeffs == tuple(Fraction(c) for c in (1, 3, 3, 1))
+
+
+def _poly_power_bell(poly, q):
+    """Oracle: [sum_k c_k x^k]^q by partial Bell polynomials.
+
+    [z^k] = q!/(k+q)! B_{k+q,q}(1! c_0, 2! c_1, ...), an expansion that
+    shares no arithmetic with the convolution in ``specfun.poly_power``.
+    """
+    deg = poly.degree
+    cs = list(poly.coeffs)
+    top = deg * q
+    args = [math.factorial(i + 1) * (cs[i] if i <= deg else Fraction(0))
+            for i in range(top + 1)]
+    qfact = math.factorial(q)
+    return specfun.RationalPoly.from_list(
+        [Fraction(qfact, math.factorial(k + q))
+         * specfun.bell_partial(k + q, q, args[:k + 1])
+         for k in range(top + 1)])
+
+
+@pytest.mark.parametrize("q", [2, 4, 6])
+@pytest.mark.parametrize("l", [0, 3])
+@pytest.mark.parametrize("n", [1, 3, 7, 10])
+def test_poly_power_matches_bell_oracle_on_laguerre(n, l, q):
+    lpoly = specfun.laguerre_poly(n, Fraction(2 * l + 1, 2))
+    assert specfun.poly_power(lpoly, q).coeffs == _poly_power_bell(lpoly, q).coeffs
+
+
+def test_poly_power_matches_bell_oracle_on_angular_generator(monkeypatch):
+    # the generating polynomial _ctilde0 raises to 2p, at the exact routes' limits
+    seen = []
+    conv = specfun.poly_power
+
+    def spy(poly, q):
+        seen.append((poly, q))
+        return conv(poly, q)
+
+    monkeypatch.setattr(specfun, "poly_power", spy)
+    m = 1
+    angular._ctilde0.__wrapped__(angular.MAX_DEGREE + m, m, angular.MAX_TWO_P)
+    [(upoly, q)] = seen
+    assert (upoly.degree, q) == (angular.MAX_DEGREE, angular.MAX_TWO_P)
+    assert conv(upoly, q).coeffs == _poly_power_bell(upoly, q).coeffs
 
 
 @given(hst.lists(hst.integers(min_value=-4, max_value=4), min_size=1,
