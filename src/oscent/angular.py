@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .errors import AccuracyError, DomainError, UnboundedGrowthError
+from .errors import DomainError, UnboundedGrowthError
 from .order import EntropyOrder, as_order
 
 __all__ = [
@@ -236,46 +236,46 @@ def _angular_roots(l: int, m: int) -> tuple[float, ...]:
     return tuple(specfun.gegenbauer_roots(l - m, Fraction(2 * m + 1, 2)))
 
 
-def _lambda_quad_value(state: AngularState, p: float, rtol: float) -> float:
-    """2 pi A^{2p} integral of |C(t)|^{2p} (1 - t^2)^{mp} over [-1, 1].
+def _angular_pass(l: int, m: int, p: float, m_nodes: int, log_ends: bool = False):
+    """|C(t)|^{2p} (1 - t^2)^{mp} on Gauss-Jacobi panels between the roots.
 
-    Gauss-Jacobi panels run between the Gegenbauer roots: |t - r|^{2p} is
-    absorbed at root ends and (1 -+ t)^{mp} at the ends +-1.  The factor
-    divided out at an end follows from what the end is: at m = 2 both carry
-    the exponent 2p.  Certified by a second node count, like the radial
-    engine.
+    |t - r|^{2p} is absorbed at root ends and (1 -+ t)^{mp} at the ends +-1.
+    The factor divided out at an end follows from what the end is: at m = 2
+    both carry the exponent 2p.  Returns t, the jacobi_panels weights,
+    c = |C| over the root-end distances, f (the integrand over the weight)
+    and the root-end masks.
     """
-    l, m = state.l, state.m_abs
     n = l - m
-    lam = Fraction(2 * m + 1, 2)
     q2, mp = 2.0 * p, m * p
     ends = np.array((-1.0,) + _angular_roots(l, m) + (1.0,), dtype=np.longdouble)
     lo, hi = ends[:-1, None], ends[1:, None]
     lo_root = np.arange(n + 1)[:, None] > 0
     hi_root = np.arange(n + 1)[:, None] < n
+    t, *weights = specfun.jacobi_panels(lo, hi, np.where(lo_root, q2, mp),
+                                        np.where(hi_root, q2, mp), m_nodes, log_ends)
+    c = np.abs(specfun.gegenbauer_eval(n, Fraction(2 * m + 1, 2), t))
+    c = c / np.where(lo_root, t - lo, 1.0) / np.where(hi_root, hi - t, 1.0)
+    f = c ** q2 * np.where(lo_root, 1 + t, 1.0) ** mp \
+        * np.where(hi_root, 1 - t, 1.0) ** mp
+    return t, weights, c, f, lo_root, hi_root
+
+
+def _lambda_quad_value(state: AngularState, p: float, rtol: float) -> float:
+    """2 pi A^{2p} integral of |C(t)|^{2p} (1 - t^2)^{mp} over [-1, 1].
+
+    Panel quadrature between the Gegenbauer roots (_angular_pass), certified
+    by a second node count, like the radial engine.
+    """
+    l, m = state.l, state.m_abs
 
     def value(m_nodes: int) -> np.longdouble:
-        t, w = specfun.jacobi_panels(lo, hi, np.where(lo_root, q2, mp),
-                                     np.where(hi_root, q2, mp), m_nodes)
-        c = np.abs(specfun.gegenbauer_eval(n, lam, t))
-        c = c / np.where(lo_root, t - lo, 1.0) / np.where(hi_root, hi - t, 1.0)
-        g = c ** q2 * np.where(lo_root, 1 + t, 1.0) ** mp \
-            * np.where(hi_root, 1 - t, 1.0) ** mp
-        return np.sum(w * g)
+        _, (w,), _, f, _, _ = _angular_pass(l, m, p, m_nodes)
+        return np.sum(w * f)
 
-    v1 = value(48)
-    v2 = value(72)
-    tol = max(rtol, 5e-13)
-    if abs(float((v1 - v2) / v2)) > tol:
-        v3 = value(108)
-        rel = abs(float((v2 - v3) / v3))
-        if rel > tol:
-            raise AccuracyError(
-                f"angular quadrature did not settle for l={l}, m={m}, p={p}",
-                estimate=float(v3), error_bound=rel)
-        v2 = v3
+    v, _ = specfun.settled(value, 48, max(rtol, 5e-13),
+                           f"angular quadrature for l={l}, m={m}, p={p}")
     a2p = math.exp(p * math.log(norm_const_squared(state)))
-    return 2.0 * math.pi * a2p * float(v2)
+    return 2.0 * math.pi * a2p * float(v)
 
 
 def lambda_quadrature(state: AngularState, p, rtol: float = 1e-12) -> AngularResult:
@@ -349,22 +349,26 @@ def _shannon_closed(state: AngularState) -> float | None:
 
 
 def _shannon_quadrature(state: AngularState, rtol: float) -> float:
+    """-2 pi integral y ln y dt, y = A^2 C(t)^2 (1 - t^2)^m, on the p = 1 panels.
+
+    ln y = ln A^2 + s + c_lo ln(t - lo) + c_hi ln(hi - t), s smooth, c = 2 at
+    root ends and c = m at +-1; the log terms take the ln-weighted rule.
+    """
     l, m = state.l, state.m_abs
-    n = l - m
-    lam = Fraction(2 * m + 1, 2)
     a2 = norm_const_squared(state)
+    ln_a2 = math.log(a2)
 
-    def f(t: float) -> float:
-        c = specfun.gegenbauer_eval(n, lam, t)
-        y = a2 * c * c * ((1.0 - t * t) ** m if m else 1.0)
-        if y <= 0.0:
-            return 0.0
-        return -y * math.log(y)
+    def value(m_nodes: int) -> np.longdouble:
+        t, (w, w_lo, w_hi), c, f, lo_root, hi_root = _angular_pass(l, m, 1.0, m_nodes, True)
+        s = ln_a2 + 2 * np.log(c) + m * (np.where(lo_root, np.log1p(t), 0.0)
+                                         + np.where(hi_root, np.log1p(-t), 0.0))
+        c_lo = np.where(lo_root, 2.0, m)
+        c_hi = np.where(hi_root, 2.0, m)
+        return a2 * np.sum(f * (w * s + c_lo * w_lo + c_hi * w_hi))
 
-    spec = specfun.QuadratureSpec(rel_tol=rtol, abs_tol=1e-13, max_subdivisions=400)
-    integral = specfun.integrate(f, -1.0, 1.0, spec=spec,
-                                 breakpoints=_angular_roots(l, m))
-    return 2.0 * math.pi * integral
+    v, _ = specfun.settled(value, 48, max(rtol, 5e-13),
+                           f"angular Shannon quadrature for l={l}, m={m}", floor=1.0)
+    return -2.0 * math.pi * float(v)
 
 
 def shannon_angular(state: AngularState, method: str = "auto",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -374,7 +375,9 @@ def _cmd_verify(args) -> tuple[list[dict], bool]:
 # ---------------------------------------------------------------------------
 # parser assembly and entry point
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argparse tree, built once: parsing does not change it."""
     parser = _Parser(prog="oscent",
                      description="Entropies of oscillator eigenstates")
     parser.add_argument("--version", action="version", version=__version__)

@@ -265,56 +265,51 @@ def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
     raise AccuracyError(f"radial tail failed to converge for n={n}, l={l}, p={p}")
 
 
-def _norm_quadrature(n: int, l: int, p: float, rtol: float, nodes: int,
-                     extra_warns: tuple[str, ...] = ()) -> LaguerreNorm:
-    """Panel quadrature of N_{n,l}(p), certified by a second node count.
+def _panel_pass(n: int, l: int, p: float, panels: list[tuple], m_nodes: int,
+                log_ends: bool = False):
+    """The N_{n,l}(p) integrand on every node of every panel, in one pass.
 
-    Jacobi end weights absorb the power at zero and the |x - r|^{2p} zeros at
-    root ends.  Each pass evaluates every node of every panel in one batched
-    recurrence call (split only above _POINT_CAP points).
+    Jacobi end weights absorb the power at zero and |x - r|^{2p} at root
+    ends; all nodes go through one recurrence call (split only above
+    _POINT_CAP points).  Returns x, the jacobi_panels weights, g = |psi| over
+    the root-end distances, f = g^{2p} x^{pl+1/2}[not at zero] and the
+    panel sums of w f.
     """
     alpha = Fraction(2 * l + 1, 2)
     gma, q2 = p * l + 0.5, 2.0 * p
-    panels = _norm_panels(n, l, p)
     lo = np.array([s[0] for s in panels], dtype=np.longdouble)[:, None]
     hi = np.array([s[1] for s in panels], dtype=np.longdouble)[:, None]
     bk = np.array([s[2] for s in panels])[:, None]
     ak = np.array([s[3] for s in panels])[:, None]
     lo_exp = np.where(bk == "zero", gma, np.where(bk == "root", q2, 0.0))
     hi_exp = np.where(ak == "root", q2, 0.0)
+    x, *weights = specfun.jacobi_panels(lo, hi, lo_exp, hi_exp, m_nodes, log_ends)
+    psi = np.concatenate([
+        specfun.laguerre_orthonormal_weighted(n, alpha, chunk)
+        for chunk in np.array_split(x.ravel(), -(-x.size // _POINT_CAP))])
+    g = np.abs(psi.reshape(x.shape)) / np.where(bk == "root", x - lo, 1.0)
+    g = g / np.where(ak == "root", hi - x, 1.0)
+    f = g ** q2 * np.where(bk == "zero", 1.0, x ** gma)
+    parts = np.sum(weights[0] * f, axis=1)
+    # node doubling cannot see a region the panels miss; a list that ends on
+    # a negligible, decaying panel has passed the last lobe
+    if parts[-1] > min(1e-20 * parts.sum(), parts[-2]):
+        raise AccuracyError(
+            f"radial tail list ends inside a lobe for n={n}, l={l}, p={p}",
+            estimate=float(parts.sum()))
+    return x, weights, g, f, parts
 
-    def value(m_nodes: int) -> np.longdouble:
-        x, w = specfun.jacobi_panels(lo, hi, lo_exp, hi_exp, m_nodes)
-        psi = np.concatenate([
-            specfun.laguerre_orthonormal_weighted(n, alpha, chunk)
-            for chunk in np.array_split(x.ravel(), -(-x.size // _POINT_CAP))])
-        g = np.abs(psi.reshape(x.shape)) / np.where(bk == "root", x - lo, 1.0)
-        g = (g / np.where(ak == "root", hi - x, 1.0)) ** q2
-        parts = np.sum(w * g * np.where(bk == "zero", 1.0, x ** gma), axis=1)
-        total = parts.sum()
-        # node doubling cannot see a region the panels miss; a list that
-        # ends on a negligible, decaying panel has passed the last lobe
-        if parts[-1] > min(1e-20 * total, parts[-2]):
-            raise AccuracyError(
-                f"radial tail list ends inside a lobe for n={n}, l={l}, p={p}",
-                estimate=float(total))
-        return total
 
-    v1 = value(nodes)
-    v2 = value(nodes + nodes // 2)
-    tol = max(rtol, 5e-13)
-    rel = abs(float((v1 - v2) / v2)) if v2 != 0 else float("inf")
-    warns = extra_warns
-    if rel > tol:
-        v3 = value(nodes * 2 + nodes // 4)
-        rel2 = abs(float((v2 - v3) / v3)) if v3 != 0 else float("inf")
-        if rel2 > tol:
-            raise AccuracyError(
-                f"radial quadrature did not settle for n={n}, l={l}, p={p}",
-                estimate=float(v3), error_bound=rel2)
-        v2 = v3
-        warns = warns + ("node count escalated to reach tolerance",)
-    return _mk_norm(float(v2), float(np.log(v2)), "quadrature", p, l, warns)
+def _norm_quadrature(n: int, l: int, p: float, rtol: float, nodes: int,
+                     extra_warns: tuple[str, ...] = ()) -> LaguerreNorm:
+    """Panel quadrature of N_{n,l}(p), certified by a second node count."""
+    panels = _norm_panels(n, l, p)
+    v, escalated = specfun.settled(
+        lambda m: _panel_pass(n, l, p, panels, m)[-1].sum(), nodes,
+        max(rtol, 5e-13), f"radial quadrature for n={n}, l={l}, p={p}")
+    warns = extra_warns + (("node count escalated to reach tolerance",)
+                           if escalated else ())
+    return _mk_norm(float(v), float(np.log(v)), "quadrature", p, l, warns)
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +418,9 @@ def negparam_laguerre_integral(n: int, nu: float, x: float, *,
         g[1:] *= u[1:] ** (2.0 * nu - 1.0)
         return 2.0 * float(np.sum(w * g))
 
-    v1 = run(nodes)
-    v2 = run(nodes + nodes // 2)
-    scale = max(abs(v2), 1e-30)
-    if abs(v1 - v2) / scale > 1e-9:
-        raise AccuracyError(
-            f"negative-parameter Laguerre integral did not settle for "
-            f"n={n}, nu={nu}, x={x}", estimate=v2,
-            error_bound=abs(v1 - v2) / scale)
-    pref = (-1.0) ** n / (math.factorial(n) * math.gamma(nu))
-    return pref * v2
+    v, _ = specfun.settled(run, nodes, 1e-9, f"negative-parameter Laguerre "
+                           f"integral for n={n}, nu={nu}, x={x}", floor=1e-30)
+    return (-1.0) ** n / (math.factorial(n) * math.gamma(nu)) * v
 
 
 # ---------------------------------------------------------------------------
@@ -499,76 +487,33 @@ def renyi_radial_exact(state: QuantumState, params: OscillatorParams | None = No
 
 
 # ---------------------------------------------------------------------------
-# Shannon entropy: graded panels against the logarithmic kinks
-
-def _graded_edges(lo: float, hi: float, toward_lo: bool, levels: int) -> list:
-    """Edges of [lo, hi] geometrically refined toward one end."""
-    w = hi - lo
-    if toward_lo:
-        pts = [lo] + [lo + w * 2.0 ** (-j) for j in range(levels, -1, -1)]
-    else:
-        pts = [hi - w * 2.0 ** (-j) for j in range(1, levels + 1)]
-        pts = [lo] + pts + [hi]
-    return pts
-
-
-def _shannon_segments(n: int, l: int) -> list[tuple[float, float]]:
-    """The p = 1 norm panels, graded toward their origin and root ends."""
-    segs: list[tuple[float, float]] = []
-
-    def push(pts):
-        segs.extend(zip(pts[:-1], pts[1:]))
-
-    for lo, hi, bk, ak in _norm_panels(n, l, 1.0):
-        lo_kink = bk in ("zero", "root")
-        hi_kink = ak == "root"
-        lev_lo = 44 if bk == "zero" else 24
-        if lo_kink and hi_kink:
-            mid = 0.5 * (lo + hi)
-            push(_graded_edges(lo, mid, True, lev_lo))
-            push(_graded_edges(mid, hi, False, 24))
-        elif lo_kink:
-            push(_graded_edges(lo, hi, True, lev_lo))
-        elif hi_kink:
-            push(_graded_edges(lo, hi, False, 24))
-        else:
-            segs.append((lo, hi))
-    return segs
-
+# Shannon entropy: log-weighted end rules against the logarithmic kinks
 
 def shannon_radial_exact(state: QuantumState,
                          params: OscillatorParams | None = None,
                          *, rtol: float = 1e-10, nodes: int = 20) -> float:
     """Shannon entropy of the radial density against the r^2 dr measure.
 
-    S = -ln(2 lam^{3/2}) - integral psi^2 x^{l+1/2} (ln psi^2 + l ln x) dx
-    with psi the weighted orthonormal Laguerre function; the integrand's
-    logarithmic kinks at the roots and at the origin are met with
-    geometrically graded panels.
+    S = -ln(2 lam^{3/2}) - J, J = integral psi^2 x^{l+1/2} (ln psi^2 + l ln x) dx
+    with psi the weighted orthonormal Laguerre function, on the p = 1 norm
+    panels.  There psi^2 x^{l+1/2} = W f with W the Jacobi end weight and
+    ln(psi^2 x^l) = s + c_lo ln(x - lo) + c_hi ln(hi - x), s smooth, c = 2 at
+    root ends and c = l at zero; the log terms take the ln-weighted rule on
+    the same nodes.  Certified like the norm quadrature.
     """
     n, l = state.n, state.l
     params = params or OscillatorParams()
-    alpha = Fraction(2 * l + 1, 2)
-    edges = np.array(_shannon_segments(n, l), dtype=np.longdouble).T
+    panels = _norm_panels(n, l, 1.0)
+    kinds = np.array([s[2:] for s in panels])
+    c_lo = np.where(kinds[:, :1] == "root", 2.0, np.where(kinds[:, :1] == "zero", l, 0.0))
+    c_hi = np.where(kinds[:, 1:] == "root", 2.0, 0.0)
+    smooth_x = np.where(kinds[:, :1] == "zero", 0.0, l)
 
-    def accumulate(m_nodes: int) -> np.longdouble:
-        total = np.longdouble(0.0)
-        # blocks of at most _POINT_CAP nodes bound the memory of a pass
-        blocks = -(-edges.shape[1] * m_nodes // _POINT_CAP)
-        for lo, hi in np.array_split(edges, blocks, axis=1):
-            x, w = specfun.jacobi_panels(lo, hi, 0.0, 0.0, m_nodes)
-            t2 = specfun.laguerre_orthonormal_weighted(n, alpha, x) ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lnt = np.where(t2 > 0, np.log(np.where(t2 > 0, t2, 1.0)), 0.0)
-                lnx = np.log(x)
-            total += np.sum(w * t2 * x ** np.longdouble(l + 0.5) * (lnt + l * lnx))
-        return total
+    def value(m_nodes: int) -> np.longdouble:
+        x, (w, w_lo, w_hi), g, f, _ = _panel_pass(n, l, 1.0, panels, m_nodes, True)
+        s = 2 * np.log(g) + smooth_x * np.log(x)
+        return np.sum(f * (w * s + c_lo * w_lo + c_hi * w_hi))
 
-    j1 = accumulate(nodes)
-    j2 = accumulate(nodes + nodes // 2)
-    rel = abs(float(j1 - j2)) / max(1.0, abs(float(j2)))
-    if rel > max(rtol, 1e-12) * 50:
-        raise AccuracyError(
-            f"Shannon radial quadrature did not settle for n={n}, l={l}",
-            estimate=float(j2), error_bound=rel)
-    return -_LN_2 - 1.5 * math.log(params.lam) - float(j2)
+    j, _ = specfun.settled(value, nodes, max(rtol, 5e-13),
+                           f"Shannon radial quadrature for n={n}, l={l}", floor=1.0)
+    return -_LN_2 - 1.5 * math.log(params.lam) - float(j)

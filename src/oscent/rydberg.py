@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import jv, zeta
+from scipy.special import jv, jvp, zeta
 
 from . import specfun
 from .errors import AccuracyError, DomainError
@@ -94,31 +93,38 @@ def cosine_constant(p) -> RegimeConstant:
 
 @lru_cache(maxsize=None)
 def bessel_zeros(alpha: float, count: int) -> tuple[float, ...]:
-    """First `count` positive zeros of J_alpha, by sign-scan plus brentq.
+    """First `count` positive zeros of J_alpha: sign-scan brackets, Newton polish.
 
     Works for any real order >= 0, unlike the integer-only library tables.
+    A grid of step pi/8, reaching 2 pi + 10 past (count + alpha/2) pi (the
+    McMahon estimate of the count-th zero is (count + alpha/2 - 1/4) pi),
+    brackets each zero by a sign change; too few brackets raise.  Newton
+    steps on J_alpha / J_alpha' from secant starts stop once every step is a
+    few ulp.  The brackets are disjoint, so a zero that stays in its bracket
+    is the one zero there.
     """
     if alpha < 0:
         raise DomainError(f"Bessel order must be >= 0, got {alpha}")
     if count <= 0:
         return ()
-    zeros: list[float] = []
-    start = max(0.5, 0.9 * alpha)
-    h = math.pi / 8.0
-    hi = (count + 0.5 * alpha + 2.0) * math.pi + 10.0
-    while len(zeros) < count:
-        grid = np.arange(start, hi, h)
-        vals = jv(alpha, grid)
-        sgn = np.sign(vals)
-        idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        for i in idx:
-            z = brentq(lambda z: jv(alpha, z), grid[i], grid[i + 1],
-                       xtol=1e-14, rtol=8.9e-16)
-            zeros.append(z)
-            if len(zeros) == count:
-                break
-        start, hi = hi, hi + (count - len(zeros) + 4) * math.pi + 10.0
-    return tuple(zeros)
+    grid = np.arange(max(0.5, 0.9 * alpha), (count + 0.5 * alpha + 2.0) * math.pi + 10.0,
+                     math.pi / 8.0)
+    vals = jv(alpha, grid)
+    i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][:count]
+    if i.size < count:
+        raise AccuracyError(f"bracketed {i.size} of {count} zeros of J_{alpha}")
+    lo, hi, f_lo, f_hi = grid[i], grid[i + 1], vals[i], vals[i + 1]
+    z = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    ulps = 4 * np.finfo(float).eps * z
+    for _ in range(8):
+        step = jv(alpha, z) / jvp(alpha, z)
+        z = z - step
+        if np.all(np.abs(step) <= ulps):
+            break
+    if np.any(np.abs(step) > ulps) or not np.all((lo < z) & (z < hi)):
+        raise AccuracyError(f"Newton polishing of the J_{alpha} zeros failed to "
+                            f"settle inside their brackets")
+    return tuple(float(v) for v in z)
 
 
 def _bessel_partial_terms(alpha: float, beta: float, p: float,

@@ -4,7 +4,8 @@ Exact rational orthogonal-polynomial coefficients, Gamma-family helpers on
 the half-integer lattice, partial Bell polynomials, powers by convolution
 (the Bell expansion is a test oracle), stable high-degree Laguerre and
 Gegenbauer recurrences in extended precision, the batched Gauss-Jacobi panel
-rule and adaptive quadrature plumbing.
+rule with its log-weighted product rule, the two-node-count check and
+adaptive quadrature plumbing.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 import scipy.special
 
 from .errors import AccuracyError, DomainError
@@ -27,8 +27,8 @@ __all__ = [
     "poly_power", "jacobi_poly", "orthonormal_jacobi", "gegenbauer_eval",
     "gegenbauer_roots", "laguerre_poly", "laguerre_eval",
     "laguerre_orthonormal_weighted", "laguerre_eval_negparam", "bessel_j",
-    "QuadratureSpec", "integrate", "gauss_legendre", "gauss_jacobi",
-    "jacobi_panels",
+    "integrate", "gauss_legendre", "gauss_jacobi",
+    "gauss_jacobi_log", "jacobi_panels", "settled",
 ]
 
 
@@ -412,15 +412,6 @@ def bessel_j(alpha: float, x):
 # ---------------------------------------------------------------------------
 # Quadrature
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and subdivision policy for adaptive quadrature."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-
 @lru_cache(maxsize=None)
 def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -437,7 +428,56 @@ def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def jacobi_panels(lo, hi, lo_exp, hi_exp, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _log_moments(m: int, a, b) -> np.ndarray:
+    """nu_k / sqrt(mu0 h_k), k < m, as ratios of consecutive terms (long double)."""
+    k = np.arange(1, m - 1, dtype=np.longdouble)
+    h_step = ((2 * k + a + b + 1) * (k + a + 1) * (k + b + 1)
+              / ((2 * k + a + b + 3) * (k + a + b + 1) * (k + 1)))
+    steps = -(k + 1 + a) * k / ((k + 1) * (k + a + b + 2)) / np.sqrt(h_step)
+    nu0 = (math.log(2.0) + scipy.special.digamma(float(b) + 1)
+           - scipy.special.digamma(float(a + b) + 2))
+    nu1 = (1 + a) / (a + b + 2) / np.sqrt((a + 1) * (b + 1) / (a + b + 3))
+    return np.concatenate(([nu0], nu1 * np.cumprod(np.append(1, steps))))[:m]
+
+
+@lru_cache(maxsize=None)
+def gauss_jacobi_log(m: int, a: float, b: float) -> tuple[np.ndarray, ...]:
+    """Gauss-Jacobi rule plus the weights of ln(1+t) and ln(1-t) on its nodes.
+
+    Returns (t, w, lp, lm) for the weight (1-t)^a (1+t)^b: sum(lp * f(t)) and
+    sum(lm * f(t)) integrate it times ln(1+t) f and ln(1-t) f, exactly for
+    polynomials f of degree < m.  A product rule from modified moments
+    (Gautschi 2004): lp_i = w_i sum_k p_k(t_i) nu_k / sqrt(h_k) over the
+    orthonormal p_k = P_k / sqrt(h_k), with nu_k = int weight ln(1+t) P_k:
+    nu_0 = mu0 [ln 2 + psi(b+1) - psi(a+b+2)], mu0 = 2^{a+b+1} B(a+1, b+1),
+    and nu_k = (-1)^{k-1} mu0 C(k+a, k) (k-1)! / (a+b+2)_k for k >= 1
+    (Chu-Vandermonde differentiated in the exponent of 1+t); lm mirrors
+    t -> -t.  w are the Christoffel numbers 1 / sum_k p_k(t_i)^2 from the
+    same long-double recurrence, far closer to exact than the library
+    weights, which the log weights must match.  w, lp, lm are long double.
+    """
+    t = gauss_jacobi(m, a, b)[0]
+    a_, b_ = np.longdouble(a), np.longdouble(b)
+    k = np.arange(1, m, dtype=np.longdouble)
+    s = 2 * k + a_ + b_
+    # orthonormal recurrence t p_k = off_k+1 p_k+1 + diag_k p_k + off_k p_k-1;
+    # at k = 1 the factor (k + a + b) / (s - 1) of off_k^2 is exactly 1
+    diag = np.append((b_ - a_) / (a_ + b_ + 2), (b_ * b_ - a_ * a_) / (s * (s + 2)))
+    off = np.sqrt(4 * k * (k + a_) * (k + b_) / (s * s * (s + 1))
+                  * np.where(k == 1, 1, (k + a_ + b_) / (s - 1)))
+    p = np.empty((m, m), dtype=np.longdouble)  # sqrt(mu0) p_k(t_i), row k
+    p[0] = 1
+    for j in range(m - 1):
+        p[j + 1] = ((t - diag[j]) * p[j] - (off[j - 1] * p[j - 1] if j else 0)) / off[j]
+    w = np.longdouble(2.0 ** (a + b + 1) * scipy.special.beta(a + 1, b + 1)) \
+        / np.sum(p * p, axis=0)
+    lp = w * (_log_moments(m, a_, b_) @ p)
+    lm = w * ((_log_moments(m, b_, a_) * (-1.0) ** np.arange(m)) @ p)
+    return t, w, lp, lm
+
+
+def jacobi_panels(lo, hi, lo_exp, hi_exp, m: int,
+                  log_ends: bool = False) -> tuple[np.ndarray, ...]:
     """Gauss-Jacobi nodes and weights mapped onto a batch of panels.
 
     Row i holds the m-point rule for the weight (x - lo_i)^lo_exp_i
@@ -446,6 +486,10 @@ def jacobi_panels(lo, hi, lo_exp, hi_exp, m: int) -> tuple[np.ndarray, np.ndarra
     wider of float and the dtype of lo and hi.  Callers divide the end
     factors out of their integrand by what each end is, not by comparing
     exponents: two factors can carry the same exponent.
+
+    With log_ends the rules are gauss_jacobi_log's, and (x, w, w_lo, w_hi)
+    comes back: sum(w_lo * g) and sum(w_hi * g) integrate the same weight
+    times ln(x - lo) g and ln(hi - x) g.
     """
     dtype = np.result_type(np.asarray(lo), np.asarray(hi), np.float64)
     lo = np.asarray(lo, dtype=dtype).reshape(-1, 1)
@@ -453,34 +497,58 @@ def jacobi_panels(lo, hi, lo_exp, hi_exp, m: int) -> tuple[np.ndarray, np.ndarra
     a = np.broadcast_to(np.asarray(hi_exp, dtype=float).ravel(), lo.shape[:1])
     b = np.broadcast_to(np.asarray(lo_exp, dtype=float).ravel(), lo.shape[:1])
     kinds, which = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
-    rules = [gauss_jacobi(m, float(ka), float(kb)) for ka, kb in kinds]
-    t = np.array([r[0] for r in rules], dtype=dtype)[which.ravel()]
-    w = np.array([r[1] for r in rules], dtype=dtype)[which.ravel()]
+    rule = gauss_jacobi_log if log_ends else gauss_jacobi
+    rules = [rule(m, float(ka), float(kb)) for ka, kb in kinds]
+    t, w, *logs = (np.array(col, dtype=dtype)[which.ravel()] for col in zip(*rules))
     h = (hi - lo) / 2
-    power = (a + b + 1).astype(dtype)[:, None]
-    return lo + h * (1 + t), w * h ** power
+    scale = h ** (a + b + 1).astype(dtype)[:, None]
+    x = lo + h * (1 + t)
+    if not log_ends:
+        return x, w * scale
+    w_ln_h = w * np.log(h)
+    return x, w * scale, (logs[0] + w_ln_h) * scale, (logs[1] + w_ln_h) * scale
+
+
+def settled(value: Callable[[int], float], nodes: int, tol: float, what: str,
+            floor: float = 0.0) -> tuple[float, bool]:
+    """value(m) certified by a second node count, with one escalation.
+
+    value(nodes) and value(1.5 nodes) must agree to tol relative to
+    max(|v|, floor); otherwise 1.5 and 2.25 nodes must.  Returns the value at
+    the larger count and whether it escalated; AccuracyError names `what`.
+    """
+    v1, v2 = value(nodes), value(nodes + nodes // 2)
+    if abs(v1 - v2) <= tol * max(abs(v2), floor):
+        return v2, False
+    v3 = value(nodes * 2 + nodes // 4)
+    err = float(abs(v2 - v3) / max(abs(v3), floor))
+    if not err <= tol:
+        raise AccuracyError(f"{what} did not settle", estimate=float(v3),
+                            error_bound=err)
+    return v3, True
 
 
 def integrate(f: Callable[[float], float], lo: float, hi: float,
-              spec: QuadratureSpec | None = None,
               breakpoints: Sequence[float] | None = None) -> float:
-    """Adaptive quadrature of f over the finite interval [lo, hi].
+    """Adaptive quadrature of f over [lo, hi] to rel 1e-10 or abs 1e-12.
 
     Interior breakpoints split the interval where f loses smoothness.
     """
-    spec = spec or QuadratureSpec()
+    rel_tol, abs_tol = 1e-10, 1e-12
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError(f"integration limits must be finite, got [{lo}, {hi}]")
     if not hi > lo:
         raise DomainError(f"integration limits must satisfy lo < hi, got [{lo}, {hi}]")
+    import scipy.integrate  # only here: the import costs a third of a second
+
     inner = sorted(float(p) for p in (breakpoints or []) if lo < p < hi)
     try:
         val, err = scipy.integrate.quad(
-            f, lo, hi, points=inner or None, epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol, limit=max(spec.max_subdivisions, 50))
+            f, lo, hi, points=inner or None, epsabs=abs_tol, epsrel=rel_tol,
+            limit=200)
     except Exception as exc:  # quadpack failures surface as accuracy errors
         raise AccuracyError(f"quadrature failed on [{lo}, {hi}]: {exc}") from exc
-    bound = max(spec.abs_tol, spec.rel_tol * abs(val))
+    bound = max(abs_tol, rel_tol * abs(val))
     if err > 50 * bound:
         raise AccuracyError("quadrature error estimate exceeds tolerance",
                             estimate=val, error_bound=err)

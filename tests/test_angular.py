@@ -64,10 +64,11 @@ def test_shannon_low_harmonics():
 
 
 def test_shannon_quadrature_matches_closed():
-    for l, m in ((1, 0), (1, 1), (2, 2)):
-        closed = shannon_angular(AngularState(l, m), method="closed")
-        quad = shannon_angular(AngularState(l, m), method="quadrature")
-        assert quad == pytest.approx(closed, abs=1e-10)
+    for l in (1, 2, 3, 5, 8, 12, 20):
+        for m in (l, l - 1):
+            closed = shannon_angular(AngularState(l, m), method="closed")
+            quad = shannon_angular(AngularState(l, m), method="quadrature")
+            assert quad == pytest.approx(closed, abs=1e-13)
 
 
 @pytest.mark.parametrize("l,m,p", [(2, 1, 2.0), (3, 1, 2.0), (4, 2, 3.0),
@@ -93,11 +94,10 @@ def test_closed_family_sectoral_and_next(l, p):
                                                     rel=1e-9)
 
 
-def lpmv_lambda(l, m, p, nodes=64):
-    """Power integral of |Y_{l,m}|^2 by Gauss-Legendre panels on lpmv values.
+def lpmv_density(l, m, nodes):
+    """|Y_{l,m}|^2 from lpmv values on Gauss-Legendre panels between its roots.
 
-    The panels end at the roots of P_l^m, so each one sees |.|^{2p} only
-    through a power of the distance to its ends.
+    Returns the density y and the mapped weights h w on every node.
     """
     roots = roots_jacobi(l - m, m, m)[0] if l > m else np.array([])
     edges = np.concatenate(([-1.0], roots, [1.0]))
@@ -106,8 +106,28 @@ def lpmv_lambda(l, m, p, nodes=64):
     t = edges[:-1, None] + h * (1 + t0)
     log_norm = (math.log((2 * l + 1) / (4 * math.pi))
                 + math.lgamma(l - m + 1) - math.lgamma(l + m + 1))
-    y = math.exp(log_norm) * lpmv(m, l, t) ** 2
-    return 2 * math.pi * float(np.sum(h * w0 * y ** p))
+    return math.exp(log_norm) * lpmv(m, l, t) ** 2, h * w0
+
+
+def lpmv_lambda(l, m, p, nodes=64):
+    """Power integral of |Y_{l,m}|^2 by Gauss-Legendre panels on lpmv values.
+
+    The panels end at the roots of P_l^m, so each one sees |.|^{2p} only
+    through a power of the distance to its ends.
+    """
+    y, w = lpmv_density(l, m, nodes)
+    return 2 * math.pi * float(np.sum(w * y ** p))
+
+
+def lpmv_shannon(l, m, nodes=400):
+    """-2 pi integral y ln y dt by Gauss-Legendre panels on lpmv values.
+
+    y ln y keeps a (t - r)^2 ln|t - r| kink at each root end, and for m > 0
+    a (1 -+ t)^m ln(1 -+ t) one at +-1; plain Gauss-Legendre resolves them
+    to about nodes^-6 and nodes^-(2m+2).
+    """
+    y, w = lpmv_density(l, m, nodes)
+    return -2 * math.pi * float(np.sum(w * y * np.log(y)))
 
 
 @pytest.mark.parametrize("l,m,p", [(30, 0, 2.0), (30, 0, 2.2), (60, 0, 2.0),
@@ -117,6 +137,12 @@ def test_quadrature_matches_lpmv_reference(l, m, p):
     # share one exponent; each panel must still divide out the right factor
     got = lambda_quadrature(AngularState(l, m), p).lambda_value
     assert got == pytest.approx(lpmv_lambda(l, m, p), rel=1e-10)
+
+
+@pytest.mark.parametrize("l,m", [(30, 0), (30, 7), (60, 0), (60, 13)])
+def test_shannon_quadrature_matches_lpmv_reference(l, m):
+    got = shannon_angular(AngularState(l, m), method="quadrature")
+    assert got == pytest.approx(lpmv_shannon(l, m), rel=1e-12)
 
 
 def test_closed_family_absent_elsewhere():

@@ -222,6 +222,25 @@ def child_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def test_import_leaves_out_scipy_integrate_and_optimize():
+    # no production path needs them; together they cost a third of a second
+    code = ("import sys, oscent, oscent.cli; "
+            "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_repeated_runs_share_one_parser(capsys):
+    argv = ("total", "--n", "2", "--l", "1", "--m", "1", "--p", "2.5")
+    first = invoke(capsys, *argv)
+    second = invoke(capsys, *argv)
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+    assert build_parser() is build_parser()
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "oscent.cli", "angular", "--l", "0", "--m",

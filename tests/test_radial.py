@@ -370,3 +370,48 @@ def test_polished_roots_bracketed_by_sign_changes(n):
     above = np.sign(specfun.laguerre_orthonormal_weighted(n, alpha, x + d))
     assert np.all(below * above < 0)
     assert np.all(np.diff(x) > 2 * d[1:])
+
+
+# ---------------------------------------------------------------------------
+# radial Shannon: log-weighted end rules against graded Gauss-Legendre panels
+
+
+def graded_shannon(n, l, m_nodes=30):
+    """J = integral psi^2 x^{l+1/2} (ln psi^2 + l ln x) dx on graded panels.
+
+    The p = 1 norm panels, each refined geometrically toward its origin
+    (44 levels) and root ends (24 levels) so that plain Gauss-Legendre sees
+    the logarithmic kinks only on tiny segments; returns the Shannon entropy
+    -ln 2 - J at lam = 1.
+    """
+    def graded(lo, hi, toward_lo, levels):
+        w = hi - lo
+        if toward_lo:
+            return [lo] + [lo + w * 2.0 ** -j for j in range(levels, -1, -1)]
+        return [lo] + [hi - w * 2.0 ** -j for j in range(1, levels + 1)] + [hi]
+
+    edges = []
+    for lo, hi, bk, ak in radial._norm_panels(n, l, 1.0):
+        lev_lo = 44 if bk == "zero" else 24
+        if bk != "plain" and ak == "root":
+            mid = 0.5 * (lo + hi)
+            pts = graded(lo, mid, True, lev_lo) + graded(mid, hi, False, 24)[1:]
+        elif bk != "plain":
+            pts = graded(lo, hi, True, lev_lo)
+        elif ak == "root":
+            pts = graded(lo, hi, False, 24)
+        else:
+            pts = [lo, hi]
+        edges.extend(zip(pts[:-1], pts[1:]))
+    lo, hi = np.array(edges, dtype=np.longdouble).T
+    x, w = specfun.jacobi_panels(lo, hi, 0.0, 0.0, m_nodes)
+    t2 = specfun.laguerre_orthonormal_weighted(n, Fraction(2 * l + 1, 2), x) ** 2
+    j = np.sum(w * t2 * x ** np.longdouble(l + 0.5) * (np.log(t2) + l * np.log(x)))
+    return -math.log(2.0) - float(j)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 20, 50, 100])
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_shannon_log_weighted_rule_matches_graded_panels(n, l):
+    got = shannon_radial_exact(QuantumState(n, l, 0))
+    assert got == pytest.approx(graded_shannon(n, l), rel=1e-12)

@@ -2,27 +2,45 @@
 
 import math
 
+import numpy as np
 import pytest
 import scipy.special as sp
 
-from oscent.errors import DomainError
+from oscent import rydberg
+from oscent.errors import AccuracyError, DomainError
 from oscent.radial import OscillatorParams, QuantumState, renyi_radial_exact
 from oscent.rydberg import (bessel_constant, bessel_zeros, cosine_constant,
                             renyi_radial_asymptotic, shannon_radial_asymptotic)
 
 
 def test_half_order_zeros_are_multiples_of_pi():
-    # J_{1/2}(x) is proportional to sin(x)/sqrt(x)
-    zeros = bessel_zeros(0.5, 6)
-    for k, z in enumerate(zeros, start=1):
-        assert z == pytest.approx(k * math.pi, abs=1e-12)
+    # J_{1/2}(x) is proportional to sin(x)/sqrt(x); 161 zeros, as many as the
+    # Bessel constant's last estimate uses
+    zeros = np.array(bessel_zeros(0.5, 161))
+    k = np.arange(1, 162)
+    assert np.allclose(zeros, k * math.pi, rtol=1e-14, atol=0)
 
 
 def test_integer_order_zeros_match_scipy_tables():
-    zeros = bessel_zeros(1.0, 5)
-    want = sp.jn_zeros(1, 5)
-    for z, w in zip(zeros, want):
-        assert z == pytest.approx(w, abs=1e-10)
+    for order in (0, 1, 2, 5, 10):
+        zeros = np.array(bessel_zeros(float(order), 161))
+        assert np.allclose(zeros, sp.jn_zeros(order, 161), rtol=1e-14, atol=0)
+
+
+def test_bessel_zeros_raise_when_newton_leaves_its_bracket(monkeypatch):
+    # a derivative of the wrong sign walks every start away from its zero
+    monkeypatch.setattr(rydberg, "jvp", lambda a, z: -sp.jvp(a, z))
+    with pytest.raises(AccuracyError, match="bracket"):
+        bessel_zeros.__wrapped__(1.5, 10)
+
+
+@pytest.mark.parametrize("alpha,p,want", [
+    # frozen from the sign-scan plus brentq zeros this Newton polish replaced
+    (0.5, 2.1, 0.2917768411037955), (1.5, 2.5, 0.05386577348677989),
+    (2.5, 3.0, 0.007451408846127177), (3.5, 3.3, 0.001482579140121915)])
+def test_bessel_constant_unchanged_by_newton_zeros(alpha, p, want):
+    got = bessel_constant(alpha, 0.5 * (1.0 - p), p).value
+    assert got == pytest.approx(want, rel=0, abs=1e-14)
 
 
 def test_bessel_zeros_rejects_negative_order():

@@ -9,7 +9,7 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as hst
 
 from oscent import angular, specfun
-from oscent.errors import DomainError
+from oscent.errors import AccuracyError, DomainError
 
 
 def test_log_gamma_matches_scipy():
@@ -263,3 +263,81 @@ def test_jacobi_panels_match_beta_closed_forms():
     x, w = specfun.jacobi_panels(lo.astype(np.longdouble), hi, 0.0, 0.0, 4)
     assert x.dtype == w.dtype == np.longdouble
     assert np.allclose(np.sum(w, axis=1).astype(float), span, rtol=1e-15)
+
+
+def _jacobi_moment(a, b, j, log):
+    """int_{-1}^1 (1-t)^a (1+t)^b t^j [ln(1+t)] dt, from t^j = ((1+t) - 1)^j.
+
+    Each term is 2^{a+s+1} B(a+1, s+1) at s = b + i, or with `log` its
+    derivative in s; the digits the alternating sum cancels are carried by
+    the working precision.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + 2 * j):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        return float(sum(
+            mpmath.binomial(j, i) * (-1) ** (j - i) * 2 ** (a + b + i + 1)
+            * mpmath.beta(a + 1, b + i + 1)
+            * ((mpmath.log(2) + mpmath.digamma(b + i + 1)
+                - mpmath.digamma(a + b + i + 2)) if log else 1)
+            for i in range(j + 1)))
+
+
+# end exponents of the Shannon panels: 2 at roots, l + 1/2 at the radial
+# origin, m at the angular ends +-1, 0 at plain ends
+@pytest.mark.parametrize("a,b", [(0.0, 0.0), (2.0, 0.0), (0.0, 2.5), (2.0, 2.0),
+                                 (2.0, 1.5), (7.0, 2.0), (2.0, 59.0)])
+def test_log_weights_integrate_log_moments_exactly(a, b):
+    m = 20
+    t, w, lp, lm = specfun.gauss_jacobi_log(m, a, b)
+    for j in range(m):
+        want_p = _jacobi_moment(a, b, j, log=True)
+        want_m = (-1) ** j * _jacobi_moment(b, a, j, log=True)  # t -> -t
+        assert float(lp @ t ** j) == pytest.approx(want_p, rel=1e-13, abs=1e-14)
+        assert float(lm @ t ** j) == pytest.approx(want_m, rel=1e-13, abs=1e-14)
+    # the Christoffel weights keep the Gauss rule's degree 2m - 1
+    for j in range(2 * m):
+        assert float(w @ t ** j) == pytest.approx(
+            _jacobi_moment(a, b, j, log=False), rel=1e-13, abs=1e-14)
+
+
+def test_jacobi_log_panels_match_digamma_closed_forms():
+    # integral_lo^hi (x-lo)^(a+j) (hi-x)^b ln(x-lo) dx
+    #   = H^(a+b+j+1) B(a+j+1, b+1) [ln H + psi(a+j+1) - psi(a+b+j+2)],
+    # and psi(b+1) in place of psi(a+j+1) for ln(hi-x)
+    lo = np.array([0.0, 1.0, -1.0, -1.0, 0.3, 2.0])
+    hi = np.array([2.0, 4.0, 0.5, -0.2, 0.9, 2.5])
+    lo_exp = np.array([0.5, 2.0, 4.0, 0.0, 6.0, 2.0])
+    hi_exp = np.array([2.0, 0.0, 4.0, 6.0, 0.0, 2.0])
+    j = np.array([0, 3, 1, 2, 4, 0])
+    x, w, w_lo, w_hi = specfun.jacobi_panels(lo.astype(np.longdouble), hi, lo_exp,
+                                             hi_exp, 12, log_ends=True)
+    assert x.dtype == w_lo.dtype == w_hi.dtype == np.longdouble
+    g = ((x - lo[:, None]) ** j[:, None]).astype(float)
+    span = hi - lo
+    beta = span ** (lo_exp + hi_exp + j + 1) * sp.beta(lo_exp + j + 1, hi_exp + 1)
+    tail = sp.digamma(lo_exp + hi_exp + j + 2)
+    assert np.allclose(np.sum(w * g, axis=1).astype(float), beta, rtol=1e-14)
+    want_lo = beta * (np.log(span) + sp.digamma(lo_exp + j + 1) - tail)
+    want_hi = beta * (np.log(span) + sp.digamma(hi_exp + 1) - tail)
+    assert np.allclose(np.sum(w_lo * g, axis=1).astype(float), want_lo,
+                       rtol=1e-13, atol=1e-15)
+    assert np.allclose(np.sum(w_hi * g, axis=1).astype(float), want_hi,
+                       rtol=1e-13, atol=1e-15)
+
+
+def test_settled_escalates_once_then_raises():
+    calls = []
+
+    def converging(m):
+        calls.append(m)
+        return 1.0 + 10.0 ** -m
+
+    assert specfun.settled(converging, 4, 1e-6, "x") == (1.0 + 1e-9, True)
+    assert calls == [4, 6, 9]
+    assert specfun.settled(converging, 20, 1e-12, "x") == (1.0 + 1e-30, False)
+    with pytest.raises(AccuracyError, match="wandering did not settle"):
+        specfun.settled(float, 48, 1e-12, "wandering")
+    # a NaN never counts as settled
+    with pytest.raises(AccuracyError):
+        specfun.settled(lambda m: math.nan, 48, 1e-12, "nan")
