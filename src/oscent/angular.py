@@ -231,11 +231,6 @@ def lambda_bell(state: AngularState, p, rtol: float = 1e-12) -> AngularResult:
     return _ambiguity(state, order, signed, "bell", rtol)
 
 
-@lru_cache(maxsize=None)
-def _angular_roots(l: int, m: int) -> tuple[float, ...]:
-    return tuple(specfun.gegenbauer_roots(l - m, Fraction(2 * m + 1, 2)))
-
-
 def _angular_pass(l: int, m: int, p: float, m_nodes: int, log_ends: bool = False):
     """|C(t)|^{2p} (1 - t^2)^{mp} on Gauss-Jacobi panels between the roots.
 
@@ -247,7 +242,8 @@ def _angular_pass(l: int, m: int, p: float, m_nodes: int, log_ends: bool = False
     """
     n = l - m
     q2, mp = 2.0 * p, m * p
-    ends = np.array((-1.0,) + _angular_roots(l, m) + (1.0,), dtype=np.longdouble)
+    roots = specfun.gegenbauer_roots(n, Fraction(2 * m + 1, 2))
+    ends = np.concatenate(([-1.0], roots, [1.0]))
     lo, hi = ends[:-1, None], ends[1:, None]
     lo_root = np.arange(n + 1)[:, None] > 0
     hi_root = np.arange(n + 1)[:, None] < n
@@ -334,18 +330,22 @@ def renyi_angular(state: AngularState, p, rtol: float = 1e-12) -> AngularResult:
 
 
 def _shannon_closed(state: AngularState) -> float | None:
+    """Digamma closed forms of the (l, l) and (l, l-1) families, without the
+    cancelling terms of size l ln l: Gamma(l+1) / Gamma(l+1/2) sqrt(pi) =
+    4^l / C(2l, l) is exact and psi(l+3/2) - psi(l+1) a finite sum.
+    """
     l, m = state.l, state.m_abs
-    psi = specfun.digamma
-    lg = math.lgamma
+    if m < l - 1:
+        return None
+    l_gap = l * (2 - 2 * _LN_2
+                 - math.fsum(1 / (k * (2 * k + 1)) for k in range(1, l + 1)))
     if m == l:
-        return (-l * (psi(l + 1.0) - psi(l + 1.5) + 2 * _LN_2)
-                + math.log(4 * math.pi ** 2 / (2 * l + 1))
-                + lg(2 * l + 1.0) - 2 * lg(l + 0.5))
-    if m == l - 1:
-        log_k = (math.log(l + 0.5) + 2 * math.log(2.0 * l - 1) + 2 * lg(l - 0.5)
-                 - (3 - 2 * l) * _LN_2 - lg(2.0 * l) - 2 * _LN_PI)
-        return (-log_k - psi(1.5) - (l - 1) * psi(float(l)) + l * psi(l + 1.5))
-    return None
+        return (l_gap + _LN_PI + specfun.log_fraction(
+            Fraction(4 ** (l + 1), (2 * l + 1) * math.comb(2 * l, l))))
+    # -ln K - psi(3/2) - (l-1) psi(l) + l psi(l+3/2)
+    log_k = specfun.log_fraction(Fraction((4 * l * l - 1) * math.comb(2 * l - 2, l - 1),
+                                          4 ** l)) - _LN_PI
+    return -log_k - specfun.digamma(1.5) + specfun.digamma(float(l)) + l_gap + 1
 
 
 def _shannon_quadrature(state: AngularState, rtol: float) -> float:

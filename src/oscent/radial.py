@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import specfun
 from .angular import AngularState
@@ -147,46 +146,21 @@ def radial_density(state: QuantumState, params: OscillatorParams | None = None):
 
 @lru_cache(maxsize=None)
 def _refined_roots(n: int, alpha: Fraction) -> np.ndarray:
-    """Laguerre roots: Golub-Welsch start polished by long-double Newton steps.
+    """Laguerre roots in long double from the Gauss rule generator.
 
-    Each start is first bracketed by a sign change of the recurrence; the
-    brackets are disjoint, so a polished root that stays in its bracket is
-    the one root there.  Newton uses x p_n' = n p_n - sqrt(n(n+alpha)) p_{n-1}
-    and stops once every step is a few ulp of 2n + alpha + 1 + x, the scale
-    at which x enters the recurrence.
+    The start row exp(-x/2) keeps the rows in range up to n = 3000.
     """
     if n == 0:
         return np.zeros(0, dtype=np.longdouble)
-    af = float(alpha)
-    diag = 2.0 * np.arange(n) + af + 1.0
-    off = np.sqrt(np.arange(1, n) * (np.arange(1, n) + af))
-    x = eigvalsh_tridiagonal(diag, off).astype(np.longdouble)
-    d = np.diff(x)
-    gaps = np.minimum(np.append(d, np.inf), np.append(np.inf, d))
-    delta = 0.45 * np.minimum(gaps, x / 0.46)
-    lo, hi = x - delta, x + delta
-    if np.any(specfun.laguerre_orthonormal_weighted(n, alpha, lo)
-              * specfun.laguerre_orthonormal_weighted(n, alpha, hi) > 0):
-        raise AccuracyError(f"failed to bracket Laguerre roots for n={n}")
-    c = np.sqrt(np.longdouble(n) * (n + np.longdouble(af)))
-    ulps = 4 * np.finfo(np.longdouble).eps * (2 * n + af + 1 + x)
-    for _ in range(8):
-        pn = specfun.laguerre_orthonormal_weighted(n, alpha, x)
-        pm = specfun.laguerre_orthonormal_weighted(n - 1, alpha, x)
-        step = x * pn / (n * pn - c * pm)
-        x = x - step
-        if np.all(np.abs(step) <= ulps):
-            break
-    if np.any(np.abs(step) > ulps) or not np.all((lo < x) & (x < hi)):
-        raise AccuracyError(f"Newton root polishing failed to settle inside the "
-                            f"root brackets for n={n}")
-    return x
+    # nodes only: the mass of the weight scales the weights alone
+    return specfun._gauss_rule(*specfun._laguerre_coefficients(n, float(alpha)), 1,
+                               lambda x: np.exp(-x / 2))[0]
 
 
 # ---------------------------------------------------------------------------
 # quadrature engine
 
-def _variation(a: float, b: float, bk: str, ak: str, q2: float, gma: float,
+def _variation(a: float, b: float, bk: str, q2: float, gma: float,
                roots) -> float:
     """Upper estimate for the log-range of the regular factor on [a, b].
 
@@ -212,7 +186,7 @@ def _variation(a: float, b: float, bk: str, ak: str, q2: float, gma: float,
 
 def _emit_slices(a, b, bk, ak, q2, gma, roots, out, depth=0):
     if (depth >= 48 or (b - a) < 1e-12 * (1.0 + b)
-            or _variation(a, b, bk, ak, q2, gma, roots) <= _LOG_VARIATION_CAP):
+            or _variation(a, b, bk, q2, gma, roots) <= _LOG_VARIATION_CAP):
         out.append((a, b, bk, ak))
         if len(out) > _SLICE_BUDGET:
             raise AccuracyError("quadrature slice budget exhausted")
@@ -342,7 +316,8 @@ def _norm_symbolic(n: int, l: int, q: int, p: float) -> LaguerreNorm:
     gh, hp = specfun.gamma_half_exact(2 * n + 2 * l + 3)
     assert hp == 1
     hn = gh / math.factorial(n)  # Gamma(n + l + 3/2) = hn sqrt(pi) n! / n!
-    logn = specfun.log_fraction(acc) - 0.5 * q * (specfun.log_fraction(hn) + 0.5 * _LN_PI)
+    # one log of the exact ratio: the logs of acc and hn^(q/2) would cancel
+    logn = specfun.log_fraction(acc / hn ** (q // 2)) - 0.25 * q * _LN_PI
     if ql % 2 == 0:
         logn += 0.5 * _LN_PI - 0.5 * math.log(float(base))
     return _mk_norm(math.exp(logn), logn, "symbolic", p, l)
@@ -372,20 +347,20 @@ def closed_n1l(l: int, p, *, rtol: float = 1e-11, nodes: int = 48) -> LaguerreNo
     a = -Fraction((l + 2) * q + 3, 2)
     x = -Fraction((2 * l + 3) * q, 4)
     lval = specfun.laguerre_eval_negparam(q, a, x)
+    if q % 2 == 0 and not lval > 0:
+        raise AccuracyError(
+            f"closed n=1 Laguerre value not positive for l={l}, p={p}")
     g1, h1 = specfun.gamma_half_exact(l * q + 3)
     g2, h2 = specfun.gamma_half_exact(2 * l + 5)
-    prefactor = (specfun.log_fraction(g1) + 0.5 * h1 * _LN_PI
-                 - pf * (specfun.log_fraction(g2) + 0.5 * h2 * _LN_PI)
-                 + math.lgamma(q + 1)
-                 - ((l + 2) * pf + 1.5) * math.log(pf))
+    # the square over its power of pi is rational for every q = 2p; one log
+    # of it keeps the digits that separate logs of its factors would cancel
+    square = ((g1 * math.factorial(q) * lval) ** 2
+              / (g2 ** q * Fraction(q, 2) ** ((l + 2) * q + 3)))
+    logn = (0.5 * specfun.log_fraction(square) + 0.5 * (h1 - pf * h2) * _LN_PI
+            if lval else -math.inf)
     if q % 2 == 0:
-        if not lval > 0:
-            raise AccuracyError(
-                f"closed n=1 Laguerre value not positive for l={l}, p={p}")
-        logn = prefactor + specfun.log_fraction(lval)
         return _mk_norm(math.exp(logn), logn, "closed_n1", pf, l)
-    sign = 1 if lval > 0 else (-1 if lval < 0 else 0)
-    signed = sign * math.exp(prefactor + specfun.log_fraction(abs(lval))) if sign else 0.0
+    signed = math.copysign(math.exp(logn), lval)
     quad = _norm_quadrature(1, l, pf, rtol, nodes)
     warn = ("odd 2p with sign-changing polynomial factor; "
             "quadrature value of the absolute power returned",)

@@ -3,9 +3,12 @@
 Exact rational orthogonal-polynomial coefficients, Gamma-family helpers on
 the half-integer lattice, partial Bell polynomials, powers by convolution
 (the Bell expansion is a test oracle), stable high-degree Laguerre and
-Gegenbauer recurrences in extended precision, the batched Gauss-Jacobi panel
-rule with its log-weighted product rule, the two-node-count check and
-adaptive quadrature plumbing.
+Gegenbauer recurrences in extended precision, one long-double Gauss rule
+generator (Golub-Welsch start, Newton steps and Christoffel weights on the
+orthonormal recurrence) behind the Laguerre roots, the Gegenbauer roots and
+every Gauss-Jacobi rule, the batched Gauss-Jacobi panel rule with its
+log-weighted product rule, the two-node-count check and adaptive quadrature
+plumbing.
 """
 
 from __future__ import annotations
@@ -14,33 +17,28 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.special
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "log_gamma", "digamma", "gamma_half_exact", "log_fraction", "pochhammer",
+    "digamma", "gamma_half_exact", "log_fraction", "pochhammer",
     "binomial_exact", "RationalPoly", "OrthonormalPoly", "bell_partial",
     "poly_power", "jacobi_poly", "orthonormal_jacobi", "gegenbauer_eval",
     "gegenbauer_roots", "laguerre_poly", "laguerre_eval",
-    "laguerre_orthonormal_weighted", "laguerre_eval_negparam", "bessel_j",
-    "integrate", "gauss_legendre", "gauss_jacobi",
-    "gauss_jacobi_log", "jacobi_panels", "settled",
+    "laguerre_orthonormal_weighted", "laguerre_eval_negparam", "integrate",
+    "gauss_legendre", "gauss_jacobi", "gauss_jacobi_log", "jacobi_panels",
+    "settled",
 ]
 
 
 # ---------------------------------------------------------------------------
 # Gamma family
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
 
 def digamma(x: float) -> float:
     """Logarithmic derivative of Gamma at x > 0."""
@@ -65,10 +63,17 @@ def gamma_half_exact(two_x: int) -> tuple[Fraction, int]:
 
 
 def log_fraction(fr: Fraction) -> float:
-    """log of a positive rational, safe for huge numerators/denominators."""
+    """log of a positive rational, safe for huge numerators/denominators.
+
+    Scaled by bit lengths to one float in (1/2, 2), which keeps the digits
+    that log(num) - log(den) would cancel.
+    """
     if fr <= 0:
         raise DomainError("log_fraction requires a positive rational")
-    return math.log(fr.numerator) - math.log(fr.denominator)
+    shift = fr.numerator.bit_length() - fr.denominator.bit_length()
+    num = fr.numerator << max(-shift, 0)
+    den = fr.denominator << max(shift, 0)
+    return math.log(num / den) + shift * math.log(2.0)
 
 
 def pochhammer(x, n: int) -> Fraction:
@@ -278,22 +283,11 @@ def gegenbauer_eval(n: int, lam, t):
 
 
 def gegenbauer_roots(n: int, lam) -> np.ndarray:
-    """Roots of C_n^{(lam)} in (-1, 1): the Golub-Welsch Gauss-Jacobi nodes.
-
-    Each root must be bracketed by a sign change of the recurrence on a
-    window of 0.45 times its distance to the nearest neighbour or end.
-    """
+    """Roots of C_n^{(lam)} in (-1, 1): long-double Gauss-Jacobi nodes."""
     if n == 0:
-        return np.array([])
+        return np.zeros(0, dtype=np.longdouble)
     # a copy: the cached rule is shared with every other caller
-    x = np.array(gauss_jacobi(n, float(lam) - 0.5, float(lam) - 0.5)[0])
-    d = np.diff(np.concatenate(([-1.0], x, [1.0])))
-    delta = 0.45 * np.minimum(d[:-1], d[1:])
-    if np.any(gegenbauer_eval(n, lam, x - delta)
-              * gegenbauer_eval(n, lam, x + delta) > 0):
-        raise AccuracyError(f"failed to bracket the {n} Gegenbauer roots "
-                            f"for lam={lam}")
-    return x
+    return np.array(gauss_jacobi(n, float(lam) - 0.5, float(lam) - 0.5)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -319,47 +313,29 @@ def laguerre_poly(n: int, alpha) -> RationalPoly:
     return _laguerre_cached(n, int(2 * a))
 
 
-def _laguerre_recurrence(n: int, alpha: float, x, orthonormal: bool, weighted: bool):
-    xs = np.asarray(x, dtype=np.longdouble)
+def _laguerre_coefficients(n: int, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """_rows coefficients for x^alpha e^-x: row k is (-1)^k times orthonormal L_k."""
     a = np.longdouble(alpha)
-    if weighted:
-        start = np.exp(-xs / 2)
-    else:
-        start = np.ones_like(xs)
-    if orthonormal:
-        start = start * np.exp(np.longdouble(-0.5 * math.lgamma(alpha + 1.0)))
-        p0 = start
-        if n == 0:
-            return p0
-        p1 = (a + 1 - xs) * p0 / np.sqrt(a + 1)
-        for k in range(1, n):
-            kk = np.longdouble(k)
-            c1 = 1 / np.sqrt((kk + 1) * (kk + 1 + a))
-            c2 = np.sqrt(kk * (kk + a))
-            p0, p1 = p1, c1 * ((2 * kk + a + 1 - xs) * p1 - c2 * p0)
-        return p1
-    p0 = start
-    if n == 0:
-        return p0
-    p1 = (a + 1 - xs) * start
-    for k in range(1, n):
-        kk = np.longdouble(k)
-        p0, p1 = p1, ((2 * kk + a + 1 - xs) * p1 - (kk + a) * p0) / (kk + 1)
-    return p1
+    k = np.arange(n, dtype=np.longdouble)
+    return 2 * k + a + 1, np.sqrt((k + 1) * (k + 1 + a))
 
 
-def laguerre_eval(n: int, alpha: float, x, orthonormal: bool = False):
-    """L_n^{(alpha)}(x) (or its orthonormal variant) by a stable recurrence.
+def laguerre_eval(n: int, alpha: float, x):
+    """L_n^{(alpha)}(x) by the classical three-term recurrence.
 
-    The three-term recurrence is accumulated in extended precision
-    (80-bit significand on x86) so that degrees up to a few hundred keep
-    full double accuracy.
+    The recurrence is accumulated in extended precision (80-bit significand
+    on x86) so that degrees up to a few hundred keep full double accuracy.
     """
     if n < 0:
         raise DomainError(f"laguerre degree must be >= 0, got {n}")
     if not alpha > -1:
         raise DomainError(f"laguerre parameter must exceed -1, got {alpha}")
-    out = _laguerre_recurrence(n, float(alpha), x, orthonormal, weighted=False)
+    xs = np.asarray(x, dtype=np.longdouble)
+    a = np.longdouble(float(alpha))
+    p0, p1 = np.ones_like(xs), a + 1 - xs
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + a + 1 - xs) * p1 - (k + a) * p0) / (k + 1)
+    out = p0 if n == 0 else p1
     if np.ndim(x) == 0:
         return float(out)
     return np.asarray(out, dtype=float)
@@ -375,7 +351,12 @@ def laguerre_orthonormal_weighted(n: int, alpha: float, x):
         raise DomainError(f"laguerre degree must be >= 0, got {n}")
     if not alpha > -1:
         raise DomainError(f"laguerre parameter must exceed -1, got {alpha}")
-    return _laguerre_recurrence(n, float(alpha), x, orthonormal=True, weighted=True)
+    xs = np.asarray(x, dtype=np.longdouble)
+    alpha = float(alpha)
+    start = np.exp(-xs / 2) * np.exp(np.longdouble(-0.5 * math.lgamma(alpha + 1.0)))
+    for p in _rows(xs, *_laguerre_coefficients(n, alpha), start):
+        pass  # keep only the last row
+    return -p if n % 2 else p
 
 
 def laguerre_eval_negparam(n: int, alpha, x):
@@ -399,33 +380,84 @@ def laguerre_eval_negparam(n: int, alpha, x):
     return float(acc)
 
 
-def bessel_j(alpha: float, x):
-    """Bessel function of the first kind J_alpha(x) for alpha >= 0, x >= 0."""
-    if alpha < 0:
-        raise DomainError(f"bessel order must be >= 0, got {alpha}")
-    out = scipy.special.jv(alpha, x)
-    if np.ndim(x) == 0:
-        return float(out)
-    return np.asarray(out, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 
 @lru_cache(maxsize=None)
 def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(m)
-    return x, w
+    return np.polynomial.legendre.leggauss(m)
+
+
+def _rows(x, diag, off, p):
+    """Rows p_0 = p, p_1(x), ..., p_m(x) of an orthonormal recurrence.
+
+    x p_k = off[k] p_{k+1} + diag[k] p_k + off[k-1] p_{k-1} for k < m =
+    len(diag); off[-1] meets p_{-1} = 0.  p_0 is a common factor.
+    """
+    prev = 0
+    # lists of long-double scalars: cheaper to step through than array indexing
+    for d, b_prev, inv_b in zip(list(diag), list(np.roll(off, 1)), list(1 / off)):
+        yield p
+        prev, p = p, ((x - d) * p - b_prev * prev) * inv_b
+    yield p
+
+
+def _gauss_rule(diag, off, mu0, start=np.ones_like) -> tuple[np.ndarray, np.ndarray]:
+    """Long-double Gauss nodes and Christoffel weights of _rows' recurrence.
+
+    mu0 is the weight's mass, start(x) the row p_0 (exp(-x/2) keeps Laguerre
+    rows in range).  Golub-Welsch eigenvalues (Math. Comp. 23, 1969) start
+    Newton steps with p_m' = K / (b_m p_{m-1}), K = sum_{k<m} p_k^2
+    (Christoffel-Darboux), until each is a few ulp of |x| plus the Gershgorin
+    bound.  The last pass gives the weights mu0 p_0^2 / K (Gautschi 2004) and
+    the check: only the m distinct roots increase strictly and alternate the
+    sign of p_{m-1} (interlacing; roots of p_{m-1} repel the steps).
+    """
+    m = len(diag)
+    x = np.longdouble(eigvalsh_tridiagonal(diag.astype(float), off[:-1].astype(float)))
+    eps = np.finfo(np.longdouble).eps
+    scale = np.max(np.abs(diag)) + 2 * np.max(off)
+    for _ in range(8):
+        p0 = start(x)
+        rows = _rows(x, diag, off, p0)
+        k_sum = 0
+        for pm1 in islice(rows, m):
+            k_sum = k_sum + pm1 * pm1
+        step = off[-1] * next(rows) * pm1 / k_sum
+        x = x - step
+        if np.all(np.abs(step) <= 4 * eps * (scale + np.abs(x))):
+            break
+    else:
+        raise AccuracyError(f"Gauss rule of {m} nodes: Newton steps did not settle")
+    sign = np.sign(pm1)
+    if not (np.all(np.diff(x) > 0) and np.all(sign[:-1] * sign[1:] < 0)):
+        raise AccuracyError(f"Gauss rule of {m} nodes: the nodes are not "
+                            f"{m} distinct roots")
+    return x, mu0 * p0 * p0 / k_sum
+
+
+def _jacobi_recurrence(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """diag and off of _rows for the weight (1-t)^a (1+t)^b, in long double."""
+    a, b = np.longdouble(a), np.longdouble(b)
+    k = np.arange(1, m + 1, dtype=np.longdouble)
+    s = 2 * k + a + b
+    diag = np.append((b - a) / (a + b + 2), (b * b - a * a) / (s * (s + 2)))[:m]
+    # at k = 1 the factor (k + a + b) / (s - 1) of off_k^2 is exactly 1
+    off = np.sqrt(4 * k * (k + a) * (k + b) / (s * s * (s + 1))
+                  * np.where(k == 1, 1, (k + a + b) / (s - 1)))
+    return diag, off
 
 
 @lru_cache(maxsize=None)
 def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Jacobi rule for weight (1-x)^a (1+x)^b on [-1, 1]."""
-    if a == 0.0 and b == 0.0:
-        return gauss_legendre(m)
-    x, w = scipy.special.roots_jacobi(m, a, b)
-    return x, w
+    """Cached long-double Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1]."""
+    if a + b <= 1000:
+        mu0 = np.longdouble(2.0 ** (a + b + 1) * scipy.special.beta(a + 1, b + 1))
+    else:  # 2^(a+b+1) overflows a float and the Beta function underflows it
+        mu0 = np.exp(np.longdouble((a + b + 1) * math.log(2.0)
+                                   + scipy.special.betaln(a + 1, b + 1)))
+    return _gauss_rule(*_jacobi_recurrence(m, a, b), mu0)
 
 
 def _log_moments(m: int, a, b) -> np.ndarray:
@@ -452,25 +484,13 @@ def gauss_jacobi_log(m: int, a: float, b: float) -> tuple[np.ndarray, ...]:
     nu_0 = mu0 [ln 2 + psi(b+1) - psi(a+b+2)], mu0 = 2^{a+b+1} B(a+1, b+1),
     and nu_k = (-1)^{k-1} mu0 C(k+a, k) (k-1)! / (a+b+2)_k for k >= 1
     (Chu-Vandermonde differentiated in the exponent of 1+t); lm mirrors
-    t -> -t.  w are the Christoffel numbers 1 / sum_k p_k(t_i)^2 from the
-    same long-double recurrence, far closer to exact than the library
-    weights, which the log weights must match.  w, lp, lm are long double.
+    t -> -t.  t and w are gauss_jacobi's long-double nodes and Christoffel
+    numbers, which the log weights must match; lp and lm are long double.
     """
-    t = gauss_jacobi(m, a, b)[0]
+    t, w = gauss_jacobi(m, a, b)
     a_, b_ = np.longdouble(a), np.longdouble(b)
-    k = np.arange(1, m, dtype=np.longdouble)
-    s = 2 * k + a_ + b_
-    # orthonormal recurrence t p_k = off_k+1 p_k+1 + diag_k p_k + off_k p_k-1;
-    # at k = 1 the factor (k + a + b) / (s - 1) of off_k^2 is exactly 1
-    diag = np.append((b_ - a_) / (a_ + b_ + 2), (b_ * b_ - a_ * a_) / (s * (s + 2)))
-    off = np.sqrt(4 * k * (k + a_) * (k + b_) / (s * s * (s + 1))
-                  * np.where(k == 1, 1, (k + a_ + b_) / (s - 1)))
-    p = np.empty((m, m), dtype=np.longdouble)  # sqrt(mu0) p_k(t_i), row k
-    p[0] = 1
-    for j in range(m - 1):
-        p[j + 1] = ((t - diag[j]) * p[j] - (off[j - 1] * p[j - 1] if j else 0)) / off[j]
-    w = np.longdouble(2.0 ** (a + b + 1) * scipy.special.beta(a + 1, b + 1)) \
-        / np.sum(p * p, axis=0)
+    # sqrt(mu0) p_k(t_i) in row k < m
+    p = np.array(list(_rows(t, *_jacobi_recurrence(m - 1, a, b), np.ones_like(t))))
     lp = w * (_log_moments(m, a_, b_) @ p)
     lm = w * ((_log_moments(m, b_, a_) * (-1.0) ** np.arange(m)) @ p)
     return t, w, lp, lm

@@ -71,6 +71,30 @@ def test_shannon_quadrature_matches_closed():
             assert quad == pytest.approx(closed, abs=1e-13)
 
 
+def mpmath_shannon_closed(l, m):
+    """The digamma closed forms of the (l, l) and (l, l-1) families, 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        l_ = mpmath.mpf(l)
+        psi, lg, ln = mpmath.digamma, mpmath.loggamma, mpmath.log
+        if m == l:
+            return (-l_ * (psi(l_ + 1) - psi(l_ + 1.5) + 2 * ln(2))
+                    + ln(4 * mpmath.pi ** 2 / (2 * l_ + 1))
+                    + lg(2 * l_ + 1) - 2 * lg(l_ + 0.5))
+        log_k = (ln(l_ + 0.5) + 2 * ln(2 * l_ - 1) + 2 * lg(l_ - 0.5)
+                 - (3 - 2 * l_) * ln(2) - lg(2 * l_) - 2 * ln(mpmath.pi))
+        return -log_k - psi(mpmath.mpf(1.5)) - (l_ - 1) * psi(l_) + l_ * psi(l_ + 1.5)
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_shannon_closed_forms_match_mpmath(offset):
+    # lgamma and digamma terms of size 100-500 used to cancel to 1e-13
+    for l in range(offset, 101):
+        want = mpmath_shannon_closed(l, l - offset)
+        got = shannon_angular(AngularState(l, l - offset), method="closed")
+        assert float(abs(got - want) / abs(want)) <= (2e-14 if l <= 30 else 6e-14), l
+
+
 @pytest.mark.parametrize("l,m,p", [(2, 1, 2.0), (3, 1, 2.0), (4, 2, 3.0),
                                    (5, 0, 2.0), (6, 4, 1.5)])
 def test_exact_routes_agree(l, m, p):

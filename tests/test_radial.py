@@ -213,12 +213,13 @@ def test_norm_passthrough_reuses_value():
 # references independent of the panel engine
 
 
-def exact_norm(n, l, p):
+def exact_norm(n, l, p, dps=None):
     """N_{n,l}(p) for integer p as an exact rational sum over L^{2p}.
 
     With D = 2^n n!, D L_n^(l+1/2) has integer coefficients
     (-2)^k C(n, k) prod_{j=1}^{n-k} (2k + 2l + 1 + 2j); its 2p-th power is
     built by convolution and integrated termwise with half-integer Gammas.
+    With dps the rational and its power of pi meet in mpmath at dps digits.
     """
     def odd_double_fact(j):  # (2j + 1)!! = Gamma(j + 3/2) 2^(j+1) / sqrt(pi)
         return math.prod(range(1, 2 * j + 2, 2))
@@ -236,8 +237,28 @@ def exact_norm(n, l, p):
             for k, b in enumerate(power))
     d = 2 ** n * math.factorial(n)
     h = Fraction(odd_double_fact(n + l), 2 ** (n + l + 1) * math.factorial(n))
-    return (float(s / (d ** (2 * p) * h ** p))
-            * math.pi ** (0.5 * (1 - p)) * p ** -1.5)
+    ratio = s / (d ** (2 * p) * h ** p)
+    if dps:
+        with mpmath.workdps(dps):
+            return (mpmath.mpf(ratio.numerator) / ratio.denominator
+                    * mpmath.pi ** ((1 - mpmath.mpf(p)) / 2) * mpmath.mpf(p) ** -1.5)
+    return float(ratio) * math.pi ** (0.5 * (1 - p)) * p ** -1.5
+
+
+@pytest.mark.parametrize("n,l,p", [(30, 0, 2), (60, 1, 2), (100, 0, 2), (10, 4, 3)])
+def test_symbolic_route_keeps_the_digits_of_its_rational(n, l, p):
+    # the logs of the sum and of the norm power, each near 1e2 to 1e3,
+    # used to cancel to a 1e-13 error
+    want = exact_norm(n, l, p, dps=60)
+    got = laguerre_norm(n, l, p, path="symbolic").value
+    assert float(abs(got - want) / want) <= 1e-15
+
+
+@pytest.mark.parametrize("l", [0, 3, 7])
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_closed_n1_keeps_the_digits_of_its_rational(l, p):
+    want = exact_norm(1, l, p, dps=60)
+    assert float(abs(closed_n1l(l, p).value - want) / want) <= 2e-15
 
 
 def mpmath_norm(n, l, p):
@@ -360,7 +381,7 @@ def test_polished_roots_match_scipy(n, l):
     assert np.allclose(roots, want, rtol=1e-14, atol=0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 400])
+@pytest.mark.parametrize("n", [1, 2, 10, 400, 1000])
 def test_polished_roots_bracketed_by_sign_changes(n):
     alpha = Fraction(1, 2)
     x = radial._refined_roots(n, alpha)
