@@ -388,7 +388,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--bits", action="store_true",
                         help="report entropies in bits instead of nats")
         sp.add_argument("--lam", type=float, default=1.0)
-        sp.add_argument("--rtol", type=_tolerance, default=None)
 
     sp = sub.add_parser("angular", help="angular power integral and entropy")
     sp.add_argument("--l", type=int, required=True)
@@ -402,6 +401,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--path", default="auto",
                     choices=("auto", "symbolic", "closed_n1", "quadrature"))
+    sp.add_argument("--rtol", type=_tolerance, default=None)
     common(sp)
 
     sp = sub.add_parser("asymptotic", help="large-n radial entropy regimes")
@@ -450,6 +450,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--mode", choices=("exact", "asymptotic"), default="exact")
+    sp.add_argument("--rtol", type=_tolerance, default=None)
     common(sp)
 
     return parser

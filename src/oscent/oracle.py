@@ -5,6 +5,11 @@ from polynomial primitives and integrates entropic functionals over R^3 on
 a tensor grid, without going through the radial/angular entropy split that
 the main modules rely on.  Tolerances here certify the decomposition
 identities rather than assume them.
+
+Every radial and polar panel, at every order and for Shannon alike, takes
+one tanh-sinh rule: a different rule family from the Gauss-Jacobi panels of
+the main modules, so the check stays independent of them.  The integrand
+is assembled from the Laguerre and Gegenbauer recurrences alone.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from . import specfun
 from .errors import AccuracyError, DomainError
 from .order import as_order
-from .radial import OscillatorParams, QuantumState
+from .radial import OscillatorParams, QuantumState, _refined_roots
 
 __all__ = ["GridSpec", "full_density", "normalization", "renyi_full",
            "shannon_full"]
@@ -28,21 +33,21 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Tensor-quadrature resolution: nodes per panel and radial reach.
+    """Tensor-quadrature resolution: tanh-sinh half-width m per panel and
+    radial reach.
 
-    The cutoff multiplier scales the energy length sqrt((2n + l + 3/2)/lam);
+    Each radial or polar panel carries 2 m + 1 points at step 3.2/m.  The
+    cutoff multiplier scales the energy length sqrt((2n + l + 3/2)/lam);
     the Gaussian tail beyond it is certified small by a last-block check.
     """
 
     radial_nodes: int = 48
     polar_nodes: int = 48
-    azimuthal_nodes: int = 16
     cutoff: float = 6.0
 
     def __post_init__(self):
         for label, count in (("radial", self.radial_nodes),
-                             ("polar", self.polar_nodes),
-                             ("azimuthal", self.azimuthal_nodes)):
+                             ("polar", self.polar_nodes)):
             if count < 16:
                 raise DomainError(f"{label} node count must be >= 16, got {count}")
         if not self.cutoff >= 2.0:
@@ -105,32 +110,27 @@ def _pairs(edges) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _graded(a: float, b: float, toward_a: bool, levels: int) -> list:
-    w = b - a
-    if toward_a:
-        return [a] + [a + w * 2.0 ** (-j) for j in range(levels, -1, -1)]
-    return [a] + [b - w * 2.0 ** (-j) for j in range(1, levels + 1)] + [b]
+def _dim_rule(edges, m_nodes: int):
+    """Panel-stacked tanh-sinh points/weights (Takahasi & Mori 1974).
 
-
-def _dim_rule(edges, m_nodes: int, grade: int):
-    """Panel-stacked Gauss-Legendre points/weights, optionally edge-graded.
-
-    grade > 0 splits every panel geometrically toward both of its ends so
-    algebraic or logarithmic edge behaviour converges at full order.
+    Each panel takes the trapezoid rule in k on t = tanh(pi/2 sinh k),
+    2 m + 1 points at step 3.2/m.  The double-exponential crowding toward
+    both ends converges for algebraic and logarithmic end behaviour alike,
+    so no edge grading is needed.  The offsets (1 + t)/2 = 1/(1 + e^{-2u})
+    and (1 - t)/2 = 1/(1 + e^{2u}) are formed directly, not by subtracting
+    t from 1, so nodes near an end are not rounded onto it.
     """
-    t0, w0 = specfun.gauss_legendre(m_nodes)
+    h = 3.2 / m_nodes
+    k = np.arange(-m_nodes, m_nodes + 1) * h
+    u = 0.5 * math.pi * np.sinh(k)
+    lo_frac = 1.0 / (1.0 + np.exp(-2.0 * u))
+    hi_frac = 1.0 / (1.0 + np.exp(2.0 * u))
+    w0 = h * math.pi * np.cosh(k) * lo_frac * hi_frac
     xs, ws = [], []
     for a, b in _pairs(edges):
-        if grade:
-            mid = 0.5 * (a + b)
-            subs = _pairs(_graded(a, mid, True, grade))
-            subs += _pairs(_graded(mid, b, False, grade))
-        else:
-            subs = [(a, b)]
-        for lo, hi in subs:
-            h = 0.5 * (hi - lo)
-            xs.append(lo + h * (1.0 + t0))
-            ws.append(h * w0)
+        w = b - a
+        xs.append(np.where(k <= 0.0, a + w * lo_frac, b - w * hi_frac))
+        ws.append(w * w0)
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -141,15 +141,8 @@ def _radial_edges(state: QuantumState, params: OscillatorParams,
     lam = params.lam
     cut = grid.cutoff * math.sqrt((2 * n + l + 1.5) / lam)
     edges = [0.0]
-    if n:
-        alpha = l + 0.5
-        ks = np.arange(n, dtype=float)
-        off = np.sqrt(np.arange(1.0, n) * (np.arange(1.0, n) + alpha))
-        jac = np.diag(2.0 * ks + alpha + 1.0)
-        if n > 1:
-            jac += np.diag(off, 1) + np.diag(off, -1)
-        xr = np.sort(np.linalg.eigvalsh(jac))
-        edges += [math.sqrt(x / lam) for x in xr if x / lam < cut * cut]
+    xr = _refined_roots(n, Fraction(2 * l + 1, 2)).astype(float)
+    edges += [math.sqrt(x / lam) for x in xr if x / lam < cut * cut]
     start = edges[-1] if len(edges) > 1 else math.sqrt(1.5 / lam)
     if start >= cut:
         raise DomainError("radial cutoff multiplier too small for this state")
@@ -167,29 +160,25 @@ def _polar_edges(state: QuantumState) -> list:
     return [-1.0] + mid + [1.0]
 
 
-def _tensor_value(state, params, grid, apply_f, grade_r: int,
-                  grade_t: int) -> float:
+def _tensor_value(state, params, grid, apply_f) -> float:
     """Triple integral of apply_f(rho) over R^3 on the tensor grid.
 
     Radial and polar axes carry panels at the density oscillation nodes;
-    the azimuthal axis contributes its weight sum directly because the
-    integrand has no phi dependence.  Contractions run through fixed-order
-    matrix products in radial chunks, so the reduction is reproducible and
-    memory stays bounded.
+    the azimuthal axis contributes 2 pi directly because the integrand has
+    no phi dependence.  Contractions run through fixed-order matrix
+    products in radial chunks, so the reduction is reproducible and memory
+    stays bounded.
     """
     rad = _radial_profile(state, params)
     ang = _polar_profile(state)
     r_edges = _radial_edges(state, params, grid)
-    r_pts, r_w = _dim_rule(r_edges, grid.radial_nodes, grade_r)
-    t_pts, t_w = _dim_rule(_polar_edges(state), grid.polar_nodes, grade_t)
-    phi_total = float(np.sum(np.full(grid.azimuthal_nodes,
-                                     _TWO_PI / grid.azimuthal_nodes)))
+    r_pts, r_w = _dim_rule(r_edges, grid.radial_nodes)
+    t_pts, t_w = _dim_rule(_polar_edges(state), grid.polar_nodes)
     ang_vals = ang(t_pts)
-    rw2 = r_w * r_pts * r_pts
 
     def sweep(pts, wts) -> float:
         vals = apply_f(np.outer(rad(pts), ang_vals))
-        return float(((wts * pts * pts) @ vals) @ t_w) * phi_total
+        return float(((wts * pts * pts) @ vals) @ t_w) * _TWO_PI
 
     chunk = max(1, 40_000_000 // (8 * max(1, t_pts.size)))
     parts = [sweep(r_pts[i:i + chunk], r_w[i:i + chunk])
@@ -200,7 +189,7 @@ def _tensor_value(state, params, grid, apply_f, grade_r: int,
     # the Gaussian decay makes everything beyond the ghost smaller still
     w_last = 2.0 * (r_edges[-1] - r_edges[-2])
     g_pts, g_w = _dim_rule([r_edges[-1], r_edges[-1] + w_last],
-                           grid.radial_nodes, 0)
+                           grid.radial_nodes)
     ghost = sweep(g_pts, g_w)
     if not abs(ghost) <= 1e-10 * max(abs(total), 1e-300):
         raise AccuracyError(
@@ -209,16 +198,12 @@ def _tensor_value(state, params, grid, apply_f, grade_r: int,
     return total
 
 
-def _lattice(x: float) -> bool:
-    return abs(x - round(x)) < 1e-9
-
-
 def normalization(state: QuantumState, params: OscillatorParams | None = None,
                   grid: GridSpec | None = None) -> float:
     """Quadrature value of the total probability; equals 1 for any state."""
     params = params or OscillatorParams()
     grid = grid or GridSpec()
-    return _tensor_value(state, params, grid, lambda d: d, 0, 0)
+    return _tensor_value(state, params, grid, lambda d: d)
 
 
 def renyi_full(state: QuantumState, params: OscillatorParams | None = None,
@@ -230,11 +215,7 @@ def renyi_full(state: QuantumState, params: OscillatorParams | None = None,
     params = params or OscillatorParams()
     grid = grid or GridSpec()
     pf = order.p
-    # fractional panel-edge exponents call for geometric edge grading
-    grade_r = 0 if _lattice(2.0 * pf) else 10
-    grade_t = 0 if (_lattice(2.0 * pf) and _lattice(abs(state.m) * pf)) else 14
-    val = _tensor_value(state, params, grid, lambda d: d ** pf,
-                        grade_r, grade_t)
+    val = _tensor_value(state, params, grid, lambda d: d ** pf)
     if not val > 0:
         raise AccuracyError(f"power integral came out nonpositive: {val}")
     return math.log(val) / (1.0 - pf)
@@ -250,4 +231,4 @@ def shannon_full(state: QuantumState, params: OscillatorParams | None = None,
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(d > 0.0, -d * np.log(np.where(d > 0.0, d, 1.0)), 0.0)
 
-    return _tensor_value(state, params, grid, neg_rho_ln_rho, 14, 14)
+    return _tensor_value(state, params, grid, neg_rho_ln_rho)

@@ -226,10 +226,10 @@ def test_full_space_integrator_agrees_with_decomposition():
                     want = renyi_total(state, p=p).total
                     got = renyi_full(state, p=p)
                     worst = max(worst, abs(got - want))
-                    assert got == pytest.approx(want, abs=1e-7), (n, l, m, p)
+                    assert got == pytest.approx(want, abs=1e-9), (n, l, m, p)
                 want = shannon_total(state).total
                 got = shannon_full(state)
                 worst = max(worst, abs(got - want))
-                assert got == pytest.approx(want, abs=1e-7), (n, l, m, "sh")
-    assert worst < 1e-7
-    assert time.monotonic() - start < 300.0
+                assert got == pytest.approx(want, abs=1e-9), (n, l, m, "sh")
+    assert worst < 1e-9
+    assert time.monotonic() - start < 30.0

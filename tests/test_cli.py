@@ -194,6 +194,8 @@ def test_domain_errors_exit_2(capsys):
     (["uncertainty", "--n", "0", "--l", "0", "--p", "0.5"], 2),
     (["radial", "--n", "1", "--l", "0", "--p", "2", "--rtol", "-1"], 64),
     (["radial", "--n", "1", "--l", "0", "--p", "2", "--rtol", "0"], 64),
+    (["angular", "--l", "1", "--p", "2", "--rtol", "1e-8"], 64),
+    (["total", "--n", "1", "--l", "0", "--p", "2", "--rtol", "1e-8"], 64),
     (["sweep", "--quantity", "radial-renyi", "--n", "3,4", "--l", "1,2"], 64),
     (["sweep", "--quantity", "total-renyi", "--n", "1", "--l", "x"], 64),
     (["sweep", "--quantity", "total-renyi", "--n", "0,1", "--l", "0",

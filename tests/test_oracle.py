@@ -19,8 +19,6 @@ def test_grid_validation():
         GridSpec(radial_nodes=8)
     with pytest.raises(DomainError):
         GridSpec(cutoff=1.2)
-    with pytest.raises(DomainError):
-        GridSpec(azimuthal_nodes=1)
 
 
 def test_ground_density_is_gaussian():
@@ -61,6 +59,19 @@ def test_full_renyi_matches_decomposition_fractional_order():
     want = renyi_total(state, p=0.5).total
     got = renyi_full(state, p=0.5)
     assert got == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("state", [QuantumState(10, 4, 1), QuantumState(7, 4, 4),
+                                   QuantumState(0, 4, 0)])
+@pytest.mark.parametrize("p", [0.7, 2.8, 1.0])
+def test_full_space_matches_decomposition_at_fractional_2p(state, p):
+    # 2p and m p off the integers, or Shannon's logarithm: the integrand is
+    # singular at every panel end
+    if p == 1.0:
+        want, got = shannon_total(state).total, shannon_full(state)
+    else:
+        want, got = renyi_total(state, p=p).total, renyi_full(state, p=p)
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_full_shannon_matches_decomposition():
