@@ -23,7 +23,7 @@ from .entropy import (
     uncertainty_sum,
 )
 from .errors import AccuracyError, DomainError, UnboundedGrowthError
-from .oracle import GridSpec, full_density, renyi_full, shannon_full
+from .oracle import full_density, renyi_full, shannon_full
 from .order import EntropyOrder, as_order
 from .radial import (
     LaguerreNorm,
@@ -54,7 +54,7 @@ __all__ = [
     "renyi_sum_bound", "renyi_total", "shannon_total", "tsallis_from_renyi",
     "uncertainty_sum",
     "AccuracyError", "DomainError", "UnboundedGrowthError",
-    "GridSpec", "full_density", "renyi_full", "shannon_full",
+    "full_density", "renyi_full", "shannon_full",
     "EntropyOrder", "as_order",
     "LaguerreNorm", "OscillatorParams", "QuantumState", "closed_n1l",
     "energy", "laguerre_norm", "negparam_laguerre_integral",

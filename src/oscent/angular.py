@@ -5,7 +5,9 @@ power through three independent routes: an exact linearization of the
 Gegenbauer power into hypergeometric-type rational sums, an exact
 Bell-polynomial expansion of the orthonormal Jacobi power, and Gauss-Jacobi
 panel quadrature between the Gegenbauer roots.  Closed forms cover the
-(l, l), (l, l-1) families.
+(l, l), (l, l-1) families.  shannon_angular takes the digamma closed form of
+those families and log-weighted panel quadrature for every other state.
+The quadrature's node count and tolerances are module constants.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ _LN_2 = math.log(2.0)
 # exact polynomial-power routes are supported on this lattice
 MAX_TWO_P = 8
 MAX_DEGREE = 8
+
+# panel quadrature: Gauss-Jacobi nodes in the first pass of specfun.settled
+# and the agreement the second pass must reach
+_NODES = 48
+_RENYI_TOL = 1e-12
+_SHANNON_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,7 @@ def _signed_exp(sign: int, logmag: float, context) -> float:
 
 
 def _ambiguity(state: AngularState, order: EntropyOrder, signed: float,
-               method: str, rtol: float) -> AngularResult:
+               method: str) -> AngularResult:
     """Package an exact polynomial-power value, resolving odd-2p sign issues.
 
     For odd 2p with a sign-changing Jacobi factor the polynomial routes
@@ -151,14 +159,14 @@ def _ambiguity(state: AngularState, order: EntropyOrder, signed: float,
     if not ambiguous:
         return AngularResult(signed, _renyi_from_lambda(signed, order),
                              method, order)
-    quad = _lambda_quad_value(state, order.p, rtol)
+    quad = _lambda_quad_value(state, order.p)
     warn = ("odd 2p with sign-changing polynomial factor; "
             "quadrature value of the absolute power returned",)
     return AngularResult(quad, _renyi_from_lambda(quad, order), method, order,
                          warnings=warn, signed_power_value=signed)
 
 
-def lambda_linearization(state: AngularState, p, rtol: float = 1e-12) -> AngularResult:
+def lambda_linearization(state: AngularState, p) -> AngularResult:
     """Power integral of |Y_{l,m}|^2 via the exact linearization route.
 
     Requires 2p to be a positive integer; the rational core is evaluated
@@ -176,7 +184,7 @@ def lambda_linearization(state: AngularState, p, rtol: float = 1e-12) -> Angular
     else:
         logmag = _lin_log_prefactor(l, m, 0.5 * q) + specfun.log_fraction(abs(core))
         signed = _signed_exp(1 if core > 0 else -1, logmag, (l, m, order.p))
-    return _ambiguity(state, order, signed, "linearization", rtol)
+    return _ambiguity(state, order, signed, "linearization")
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +213,7 @@ def _bell_core(l: int, m: int, q: int) -> tuple[Fraction, int, Fraction]:
     return acc, (0 if pi_half is None else pi_half), onj.norm_square
 
 
-def lambda_bell(state: AngularState, p, rtol: float = 1e-12) -> AngularResult:
+def lambda_bell(state: AngularState, p) -> AngularResult:
     """Power integral of |Y_{l,m}|^2 via the Bell-polynomial route.
 
     Expands the 2p-th power of the orthonormal Jacobi factor with partial
@@ -228,7 +236,7 @@ def lambda_bell(state: AngularState, p, rtol: float = 1e-12) -> AngularResult:
                   - 0.5 * q * specfun.log_fraction(norm_sq)
                   + specfun.log_fraction(abs(acc)) + 0.5 * pi_half * _LN_PI)
         signed = _signed_exp(1 if acc > 0 else -1, logmag, (l, m, order.p))
-    return _ambiguity(state, order, signed, "bell", rtol)
+    return _ambiguity(state, order, signed, "bell")
 
 
 def _angular_pass(l: int, m: int, p: float, m_nodes: int, log_ends: bool = False):
@@ -256,7 +264,7 @@ def _angular_pass(l: int, m: int, p: float, m_nodes: int, log_ends: bool = False
     return t, weights, c, f, lo_root, hi_root
 
 
-def _lambda_quad_value(state: AngularState, p: float, rtol: float) -> float:
+def _lambda_quad_value(state: AngularState, p: float) -> float:
     """2 pi A^{2p} integral of |C(t)|^{2p} (1 - t^2)^{mp} over [-1, 1].
 
     Panel quadrature between the Gegenbauer roots (_angular_pass), certified
@@ -268,20 +276,20 @@ def _lambda_quad_value(state: AngularState, p: float, rtol: float) -> float:
         _, (w,), _, f, _, _ = _angular_pass(l, m, p, m_nodes)
         return np.sum(w * f)
 
-    v, _ = specfun.settled(value, 48, max(rtol, 5e-13),
+    v, _ = specfun.settled(value, _NODES, _RENYI_TOL,
                            f"angular quadrature for l={l}, m={m}, p={p}")
     a2p = math.exp(p * math.log(norm_const_squared(state)))
     return 2.0 * math.pi * a2p * float(v)
 
 
-def lambda_quadrature(state: AngularState, p, rtol: float = 1e-12) -> AngularResult:
+def lambda_quadrature(state: AngularState, p) -> AngularResult:
     """Power integral of |Y_{l,m}|^2 by Gauss-Jacobi panel quadrature.
 
     Valid for any real p > 0; panels end at the Gegenbauer roots, where
     |.|^{2p} loses smoothness, and their end weights absorb it.
     """
     order = as_order(p)
-    val = _lambda_quad_value(state, order.p, rtol)
+    val = _lambda_quad_value(state, order.p)
     return AngularResult(val, _renyi_from_lambda(val, order), "quadrature", order)
 
 
@@ -311,7 +319,7 @@ def lambda_closed(state: AngularState, p) -> AngularResult | None:
     return AngularResult(val, _renyi_from_lambda(val, order), "closed_form", order)
 
 
-def renyi_angular(state: AngularState, p, rtol: float = 1e-12) -> AngularResult:
+def renyi_angular(state: AngularState, p) -> AngularResult:
     """Renyi entropy of the angular density, best available route.
 
     Dispatch: closed form when the state belongs to a closed family (any
@@ -325,8 +333,8 @@ def renyi_angular(state: AngularState, p, rtol: float = 1e-12) -> AngularResult:
     if closed is not None:
         return closed
     if order.on_lattice and order.two_p <= MAX_TWO_P and (state.l - state.m_abs) <= MAX_DEGREE:
-        return lambda_linearization(state, order, rtol)
-    return lambda_quadrature(state, order, rtol)
+        return lambda_linearization(state, order)
+    return lambda_quadrature(state, order)
 
 
 def _shannon_closed(state: AngularState) -> float | None:
@@ -348,7 +356,7 @@ def _shannon_closed(state: AngularState) -> float | None:
     return -log_k - specfun.digamma(1.5) + specfun.digamma(float(l)) + l_gap + 1
 
 
-def _shannon_quadrature(state: AngularState, rtol: float) -> float:
+def _shannon_quadrature(state: AngularState) -> float:
     """-2 pi integral y ln y dt, y = A^2 C(t)^2 (1 - t^2)^m, on the p = 1 panels.
 
     ln y = ln A^2 + s + c_lo ln(t - lo) + c_hi ln(hi - t), s smooth, c = 2 at
@@ -366,26 +374,16 @@ def _shannon_quadrature(state: AngularState, rtol: float) -> float:
         c_hi = np.where(hi_root, 2.0, m)
         return a2 * np.sum(f * (w * s + c_lo * w_lo + c_hi * w_hi))
 
-    v, _ = specfun.settled(value, 48, max(rtol, 5e-13),
+    v, _ = specfun.settled(value, _NODES, _SHANNON_TOL,
                            f"angular Shannon quadrature for l={l}, m={m}", floor=1.0)
     return -2.0 * math.pi * float(v)
 
 
-def shannon_angular(state: AngularState, method: str = "auto",
-                    rtol: float = 1e-11) -> float:
+def shannon_angular(state: AngularState) -> float:
     """Shannon entropy of the angular density.
 
-    method: "auto" prefers the digamma closed forms for the (l, l) and
-    (l, l-1) families and falls back to quadrature of -y ln y; "closed" and
-    "quadrature" force a route.
+    The digamma closed forms for the (l, l) and (l, l-1) families, else
+    quadrature of -y ln y.
     """
-    if method not in ("auto", "closed", "quadrature"):
-        raise DomainError(f"unknown shannon method {method!r}")
-    if method != "quadrature":
-        closed = _shannon_closed(state)
-        if closed is not None:
-            return closed
-        if method == "closed":
-            raise DomainError(
-                f"no closed Shannon form for (l, m) = ({state.l}, {state.m})")
-    return _shannon_quadrature(state, rtol)
+    closed = _shannon_closed(state)
+    return _shannon_quadrature(state) if closed is None else closed

@@ -87,11 +87,11 @@ def _pack(radial: float, angular: float, space: str, mode: str,
                                 space, mode, order, warns)
 
 
-def _space_shift(space: str, params: OscillatorParams) -> float:
+def _in_space(value: float, space: str, params: OscillatorParams) -> float:
     if space == "position":
-        return 0.0
+        return value
     if space == "momentum":
-        return 3.0 * math.log(params.lam)
+        return momentum_renyi(value, params)
     raise DomainError(f"unknown space tag {space!r}")
 
 
@@ -121,8 +121,8 @@ def renyi_total(state: QuantumState, params: OscillatorParams | None = None,
                       "remainder",)
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    rad += _space_shift(space, params)
-    return _pack(rad, ang.renyi, space, mode, order, warns)
+    return _pack(_in_space(rad, space, params), ang.renyi, space, mode, order,
+                 warns)
 
 
 def shannon_total(state: QuantumState, params: OscillatorParams | None = None,
@@ -138,8 +138,8 @@ def shannon_total(state: QuantumState, params: OscillatorParams | None = None,
         rad = _ryd.shannon_radial_asymptotic(state.n, params)
     else:
         raise DomainError(f"unknown mode {mode!r}")
-    rad += _space_shift(space, params)
-    return _pack(rad, ang, space, mode, as_order(1.0), warns)
+    return _pack(_in_space(rad, space, params), ang, space, mode, as_order(1.0),
+                 warns)
 
 
 def tsallis_from_renyi(r: float, p) -> float:
@@ -158,15 +158,12 @@ def disequilibrium(state: QuantumState,
 
 
 def momentum_renyi(position_value: float,
-                   params: OscillatorParams | None = None, p=2.0, *,
-                   shannon: bool = False) -> float:
+                   params: OscillatorParams | None = None) -> float:
     """Momentum-space entropy from the position-space one: add 3 ln lam.
 
     The momentum density is a dilated copy of the position density, so the
-    shift is order-independent; the shannon flag admits p = 1.
+    shift is the same for every Renyi order and for Shannon.
     """
-    if not shannon and as_order(p).is_unity:
-        raise DomainError("p = 1 needs the shannon flag")
     params = params or OscillatorParams()
     return position_value + 3.0 * math.log(params.lam)
 
@@ -205,7 +202,7 @@ def uncertainty_sum(state: QuantumState,
     warns: tuple[str, ...] = ()
     if entropy_kind == "shannon":
         pos = shannon_total(state, params, mode)
-        mom = momentum_renyi(pos.total, params, shannon=True)
+        mom = momentum_renyi(pos.total, params)
         warns += pos.warnings
         total = pos.total + mom
         bound = SHANNON_SUM_BOUND
@@ -229,7 +226,7 @@ def uncertainty_sum(state: QuantumState,
         pos = renyi_total(state, params, pv, mode)
         mom_pos = renyi_total(state, params, qv, mode)
         warns += pos.warnings + mom_pos.warnings
-        total = pos.total + momentum_renyi(mom_pos.total, params, qv)
+        total = pos.total + momentum_renyi(mom_pos.total, params)
         bound = renyi_sum_bound(pv, qv)
     else:
         raise DomainError(f"unknown entropy kind {entropy_kind!r}")

@@ -9,13 +9,14 @@ identities rather than assume them.
 Every radial and polar panel, at every order and for Shannon alike, takes
 one tanh-sinh rule: a different rule family from the Gauss-Jacobi panels of
 the main modules, so the check stays independent of them.  The integrand
-is assembled from the Laguerre and Gegenbauer recurrences alone.
+is assembled from the Laguerre and Gegenbauer recurrences alone.  The rule's
+half-width m = 48 and the radial reach are fixed below; the reach grows as
+1/sqrt(p) below p = 1, where rho^p decays more slowly than rho.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,33 +26,16 @@ from .errors import AccuracyError, DomainError
 from .order import as_order
 from .radial import OscillatorParams, QuantumState, _refined_roots
 
-__all__ = ["GridSpec", "full_density", "normalization", "renyi_full",
-           "shannon_full"]
+__all__ = ["full_density", "normalization", "renyi_full", "shannon_full"]
 
 _TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Tensor-quadrature resolution: tanh-sinh half-width m per panel and
-    radial reach.
-
-    Each radial or polar panel carries 2 m + 1 points at step 3.2/m.  The
-    cutoff multiplier scales the energy length sqrt((2n + l + 3/2)/lam);
-    the Gaussian tail beyond it is certified small by a last-block check.
-    """
-
-    radial_nodes: int = 48
-    polar_nodes: int = 48
-    cutoff: float = 6.0
-
-    def __post_init__(self):
-        for label, count in (("radial", self.radial_nodes),
-                             ("polar", self.polar_nodes)):
-            if count < 16:
-                raise DomainError(f"{label} node count must be >= 16, got {count}")
-        if not self.cutoff >= 2.0:
-            raise DomainError(f"cutoff multiplier must be >= 2, got {self.cutoff}")
+# tanh-sinh half-width: each radial or polar panel carries 2 m + 1 points at
+# step 3.2/m
+_NODES = 48
+# radial reach in lengths sqrt((2n + l + 3/2)/(lam min(p, 1))): rho^p decays
+# like exp(-p lam r^2); a ghost panel past it certifies the tail small
+_CUTOFF = 6.0
 
 
 def _radial_profile(state: QuantumState, params: OscillatorParams):
@@ -135,17 +119,16 @@ def _dim_rule(edges, m_nodes: int):
 
 
 def _radial_edges(state: QuantumState, params: OscillatorParams,
-                  grid: GridSpec) -> list:
+                  p: float) -> list:
     """Panel edges at the density oscillation nodes plus a tail ladder."""
     n, l = state.n, state.l
     lam = params.lam
-    cut = grid.cutoff * math.sqrt((2 * n + l + 1.5) / lam)
+    cut = _CUTOFF * math.sqrt((2 * n + l + 1.5) / (lam * min(p, 1.0)))
     edges = [0.0]
     xr = _refined_roots(n, Fraction(2 * l + 1, 2)).astype(float)
-    edges += [math.sqrt(x / lam) for x in xr if x / lam < cut * cut]
+    # every root x lies below 2 (2n + l + 3/2), inside the cutoff
+    edges += [math.sqrt(x / lam) for x in xr]
     start = edges[-1] if len(edges) > 1 else math.sqrt(1.5 / lam)
-    if start >= cut:
-        raise DomainError("radial cutoff multiplier too small for this state")
     if len(edges) == 1:
         edges.append(start)
     span = cut - start
@@ -160,20 +143,21 @@ def _polar_edges(state: QuantumState) -> list:
     return [-1.0] + mid + [1.0]
 
 
-def _tensor_value(state, params, grid, apply_f) -> float:
+def _tensor_value(state, params, p: float, apply_f) -> float:
     """Triple integral of apply_f(rho) over R^3 on the tensor grid.
 
     Radial and polar axes carry panels at the density oscillation nodes;
     the azimuthal axis contributes 2 pi directly because the integrand has
     no phi dependence.  Contractions run through fixed-order matrix
     products in radial chunks, so the reduction is reproducible and memory
-    stays bounded.
+    stays bounded.  apply_f(rho) decays like rho^p, which sets the radial
+    reach.
     """
     rad = _radial_profile(state, params)
     ang = _polar_profile(state)
-    r_edges = _radial_edges(state, params, grid)
-    r_pts, r_w = _dim_rule(r_edges, grid.radial_nodes)
-    t_pts, t_w = _dim_rule(_polar_edges(state), grid.polar_nodes)
+    r_edges = _radial_edges(state, params, p)
+    r_pts, r_w = _dim_rule(r_edges, _NODES)
+    t_pts, t_w = _dim_rule(_polar_edges(state), _NODES)
     ang_vals = ang(t_pts)
 
     def sweep(pts, wts) -> float:
@@ -188,8 +172,7 @@ def _tensor_value(state, params, grid, apply_f) -> float:
     # certify the cutoff: one ghost panel past it must carry nothing, and
     # the Gaussian decay makes everything beyond the ghost smaller still
     w_last = 2.0 * (r_edges[-1] - r_edges[-2])
-    g_pts, g_w = _dim_rule([r_edges[-1], r_edges[-1] + w_last],
-                           grid.radial_nodes)
+    g_pts, g_w = _dim_rule([r_edges[-1], r_edges[-1] + w_last], _NODES)
     ghost = sweep(g_pts, g_w)
     if not abs(ghost) <= 1e-10 * max(abs(total), 1e-300):
         raise AccuracyError(
@@ -198,37 +181,33 @@ def _tensor_value(state, params, grid, apply_f) -> float:
     return total
 
 
-def normalization(state: QuantumState, params: OscillatorParams | None = None,
-                  grid: GridSpec | None = None) -> float:
+def normalization(state: QuantumState,
+                  params: OscillatorParams | None = None) -> float:
     """Quadrature value of the total probability; equals 1 for any state."""
-    params = params or OscillatorParams()
-    grid = grid or GridSpec()
-    return _tensor_value(state, params, grid, lambda d: d)
+    return _tensor_value(state, params or OscillatorParams(), 1.0, lambda d: d)
 
 
 def renyi_full(state: QuantumState, params: OscillatorParams | None = None,
-               p=2.0, grid: GridSpec | None = None) -> float:
+               p=2.0) -> float:
     """Full-space Renyi entropy ln(integral rho^p)/(1 - p), no split used."""
     order = as_order(p)
     if order.is_unity:
         raise DomainError("p = 1 is the Shannon limit; use shannon_full")
     params = params or OscillatorParams()
-    grid = grid or GridSpec()
     pf = order.p
-    val = _tensor_value(state, params, grid, lambda d: d ** pf)
+    val = _tensor_value(state, params, pf, lambda d: d ** pf)
     if not val > 0:
         raise AccuracyError(f"power integral came out nonpositive: {val}")
     return math.log(val) / (1.0 - pf)
 
 
-def shannon_full(state: QuantumState, params: OscillatorParams | None = None,
-                 grid: GridSpec | None = None) -> float:
+def shannon_full(state: QuantumState,
+                 params: OscillatorParams | None = None) -> float:
     """Full-space Shannon entropy -integral rho ln rho, zeros guarded."""
     params = params or OscillatorParams()
-    grid = grid or GridSpec()
 
     def neg_rho_ln_rho(d):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(d > 0.0, -d * np.log(np.where(d > 0.0, d, 1.0)), 0.0)
 
-    return _tensor_value(state, params, grid, neg_rho_ln_rho)
+    return _tensor_value(state, params, 1.0, neg_rho_ln_rho)

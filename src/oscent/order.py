@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -45,21 +44,6 @@ class EntropyOrder:
     @property
     def on_lattice(self) -> bool:
         return self.two_p is not None
-
-    @property
-    def kind(self) -> str:
-        if self.is_unity:
-            return "shannon"
-        if self.on_lattice:
-            return "half_integer_lattice"
-        return "general"
-
-    def exact(self) -> Fraction:
-        """p as an exact rational (only meaningful on the lattice)."""
-        q = self.two_p
-        if q is None:
-            return Fraction(self.p)
-        return Fraction(q, 2)
 
 
 def as_order(p) -> EntropyOrder:

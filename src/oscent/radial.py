@@ -24,7 +24,7 @@ import numpy as np
 from . import specfun
 from .angular import AngularState
 from .errors import AccuracyError, DomainError
-from .order import EntropyOrder, as_order
+from .order import as_order
 
 __all__ = [
     "OscillatorParams", "QuantumState", "LaguerreNorm", "energy",
@@ -41,6 +41,11 @@ SYMBOLIC_COST_CAP = 120
 _SLICE_BUDGET = 6000
 _POINT_CAP = 200000  # points per recurrence call; bounds a batch's memory
 _LOG_VARIATION_CAP = 16.0
+# Gauss-Jacobi nodes per panel in the first pass of specfun.settled: the
+# Renyi norm and negative-parameter integrals, then the log-weighted Shannon
+# rules
+_NODES = 48
+_SHANNON_NODES = 20
 
 
 @dataclass(frozen=True)
@@ -274,12 +279,12 @@ def _panel_pass(n: int, l: int, p: float, panels: list[tuple], m_nodes: int,
     return x, weights, g, f, parts
 
 
-def _norm_quadrature(n: int, l: int, p: float, rtol: float, nodes: int,
+def _norm_quadrature(n: int, l: int, p: float, rtol: float,
                      extra_warns: tuple[str, ...] = ()) -> LaguerreNorm:
     """Panel quadrature of N_{n,l}(p), certified by a second node count."""
     panels = _norm_panels(n, l, p)
     v, escalated = specfun.settled(
-        lambda m: _panel_pass(n, l, p, panels, m)[-1].sum(), nodes,
+        lambda m: _panel_pass(n, l, p, panels, m)[-1].sum(), _NODES,
         max(rtol, 5e-13), f"radial quadrature for n={n}, l={l}, p={p}")
     warns = extra_warns + (("node count escalated to reach tolerance",)
                            if escalated else ())
@@ -323,7 +328,7 @@ def _norm_symbolic(n: int, l: int, q: int, p: float) -> LaguerreNorm:
     return _mk_norm(math.exp(logn), logn, "symbolic", p, l)
 
 
-def closed_n1l(l: int, p, *, rtol: float = 1e-11, nodes: int = 48) -> LaguerreNorm:
+def closed_n1l(l: int, p, *, rtol: float = 1e-11) -> LaguerreNorm:
     """Closed form of N_{1,l}(p) through a negative-parameter Laguerre value.
 
     N_{1,l}(p) = Gamma(lp+3/2)/Gamma(l+5/2)^p * (2p)!/p^{(l+2)p+3/2}
@@ -361,15 +366,14 @@ def closed_n1l(l: int, p, *, rtol: float = 1e-11, nodes: int = 48) -> LaguerreNo
     if q % 2 == 0:
         return _mk_norm(math.exp(logn), logn, "closed_n1", pf, l)
     signed = math.copysign(math.exp(logn), lval)
-    quad = _norm_quadrature(1, l, pf, rtol, nodes)
+    quad = _norm_quadrature(1, l, pf, rtol)
     warn = ("odd 2p with sign-changing polynomial factor; "
             "quadrature value of the absolute power returned",)
     return _mk_norm(quad.value, quad.log_value, "closed_n1", pf, l,
                     quad.warnings + warn, signed)
 
 
-def negparam_laguerre_integral(n: int, nu: float, x: float, *,
-                               nodes: int = 48) -> float:
+def negparam_laguerre_integral(n: int, nu: float, x: float) -> float:
     """Laguerre value with parameter -n-nu computed from its integral form.
 
     ((-1)^n / (n! Gamma(nu))) integral_0^inf (x+y)^n y^(nu-1) e^{-y} dy,
@@ -393,7 +397,7 @@ def negparam_laguerre_integral(n: int, nu: float, x: float, *,
         g[1:] *= u[1:] ** (2.0 * nu - 1.0)
         return 2.0 * float(np.sum(w * g))
 
-    v, _ = specfun.settled(run, nodes, 1e-9, f"negative-parameter Laguerre "
+    v, _ = specfun.settled(run, _NODES, 1e-9, f"negative-parameter Laguerre "
                            f"integral for n={n}, nu={nu}, x={x}", floor=1e-30)
     return (-1.0) ** n / (math.factorial(n) * math.gamma(nu)) * v
 
@@ -402,7 +406,7 @@ def negparam_laguerre_integral(n: int, nu: float, x: float, *,
 # public entry points
 
 def laguerre_norm(n: int, l: int, p, *, path: str = "auto",
-                  rtol: float = 1e-11, nodes: int = 48) -> LaguerreNorm:
+                  rtol: float = 1e-11) -> LaguerreNorm:
     """Norm integral N_{n,l}(p), dispatching to the best valid route.
 
     auto order: exact n = 0 formula for any real p, symbolic rational sums
@@ -422,9 +426,9 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto",
             if n * q <= SYMBOLIC_COST_CAP:
                 return _norm_symbolic(n, l, q, pf)
             return _norm_quadrature(
-                n, l, pf, rtol, nodes,
+                n, l, pf, rtol,
                 ("symbolic path degree cap exceeded; quadrature used",))
-        return _norm_quadrature(n, l, pf, rtol, nodes)
+        return _norm_quadrature(n, l, pf, rtol)
     if path == "symbolic":
         if n == 0:
             return _norm_symbolic_n0(l, pf)
@@ -438,14 +442,14 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto",
     if path == "closed_n1":
         if n != 1:
             raise DomainError(f"closed_n1 route applies only to n=1, got n={n}")
-        return closed_n1l(l, pf, rtol=rtol, nodes=nodes)
+        return closed_n1l(l, pf, rtol=rtol)
     if path == "quadrature":
-        return _norm_quadrature(n, l, pf, rtol, nodes)
+        return _norm_quadrature(n, l, pf, rtol)
     raise DomainError(f"unknown norm path {path!r}")
 
 
 def renyi_radial_exact(state: QuantumState, params: OscillatorParams | None = None,
-                       p=2.0, *, path: str = "auto", rtol: float = 1e-11,
+                       p=2.0, *, rtol: float = 1e-11,
                        norm: LaguerreNorm | None = None) -> float:
     """Renyi entropy of the radial density against the r^2 dr measure.
 
@@ -456,7 +460,7 @@ def renyi_radial_exact(state: QuantumState, params: OscillatorParams | None = No
         raise DomainError("p = 1 is the Shannon limit; use shannon_radial_exact")
     params = params or OscillatorParams()
     if norm is None:
-        norm = laguerre_norm(state.n, state.l, order.p, path=path, rtol=rtol)
+        norm = laguerre_norm(state.n, state.l, order.p, rtol=rtol)
     return (-_LN_2 - 1.5 * math.log(params.lam)
             + norm.log_value / (1.0 - order.p))
 
@@ -466,7 +470,7 @@ def renyi_radial_exact(state: QuantumState, params: OscillatorParams | None = No
 
 def shannon_radial_exact(state: QuantumState,
                          params: OscillatorParams | None = None,
-                         *, rtol: float = 1e-10, nodes: int = 20) -> float:
+                         *, rtol: float = 1e-10) -> float:
     """Shannon entropy of the radial density against the r^2 dr measure.
 
     S = -ln(2 lam^{3/2}) - J, J = integral psi^2 x^{l+1/2} (ln psi^2 + l ln x) dx
@@ -489,6 +493,6 @@ def shannon_radial_exact(state: QuantumState,
         s = 2 * np.log(g) + smooth_x * np.log(x)
         return np.sum(f * (w * s + c_lo * w_lo + c_hi * w_hi))
 
-    j, _ = specfun.settled(value, nodes, max(rtol, 5e-13),
+    j, _ = specfun.settled(value, _SHANNON_NODES, max(rtol, 5e-13),
                            f"Shannon radial quadrature for n={n}, l={l}", floor=1.0)
     return -_LN_2 - 1.5 * math.log(params.lam) - float(j)

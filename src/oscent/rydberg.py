@@ -35,6 +35,9 @@ _LN_PI = math.log(math.pi)
 # transition-branch prefactor 8 sqrt(2) / (3 pi^{5/2})
 _TRANSITION_CONST = 8.0 * math.sqrt(2.0) / (3.0 * math.pi ** 2.5)
 
+# agreement of the Bessel-constant estimates at 40, 80 (and 160) zeros
+_BESSEL_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class RegimeConstant:
@@ -144,8 +147,7 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float,
 
 
 @lru_cache(maxsize=None)
-def bessel_constant(alpha: float, beta: float, p: float,
-                    rtol: float = 1e-7) -> RegimeConstant:
+def bessel_constant(alpha: float, beta: float, p: float) -> RegimeConstant:
     """Origin-regime constant C_B = 2 int_0^inf t^{2 beta + 1} |J_alpha(2t)|^{2p} dt.
 
     Summed between consecutive Bessel zeros; the algebraic k^{-s} tail
@@ -182,9 +184,9 @@ def bessel_constant(alpha: float, beta: float, p: float,
 
     v1 = estimate(40)
     v2 = estimate(80)
-    if abs(v1 - v2) > max(rtol, 1e-9) * abs(v2):
+    if abs(v1 - v2) > _BESSEL_TOL * abs(v2):
         v3 = estimate(160)
-        if abs(v2 - v3) > max(rtol, 1e-9) * abs(v3):
+        if abs(v2 - v3) > _BESSEL_TOL * abs(v3):
             raise AccuracyError(
                 f"Bessel-constant tail did not converge for "
                 f"(alpha={alpha}, beta={beta}, p={p})",

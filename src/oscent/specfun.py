@@ -445,18 +445,35 @@ def _jacobi_recurrence(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
     diag = np.append((b - a) / (a + b + 2), (b * b - a * a) / (s * (s + 2)))[:m]
     # at k = 1 the factor (k + a + b) / (s - 1) of off_k^2 is exactly 1
     off = np.sqrt(4 * k * (k + a) * (k + b) / (s * s * (s + 1))
-                  * np.where(k == 1, 1, (k + a + b) / (s - 1)))
+                  * np.append(1, (k[1:] + a + b) / (s[1:] - 1)))
     return diag, off
+
+
+_STIRLING = tuple(np.longdouble(num) / den for num, den in (
+    (1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360)))
+_HALF_LN_2PI = np.longdouble("0.9189385332046727417803297364056176")
+
+
+def _lgamma(x) -> np.longdouble:
+    """ln Gamma(x) for x > 0 in long double: Stirling's series (DLMF 5.11.1)
+    at x shifted up to >= 24, where its first omitted term is below 1e-19."""
+    x, shift = np.longdouble(x), np.longdouble(1)
+    while x < 24:
+        x, shift = x + 1, shift * x
+    series = np.longdouble(0)
+    for c in reversed(_STIRLING):
+        series = c + series / (x * x)
+    return (x - np.longdouble(0.5)) * np.log(x) - x + _HALF_LN_2PI + series / x \
+        - np.log(shift)
 
 
 @lru_cache(maxsize=None)
 def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1]."""
-    if a + b <= 1000:
-        mu0 = np.longdouble(2.0 ** (a + b + 1) * scipy.special.beta(a + 1, b + 1))
-    else:  # 2^(a+b+1) overflows a float and the Beta function underflows it
-        mu0 = np.exp(np.longdouble((a + b + 1) * math.log(2.0)
-                                   + scipy.special.betaln(a + 1, b + 1)))
+    a_, b_ = np.longdouble(a), np.longdouble(b)
+    # the mass 2^(a+b+1) B(a+1, b+1), in long double from its logarithm
+    mu0 = np.exp((a_ + b_ + 1) * np.log(np.longdouble(2)) + _lgamma(a_ + 1)
+                 + _lgamma(b_ + 1) - _lgamma(a_ + b_ + 2))
     return _gauss_rule(*_jacobi_recurrence(m, a, b), mu0)
 
 
@@ -529,18 +546,18 @@ def jacobi_panels(lo, hi, lo_exp, hi_exp, m: int,
     return x, w * scale, (logs[0] + w_ln_h) * scale, (logs[1] + w_ln_h) * scale
 
 
-def settled(value: Callable[[int], float], nodes: int, tol: float, what: str,
+def settled(value: Callable[[int], float], m: int, tol: float, what: str,
             floor: float = 0.0) -> tuple[float, bool]:
     """value(m) certified by a second node count, with one escalation.
 
-    value(nodes) and value(1.5 nodes) must agree to tol relative to
-    max(|v|, floor); otherwise 1.5 and 2.25 nodes must.  Returns the value at
-    the larger count and whether it escalated; AccuracyError names `what`.
+    value(m) and value(1.5 m) must agree to tol relative to max(|v|, floor);
+    otherwise 1.5 m and 2.25 m must.  Returns the value at the larger count
+    and whether it escalated; AccuracyError names `what`.
     """
-    v1, v2 = value(nodes), value(nodes + nodes // 2)
+    v1, v2 = value(m), value(m + m // 2)
     if abs(v1 - v2) <= tol * max(abs(v2), floor):
         return v2, False
-    v3 = value(nodes * 2 + nodes // 4)
+    v3 = value(m * 2 + m // 4)
     err = float(abs(v2 - v3) / max(abs(v3), floor))
     if not err <= tol:
         raise AccuracyError(f"{what} did not settle", estimate=float(v3),

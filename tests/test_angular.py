@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 from scipy.special import lpmv, roots_jacobi, roots_legendre
 
+from oscent import angular
 from oscent.angular import (AngularState, lambda_bell, lambda_closed,
                             lambda_linearization, lambda_quadrature,
                             norm_const_squared, renyi_angular, shannon_angular)
@@ -66,8 +67,8 @@ def test_shannon_low_harmonics():
 def test_shannon_quadrature_matches_closed():
     for l in (1, 2, 3, 5, 8, 12, 20):
         for m in (l, l - 1):
-            closed = shannon_angular(AngularState(l, m), method="closed")
-            quad = shannon_angular(AngularState(l, m), method="quadrature")
+            closed = angular._shannon_closed(AngularState(l, m))
+            quad = angular._shannon_quadrature(AngularState(l, m))
             assert quad == pytest.approx(closed, abs=1e-13)
 
 
@@ -91,7 +92,7 @@ def test_shannon_closed_forms_match_mpmath(offset):
     # lgamma and digamma terms of size 100-500 used to cancel to 1e-13
     for l in range(offset, 101):
         want = mpmath_shannon_closed(l, l - offset)
-        got = shannon_angular(AngularState(l, l - offset), method="closed")
+        got = angular._shannon_closed(AngularState(l, l - offset))
         assert float(abs(got - want) / abs(want)) <= (2e-14 if l <= 30 else 6e-14), l
 
 
@@ -165,7 +166,7 @@ def test_quadrature_matches_lpmv_reference(l, m, p):
 
 @pytest.mark.parametrize("l,m", [(30, 0), (30, 7), (60, 0), (60, 13)])
 def test_shannon_quadrature_matches_lpmv_reference(l, m):
-    got = shannon_angular(AngularState(l, m), method="quadrature")
+    got = angular._shannon_quadrature(AngularState(l, m))
     assert got == pytest.approx(lpmv_shannon(l, m), rel=1e-12)
 
 

@@ -5,20 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from oscent import oracle
 from oscent.entropy import renyi_total, shannon_total
-from oscent.errors import AccuracyError, DomainError
-from oscent.oracle import (GridSpec, full_density, normalization, renyi_full,
-                           shannon_full)
+from oscent.errors import AccuracyError
+from oscent.oracle import full_density, normalization, renyi_full, shannon_full
 from oscent.radial import OscillatorParams, QuantumState
 
 GROUND = QuantumState(0, 0, 0)
-
-
-def test_grid_validation():
-    with pytest.raises(DomainError):
-        GridSpec(radial_nodes=8)
-    with pytest.raises(DomainError):
-        GridSpec(cutoff=1.2)
 
 
 def test_ground_density_is_gaussian():
@@ -88,14 +81,28 @@ def test_strength_parameter_respected():
     assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_grid_doubling_is_stable():
-    state = QuantumState(2, 2, 1)
-    base = renyi_full(state, p=2.0)
-    fine = renyi_full(state, p=2.0,
-                      grid=GridSpec(radial_nodes=96, polar_nodes=96))
-    assert fine == pytest.approx(base, abs=1e-8)
+@pytest.mark.parametrize("p", [2.0, 0.7, 2.8, 1.0])
+def test_grid_doubling_is_stable(monkeypatch, p):
+    def value(state):
+        return shannon_full(state) if p == 1.0 else renyi_full(state, p=p)
+
+    states = (QuantumState(2, 2, 1), QuantumState(7, 4, 4),
+              QuantumState(10, 4, 1))
+    base = [value(s) for s in states]
+    monkeypatch.setattr(oracle, "_NODES", 96)
+    fine = [value(s) for s in states]
+    assert fine == pytest.approx(base, abs=1e-13)
 
 
-def test_short_cutoff_triggers_tail_certificate():
+def test_ground_state_below_unit_order():
+    # rho^p decays like exp(-p lam r^2): the radial reach must grow as 1/sqrt(p)
+    want = 1.5 * math.log(math.pi) + 3.0 * math.log(2.0)
+    assert renyi_full(GROUND, p=0.5) == pytest.approx(want, abs=1e-13)
+
+
+def test_short_cutoff_triggers_tail_certificate(monkeypatch):
+    # at p = 1/2 a multiplier 2 sqrt(1/2) reaches 2 sqrt((2n + l + 3/2)/lam),
+    # short of the tail
+    monkeypatch.setattr(oracle, "_CUTOFF", 2.0 * math.sqrt(0.5))
     with pytest.raises(AccuracyError):
-        renyi_full(QuantumState(3, 2, 0), p=0.5, grid=GridSpec(cutoff=2.0))
+        renyi_full(QuantumState(3, 2, 0), p=0.5)

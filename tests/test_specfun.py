@@ -303,14 +303,19 @@ def test_gauss_jacobi_integrates_moments_to_rounding(m, a, b):
             float(want), rel=1e-15, abs=1e-15 * float(moments[0]))
 
 
-def test_gauss_jacobi_mass_past_the_float_range():
-    # 2^(a+b+1) overflows a float and B(a+1, b+1) underflows it at a + b = 1100
+@pytest.mark.parametrize("a,b", [(-0.5, -0.5), (0.3, 2.7), (100.0, 100.0),
+                                 (250.0, 250.0), (600.0, 600.0), (700.0, 400.0)])
+def test_gauss_jacobi_mass_matches_mpmath(a, b):
+    # the radial origin weight p l + 1/2 and the angular m p reach these
+    # exponents at large l, where a float Beta function was 1e-13 to 1e-12
+    # off; at a + b = 1100, 2^(a+b+1) overflows a float and B underflows it
     mpmath = pytest.importorskip("mpmath")
-    t, w = specfun.gauss_jacobi(20, 700.0, 400.0)
+    t, w = specfun.gauss_jacobi(20, a, b)
+    num, den = np.sum(w).as_integer_ratio()
     with mpmath.workdps(40):
-        want = mpmath.mpf(2) ** 1101 * mpmath.beta(701, 401)
-        ratio = float(mpmath.mpf(float(np.sum(w))) / want)
-    assert ratio == pytest.approx(1.0, rel=1e-11)
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        want = 2 ** (a_ + b_ + 1) * mpmath.beta(a_ + 1, b_ + 1)
+        assert abs(float(mpmath.mpf(num) / den / want) - 1.0) <= 1e-15
     assert np.all(np.diff(t) > 0)
 
 
