@@ -32,7 +32,6 @@ from .radial import (
     closed_n1l,
     energy,
     laguerre_norm,
-    negparam_laguerre_integral,
     radial_density,
     renyi_radial_exact,
     shannon_radial_exact,
@@ -57,8 +56,8 @@ __all__ = [
     "full_density", "renyi_full", "shannon_full",
     "EntropyOrder", "as_order",
     "LaguerreNorm", "OscillatorParams", "QuantumState", "closed_n1l",
-    "energy", "laguerre_norm", "negparam_laguerre_integral",
-    "radial_density", "renyi_radial_exact", "shannon_radial_exact",
+    "energy", "laguerre_norm", "radial_density", "renyi_radial_exact",
+    "shannon_radial_exact",
     "AsymptoticValue", "RegimeConstant", "bessel_constant",
     "cosine_constant", "renyi_radial_asymptotic",
     "shannon_radial_asymptotic",

@@ -26,7 +26,7 @@ from .order import EntropyOrder, as_order
 __all__ = [
     "AngularState", "AngularResult", "norm_const_squared",
     "lambda_linearization", "lambda_bell", "lambda_quadrature",
-    "lambda_closed", "renyi_angular", "shannon_angular",
+    "lambda_closed", "renyi_angular", "shannon_angular", "shannon_route",
 ]
 
 _LN_PI = math.log(math.pi)
@@ -61,6 +61,11 @@ class AngularState:
         # entropies depend on m only through |m|
         return abs(self.m)
 
+    @property
+    def closed_family(self) -> bool:
+        """Whether the state is in the (l, l) or (l, l-1) closed-form family."""
+        return self.m_abs >= self.l - 1
+
 
 @dataclass(frozen=True)
 class AngularResult:
@@ -74,6 +79,7 @@ class AngularResult:
     signed_power_value: float | None = None
 
 
+@lru_cache(maxsize=None)
 def norm_const_squared(state: AngularState) -> float:
     """Squared normalisation constant of Y_{l,m} in the Gegenbauer form.
 
@@ -239,47 +245,34 @@ def lambda_bell(state: AngularState, p) -> AngularResult:
     return _ambiguity(state, order, signed, "bell")
 
 
-def _angular_pass(l: int, m: int, p: float, m_nodes: int, log_ends: bool = False):
-    """|C(t)|^{2p} (1 - t^2)^{mp} on Gauss-Jacobi panels between the roots.
+def _angular_panels(state: AngularState, p: float, m_nodes: int, log_coefs=None):
+    """specfun.power_panels of (A |C(t)|)^{2p} (1 - t^2)^{mp} between the roots.
 
-    |t - r|^{2p} is absorbed at root ends and (1 -+ t)^{mp} at the ends +-1.
-    The factor divided out at an end follows from what the end is: at m = 2
-    both carry the exponent 2p.  Returns t, the jacobi_panels weights,
-    c = |C| over the root-end distances, f (the integrand over the weight)
-    and the root-end masks.
+    The panels run from -1 over the Gegenbauer roots to 1; A is the
+    normalisation constant.  Returns the panel integrals and, with
+    log_coefs, the log-weighted ones.
     """
-    n = l - m
-    q2, mp = 2.0 * p, m * p
-    roots = specfun.gegenbauer_roots(n, Fraction(2 * m + 1, 2))
-    ends = np.concatenate(([-1.0], roots, [1.0]))
-    lo, hi = ends[:-1, None], ends[1:, None]
-    lo_root = np.arange(n + 1)[:, None] > 0
-    hi_root = np.arange(n + 1)[:, None] < n
-    t, *weights = specfun.jacobi_panels(lo, hi, np.where(lo_root, q2, mp),
-                                        np.where(hi_root, q2, mp), m_nodes, log_ends)
-    c = np.abs(specfun.gegenbauer_eval(n, Fraction(2 * m + 1, 2), t))
-    c = c / np.where(lo_root, t - lo, 1.0) / np.where(hi_root, hi - t, 1.0)
-    f = c ** q2 * np.where(lo_root, 1 + t, 1.0) ** mp \
-        * np.where(hi_root, 1 - t, 1.0) ** mp
-    return t, weights, c, f, lo_root, hi_root
+    l, m = state.l, state.m_abs
+    n, lam = l - m, Fraction(2 * m + 1, 2)
+    a = math.sqrt(norm_const_squared(state))
+    ends = np.concatenate(([-1.0], specfun.gegenbauer_roots(n, lam), [1.0]))
+    kinds = np.array(["edge"] + ["root"] * n + ["edge"])
+    return specfun.power_panels(
+        ends[:-1], ends[1:], kinds[:-1], kinds[1:],
+        lambda t: a * specfun.gegenbauer_eval(n, lam, t), 2.0 * p,
+        ((-1.0, m * p), (1.0, m * p)), m_nodes, log_coefs)
 
 
 def _lambda_quad_value(state: AngularState, p: float) -> float:
-    """2 pi A^{2p} integral of |C(t)|^{2p} (1 - t^2)^{mp} over [-1, 1].
+    """2 pi integral of |A C(t)|^{2p} (1 - t^2)^{mp} over [-1, 1].
 
-    Panel quadrature between the Gegenbauer roots (_angular_pass), certified
-    by a second node count, like the radial engine.
+    Panel quadrature between the Gegenbauer roots (_angular_panels),
+    certified by a second node count, like the radial engine.
     """
-    l, m = state.l, state.m_abs
-
-    def value(m_nodes: int) -> np.longdouble:
-        _, (w,), _, f, _, _ = _angular_pass(l, m, p, m_nodes)
-        return np.sum(w * f)
-
-    v, _ = specfun.settled(value, _NODES, _RENYI_TOL,
-                           f"angular quadrature for l={l}, m={m}, p={p}")
-    a2p = math.exp(p * math.log(norm_const_squared(state)))
-    return 2.0 * math.pi * a2p * float(v)
+    v, _ = specfun.settled(
+        lambda m_nodes: _angular_panels(state, p, m_nodes).sum(), _NODES, _RENYI_TOL,
+        f"angular quadrature for l={state.l}, m={state.m_abs}, p={p}")
+    return 2.0 * math.pi * float(v)
 
 
 def lambda_quadrature(state: AngularState, p) -> AngularResult:
@@ -300,6 +293,8 @@ def lambda_closed(state: AngularState, p) -> AngularResult | None:
     real p > 0.
     """
     order = as_order(p)
+    if not state.closed_family:
+        return None
     l, m = state.l, state.m_abs
     pf = order.p
     lg = math.lgamma
@@ -308,13 +303,11 @@ def lambda_closed(state: AngularState, p) -> AngularResult | None:
                   - (2 * pf - 1.5) * _LN_PI
                   + 2 * pf * lg(l + 0.5) + lg(l * pf + 1)
                   - pf * lg(2 * l + 1.0) - lg(l * pf + 1.5))
-    elif m == l - 1:
+    else:  # m == l - 1
         log_k = (math.log(l + 0.5) + 2 * math.log(2.0 * l - 1) + 2 * lg(l - 0.5)
                  - (3 - 2 * l) * _LN_2 - lg(2.0 * l) - 2 * _LN_PI)
         loglam = (_LN_2 + _LN_PI + pf * log_k + lg(pf + 0.5)
                   + lg(pf * (l - 1) + 1) - lg(pf * l + 1.5))
-    else:
-        return None
     val = math.exp(loglam)
     return AngularResult(val, _renyi_from_lambda(val, order), "closed_form", order)
 
@@ -337,14 +330,12 @@ def renyi_angular(state: AngularState, p) -> AngularResult:
     return lambda_quadrature(state, order)
 
 
-def _shannon_closed(state: AngularState) -> float | None:
+def _shannon_closed(state: AngularState) -> float:
     """Digamma closed forms of the (l, l) and (l, l-1) families, without the
     cancelling terms of size l ln l: Gamma(l+1) / Gamma(l+1/2) sqrt(pi) =
     4^l / C(2l, l) is exact and psi(l+3/2) - psi(l+1) a finite sum.
     """
     l, m = state.l, state.m_abs
-    if m < l - 1:
-        return None
     l_gap = l * (2 - 2 * _LN_2
                  - math.fsum(1 / (k * (2 * k + 1)) for k in range(1, l + 1)))
     if m == l:
@@ -357,33 +348,26 @@ def _shannon_closed(state: AngularState) -> float | None:
 
 
 def _shannon_quadrature(state: AngularState) -> float:
-    """-2 pi integral y ln y dt, y = A^2 C(t)^2 (1 - t^2)^m, on the p = 1 panels.
-
-    ln y = ln A^2 + s + c_lo ln(t - lo) + c_hi ln(hi - t), s smooth, c = 2 at
-    root ends and c = m at +-1; the log terms take the ln-weighted rule.
-    """
-    l, m = state.l, state.m_abs
-    a2 = norm_const_squared(state)
-    ln_a2 = math.log(a2)
-
-    def value(m_nodes: int) -> np.longdouble:
-        t, (w, w_lo, w_hi), c, f, lo_root, hi_root = _angular_pass(l, m, 1.0, m_nodes, True)
-        s = ln_a2 + 2 * np.log(c) + m * (np.where(lo_root, np.log1p(t), 0.0)
-                                         + np.where(hi_root, np.log1p(-t), 0.0))
-        c_lo = np.where(lo_root, 2.0, m)
-        c_hi = np.where(hi_root, 2.0, m)
-        return a2 * np.sum(f * (w * s + c_lo * w_lo + c_hi * w_hi))
-
-    v, _ = specfun.settled(value, _NODES, _SHANNON_TOL,
-                           f"angular Shannon quadrature for l={l}, m={m}", floor=1.0)
+    """-2 pi integral y ln y dt, y = A^2 C(t)^2 (1 - t^2)^m, on the p = 1 panels."""
+    m = state.m_abs
+    v, _ = specfun.settled(
+        lambda m_nodes: _angular_panels(state, 1.0, m_nodes, (m, m))[1].sum(), _NODES,
+        _SHANNON_TOL, f"angular Shannon quadrature for l={state.l}, m={m}", floor=1.0)
     return -2.0 * math.pi * float(v)
+
+
+def shannon_route(state: AngularState) -> str:
+    """The route shannon_angular takes: "closed_form" for the (l, l) and
+    (l, l-1) families, else "quadrature"."""
+    return "closed_form" if state.closed_family else "quadrature"
 
 
 def shannon_angular(state: AngularState) -> float:
     """Shannon entropy of the angular density.
 
     The digamma closed forms for the (l, l) and (l, l-1) families, else
-    quadrature of -y ln y.
+    quadrature of -y ln y (shannon_route).
     """
-    closed = _shannon_closed(state)
-    return _shannon_quadrature(state) if closed is None else closed
+    if shannon_route(state) == "closed_form":
+        return _shannon_closed(state)
+    return _shannon_quadrature(state)

@@ -127,7 +127,7 @@ def _cmd_angular(args) -> list[dict]:
     if abs(args.p - 1.0) < 1e-12:
         val = angular.shannon_angular(state)
         return [{"quantity": "angular-shannon", "l": args.l, "m": args.m,
-                 "p": 1.0, "shannon": val, "method": "auto",
+                 "p": 1.0, "shannon": val, "method": angular.shannon_route(state),
                  "warnings": ()}]
     res = angular.renyi_angular(state, args.p)
     return [{"quantity": "angular-renyi", "l": args.l, "m": args.m,

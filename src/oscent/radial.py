@@ -28,8 +28,7 @@ from .order import as_order
 
 __all__ = [
     "OscillatorParams", "QuantumState", "LaguerreNorm", "energy",
-    "radial_density", "laguerre_norm", "closed_n1l",
-    "negparam_laguerre_integral", "renyi_radial_exact",
+    "radial_density", "laguerre_norm", "closed_n1l", "renyi_radial_exact",
     "shannon_radial_exact",
 ]
 
@@ -39,11 +38,9 @@ _LN_PI = math.log(math.pi)
 # exact symbolic path is priced by the polynomial-power degree
 SYMBOLIC_COST_CAP = 120
 _SLICE_BUDGET = 6000
-_POINT_CAP = 200000  # points per recurrence call; bounds a batch's memory
 _LOG_VARIATION_CAP = 16.0
 # Gauss-Jacobi nodes per panel in the first pass of specfun.settled: the
-# Renyi norm and negative-parameter integrals, then the log-weighted Shannon
-# rules
+# Renyi norm integral, then the log-weighted Shannon rules
 _NODES = 48
 _SHANNON_NODES = 20
 
@@ -176,7 +173,7 @@ def _variation(a: float, b: float, bk: str, q2: float, gma: float,
     without bound as the node count rises and force pointless splitting.
     """
     v = 0.5 * q2 * (b - a)  # e^{-p x}
-    if gma > 0 and bk != "zero" and a > 0:
+    if gma > 0 and bk != "edge" and a > 0:
         v += gma * math.log(b / a)
     i = bisect.bisect_left(roots, a)
     if i > 0:
@@ -206,7 +203,7 @@ def _root_slices(rts: list, c0: float, q2: float, gma: float) -> list[tuple]:
     ends = rts or [c0]
     out: list[tuple] = []
     for i, b in enumerate(ends):
-        _emit_slices(ends[i - 1] if i else 0.0, b, "root" if i else "zero",
+        _emit_slices(ends[i - 1] if i else 0.0, b, "root" if i else "edge",
                      "root" if rts else "plain", q2, gma, rts, out)
     return out
 
@@ -245,38 +242,25 @@ def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
 
 
 def _panel_pass(n: int, l: int, p: float, panels: list[tuple], m_nodes: int,
-                log_ends: bool = False):
-    """The N_{n,l}(p) integrand on every node of every panel, in one pass.
+                log_coefs=None):
+    """specfun.power_panels of N_{n,l}(p) on the panel list, tail-checked.
 
-    Jacobi end weights absorb the power at zero and |x - r|^{2p} at root
-    ends; all nodes go through one recurrence call (split only above
-    _POINT_CAP points).  Returns x, the jacobi_panels weights, g = |psi| over
-    the root-end distances, f = g^{2p} x^{pl+1/2}[not at zero] and the
-    panel sums of w f.
+    Returns the panel integrals and, with log_coefs, the log-weighted ones.
     """
+    lo, hi, lo_kind, hi_kind = zip(*panels)
     alpha = Fraction(2 * l + 1, 2)
-    gma, q2 = p * l + 0.5, 2.0 * p
-    lo = np.array([s[0] for s in panels], dtype=np.longdouble)[:, None]
-    hi = np.array([s[1] for s in panels], dtype=np.longdouble)[:, None]
-    bk = np.array([s[2] for s in panels])[:, None]
-    ak = np.array([s[3] for s in panels])[:, None]
-    lo_exp = np.where(bk == "zero", gma, np.where(bk == "root", q2, 0.0))
-    hi_exp = np.where(ak == "root", q2, 0.0)
-    x, *weights = specfun.jacobi_panels(lo, hi, lo_exp, hi_exp, m_nodes, log_ends)
-    psi = np.concatenate([
-        specfun.laguerre_orthonormal_weighted(n, alpha, chunk)
-        for chunk in np.array_split(x.ravel(), -(-x.size // _POINT_CAP))])
-    g = np.abs(psi.reshape(x.shape)) / np.where(bk == "root", x - lo, 1.0)
-    g = g / np.where(ak == "root", hi - x, 1.0)
-    f = g ** q2 * np.where(bk == "zero", 1.0, x ** gma)
-    parts = np.sum(weights[0] * f, axis=1)
+    out = specfun.power_panels(
+        np.array(lo, dtype=np.longdouble), np.array(hi, dtype=np.longdouble),
+        lo_kind, hi_kind, lambda x: specfun.laguerre_orthonormal_weighted(n, alpha, x),
+        2.0 * p, ((0.0, p * l + 0.5), None), m_nodes, log_coefs)
+    parts = out if log_coefs is None else out[0]
     # node doubling cannot see a region the panels miss; a list that ends on
     # a negligible, decaying panel has passed the last lobe
     if parts[-1] > min(1e-20 * parts.sum(), parts[-2]):
         raise AccuracyError(
             f"radial tail list ends inside a lobe for n={n}, l={l}, p={p}",
             estimate=float(parts.sum()))
-    return x, weights, g, f, parts
+    return out
 
 
 def _norm_quadrature(n: int, l: int, p: float, rtol: float,
@@ -284,7 +268,7 @@ def _norm_quadrature(n: int, l: int, p: float, rtol: float,
     """Panel quadrature of N_{n,l}(p), certified by a second node count."""
     panels = _norm_panels(n, l, p)
     v, escalated = specfun.settled(
-        lambda m: _panel_pass(n, l, p, panels, m)[-1].sum(), _NODES,
+        lambda m: _panel_pass(n, l, p, panels, m).sum(), _NODES,
         max(rtol, 5e-13), f"radial quadrature for n={n}, l={l}, p={p}")
     warns = extra_warns + (("node count escalated to reach tolerance",)
                            if escalated else ())
@@ -373,35 +357,6 @@ def closed_n1l(l: int, p, *, rtol: float = 1e-11) -> LaguerreNorm:
                     quad.warnings + warn, signed)
 
 
-def negparam_laguerre_integral(n: int, nu: float, x: float) -> float:
-    """Laguerre value with parameter -n-nu computed from its integral form.
-
-    ((-1)^n / (n! Gamma(nu))) integral_0^inf (x+y)^n y^(nu-1) e^{-y} dy,
-    reduced by y = u^2 so a Jacobi end weight absorbs the power u^(2nu-1)
-    on the first unit panel; plain unit panels then ride the Gaussian decay.
-    Past u0 = sqrt(2n + 2nu + 2|x|) the log of the integrand has slope below
-    -2 (u - u0), so nine unit panels beyond u0 drop it by more than e^-81.
-    Equals laguerre_eval_negparam(n, -n - nu, x) for every real x.
-    """
-    if n < 0:
-        raise DomainError(f"polynomial degree must be >= 0, got n={n}")
-    if not nu > 0:
-        raise DomainError(f"integral form requires nu > 0, got nu={nu}")
-    count = math.ceil(math.sqrt(2.0 * (n + nu + abs(x)))) + 9
-    edges = np.arange(count + 1, dtype=float)
-    lo_exp = np.where(edges[:-1] == 0.0, 2.0 * nu - 1.0, 0.0)
-
-    def run(m: int) -> float:
-        u, w = specfun.jacobi_panels(edges[:-1], edges[1:], lo_exp, 0.0, m)
-        g = (x + u * u) ** n * np.exp(-u * u)
-        g[1:] *= u[1:] ** (2.0 * nu - 1.0)
-        return 2.0 * float(np.sum(w * g))
-
-    v, _ = specfun.settled(run, _NODES, 1e-9, f"negative-parameter Laguerre "
-                           f"integral for n={n}, nu={nu}, x={x}", floor=1e-30)
-    return (-1.0) ** n / (math.factorial(n) * math.gamma(nu)) * v
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -474,25 +429,14 @@ def shannon_radial_exact(state: QuantumState,
     """Shannon entropy of the radial density against the r^2 dr measure.
 
     S = -ln(2 lam^{3/2}) - J, J = integral psi^2 x^{l+1/2} (ln psi^2 + l ln x) dx
-    with psi the weighted orthonormal Laguerre function, on the p = 1 norm
-    panels.  There psi^2 x^{l+1/2} = W f with W the Jacobi end weight and
-    ln(psi^2 x^l) = s + c_lo ln(x - lo) + c_hi ln(hi - x), s smooth, c = 2 at
-    root ends and c = l at zero; the log terms take the ln-weighted rule on
-    the same nodes.  Certified like the norm quadrature.
+    with psi the weighted orthonormal Laguerre function: the log-weighted
+    power_panels integrals on the p = 1 norm panels, certified like the norm
+    quadrature.
     """
     n, l = state.n, state.l
     params = params or OscillatorParams()
     panels = _norm_panels(n, l, 1.0)
-    kinds = np.array([s[2:] for s in panels])
-    c_lo = np.where(kinds[:, :1] == "root", 2.0, np.where(kinds[:, :1] == "zero", l, 0.0))
-    c_hi = np.where(kinds[:, 1:] == "root", 2.0, 0.0)
-    smooth_x = np.where(kinds[:, :1] == "zero", 0.0, l)
-
-    def value(m_nodes: int) -> np.longdouble:
-        x, (w, w_lo, w_hi), g, f, _ = _panel_pass(n, l, 1.0, panels, m_nodes, True)
-        s = 2 * np.log(g) + smooth_x * np.log(x)
-        return np.sum(f * (w * s + c_lo * w_lo + c_hi * w_hi))
-
-    j, _ = specfun.settled(value, _SHANNON_NODES, max(rtol, 5e-13),
+    j, _ = specfun.settled(lambda m: _panel_pass(n, l, 1.0, panels, m, (l, 0))[1].sum(),
+                           _SHANNON_NODES, max(rtol, 5e-13),
                            f"Shannon radial quadrature for n={n}, l={l}", floor=1.0)
     return -_LN_2 - 1.5 * math.log(params.lam) - float(j)

@@ -7,7 +7,8 @@ Gegenbauer recurrences in extended precision, one long-double Gauss rule
 generator (Golub-Welsch start, Newton steps and Christoffel weights on the
 orthonormal recurrence) behind the Laguerre roots, the Gegenbauer roots and
 every Gauss-Jacobi rule, the batched Gauss-Jacobi panel rule with its
-log-weighted product rule, the two-node-count check and adaptive quadrature
+log-weighted product rule, the one panel engine for power integrals and
+their Shannon log terms, the two-node-count check and adaptive quadrature
 plumbing.
 """
 
@@ -33,8 +34,10 @@ __all__ = [
     "gegenbauer_roots", "laguerre_poly", "laguerre_eval",
     "laguerre_orthonormal_weighted", "laguerre_eval_negparam", "integrate",
     "gauss_legendre", "gauss_jacobi", "gauss_jacobi_log", "jacobi_panels",
-    "settled",
+    "power_panels", "settled",
 ]
+
+_POINT_CAP = 200000  # points per call of a power_panels integrand
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +296,15 @@ def gegenbauer_roots(n: int, lam) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Laguerre family
 
-@lru_cache(maxsize=None)
-def _laguerre_cached(n: int, a2: int) -> RationalPoly:
-    a = Fraction(a2, 2)
-    cs = []
-    for k in range(n + 1):
-        cs.append((-1) ** k * pochhammer(a + k + 1, n - k)
-                  / (math.factorial(n - k) * math.factorial(k)))
-    return RationalPoly.from_list(cs)
+def _laguerre_exact(n: int, a: Fraction) -> RationalPoly:
+    """L_n^{(a)} for any rational a, from its explicit finite sum."""
+    return RationalPoly.from_list([
+        (-1) ** k * pochhammer(a + k + 1, n - k) / (math.factorial(n - k) * math.factorial(k))
+        for k in range(n + 1)])
+
+
+# the half-integer lattice of laguerre_poly only: other parameters are not kept
+_laguerre_cached = lru_cache(maxsize=None)(_laguerre_exact)
 
 
 def laguerre_poly(n: int, alpha) -> RationalPoly:
@@ -310,7 +314,7 @@ def laguerre_poly(n: int, alpha) -> RationalPoly:
         raise DomainError(f"laguerre parameter must exceed -1, got {a}")
     if a.denominator not in (1, 2):
         raise DomainError("laguerre parameter must lie on the half-integer lattice")
-    return _laguerre_cached(n, int(2 * a))
+    return _laguerre_cached(n, a)
 
 
 def _laguerre_coefficients(n: int, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -368,13 +372,7 @@ def laguerre_eval_negparam(n: int, alpha, x):
     """
     if n < 0:
         raise DomainError(f"laguerre degree must be >= 0, got {n}")
-    a = Fraction(alpha)
-    xf = Fraction(x)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        term = ((-1) ** k * pochhammer(a + k + 1, n - k)
-                / (math.factorial(n - k) * math.factorial(k)))
-        acc += term * xf ** k
+    acc = _laguerre_exact(n, Fraction(alpha))(Fraction(x))
     if isinstance(alpha, Fraction) or isinstance(x, Fraction):
         return acc
     return float(acc)
@@ -544,6 +542,57 @@ def jacobi_panels(lo, hi, lo_exp, hi_exp, m: int,
         return x, w * scale
     w_ln_h = w * np.log(h)
     return x, w * scale, (logs[0] + w_ln_h) * scale, (logs[1] + w_ln_h) * scale
+
+
+def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: int,
+                 log_coefs=None):
+    """Panel integrals of |poly(x)|^q2 (x - a)^ea (b - x)^eb on Jacobi panels.
+
+    edges = ((a, ea), (b, eb)), None for an edge that does not exist.  Each
+    end of each panel has a kind, which says what goes into its Jacobi weight:
+      "root"   a root r of poly: |x - r|^q2, the distance divided out of |poly|;
+      "edge"   the end is a (at lo) or b (at hi): that edge's power;
+      "plain"  nothing.
+    poly is called on at most _POINT_CAP nodes at a time, which bounds the
+    memory of a pass.
+
+    Returns each panel's integral.  With log_coefs = (ca, cb) it also
+    returns each panel's integral of the integrand times 2 ln|poly| +
+    ca ln(x - a) + cb ln(b - x), whose kinks at root ends and edges take
+    the gauss_jacobi_log weights on the same nodes.
+    """
+    dtype = np.result_type(np.asarray(lo), np.asarray(hi), np.float64)
+    lo = np.asarray(lo, dtype=dtype).reshape(-1, 1)
+    hi = np.asarray(hi, dtype=dtype).reshape(-1, 1)
+    lo_kind = np.asarray(lo_kind).reshape(-1, 1)
+    hi_kind = np.asarray(hi_kind).reshape(-1, 1)
+    lo_root, hi_root = lo_kind == "root", hi_kind == "root"
+    lo_edge, hi_edge = lo_kind == "edge", hi_kind == "edge"
+    (a, ea), (b, eb) = edges[0] or (None, 0.0), edges[1] or (None, 0.0)
+    x, *weights = jacobi_panels(lo, hi, np.where(lo_edge, ea, np.where(lo_root, q2, 0.0)),
+                                np.where(hi_edge, eb, np.where(hi_root, q2, 0.0)), m,
+                                log_coefs is not None)
+    flat = x.ravel()
+    y = np.concatenate([poly(flat[i:i + _POINT_CAP]) for i in range(0, flat.size, _POINT_CAP)])
+    g = np.abs(y.reshape(x.shape)) / np.where(lo_root, x - lo, 1.0)
+    g = g / np.where(hi_root, hi - x, 1.0)
+    f = g ** q2
+    if a is not None:
+        f = f * np.where(lo_edge, 1.0, (x - a) ** ea)
+    if b is not None:
+        f = f * np.where(hi_edge, 1.0, (b - x) ** eb)
+    parts = np.sum(weights[0] * f, axis=1)
+    if log_coefs is None:
+        return parts
+    (ca, cb), (w, w_lo, w_hi) = log_coefs, weights
+    s = 2 * np.log(g)
+    if a is not None:
+        s = s + np.where(lo_edge, 0.0, ca) * np.log(x - a)
+    if b is not None:
+        s = s + np.where(hi_edge, 0.0, cb) * np.log(b - x)
+    c_lo = np.where(lo_root, 2.0, np.where(lo_edge, ca, 0.0))
+    c_hi = np.where(hi_root, 2.0, np.where(hi_edge, cb, 0.0))
+    return parts, np.sum(f * (w * s + c_lo * w_lo + c_hi * w_hi), axis=1)
 
 
 def settled(value: Callable[[int], float], m: int, tol: float, what: str,

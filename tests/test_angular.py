@@ -1,6 +1,9 @@
 """Checks for the spherical harmonic entropy routes."""
 
+import dataclasses
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -174,6 +177,18 @@ def test_closed_family_absent_elsewhere():
     assert lambda_closed(AngularState(4, 1), 2.0) is None
 
 
+def test_closed_family_routes():
+    assert angular.shannon_route(AngularState(3, 3)) == "closed_form"
+    assert angular.shannon_route(AngularState(3, -2)) == "closed_form"
+    assert angular.shannon_route(AngularState(3, 1)) == "quadrature"
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.nan])
+def test_lambda_closed_rejects_invalid_order_outside_the_families(p):
+    with pytest.raises(DomainError):
+        lambda_closed(AngularState(4, 1), p)
+
+
 def test_sign_ambiguous_odd_power_reports_quadrature():
     # (l, m) = (2, 0) at 2p = 1: the polynomial factor changes sign, the
     # signed power integral vanishes by orthogonality, and the returned
@@ -224,3 +239,21 @@ def test_renyi_bounded_by_uniform(l):
     # ln(4 pi) is the maximum over states at any order
     res = renyi_angular(AngularState(l, 0), 2.0)
     assert res.renyi <= math.log(FOUR_PI) + 1e-12
+
+
+def test_angular_table_check_gates_the_quadrature_gap(monkeypatch, capsys):
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "angular_table.py"
+    spec = importlib.util.spec_from_file_location("angular_table", path)
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    argv = ["--lmax", "4", "--orders", "0.5,1,2,3", "--check"]
+    assert table.main(argv) == 0
+    exact = table.lambda_quadrature
+
+    def off(state, p):
+        res = exact(state, p)
+        return dataclasses.replace(res, lambda_value=res.lambda_value * (1 + 1e-8))
+
+    monkeypatch.setattr(table, "lambda_quadrature", off)
+    assert table.main(argv) == 1
+    capsys.readouterr()

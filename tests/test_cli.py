@@ -55,6 +55,14 @@ def test_angular_shannon_branch(capsys):
         math.log(2.0 * math.pi / 3.0) + 5.0 / 3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("m,method", [(3, "closed_form"), (0, "quadrature")])
+def test_angular_shannon_names_its_route(capsys, m, method):
+    code, payload = invoke_json(capsys, "angular", "--l", "3", "--m", str(m),
+                                "--p", "1")
+    assert code == 0
+    assert payload["results"][0]["method"] == method
+
+
 def test_radial_csv_and_bits(capsys):
     code, rows = invoke_csv(capsys, "radial", "--n", "1", "--l", "0",
                             "--p", "2", "--format", "csv")

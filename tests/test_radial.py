@@ -13,8 +13,7 @@ from scipy.special import roots_genlaguerre
 from oscent import radial, specfun
 from oscent.errors import AccuracyError, DomainError
 from oscent.radial import (OscillatorParams, QuantumState, closed_n1l, energy,
-                           laguerre_norm, negparam_laguerre_integral,
-                           radial_density, renyi_radial_exact,
+                           laguerre_norm, radial_density, renyi_radial_exact,
                            shannon_radial_exact)
 
 # independently frozen dual-route value of the n=1, l=0 norm at p=2
@@ -118,14 +117,6 @@ def test_closed_n1_signed_anchor():
 def test_closed_n1_rejects_offlattice_order():
     with pytest.raises(DomainError):
         closed_n1l(0, 1.25)
-
-
-@pytest.mark.parametrize("n,nu,x", [(1, 1.5, 0.75), (3, 2.5, 2.0),
-                                    (5, 1.5, 0.3), (2, 4.0, 6.0)])
-def test_negparam_integral_matches_series(n, nu, x):
-    via_integral = negparam_laguerre_integral(n, nu, x)
-    via_series = specfun.laguerre_eval_negparam(n, -n - nu, x)
-    assert via_integral == pytest.approx(via_series, rel=1e-9)
 
 
 def test_path_dispatch_errors():
@@ -283,7 +274,7 @@ def per_slice_value(n, l, p, m_nodes):
     total = np.longdouble(0.0)
     for lo, hi, bk, ak in radial._norm_panels(n, l, p):
         A = q2 if ak == "root" else 0.0
-        B = gma if bk == "zero" else (q2 if bk == "root" else 0.0)
+        B = gma if bk == "edge" else (q2 if bk == "root" else 0.0)
         t, w = specfun.gauss_jacobi(m_nodes, A, B)
         h = (np.longdouble(hi) - np.longdouble(lo)) / 2
         x = np.longdouble(lo) + h * (1.0 + t.astype(np.longdouble))
@@ -293,7 +284,7 @@ def per_slice_value(n, l, p, m_nodes):
         if ak == "root":
             g = g / (np.longdouble(hi) - x)
         g = g ** np.longdouble(q2)
-        if bk != "zero":
+        if bk != "edge":
             g = g * x ** np.longdouble(gma)
         total += h ** np.longdouble(A + B + 1) * np.dot(w.astype(np.longdouble), g)
     return float(total)
@@ -413,7 +404,7 @@ def graded_shannon(n, l, m_nodes=30):
 
     edges = []
     for lo, hi, bk, ak in radial._norm_panels(n, l, 1.0):
-        lev_lo = 44 if bk == "zero" else 24
+        lev_lo = 44 if bk == "edge" else 24
         if bk != "plain" and ak == "root":
             mid = 0.5 * (lo + hi)
             pts = graded(lo, mid, True, lev_lo) + graded(mid, hi, False, 24)[1:]

@@ -76,6 +76,20 @@ def test_bessel_constant_against_mpmath_quadosc():
     assert got == pytest.approx(want, rel=5e-4)
 
 
+def test_bessel_constant_high_order_power_stays_finite():
+    # alpha p = 84: past the first zero, |J_alpha(2t) / t^alpha|^{2p} would
+    # underflow while t^{2 beta + 1 + 2p alpha} overflows
+    got = bessel_constant(10.5, -3.5, 8.0).value
+    assert got == pytest.approx(9.108728279600462e-14, rel=1e-12)
+
+
+def test_bessel_constant_nan_estimate_raises(monkeypatch):
+    monkeypatch.setattr(rydberg, "_bessel_partial_terms",
+                        lambda alpha, beta, p, kzeros, m: np.full(kzeros + 1, np.nan))
+    with pytest.raises(AccuracyError, match="did not converge"):
+        bessel_constant.__wrapped__(0.5, -0.5, 2.0)
+
+
 def test_bessel_constant_domain_checks():
     with pytest.raises(DomainError):
         bessel_constant(0.5, -0.5, 1.2)  # needs p > 3/2

@@ -362,6 +362,30 @@ def test_jacobi_log_panels_match_digamma_closed_forms():
                        rtol=1e-13, atol=1e-15)
 
 
+@pytest.mark.parametrize("q2,a", [(1.3, 0.5), (4.4, 3.3), (2.0, 0.0), (2.0, 1.7)])
+def test_power_panels_match_beta_closed_forms(q2, a):
+    # poly = x on [-1, 1] with its root at 0 and a plain split at 0.5, so
+    # that every end kind appears: int |x|^q2 (1-x^2)^a = B((q2+1)/2, a+1),
+    # half of it on each side of the root
+    lo = np.array([-1.0, 0.0, 0.5], dtype=np.longdouble)
+    hi = np.array([0.0, 0.5, 1.0], dtype=np.longdouble)
+    args = (lo, hi, ["edge", "root", "plain"], ["root", "plain", "edge"],
+            lambda x: x, q2, ((-1.0, a), (1.0, a)), 48)
+    parts = specfun.power_panels(*args)
+    assert parts.dtype == np.longdouble and parts.shape == (3,)
+    want = sp.beta((q2 + 1) / 2, a + 1)
+    assert float(parts[0]) == pytest.approx(want / 2, rel=1e-15)
+    assert float(parts[1] + parts[2]) == pytest.approx(want / 2, rel=1e-15)
+    if q2 == 2.0:
+        # times 2 ln|x| + a ln(1+x) + a ln(1-x)
+        parts, logs = specfun.power_panels(*args, log_coefs=(a, a))
+        assert logs.dtype == np.longdouble and logs.shape == (3,)
+        want = sp.beta(1.5, a + 1) * (sp.digamma(1.5) + a * sp.digamma(a + 1)
+                                      - (1 + a) * sp.digamma(a + 2.5))
+        assert float(logs[0]) == pytest.approx(want / 2, rel=1e-15)
+        assert float(logs[1] + logs[2]) == pytest.approx(want / 2, rel=1e-15)
+
+
 def test_settled_escalates_once_then_raises():
     calls = []
 
