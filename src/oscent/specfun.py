@@ -531,10 +531,11 @@ def jacobi_panels(lo, hi, lo_exp, hi_exp, m: int,
     hi = np.asarray(hi, dtype=dtype).reshape(-1, 1)
     a = np.broadcast_to(np.asarray(hi_exp, dtype=float).ravel(), lo.shape[:1])
     b = np.broadcast_to(np.asarray(lo_exp, dtype=float).ravel(), lo.shape[:1])
-    kinds, which = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)
+    kinds = {}
+    which = [kinds.setdefault(k, len(kinds)) for k in zip(a.tolist(), b.tolist())]
     rule = gauss_jacobi_log if log_ends else gauss_jacobi
-    rules = [rule(m, float(ka), float(kb)) for ka, kb in kinds]
-    t, w, *logs = (np.array(col, dtype=dtype)[which.ravel()] for col in zip(*rules))
+    rules = [rule(m, ka, kb) for ka, kb in kinds]
+    t, w, *logs = (np.array(col, dtype=dtype)[which] for col in zip(*rules))
     h = (hi - lo) / 2
     scale = h ** (a + b + 1).astype(dtype)[:, None]
     x = lo + h * (1 + t)

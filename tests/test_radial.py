@@ -359,9 +359,53 @@ def test_tail_self_check_sees_a_missing_lobe(monkeypatch):
 @pytest.mark.parametrize("p", [0.5, 1.5, 2.0, 1.3])
 def test_batched_engine_matches_per_slice_reference(n, l, p):
     got = laguerre_norm(n, l, p, path="quadrature")
-    m_nodes = 108 if got.warnings else 72
+    m = radial._NODES
+    m_nodes = 2 * m + m // 4 if got.warnings else m + m // 2
     assert got.value == pytest.approx(per_slice_value(n, l, p, m_nodes),
                                       rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the margin of the radial node count: each value is checked against a
+# 96-node pass on its own panels, far above the 24/36 nodes it is taken at
+
+
+@pytest.mark.parametrize("n", [1, 10, 50, 150])
+@pytest.mark.parametrize("l", [0, 20])
+@pytest.mark.parametrize("p", [0.3, 0.5, 2.8, 8.0])
+def test_radial_node_count_settles_without_escalation(n, l, p):
+    got = laguerre_norm(n, l, p, path="quadrature")
+    assert not got.warnings
+    ref = radial._panel_pass(n, l, p, radial._norm_panels(n, l, p), 96).sum()
+    assert float(abs(got.value - ref) / ref) <= 2e-14
+
+
+@pytest.mark.parametrize("p", [0.02, 0.1])
+def test_small_order_tail_stays_within_the_node_count(p):
+    # at small p the log-variation of (x - r_n)^{2p} let a tail panel grow
+    # to 16 / 2p times its distance from the last root, where the 24/36/54
+    # node check did not settle at p = 0.02; the graded tail settles at 24
+    got = laguerre_norm(3, 0, p, path="quadrature")
+    assert not got.warnings
+    assert got.value == pytest.approx(mpmath_norm(3, 0, p), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,l", [(3, 0), (10, 20)])
+@pytest.mark.parametrize("p", [0.02, 0.1, 0.3])
+def test_tail_panels_grow_at_most_the_cap_past_the_last_root(n, l, p):
+    last = float(radial._refined_roots(n, Fraction(2 * l + 1, 2))[-1])
+    tail = [s for s in radial._norm_panels(n, l, p) if s[0] > last]
+    assert len(tail) > 2
+    for lo, hi, _, _ in tail:
+        assert hi - lo <= radial._LOG_VARIATION_CAP * (lo - last) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n,l", [(10, 20), (50, 0)])
+def test_radial_shannon_node_count_margin(n, l):
+    panels = radial._norm_panels(n, l, 1.0)
+    j = radial._panel_pass(n, l, 1.0, panels, 96, (l, 0))[1].sum()
+    assert shannon_radial_exact(QuantumState(n, l, 0)) == pytest.approx(
+        -math.log(2.0) - float(j), rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10, 30, 60, 100])
