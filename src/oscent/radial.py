@@ -35,24 +35,27 @@ __all__ = [
 _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 
-# exact symbolic path is priced by the polynomial-power degree
-SYMBOLIC_COST_CAP = 120
+# auto takes the exact symbolic route while the power degree n * 2p is at most
+# this, the faster quadrature above it.  Mean warm ms per value, n <= 10, l <= 4,
+# p in {1, 2, 3}, on one x86-64 core:
+#     n * 2p      0-9    10-19   20   24   28   30   40   50   60
+#     symbolic    0.23   0.50   1.1  1.7  2.5  3.3  6.0  8.9  14
+#     quadrature  1.3    1.5    2.0  2.0  2.4  2.2  2.8  2.6  3.6
+SYMBOLIC_COST_CAP = 24
 _SLICE_BUDGET = 6000
 _LOG_VARIATION_CAP = 16.0
 # Gauss-Jacobi nodes per panel in the first pass of specfun.settled, for the
 # Renyi norm integral and the log-weighted Shannon rules alike (passes of
-# 24, 36 and 54 nodes).  Panels hold a log-variation of at most
-# _LOG_VARIATION_CAP and the tail is graded (_norm_panels), so few nodes
-# resolve them.  Worst first-pass error against a 96-node pass on the same
-# panels, over n <= 400, l in {0, 1, 2, 3, 10, 20}, p in 0.02..12, and
-# n = 800 at l in {0, 3, 20}, p in 0.02..5:
+# 24, 36 and 54 nodes).  Head slices hold a log-variation of at most
+# _LOG_VARIATION_CAP, each root gap is one panel and the tail is graded
+# (_norm_panels).  Worst first-pass error against a 96-node pass on the same
+# panels, over n <= 800, l in {0, 1, 2, 3, 10, 20}, p in 0.02..12:
 #     nodes    16       20        24        32
-#     error    3.9e-8   3.3e-12   1.7e-14   1.2e-14
-# From 24 nodes on that is the rounding of the panel sum at n = 800, where a
-# 54- and a 96-node pass differ by 7.2e-15.  The Shannon rules at p = 1 are
-# 7.6e-16 off at 24 nodes and 1.7e-12 at 20.  The angular engine keeps 48:
-# its panels are not cut by variation, and 24 nodes are 6.5e-6 off there at
-# (l, m, p) = (100, 50, 8).
+#     error    3.9e-8   3.3e-12   3.5e-14   6.4e-14
+# From 24 nodes on that is the rounding of the panel sum at n = 800; it is
+# 6.7e-15 at n <= 400.  The Shannon rules at p = 1 are 4.1e-15 off at 24
+# nodes and 9.1e-12 at 20.  The angular engine keeps 48: its panels are not
+# cut by variation, and 24 nodes are 6.5e-6 off there at (l, m, p) = (100, 50, 8).
 _NODES = 24
 
 
@@ -173,50 +176,51 @@ def _refined_roots(n: int, alpha: Fraction) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # quadrature engine
 
-def _variation(a: float, b: float, bk: str, q2: float, gma: float,
-               roots) -> float:
-    """Upper estimate for the log-range of the regular factor on [a, b].
+def _variation(a: float, b: float, q2: float, gma: float, roots) -> float:
+    """Upper estimate for the log-range of the regular factor on a slice.
 
-    Counts the exponential envelope, the power weight at zero, and the
-    nearest sign node strictly outside either end.  Nodes further out only
-    contribute smooth analytic factors, so a panel with endpoint weights
-    resolves them without subdivision; summing their log terms would grow
-    without bound as the node count rises and force pointless splitting.
+    Serves only the head [0, r_1] (_root_slices): counts e^(-px), x^gma off
+    the edge, and the nearest root right of the slice.  Roots further out
+    only contribute smooth analytic factors that a panel with endpoint
+    weights resolves; summing their log terms would grow with the root
+    count and force pointless splitting.
     """
     v = 0.5 * q2 * (b - a)  # e^{-p x}
-    if gma > 0 and bk != "edge" and a > 0:
+    if a > 0:
         v += gma * math.log(b / a)
-    i = bisect.bisect_left(roots, a)
-    if i > 0:
-        left = roots[i - 1]
-        v += q2 * math.log((b - left) / (a - left))
     j = bisect.bisect_right(roots, b)
     if j < len(roots):
-        right = roots[j]
-        v += q2 * math.log((right - a) / (right - b))
+        v += q2 * math.log((roots[j] - a) / (roots[j] - b))
     return v
 
 
 def _emit_slices(a, b, bk, ak, q2, gma, roots, out, depth=0):
-    if (depth >= 48 or (b - a) < 1e-12 * (1.0 + b)
-            or _variation(a, b, bk, q2, gma, roots) <= _LOG_VARIATION_CAP):
+    # past the budget each pending slice is emitted whole; the caller raises
+    if (len(out) > _SLICE_BUDGET or depth >= 48 or (b - a) < 1e-12 * (1.0 + b)
+            or _variation(a, b, q2, gma, roots) <= _LOG_VARIATION_CAP):
         out.append((a, b, bk, ak))
-        if len(out) > _SLICE_BUDGET:
-            raise AccuracyError("quadrature slice budget exhausted")
         return
     mid = 0.5 * (a + b)
     _emit_slices(a, mid, bk, "plain", q2, gma, roots, out, depth + 1)
     _emit_slices(mid, b, "plain", ak, q2, gma, roots, out, depth + 1)
 
 
-def _root_slices(rts: list, c0: float, q2: float, gma: float) -> list[tuple]:
-    """Slices of [0, last root], split at the roots, or of [0, c0] at n = 0."""
-    ends = rts or [c0]
-    out: list[tuple] = []
-    for i, b in enumerate(ends):
-        _emit_slices(ends[i - 1] if i else 0.0, b, "root" if i else "edge",
-                     "root" if rts else "plain", q2, gma, rts, out)
-    return out
+def _root_slices(n: int, l: int, p: float, rts: list, c0: float) -> list[tuple]:
+    """Panels of [0, last root], or of [0, c0] at n = 0.
+
+    The head [0, r_1] holds x^(pl + 1/2) and is split to a log-variation of
+    at most _LOG_VARIATION_CAP.  Each gap [r_i, r_(i+1)] is one panel: its
+    root-end weights take |x - r|^(2p), and the weighted polynomial's growth
+    cancels e^(-px), which leaves a smooth envelope.
+    """
+    head: list[tuple] = []
+    _emit_slices(0.0, rts[0] if n else c0, "edge", "root" if n else "plain",
+                 2.0 * p, p * l + 0.5, rts, head)
+    if len(head) > _SLICE_BUDGET:
+        raise AccuracyError(
+            f"head panel [0, r_1] needs more than {_SLICE_BUDGET} slices "
+            f"for n={n}, l={l}, p={p}")
+    return head + [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
 
 
 def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
@@ -238,7 +242,7 @@ def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
     rts = [float(r) for r in _refined_roots(n, Fraction(2 * l + 1, 2))]
     r = np.array(rts)
     e = rts[-1] if n else (gma + 4.0) / p
-    panels = _root_slices(rts, e, q2, gma)
+    panels = _root_slices(n, l, p, rts, e)
 
     def log_f(x):
         return q2 * np.sum(np.log(x - r)) + gma * math.log(x) - p * x
@@ -280,15 +284,13 @@ def _panel_pass(n: int, l: int, p: float, panels: list[tuple], m_nodes: int,
     return out
 
 
-def _norm_quadrature(n: int, l: int, p: float, rtol: float,
-                     extra_warns: tuple[str, ...] = ()) -> LaguerreNorm:
+def _norm_quadrature(n: int, l: int, p: float, rtol: float) -> LaguerreNorm:
     """Panel quadrature of N_{n,l}(p), certified by a second node count."""
     panels = _norm_panels(n, l, p)
     v, escalated = specfun.settled(
         lambda m: _panel_pass(n, l, p, panels, m).sum(), _NODES,
         max(rtol, 5e-13), f"radial quadrature for n={n}, l={l}, p={p}")
-    warns = extra_warns + (("node count escalated to reach tolerance",)
-                           if escalated else ())
+    warns = ("node count escalated to reach tolerance",) if escalated else ()
     return _mk_norm(float(v), float(np.log(v)), "quadrature", p, l, warns)
 
 
@@ -382,9 +384,10 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto",
     """Norm integral N_{n,l}(p), dispatching to the best valid route.
 
     auto order: exact n = 0 formula for any real p, symbolic rational sums
-    when 2p is an even integer and the power degree n*2p stays within the
-    cost cap, panel quadrature otherwise.  For odd 2p with n >= 1 the
-    polynomial power is signed, so quadrature is the faithful route.
+    when 2p is an even integer and the power degree n*2p stays within
+    SYMBOLIC_COST_CAP, panel quadrature (the faster route there) otherwise.
+    For odd 2p with n >= 1 the polynomial power is signed, so quadrature is
+    the faithful route.
     """
     if n < 0 or l < 0:
         raise DomainError(f"quantum numbers must be >= 0, got n={n}, l={l}")
@@ -394,12 +397,8 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto",
     if path == "auto":
         if n == 0:
             return _norm_symbolic_n0(l, pf)
-        if q is not None and q % 2 == 0:
-            if n * q <= SYMBOLIC_COST_CAP:
-                return _norm_symbolic(n, l, q, pf)
-            return _norm_quadrature(
-                n, l, pf, rtol,
-                ("symbolic path degree cap exceeded; quadrature used",))
+        if q is not None and q % 2 == 0 and n * q <= SYMBOLIC_COST_CAP:
+            return _norm_symbolic(n, l, q, pf)
         return _norm_quadrature(n, l, pf, rtol)
     if path == "symbolic":
         if n == 0:

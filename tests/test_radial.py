@@ -65,9 +65,10 @@ def test_symbolic_at_grid_top_order_matches_quadrature(l):
 
 
 def test_degree_cap_falls_back_to_quadrature():
+    # above the cap quadrature is the faster route, not a degraded one
     auto = laguerre_norm(31, 0, 2.0)
     assert auto.path == "quadrature"
-    assert any("cap" in w for w in auto.warnings)
+    assert not auto.warnings
     sym = laguerre_norm(31, 0, 2.0, path="symbolic")
     assert auto.value == pytest.approx(sym.value, rel=1e-10)
 
@@ -426,6 +427,52 @@ def test_polished_roots_bracketed_by_sign_changes(n):
     above = np.sign(specfun.laguerre_orthonormal_weighted(n, alpha, x + d))
     assert np.all(below * above < 0)
     assert np.all(np.diff(x) > 2 * d[1:])
+
+
+# ---------------------------------------------------------------------------
+# the panel list: a split head [0, r_1], one panel per root gap, a graded tail
+
+
+def test_each_root_gap_is_one_panel():
+    n, l, p = 100, 0, 3.0
+    rts = [float(r) for r in radial._refined_roots(n, Fraction(2 * l + 1, 2))]
+    gaps = [s for s in radial._norm_panels(n, l, p) if rts[0] <= s[0] < rts[-1]]
+    assert gaps == [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
+
+
+def test_split_head_matches_a_finer_panel_list():
+    # the reference cuts every panel into four and takes 96 nodes, so it
+    # does not rest on the choice of panels the way the margin tests do
+    n, l, p = 100, 20, 12.0
+    panels = radial._norm_panels(n, l, p)
+    r1 = float(radial._refined_roots(n, Fraction(2 * l + 1, 2))[0])
+    assert sum(1 for s in panels if s[1] <= r1) > 1
+    fine = []
+    for lo, hi, bk, ak in panels:
+        c = [lo + (hi - lo) * k / 4 for k in range(5)]
+        fine += [(c[0], c[1], bk, "plain"), (c[1], c[2], "plain", "plain"),
+                 (c[2], c[3], "plain", "plain"), (c[3], c[4], "plain", ak)]
+    ref = radial._panel_pass(n, l, p, fine, 96).sum()
+    # an unsplit head is 9.6e-7 off at 24 nodes and escalates
+    got = laguerre_norm(n, l, p, path="quadrature")
+    assert not got.warnings
+    assert float(abs(got.value - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("n,l,p", [(800, 0, 8.0), (400, 20, 12.0)])
+def test_large_degree_high_order_settles(n, l, p):
+    # the returned 36-node pass must agree with a 54-node one
+    got = laguerre_norm(n, l, p, path="quadrature")
+    assert not got.warnings
+    ref = radial._panel_pass(n, l, p, radial._norm_panels(n, l, p),
+                             radial._NODES * 2 + radial._NODES // 4).sum()
+    assert float(abs(got.value - ref) / ref) <= 1e-13
+
+
+def test_slice_budget_names_the_head_and_the_state():
+    with pytest.raises(AccuracyError,
+                       match=r"head panel \[0, r_1\] .* n=10, l=1000, p=12"):
+        laguerre_norm(10, 1000, 12.0, path="quadrature")
 
 
 # ---------------------------------------------------------------------------
