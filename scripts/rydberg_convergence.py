@@ -4,21 +4,20 @@
 For each rung of an n-ladder, prints the exact Renyi entropy, the
 asymptotic prediction, their difference and (where the leading constant is
 finite) the ratio of the exact norm to its predicted decay.  A least-squares
-slope of entropy against ln n is reported at the end.
+slope of entropy against ln n is reported at the end.  The rows are those of
+`oscent sweep --quantity radial-renyi` (cli.emit_convergence_table).
 
     python3 scripts/rydberg_convergence.py --p 2 --ladder 50,100,200,400
 """
 
 import argparse
-import math
 import time
 
 import numpy as np
 
-from oscent.radial import QuantumState, laguerre_norm, renyi_radial_exact, \
-    shannon_radial_exact
-from oscent.rydberg import (bessel_constant, renyi_radial_asymptotic,
-                            shannon_radial_asymptotic)
+from oscent.cli import emit_convergence_table
+from oscent.order import as_order
+from oscent.rydberg import bessel_constant
 
 
 def parse_args():
@@ -34,26 +33,19 @@ def main():
     args = parse_args()
     ladder = [int(tok) for tok in args.ladder.split(",") if tok]
     p, l = args.p, args.l
-    shannon = abs(p - 1.0) < 1e-12
+    shannon = as_order(p).is_unity
 
     print(f"{'n':>6} {'exact':>16} {'asymptotic':>16} {'gap':>12} "
           f"{'norm ratio':>12} {'secs':>7}")
     values = []
     for n in ladder:
         t0 = time.time()
-        state = QuantumState(n, l, 0)
-        if shannon:
-            exact = shannon_radial_exact(state)
-            asym = shannon_radial_asymptotic(n)
-            ratio = float("nan")
-        else:
-            exact = renyi_radial_exact(state, p=p)
-            av = renyi_radial_asymptotic(n, l, p=p)
-            asym = av.value
-            ratio = math.exp((1.0 - p) * (exact - asym))
-        values.append(exact)
-        print(f"{n:>6} {exact:>16.10f} {asym:>16.10f} "
-              f"{abs(exact - asym):>12.3e} {ratio:>12.8f} "
+        # one rung per call, so that each row reports its own time
+        (row,) = emit_convergence_table(p, l, 1.0, [n])
+        ratio = float("nan") if row["norm_ratio"] is None else row["norm_ratio"]
+        values.append(row["exact"])
+        print(f"{n:>6} {row['exact']:>16.10f} {row['asymptotic']:>16.10f} "
+              f"{abs(row['difference']):>12.3e} {ratio:>12.8f} "
               f"{time.time() - t0:>7.2f}")
 
     slope = np.polyfit(np.log(ladder), values, 1)[0]

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, UnboundedGrowthError
+from .errors import AccuracyError, DomainError, UnboundedGrowthError
 from .order import EntropyOrder, as_order
 
 __all__ = [
@@ -75,8 +75,6 @@ class AngularResult:
     renyi: float | None
     method: str
     p: EntropyOrder
-    warnings: tuple[str, ...] = ()
-    signed_power_value: float | None = None
 
 
 @lru_cache(maxsize=None)
@@ -101,11 +99,27 @@ def _renyi_from_lambda(lam: float, order: EntropyOrder) -> float | None:
     return math.log(lam) / (1.0 - order.p)
 
 
-def _check_lattice_limits(l: int, m: int, q: int):
+def _exact_route_order(state: AngularState, p, route: str) -> tuple[EntropyOrder, int]:
+    """The order and 2p of an exact polynomial-power route, or DomainError.
+
+    The routes expand the 2p-th power of the polynomial factor without an
+    absolute value, so they serve only a sign-definite power: 2p even, or
+    l = |m|, where the factor is constant.
+    """
+    order = as_order(p)
+    q = order.two_p
+    if q is None:
+        raise DomainError(f"{route} route needs 2p integer, got p={order.p}")
+    l, m = state.l, state.m_abs
     if q > MAX_TWO_P or (l - m) > MAX_DEGREE:
         raise DomainError(
             f"exact routes support 2p <= {MAX_TWO_P} and l-|m| <= {MAX_DEGREE}, "
             f"got l={l}, m={m}, 2p={q}")
+    if q % 2 == 1 and l > m:
+        raise DomainError(
+            f"{route} route is sign-ambiguous for odd 2p with l > |m|, got "
+            f"l={l}, m={m}, 2p={q}; use quadrature")
+    return order, q
 
 
 @lru_cache(maxsize=None)
@@ -143,54 +157,35 @@ def _lin_log_prefactor(l: int, m: int, p: float) -> float:
                    - 2 * lg(2 * m + 1.0) - 2 * lg(l + 1.0)))
 
 
-def _signed_exp(sign: int, logmag: float, context) -> float:
+def _positive(exact: Fraction, context) -> Fraction:
+    # a sign-definite power integrates to a positive sum
+    if not exact > 0:
+        raise AccuracyError(f"exact angular sum not positive for {context}")
+    return exact
+
+
+def _exact_result(logmag: float, order: EntropyOrder, method: str,
+                  context) -> AngularResult:
     if logmag > 700.0:
         raise UnboundedGrowthError(
             f"exact angular sum overflows floating range for {context}",
             context=context)
-    return sign * math.exp(logmag)
-
-
-def _ambiguity(state: AngularState, order: EntropyOrder, signed: float,
-               method: str) -> AngularResult:
-    """Package an exact polynomial-power value, resolving odd-2p sign issues.
-
-    For odd 2p with a sign-changing Jacobi factor the polynomial routes
-    integrate the signed power rather than the absolute value; the
-    definition-faithful value then comes from quadrature and the signed
-    result is kept for inspection.
-    """
-    q = order.two_p
-    ambiguous = (q % 2 == 1) and state.l > state.m_abs
-    if not ambiguous:
-        return AngularResult(signed, _renyi_from_lambda(signed, order),
-                             method, order)
-    quad = _lambda_quad_value(state, order.p)
-    warn = ("odd 2p with sign-changing polynomial factor; "
-            "quadrature value of the absolute power returned",)
-    return AngularResult(quad, _renyi_from_lambda(quad, order), method, order,
-                         warnings=warn, signed_power_value=signed)
+    val = math.exp(logmag)
+    return AngularResult(val, _renyi_from_lambda(val, order), method, order)
 
 
 def lambda_linearization(state: AngularState, p) -> AngularResult:
     """Power integral of |Y_{l,m}|^2 via the exact linearization route.
 
-    Requires 2p to be a positive integer; the rational core is evaluated
-    exactly and converted to floating point once at the end.
+    Requires a sign-definite power (_exact_route_order); the rational core
+    is evaluated exactly and converted to floating point once at the end.
     """
-    order = as_order(p)
-    q = order.two_p
-    if q is None:
-        raise DomainError(f"linearization route needs 2p integer, got p={order.p}")
+    order, q = _exact_route_order(state, p, "linearization")
     l, m = state.l, state.m_abs
-    _check_lattice_limits(l, m, q)
-    core = _ctilde0(l, m, q)
-    if core == 0:
-        signed = 0.0
-    else:
-        logmag = _lin_log_prefactor(l, m, 0.5 * q) + specfun.log_fraction(abs(core))
-        signed = _signed_exp(1 if core > 0 else -1, logmag, (l, m, order.p))
-    return _ambiguity(state, order, signed, "linearization")
+    context = (l, m, order.p)
+    core = _positive(_ctilde0(l, m, q), context)
+    logmag = _lin_log_prefactor(l, m, 0.5 * q) + specfun.log_fraction(core)
+    return _exact_result(logmag, order, "linearization", context)
 
 
 @lru_cache(maxsize=None)
@@ -224,25 +219,20 @@ def lambda_bell(state: AngularState, p) -> AngularResult:
 
     Expands the 2p-th power of the orthonormal Jacobi factor with partial
     Bell polynomials over its exact coefficients; only the final assembly
-    leaves rational arithmetic.
+    leaves rational arithmetic.  Requires a sign-definite power
+    (_exact_route_order).
     """
-    order = as_order(p)
-    q = order.two_p
-    if q is None:
-        raise DomainError(f"Bell route needs 2p integer, got p={order.p}")
+    order, q = _exact_route_order(state, p, "Bell")
     l, m = state.l, state.m_abs
-    _check_lattice_limits(l, m, q)
+    context = (l, m, order.p)
     acc, pi_half, norm_sq = _bell_core(l, m, q)
-    if acc == 0:
-        signed = 0.0
-    else:
-        gm, hm = specfun.gamma_half_exact(m * q + 2)  # Gamma(m p + 1)
-        logmag = (specfun.log_fraction(gm) + 0.5 * hm * _LN_PI
-                  - 0.5 * q * _LN_2 + (1.0 - 0.5 * q) * _LN_PI
-                  - 0.5 * q * specfun.log_fraction(norm_sq)
-                  + specfun.log_fraction(abs(acc)) + 0.5 * pi_half * _LN_PI)
-        signed = _signed_exp(1 if acc > 0 else -1, logmag, (l, m, order.p))
-    return _ambiguity(state, order, signed, "bell")
+    acc = _positive(acc, context)
+    gm, hm = specfun.gamma_half_exact(m * q + 2)  # Gamma(m p + 1)
+    logmag = (specfun.log_fraction(gm) + 0.5 * hm * _LN_PI
+              - 0.5 * q * _LN_2 + (1.0 - 0.5 * q) * _LN_PI
+              - 0.5 * q * specfun.log_fraction(norm_sq)
+              + specfun.log_fraction(acc) + 0.5 * pi_half * _LN_PI)
+    return _exact_result(logmag, order, "bell", context)
 
 
 def _angular_panels(state: AngularState, p: float, m_nodes: int, log_coefs=None):
@@ -316,8 +306,9 @@ def renyi_angular(state: AngularState, p) -> AngularResult:
     """Renyi entropy of the angular density, best available route.
 
     Dispatch: closed form when the state belongs to a closed family (any
-    real p), else the exact linearization on the half-integer lattice, else
-    quadrature.
+    real p), else the exact linearization at even 2p on the lattice, else
+    quadrature.  Outside the families l - |m| >= 2, so the polynomial factor
+    changes sign and an odd 2p has no exact route.
     """
     order = as_order(p)
     if order.is_unity:
@@ -325,7 +316,9 @@ def renyi_angular(state: AngularState, p) -> AngularResult:
     closed = lambda_closed(state, order)
     if closed is not None:
         return closed
-    if order.on_lattice and order.two_p <= MAX_TWO_P and (state.l - state.m_abs) <= MAX_DEGREE:
+    q = order.two_p
+    if (q is not None and q % 2 == 0 and q <= MAX_TWO_P
+            and (state.l - state.m_abs) <= MAX_DEGREE):
         return lambda_linearization(state, order)
     return lambda_quadrature(state, order)
 

@@ -20,6 +20,7 @@ import sys
 from . import __version__, angular, entropy, oracle, radial, rydberg
 from .angular import AngularState
 from .errors import AccuracyError, DomainError, UnboundedGrowthError
+from .order import as_order
 from .radial import OscillatorParams, QuantumState
 
 _LN_2 = math.log(2.0)
@@ -124,7 +125,7 @@ def _emit(request: dict, records: list[dict], fmt: str, stream) -> None:
 
 def _cmd_angular(args) -> list[dict]:
     state = AngularState(args.l, args.m)
-    if abs(args.p - 1.0) < 1e-12:
+    if as_order(args.p).is_unity:
         val = angular.shannon_angular(state)
         return [{"quantity": "angular-shannon", "l": args.l, "m": args.m,
                  "p": 1.0, "shannon": val, "method": angular.shannon_route(state),
@@ -132,16 +133,14 @@ def _cmd_angular(args) -> list[dict]:
     res = angular.renyi_angular(state, args.p)
     return [{"quantity": "angular-renyi", "l": args.l, "m": args.m,
              "p": args.p, "lambda_value": res.lambda_value,
-             "renyi": res.renyi, "method": res.method,
-             "signed_power_value": res.signed_power_value,
-             "warnings": res.warnings}]
+             "renyi": res.renyi, "method": res.method, "warnings": ()}]
 
 
 def _cmd_radial(args) -> list[dict]:
     state = QuantumState(args.n, args.l, 0)
     params = OscillatorParams(args.lam)
     rtol = args.rtol or _precision_default()
-    if abs(args.p - 1.0) < 1e-12:
+    if as_order(args.p).is_unity:
         val = radial.shannon_radial_exact(
             state, params, **({"rtol": rtol} if rtol else {}))
         return [{"quantity": "radial-shannon", "n": args.n, "l": args.l,
@@ -153,13 +152,12 @@ def _cmd_radial(args) -> list[dict]:
     return [{"quantity": "radial-renyi", "n": args.n, "l": args.l,
              "p": args.p, "lam": args.lam, "norm_value": norm.value,
              "norm_log": norm.log_value, "path": norm.path, "renyi": val,
-             "signed_power_value": norm.signed_power_value,
              "warnings": norm.warnings}]
 
 
 def _cmd_asymptotic(args) -> list[dict]:
     params = OscillatorParams(args.lam)
-    if abs(args.p - 1.0) < 1e-12:
+    if as_order(args.p).is_unity:
         val = rydberg.shannon_radial_asymptotic(args.n, params)
         return [{"quantity": "asymptotic-shannon", "n": args.n, "l": args.l,
                  "p": 1.0, "lam": args.lam, "value": val,
@@ -176,13 +174,13 @@ def _cmd_asymptotic(args) -> list[dict]:
 def _cmd_total(args) -> list[dict]:
     state = QuantumState(args.n, args.l, args.m)
     params = OscillatorParams(args.lam)
-    if abs(args.p - 1.0) < 1e-12:
+    shannon = as_order(args.p).is_unity
+    if shannon:
         dec = entropy.shannon_total(state, params, args.mode, space=args.space)
     else:
         dec = entropy.renyi_total(state, params, args.p, args.mode,
                                   space=args.space)
-    rec = {"quantity": "total-renyi" if abs(args.p - 1.0) >= 1e-12
-           else "total-shannon",
+    rec = {"quantity": "total-shannon" if shannon else "total-renyi",
            "n": args.n, "l": args.l, "m": args.m, "p": args.p,
            "lam": args.lam, "mode": dec.mode, "space": dec.space,
            "radial": dec.radial, "angular": dec.angular, "total": dec.total,
@@ -233,7 +231,7 @@ def emit_convergence_table(p, l: int, lam: float,
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise UsageError("n ladder must be strictly ascending")
     params = OscillatorParams(lam)
-    shannon = abs(p - 1.0) < 1e-12
+    shannon = as_order(p).is_unity
     kw = {"rtol": rtol} if rtol else {}
 
     def row(n: int) -> dict:
@@ -265,7 +263,7 @@ def _cmd_sweep(args) -> list[dict]:
             return {"quantity": args.quantity, "l": l, "m": args.m,
                     "p": args.p, "lambda_value": res.lambda_value,
                     "renyi": res.renyi, "method": res.method,
-                    "warnings": res.warnings}
+                    "warnings": ()}
 
         return [point(l) for l in ls]
 

@@ -110,7 +110,7 @@ def renyi_total(state: QuantumState, params: OscillatorParams | None = None,
         raise DomainError("p = 1 is the Shannon limit; use shannon_total")
     params = params or OscillatorParams()
     ang = _ang.renyi_angular(state.angular, order.p)
-    warns = tuple(ang.warnings)
+    warns: tuple[str, ...] = ()
     if mode == "exact":
         rad = _rad.renyi_radial_exact(state, params, order.p)
     elif mode == "asymptotic":
@@ -143,12 +143,18 @@ def shannon_total(state: QuantumState, params: OscillatorParams | None = None,
 
 
 def tsallis_from_renyi(r: float, p) -> float:
-    """Tsallis entropy T_p = (e^{(1-p) r} - 1)/(1 - p); T_1 = r."""
-    order = as_order(p)
-    if order.is_unity:
+    """Tsallis entropy T_p = (e^{(1-p) r} - 1)/(1 - p); T_1 = r.
+
+    A formula in r alone, which expm1 keeps smooth up to p = 1: unlike the
+    entropies it takes the orders of the near-1 band, which EntropyOrder
+    rejects.
+    """
+    pf = float(p)
+    if not (pf > 0 and math.isfinite(pf)):
+        raise DomainError(f"entropic order must be positive and finite, got {pf}")
+    if pf == 1.0:
         return r
-    u = (1.0 - order.p) * r
-    return math.expm1(u) / (1.0 - order.p)
+    return math.expm1((1.0 - pf) * r) / (1.0 - pf)
 
 
 def disequilibrium(state: QuantumState,

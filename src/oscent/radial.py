@@ -7,8 +7,8 @@ reduces to a norm-like integral
     N_{n,l}(p) = integral_0^inf |Lhat_n^(l+1/2)(x)|^{2p} e^{-p x} x^{p l + 1/2} dx.
 
 Three evaluation paths: a symbolic path (exact rational sums) when 2p is an
-even integer or n = 0, a closed form for n = 1, and a panel quadrature with
-Gauss-Jacobi endpoint weights valid for any real p > 0.
+even integer or n = 0, a closed form for n = 1 at even 2p, and a panel
+quadrature with Gauss-Jacobi endpoint weights valid for any real p > 0.
 """
 
 from __future__ import annotations
@@ -103,9 +103,7 @@ class LaguerreNorm:
 
     The weight exponents alpha = l + 1/2 and beta = (1 - p)/2 combine to the
     integrand power x^(p alpha + beta) = x^(p l + 1/2); the construction
-    checks the convergence condition p l + 1/2 > -1.  For routes whose
-    polynomial-power expansion is signed (odd 2p), signed_power_value keeps
-    the signed integral while value holds the absolute-value integral.
+    checks the convergence condition p l + 1/2 > -1.
     """
 
     value: float
@@ -115,7 +113,6 @@ class LaguerreNorm:
     alpha: float
     beta: float
     warnings: tuple[str, ...] = ()
-    signed_power_value: float | None = None
 
     def __post_init__(self):
         if not self.value > 0:
@@ -127,10 +124,9 @@ class LaguerreNorm:
 
 
 def _mk_norm(value: float, log_value: float, path: str, p: float, l: int,
-             warns: tuple[str, ...] = (),
-             signed: float | None = None) -> LaguerreNorm:
+             warns: tuple[str, ...] = ()) -> LaguerreNorm:
     return LaguerreNorm(value, log_value, path, p, l + 0.5, 0.5 * (1.0 - p),
-                        warns, signed)
+                        warns)
 
 
 def radial_density(state: QuantumState, params: OscillatorParams | None = None):
@@ -331,31 +327,29 @@ def _norm_symbolic(n: int, l: int, q: int, p: float) -> LaguerreNorm:
     return _mk_norm(math.exp(logn), logn, "symbolic", p, l)
 
 
-def closed_n1l(l: int, p, *, rtol: float = 1e-11) -> LaguerreNorm:
+def closed_n1l(l: int, p) -> LaguerreNorm:
     """Closed form of N_{1,l}(p) through a negative-parameter Laguerre value.
 
     N_{1,l}(p) = Gamma(lp+3/2)/Gamma(l+5/2)^p * (2p)!/p^{(l+2)p+3/2}
                  * L_{2p}^{(-(l+2)p-3/2)}(-(l+3/2)p).
 
     The expansion behind this identity raises the linear Laguerre factor to
-    the power 2p without taking absolute values, so for odd 2p it evaluates
-    the signed integral.  In that case the returned value comes from the
-    absolute-power quadrature, with the formula's signed result attached as
-    signed_power_value; for even 2p the two coincide and the formula value
-    is returned exactly.
+    the power 2p without taking absolute values.  L_1 changes sign, so the
+    identity holds for even 2p only; odd 2p raises DomainError.
     """
     if l < 0:
         raise DomainError(f"orbital number must be >= 0, got l={l}")
     order = as_order(p)
     q = order.two_p
-    if q is None:
+    if q is None or q % 2 == 1:
         raise DomainError(
-            f"closed n=1 norm needs 2p to be a positive integer, got p={p}")
+            f"closed n=1 norm needs an even integer 2p: L_1 changes sign, so "
+            f"odd 2p is sign-ambiguous; got p={p}")
     pf = order.p
     a = -Fraction((l + 2) * q + 3, 2)
     x = -Fraction((2 * l + 3) * q, 4)
     lval = specfun.laguerre_eval_negparam(q, a, x)
-    if q % 2 == 0 and not lval > 0:
+    if not lval > 0:
         raise AccuracyError(
             f"closed n=1 Laguerre value not positive for l={l}, p={p}")
     g1, h1 = specfun.gamma_half_exact(l * q + 3)
@@ -364,16 +358,8 @@ def closed_n1l(l: int, p, *, rtol: float = 1e-11) -> LaguerreNorm:
     # of it keeps the digits that separate logs of its factors would cancel
     square = ((g1 * math.factorial(q) * lval) ** 2
               / (g2 ** q * Fraction(q, 2) ** ((l + 2) * q + 3)))
-    logn = (0.5 * specfun.log_fraction(square) + 0.5 * (h1 - pf * h2) * _LN_PI
-            if lval else -math.inf)
-    if q % 2 == 0:
-        return _mk_norm(math.exp(logn), logn, "closed_n1", pf, l)
-    signed = math.copysign(math.exp(logn), lval)
-    quad = _norm_quadrature(1, l, pf, rtol)
-    warn = ("odd 2p with sign-changing polynomial factor; "
-            "quadrature value of the absolute power returned",)
-    return _mk_norm(quad.value, quad.log_value, "closed_n1", pf, l,
-                    quad.warnings + warn, signed)
+    logn = 0.5 * specfun.log_fraction(square) + 0.5 * (h1 - pf * h2) * _LN_PI
+    return _mk_norm(math.exp(logn), logn, "closed_n1", pf, l)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +399,7 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto",
     if path == "closed_n1":
         if n != 1:
             raise DomainError(f"closed_n1 route applies only to n=1, got n={n}")
-        return closed_n1l(l, pf, rtol=rtol)
+        return closed_n1l(l, pf)
     if path == "quadrature":
         return _norm_quadrature(n, l, pf, rtol)
     raise DomainError(f"unknown norm path {path!r}")

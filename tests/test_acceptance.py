@@ -17,6 +17,7 @@ from oscent.angular import (AngularState, lambda_bell, lambda_closed,
                             renyi_angular)
 from oscent.entropy import (SHANNON_SUM_BOUND, disequilibrium, renyi_total,
                             shannon_total, uncertainty_sum)
+from oscent.errors import DomainError
 from oscent.oracle import renyi_full, shannon_full
 from oscent.radial import (QuantumState, closed_n1l, laguerre_norm,
                            renyi_radial_exact, shannon_radial_exact)
@@ -56,21 +57,19 @@ def test_angular_cross_method_suite():
             sign_definite = (m == l)  # polynomial factor has no roots
             for q in range(1, 9):
                 p = q / 2.0
+                if q % 2 == 1 and not sign_definite:
+                    # the exact routes would integrate the signed power
+                    for route in (lambda_linearization, lambda_bell):
+                        with pytest.raises(DomainError, match="sign-ambiguous"):
+                            route(state, p)
+                    continue
                 lin = lambda_linearization(state, p)
                 bell = lambda_bell(state, p)
+                quad = lambda_quadrature(state, p)
                 assert lin.lambda_value == pytest.approx(
                     bell.lambda_value, rel=1e-9), (l, m, q)
-                if q % 2 == 0 or sign_definite:
-                    quad = lambda_quadrature(state, p)
-                    assert lin.lambda_value == pytest.approx(
-                        quad.lambda_value, rel=1e-7), (l, m, q)
-                    assert not lin.warnings
-                else:
-                    # ambiguous sign: the routes report the absolute-power
-                    # quadrature value and flag it
-                    assert lin.warnings and bell.warnings, (l, m, q)
-                    assert lin.signed_power_value == pytest.approx(
-                        bell.signed_power_value, rel=1e-9, abs=1e-12)
+                assert lin.lambda_value == pytest.approx(
+                    quad.lambda_value, rel=1e-7), (l, m, q)
     assert time.monotonic() - start < 120.0
 
 
@@ -108,6 +107,11 @@ def test_first_excited_norm_closed_form():
     for l in (0, 1):
         for q in range(1, 7):
             p = q / 2.0
+            if q % 2 == 1:
+                # L_1 changes sign: the identity holds at even 2p only
+                with pytest.raises(DomainError, match="sign-ambiguous"):
+                    closed_n1l(l, p)
+                continue
             closed = closed_n1l(l, p)
             quad = laguerre_norm(1, l, p, path="quadrature")
             assert closed.value == pytest.approx(quad.value,

@@ -100,7 +100,7 @@ def test_shannon_closed_forms_match_mpmath(offset):
 
 
 @pytest.mark.parametrize("l,m,p", [(2, 1, 2.0), (3, 1, 2.0), (4, 2, 3.0),
-                                   (5, 0, 2.0), (6, 4, 1.5)])
+                                   (5, 0, 2.0), (6, 6, 1.5), (3, 3, 3.5)])
 def test_exact_routes_agree(l, m, p):
     state = AngularState(l, m)
     lin = lambda_linearization(state, p)
@@ -190,17 +190,32 @@ def test_lambda_closed_rejects_invalid_order_outside_the_families(p):
 
 
 def test_sign_ambiguous_odd_power_reports_quadrature():
-    # (l, m) = (2, 0) at 2p = 1: the polynomial factor changes sign, the
-    # signed power integral vanishes by orthogonality, and the returned
-    # value is the quadrature integral of the absolute power.
-    res = lambda_linearization(AngularState(2, 0), 0.5)
-    assert res.warnings
-    assert res.signed_power_value == pytest.approx(0.0, abs=1e-12)
-    quad = lambda_quadrature(AngularState(2, 0), 0.5)
-    assert res.lambda_value == pytest.approx(quad.lambda_value, rel=1e-9)
-    bell = lambda_bell(AngularState(2, 0), 0.5)
-    assert bell.signed_power_value == pytest.approx(0.0, abs=1e-12)
+    # (l, m) = (2, 0) at 2p = 1: the polynomial factor changes sign and the
+    # signed power integral vanishes by orthogonality, so the exact routes
+    # refuse and the dispatch takes quadrature of the absolute power.
+    for route in (lambda_linearization, lambda_bell):
+        with pytest.raises(DomainError, match="sign-ambiguous"):
+            route(AngularState(2, 0), 0.5)
+    res = renyi_angular(AngularState(2, 0), 0.5)
+    assert res.method == "quadrature"
+    assert res.lambda_value == lambda_quadrature(AngularState(2, 0), 0.5).lambda_value
 
+
+@pytest.mark.parametrize("l,m,p", [(6, 4, 1.5), (3, 2, 0.5), (8, 1, 3.5),
+                                   (1, 0, 1.5)])
+def test_exact_routes_refuse_sign_changing_odd_powers(l, m, p):
+    # l > |m|: C_{l-|m|} has roots in (-1, 1), (l, l-1) included
+    for route in (lambda_linearization, lambda_bell):
+        with pytest.raises(DomainError, match="sign-ambiguous"):
+            route(AngularState(l, m), p)
+
+
+@pytest.mark.parametrize("l,m", [(2, 0), (4, 1), (5, 3), (8, 0)])
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.5, 3.5])
+def test_dispatch_sends_odd_powers_to_quadrature(l, m, p):
+    res = renyi_angular(AngularState(l, m), p)
+    assert res.method == "quadrature"
+    assert res.lambda_value == lambda_quadrature(AngularState(l, m), p).lambda_value
 
 def test_invalid_order_rejected():
     with pytest.raises(DomainError):

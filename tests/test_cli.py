@@ -63,6 +63,41 @@ def test_angular_shannon_names_its_route(capsys, m, method):
     assert payload["results"][0]["method"] == method
 
 
+def test_angular_odd_power_reports_quadrature(capsys):
+    code, payload = invoke_json(capsys, "angular", "--l", "2", "--m", "0",
+                                "--p", "1.5")
+    assert code == 0
+    rec = payload["results"][0]
+    assert rec["method"] == "quadrature"
+    assert rec["lambda_value"] == 0.388328214542788
+    assert "signed_power_value" not in rec
+    assert payload["warnings"] == []
+
+
+def test_total_odd_power_envelope_has_no_warning(capsys):
+    code, payload = invoke_json(capsys, "total", "--n", "1", "--l", "2",
+                                "--m", "0", "--p", "2.5")
+    assert code == 0
+    assert payload["warnings"] == []
+
+
+@pytest.mark.parametrize("p,quantity", [("1", "total-shannon"),
+                                        ("1.0000000000001", "total-shannon"),
+                                        ("1.00002", "total-renyi")])
+def test_total_shannon_point(capsys, p, quantity):
+    code, payload = invoke_json(capsys, "total", "--n", "3", "--l", "2",
+                                "--p", p)
+    assert code == 0
+    assert payload["results"][0]["quantity"] == quantity
+
+
+@pytest.mark.parametrize("p", ["1.000000000002", "1.0000001", "0.999999"])
+def test_near_unity_band_exits_2(capsys, p):
+    assert run(["total", "--n", "3", "--l", "2", "--p", p]) == 2
+    err = capsys.readouterr().err
+    assert "near-1 band" in err and "Traceback" not in err
+
+
 def test_radial_csv_and_bits(capsys):
     code, rows = invoke_csv(capsys, "radial", "--n", "1", "--l", "0",
                             "--p", "2", "--format", "csv")
@@ -208,6 +243,9 @@ def test_domain_errors_exit_2(capsys):
     (["sweep", "--quantity", "total-renyi", "--n", "1", "--l", "x"], 64),
     (["sweep", "--quantity", "total-renyi", "--n", "0,1", "--l", "0",
       "--jobs", "2"], 64),
+    (["total", "--n", "3", "--l", "2", "--p", "1.0000001"], 2),
+    (["radial", "--n", "1", "--l", "0", "--p", "1.5", "--path", "closed_n1"], 2),
+    (["angular", "--l", "4", "--m", "0", "--p", "0.99999"], 2),
 ])
 def test_bad_inputs_exit_without_traceback(capsys, argv, code):
     assert run(argv) == code

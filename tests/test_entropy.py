@@ -43,6 +43,8 @@ def test_tsallis_limits_and_values():
     # tiny (1-p) stays smooth thanks to expm1
     near = tsallis_from_renyi(2.5, 1.0 + 1e-9)
     assert near == pytest.approx(2.5, rel=1e-6)
+    with pytest.raises(DomainError):
+        tsallis_from_renyi(2.5, 0.0)
 
 
 def test_momentum_shift_is_order_independent():
@@ -149,6 +151,12 @@ def test_asymptotic_mode_tracks_exact():
     assert dec.warnings == ()
     exact = renyi_total(QuantumState(80, 0, 0), p=2.0)
     assert dec.total == pytest.approx(exact.total, abs=5e-3)
+
+
+def test_odd_order_total_carries_no_sign_warning():
+    # (l, m) = (2, 0) at 2p = 5 is a quadrature value, not a flagged one
+    dec = renyi_total(QuantumState(1, 2, 0), p=2.5)
+    assert dec.warnings == ()
 
 
 def test_transition_order_caveat_becomes_warning():

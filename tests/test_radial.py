@@ -98,21 +98,24 @@ def test_closed_n1_even_powers(l, q):
 @pytest.mark.parametrize("l", [0, 1])
 @pytest.mark.parametrize("q", [1, 3, 5])
 def test_closed_n1_odd_powers_report_absolute_value(l, q):
-    closed = closed_n1l(l, q / 2.0)
-    quad = laguerre_norm(1, l, q / 2.0, path="quadrature")
-    assert closed.value == pytest.approx(quad.value, rel=1e-10)
-    assert any("sign" in w for w in closed.warnings)
-    assert closed.signed_power_value is not None
-    # |signed integral| can never exceed the absolute-power integral
-    assert abs(closed.signed_power_value) <= closed.value * (1 + 1e-12)
+    # the closed form would raise the sign-changing L_1 to an odd power;
+    # it refuses, and auto reports the absolute-power integral
+    with pytest.raises(DomainError, match="sign-ambiguous"):
+        closed_n1l(l, q / 2.0)
+    with pytest.raises(DomainError, match="sign-ambiguous"):
+        laguerre_norm(1, l, q / 2.0, path="closed_n1")
+    auto = laguerre_norm(1, l, q / 2.0)
+    assert auto.path == "quadrature"
+    assert auto.value == pytest.approx(mpmath_norm(1, l, q / 2.0), rel=1e-10)
 
 
 def test_closed_n1_signed_anchor():
-    # frozen from the independent integral-representation route
-    closed = closed_n1l(0, 0.5)
-    assert closed.signed_power_value == pytest.approx(-3.2610923178, abs=1e-9)
-    closed = closed_n1l(1, 1.5)
-    assert closed.signed_power_value == pytest.approx(0.0339624818, abs=1e-9)
+    # signed integrals frozen from the independent integral-representation
+    # route: the identity's odd-2p values, which are not the norm
+    for l, p, signed in ((0, 0.5, -3.2610923178), (1, 1.5, 0.0339624818)):
+        with pytest.raises(DomainError):
+            closed_n1l(l, p)
+        assert laguerre_norm(1, l, p).value > abs(signed) + 1e-3
 
 
 def test_closed_n1_rejects_offlattice_order():
