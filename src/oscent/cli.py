@@ -41,26 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _precision_default() -> float | None:
-    raw = os.environ.get("OSCENT_PRECISION")
-    if raw is None:
-        return None
-    try:
-        val = float(raw)
-    except ValueError as exc:
-        raise UsageError(f"OSCENT_PRECISION must be a float, got {raw!r}") from exc
-    if not 0 < val < 1:
-        raise UsageError(f"OSCENT_PRECISION must lie in (0, 1), got {val}")
-    return val
-
-
-def _tolerance(raw: str) -> float:
-    val = float(raw)
-    if not 0 < val < 1:
-        raise argparse.ArgumentTypeError(f"tolerance must lie in (0, 1), got {val}")
-    return val
-
-
 def _round15(x):
     if isinstance(x, float):
         return float(f"{x:.15g}")
@@ -139,15 +119,15 @@ def _cmd_angular(args) -> list[dict]:
 def _cmd_radial(args) -> list[dict]:
     state = QuantumState(args.n, args.l, 0)
     params = OscillatorParams(args.lam)
-    rtol = args.rtol or _precision_default()
     if as_order(args.p).is_unity:
-        val = radial.shannon_radial_exact(
-            state, params, **({"rtol": rtol} if rtol else {}))
+        if args.path not in ("auto", "quadrature"):
+            raise DomainError(f"radial Shannon has only the quadrature route, "
+                              f"got --path {args.path}")
+        val = radial.shannon_radial_exact(state, params)
         return [{"quantity": "radial-shannon", "n": args.n, "l": args.l,
                  "p": 1.0, "lam": args.lam, "shannon": val,
                  "path": "quadrature", "warnings": ()}]
-    kw = {"rtol": rtol} if rtol else {}
-    norm = radial.laguerre_norm(args.n, args.l, args.p, path=args.path, **kw)
+    norm = radial.laguerre_norm(args.n, args.l, args.p, path=args.path)
     val = radial.renyi_radial_exact(state, params, args.p, norm=norm)
     return [{"quantity": "radial-renyi", "n": args.n, "l": args.l,
              "p": args.p, "lam": args.lam, "norm_value": norm.value,
@@ -218,8 +198,7 @@ def _cmd_uncertainty(args) -> list[dict]:
 # convergence tables and sweeps
 
 def emit_convergence_table(p, l: int, lam: float,
-                           n_ladder: list[int],
-                           rtol: float | None = None) -> list[dict]:
+                           n_ladder: list[int]) -> list[dict]:
     """Rows of exact vs asymptotic radial Renyi values along an n ladder.
 
     The norm ratio column reports the exact-to-asymptotic ratio of the
@@ -232,15 +211,14 @@ def emit_convergence_table(p, l: int, lam: float,
         raise UsageError("n ladder must be strictly ascending")
     params = OscillatorParams(lam)
     shannon = as_order(p).is_unity
-    kw = {"rtol": rtol} if rtol else {}
 
     def row(n: int) -> dict:
         if shannon:
-            ex = radial.shannon_radial_exact(QuantumState(n, l, 0), params, **kw)
+            ex = radial.shannon_radial_exact(QuantumState(n, l, 0), params)
             asym = rydberg.shannon_radial_asymptotic(n, params)
             regime, caveat, ratio = "shannon", False, None
         else:
-            ex = radial.renyi_radial_exact(QuantumState(n, l, 0), params, p, **kw)
+            ex = radial.renyi_radial_exact(QuantumState(n, l, 0), params, p)
             res = rydberg.renyi_radial_asymptotic(n, l, params, p)
             asym, regime, caveat = res.value, res.regime, res.caveat
             ratio = (math.exp((1.0 - p) * (ex - asym))
@@ -272,9 +250,11 @@ def _cmd_sweep(args) -> list[dict]:
         raise UsageError(f"an n ladder takes exactly one --l value, got {args.l!r}")
     l = ls[0]
     if args.quantity in ("radial-renyi", "radial-shannon"):
+        if args.quantity == "radial-renyi" and as_order(args.p).is_unity:
+            raise DomainError(
+                "p = 1 is the Shannon limit; use --quantity radial-shannon")
         p = 1.0 if args.quantity == "radial-shannon" else args.p
-        rows = emit_convergence_table(p, l, args.lam, ns,
-                                      args.rtol or _precision_default())
+        rows = emit_convergence_table(p, l, args.lam, ns)
         return [{"quantity": args.quantity, **row} for row in rows]
     if args.quantity in ("total-renyi", "total-shannon"):
 
@@ -399,7 +379,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--path", default="auto",
                     choices=("auto", "symbolic", "closed_n1", "quadrature"))
-    sp.add_argument("--rtol", type=_tolerance, default=None)
     common(sp)
 
     sp = sub.add_parser("asymptotic", help="large-n radial entropy regimes")
@@ -448,7 +427,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--m", type=int, default=0)
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--mode", choices=("exact", "asymptotic"), default="exact")
-    sp.add_argument("--rtol", type=_tolerance, default=None)
     common(sp)
 
     return parser

@@ -57,6 +57,10 @@ _LOG_VARIATION_CAP = 16.0
 # nodes and 9.1e-12 at 20.  The angular engine keeps 48: its panels are not
 # cut by variation, and 24 nodes are 6.5e-6 off there at (l, m, p) = (100, 50, 8).
 _NODES = 24
+# agreement the second pass must reach: relative to N for Renyi, to max(|J|, 1)
+# for the Shannon log integral J
+_RENYI_TOL = 1e-11
+_SHANNON_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -280,12 +284,12 @@ def _panel_pass(n: int, l: int, p: float, panels: list[tuple], m_nodes: int,
     return out
 
 
-def _norm_quadrature(n: int, l: int, p: float, rtol: float) -> LaguerreNorm:
+def _norm_quadrature(n: int, l: int, p: float) -> LaguerreNorm:
     """Panel quadrature of N_{n,l}(p), certified by a second node count."""
     panels = _norm_panels(n, l, p)
     v, escalated = specfun.settled(
         lambda m: _panel_pass(n, l, p, panels, m).sum(), _NODES,
-        max(rtol, 5e-13), f"radial quadrature for n={n}, l={l}, p={p}")
+        _RENYI_TOL, f"radial quadrature for n={n}, l={l}, p={p}")
     warns = ("node count escalated to reach tolerance",) if escalated else ()
     return _mk_norm(float(v), float(np.log(v)), "quadrature", p, l, warns)
 
@@ -365,8 +369,7 @@ def closed_n1l(l: int, p) -> LaguerreNorm:
 # ---------------------------------------------------------------------------
 # public entry points
 
-def laguerre_norm(n: int, l: int, p, *, path: str = "auto",
-                  rtol: float = 1e-11) -> LaguerreNorm:
+def laguerre_norm(n: int, l: int, p, *, path: str = "auto") -> LaguerreNorm:
     """Norm integral N_{n,l}(p), dispatching to the best valid route.
 
     auto order: exact n = 0 formula for any real p, symbolic rational sums
@@ -385,7 +388,7 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto",
             return _norm_symbolic_n0(l, pf)
         if q is not None and q % 2 == 0 and n * q <= SYMBOLIC_COST_CAP:
             return _norm_symbolic(n, l, q, pf)
-        return _norm_quadrature(n, l, pf, rtol)
+        return _norm_quadrature(n, l, pf)
     if path == "symbolic":
         if n == 0:
             return _norm_symbolic_n0(l, pf)
@@ -401,13 +404,12 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto",
             raise DomainError(f"closed_n1 route applies only to n=1, got n={n}")
         return closed_n1l(l, pf)
     if path == "quadrature":
-        return _norm_quadrature(n, l, pf, rtol)
+        return _norm_quadrature(n, l, pf)
     raise DomainError(f"unknown norm path {path!r}")
 
 
 def renyi_radial_exact(state: QuantumState, params: OscillatorParams | None = None,
-                       p=2.0, *, rtol: float = 1e-11,
-                       norm: LaguerreNorm | None = None) -> float:
+                       p=2.0, *, norm: LaguerreNorm | None = None) -> float:
     """Renyi entropy of the radial density against the r^2 dr measure.
 
     R_p = -ln 2 - (3/2) ln lam + ln N_{n,l}(p) / (1 - p).
@@ -417,7 +419,7 @@ def renyi_radial_exact(state: QuantumState, params: OscillatorParams | None = No
         raise DomainError("p = 1 is the Shannon limit; use shannon_radial_exact")
     params = params or OscillatorParams()
     if norm is None:
-        norm = laguerre_norm(state.n, state.l, order.p, rtol=rtol)
+        norm = laguerre_norm(state.n, state.l, order.p)
     return (-_LN_2 - 1.5 * math.log(params.lam)
             + norm.log_value / (1.0 - order.p))
 
@@ -426,8 +428,7 @@ def renyi_radial_exact(state: QuantumState, params: OscillatorParams | None = No
 # Shannon entropy: log-weighted end rules against the logarithmic kinks
 
 def shannon_radial_exact(state: QuantumState,
-                         params: OscillatorParams | None = None,
-                         *, rtol: float = 1e-10) -> float:
+                         params: OscillatorParams | None = None) -> float:
     """Shannon entropy of the radial density against the r^2 dr measure.
 
     S = -ln(2 lam^{3/2}) - J, J = integral psi^2 x^{l+1/2} (ln psi^2 + l ln x) dx
@@ -439,6 +440,6 @@ def shannon_radial_exact(state: QuantumState,
     params = params or OscillatorParams()
     panels = _norm_panels(n, l, 1.0)
     j, _ = specfun.settled(lambda m: _panel_pass(n, l, 1.0, panels, m, (l, 0))[1].sum(),
-                           _NODES, max(rtol, 5e-13),
+                           _NODES, _SHANNON_TOL,
                            f"Shannon radial quadrature for n={n}, l={l}", floor=1.0)
     return -_LN_2 - 1.5 * math.log(params.lam) - float(j)

@@ -229,6 +229,11 @@ def test_disequilibrium_from_total_is_bitwise_unchanged():
 def test_domain_errors_exit_2(capsys):
     assert run(["radial", "--n", "1", "--l", "0", "--p", "-1"]) == 2
     assert run(["angular", "--l", "2", "--m", "5", "--p", "2"]) == 2
+    capsys.readouterr()
+    # the Shannon rows come only from the sweep that is labelled for them
+    assert run(["sweep", "--quantity", "radial-renyi", "--n", "3",
+                "--p", "1"]) == 2
+    assert "radial-shannon" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -246,21 +251,17 @@ def test_domain_errors_exit_2(capsys):
     (["total", "--n", "3", "--l", "2", "--p", "1.0000001"], 2),
     (["radial", "--n", "1", "--l", "0", "--p", "1.5", "--path", "closed_n1"], 2),
     (["angular", "--l", "4", "--m", "0", "--p", "0.99999"], 2),
+    (["radial", "--n", "3", "--l", "0", "--p", "0.7", "--rtol", "1e-6"], 64),
+    (["sweep", "--quantity", "radial-renyi", "--n", "3,4", "--l", "0",
+      "--p", "2", "--rtol", "1e-6"], 64),
+    (["radial", "--n", "3", "--l", "0", "--p", "1", "--path", "symbolic"], 2),
+    (["radial", "--n", "3", "--l", "0", "--p", "1", "--path", "closed_n1"], 2),
+    (["sweep", "--quantity", "radial-renyi", "--n", "3,4", "--l", "0",
+      "--p", "1"], 2),
 ])
 def test_bad_inputs_exit_without_traceback(capsys, argv, code):
     assert run(argv) == code
     assert "Traceback" not in capsys.readouterr().err
-
-
-def test_precision_env(capsys, monkeypatch):
-    monkeypatch.setenv("OSCENT_PRECISION", "1e-8")
-    code, payload = invoke_json(capsys, "radial", "--n", "1", "--l", "0",
-                                "--p", "0.5")
-    assert code == 0
-    monkeypatch.setenv("OSCENT_PRECISION", "2.0")
-    assert run(["radial", "--n", "1", "--l", "0", "--p", "0.5"]) == 64
-    monkeypatch.setenv("OSCENT_PRECISION", "not-a-float")
-    assert run(["radial", "--n", "1", "--l", "0", "--p", "0.5"]) == 64
 
 
 def child_env():
