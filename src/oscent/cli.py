@@ -231,7 +231,20 @@ def emit_convergence_table(p, l: int, lam: float,
     return [row(n) for n in n_ladder]
 
 
+# the sweep options each quantity reads, with their defaults; any other
+# option given on the command line is a usage error
+_SWEEP_OPTIONS = {"n": ("", ("radial-renyi", "radial-shannon", "total-renyi",
+                             "total-shannon")),
+                  "m": (0, ("angular-renyi", "total-renyi", "total-shannon")),
+                  "mode": ("exact", ("total-renyi", "total-shannon"))}
+
+
 def _cmd_sweep(args) -> list[dict]:
+    for opt, (default, quantities) in _SWEEP_OPTIONS.items():
+        if getattr(args, opt) is None:
+            setattr(args, opt, default)  # the request echo shows the default
+        elif args.quantity not in quantities:
+            raise UsageError(f"--{opt} does not apply to --quantity {args.quantity}")
     params = OscillatorParams(args.lam)
     ls = _int_list(args.l)
     if args.quantity == "angular-renyi":
@@ -422,11 +435,12 @@ def build_parser() -> _Parser:
                     choices=("angular-renyi", "radial-renyi",
                              "radial-shannon", "total-renyi",
                              "total-shannon"))
-    sp.add_argument("--n", default="")
+    # --n, --m and --mode default by quantity (_SWEEP_OPTIONS)
+    sp.add_argument("--n")
     sp.add_argument("--l", default="0")
-    sp.add_argument("--m", type=int, default=0)
+    sp.add_argument("--m", type=int)
     sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--mode", choices=("exact", "asymptotic"), default="exact")
+    sp.add_argument("--mode", choices=("exact", "asymptotic"))
     common(sp)
 
     return parser

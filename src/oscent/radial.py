@@ -6,9 +6,12 @@ reduces to a norm-like integral
 
     N_{n,l}(p) = integral_0^inf |Lhat_n^(l+1/2)(x)|^{2p} e^{-p x} x^{p l + 1/2} dx.
 
-Three evaluation paths: a symbolic path (exact rational sums) when 2p is an
-even integer or n = 0, a closed form for n = 1 at even 2p, and a panel
-quadrature with Gauss-Jacobi endpoint weights valid for any real p > 0.
+Four evaluation paths: a symbolic path (exact rational sums) when 2p is an
+even integer or n = 0, a closed form for n = 1 at even 2p, one
+Gauss-Laguerre rule of n p + 1 nodes at even 2p, exact for the polynomial
+power up to rounding, and a panel quadrature with Gauss-Jacobi endpoint
+weights valid for any real p > 0.  auto takes the n = 0 formula, the rule
+for even 2p <= 8 and the panels otherwise.
 """
 
 from __future__ import annotations
@@ -35,13 +38,19 @@ __all__ = [
 _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 
-# auto takes the exact symbolic route while the power degree n * 2p is at most
-# this, the faster quadrature above it.  Mean warm ms per value, n <= 10, l <= 4,
-# p in {1, 2, 3}, on one x86-64 core:
-#     n * 2p      0-9    10-19   20   24   28   30   40   50   60
-#     symbolic    0.23   0.50   1.1  1.7  2.5  3.3  6.0  8.9  14
-#     quadrature  1.3    1.5    2.0  2.0  2.4  2.2  2.8  2.6  3.6
-SYMBOLIC_COST_CAP = 24
+# auto integrates even 2p up to _RULE_MAX_POWER by one Gauss-Laguerre rule of
+# n p + 1 nodes (_norm_gauss_laguerre), the panels above.  The rule costs
+# about (n 2p)^2 recurrence steps and the panels about n^2, so the crossover
+# is in 2p alone.  Cold ms per value, l = 0, on one x86-64 core:
+#     rule / panels    2p = 4        2p = 8       2p = 10
+#     n = 10           0.8 / 6.8     1.2 / 10     1.5 / 10
+#     n = 100          9.6 / 35      17 / 32      28 / 29
+#     n = 400          81 / 327      249 / 355    410 / 290
+#     n = 1500         1025 / 4042
+_RULE_MAX_POWER = 8
+# the node range of _laguerre_rule, whose start row exp(-x/2) keeps the rows
+# in range up to m = 3000
+_RULE_MAX_NODES = 3000
 _SLICE_BUDGET = 6000
 _LOG_VARIATION_CAP = 16.0
 # Gauss-Jacobi nodes per panel in the first pass of specfun.settled, for the
@@ -158,19 +167,25 @@ def radial_density(state: QuantumState, params: OscillatorParams | None = None):
 
 
 # ---------------------------------------------------------------------------
-# root handling
+# the Laguerre rule: panel roots and the Gauss-Laguerre path
 
 @lru_cache(maxsize=None)
-def _refined_roots(n: int, alpha: Fraction) -> np.ndarray:
-    """Laguerre roots in long double from the Gauss rule generator.
+def _laguerre_rule(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of m nodes for x^a e^-x in long double: nodes x_j, weights
+    w_j e^(x_j) / Gamma(a + 1).
 
-    The start row exp(-x/2) keeps the rows in range up to n = 3000.
+    The start row exp(-x/2) keeps the rows in range up to m = 3000.  The
+    weights come relative to its square, so they stay in range past
+    x = 11,000, where w_j underflows; the mass is left to the caller, whose
+    Gamma(a + 1) may pass the long-double range.
     """
-    if n == 0:
-        return np.zeros(0, dtype=np.longdouble)
-    # nodes only: the mass of the weight scales the weights alone
-    return specfun._gauss_rule(*specfun._laguerre_coefficients(n, float(alpha)), 1,
-                               lambda x: np.exp(-x / 2))[0]
+    if m == 0:
+        return np.zeros(0, dtype=np.longdouble), np.zeros(0, dtype=np.longdouble)
+    # near a = 11,000 the Christoffel sums underflow; the generator's checks
+    # then raise AccuracyError, and the float warnings on the way add nothing
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return specfun._gauss_rule(*specfun._laguerre_coefficients(m, a), 1,
+                                   lambda x: np.exp(-x / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +254,7 @@ def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
     grow to 16 d / 2p, which leaves 24 nodes 2e-9 short at p = 0.1.
     """
     gma, q2 = p * l + 0.5, 2.0 * p
-    rts = [float(r) for r in _refined_roots(n, Fraction(2 * l + 1, 2))]
+    rts = [float(r) for r in _laguerre_rule(n, l + 0.5)[0]]
     r = np.array(rts)
     e = rts[-1] if n else (gma + 4.0) / p
     panels = _root_slices(n, l, p, rts, e)
@@ -292,6 +307,35 @@ def _norm_quadrature(n: int, l: int, p: float) -> LaguerreNorm:
         _RENYI_TOL, f"radial quadrature for n={n}, l={l}, p={p}")
     warns = ("node count escalated to reach tolerance",) if escalated else ()
     return _mk_norm(float(v), float(np.log(v)), "quadrature", p, l, warns)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Laguerre path
+
+def _norm_gauss_laguerre(n: int, l: int, q: int, p: float) -> LaguerreNorm:
+    """N_{n,l}(p) at even 2p = q by one Gauss rule, exact up to rounding.
+
+    With x = y / p, N = p^-(pl + 3/2) int y^(pl + 1/2) e^-y Lhat_n(y/p)^2p dy,
+    a polynomial of degree n 2p against a Laguerre weight, so the rule of
+    n p + 1 nodes integrates it exactly, term by positive term:
+    N = p^-(pl + 3/2) Gamma(pl + 3/2) sum_j W_j psi(y_j / p)^2p, with
+    psi = Lhat_n e^(-x/2) and W_j = w_j e^(y_j) / Gamma(pl + 3/2).
+    """
+    a = p * l + 0.5
+    y, w = _laguerre_rule(n * q // 2 + 1, a)
+    psi = specfun.laguerre_orthonormal_weighted(n, l + 0.5, y / p)
+    # the terms are summed in logs: at large l, psi_j^2p turns subnormal
+    # (2p = 6, l = 600) as W_j grows, and a plain product loses its digits
+    # without a warning
+    with np.errstate(divide="ignore"):
+        t = np.log(w) + q * np.log(np.abs(psi))
+    top = np.max(t)
+    if not np.isfinite(top):
+        raise AccuracyError(
+            f"Gauss-Laguerre norm sum not positive for n={n}, l={l}, q={q}")
+    logn = float(top + np.log(np.sum(np.exp(t - top))) + specfun._lgamma(a + 1)
+                 - (a + 1) * np.log(np.longdouble(p)))
+    return _mk_norm(math.exp(logn), logn, "gauss_laguerre", p, l)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +416,13 @@ def closed_n1l(l: int, p) -> LaguerreNorm:
 def laguerre_norm(n: int, l: int, p, *, path: str = "auto") -> LaguerreNorm:
     """Norm integral N_{n,l}(p), dispatching to the best valid route.
 
-    auto order: exact n = 0 formula for any real p, symbolic rational sums
-    when 2p is an even integer and the power degree n*2p stays within
-    SYMBOLIC_COST_CAP, panel quadrature (the faster route there) otherwise.
-    For odd 2p with n >= 1 the polynomial power is signed, so quadrature is
-    the faithful route.
+    auto order: the exact n = 0 formula for any real p; for even 2p <= 8
+    one Gauss-Laguerre rule of n p + 1 <= 3000 nodes, exact for the
+    polynomial power; panel quadrature otherwise, the faster route above
+    2p = 8.  For odd 2p with n >= 1 the polynomial power is signed, so
+    quadrature is the faithful route.  path="symbolic" gives the exact
+    rational value at any even 2p, "closed_n1" the n = 1 closed form and
+    "quadrature" the panels.
     """
     if n < 0 or l < 0:
         raise DomainError(f"quantum numbers must be >= 0, got n={n}, l={l}")
@@ -386,8 +432,9 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto") -> LaguerreNorm:
     if path == "auto":
         if n == 0:
             return _norm_symbolic_n0(l, pf)
-        if q is not None and q % 2 == 0 and n * q <= SYMBOLIC_COST_CAP:
-            return _norm_symbolic(n, l, q, pf)
+        if (q is not None and q % 2 == 0 and q <= _RULE_MAX_POWER
+                and n * q // 2 + 1 <= _RULE_MAX_NODES):
+            return _norm_gauss_laguerre(n, l, q, pf)
         return _norm_quadrature(n, l, pf)
     if path == "symbolic":
         if n == 0:

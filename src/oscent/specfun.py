@@ -408,9 +408,12 @@ def _gauss_rule(diag, off, mu0, start=np.ones_like) -> tuple[np.ndarray, np.ndar
     rows in range).  Golub-Welsch eigenvalues (Math. Comp. 23, 1969) start
     Newton steps with p_m' = K / (b_m p_{m-1}), K = sum_{k<m} p_k^2
     (Christoffel-Darboux), until each is a few ulp of |x| plus the Gershgorin
-    bound.  The last pass gives the weights mu0 p_0^2 / K (Gautschi 2004) and
-    the check: only the m distinct roots increase strictly and alternate the
-    sign of p_{m-1} (interlacing; roots of p_{m-1} repel the steps).
+    bound.  The last pass gives the weights mu0 p_0^2 / K (Gautschi 2004),
+    returned relative to p_0^2 as mu0 / K, and the check: only the m distinct
+    roots increase strictly and alternate the sign of p_{m-1} (interlacing;
+    roots of p_{m-1} repel the steps).  With the start row 1 the returned
+    weights are the Christoffel weights; with exp(-x/2) they are w e^x, which
+    stays in range where w underflows.
     """
     m = len(diag)
     x = np.longdouble(eigvalsh_tridiagonal(diag.astype(float), off[:-1].astype(float)))
@@ -432,7 +435,7 @@ def _gauss_rule(diag, off, mu0, start=np.ones_like) -> tuple[np.ndarray, np.ndar
     if not (np.all(np.diff(x) > 0) and np.all(sign[:-1] * sign[1:] < 0)):
         raise AccuracyError(f"Gauss rule of {m} nodes: the nodes are not "
                             f"{m} distinct roots")
-    return x, mu0 * p0 * p0 / k_sum
+    return x, mu0 / k_sum
 
 
 def _jacobi_recurrence(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -102,7 +102,7 @@ def test_radial_csv_and_bits(capsys):
     code, rows = invoke_csv(capsys, "radial", "--n", "1", "--l", "0",
                             "--p", "2", "--format", "csv")
     assert code == 0
-    assert rows[0]["path"] == "symbolic"
+    assert rows[0]["path"] == "gauss_laguerre"
     nats = float(rows[0]["renyi"])
     code, rows = invoke_csv(capsys, "radial", "--n", "1", "--l", "0",
                             "--p", "2", "--format", "csv", "--bits")
@@ -258,6 +258,10 @@ def test_domain_errors_exit_2(capsys):
     (["radial", "--n", "3", "--l", "0", "--p", "1", "--path", "closed_n1"], 2),
     (["sweep", "--quantity", "radial-renyi", "--n", "3,4", "--l", "0",
       "--p", "1"], 2),
+    (["sweep", "--quantity", "radial-renyi", "--n", "3", "--l", "0", "--m", "5",
+      "--mode", "asymptotic"], 64),
+    (["sweep", "--quantity", "angular-renyi", "--l", "2", "--m", "1",
+      "--n", "7,8"], 64),
 ])
 def test_bad_inputs_exit_without_traceback(capsys, argv, code):
     assert run(argv) == code

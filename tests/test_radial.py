@@ -44,8 +44,10 @@ def test_unit_norm_at_order_one(n, l):
 
 def test_frozen_norm_anchor():
     res = laguerre_norm(1, 0, 2.0)
-    assert res.path == "symbolic"
+    assert res.path == "gauss_laguerre"
     assert res.value == pytest.approx(N10_P2, rel=1e-12)
+    sym = laguerre_norm(1, 0, 2.0, path="symbolic")
+    assert sym.value == pytest.approx(N10_P2, rel=1e-12)
 
 
 @pytest.mark.parametrize("n,l,q", [(1, 0, 2), (2, 1, 4), (4, 2, 2),
@@ -64,10 +66,10 @@ def test_symbolic_at_grid_top_order_matches_quadrature(l):
     assert sym.value == pytest.approx(quad.value, rel=1e-12)
 
 
-def test_degree_cap_falls_back_to_quadrature():
-    # above the cap quadrature is the faster route, not a degraded one
+def test_even_power_inside_the_rule_cap_takes_the_rule():
+    # 2p <= 8 and n p + 1 <= 3000: the rule, at any degree n 2p
     auto = laguerre_norm(31, 0, 2.0)
-    assert auto.path == "quadrature"
+    assert auto.path == "gauss_laguerre"
     assert not auto.warnings
     sym = laguerre_norm(31, 0, 2.0, path="symbolic")
     assert auto.value == pytest.approx(sym.value, rel=1e-10)
@@ -300,16 +302,74 @@ def test_exact_reference_matches_symbolic_route():
 
 
 # ---------------------------------------------------------------------------
+# the Gauss-Laguerre route: n p + 1 nodes integrate the even power exactly
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10, 15, 20, 30])
+def test_rule_matches_symbolic(n):
+    for l in (0, 1, 3, 7):
+        for q in (2, 4, 6, 8):
+            got = laguerre_norm(n, l, q / 2)
+            assert got.path == "gauss_laguerre"
+            want = laguerre_norm(n, l, q / 2, path="symbolic")
+            assert abs(got.log_value - want.log_value) <= 1e-14
+
+
+@pytest.mark.parametrize("n,l,p", [(400, 0, 2.0), (400, 2, 2.0), (740, 0, 4.0)])
+def test_rule_matches_quadrature_at_large_degree(n, l, p):
+    # at (740, 0, 4) the rule has 2961 nodes, the last past x = 11,000,
+    # where w_j underflows and w_j e^(x_j) does not
+    got = laguerre_norm(n, l, p)
+    assert got.path == "gauss_laguerre"
+    want = laguerre_norm(n, l, p, path="quadrature")
+    assert got.value == pytest.approx(want.value, rel=1e-13)
+
+
+def test_rule_sums_its_terms_in_logs_at_large_l():
+    # W_j psi_j^2p turns subnormal near l = 600 at 2p = 6, and a plain sum
+    # was 0.79 off in ln N there; the rest is the double-precision lgamma
+    # that normalises laguerre_orthonormal_weighted (5.9e-13)
+    got = laguerre_norm(4, 600, 3.0)
+    assert got.path == "gauss_laguerre"
+    want = laguerre_norm(4, 600, 3.0, path="symbolic")
+    assert abs(got.log_value - want.log_value) <= 1e-11
+    # past the long-double range the rule fails its own checks, with no
+    # float warning on the way (warnings are errors here)
+    for n, l, p in ((3, 3000, 4.0), (1, 3500, 1.0)):
+        with pytest.raises(AccuracyError):
+            laguerre_norm(n, l, p)
+
+
+@pytest.mark.parametrize("n,l,p,route", [
+    (10, 0, 4.0, "gauss_laguerre"), (10, 0, 5.0, "quadrature"),
+    (750, 0, 4.0, "quadrature"), (0, 2, 2.0, "symbolic"),
+    (5, 1, 1.5, "quadrature")])
+def test_auto_dispatch(n, l, p, route):
+    # 2p = 8 at n = 750 needs 3001 nodes, one past the cap; 2p = 3 is odd
+    assert laguerre_norm(n, l, p).path == route
+
+
+def test_rule_one_node_short_misses_the_symbolic_value(monkeypatch):
+    # the sweep above would see an off-by-one in the node count
+    cases = ((10, 0, 2.0), (3, 1, 1.0))
+    want = [laguerre_norm(*c, path="symbolic").log_value for c in cases]
+    rule = radial._laguerre_rule
+    monkeypatch.setattr(radial, "_laguerre_rule", lambda m, a: rule(m - 1, a))
+    for c, w in zip(cases, want):
+        assert abs(laguerre_norm(*c).log_value - w) > 1e-11
+
+
+# ---------------------------------------------------------------------------
 # radial tail: the outer lobe beyond the last root
 
 
 def test_outer_lobe_kept_at_third_order():
-    # auto dispatch goes to quadrature here (degree 180 exceeds the cap)
     want = exact_norm(30, 0, 3)
     assert want == pytest.approx(0.2026697484, abs=1e-10)
-    got = laguerre_norm(30, 0, 3.0)
+    got = laguerre_norm(30, 0, 3.0, path="quadrature")
     assert got.path == "quadrature"
     assert got.value == pytest.approx(want, rel=1e-10)
+    assert laguerre_norm(30, 0, 3.0).value == pytest.approx(want, rel=1e-10)
 
 
 def test_outer_lobe_kept_at_non_lattice_order():
@@ -397,7 +457,7 @@ def test_small_order_tail_stays_within_the_node_count(p):
 @pytest.mark.parametrize("n,l", [(3, 0), (10, 20)])
 @pytest.mark.parametrize("p", [0.02, 0.1, 0.3])
 def test_tail_panels_grow_at_most_the_cap_past_the_last_root(n, l, p):
-    last = float(radial._refined_roots(n, Fraction(2 * l + 1, 2))[-1])
+    last = float(radial._laguerre_rule(n, l + 0.5)[0][-1])
     tail = [s for s in radial._norm_panels(n, l, p) if s[0] > last]
     assert len(tail) > 2
     for lo, hi, _, _ in tail:
@@ -415,7 +475,7 @@ def test_radial_shannon_node_count_margin(n, l):
 @pytest.mark.parametrize("n", [1, 2, 5, 10, 30, 60, 100])
 @pytest.mark.parametrize("l", [0, 3])
 def test_polished_roots_match_scipy(n, l):
-    roots = radial._refined_roots(n, Fraction(2 * l + 1, 2)).astype(float)
+    roots = radial._laguerre_rule(n, l + 0.5)[0].astype(float)
     want = roots_genlaguerre(n, l + 0.5)[0]
     assert np.allclose(roots, want, rtol=1e-14, atol=0)
 
@@ -423,7 +483,7 @@ def test_polished_roots_match_scipy(n, l):
 @pytest.mark.parametrize("n", [1, 2, 10, 400, 1000])
 def test_polished_roots_bracketed_by_sign_changes(n):
     alpha = Fraction(1, 2)
-    x = radial._refined_roots(n, alpha)
+    x = radial._laguerre_rule(n, float(alpha))[0]
     # a few ulp of the scale at which x enters the recurrence
     d = 8 * np.finfo(np.longdouble).eps * (2 * n + 1.5 + x)
     below = np.sign(specfun.laguerre_orthonormal_weighted(n, alpha, x - d))
@@ -438,7 +498,7 @@ def test_polished_roots_bracketed_by_sign_changes(n):
 
 def test_each_root_gap_is_one_panel():
     n, l, p = 100, 0, 3.0
-    rts = [float(r) for r in radial._refined_roots(n, Fraction(2 * l + 1, 2))]
+    rts = [float(r) for r in radial._laguerre_rule(n, l + 0.5)[0]]
     gaps = [s for s in radial._norm_panels(n, l, p) if rts[0] <= s[0] < rts[-1]]
     assert gaps == [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
 
@@ -448,7 +508,7 @@ def test_split_head_matches_a_finer_panel_list():
     # does not rest on the choice of panels the way the margin tests do
     n, l, p = 100, 20, 12.0
     panels = radial._norm_panels(n, l, p)
-    r1 = float(radial._refined_roots(n, Fraction(2 * l + 1, 2))[0])
+    r1 = float(radial._laguerre_rule(n, l + 0.5)[0][0])
     assert sum(1 for s in panels if s[1] <= r1) > 1
     fine = []
     for lo, hi, bk, ak in panels:
