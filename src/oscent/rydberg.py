@@ -136,8 +136,9 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float,
 
     specfun.power_panels of |J_alpha(2t) / t^alpha|^{2p} t^{2 beta + 1 + 2p alpha}
     on [0, z_1], and of |J_alpha(2t)|^{2p} t^{2 beta + 1} between consecutive
-    zeros: folding t^alpha into the power past z_1 would underflow the
-    Bessel factor and overflow the t factor at high alpha p.
+    zeros: past z_1, J_alpha(2t) / t^alpha underflows at high alpha p, and
+    a node where it does adds 0.  The t factor would stay in range, because
+    power_panels forms its powers from logs.
     """
     q2 = 2.0 * p
     zs = np.array(bessel_zeros(alpha, kzeros + 1)) / 2.0  # zeros of J_a(2t)

@@ -6,10 +6,10 @@ the half-integer lattice, partial Bell polynomials, powers by convolution
 Gegenbauer recurrences in extended precision, one long-double Gauss rule
 generator (Golub-Welsch start, Newton steps and Christoffel weights on the
 orthonormal recurrence) behind the Laguerre roots, the Gegenbauer roots and
-every Gauss-Jacobi rule, the batched Gauss-Jacobi panel rule with its
-log-weighted product rule, the one panel engine for power integrals and
-their Shannon log terms, the two-node-count check and adaptive quadrature
-plumbing.
+every Gauss-Jacobi rule, the log-weighted Gauss-Jacobi product rule, the
+one panel function, which maps those rules onto panels and forms every
+power of a power integral and of its Shannon log terms from logs, the
+two-node-count check and adaptive quadrature plumbing.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ __all__ = [
     "poly_power", "jacobi_poly", "orthonormal_jacobi", "gegenbauer_eval",
     "gegenbauer_roots", "laguerre_poly", "laguerre_eval",
     "laguerre_orthonormal_weighted", "laguerre_eval_negparam", "integrate",
-    "gauss_legendre", "gauss_jacobi", "gauss_jacobi_log", "jacobi_panels",
-    "power_panels", "settled",
+    "gauss_legendre", "gauss_jacobi", "gauss_jacobi_log", "power_panels",
+    "settled",
 ]
 
 _POINT_CAP = 200000  # points per call of a power_panels integrand
@@ -357,7 +357,7 @@ def laguerre_orthonormal_weighted(n: int, alpha: float, x):
         raise DomainError(f"laguerre parameter must exceed -1, got {alpha}")
     xs = np.asarray(x, dtype=np.longdouble)
     alpha = float(alpha)
-    start = np.exp(-xs / 2) * np.exp(np.longdouble(-0.5 * math.lgamma(alpha + 1.0)))
+    start = np.exp(-xs / 2 - _lgamma(alpha + 1.0) / 2)
     for p in _rows(xs, *_laguerre_coefficients(n, alpha), start):
         pass  # keep only the last row
     return -p if n % 2 else p
@@ -514,51 +514,24 @@ def gauss_jacobi_log(m: int, a: float, b: float) -> tuple[np.ndarray, ...]:
     return t, w, lp, lm
 
 
-def jacobi_panels(lo, hi, lo_exp, hi_exp, m: int,
-                  log_ends: bool = False) -> tuple[np.ndarray, ...]:
-    """Gauss-Jacobi nodes and weights mapped onto a batch of panels.
-
-    Row i holds the m-point rule for the weight (x - lo_i)^lo_exp_i
-    (hi_i - x)^hi_exp_i on [lo_i, hi_i], so sum(w * g(x), axis=1) is each
-    panel's integral of that weight times g.  The arithmetic runs in the
-    wider of float and the dtype of lo and hi.  Callers divide the end
-    factors out of their integrand by what each end is, not by comparing
-    exponents: two factors can carry the same exponent.
-
-    With log_ends the rules are gauss_jacobi_log's, and (x, w, w_lo, w_hi)
-    comes back: sum(w_lo * g) and sum(w_hi * g) integrate the same weight
-    times ln(x - lo) g and ln(hi - x) g.
-    """
-    dtype = np.result_type(np.asarray(lo), np.asarray(hi), np.float64)
-    lo = np.asarray(lo, dtype=dtype).reshape(-1, 1)
-    hi = np.asarray(hi, dtype=dtype).reshape(-1, 1)
-    a = np.broadcast_to(np.asarray(hi_exp, dtype=float).ravel(), lo.shape[:1])
-    b = np.broadcast_to(np.asarray(lo_exp, dtype=float).ravel(), lo.shape[:1])
-    kinds = {}
-    which = [kinds.setdefault(k, len(kinds)) for k in zip(a.tolist(), b.tolist())]
-    rule = gauss_jacobi_log if log_ends else gauss_jacobi
-    rules = [rule(m, ka, kb) for ka, kb in kinds]
-    t, w, *logs = (np.array(col, dtype=dtype)[which] for col in zip(*rules))
-    h = (hi - lo) / 2
-    scale = h ** (a + b + 1).astype(dtype)[:, None]
-    x = lo + h * (1 + t)
-    if not log_ends:
-        return x, w * scale
-    w_ln_h = w * np.log(h)
-    return x, w * scale, (logs[0] + w_ln_h) * scale, (logs[1] + w_ln_h) * scale
-
-
 def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: int,
                  log_coefs=None):
-    """Panel integrals of |poly(x)|^q2 (x - a)^ea (b - x)^eb on Jacobi panels.
+    """Panel integrals of |poly(x)|^q2 (x - a)^ea (b - x)^eb on Gauss-Jacobi panels.
 
     edges = ((a, ea), (b, eb)), None for an edge that does not exist.  Each
-    end of each panel has a kind, which says what goes into its Jacobi weight:
+    end of each panel has a kind, which says what goes into the panel's
+    cached gauss_jacobi weight:
       "root"   a root r of poly: |x - r|^q2, the distance divided out of |poly|;
       "edge"   the end is a (at lo) or b (at hi): that edge's power;
       "plain"  nothing.
-    poly is called on at most _POINT_CAP nodes at a time, which bounds the
-    memory of a pass.
+    The nodes and poly run in the wider of float and the dtype of lo and hi,
+    the results come back in it, and poly is called on at most _POINT_CAP
+    nodes at a time, which bounds the memory of a pass.  Every power is
+    formed from long-double logs, the panel scale h^(e_lo + e_hi + 1) for
+    the half-length h and the weight's end exponents included: each node
+    adds one positive exp(ln w + ...), which cannot exceed its panel's
+    integral, so nothing leaves the float range while that integral is in
+    range.  A node where |poly| underflows to 0 adds 0.
 
     Returns each panel's integral.  With log_coefs = (ca, cb) it also
     returns each panel's integral of the integrand times 2 ln|poly| +
@@ -573,30 +546,41 @@ def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: 
     lo_root, hi_root = lo_kind == "root", hi_kind == "root"
     lo_edge, hi_edge = lo_kind == "edge", hi_kind == "edge"
     (a, ea), (b, eb) = edges[0] or (None, 0.0), edges[1] or (None, 0.0)
-    x, *weights = jacobi_panels(lo, hi, np.where(lo_edge, ea, np.where(lo_root, q2, 0.0)),
-                                np.where(hi_edge, eb, np.where(hi_root, q2, 0.0)), m,
-                                log_coefs is not None)
+    e_lo = np.where(lo_edge, ea, np.where(lo_root, q2, 0.0))
+    e_hi = np.where(hi_edge, eb, np.where(hi_root, q2, 0.0))
+    # one cached rule per exponent pair; the rule's (1 - t) end is hi
+    kinds = {}
+    pairs = zip(e_hi.ravel().tolist(), e_lo.ravel().tolist())
+    which = [kinds.setdefault(k, len(kinds)) for k in pairs]
+    rule = gauss_jacobi if log_coefs is None else gauss_jacobi_log
+    t, w, *logs = (np.array(col) for col in zip(*(rule(m, *k) for k in kinds)))
+    # ln w and the log weights per unit weight stay in the rules' long double
+    t, ln_w, *logs = (col[which] for col in [t.astype(dtype), np.log(w)]
+                      + [lw / w for lw in logs])
+    h = (hi - lo) / 2
+    ln_h = np.log(h, dtype=np.longdouble)
+    x = lo + h * (1 + t)
     flat = x.ravel()
     y = np.concatenate([poly(flat[i:i + _POINT_CAP]) for i in range(0, flat.size, _POINT_CAP)])
     g = np.abs(y.reshape(x.shape)) / np.where(lo_root, x - lo, 1.0)
     g = g / np.where(hi_root, hi - x, 1.0)
-    f = g ** q2
-    if a is not None:
-        f = f * np.where(lo_edge, 1.0, (x - a) ** ea)
-    if b is not None:
-        f = f * np.where(hi_edge, 1.0, (b - x) ** eb)
-    parts = np.sum(weights[0] * f, axis=1)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf: the node adds exp(-inf) = 0
+        ln_g = np.log(g, dtype=np.longdouble)
+    ln_a = 0.0 if a is None else np.log(x - a, dtype=np.longdouble)
+    ln_b = 0.0 if b is None else np.log(b - x, dtype=np.longdouble)
+
+    def off_edge(ca, cb):  # ca ln(x - a) + cb ln(b - x) where no weight holds it
+        return np.where(lo_edge, 0.0, ca) * ln_a + np.where(hi_edge, 0.0, cb) * ln_b
+
+    terms = np.exp(ln_w + (e_lo + e_hi + 1) * ln_h + q2 * ln_g + off_edge(ea, eb))
+    parts = np.sum(terms, axis=1).astype(dtype)
     if log_coefs is None:
         return parts
-    (ca, cb), (w, w_lo, w_hi) = log_coefs, weights
-    s = 2 * np.log(g)
-    if a is not None:
-        s = s + np.where(lo_edge, 0.0, ca) * np.log(x - a)
-    if b is not None:
-        s = s + np.where(hi_edge, 0.0, cb) * np.log(b - x)
+    ca, cb = log_coefs
     c_lo = np.where(lo_root, 2.0, np.where(lo_edge, ca, 0.0))
     c_hi = np.where(hi_root, 2.0, np.where(hi_edge, cb, 0.0))
-    return parts, np.sum(f * (w * s + c_lo * w_lo + c_hi * w_hi), axis=1)
+    s = 2 * ln_g + off_edge(ca, cb) + c_lo * (logs[0] + ln_h) + c_hi * (logs[1] + ln_h)
+    return parts, np.sum(terms * s, axis=1).astype(dtype)
 
 
 def settled(value: Callable[[int], float], m: int, tol: float, what: str,

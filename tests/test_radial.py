@@ -327,17 +327,30 @@ def test_rule_matches_quadrature_at_large_degree(n, l, p):
 
 def test_rule_sums_its_terms_in_logs_at_large_l():
     # W_j psi_j^2p turns subnormal near l = 600 at 2p = 6, and a plain sum
-    # was 0.79 off in ln N there; the rest is the double-precision lgamma
-    # that normalises laguerre_orthonormal_weighted (5.9e-13)
-    got = laguerre_norm(4, 600, 3.0)
-    assert got.path == "gauss_laguerre"
-    want = laguerre_norm(4, 600, 3.0, path="symbolic")
-    assert abs(got.log_value - want.log_value) <= 1e-11
+    # was 0.79 off in ln N there; a double-precision lgamma normalising
+    # laguerre_orthonormal_weighted put 5e-13 to 2e-12 on these states
+    for n, l, p in ((4, 600, 3.0), (6, 1000, 2.0), (3, 2000, 4.0)):
+        got = laguerre_norm(n, l, p)
+        assert got.path == "gauss_laguerre"
+        want = laguerre_norm(n, l, p, path="symbolic")
+        assert abs(got.log_value - want.log_value) <= 1e-14
     # past the long-double range the rule fails its own checks, with no
     # float warning on the way (warnings are errors here)
     for n, l, p in ((3, 3000, 4.0), (1, 3500, 1.0)):
         with pytest.raises(AccuracyError):
             laguerre_norm(n, l, p)
+
+
+@pytest.mark.parametrize("n,l,p", [(4, 600, 3.0), (6, 1000, 2.0), (3, 2000, 4.0),
+                                   (10, 1000, 8.0)])
+def test_panels_form_their_powers_in_logs_at_large_l(n, l, p):
+    # x^(pl + 1/2) and the head panel's scale leave the float range here as
+    # plain powers.  The reference is the Gauss-Laguerre rule, exact for any
+    # even 2p and checked against path="symbolic" above; at (10, 1000, 8)
+    # the two agree to the last bit, and the rational sum takes 13 s
+    got = laguerre_norm(n, l, p, path="quadrature")
+    want = radial._norm_gauss_laguerre(n, l, round(2 * p), p)
+    assert abs(got.log_value - want.log_value) <= 1e-13
 
 
 @pytest.mark.parametrize("n,l,p,route", [
@@ -570,7 +583,9 @@ def graded_shannon(n, l, m_nodes=30):
             pts = [lo, hi]
         edges.extend(zip(pts[:-1], pts[1:]))
     lo, hi = np.array(edges, dtype=np.longdouble).T
-    x, w = specfun.jacobi_panels(lo, hi, 0.0, 0.0, m_nodes)
+    t, w = specfun.gauss_jacobi(m_nodes, 0.0, 0.0)  # plain Legendre
+    h = (hi - lo)[:, None] / 2
+    x, w = lo[:, None] + h * (1 + t), w * h
     t2 = specfun.laguerre_orthonormal_weighted(n, Fraction(2 * l + 1, 2), x) ** 2
     j = np.sum(w * t2 * x ** np.longdouble(l + 0.5) * (np.log(t2) + l * np.log(x)))
     return -math.log(2.0) - float(j)

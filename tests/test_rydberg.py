@@ -78,9 +78,13 @@ def test_bessel_constant_against_mpmath_quadosc():
 
 def test_bessel_constant_high_order_power_stays_finite():
     # alpha p = 84: past the first zero, |J_alpha(2t) / t^alpha|^{2p} would
-    # underflow while t^{2 beta + 1 + 2p alpha} overflows
-    got = bessel_constant(10.5, -3.5, 8.0).value
-    assert got == pytest.approx(9.108728279600462e-14, rel=1e-12)
+    # underflow while t^{2 beta + 1 + 2p alpha} overflows.  At alpha = 20.5
+    # the head panel's t^322 and its scale h^339 leave the float range
+    # unless formed in logs; that value is a period-by-period mpmath
+    # integral over 120 zeros
+    for alpha, want in ((10.5, 9.108728279600462e-14), (20.5, 9.146443599781321e-17)):
+        got = bessel_constant(alpha, -3.5, 8.0).value
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_bessel_constant_nan_estimate_raises(monkeypatch):

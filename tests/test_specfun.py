@@ -229,22 +229,32 @@ def test_integrate_rejects_non_finite_limits():
             specfun.integrate(lambda x: math.exp(-x), lo, hi)
 
 
-def test_jacobi_panels_match_beta_closed_forms():
-    # integral_lo^hi (x-lo)^a (hi-x)^b (x-lo)^j dx = H^(a+b+j+1) B(a+j+1, b+1)
+def test_power_panels_map_the_rule_to_beta_closed_forms():
+    # integral_lo^hi (x-lo)^a (hi-x)^b (x-lo)^j dx = H^(a+b+j+1) B(a+j+1, b+1),
+    # one panel a call: its ends are the edges, poly = (x-lo)^j and q2 = 1
     lo = np.array([0.0, 1.0, -1.0, -1.0, 0.3, 2.0])
     hi = np.array([2.0, 4.0, 0.5, -0.2, 0.9, 2.5])
     lo_exp = np.array([0.5, 2.5, 4.4, 0.0, 6.6, 3.0])
     hi_exp = np.array([1.5, 0.0, 4.4, 6.6, 0.0, 3.0])
     j = np.array([0, 3, 1, 2, 4, 0])
-    x, w = specfun.jacobi_panels(lo, hi, lo_exp, hi_exp, 12)
-    got = np.sum(w * (x - lo[:, None]) ** j[:, None], axis=1)
+    got = [specfun.power_panels([a], [b], ["edge"], ["edge"],
+                                lambda x, a=a, k=k: (x - a) ** k, 1.0,
+                                ((a, ea), (b, eb)), 12)[0]
+           for a, b, ea, eb, k in zip(lo, hi, lo_exp, hi_exp, j)]
     span = hi - lo
     want = span ** (lo_exp + hi_exp + j + 1) * sp.beta(lo_exp + j + 1, hi_exp + 1)
     assert np.allclose(got, want, rtol=1e-13, atol=0)
-    # long-double ends keep long-double nodes and weights
-    x, w = specfun.jacobi_panels(lo.astype(np.longdouble), hi, 0.0, 0.0, 4)
-    assert x.dtype == w.dtype == np.longdouble
-    assert np.allclose(np.sum(w, axis=1).astype(float), span, rtol=1e-15)
+    # long-double ends keep long-double nodes and integrals
+    seen = []
+
+    def one(x):
+        seen.append(x.dtype)
+        return np.ones_like(x)
+
+    parts = specfun.power_panels(lo.astype(np.longdouble), hi, ["plain"] * 6,
+                                 ["plain"] * 6, one, 1.0, (None, None), 4)
+    assert seen == [parts.dtype] == [np.longdouble]
+    assert np.allclose(parts.astype(float), span, rtol=1e-15)
 
 
 def _jacobi_moment(a, b, j, log):
@@ -337,29 +347,34 @@ def test_gauss_rule_rejects_starts_that_miss_a_root(monkeypatch):
         specfun.gauss_jacobi.__wrapped__(20, 2.0, 0.5)
 
 
-def test_jacobi_log_panels_match_digamma_closed_forms():
+def test_power_panels_map_the_log_rule_to_digamma_closed_forms():
     # integral_lo^hi (x-lo)^(a+j) (hi-x)^b ln(x-lo) dx
     #   = H^(a+b+j+1) B(a+j+1, b+1) [ln H + psi(a+j+1) - psi(a+b+j+2)],
-    # and psi(b+1) in place of psi(a+j+1) for ln(hi-x)
-    lo = np.array([0.0, 1.0, -1.0, -1.0, 0.3, 2.0])
+    # and psi(b+1) in place of psi(a+j+1) for ln(hi-x); j goes into the
+    # edge exponent, because a pointwise 2 ln|poly| would not be exact
+    lo = np.array([0.0, 1.0, -1.0, -1.0, 0.3, 2.0], dtype=np.longdouble)
     hi = np.array([2.0, 4.0, 0.5, -0.2, 0.9, 2.5])
     lo_exp = np.array([0.5, 2.0, 4.0, 0.0, 6.0, 2.0])
     hi_exp = np.array([2.0, 0.0, 4.0, 6.0, 0.0, 2.0])
     j = np.array([0, 3, 1, 2, 4, 0])
-    x, w, w_lo, w_hi = specfun.jacobi_panels(lo.astype(np.longdouble), hi, lo_exp,
-                                             hi_exp, 12, log_ends=True)
-    assert x.dtype == w_lo.dtype == w_hi.dtype == np.longdouble
-    g = ((x - lo[:, None]) ** j[:, None]).astype(float)
-    span = hi - lo
+
+    def panels(log_coefs):  # (integrals, log-weighted integrals) per panel
+        out = [specfun.power_panels([a], [b], ["edge"], ["edge"], np.ones_like, 1.0,
+                                    ((a, ea + k), (b, eb)), 12, log_coefs)
+               for a, b, ea, eb, k in zip(lo, hi, lo_exp, hi_exp, j)]
+        assert all(v.dtype == np.longdouble for pair in out for v in pair)
+        return np.array(out, dtype=float)[:, :, 0].T
+
+    parts, logs_lo = panels((1.0, 0.0))
+    logs_hi = panels((0.0, 1.0))[1]
+    span = hi - lo.astype(float)
     beta = span ** (lo_exp + hi_exp + j + 1) * sp.beta(lo_exp + j + 1, hi_exp + 1)
     tail = sp.digamma(lo_exp + hi_exp + j + 2)
-    assert np.allclose(np.sum(w * g, axis=1).astype(float), beta, rtol=1e-14)
+    assert np.allclose(parts, beta, rtol=1e-14)
     want_lo = beta * (np.log(span) + sp.digamma(lo_exp + j + 1) - tail)
     want_hi = beta * (np.log(span) + sp.digamma(hi_exp + 1) - tail)
-    assert np.allclose(np.sum(w_lo * g, axis=1).astype(float), want_lo,
-                       rtol=1e-13, atol=1e-15)
-    assert np.allclose(np.sum(w_hi * g, axis=1).astype(float), want_hi,
-                       rtol=1e-13, atol=1e-15)
+    assert np.allclose(logs_lo, want_lo, rtol=1e-13, atol=1e-15)
+    assert np.allclose(logs_hi, want_hi, rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("q2,a", [(1.3, 0.5), (4.4, 3.3), (2.0, 0.0), (2.0, 1.7)])
