@@ -249,7 +249,7 @@ def _angular_panels(state: AngularState, p: float, m_nodes: int, log_coefs=None)
     kinds = np.array(["edge"] + ["root"] * n + ["edge"])
     return specfun.power_panels(
         ends[:-1], ends[1:], kinds[:-1], kinds[1:],
-        lambda t: a * specfun.gegenbauer_eval(n, lam, t), 2.0 * p,
+        lambda t, _: a * specfun.gegenbauer_eval(n, lam, t), 2.0 * p,
         ((-1.0, m * p), (1.0, m * p)), m_nodes, log_coefs)
 
 

@@ -12,6 +12,11 @@ Gauss-Laguerre rule of n p + 1 nodes at even 2p, exact for the polynomial
 power up to rounding, and a panel quadrature with Gauss-Jacobi endpoint
 weights valid for any real p > 0.  auto takes the n = 0 formula, the rule
 for even 2p <= 8 and the panels otherwise.
+
+The panels take the integrand from the long-double Laguerre recurrence,
+except on the root gaps from n = 40 on: there it comes from a Taylor series
+of the Laguerre equation about each gap centre, whose coefficients one
+recurrence over the centres starts and every node-count pass shares.
 """
 
 from __future__ import annotations
@@ -40,13 +45,17 @@ _LN_PI = math.log(math.pi)
 
 # auto integrates even 2p up to _RULE_MAX_POWER by one Gauss-Laguerre rule of
 # n p + 1 nodes (_norm_gauss_laguerre), the panels above.  The rule costs
-# about (n 2p)^2 recurrence steps and the panels about n^2, so the crossover
-# is in 2p alone.  Cold ms per value, l = 0, on one x86-64 core:
+# about (n 2p)^2 recurrence steps.  The panels cost about n^2 below
+# _TAYLOR_MIN_N and grow more slowly above it, where the root gaps take a
+# series, so the crossover moves to smaller 2p as n grows and no single cap
+# on 2p marks it.  Cold ms per value, l = 0, on one x86-64 core:
 #     rule / panels    2p = 4        2p = 8       2p = 10
-#     n = 10           0.8 / 6.8     1.2 / 10     1.5 / 10
-#     n = 100          9.6 / 35      17 / 32      28 / 29
-#     n = 400          81 / 327      249 / 355    410 / 290
-#     n = 1500         1025 / 4042
+#     n = 10           0.8 / 11      1.0 / 8.1    1.2 / 7.5
+#     n = 100          8.3 / 22      22 / 20      39 / 31
+#     n = 400          86 / 86       276 / 88     398 / 107
+#     n = 1500         1020 / 705
+# The cap stays at 8: up to it the rule wins or ties at n <= 100, and at
+# n = 400 it costs at most 3x the panels.
 _RULE_MAX_POWER = 8
 # the node range of _laguerre_rule, whose start row exp(-x/2) keeps the rows
 # in range up to m = 3000
@@ -66,6 +75,27 @@ _LOG_VARIATION_CAP = 16.0
 # nodes and 9.1e-12 at 20.  The angular engine keeps 48: its panels are not
 # cut by variation, and 24 nodes are 6.5e-6 off there at (l, m, p) = (100, 50, 8).
 _NODES = 24
+# From n = _TAYLOR_MIN_N on, the nodes of root gaps take the Taylor series of
+# _gap_series: one recurrence over the gap centres and a fixed cost per
+# panel list, then _TAYLOR_TERMS multiply-adds a node, against an n-step
+# recurrence per node below.  Warm ms per value, recurrence / series, by
+# _norm_quadrature (p = 0.7, 2.5) and shannon_radial_exact (p = 1):
+#     n              10        30        40        60         100
+#     p=0.7, l=0     2.0/3.0   5.2/5.4   6.5/5.9   12.2/8.5   25.1/12.9
+#     p=2.5, l=0     2.5/3.5   6.2/6.4   8.6/7.3   14.5/10.7  29.0/16.3
+#     p=2.5, l=3     2.1/3.0   5.1/5.5   7.9/7.4   12.8/10.3  28.8/17.2
+#     p=1,   l=3     2.4/3.2   5.9/6.3   8.2/7.6   14.5/10.7  32.3/17.8
+_TAYLOR_MIN_N = 40
+# Worst deviation of the series from the recurrence, relative to the largest
+# |psi| on the panel, over the 36 nodes of every root gap at l in
+# {0, 1, 20, 300, 1000}:
+#     terms       16        20        24        28
+#     n = 40      1.6e-8    6.1e-12   5.9e-16   1.4e-16
+#     n = 400     1.1e-8    3.3e-12   2.3e-15   2.3e-15
+#     n = 1500    1.1e-8    2.6e-12   2.9e-14   2.9e-14
+# From 24 terms on it is rounding: at (n, l) = (1500, 1), on the first gap,
+# against 60-digit mpmath, the series is 1.3e-14 off and the recurrence 2.2e-14.
+_TAYLOR_TERMS = 24
 # agreement the second pass must reach: relative to N for Renyi, to max(|J|, 1)
 # for the Shannon log integral J
 _RENYI_TOL = 1e-11
@@ -277,18 +307,93 @@ def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
     raise AccuracyError(f"radial tail failed to converge for n={n}, l={l}, p={p}")
 
 
-def _panel_pass(n: int, l: int, p: float, panels: list[tuple], m_nodes: int,
+def _gap_series(n: int, l: int, s: int, c, h) -> np.ndarray:
+    """Scaled Taylor coefficients v_k = w_k h^k, k < _TAYLOR_TERMS, of
+    w = (x/c)^s psi about the centres c of root gaps of half-length h.
+
+    psi, row n of laguerre_orthonormal_weighted at a = l + 1/2, solves
+    x psi'' + (a + 1) psi' + (B - x/4) psi = 0 with B = n + (a + 1)/2
+    (DLMF 18.8).  With the integer s = floor((a + 1)/2), w is entire and
+    nearly flat across a gap even at l = 1000, where psi varies by e^15 over
+    one; w solves x^2 w'' + A x w' + (s(s - a) + B x - x^2/4) w = 0 with
+    A = a + 1 - 2s, so about c (Glaser, Liu and Rokhlin, SIAM J. Sci.
+    Comput. 29, 2007, 1420), with r = h / c,
+        (k+2)(k+1) v_(k+2) = -[r (k+1)(2k + A) v_(k+1)
+                               + r^2 (k(k-1) + A k + s(s-a) + Bc - c^2/4) v_k
+                               + r^2 h (B - c/2) v_(k-1) - r^2 h^2 v_(k-2)/4],
+    from w_0 = psi(c) and w_1 = psi'(c) + s psi(c)/c, both from one
+    long-double recurrence over the centres.  Then
+    psi(c + h t) = exp(-s log1p(h t / c)) sum_k v_k t^k.
+    """
+    a = np.longdouble(l) + np.longdouble(0.5)
+    big_a, b = a + 1 - 2 * s, n + (a + 1) / 2
+    psi, dpsi = specfun.laguerre_orthonormal_weighted_d1(n, l + 0.5, c)
+    r = h / c
+    r2 = r * r
+    mid = r2 * (b * c - c * c / 4 + s * (s - a))
+    back1, back2 = r2 * h * (b - c / 2), r2 * h * h / 4
+    v = [psi, h * (dpsi + s * psi / c)]
+    for k in range(_TAYLOR_TERMS - 2):
+        nxt = r * ((k + 1) * (2 * k + big_a)) * v[k + 1] \
+            + (r2 * (k * (k - 1) + big_a * k) + mid) * v[k]
+        if k >= 1:
+            nxt += back1 * v[k - 1]
+        if k >= 2:
+            nxt -= back2 * v[k - 2]
+        v.append(-nxt / ((k + 2) * (k + 1)))
+    return np.array(v)
+
+
+def _panel_psi(n: int, l: int, panels: list[tuple]):
+    """The integrand psi(x, rows) of specfun.power_panels on the panel list.
+
+    From n = _TAYLOR_MIN_N on, the nodes of root gaps take the Taylor series
+    of _gap_series, whose coefficients every pass on these panels shares;
+    the head slices, the tail panels and every node below that n take the
+    recurrence.
+    """
+    alpha = Fraction(2 * l + 1, 2)
+    if n < _TAYLOR_MIN_N:
+        return lambda x, rows: specfun.laguerre_orthonormal_weighted(n, alpha, x)
+    gap = np.array([lk == hk == "root" for _, _, lk, hk in panels])
+    index = np.cumsum(gap) - 1  # the gap of each panel
+    lo, hi = (np.array(col, dtype=np.longdouble)[gap, None]
+              for col in list(zip(*panels))[:2])
+    c, h = (lo + hi) / 2, (hi - lo) / 2
+    s = (2 * l + 3) // 4
+    coefs = _gap_series(n, l, s, c, h)
+
+    def series(x, k):
+        u = x - c[k]
+        t, acc = u / h[k], coefs[-1, k]
+        for v in coefs[-2::-1, k]:
+            acc = acc * t + v
+        return acc * np.exp(-s * np.log1p(u / c[k])) if s else acc
+
+    def psi(x, rows):
+        on_gap = gap[rows]
+        y = np.empty_like(x)
+        if not on_gap.all():
+            y[~on_gap] = specfun.laguerre_orthonormal_weighted(n, alpha, x[~on_gap])
+        if on_gap.any():
+            y[on_gap] = series(x[on_gap], index[rows][on_gap])
+        return y
+
+    return psi
+
+
+def _panel_pass(n: int, l: int, p: float, panels: list[tuple], psi, m_nodes: int,
                 log_coefs=None):
     """specfun.power_panels of N_{n,l}(p) on the panel list, tail-checked.
 
-    Returns the panel integrals and, with log_coefs, the log-weighted ones.
+    psi is _panel_psi on the same panels.  Returns the panel integrals and,
+    with log_coefs, the log-weighted ones.
     """
     lo, hi, lo_kind, hi_kind = zip(*panels)
-    alpha = Fraction(2 * l + 1, 2)
     out = specfun.power_panels(
         np.array(lo, dtype=np.longdouble), np.array(hi, dtype=np.longdouble),
-        lo_kind, hi_kind, lambda x: specfun.laguerre_orthonormal_weighted(n, alpha, x),
-        2.0 * p, ((0.0, p * l + 0.5), None), m_nodes, log_coefs)
+        lo_kind, hi_kind, psi, 2.0 * p, ((0.0, p * l + 0.5), None), m_nodes,
+        log_coefs)
     parts = out if log_coefs is None else out[0]
     # node doubling cannot see a region the panels miss; a list that ends on
     # a negligible, decaying panel has passed the last lobe
@@ -302,8 +407,9 @@ def _panel_pass(n: int, l: int, p: float, panels: list[tuple], m_nodes: int,
 def _norm_quadrature(n: int, l: int, p: float) -> LaguerreNorm:
     """Panel quadrature of N_{n,l}(p), certified by a second node count."""
     panels = _norm_panels(n, l, p)
+    psi = _panel_psi(n, l, panels)
     v, escalated = specfun.settled(
-        lambda m: _panel_pass(n, l, p, panels, m).sum(), _NODES,
+        lambda m: _panel_pass(n, l, p, panels, psi, m).sum(), _NODES,
         _RENYI_TOL, f"radial quadrature for n={n}, l={l}, p={p}")
     warns = ("node count escalated to reach tolerance",) if escalated else ()
     return _mk_norm(float(v), float(np.log(v)), "quadrature", p, l, warns)
@@ -486,7 +592,8 @@ def shannon_radial_exact(state: QuantumState,
     n, l = state.n, state.l
     params = params or OscillatorParams()
     panels = _norm_panels(n, l, 1.0)
-    j, _ = specfun.settled(lambda m: _panel_pass(n, l, 1.0, panels, m, (l, 0))[1].sum(),
+    psi = _panel_psi(n, l, panels)
+    j, _ = specfun.settled(lambda m: _panel_pass(n, l, 1.0, panels, psi, m, (l, 0))[1].sum(),
                            _NODES, _SHANNON_TOL,
                            f"Shannon radial quadrature for n={n}, l={l}", floor=1.0)
     return -_LN_2 - 1.5 * math.log(params.lam) - float(j)

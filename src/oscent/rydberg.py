@@ -143,11 +143,11 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float,
     q2 = 2.0 * p
     zs = np.array(bessel_zeros(alpha, kzeros + 1)) / 2.0  # zeros of J_a(2t)
     head = specfun.power_panels(
-        [0.0], zs[:1], ["edge"], ["root"], lambda t: jv(alpha, 2.0 * t) / t ** alpha,
+        [0.0], zs[:1], ["edge"], ["root"], lambda t, _: jv(alpha, 2.0 * t) / t ** alpha,
         q2, ((0.0, 2.0 * beta + 1.0 + q2 * alpha), None), m_nodes)
     rest = specfun.power_panels(
         zs[:-1], zs[1:], ["root"] * kzeros, ["root"] * kzeros,
-        lambda t: jv(alpha, 2.0 * t), q2, ((0.0, 2.0 * beta + 1.0), None), m_nodes)
+        lambda t, _: jv(alpha, 2.0 * t), q2, ((0.0, 2.0 * beta + 1.0), None), m_nodes)
     return np.concatenate((head, rest))
 
 

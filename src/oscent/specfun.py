@@ -2,14 +2,15 @@
 
 Exact rational orthogonal-polynomial coefficients, Gamma-family helpers on
 the half-integer lattice, partial Bell polynomials, powers by convolution
-(the Bell expansion is a test oracle), stable high-degree Laguerre and
-Gegenbauer recurrences in extended precision, one long-double Gauss rule
-generator (Golub-Welsch start, Newton steps and Christoffel weights on the
-orthonormal recurrence) behind the Laguerre roots, the Gegenbauer roots and
-every Gauss-Jacobi rule, the log-weighted Gauss-Jacobi product rule, the
-one panel function, which maps those rules onto panels and forms every
-power of a power integral and of its Shannon log terms from logs, the
-two-node-count check and adaptive quadrature plumbing.
+(the Bell expansion is a test oracle), stable high-degree Laguerre (also
+with derivative rows) and Gegenbauer recurrences in extended precision,
+one long-double Gauss rule generator (Golub-Welsch start, Newton steps and
+Christoffel weights on the orthonormal recurrence) behind the Laguerre
+roots, the Gegenbauer roots and every Gauss-Jacobi rule, the log-weighted
+Gauss-Jacobi product rule, the one panel function, which maps those rules
+onto panels, hands its integrand whole panels and forms every power of a
+power integral and of its Shannon log terms from logs, the two-node-count
+check and adaptive quadrature plumbing.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ __all__ = [
     "binomial_exact", "RationalPoly", "OrthonormalPoly", "bell_partial",
     "poly_power", "jacobi_poly", "orthonormal_jacobi", "gegenbauer_eval",
     "gegenbauer_roots", "laguerre_poly", "laguerre_eval",
-    "laguerre_orthonormal_weighted", "laguerre_eval_negparam", "integrate",
+    "laguerre_orthonormal_weighted", "laguerre_orthonormal_weighted_d1",
+    "laguerre_eval_negparam", "integrate",
     "gauss_legendre", "gauss_jacobi", "gauss_jacobi_log", "power_panels",
     "settled",
 ]
 
-_POINT_CAP = 200000  # points per call of a power_panels integrand
+_POINT_CAP = 200000  # nodes per call of a power_panels integrand, whole panels
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +347,44 @@ def laguerre_eval(n: int, alpha: float, x):
     return np.asarray(out, dtype=float)
 
 
-def laguerre_orthonormal_weighted(n: int, alpha: float, x):
-    """Orthonormal Laguerre times exp(-x/2), the bounded oscillator kernel.
-
-    Returned in extended precision; the square times x**alpha integrates
-    to one over (0, inf).
-    """
+def _weighted_rows(n: int, alpha: float, x):
+    """Long-double nodes, _rows coefficients and start row
+    Lhat_0 exp(-x/2) of the weighted orthonormal Laguerre recurrence."""
     if n < 0:
         raise DomainError(f"laguerre degree must be >= 0, got {n}")
     if not alpha > -1:
         raise DomainError(f"laguerre parameter must exceed -1, got {alpha}")
     xs = np.asarray(x, dtype=np.longdouble)
     alpha = float(alpha)
-    start = np.exp(-xs / 2 - _lgamma(alpha + 1.0) / 2)
-    for p in _rows(xs, *_laguerre_coefficients(n, alpha), start):
+    return (xs, *_laguerre_coefficients(n, alpha),
+            np.exp(-xs / 2 - _lgamma(alpha + 1.0) / 2))
+
+
+def laguerre_orthonormal_weighted(n: int, alpha: float, x):
+    """Orthonormal Laguerre times exp(-x/2), the bounded oscillator kernel.
+
+    Returned in extended precision; the square times x**alpha integrates
+    to one over (0, inf).
+    """
+    for p in _rows(*_weighted_rows(n, alpha, x)):
         pass  # keep only the last row
     return -p if n % 2 else p
+
+
+def laguerre_orthonormal_weighted_d1(n: int, alpha: float, x):
+    """laguerre_orthonormal_weighted and its x-derivative, in long double.
+
+    The derivative rows p_k' are carried with the rows themselves:
+    b_k p_(k+1)' = (x - d_k) p_k' + p_k - b_(k-1) p_(k-1)', p_0' = -p_0 / 2.
+    The identity x L_n' = n L_n - (n + alpha) L_(n-1) would cancel near 0.
+    """
+    xs, diag, off, p = _weighted_rows(n, alpha, x)
+    dp, prev, dprev = -p / 2, 0, 0
+    for d, b_prev, inv_b in zip(list(diag), list(np.roll(off, 1)), list(1 / off)):
+        xd = xs - d
+        prev, p, dprev, dp = (p, (xd * p - b_prev * prev) * inv_b,
+                              dp, (xd * dp + p - b_prev * dprev) * inv_b)
+    return (-p, -dp) if n % 2 else (p, dp)
 
 
 def laguerre_eval_negparam(n: int, alpha, x):
@@ -525,13 +549,15 @@ def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: 
       "edge"   the end is a (at lo) or b (at hi): that edge's power;
       "plain"  nothing.
     The nodes and poly run in the wider of float and the dtype of lo and hi,
-    the results come back in it, and poly is called on at most _POINT_CAP
-    nodes at a time, which bounds the memory of a pass.  Every power is
-    formed from long-double logs, the panel scale h^(e_lo + e_hi + 1) for
-    the half-length h and the weight's end exponents included: each node
-    adds one positive exp(ln w + ...), which cannot exceed its panel's
-    integral, so nothing leaves the float range while that integral is in
-    range.  A node where |poly| underflows to 0 adds 0.
+    and the results come back in it.  poly(x, rows) gets the nodes x, of
+    shape (k, m), of the panels rows, a slice of the panel list, and returns
+    its values there; each call takes whole panels, at most _POINT_CAP
+    nodes unless one panel holds more, which bounds the memory of a pass.
+    Every power is formed from long-double logs, the panel scale
+    h^(e_lo + e_hi + 1) for the half-length h and the weight's end exponents
+    included: each node adds one positive exp(ln w + ...), which cannot
+    exceed its panel's integral, so nothing leaves the float range while
+    that integral is in range.  A node where |poly| underflows to 0 adds 0.
 
     Returns each panel's integral.  With log_coefs = (ca, cb) it also
     returns each panel's integral of the integrand times 2 ln|poly| +
@@ -560,9 +586,10 @@ def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: 
     h = (hi - lo) / 2
     ln_h = np.log(h, dtype=np.longdouble)
     x = lo + h * (1 + t)
-    flat = x.ravel()
-    y = np.concatenate([poly(flat[i:i + _POINT_CAP]) for i in range(0, flat.size, _POINT_CAP)])
-    g = np.abs(y.reshape(x.shape)) / np.where(lo_root, x - lo, 1.0)
+    step = max(1, _POINT_CAP // m)
+    y = np.concatenate([poly(x[i:i + step], slice(i, i + step))
+                        for i in range(0, len(x), step)])
+    g = np.abs(y) / np.where(lo_root, x - lo, 1.0)
     g = g / np.where(hi_root, hi - x, 1.0)
     with np.errstate(divide="ignore"):  # ln 0 = -inf: the node adds exp(-inf) = 0
         ln_g = np.log(g, dtype=np.longdouble)

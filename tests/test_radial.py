@@ -447,13 +447,18 @@ def test_batched_engine_matches_per_slice_reference(n, l, p):
 # 96-node pass on its own panels, far above the 24/36 nodes it is taken at
 
 
+def panel_pass(n, l, p, panels, m_nodes, log_coefs=None):
+    psi = radial._panel_psi(n, l, panels)
+    return radial._panel_pass(n, l, p, panels, psi, m_nodes, log_coefs)
+
+
 @pytest.mark.parametrize("n", [1, 10, 50, 150])
 @pytest.mark.parametrize("l", [0, 20])
 @pytest.mark.parametrize("p", [0.3, 0.5, 2.8, 8.0])
 def test_radial_node_count_settles_without_escalation(n, l, p):
     got = laguerre_norm(n, l, p, path="quadrature")
     assert not got.warnings
-    ref = radial._panel_pass(n, l, p, radial._norm_panels(n, l, p), 96).sum()
+    ref = panel_pass(n, l, p, radial._norm_panels(n, l, p), 96).sum()
     assert float(abs(got.value - ref) / ref) <= 2e-14
 
 
@@ -480,7 +485,7 @@ def test_tail_panels_grow_at_most_the_cap_past_the_last_root(n, l, p):
 @pytest.mark.parametrize("n,l", [(10, 20), (50, 0)])
 def test_radial_shannon_node_count_margin(n, l):
     panels = radial._norm_panels(n, l, 1.0)
-    j = radial._panel_pass(n, l, 1.0, panels, 96, (l, 0))[1].sum()
+    j = panel_pass(n, l, 1.0, panels, 96, (l, 0))[1].sum()
     assert shannon_radial_exact(QuantumState(n, l, 0)) == pytest.approx(
         -math.log(2.0) - float(j), rel=0, abs=1e-14)
 
@@ -528,7 +533,7 @@ def test_split_head_matches_a_finer_panel_list():
         c = [lo + (hi - lo) * k / 4 for k in range(5)]
         fine += [(c[0], c[1], bk, "plain"), (c[1], c[2], "plain", "plain"),
                  (c[2], c[3], "plain", "plain"), (c[3], c[4], "plain", ak)]
-    ref = radial._panel_pass(n, l, p, fine, 96).sum()
+    ref = panel_pass(n, l, p, fine, 96).sum()
     # an unsplit head is 9.6e-7 off at 24 nodes and escalates
     got = laguerre_norm(n, l, p, path="quadrature")
     assert not got.warnings
@@ -540,8 +545,8 @@ def test_large_degree_high_order_settles(n, l, p):
     # the returned 36-node pass must agree with a 54-node one
     got = laguerre_norm(n, l, p, path="quadrature")
     assert not got.warnings
-    ref = radial._panel_pass(n, l, p, radial._norm_panels(n, l, p),
-                             radial._NODES * 2 + radial._NODES // 4).sum()
+    ref = panel_pass(n, l, p, radial._norm_panels(n, l, p),
+                     radial._NODES * 2 + radial._NODES // 4).sum()
     assert float(abs(got.value - ref) / ref) <= 1e-13
 
 
@@ -549,6 +554,119 @@ def test_slice_budget_names_the_head_and_the_state():
     with pytest.raises(AccuracyError,
                        match=r"head panel \[0, r_1\] .* n=10, l=1000, p=12"):
         laguerre_norm(10, 1000, 12.0, path="quadrature")
+
+
+# ---------------------------------------------------------------------------
+# root gaps from n = _TAYLOR_MIN_N on: a Taylor series of the Laguerre
+# equation about each gap centre, against the recurrence it stands in for
+
+
+def gap_nodes(n, l, m=36):
+    """The m nodes of every root gap at p = 1, shape (gaps, m), and the gaps."""
+    rts = radial._laguerre_rule(n, l + 0.5)[0].astype(float)
+    gaps = [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
+    t = specfun.gauss_jacobi(m, 2.0, 2.0)[0]
+    lo, hi = (r[:, None].astype(np.longdouble) for r in (rts[:-1], rts[1:]))
+    return lo + (hi - lo) / 2 * (1 + t), gaps
+
+
+def series_deviation(n, l):
+    """The largest |series - recurrence| over the nodes of every root gap,
+    relative to the largest |psi| on the node's panel."""
+    x, gaps = gap_nodes(n, l)
+    got = radial._panel_psi(n, l, gaps)(x, slice(0, len(gaps)))
+    ref = specfun.laguerre_orthonormal_weighted(n, l + 0.5, x)
+    return float(np.max(np.abs(got - ref) / np.max(np.abs(ref), axis=1, keepdims=True)))
+
+
+def series_bound(n):
+    # the rounding of the recurrence grows with n: the worst deviation over
+    # the l of the sweep was 5.9e-16 at n = 40, 6.3e-16 at 100, 2.3e-15 at
+    # 400 and 2.9e-14 at 1500, where the recurrence is the one further off
+    return 4e-17 * n
+
+
+@pytest.mark.parametrize("n", [40, 100, 400, 1500])
+@pytest.mark.parametrize("l", [0, 1, 20, 300, 1000])
+def test_gap_series_matches_the_recurrence(n, l):
+    assert series_deviation(n, l) <= series_bound(n)
+
+
+@pytest.mark.parametrize("n,l", [(40, 1000), (400, 0)])
+def test_gap_series_cut_to_16_terms_misses_the_recurrence(monkeypatch, n, l):
+    # 16 terms are about 1e-8 off: the sweep above can see truncation
+    monkeypatch.setattr(radial, "_TAYLOR_TERMS", 16)
+    assert series_deviation(n, l) > series_bound(n)
+
+
+def ld_to_mpf(v):
+    m, e = np.frexp(np.longdouble(v))
+    return mpmath.ldexp(int(np.ldexp(m, 64)), int(e) - 64)
+
+
+def test_gap_series_matches_mpmath_on_its_worst_gap():
+    # the sweep's worst node is next to r_1 on the first gap at (1500, 1);
+    # there the series is 1.3e-14 off, the recurrence 2.2e-14
+    n, l = 1500, 1
+    x, gaps = gap_nodes(n, l)
+    got = radial._panel_psi(n, l, gaps[:1])(x[:1], slice(0, 1))[0]
+    with mpmath.workdps(60):
+        a = mpmath.mpf(2 * l + 1) / 2
+        norm = mpmath.sqrt(mpmath.gamma(n + a + 1) / mpmath.factorial(n))
+        want = [mpmath.laguerre(n, a, xm) * mpmath.exp(-xm / 2) / norm
+                for xm in map(ld_to_mpf, x[0])]
+        err = max(abs(ld_to_mpf(g) - w) for g, w in zip(got, want))
+        assert err <= 2e-14 * max(abs(w) for w in want)
+
+
+@pytest.mark.parametrize("n,l,p", [(100, 0, 0.7), (400, 3, 0.6), (800, 0, 3.3),
+                                   (100, 300, 0.3), (40, 1000, 8.0)])
+def test_gap_series_keeps_the_norms_of_the_recurrence(monkeypatch, n, l, p):
+    got = laguerre_norm(n, l, p, path="quadrature").log_value
+    monkeypatch.setattr(radial, "_TAYLOR_MIN_N", 10 ** 9)
+    assert abs(got - laguerre_norm(n, l, p, path="quadrature").log_value) <= 1e-14
+
+
+@pytest.mark.parametrize("n,l", [(400, 0), (800, 1)])
+def test_gap_series_keeps_the_shannon_values_of_the_recurrence(monkeypatch, n, l):
+    got = shannon_radial_exact(QuantumState(n, l, 0))
+    monkeypatch.setattr(radial, "_TAYLOR_MIN_N", 10 ** 9)
+    assert abs(got - shannon_radial_exact(QuantumState(n, l, 0))) <= 1e-14
+
+
+def test_small_order_above_the_threshold_still_fails_loudly():
+    # p = 1e-3 does not settle at n = 45 on the recurrence either
+    with pytest.raises(AccuracyError, match="did not settle"):
+        laguerre_norm(45, 3, 1e-3)
+
+
+@pytest.mark.parametrize("n", [10, 400])
+@pytest.mark.parametrize("p", [0.7, 1.0])
+def test_root_gap_nodes_reach_the_recurrence_only_below_the_threshold(
+        monkeypatch, n, p):
+    # values agree either way, so only the nodes the recurrence sees show
+    # whether a pass fell back to it
+    seen = []
+    recurrence = specfun.laguerre_orthonormal_weighted
+
+    def counting(n_, alpha, x):
+        seen.append(np.asarray(x, dtype=float).ravel())
+        return recurrence(n_, alpha, x)
+
+    monkeypatch.setattr(specfun, "laguerre_orthonormal_weighted", counting)
+    if p == 1.0:
+        shannon_radial_exact(QuantumState(n, 0, 0))
+    else:
+        assert not laguerre_norm(n, 0, p, path="quadrature").warnings
+    x = np.concatenate(seen)
+    rts = radial._laguerre_rule(n, 0.5)[0].astype(float)
+    on_gaps = np.count_nonzero((x > rts[0]) & (x < rts[-1]))
+    panels = len(radial._norm_panels(n, 0, p))
+    nodes = 2 * radial._NODES + radial._NODES // 2  # the 24- and 36-node passes
+    if n < radial._TAYLOR_MIN_N:
+        assert on_gaps == (n - 1) * nodes and x.size == panels * nodes
+    else:
+        assert on_gaps == 0 and x.size == (panels - (n - 1)) * nodes
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,7 @@ def test_power_panels_map_the_rule_to_beta_closed_forms():
     hi_exp = np.array([1.5, 0.0, 4.4, 6.6, 0.0, 3.0])
     j = np.array([0, 3, 1, 2, 4, 0])
     got = [specfun.power_panels([a], [b], ["edge"], ["edge"],
-                                lambda x, a=a, k=k: (x - a) ** k, 1.0,
+                                lambda x, _, a=a, k=k: (x - a) ** k, 1.0,
                                 ((a, ea), (b, eb)), 12)[0]
            for a, b, ea, eb, k in zip(lo, hi, lo_exp, hi_exp, j)]
     span = hi - lo
@@ -247,7 +247,7 @@ def test_power_panels_map_the_rule_to_beta_closed_forms():
     # long-double ends keep long-double nodes and integrals
     seen = []
 
-    def one(x):
+    def one(x, rows):
         seen.append(x.dtype)
         return np.ones_like(x)
 
@@ -359,7 +359,8 @@ def test_power_panels_map_the_log_rule_to_digamma_closed_forms():
     j = np.array([0, 3, 1, 2, 4, 0])
 
     def panels(log_coefs):  # (integrals, log-weighted integrals) per panel
-        out = [specfun.power_panels([a], [b], ["edge"], ["edge"], np.ones_like, 1.0,
+        out = [specfun.power_panels([a], [b], ["edge"], ["edge"],
+                                    lambda x, _: np.ones_like(x), 1.0,
                                     ((a, ea + k), (b, eb)), 12, log_coefs)
                for a, b, ea, eb, k in zip(lo, hi, lo_exp, hi_exp, j)]
         assert all(v.dtype == np.longdouble for pair in out for v in pair)
@@ -385,7 +386,7 @@ def test_power_panels_match_beta_closed_forms(q2, a):
     lo = np.array([-1.0, 0.0, 0.5], dtype=np.longdouble)
     hi = np.array([0.0, 0.5, 1.0], dtype=np.longdouble)
     args = (lo, hi, ["edge", "root", "plain"], ["root", "plain", "edge"],
-            lambda x: x, q2, ((-1.0, a), (1.0, a)), 48)
+            lambda x, _: x, q2, ((-1.0, a), (1.0, a)), 48)
     parts = specfun.power_panels(*args)
     assert parts.dtype == np.longdouble and parts.shape == (3,)
     want = sp.beta((q2 + 1) / 2, a + 1)
