@@ -52,9 +52,8 @@ def main():
     print(f"\nfitted d(entropy)/d(ln n) = {slope:.4f}")
     if not shannon and p > 1.5:
         alpha = l + 0.5
-        beta = 0.5 * (1.0 - p)
-        const = bessel_constant(alpha, beta, p)
-        print(f"origin-regime constant C_B({alpha}, {beta}, {p}) = "
+        const = bessel_constant(alpha, p)
+        print(f"origin-regime constant C_B({alpha}, {p}) = "
               f"{const.value:.10f}")
 
 

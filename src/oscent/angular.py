@@ -69,7 +69,11 @@ class AngularState:
 
 @dataclass(frozen=True)
 class AngularResult:
-    """Power integral of |Y_{l,m}|^2 and the derived entropy."""
+    """Power integral Lambda of |Y_{l,m}|^2 and the derived entropy.
+
+    The entropy comes from ln Lambda; lambda_value may underflow to 0.0
+    beside it.
+    """
 
     lambda_value: float
     renyi: float | None
@@ -89,14 +93,6 @@ def norm_const_squared(state: AngularState) -> float:
          * Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m)) ** 2
          * Fraction(2 ** (2 * m), 2) / math.factorial(l + m))
     return float(r) / math.pi
-
-
-def _renyi_from_lambda(lam: float, order: EntropyOrder) -> float | None:
-    if order.is_unity:
-        return None
-    if not lam > 0:
-        raise DomainError(f"power integral must be positive to take entropy, got {lam}")
-    return math.log(lam) / (1.0 - order.p)
 
 
 def _exact_route_order(state: AngularState, p, route: str) -> tuple[EntropyOrder, int]:
@@ -164,14 +160,19 @@ def _positive(exact: Fraction, context) -> Fraction:
     return exact
 
 
-def _exact_result(logmag: float, order: EntropyOrder, method: str,
-                  context) -> AngularResult:
-    if logmag > 700.0:
+def _result(log_lam: float, state: AngularState, order: EntropyOrder, method: str,
+            lambda_value: float | None = None) -> AngularResult:
+    """The AngularResult of ln Lambda, with Lambda = exp(ln Lambda) unless
+    given; a Lambda past the float range raises."""
+    if log_lam > 700.0:
+        context = (state.l, state.m_abs, order.p)
         raise UnboundedGrowthError(
-            f"exact angular sum overflows floating range for {context}",
+            f"angular power integral overflows floating range for {context}",
             context=context)
-    val = math.exp(logmag)
-    return AngularResult(val, _renyi_from_lambda(val, order), method, order)
+    renyi = None if order.is_unity else log_lam / (1.0 - order.p)
+    if lambda_value is None:
+        lambda_value = math.exp(log_lam)
+    return AngularResult(lambda_value, renyi, method, order)
 
 
 def lambda_linearization(state: AngularState, p) -> AngularResult:
@@ -185,7 +186,7 @@ def lambda_linearization(state: AngularState, p) -> AngularResult:
     context = (l, m, order.p)
     core = _positive(_ctilde0(l, m, q), context)
     logmag = _lin_log_prefactor(l, m, 0.5 * q) + specfun.log_fraction(core)
-    return _exact_result(logmag, order, "linearization", context)
+    return _result(logmag, state, order, "linearization")
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +233,7 @@ def lambda_bell(state: AngularState, p) -> AngularResult:
               - 0.5 * q * _LN_2 + (1.0 - 0.5 * q) * _LN_PI
               - 0.5 * q * specfun.log_fraction(norm_sq)
               + specfun.log_fraction(acc) + 0.5 * pi_half * _LN_PI)
-    return _exact_result(logmag, order, "bell", context)
+    return _result(logmag, state, order, "bell")
 
 
 def _angular_panels(state: AngularState, p: float, m_nodes: int, log_coefs=None):
@@ -253,27 +254,23 @@ def _angular_panels(state: AngularState, p: float, m_nodes: int, log_coefs=None)
         ((-1.0, m * p), (1.0, m * p)), m_nodes, log_coefs)
 
 
-def _lambda_quad_value(state: AngularState, p: float) -> float:
-    """2 pi integral of |A C(t)|^{2p} (1 - t^2)^{mp} over [-1, 1].
-
-    Panel quadrature between the Gegenbauer roots (_angular_panels),
-    certified by a second node count, like the radial engine.
-    """
-    v, _ = specfun.settled(
-        lambda m_nodes: _angular_panels(state, p, m_nodes).sum(), _NODES, _RENYI_TOL,
-        f"angular quadrature for l={state.l}, m={state.m_abs}, p={p}")
-    return 2.0 * math.pi * float(v)
-
-
 def lambda_quadrature(state: AngularState, p) -> AngularResult:
     """Power integral of |Y_{l,m}|^2 by Gauss-Jacobi panel quadrature.
 
-    Valid for any real p > 0; panels end at the Gegenbauer roots, where
-    |.|^{2p} loses smoothness, and their end weights absorb it.
+    2 pi times the integral of |A C(t)|^{2p} (1 - t^2)^{mp} over [-1, 1],
+    valid for any real p > 0: panels end at the Gegenbauer roots, where
+    |.|^{2p} loses smoothness, and their end weights absorb it
+    (_angular_panels).  Certified by a second node count, like the radial
+    engine.  ln Lambda = ln 2 pi + ln v is taken in long double, where the
+    panel sum v stays in range after Lambda underflows.
     """
     order = as_order(p)
-    val = _lambda_quad_value(state, order.p)
-    return AngularResult(val, _renyi_from_lambda(val, order), "quadrature", order)
+    v, _ = specfun.settled(
+        lambda m_nodes: _angular_panels(state, order.p, m_nodes).sum(), _NODES,
+        _RENYI_TOL, f"angular quadrature for l={state.l}, m={state.m_abs}, p={order.p}")
+    log_lam = specfun._LN_2 + specfun._LN_PI + np.log(np.longdouble(v))
+    return _result(float(log_lam), state, order, "quadrature",
+                   2.0 * math.pi * float(v))
 
 
 def lambda_closed(state: AngularState, p) -> AngularResult | None:
@@ -285,21 +282,21 @@ def lambda_closed(state: AngularState, p) -> AngularResult | None:
     order = as_order(p)
     if not state.closed_family:
         return None
+    # in long double: near p = 1 the entropy divides its rounding by 1 - p
     l, m = state.l, state.m_abs
-    pf = order.p
-    lg = math.lgamma
+    pf, half = np.longdouble(order.p), np.longdouble(0.5)
+    lg, ln_2, ln_pi = specfun._lgamma, specfun._LN_2, specfun._LN_PI
     if m == l:
-        loglam = (((2 * l - 1) * pf + 1) * _LN_2 + pf * math.log(l + 0.5)
-                  - (2 * pf - 1.5) * _LN_PI
-                  + 2 * pf * lg(l + 0.5) + lg(l * pf + 1)
-                  - pf * lg(2 * l + 1.0) - lg(l * pf + 1.5))
+        loglam = (((2 * l - 1) * pf + 1) * ln_2 + pf * np.log(l + half)
+                  - (2 * pf - 1.5) * ln_pi
+                  + 2 * pf * lg(l + half) + lg(l * pf + 1)
+                  - pf * lg(2 * l + 1) - lg(l * pf + 1.5))
     else:  # m == l - 1
-        log_k = (math.log(l + 0.5) + 2 * math.log(2.0 * l - 1) + 2 * lg(l - 0.5)
-                 - (3 - 2 * l) * _LN_2 - lg(2.0 * l) - 2 * _LN_PI)
-        loglam = (_LN_2 + _LN_PI + pf * log_k + lg(pf + 0.5)
+        log_k = (np.log(l + half) + 2 * np.log(np.longdouble(2 * l - 1))
+                 + 2 * lg(l - half) - (3 - 2 * l) * ln_2 - lg(2 * l) - 2 * ln_pi)
+        loglam = (ln_2 + ln_pi + pf * log_k + lg(pf + half)
                   + lg(pf * (l - 1) + 1) - lg(pf * l + 1.5))
-    val = math.exp(loglam)
-    return AngularResult(val, _renyi_from_lambda(val, order), "closed_form", order)
+    return _result(float(loglam), state, order, "closed_form")
 
 
 def renyi_angular(state: AngularState, p) -> AngularResult:

@@ -24,7 +24,7 @@ import numpy as np
 from . import specfun
 from .errors import AccuracyError, DomainError
 from .order import as_order
-from .radial import OscillatorParams, QuantumState, _laguerre_rule
+from .radial import OscillatorParams, QuantumState
 
 __all__ = ["full_density", "normalization", "renyi_full", "shannon_full"]
 
@@ -125,7 +125,7 @@ def _radial_edges(state: QuantumState, params: OscillatorParams,
     lam = params.lam
     cut = _CUTOFF * math.sqrt((2 * n + l + 1.5) / (lam * min(p, 1.0)))
     edges = [0.0]
-    xr = _laguerre_rule(n, l + 0.5)[0].astype(float)
+    xr = specfun.gauss_laguerre(n, l + 0.5)[0].astype(float)
     # every root x lies below 2 (2n + l + 3/2), inside the cutoff
     edges += [math.sqrt(x / lam) for x in xr]
     start = edges[-1] if len(edges) > 1 else math.sqrt(1.5 / lam)

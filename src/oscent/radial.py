@@ -25,7 +25,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,8 +56,8 @@ _LN_PI = math.log(math.pi)
 # The cap stays at 8: up to it the rule wins or ties at n <= 100, and at
 # n = 400 it costs at most 3x the panels.
 _RULE_MAX_POWER = 8
-# the node range of _laguerre_rule, whose start row exp(-x/2) keeps the rows
-# in range up to m = 3000
+# the node range of specfun.gauss_laguerre, whose start row exp(-x/2) keeps
+# the rows in range up to m = 3000
 _RULE_MAX_NODES = 3000
 _SLICE_BUDGET = 6000
 _LOG_VARIATION_CAP = 16.0
@@ -144,32 +143,18 @@ def energy(state: QuantumState, params: OscillatorParams | None = None) -> float
 class LaguerreNorm:
     """Power-norm integral N_{n,l}(p) with its evaluation provenance.
 
-    The weight exponents alpha = l + 1/2 and beta = (1 - p)/2 combine to the
-    integrand power x^(p alpha + beta) = x^(p l + 1/2); the construction
-    checks the convergence condition p l + 1/2 > -1.
+    The entropies take log_value; value may underflow to 0.0 beside it.
     """
 
     value: float
     log_value: float
     path: str
     p: float
-    alpha: float
-    beta: float
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise DomainError(f"norm value must be positive, got {self.value}")
-        if not (self.p * self.alpha + self.beta > -1.0):
-            raise DomainError(
-                f"norm integral diverges: p*alpha + beta = "
-                f"{self.p * self.alpha + self.beta} <= -1")
-
-
-def _mk_norm(value: float, log_value: float, path: str, p: float, l: int,
-             warns: tuple[str, ...] = ()) -> LaguerreNorm:
-    return LaguerreNorm(value, log_value, path, p, l + 0.5, 0.5 * (1.0 - p),
-                        warns)
+        if not math.isfinite(self.log_value):
+            raise DomainError(f"norm logarithm must be finite, got {self.log_value}")
 
 
 def radial_density(state: QuantumState, params: OscillatorParams | None = None):
@@ -194,28 +179,6 @@ def radial_density(state: QuantumState, params: OscillatorParams | None = None):
         return np.asarray(out, dtype=float)
 
     return rho
-
-
-# ---------------------------------------------------------------------------
-# the Laguerre rule: panel roots and the Gauss-Laguerre path
-
-@lru_cache(maxsize=None)
-def _laguerre_rule(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule of m nodes for x^a e^-x in long double: nodes x_j, weights
-    w_j e^(x_j) / Gamma(a + 1).
-
-    The start row exp(-x/2) keeps the rows in range up to m = 3000.  The
-    weights come relative to its square, so they stay in range past
-    x = 11,000, where w_j underflows; the mass is left to the caller, whose
-    Gamma(a + 1) may pass the long-double range.
-    """
-    if m == 0:
-        return np.zeros(0, dtype=np.longdouble), np.zeros(0, dtype=np.longdouble)
-    # near a = 11,000 the Christoffel sums underflow; the generator's checks
-    # then raise AccuracyError, and the float warnings on the way add nothing
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return specfun._gauss_rule(*specfun._laguerre_coefficients(m, a), 1,
-                                   lambda x: np.exp(-x / 2))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +247,7 @@ def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
     grow to 16 d / 2p, which leaves 24 nodes 2e-9 short at p = 0.1.
     """
     gma, q2 = p * l + 0.5, 2.0 * p
-    rts = [float(r) for r in _laguerre_rule(n, l + 0.5)[0]]
+    rts = [float(r) for r in specfun.gauss_laguerre(n, l + 0.5)[0]]
     r = np.array(rts)
     e = rts[-1] if n else (gma + 4.0) / p
     panels = _root_slices(n, l, p, rts, e)
@@ -412,7 +375,7 @@ def _norm_quadrature(n: int, l: int, p: float) -> LaguerreNorm:
         lambda m: _panel_pass(n, l, p, panels, psi, m).sum(), _NODES,
         _RENYI_TOL, f"radial quadrature for n={n}, l={l}, p={p}")
     warns = ("node count escalated to reach tolerance",) if escalated else ()
-    return _mk_norm(float(v), float(np.log(v)), "quadrature", p, l, warns)
+    return LaguerreNorm(float(v), float(np.log(v)), "quadrature", p, warns)
 
 
 # ---------------------------------------------------------------------------
@@ -424,34 +387,36 @@ def _norm_gauss_laguerre(n: int, l: int, q: int, p: float) -> LaguerreNorm:
     With x = y / p, N = p^-(pl + 3/2) int y^(pl + 1/2) e^-y Lhat_n(y/p)^2p dy,
     a polynomial of degree n 2p against a Laguerre weight, so the rule of
     n p + 1 nodes integrates it exactly, term by positive term:
-    N = p^-(pl + 3/2) Gamma(pl + 3/2) sum_j W_j psi(y_j / p)^2p, with
-    psi = Lhat_n e^(-x/2) and W_j = w_j e^(y_j) / Gamma(pl + 3/2).
+    N = p^-(pl + 3/2) sum_j w_j e^(y_j) psi(y_j / p)^2p, with
+    psi = Lhat_n e^(-x/2).
     """
     a = p * l + 0.5
-    y, w = _laguerre_rule(n * q // 2 + 1, a)
+    y, ln_w = specfun.gauss_laguerre(n * q // 2 + 1, a)
     psi = specfun.laguerre_orthonormal_weighted(n, l + 0.5, y / p)
     # the terms are summed in logs: at large l, psi_j^2p turns subnormal
-    # (2p = 6, l = 600) as W_j grows, and a plain product loses its digits
-    # without a warning
+    # (2p = 6, l = 600) as w_j e^(y_j) grows, and a plain product loses its
+    # digits without a warning
     with np.errstate(divide="ignore"):
-        t = np.log(w) + q * np.log(np.abs(psi))
+        t = ln_w + y + q * np.log(np.abs(psi))
     top = np.max(t)
     if not np.isfinite(top):
         raise AccuracyError(
             f"Gauss-Laguerre norm sum not positive for n={n}, l={l}, q={q}")
-    logn = float(top + np.log(np.sum(np.exp(t - top))) + specfun._lgamma(a + 1)
+    logn = float(top + np.log(np.sum(np.exp(t - top)))
                  - (a + 1) * np.log(np.longdouble(p)))
-    return _mk_norm(math.exp(logn), logn, "gauss_laguerre", p, l)
+    return LaguerreNorm(math.exp(logn), logn, "gauss_laguerre", p)
 
 
 # ---------------------------------------------------------------------------
 # symbolic paths
 
 def _norm_symbolic_n0(l: int, p: float) -> LaguerreNorm:
-    # N_{0,l}(p) = Gamma(pl + 3/2) / (Gamma(l + 3/2)^p p^{pl + 3/2})
-    g = p * l + 1.5
-    logn = math.lgamma(g) - p * math.lgamma(l + 1.5) - g * math.log(p)
-    return _mk_norm(math.exp(logn), logn, "symbolic", p, l)
+    # N_{0,l}(p) = Gamma(pl + 3/2) / (Gamma(l + 3/2)^p p^{pl + 3/2}), in long
+    # double: near p = 1 the entropy divides its rounding by 1 - p
+    p_ = np.longdouble(p)
+    g = p_ * l + np.longdouble(1.5)
+    logn = float(specfun._lgamma(g) - p_ * specfun._lgamma(l + 1.5) - g * np.log(p_))
+    return LaguerreNorm(math.exp(logn), logn, "symbolic", p)
 
 
 def _norm_symbolic(n: int, l: int, q: int, p: float) -> LaguerreNorm:
@@ -478,7 +443,7 @@ def _norm_symbolic(n: int, l: int, q: int, p: float) -> LaguerreNorm:
     logn = specfun.log_fraction(acc / hn ** (q // 2)) - 0.25 * q * _LN_PI
     if ql % 2 == 0:
         logn += 0.5 * _LN_PI - 0.5 * math.log(float(base))
-    return _mk_norm(math.exp(logn), logn, "symbolic", p, l)
+    return LaguerreNorm(math.exp(logn), logn, "symbolic", p)
 
 
 def closed_n1l(l: int, p) -> LaguerreNorm:
@@ -513,7 +478,7 @@ def closed_n1l(l: int, p) -> LaguerreNorm:
     square = ((g1 * math.factorial(q) * lval) ** 2
               / (g2 ** q * Fraction(q, 2) ** ((l + 2) * q + 3)))
     logn = 0.5 * specfun.log_fraction(square) + 0.5 * (h1 - pf * h2) * _LN_PI
-    return _mk_norm(math.exp(logn), logn, "closed_n1", pf, l)
+    return LaguerreNorm(math.exp(logn), logn, "closed_n1", pf)
 
 
 # ---------------------------------------------------------------------------

@@ -152,27 +152,27 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float,
 
 
 @lru_cache(maxsize=None)
-def bessel_constant(alpha: float, beta: float, p: float) -> RegimeConstant:
-    """Origin-regime constant C_B = 2 int_0^inf t^{2 beta + 1} |J_alpha(2t)|^{2p} dt.
+def bessel_constant(alpha: float, p: float) -> RegimeConstant:
+    """Origin-regime constant C_B = 2 int_0^inf t^{2 beta + 1} |J_alpha(2t)|^{2p} dt
+    at beta = (1 - p)/2.
 
     Summed between consecutive Bessel zeros; the algebraic k^{-s} tail
-    (s = p - 2 beta - 1, from the t^{2 beta + 1 - p} envelope) is closed
-    with a three-term Hurwitz-zeta fit.  Plain averaging cannot accelerate
-    this monotone tail, so the remainder is modelled explicitly instead.
+    (s = p - 2 beta - 1 = 2p - 2 > 1, from the t^{2 beta + 1 - p} envelope)
+    is closed with a three-term Hurwitz-zeta fit.  Plain averaging cannot
+    accelerate this monotone tail, so the remainder is modelled explicitly
+    instead.
     """
     if alpha < 0:
         raise DomainError(f"Bessel order must be >= 0, got {alpha}")
     if not p > P_STAR:
         raise DomainError(
             f"Bessel-regime integral diverges for p <= 3/2, got p={p}")
+    beta = 0.5 * (1.0 - p)
     mu = 2.0 * beta + 1.0 + 2.0 * p * alpha
     if not mu > -1.0:
         raise DomainError(
             f"origin exponent {mu} <= -1: integral diverges at zero")
     s = p - 2.0 * beta - 1.0
-    if not s > 1.0:
-        raise DomainError(
-            f"tail exponent s={s} <= 1: integral diverges at infinity")
 
     def estimate(kzeros: int) -> float:
         terms = _bessel_partial_terms(alpha, beta, p, kzeros, 32)
@@ -195,7 +195,7 @@ def bessel_constant(alpha: float, beta: float, p: float) -> RegimeConstant:
         if not abs(v2 - v3) <= _BESSEL_TOL * abs(v3):
             raise AccuracyError(
                 f"Bessel-constant tail did not converge for "
-                f"(alpha={alpha}, beta={beta}, p={p})",
+                f"(alpha={alpha}, p={p})",
                 estimate=2.0 * v3, error_bound=abs(v2 - v3) / abs(v3))
         v2 = v3
     return RegimeConstant("bessel", 2.0 * v2, alpha, beta, p)
@@ -208,7 +208,7 @@ def renyi_radial_asymptotic(n: int, l: int, params=None, p=2.0) -> AsymptoticVal
     transition (p = 3/2):      -2 ln[ lam^{3/4} (8 sqrt2/(3 pi^{5/2})) n^{-3/4} ln n ],
     with an unknown O(1) inside the logarithm (caveat flag);
     Bessel branch (p > 3/2):   [ (p-1) ln(2 lam^{3/2}) + ln C_B + ((p-3)/2) ln n ]/(1-p),
-    with C_B at order alpha = l + 1/2 and beta = (1-p)/2.
+    with C_B at order alpha = l + 1/2.
     """
     from .radial import OscillatorParams  # cycle-free late import
     if n < 1:
@@ -232,7 +232,7 @@ def renyi_radial_asymptotic(n: int, l: int, params=None, p=2.0) -> AsymptoticVal
         value = -2.0 * (0.75 * lnlam + math.log(_TRANSITION_CONST)
                         - 0.75 * math.log(n) + math.log(math.log(n)))
         return AsymptoticValue(value, "transition", 1.5, True, n, l, pf)
-    cb = bessel_constant(l + 0.5, 0.5 * (1.0 - pf), pf)
+    cb = bessel_constant(l + 0.5, pf)
     value = (((pf - 1.0) * (_LN_2 + 1.5 * lnlam) + math.log(cb.value))
              / (1.0 - pf) + 0.5 * (pf - 3.0) / (1.0 - pf) * math.log(n))
     return AsymptoticValue(value, "bessel", 0.5 * (pf - 3.0) / (1.0 - pf),

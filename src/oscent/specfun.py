@@ -5,12 +5,12 @@ the half-integer lattice, partial Bell polynomials, powers by convolution
 (the Bell expansion is a test oracle), stable high-degree Laguerre (also
 with derivative rows) and Gegenbauer recurrences in extended precision,
 one long-double Gauss rule generator (Golub-Welsch start, Newton steps and
-Christoffel weights on the orthonormal recurrence) behind the Laguerre
-roots, the Gegenbauer roots and every Gauss-Jacobi rule, the log-weighted
-Gauss-Jacobi product rule, the one panel function, which maps those rules
-onto panels, hands its integrand whole panels and forms every power of a
-power integral and of its Shannon log terms from logs, the two-node-count
-check and adaptive quadrature plumbing.
+log Christoffel weights on the orthonormal recurrence) behind every
+Gauss-Laguerre and Gauss-Jacobi rule and the Gegenbauer roots, the
+log-weighted Gauss-Jacobi product rule, the one panel function, which
+maps those rules onto panels, hands its integrand whole panels and forms
+every power of a power integral and of its Shannon log terms from logs,
+the two-node-count check and adaptive quadrature plumbing.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ __all__ = [
     "gegenbauer_roots", "laguerre_poly", "laguerre_eval",
     "laguerre_orthonormal_weighted", "laguerre_orthonormal_weighted_d1",
     "laguerre_eval_negparam", "integrate",
-    "gauss_legendre", "gauss_jacobi", "gauss_jacobi_log", "power_panels",
-    "settled",
+    "gauss_legendre", "gauss_jacobi", "gauss_laguerre", "gauss_jacobi_log",
+    "power_panels", "settled",
 ]
 
 _POINT_CAP = 200000  # nodes per call of a power_panels integrand, whole panels
@@ -425,27 +425,26 @@ def _rows(x, diag, off, p):
     yield p
 
 
-def _gauss_rule(diag, off, mu0, start=np.ones_like) -> tuple[np.ndarray, np.ndarray]:
-    """Long-double Gauss nodes and Christoffel weights of _rows' recurrence.
+def _gauss_rule(diag, off, ln_mu0, ln_start=np.zeros_like) -> tuple[np.ndarray, np.ndarray]:
+    """Long-double Gauss nodes and log Christoffel weights of _rows' recurrence.
 
-    mu0 is the weight's mass, start(x) the row p_0 (exp(-x/2) keeps Laguerre
-    rows in range).  Golub-Welsch eigenvalues (Math. Comp. 23, 1969) start
-    Newton steps with p_m' = K / (b_m p_{m-1}), K = sum_{k<m} p_k^2
-    (Christoffel-Darboux), until each is a few ulp of |x| plus the Gershgorin
-    bound.  The last pass gives the weights mu0 p_0^2 / K (Gautschi 2004),
-    returned relative to p_0^2 as mu0 / K, and the check: only the m distinct
-    roots increase strictly and alternate the sign of p_{m-1} (interlacing;
-    roots of p_{m-1} repel the steps).  With the start row 1 the returned
-    weights are the Christoffel weights; with exp(-x/2) they are w e^x, which
-    stays in range where w underflows.
+    ln_mu0 is the log of the weight's mass, ln_start(x) the log of the row p_0
+    (-x/2 keeps Laguerre rows in range).  Golub-Welsch eigenvalues (Math.
+    Comp. 23, 1969) start Newton steps with p_m' = K / (b_m p_{m-1}),
+    K = sum_{k<m} p_k^2 (Christoffel-Darboux), until each is a few ulp of |x|
+    plus the Gershgorin bound.  The last pass gives the weights
+    mu0 p_0^2 / K (Gautschi 2004), returned as ln mu0 + 2 ln p_0 - ln K,
+    which stay in range where mu0 or the weights leave it, and the check:
+    only the m distinct roots increase strictly and alternate the sign of
+    p_{m-1} (interlacing; roots of p_{m-1} repel the steps).
     """
     m = len(diag)
     x = np.longdouble(eigvalsh_tridiagonal(diag.astype(float), off[:-1].astype(float)))
     eps = np.finfo(np.longdouble).eps
     scale = np.max(np.abs(diag)) + 2 * np.max(off)
     for _ in range(8):
-        p0 = start(x)
-        rows = _rows(x, diag, off, p0)
+        ln_p0 = ln_start(x)
+        rows = _rows(x, diag, off, np.exp(ln_p0))
         k_sum = 0
         for pm1 in islice(rows, m):
             k_sum = k_sum + pm1 * pm1
@@ -459,7 +458,7 @@ def _gauss_rule(diag, off, mu0, start=np.ones_like) -> tuple[np.ndarray, np.ndar
     if not (np.all(np.diff(x) > 0) and np.all(sign[:-1] * sign[1:] < 0)):
         raise AccuracyError(f"Gauss rule of {m} nodes: the nodes are not "
                             f"{m} distinct roots")
-    return x, mu0 / k_sum
+    return x, ln_mu0 + 2 * ln_p0 - np.log(k_sum)
 
 
 def _jacobi_recurrence(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -477,6 +476,8 @@ def _jacobi_recurrence(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
 _STIRLING = tuple(np.longdouble(num) / den for num, den in (
     (1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360)))
 _HALF_LN_2PI = np.longdouble("0.9189385332046727417803297364056176")
+_LN_2 = np.longdouble("0.6931471805599453094172321214581766")
+_LN_PI = np.longdouble("1.1447298858494001741434273513530587")
 
 
 def _lgamma(x) -> np.longdouble:
@@ -494,12 +495,30 @@ def _lgamma(x) -> np.longdouble:
 
 @lru_cache(maxsize=None)
 def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cached long-double Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1]."""
+    """Cached long-double Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1]:
+    nodes and log weights."""
     a_, b_ = np.longdouble(a), np.longdouble(b)
-    # the mass 2^(a+b+1) B(a+1, b+1), in long double from its logarithm
-    mu0 = np.exp((a_ + b_ + 1) * np.log(np.longdouble(2)) + _lgamma(a_ + 1)
-                 + _lgamma(b_ + 1) - _lgamma(a_ + b_ + 2))
-    return _gauss_rule(*_jacobi_recurrence(m, a, b), mu0)
+    # the mass 2^(a+b+1) B(a+1, b+1) enters by its logarithm
+    return _gauss_rule(*_jacobi_recurrence(m, a, b),
+                       (a_ + b_ + 1) * _LN_2 + _lgamma(a_ + 1) + _lgamma(b_ + 1)
+                       - _lgamma(a_ + b_ + 2))
+
+
+@lru_cache(maxsize=None)
+def gauss_laguerre(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cached long-double Gauss rule of m nodes for x^a e^-x on (0, inf):
+    nodes and log weights.
+
+    The start row exp(-x/2) keeps the rows in range up to m = 3000, and the
+    log weights stay finite past x = 11,000, where the weights underflow.
+    """
+    if m == 0:
+        return np.zeros(0, dtype=np.longdouble), np.zeros(0, dtype=np.longdouble)
+    # near a = 11,000 the Christoffel sums underflow; the generator's checks
+    # then raise AccuracyError, and the float warnings on the way add nothing
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _gauss_rule(*_laguerre_coefficients(m, a), _lgamma(a + 1.0),
+                           lambda x: -x / 2)
 
 
 def _log_moments(m: int, a, b) -> np.ndarray:
@@ -518,24 +537,25 @@ def _log_moments(m: int, a, b) -> np.ndarray:
 def gauss_jacobi_log(m: int, a: float, b: float) -> tuple[np.ndarray, ...]:
     """Gauss-Jacobi rule plus the weights of ln(1+t) and ln(1-t) on its nodes.
 
-    Returns (t, w, lp, lm) for the weight (1-t)^a (1+t)^b: sum(lp * f(t)) and
-    sum(lm * f(t)) integrate it times ln(1+t) f and ln(1-t) f, exactly for
+    Returns (t, ln_w, lp, lm) for the weight (1-t)^a (1+t)^b, with lp and lm
+    per unit Christoffel weight: sum(w lp f(t)) and sum(w lm f(t)),
+    w = exp(ln_w), integrate it times ln(1+t) f and ln(1-t) f, exactly for
     polynomials f of degree < m.  A product rule from modified moments
-    (Gautschi 2004): lp_i = w_i sum_k p_k(t_i) nu_k / sqrt(h_k) over the
+    (Gautschi 2004): lp_i = sum_k p_k(t_i) nu_k / sqrt(h_k) over the
     orthonormal p_k = P_k / sqrt(h_k), with nu_k = int weight ln(1+t) P_k:
     nu_0 = mu0 [ln 2 + psi(b+1) - psi(a+b+2)], mu0 = 2^{a+b+1} B(a+1, b+1),
     and nu_k = (-1)^{k-1} mu0 C(k+a, k) (k-1)! / (a+b+2)_k for k >= 1
     (Chu-Vandermonde differentiated in the exponent of 1+t); lm mirrors
-    t -> -t.  t and w are gauss_jacobi's long-double nodes and Christoffel
-    numbers, which the log weights must match; lp and lm are long double.
+    t -> -t.  t and ln_w are gauss_jacobi's long-double nodes and log
+    Christoffel weights, which the log weights must match; lp and lm are
+    long double.
     """
-    t, w = gauss_jacobi(m, a, b)
+    t, ln_w = gauss_jacobi(m, a, b)
     a_, b_ = np.longdouble(a), np.longdouble(b)
     # sqrt(mu0) p_k(t_i) in row k < m
     p = np.array(list(_rows(t, *_jacobi_recurrence(m - 1, a, b), np.ones_like(t))))
-    lp = w * (_log_moments(m, a_, b_) @ p)
-    lm = w * ((_log_moments(m, b_, a_) * (-1.0) ** np.arange(m)) @ p)
-    return t, w, lp, lm
+    return (t, ln_w, _log_moments(m, a_, b_) @ p,
+            (_log_moments(m, b_, a_) * (-1.0) ** np.arange(m)) @ p)
 
 
 def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: int,
@@ -579,10 +599,10 @@ def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: 
     pairs = zip(e_hi.ravel().tolist(), e_lo.ravel().tolist())
     which = [kinds.setdefault(k, len(kinds)) for k in pairs]
     rule = gauss_jacobi if log_coefs is None else gauss_jacobi_log
-    t, w, *logs = (np.array(col) for col in zip(*(rule(m, *k) for k in kinds)))
-    # ln w and the log weights per unit weight stay in the rules' long double
-    t, ln_w, *logs = (col[which] for col in [t.astype(dtype), np.log(w)]
-                      + [lw / w for lw in logs])
+    # the log weights, and the log-term weights per unit weight, stay in the
+    # rules' long double
+    t, ln_w, *logs = (np.array(col)[which] for col in zip(*(rule(m, *k) for k in kinds)))
+    t = t.astype(dtype)
     h = (hi - lo) / 2
     ln_h = np.log(h, dtype=np.longdouble)
     x = lo + h * (1 + t)

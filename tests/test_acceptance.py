@@ -175,7 +175,7 @@ def _exact_norms(p):
 
 def test_second_order_norm_converges_to_origin_constant():
     start = time.monotonic()
-    const = bessel_constant(0.5, -0.5, 2.0).value
+    const = bessel_constant(0.5, 2.0).value
     # closed sine-integral value: (4/pi^2) int_0^inf sin^4 u / u^2 du = 1/pi
     assert const == pytest.approx(1.0 / math.pi, abs=1e-6)
     gaps = [abs(nv * math.sqrt(n) / const - 1.0)

@@ -262,10 +262,74 @@ def test_domain_errors_exit_2(capsys):
       "--mode", "asymptotic"], 64),
     (["sweep", "--quantity", "angular-renyi", "--l", "2", "--m", "1",
       "--n", "7,8"], 64),
+    # the rules' log mass stays in range at 2p = 2e300; the Newton steps raise
+    (["angular", "--l", "5", "--m", "0", "--p", "1e300"], 3),
 ])
 def test_bad_inputs_exit_without_traceback(capsys, argv, code):
     assert run(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def closed_form_renyi(kind, l, p):
+    """40-digit mpmath references: ln N_{0,l}(p) / (1 - p) - ln 2 for the
+    radial n = 0 state ("radial"), ln Lambda / (1 - p) for the angular
+    (l, l) ("ll") and (l, l-1) ("ll-1") states."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p, half, lg = mpmath.mpf(p), mpmath.mpf(1) / 2, mpmath.loggamma
+        ln2, lnpi = mpmath.log(2), mpmath.log(mpmath.pi)
+        if kind == "radial":
+            g = p * l + 3 * half
+            return float((lg(g) - p * lg(l + 3 * half) - g * mpmath.log(p)) / (1 - p)
+                         - ln2)
+        if kind == "ll":
+            log_lam = (((2 * l - 1) * p + 1) * ln2 + p * mpmath.log(l + half)
+                       - (2 * p - 3 * half) * lnpi + 2 * p * lg(l + half)
+                       + lg(l * p + 1) - p * lg(2 * l + 1) - lg(l * p + 3 * half))
+        else:
+            log_k = (mpmath.log(l + half) + 2 * mpmath.log(2 * l - 1)
+                     + 2 * lg(l - half) - (3 - 2 * l) * ln2 - lg(2 * l) - 2 * lnpi)
+            log_lam = (ln2 + lnpi + p * log_k + lg(p + half) + lg(p * (l - 1) + 1)
+                       - lg(p * l + 3 * half))
+        return float(log_lam / (1 - p))
+
+
+def closed_form_argv(kind, l, p):
+    head = {"radial": ["radial", "--n", "0", "--l", str(l)],
+            "ll": ["angular", "--l", str(l), "--m", str(l)],
+            "ll-1": ["angular", "--l", str(l), "--m", str(l - 1)]}[kind]
+    return head + ["--p", repr(p)]
+
+
+@pytest.mark.parametrize("kind,l,p", [("radial", 2, 900.0), ("ll", 5, 800.0)])
+def test_large_orders_take_the_entropy_from_logs(capsys, kind, l, p):
+    # the power integrals underflow to 0.0 beside a finite entropy
+    code, payload = invoke_json(capsys, *closed_form_argv(kind, l, p))
+    assert code == 0
+    rec = payload["results"][0]
+    assert rec.get("norm_value", rec.get("lambda_value")) == 0.0
+    assert rec["renyi"] == pytest.approx(closed_form_renyi(kind, l, p), rel=0, abs=1e-14)
+
+
+def test_large_order_quadrature_takes_the_entropy_from_logs(capsys):
+    # the long-double panel sum holds Lambda = e^-974, which underflows a float
+    code, payload = invoke_json(capsys, "angular", "--l", "4", "--m", "1", "--p", "700")
+    assert code == 0
+    rec = payload["results"][0]
+    assert rec["method"] == "quadrature" and rec["lambda_value"] == 0.0
+    assert math.isfinite(rec["renyi"])
+
+
+@pytest.mark.parametrize("kind", ["radial", "ll", "ll-1"])
+@pytest.mark.parametrize("l", [4, 20, 100])
+@pytest.mark.parametrize("p", [1.0 + 1.01e-5, 1.0 - 1.01e-5])
+def test_closed_forms_hold_their_digits_next_to_the_shannon_band(capsys, kind, l, p):
+    # the entropy divides the rounding of ln N or ln Lambda by |1 - p| = 1e-5;
+    # in float the closed forms were 2.5e-11 to 1.3e-8 off here
+    code, payload = invoke_json(capsys, *closed_form_argv(kind, l, p))
+    assert code == 0
+    assert payload["results"][0]["renyi"] == pytest.approx(
+        closed_form_renyi(kind, l, p), rel=0, abs=1e-11)
 
 
 def child_env():

@@ -39,7 +39,7 @@ def test_bessel_zeros_raise_when_newton_leaves_its_bracket(monkeypatch):
     (0.5, 2.1, 0.2917768411037955), (1.5, 2.5, 0.05386577348677989),
     (2.5, 3.0, 0.007451408846127177), (3.5, 3.3, 0.001482579140121915)])
 def test_bessel_constant_unchanged_by_newton_zeros(alpha, p, want):
-    got = bessel_constant(alpha, 0.5 * (1.0 - p), p).value
+    got = bessel_constant(alpha, p).value
     assert got == pytest.approx(want, rel=0, abs=1e-14)
 
 
@@ -59,7 +59,7 @@ def test_cosine_constant_pole_structure():
 def test_bessel_constant_closed_sine_value():
     # alpha=1/2, beta=-1/2, p=2 collapses to (4/pi^2) int sin^4 u / u^2 du
     # = (4/pi^2)(pi/4) = 1/pi
-    const = bessel_constant(0.5, -0.5, 2.0)
+    const = bessel_constant(0.5, 2.0)
     assert const.value == pytest.approx(1.0 / math.pi, rel=1e-6)
 
 
@@ -71,7 +71,7 @@ def test_bessel_constant_against_mpmath_quadosc():
         return 2 * abs(mpmath.besselj(0.5, 2 * t)) ** 4
 
     want = float(mpmath.quadosc(f, [0, mpmath.inf], period=mpmath.pi / 2))
-    got = bessel_constant(0.5, -0.5, 2.0).value
+    got = bessel_constant(0.5, 2.0).value
     # quadosc itself carries ~1e-4 error on this slowly decaying tail
     assert got == pytest.approx(want, rel=5e-4)
 
@@ -83,7 +83,7 @@ def test_bessel_constant_high_order_power_stays_finite():
     # unless formed in logs; that value is a period-by-period mpmath
     # integral over 120 zeros
     for alpha, want in ((10.5, 9.108728279600462e-14), (20.5, 9.146443599781321e-17)):
-        got = bessel_constant(alpha, -3.5, 8.0).value
+        got = bessel_constant(alpha, 8.0).value
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -91,14 +91,14 @@ def test_bessel_constant_nan_estimate_raises(monkeypatch):
     monkeypatch.setattr(rydberg, "_bessel_partial_terms",
                         lambda alpha, beta, p, kzeros, m: np.full(kzeros + 1, np.nan))
     with pytest.raises(AccuracyError, match="did not converge"):
-        bessel_constant.__wrapped__(0.5, -0.5, 2.0)
+        bessel_constant.__wrapped__(0.5, 2.0)
 
 
 def test_bessel_constant_domain_checks():
     with pytest.raises(DomainError):
-        bessel_constant(0.5, -0.5, 1.2)  # needs p > 3/2
+        bessel_constant(0.5, 1.2)  # needs p > 3/2
     with pytest.raises(DomainError):
-        bessel_constant(0.5, 1.5, 2.0)  # tail exponent s <= 1
+        bessel_constant(0.0, 4.0)  # origin exponent 2 - p <= -1
 
 
 @pytest.mark.parametrize("p,regime,exponent", [

@@ -134,7 +134,8 @@ def test_jacobi_poly_matches_scipy(n, a, b):
 
 
 def test_orthonormal_jacobi_norm_square():
-    nodes, weights = specfun.gauss_jacobi(40, 2.0, 2.0)
+    nodes, ln_w = specfun.gauss_jacobi(40, 2.0, 2.0)
+    weights = np.exp(ln_w)
     for n in (0, 1, 3, 5):
         ortho = specfun.orthonormal_jacobi(n, 2, 2)
         vals = np.array([float(ortho.base(
@@ -216,7 +217,8 @@ def test_laguerre_negative_parameter_matches_mpmath(n, alpha):
 def test_gauss_rules_integrate_polynomials_exactly():
     nodes, weights = specfun.gauss_legendre(6)
     assert weights @ nodes ** 8 == pytest.approx(2.0 / 9.0, rel=1e-13)
-    nodes, weights = specfun.gauss_jacobi(6, 0.0, -0.5)
+    nodes, ln_w = specfun.gauss_jacobi(6, 0.0, -0.5)
+    weights = np.exp(ln_w)
     # int_{-1}^1 t^2 (1+t)^{-1/2} dt = 2^{5/2}*2/15 + 2^{1/2}*2/3 - 2^{3/2}*2/3... use quad
     import scipy.integrate as si
     want, _ = si.quad(lambda t: t ** 2 * (1.0 + t) ** -0.5, -1.0, 1.0)
@@ -281,7 +283,9 @@ def _jacobi_moment(a, b, j, log):
                                  (2.0, 1.5), (7.0, 2.0), (2.0, 59.0)])
 def test_log_weights_integrate_log_moments_exactly(a, b):
     m = 20
-    t, w, lp, lm = specfun.gauss_jacobi_log(m, a, b)
+    t, ln_w, lp, lm = specfun.gauss_jacobi_log(m, a, b)
+    w = np.exp(ln_w)
+    lp, lm = w * lp, w * lm
     for j in range(m):
         want_p = _jacobi_moment(a, b, j, log=True)
         want_m = (-1) ** j * _jacobi_moment(b, a, j, log=True)  # t -> -t
@@ -300,7 +304,8 @@ def test_gauss_jacobi_integrates_moments_to_rounding(m, a, b):
     # from integrating d/dt [(1-t)^(a+1) (1+t)^(b+1) t^j] over [-1, 1];
     # _jacobi_moment's binomial sums would take seconds at j near 200
     mpmath = pytest.importorskip("mpmath")
-    t, w = specfun.gauss_jacobi(m, a, b)
+    t, ln_w = specfun.gauss_jacobi(m, a, b)
+    w = np.exp(ln_w)
     with mpmath.workdps(40):
         a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
         moments = [2 ** (a_ + b_ + 1) * mpmath.beta(a_ + 1, b_ + 1)]
@@ -320,13 +325,43 @@ def test_gauss_jacobi_mass_matches_mpmath(a, b):
     # exponents at large l, where a float Beta function was 1e-13 to 1e-12
     # off; at a + b = 1100, 2^(a+b+1) overflows a float and B underflows it
     mpmath = pytest.importorskip("mpmath")
-    t, w = specfun.gauss_jacobi(20, a, b)
-    num, den = np.sum(w).as_integer_ratio()
+    t, ln_w = specfun.gauss_jacobi(20, a, b)
+    num, den = np.sum(np.exp(ln_w)).as_integer_ratio()
     with mpmath.workdps(40):
         a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
         want = 2 ** (a_ + b_ + 1) * mpmath.beta(a_ + 1, b_ + 1)
         assert abs(float(mpmath.mpf(num) / den / want) - 1.0) <= 1e-15
     assert np.all(np.diff(t) > 0)
+
+
+@pytest.mark.parametrize("m,a,b", [(8, 0.0, 17000.0), (32, 16.0, 48002.0)])
+def test_gauss_jacobi_log_mass_past_the_long_double_range(m, a, b):
+    # the masses are e^11774 and e^33132: the rule keeps them as logs
+    mpmath = pytest.importorskip("mpmath")
+    t, ln_w = specfun.gauss_jacobi(m, a, b)
+    top = np.max(ln_w)
+    got = float(top + np.log(np.sum(np.exp(ln_w - top))))
+    with mpmath.workdps(40):
+        want = float((a + b + 1) * mpmath.log(2) + mpmath.loggamma(a + 1)
+                     + mpmath.loggamma(b + 1) - mpmath.loggamma(a + b + 2))
+    assert abs(got / want - 1.0) <= 1e-14
+
+
+def test_gauss_laguerre_log_weights_past_the_long_double_range():
+    # at a = 2000.5 the weights reach e^13209 and their mass Gamma(a + 1) is
+    # e^13210; the log weights integrate 1 and x to ln Gamma(a + 1) and
+    # ln Gamma(a + 2)
+    mpmath = pytest.importorskip("mpmath")
+    a = 2000.5
+    x, ln_w = specfun.gauss_laguerre(40, a)
+    assert np.all(np.isfinite(ln_w))
+    for k in (0, 1):
+        t = ln_w + k * np.log(x)
+        top = np.max(t)
+        got = float(top + np.log(np.sum(np.exp(t - top))))
+        with mpmath.workdps(40):
+            want = float(mpmath.loggamma(a + 1 + k))
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_gauss_rule_rejects_starts_that_miss_a_root(monkeypatch):
