@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .errors import AccuracyError, DomainError, UnboundedGrowthError
+from .errors import AccuracyError, DomainError
 from .order import EntropyOrder, as_order
 
 __all__ = [
@@ -72,10 +72,10 @@ class AngularResult:
     """Power integral Lambda of |Y_{l,m}|^2 and the derived entropy.
 
     The entropy comes from ln Lambda; lambda_value may underflow to 0.0
-    beside it.
+    beside it, and is None past the float range (ln Lambda > 709.78).
     """
 
-    lambda_value: float
+    lambda_value: float | None
     renyi: float | None
     method: str
     p: EntropyOrder
@@ -160,18 +160,13 @@ def _positive(exact: Fraction, context) -> Fraction:
     return exact
 
 
-def _result(log_lam: float, state: AngularState, order: EntropyOrder, method: str,
+def _result(log_lam: float, order: EntropyOrder, method: str,
             lambda_value: float | None = None) -> AngularResult:
     """The AngularResult of ln Lambda, with Lambda = exp(ln Lambda) unless
-    given; a Lambda past the float range raises."""
-    if log_lam > 700.0:
-        context = (state.l, state.m_abs, order.p)
-        raise UnboundedGrowthError(
-            f"angular power integral overflows floating range for {context}",
-            context=context)
+    given, None past the float range."""
     renyi = None if order.is_unity else log_lam / (1.0 - order.p)
     if lambda_value is None:
-        lambda_value = math.exp(log_lam)
+        lambda_value = specfun._exp_or_none(log_lam)
     return AngularResult(lambda_value, renyi, method, order)
 
 
@@ -186,7 +181,7 @@ def lambda_linearization(state: AngularState, p) -> AngularResult:
     context = (l, m, order.p)
     core = _positive(_ctilde0(l, m, q), context)
     logmag = _lin_log_prefactor(l, m, 0.5 * q) + specfun.log_fraction(core)
-    return _result(logmag, state, order, "linearization")
+    return _result(logmag, order, "linearization")
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +228,7 @@ def lambda_bell(state: AngularState, p) -> AngularResult:
               - 0.5 * q * _LN_2 + (1.0 - 0.5 * q) * _LN_PI
               - 0.5 * q * specfun.log_fraction(norm_sq)
               + specfun.log_fraction(acc) + 0.5 * pi_half * _LN_PI)
-    return _result(logmag, state, order, "bell")
+    return _result(logmag, order, "bell")
 
 
 def _angular_panels(state: AngularState, p: float, m_nodes: int, log_coefs=None):
@@ -269,7 +264,7 @@ def lambda_quadrature(state: AngularState, p) -> AngularResult:
         lambda m_nodes: _angular_panels(state, order.p, m_nodes).sum(), _NODES,
         _RENYI_TOL, f"angular quadrature for l={state.l}, m={state.m_abs}, p={order.p}")
     log_lam = specfun._LN_2 + specfun._LN_PI + np.log(np.longdouble(v))
-    return _result(float(log_lam), state, order, "quadrature",
+    return _result(float(log_lam), order, "quadrature",
                    2.0 * math.pi * float(v))
 
 
@@ -296,7 +291,7 @@ def lambda_closed(state: AngularState, p) -> AngularResult | None:
                  + 2 * lg(l - half) - (3 - 2 * l) * ln_2 - lg(2 * l) - 2 * ln_pi)
         loglam = (ln_2 + ln_pi + pf * log_k + lg(pf + half)
                   + lg(pf * (l - 1) + 1) - lg(pf * l + 1.5))
-    return _result(float(loglam), state, order, "closed_form")
+    return _result(float(loglam), order, "closed_form")
 
 
 def renyi_angular(state: AngularState, p) -> AngularResult:

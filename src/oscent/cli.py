@@ -19,7 +19,7 @@ import sys
 
 from . import __version__, angular, entropy, oracle, radial, rydberg
 from .angular import AngularState
-from .errors import AccuracyError, DomainError, UnboundedGrowthError
+from .errors import AccuracyError, DomainError
 from .order import as_order
 from .radial import OscillatorParams, QuantumState
 
@@ -483,7 +483,7 @@ def run(argv=None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
-    except (AccuracyError, UnboundedGrowthError) as exc:
+    except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 3
 

@@ -22,7 +22,11 @@ class AccuracyError(RuntimeError):
 
 
 class UnboundedGrowthError(ArithmeticError):
-    """Raised when an exact sum grows beyond floating-point range."""
+    """Growth beyond floating-point range.
+
+    Public for callers that catch it; no routine raises it: a power integral
+    past the float range is reported as None beside its finite logarithm.
+    """
 
     def __init__(self, message: str, context: tuple | None = None):
         super().__init__(message)

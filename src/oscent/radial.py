@@ -47,14 +47,15 @@ _LN_PI = math.log(math.pi)
 # about (n 2p)^2 recurrence steps.  The panels cost about n^2 below
 # _TAYLOR_MIN_N and grow more slowly above it, where the root gaps take a
 # series, so the crossover moves to smaller 2p as n grows and no single cap
-# on 2p marks it.  Cold ms per value, l = 0, on one x86-64 core:
+# on 2p marks it.  Cold ms per value, l = 0, on one x86-64 core (median of
+# 1 to 5 runs, every rule cache cleared first):
 #     rule / panels    2p = 4        2p = 8       2p = 10
-#     n = 10           0.8 / 11      1.0 / 8.1    1.2 / 7.5
-#     n = 100          8.3 / 22      22 / 20      39 / 31
-#     n = 400          86 / 86       276 / 88     398 / 107
-#     n = 1500         1020 / 705
-# The cap stays at 8: up to it the rule wins or ties at n <= 100, and at
-# n = 400 it costs at most 3x the panels.
+#     n = 10           0.4 / 4.7     0.6 / 5.0    0.6 / 5.3
+#     n = 100          4.7 / 16      11 / 16      16 / 16
+#     n = 400          43 / 61       137 / 64     212 / 68
+#     n = 1500         560 / 380
+# The cap stays at 8: up to it the rule wins at n <= 100 and at 2p = 4 at
+# n = 400, and at n = 400 it costs at most 2.2x the panels.
 _RULE_MAX_POWER = 8
 # the node range of specfun.gauss_laguerre, whose start row exp(-x/2) keeps
 # the rows in range up to m = 3000
@@ -143,10 +144,11 @@ def energy(state: QuantumState, params: OscillatorParams | None = None) -> float
 class LaguerreNorm:
     """Power-norm integral N_{n,l}(p) with its evaluation provenance.
 
-    The entropies take log_value; value may underflow to 0.0 beside it.
+    The entropies take log_value; value may underflow to 0.0 beside it, and
+    is None past the float range (ln N > 709.78).
     """
 
-    value: float
+    value: float | None
     log_value: float
     path: str
     p: float
@@ -404,7 +406,7 @@ def _norm_gauss_laguerre(n: int, l: int, q: int, p: float) -> LaguerreNorm:
             f"Gauss-Laguerre norm sum not positive for n={n}, l={l}, q={q}")
     logn = float(top + np.log(np.sum(np.exp(t - top)))
                  - (a + 1) * np.log(np.longdouble(p)))
-    return LaguerreNorm(math.exp(logn), logn, "gauss_laguerre", p)
+    return LaguerreNorm(specfun._exp_or_none(logn), logn, "gauss_laguerre", p)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +418,7 @@ def _norm_symbolic_n0(l: int, p: float) -> LaguerreNorm:
     p_ = np.longdouble(p)
     g = p_ * l + np.longdouble(1.5)
     logn = float(specfun._lgamma(g) - p_ * specfun._lgamma(l + 1.5) - g * np.log(p_))
-    return LaguerreNorm(math.exp(logn), logn, "symbolic", p)
+    return LaguerreNorm(specfun._exp_or_none(logn), logn, "symbolic", p)
 
 
 def _norm_symbolic(n: int, l: int, q: int, p: float) -> LaguerreNorm:
@@ -443,7 +445,7 @@ def _norm_symbolic(n: int, l: int, q: int, p: float) -> LaguerreNorm:
     logn = specfun.log_fraction(acc / hn ** (q // 2)) - 0.25 * q * _LN_PI
     if ql % 2 == 0:
         logn += 0.5 * _LN_PI - 0.5 * math.log(float(base))
-    return LaguerreNorm(math.exp(logn), logn, "symbolic", p)
+    return LaguerreNorm(specfun._exp_or_none(logn), logn, "symbolic", p)
 
 
 def closed_n1l(l: int, p) -> LaguerreNorm:
@@ -478,7 +480,7 @@ def closed_n1l(l: int, p) -> LaguerreNorm:
     square = ((g1 * math.factorial(q) * lval) ** 2
               / (g2 ** q * Fraction(q, 2) ** ((l + 2) * q + 3)))
     logn = 0.5 * specfun.log_fraction(square) + 0.5 * (h1 - pf * h2) * _LN_PI
-    return LaguerreNorm(math.exp(logn), logn, "closed_n1", pf)
+    return LaguerreNorm(specfun._exp_or_none(logn), logn, "closed_n1", pf)
 
 
 # ---------------------------------------------------------------------------

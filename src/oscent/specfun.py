@@ -4,8 +4,9 @@ Exact rational orthogonal-polynomial coefficients, Gamma-family helpers on
 the half-integer lattice, partial Bell polynomials, powers by convolution
 (the Bell expansion is a test oracle), stable high-degree Laguerre (also
 with derivative rows) and Gegenbauer recurrences in extended precision,
-one long-double Gauss rule generator (Golub-Welsch start, Newton steps and
-log Christoffel weights on the orthonormal recurrence) behind every
+one long-double Gauss rule generator (Golub-Welsch start, one Newton pass
+of the orthonormal recurrence on the family's structure relation and
+equation, log Christoffel weights) behind every
 Gauss-Laguerre and Gauss-Jacobi rule and the Gegenbauer roots, the
 log-weighted Gauss-Jacobi product rule, the one panel function, which
 maps those rules onto panels, hands its integrand whole panels and forms
@@ -79,6 +80,15 @@ def log_fraction(fr: Fraction) -> float:
     num = fr.numerator << max(-shift, 0)
     den = fr.denominator << max(shift, 0)
     return math.log(num / den) + shift * math.log(2.0)
+
+
+def _exp_or_none(x: float) -> float | None:
+    """exp(x) as a float, or None where it overflows (x > 709.78): the logs
+    carry the entropies, the plain power integrals are only reported."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return None
 
 
 def pochhammer(x, n: int) -> Fraction:
@@ -425,40 +435,62 @@ def _rows(x, diag, off, p):
     yield p
 
 
-def _gauss_rule(diag, off, ln_mu0, ln_start=np.zeros_like) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_rule(diag, off, ln_mu0, ln_start, family) -> tuple[np.ndarray, np.ndarray]:
     """Long-double Gauss nodes and log Christoffel weights of _rows' recurrence.
 
     ln_mu0 is the log of the weight's mass, ln_start(x) the log of the row p_0
-    (-x/2 keeps Laguerre rows in range).  Golub-Welsch eigenvalues (Math.
-    Comp. 23, 1969) start Newton steps with p_m' = K / (b_m p_{m-1}),
-    K = sum_{k<m} p_k^2 (Christoffel-Darboux), until each is a few ulp of |x|
-    plus the Gershgorin bound.  The last pass gives the weights
-    mu0 p_0^2 / K (Gautschi 2004), returned as ln mu0 + 2 ln p_0 - ln K,
-    which stay in range where mu0 or the weights leave it, and the check:
-    only the m distinct roots increase strictly and alternate the sign of
-    p_{m-1} (interlacing; roots of p_{m-1} repel the steps).
+    (-x/2 keeps Laguerre rows in range).  family(x) gives the identities of
+    the rows at degree m = len(diag), with b_m = off[-1]: P, Q, R_m - R_(m-1),
+    A_m and B_m / b_m of the structure relation P p_m' = A_m p_m + B_m p_(m-1)
+    and the equation P p_k'' + Q p_k' + R_k p_k = 0.
+
+    Golub-Welsch eigenvalues (Math. Comp. 23, 1969) start one pass of the
+    recurrence that sums K = sum_{k<m} p_k^2 and takes one Newton step
+    s = p_m / p_m' from the structure relation.  Newton's next step would be
+    |Q/(2P)| s^2 (p_m''/p_m' = -Q/P at a root); the pass is done when that is
+    a few ulp of |x| plus the Gershgorin bound, and another pass from the
+    stepped nodes (up to 8) is only a fallback.  K moves to the stepped
+    nodes by its derivative, the differentiated Christoffel-Darboux identity
+    K' = b_m (p_m'' p_(m-1) - p_(m-1)'' p_m) = -(Q K + b_m (R_m - R_(m-1))
+    p_m p_(m-1)) / P, and gives the weights mu0 p_0^2 / K (Gautschi 2004),
+    returned as ln mu0 + 2 ln p_0 - ln K, which stay in range where mu0 or
+    the weights leave it.  The checks: only the m distinct roots increase
+    strictly and alternate the sign of p_(m-1) (interlacing), and every log
+    weight is finite.
     """
     m = len(diag)
     x = np.longdouble(eigvalsh_tridiagonal(diag.astype(float), off[:-1].astype(float)))
     eps = np.finfo(np.longdouble).eps
     scale = np.max(np.abs(diag)) + 2 * np.max(off)
-    for _ in range(8):
-        ln_p0 = ln_start(x)
-        rows = _rows(x, diag, off, np.exp(ln_p0))
-        k_sum = 0
-        for pm1 in islice(rows, m):
-            k_sum = k_sum + pm1 * pm1
-        step = off[-1] * next(rows) * pm1 / k_sum
-        x = x - step
-        if np.all(np.abs(step) <= 4 * eps * (scale + np.abs(x))):
-            break
-    else:
-        raise AccuracyError(f"Gauss rule of {m} nodes: Newton steps did not settle")
-    sign = np.sign(pm1)
-    if not (np.all(np.diff(x) > 0) and np.all(sign[:-1] * sign[1:] < 0)):
-        raise AccuracyError(f"Gauss rule of {m} nodes: the nodes are not "
-                            f"{m} distinct roots")
-    return x, ln_mu0 + 2 * ln_p0 - np.log(k_sum)
+    # a float fault ends in a check below: NaN never settles, and a start on
+    # an end of the interval (P = 0) makes the predicted step NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(8):
+            rows = _rows(x, diag, off, np.exp(ln_start(x)))
+            k_sum = 0
+            for pm1 in islice(rows, m):
+                k_sum = k_sum + pm1 * pm1
+            pm = next(rows)
+            big_p, q, dr, a_m, b_ratio = family(x)
+            b_pm1 = off[-1] * pm1
+            step = big_p * pm / (a_m * pm + b_ratio * b_pm1)
+            nodes = x - step
+            if np.all(np.abs(q / (2 * big_p)) * step * step
+                      <= 4 * eps * (scale + np.abs(nodes))):
+                break
+            x = nodes
+        else:
+            raise AccuracyError(f"Gauss rule of {m} nodes: Newton steps did not settle")
+        sign = np.sign(pm1)
+        if not (np.all(np.diff(nodes) > 0) and np.all(sign[:-1] * sign[1:] < 0)):
+            raise AccuracyError(f"Gauss rule of {m} nodes: the nodes are not "
+                                f"{m} distinct roots")
+        # K(x - s) = K - s K'
+        ln_w = (ln_mu0 + 2 * ln_start(nodes) - np.log(k_sum)
+                - np.log1p(step * (q + dr * b_pm1 * pm / k_sum) / big_p))
+    if not np.all(np.isfinite(ln_w)):
+        raise AccuracyError(f"Gauss rule of {m} nodes: the log weights are not finite")
+    return nodes, ln_w
 
 
 def _jacobi_recurrence(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -496,29 +528,48 @@ def _lgamma(x) -> np.longdouble:
 @lru_cache(maxsize=None)
 def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1]:
-    nodes and log weights."""
+    nodes and log weights, from _gauss_rule's one Newton pass.
+
+    The orthonormal rows p_k keep the identities of P_k^(a,b) (DLMF §18.9,
+    Table 18.8.1): (1 - x^2) p_m' = m ((a - b)/s - x) p_m + (s + 1) b_m p_(m-1)
+    with s = 2m + a + b, and (1 - x^2) p_k'' + (b - a - (a + b + 2) x) p_k'
+    + k (k + a + b + 1) p_k = 0.
+    """
     a_, b_ = np.longdouble(a), np.longdouble(b)
+    s = 2 * m + a_ + b_
+
+    def family(x):
+        return ((1 - x) * (1 + x), b_ - a_ - (a_ + b_ + 2) * x, s,
+                m * ((a_ - b_) / s - x), s + 1)
+
     # the mass 2^(a+b+1) B(a+1, b+1) enters by its logarithm
     return _gauss_rule(*_jacobi_recurrence(m, a, b),
                        (a_ + b_ + 1) * _LN_2 + _lgamma(a_ + 1) + _lgamma(b_ + 1)
-                       - _lgamma(a_ + b_ + 2))
+                       - _lgamma(a_ + b_ + 2), np.zeros_like, family)
 
 
 @lru_cache(maxsize=None)
 def gauss_laguerre(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss rule of m nodes for x^a e^-x on (0, inf):
-    nodes and log weights.
+    nodes and log weights, from _gauss_rule's one Newton pass.
 
-    The start row exp(-x/2) keeps the rows in range up to m = 3000, and the
-    log weights stay finite past x = 11,000, where the weights underflow.
+    The rows r_k = p_k e^(-x/2) start at exp(-x/2), which keeps them in range
+    up to m = 3000, and the log weights stay finite past x = 11,000, where
+    the weights underflow.  Their identities (DLMF §18.9, Table 18.8.1):
+    x r_m' = (m - x/2) r_m + b_m r_(m-1) and
+    x r_k'' + (a + 1) r_k' + (k + (a + 1)/2 - x/4) r_k = 0.
     """
     if m == 0:
         return np.zeros(0, dtype=np.longdouble), np.zeros(0, dtype=np.longdouble)
-    # near a = 11,000 the Christoffel sums underflow; the generator's checks
-    # then raise AccuracyError, and the float warnings on the way add nothing
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _gauss_rule(*_laguerre_coefficients(m, a), _lgamma(a + 1.0),
-                           lambda x: -x / 2)
+    a_ = np.longdouble(a)
+
+    def family(x):
+        return x, a_ + 1, 1, m - x / 2, 1
+
+    # near a = 11,000 the Christoffel sums underflow, and the generator's
+    # checks raise AccuracyError
+    return _gauss_rule(*_laguerre_coefficients(m, a), _lgamma(a + 1.0),
+                       lambda x: -x / 2, family)
 
 
 def _log_moments(m: int, a, b) -> np.ndarray:

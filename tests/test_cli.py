@@ -311,6 +311,16 @@ def test_large_orders_take_the_entropy_from_logs(capsys, kind, l, p):
     assert rec["renyi"] == pytest.approx(closed_form_renyi(kind, l, p), rel=0, abs=1e-14)
 
 
+@pytest.mark.parametrize("kind,l,p", [("radial", 0, 1e-300), ("ll", 3000, 1000.0)])
+def test_power_integrals_past_the_float_range_print_null(capsys, kind, l, p):
+    # ln N = 1036 and ln Lambda = 1588 overflow a float; the entropies do not
+    code, payload = invoke_json(capsys, *closed_form_argv(kind, l, p))
+    assert code == 0
+    rec = payload["results"][0]
+    assert rec["norm_value" if kind == "radial" else "lambda_value"] is None
+    assert rec["renyi"] == pytest.approx(closed_form_renyi(kind, l, p), rel=1e-14)
+
+
 def test_large_order_quadrature_takes_the_entropy_from_logs(capsys):
     # the long-double panel sum holds Lambda = e^-974, which underflows a float
     code, payload = invoke_json(capsys, "angular", "--l", "4", "--m", "1", "--p", "700")

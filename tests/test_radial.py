@@ -326,6 +326,16 @@ def test_rule_matches_quadrature_at_large_degree(n, l, p):
     assert got.value == pytest.approx(want.value, rel=1e-13)
 
 
+@pytest.mark.parametrize("l,p", [(0, 3.0), (1, 3.0), (0, 4.0), (3, 4.0)])
+def test_rule_log_matches_quadrature_at_n_400(l, p):
+    # the 1201- and 1601-node rules against the panels, in ln N: the rule's
+    # weights carry the rounding of its Christoffel sums
+    got = laguerre_norm(400, l, p)
+    assert got.path == "gauss_laguerre"
+    want = laguerre_norm(400, l, p, path="quadrature")
+    assert abs(got.log_value - want.log_value) <= 1.5e-14
+
+
 def test_rule_sums_its_terms_in_logs_at_large_l():
     # W_j psi_j^2p turns subnormal near l = 600 at 2p = 6, and a plain sum
     # was 0.79 off in ln N there; a double-precision lgamma normalising

@@ -382,6 +382,118 @@ def test_gauss_rule_rejects_starts_that_miss_a_root(monkeypatch):
         specfun.gauss_jacobi.__wrapped__(20, 2.0, 0.5)
 
 
+# rules of the kinds the radial, angular and Bessel routes build: Laguerre up
+# to m = 3000 and a = 2000.5, Jacobi up to m = 108 and exponents of 8000.5
+SWEEP_LAGUERRE = ([(m, a) for m in (1, 2, 5, 24, 101, 401, 801)
+                   for a in (0.5, 3.5, 20.5, 80.5)]
+                  + [(13, 2000.5), (40, 2000.5), (1601, 12.5), (3000, 0.5)])
+SWEEP_JACOBI = [(m, a, b) for m in (1, 2, 24, 36, 48, 54, 72, 108)
+                for a, b in ((0.0, 0.0), (-0.5, -0.5), (2.5, 0.0), (0.0, 2.5),
+                             (8.0, 8.0), (2.0, 322.0), (45.0, 70.0), (8.0, 8000.5),
+                             (3000.5, 0.5))]
+
+
+def test_every_sweep_rule_builds_in_one_pass(monkeypatch):
+    # the float64 eigenvalues are close enough that one Newton step settles
+    # every node: one pass of the recurrence per rule
+    passes = []
+    real = specfun._rows
+
+    def counting(*args):
+        passes[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(specfun, "_rows", counting)
+    for m, a in SWEEP_LAGUERRE:
+        passes.append(0)
+        specfun.gauss_laguerre.__wrapped__(m, a)
+    for m, a, b in SWEEP_JACOBI:
+        passes.append(0)
+        specfun.gauss_jacobi.__wrapped__(m, a, b)
+    assert passes == [1] * (len(SWEEP_LAGUERRE) + len(SWEEP_JACOBI))
+
+
+def test_gauss_rule_takes_a_second_pass_from_a_start_off_the_root(monkeypatch):
+    # 6e-9 off the smallest root x_0 = 0.0245 of (100, 0.5): the step s is
+    # within the tolerance's square root, but Newton's next step
+    # |Q/(2P)| s^2 = 1.5/(2 x_0) s^2 is not, so a second pass follows
+    want_x, want_w = specfun.gauss_laguerre(100, 0.5)
+    real_eig, real_rows = specfun.eigvalsh_tridiagonal, specfun._rows
+    passes = []
+
+    def counting(*args):
+        passes.append(1)
+        return real_rows(*args)
+
+    monkeypatch.setattr(specfun, "eigvalsh_tridiagonal",
+                        lambda d, e: real_eig(d, e) + np.append(6e-9, np.zeros(len(d) - 1)))
+    monkeypatch.setattr(specfun, "_rows", counting)
+    x, ln_w = specfun.gauss_laguerre.__wrapped__(100, 0.5)
+    # one pass would leave x_0 4e-14 and ln w_0 7e-14 off
+    assert len(passes) == 2
+    assert np.max(np.abs(x / want_x - 1)) <= 1e-15
+    assert np.max(np.abs(ln_w - want_w)) <= 1e-15
+
+
+def _mpf(mpmath, v):
+    """A long double as an exact mpmath number."""
+    num, den = v.as_integer_ratio()
+    return mpmath.mpf(num) / den
+
+
+@pytest.mark.parametrize("m,a", [(801, 0.5), (801, 2.5)])
+def test_gauss_laguerre_matches_mpmath(m, a):
+    # the 12 smallest nodes, where the weights' K correction is largest, and
+    # every 32nd.  Reference: roots of L_m^(a) by one 30-digit Newton step
+    # from the rule's node, w = Gamma(m + a + 1) / (m! x L_m'(x)^2)
+    mpmath = pytest.importorskip("mpmath")
+    x, ln_w = specfun.gauss_laguerre(m, a)
+
+    def laguerre(n, alpha, t):  # L_n^(alpha)(t) by its three-term recurrence
+        p0, p1 = mpmath.mpf(1), alpha + 1 - t
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + alpha + 1 - t) * p1 - (k + alpha) * p0) / (k + 1)
+        return p1
+
+    with mpmath.workdps(30):
+        a_ = mpmath.mpf(a)
+        ln_c = mpmath.loggamma(m + a_ + 1) - mpmath.loggamma(m + 1)
+        for j in sorted(set(range(12)) | set(range(0, m, 32))):
+            t = _mpf(mpmath, x[j])
+            t -= laguerre(m, a_, t) / -laguerre(m - 1, a_ + 1, t)
+            want = ln_c - mpmath.log(t) - 2 * mpmath.log(abs(laguerre(m - 1, a_ + 1, t)))
+            assert abs(_mpf(mpmath, x[j]) / t - 1) <= 1.5e-15
+            assert abs(_mpf(mpmath, ln_w[j]) - want) <= 2.5e-15
+
+
+@pytest.mark.parametrize("m,a,b", [(1, 0.0, 2.5), (24, 0.0, 2.5), (72, 0.5, 8.0),
+                                   (108, 7.3, 300.5)])
+def test_gauss_jacobi_matches_mpmath(m, a, b):
+    # every node and log weight; the one-node rule is the only one whose
+    # Newton step rests on B_1 of the structure relation.  Reference: roots
+    # of P_m^(a,b) by 40-digit Newton steps from the rule's node and
+    # w = 2^(a+b+1) Gamma(m+a+1) Gamma(m+b+1) / (Gamma(m+a+b+1) m!
+    # (1 - x^2) P_m'(x)^2), P_m' = (m + a + b + 1)/2 P_(m-1)^(a+1,b+1)
+    mpmath = pytest.importorskip("mpmath")
+    t, ln_w = specfun.gauss_jacobi(m, a, b)
+    with mpmath.workdps(40):
+        a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+        ln_c = ((a_ + b_ + 1) * mpmath.log(2) + mpmath.loggamma(m + a_ + 1)
+                + mpmath.loggamma(m + b_ + 1) - mpmath.loggamma(m + a_ + b_ + 1)
+                - mpmath.loggamma(m + 1))
+
+        def deriv(x):
+            return (m + a_ + b_ + 1) / 2 * mpmath.jacobi(m - 1, a_ + 1, b_ + 1, x)
+
+        for j in range(m):
+            x = _mpf(mpmath, t[j])
+            for _ in range(2):
+                x -= mpmath.jacobi(m, a_, b_, x) / deriv(x)
+            want = ln_c - mpmath.log(1 - x * x) - 2 * mpmath.log(abs(deriv(x)))
+            assert abs(_mpf(mpmath, t[j]) - x) <= 1e-19
+            assert abs(_mpf(mpmath, ln_w[j]) - want) <= 3e-16
+
+
 def test_power_panels_map_the_log_rule_to_digamma_closed_forms():
     # integral_lo^hi (x-lo)^(a+j) (hi-x)^b ln(x-lo) dx
     #   = H^(a+b+j+1) B(a+j+1, b+1) [ln H + psi(a+j+1) - psi(a+b+j+2)],
