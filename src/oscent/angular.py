@@ -4,10 +4,11 @@ The squared spherical harmonic |Y_{l,m}|^2 integrates against its own p-th
 power through three independent routes: an exact linearization of the
 Gegenbauer power into hypergeometric-type rational sums, an exact
 Bell-polynomial expansion of the orthonormal Jacobi power, and Gauss-Jacobi
-panel quadrature between the Gegenbauer roots.  Closed forms cover the
-(l, l), (l, l-1) families.  shannon_angular takes the digamma closed form of
-those families and log-weighted panel quadrature for every other state.
-The quadrature's node count and tolerances are module constants.
+panel quadrature of orthonormal Jacobi rows between the Gegenbauer roots.
+Closed forms cover the (l, l), (l, l-1) families.  shannon_angular takes
+the digamma closed form of those families and log-weighted panel
+quadrature for every other state.  The quadrature's node count and
+tolerances are module constants.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ from .errors import AccuracyError, DomainError
 from .order import EntropyOrder, as_order
 
 __all__ = [
-    "AngularState", "AngularResult", "norm_const_squared",
-    "lambda_linearization", "lambda_bell", "lambda_quadrature",
-    "lambda_closed", "renyi_angular", "shannon_angular", "shannon_route",
+    "AngularState", "AngularResult", "lambda_linearization", "lambda_bell",
+    "lambda_quadrature", "lambda_closed", "renyi_angular", "shannon_angular",
+    "shannon_route",
 ]
 
 _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
+_TWO_PI = 2.0 * math.pi
+_LN_2PI = specfun._LN_2 + specfun._LN_PI  # long double, as the panel sums
 
 # exact polynomial-power routes are supported on this lattice
 MAX_TWO_P = 8
@@ -79,20 +82,6 @@ class AngularResult:
     renyi: float | None
     method: str
     p: EntropyOrder
-
-
-@lru_cache(maxsize=None)
-def norm_const_squared(state: AngularState) -> float:
-    """Squared normalisation constant of Y_{l,m} in the Gegenbauer form.
-
-    A^2 = (l + 1/2) (l-m)! Gamma(m+1/2)^2 / (2^{1-2m} pi^2 (l+m)!), m = |m|.
-    Returned through an exact rational over pi.
-    """
-    l, m = state.l, state.m_abs
-    r = (Fraction(2 * l + 1, 2) * math.factorial(l - m)
-         * Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m)) ** 2
-         * Fraction(2 ** (2 * m), 2) / math.factorial(l + m))
-    return float(r) / math.pi
 
 
 def _exact_route_order(state: AngularState, p, route: str) -> tuple[EntropyOrder, int]:
@@ -231,21 +220,24 @@ def lambda_bell(state: AngularState, p) -> AngularResult:
     return _result(logmag, order, "bell")
 
 
-def _angular_panels(state: AngularState, p: float, m_nodes: int, log_coefs=None):
-    """specfun.power_panels of (A |C(t)|)^{2p} (1 - t^2)^{mp} between the roots.
-
-    The panels run from -1 over the Gegenbauer roots to 1; A is the
-    normalisation constant.  Returns the panel integrals and, with
-    log_coefs, the log-weighted ones.
-    """
+def _angular_panels(state: AngularState, p: float, log_coefs=None):
+    """The pass m_nodes -> specfun.power_panels of |A C(t)|^{2p} (1 - t^2)^{mp}
+    from -1 over the Gegenbauer roots to 1: the panel integrals and, with
+    log_coefs, the log-weighted ones.  A C_n = p_n / sqrt(2 pi), the row of
+    specfun._rows for the weight (1 - t^2)^m from p_0 = exp(-(ln mu0 +
+    ln 2 pi) / 2), which every pass shares."""
     l, m = state.l, state.m_abs
-    n, lam = l - m, Fraction(2 * m + 1, 2)
-    a = math.sqrt(norm_const_squared(state))
-    ends = np.concatenate(([-1.0], specfun.gegenbauer_roots(n, lam), [1.0]))
+    n = l - m
+    ends = np.concatenate(([-1.0], specfun.gegenbauer_roots(n, m + 0.5), [1.0]))
     kinds = np.array(["edge"] + ["root"] * n + ["edge"])
-    return specfun.power_panels(
-        ends[:-1], ends[1:], kinds[:-1], kinds[1:],
-        lambda t, _: a * specfun.gegenbauer_eval(n, lam, t), 2.0 * p,
+    diag, off = specfun._jacobi_recurrence(n, m, m)
+    start = np.exp(-(specfun._jacobi_log_mass(m, m) + _LN_2PI) / 2)
+
+    def poly(t, _):
+        return specfun._last_rows(t, diag, off, np.full_like(t, start))[1]
+
+    return lambda m_nodes: specfun.power_panels(
+        ends[:-1], ends[1:], kinds[:-1], kinds[1:], poly, 2.0 * p,
         ((-1.0, m * p), (1.0, m * p)), m_nodes, log_coefs)
 
 
@@ -257,15 +249,17 @@ def lambda_quadrature(state: AngularState, p) -> AngularResult:
     |.|^{2p} loses smoothness, and their end weights absorb it
     (_angular_panels).  Certified by a second node count, like the radial
     engine.  ln Lambda = ln 2 pi + ln v is taken in long double, where the
-    panel sum v stays in range after Lambda underflows.
+    panel sum v stays in range after Lambda underflows; a sum that is not
+    positive and finite raises AccuracyError.
     """
     order = as_order(p)
-    v, _ = specfun.settled(
-        lambda m_nodes: _angular_panels(state, order.p, m_nodes).sum(), _NODES,
-        _RENYI_TOL, f"angular quadrature for l={state.l}, m={state.m_abs}, p={order.p}")
-    log_lam = specfun._LN_2 + specfun._LN_PI + np.log(np.longdouble(v))
-    return _result(float(log_lam), order, "quadrature",
-                   2.0 * math.pi * float(v))
+    what = f"angular quadrature for l={state.l}, m={state.m_abs}, p={order.p}"
+    panels = _angular_panels(state, order.p)
+    v, _ = specfun.settled(lambda m_nodes: panels(m_nodes).sum(), _NODES, _RENYI_TOL, what)
+    if not 0 < v < np.inf:
+        raise AccuracyError(f"{what}: panel sum {float(v)} is not positive and finite")
+    log_lam = _LN_2PI + np.log(np.longdouble(v))
+    return _result(float(log_lam), order, "quadrature", _TWO_PI * float(v))
 
 
 def lambda_closed(state: AngularState, p) -> AngularResult | None:
@@ -333,12 +327,25 @@ def _shannon_closed(state: AngularState) -> float:
 
 
 def _shannon_quadrature(state: AngularState) -> float:
-    """-2 pi integral y ln y dt, y = A^2 C(t)^2 (1 - t^2)^m, on the p = 1 panels."""
+    """-2 pi integral y ln y dt, y = A^2 C(t)^2 (1 - t^2)^m, on the p = 1 panels.
+
+    Each pass also checks that its panels integrate the density, 2 pi y,
+    to 1: a node where y underflows adds 0 to both integrals, and only the
+    norm shows what is lost.
+    """
     m = state.m_abs
-    v, _ = specfun.settled(
-        lambda m_nodes: _angular_panels(state, 1.0, m_nodes, (m, m))[1].sum(), _NODES,
-        _SHANNON_TOL, f"angular Shannon quadrature for l={state.l}, m={m}", floor=1.0)
-    return -2.0 * math.pi * float(v)
+    what = f"angular Shannon quadrature for l={state.l}, m={m}"
+    panels = _angular_panels(state, 1.0, (m, m))
+
+    def value(m_nodes):
+        parts, logs = panels(m_nodes)
+        norm = float(_TWO_PI * parts.sum())
+        if not abs(norm - 1.0) <= _SHANNON_TOL:
+            raise AccuracyError(f"{what}: the density integrates to {norm}, not 1")
+        return logs.sum()
+
+    v, _ = specfun.settled(value, _NODES, _SHANNON_TOL, what, floor=1.0)
+    return -_TWO_PI * float(v)
 
 
 def shannon_route(state: AngularState) -> str:

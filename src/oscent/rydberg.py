@@ -5,7 +5,10 @@ regions of the half-line depending on the order p: the oscillatory bulk
 (cosine regime, p < 3/2), the origin where the polynomials look like Bessel
 functions (p > 3/2), or the matching region between the two (p = 3/2).
 Each branch carries its own constant; the transition branch has an unknown
-O(1) remainder and is flagged with a caveat.
+O(1) remainder and is flagged with a caveat.  The Bessel constant sums
+panels between the zeros of J_alpha(2t); its head panel [0, z_1] holds
+nearly all of it, is certified by a second node count on its own and
+raises AccuracyError where it falls below the next lobe.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ _TRANSITION_CONST = 8.0 * math.sqrt(2.0) / (3.0 * math.pi ** 2.5)
 
 # agreement of the Bessel-constant estimates at 40, 80 (and 160) zeros
 _BESSEL_TOL = 1e-7
+# the head panel [0, z_1]: Gauss-Jacobi nodes in the first pass of
+# specfun.settled and the agreement the second pass must reach.  The head
+# holds nearly all of C_B (99.4% at alpha = 100.5, p = 8), so its error is
+# C_B's; it is certified two digits below _BESSEL_TOL
+_HEAD_NODES = 32
+_HEAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,19 +145,37 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float,
 
     specfun.power_panels of |J_alpha(2t) / t^alpha|^{2p} t^{2 beta + 1 + 2p alpha}
     on [0, z_1], and of |J_alpha(2t)|^{2p} t^{2 beta + 1} between consecutive
-    zeros: past z_1, J_alpha(2t) / t^alpha underflows at high alpha p, and
-    a node where it does adds 0.  The t factor would stay in range, because
-    power_panels forms its powers from logs.
+    zeros, where J_alpha(2t) / t^alpha underflows at high alpha p.  The
+    head's ratio is exp(ln|J| - alpha ln t) in long double, so no float power
+    of t is taken; a node where the ratio underflows adds 0.  The head sits
+    beside the turning point 2t = alpha, where the ratio falls steeply, so it
+    is certified by specfun.settled from _HEAD_NODES nodes on its own, and
+    m_nodes serve the inter-zero panels.  For p > 3/2 the lobes of the
+    integrand shrink past the first: a head below the first inter-zero panel
+    has lost its lobe (at alpha = 3000.5 the ratio is e^-21960 and
+    underflows), and AccuracyError is raised.
     """
     q2 = 2.0 * p
     zs = np.array(bessel_zeros(alpha, kzeros + 1)) / 2.0  # zeros of J_a(2t)
-    head = specfun.power_panels(
-        [0.0], zs[:1], ["edge"], ["root"], lambda t, _: jv(alpha, 2.0 * t) / t ** alpha,
-        q2, ((0.0, 2.0 * beta + 1.0 + q2 * alpha), None), m_nodes)
+
+    def ratio(t, _):
+        with np.errstate(divide="ignore"):  # ln 0 = -inf: the node adds 0
+            ln_j = np.log(np.abs(jv(alpha, 2.0 * t)), dtype=np.longdouble)
+        return np.exp(ln_j - alpha * np.log(t, dtype=np.longdouble))
+
+    what = f"Bessel head panel for (alpha={alpha}, p={p})"
+    head, _ = specfun.settled(
+        lambda m: specfun.power_panels(
+            [0.0], zs[:1], ["edge"], ["root"], ratio, q2,
+            ((0.0, 2.0 * beta + 1.0 + q2 * alpha), None), m)[0],
+        _HEAD_NODES, _HEAD_TOL, what)
     rest = specfun.power_panels(
         zs[:-1], zs[1:], ["root"] * kzeros, ["root"] * kzeros,
         lambda t, _: jv(alpha, 2.0 * t), q2, ((0.0, 2.0 * beta + 1.0), None), m_nodes)
-    return np.concatenate((head, rest))
+    if not head >= rest[0]:
+        raise AccuracyError(f"{what}: {float(head)} is below the first inter-zero "
+                            f"panel {rest[0]}, so its lobe is lost")
+    return np.concatenate(([head], rest))
 
 
 @lru_cache(maxsize=None)

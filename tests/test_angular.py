@@ -13,7 +13,7 @@ from scipy.special import lpmv, roots_jacobi, roots_legendre
 from oscent import angular
 from oscent.angular import (AngularState, lambda_bell, lambda_closed,
                             lambda_linearization, lambda_quadrature,
-                            norm_const_squared, renyi_angular, shannon_angular)
+                            renyi_angular, shannon_angular)
 from oscent.errors import DomainError
 
 FOUR_PI = 4.0 * math.pi
@@ -26,9 +26,12 @@ def test_state_validation():
         AngularState(2, 3)
 
 
-def test_norm_const_ground():
-    assert norm_const_squared(AngularState(0, 0)) == \
-        pytest.approx(1.0 / FOUR_PI, rel=1e-15)
+@pytest.mark.parametrize("l,m", [(0, 0), (3, 1), (1000, 500), (2000, 1000)])
+def test_quadrature_density_is_normalised(l, m):
+    # Lambda(1) = 1; at (1000, 500) A^2 = e^-949.6 underflows a float, so the
+    # normalisation must stay in the recurrence's long-double start row
+    assert lambda_quadrature(AngularState(l, m), 1.0).lambda_value == \
+        pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.5, 2.0, 3.0])

@@ -270,6 +270,23 @@ def test_bad_inputs_exit_without_traceback(capsys, argv, code):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["radial", "--n", "1", "--l", "3500", "--p", "1.3"],
+    ["radial", "--n", "1", "--l", "3500", "--p", "1"],
+    ["total", "--n", "1", "--l", "3500", "--m", "3500", "--p", "1.3"],
+    ["angular", "--l", "1000", "--m", "500", "--p", "2.5"],
+    ["angular", "--l", "1000", "--m", "500", "--p", "1"],
+    ["asymptotic", "--n", "100", "--l", "160", "--p", "8"],
+    ["asymptotic", "--n", "100", "--l", "300", "--p", "8"],
+    ["asymptotic", "--n", "100", "--l", "3000", "--p", "8"],
+])
+def test_large_quantum_numbers_exit_cleanly(capsys, argv):
+    # a value, a domain error or an accuracy error, never a float warning
+    # (an error here) or a traceback; underflowed sums and lost lobes raise
+    assert run(argv) in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def closed_form_renyi(kind, l, p):
     """40-digit mpmath references: ln N_{0,l}(p) / (1 - p) - ln 2 for the
     radial n = 0 state ("radial"), ln Lambda / (1 - p) for the angular

@@ -87,6 +87,26 @@ def test_bessel_constant_high_order_power_stays_finite():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_bessel_head_at_high_order_matches_mpmath():
+    # at alpha = 100.5 one 32-node head panel was 6.4e-6 off; the settled head
+    # holds a 25-digit Gauss-Legendre value over 80 sub-panels of [0, z_1],
+    # and C_B a period-by-period mpmath integral over 300 zeros
+    terms = rydberg._bessel_partial_terms(100.5, -3.5, 8.0, 40, 32)
+    assert terms[0] == pytest.approx(2.0258143902684920e-24, rel=1e-10, abs=0)
+    assert bessel_constant(100.5, 8.0).value == \
+        pytest.approx(4.0766828215682742e-24, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [200.5, 300.5, 3000.5])
+def test_bessel_head_past_its_nodes_raises(alpha):
+    # the head's 48 and 72 nodes disagree at 200.5 and 300.5; at 3000.5 the
+    # ratio J_alpha(2t) / t^alpha, about e^-21960 on the head nodes,
+    # underflows even in long double, and the lost lobe leaves a head below
+    # the first inter-zero panel
+    with pytest.raises(AccuracyError, match="Bessel head panel"):
+        bessel_constant.__wrapped__(alpha, 8.0)
+
+
 def test_bessel_constant_nan_estimate_raises(monkeypatch):
     monkeypatch.setattr(rydberg, "_bessel_partial_terms",
                         lambda alpha, beta, p, kzeros, m: np.full(kzeros + 1, np.nan))

@@ -205,6 +205,38 @@ def test_laguerre_orthonormal_weighted_high_degree_is_finite():
     assert np.max(np.abs(vals)) < 10.0
 
 
+@pytest.mark.parametrize("n,alpha", [(0, 0.5), (1, 2.5), (7, 0.5), (60, 20.5)])
+def test_laguerre_weighted_derivative_matches_mpmath(n, alpha):
+    # the derivative from the last two rows and the structure relation
+    mpmath = pytest.importorskip("mpmath")
+    x = [0.25, 2.0, 15.0, 90.0]
+    psi, dpsi = specfun.laguerre_orthonormal_weighted_d1(n, alpha, np.array(x))
+    with mpmath.workdps(40):
+        norm = mpmath.sqrt(mpmath.gamma(n + alpha + 1) / mpmath.factorial(n))
+
+        def f(t):
+            return mpmath.laguerre(n, alpha, t) * mpmath.exp(-t / 2) / norm
+
+        for xi, got, dgot in zip(x, psi, dpsi):
+            want, dwant = f(xi), mpmath.diff(f, xi)
+            scale = max(abs(want), abs(dwant))
+            assert abs(float(got) - want) <= 1e-15 * scale
+            assert abs(float(dgot) - dwant) <= 1e-15 * scale
+
+
+def test_log_weighted_panels_skip_nodes_where_the_power_underflows():
+    # nodes where |poly| is 0 add 0 to both integrals, with no 0 * (-inf)
+    # warning (the suite turns warnings into errors)
+    parts, logs = specfun.power_panels(
+        [0.0], [1.0], ["plain"], ["plain"], lambda x, _: np.where(x > 0.5, x, 0.0),
+        2.0, (None, None), 24, (0.0, 0.0))
+    t, ln_w = specfun.gauss_jacobi(24, 0.0, 0.0)
+    x = (1 + t.astype(float)) / 2
+    w = np.where(x > 0.5, np.exp(ln_w.astype(float)) / 2, 0.0)
+    assert parts[0] == pytest.approx(np.sum(w * x ** 2), rel=1e-14)
+    assert logs[0] == pytest.approx(np.sum(w * x ** 2 * 2 * np.log(x)), rel=1e-14)
+
+
 @pytest.mark.parametrize("n,alpha", [(2, -4.5), (3, -7.25), (5, -13.5)])
 def test_laguerre_negative_parameter_matches_mpmath(n, alpha):
     mpmath = pytest.importorskip("mpmath")
