@@ -7,8 +7,8 @@ Bell-polynomial expansion of the orthonormal Jacobi power, and Gauss-Jacobi
 panel quadrature of orthonormal Jacobi rows between the Gegenbauer roots.
 Closed forms cover the (l, l), (l, l-1) families.  shannon_angular takes
 the digamma closed form of those families and log-weighted panel
-quadrature for every other state.  The quadrature's node count and
-tolerances are module constants.
+quadrature for every other state.  The tolerances are module constants;
+the panel planner and node count are specfun's, shared with radial.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ _LN_2PI = specfun._LN_2 + specfun._LN_PI  # long double, as the panel sums
 MAX_TWO_P = 8
 MAX_DEGREE = 8
 
-# panel quadrature: Gauss-Jacobi nodes in the first pass of specfun.settled
-# and the agreement the second pass must reach
-_NODES = 48
+# panel quadrature: the agreement the second pass of specfun.settled must reach
 _RENYI_TOL = 1e-12
 _SHANNON_TOL = 1e-11
 
@@ -220,16 +218,18 @@ def lambda_bell(state: AngularState, p) -> AngularResult:
     return _result(logmag, order, "bell")
 
 
-def _angular_panels(state: AngularState, p: float, log_coefs=None):
+def _angular_panels(state: AngularState, p: float, what: str, log_coefs=None):
     """The pass m_nodes -> specfun.power_panels of |A C(t)|^{2p} (1 - t^2)^{mp}
-    from -1 over the Gegenbauer roots to 1: the panel integrals and, with
-    log_coefs, the log-weighted ones.  A C_n = p_n / sqrt(2 pi), the row of
+    from -1 over the Gegenbauer roots to 1, on the long-double panels of
+    specfun.plan_panels (what names the state): the panel integrals and,
+    with log_coefs, the log-weighted ones.  A C_n = p_n / sqrt(2 pi), the row of
     specfun._rows for the weight (1 - t^2)^m from p_0 = exp(-(ln mu0 +
     ln 2 pi) / 2), which every pass shares."""
-    l, m = state.l, state.m_abs
-    n = l - m
-    ends = np.concatenate(([-1.0], specfun.gegenbauer_roots(n, m + 0.5), [1.0]))
-    kinds = np.array(["edge"] + ["root"] * n + ["edge"])
+    m, n = state.m_abs, state.l - state.m_abs
+    edges = ((-1.0, m * p), (1.0, m * p))
+    lo, hi, lo_kind, hi_kind = zip(*specfun.plan_panels(
+        np.concatenate(([-1.0], specfun.gegenbauer_roots(n, m + 0.5), [1.0])),
+        ["edge"] + ["root"] * n + ["edge"], edges, 2.0 * p, 0.0, what))
     diag, off = specfun._jacobi_recurrence(n, m, m)
     start = np.exp(-(specfun._jacobi_log_mass(m, m) + _LN_2PI) / 2)
 
@@ -237,8 +237,7 @@ def _angular_panels(state: AngularState, p: float, log_coefs=None):
         return specfun._last_rows(t, diag, off, np.full_like(t, start))[1]
 
     return lambda m_nodes: specfun.power_panels(
-        ends[:-1], ends[1:], kinds[:-1], kinds[1:], poly, 2.0 * p,
-        ((-1.0, m * p), (1.0, m * p)), m_nodes, log_coefs)
+        lo, hi, lo_kind, hi_kind, poly, 2.0 * p, edges, m_nodes, log_coefs)
 
 
 def lambda_quadrature(state: AngularState, p) -> AngularResult:
@@ -254,8 +253,8 @@ def lambda_quadrature(state: AngularState, p) -> AngularResult:
     """
     order = as_order(p)
     what = f"angular quadrature for l={state.l}, m={state.m_abs}, p={order.p}"
-    panels = _angular_panels(state, order.p)
-    v, _ = specfun.settled(lambda m_nodes: panels(m_nodes).sum(), _NODES, _RENYI_TOL, what)
+    panels = _angular_panels(state, order.p, what)
+    v, _ = specfun.settled(lambda k: panels(k).sum(), specfun._NODES, _RENYI_TOL, what)
     if not 0 < v < np.inf:
         raise AccuracyError(f"{what}: panel sum {float(v)} is not positive and finite")
     log_lam = _LN_2PI + np.log(np.longdouble(v))
@@ -335,7 +334,7 @@ def _shannon_quadrature(state: AngularState) -> float:
     """
     m = state.m_abs
     what = f"angular Shannon quadrature for l={state.l}, m={m}"
-    panels = _angular_panels(state, 1.0, (m, m))
+    panels = _angular_panels(state, 1.0, what, (m, m))
 
     def value(m_nodes):
         parts, logs = panels(m_nodes)
@@ -344,7 +343,7 @@ def _shannon_quadrature(state: AngularState) -> float:
             raise AccuracyError(f"{what}: the density integrates to {norm}, not 1")
         return logs.sum()
 
-    v, _ = specfun.settled(value, _NODES, _SHANNON_TOL, what, floor=1.0)
+    v, _ = specfun.settled(value, specfun._NODES, _SHANNON_TOL, what, floor=1.0)
     return -_TWO_PI * float(v)
 
 

@@ -13,15 +13,16 @@ power up to rounding, and a panel quadrature with Gauss-Jacobi endpoint
 weights valid for any real p > 0.  auto takes the n = 0 formula, the rule
 for even 2p <= 8 and the panels otherwise.
 
-The panels take the integrand from the long-double Laguerre recurrence,
-except on the root gaps from n = 40 on: there it comes from a Taylor series
-of the Laguerre equation about each gap centre, whose coefficients one
-recurrence over the centres starts and every node-count pass shares.
+specfun.plan_panels slices the head panel, as it does the angular edges,
+and specfun._NODES, beside its table of first-pass errors, sets the node
+count of both engines.  The integrand comes from the long-double Laguerre
+recurrence, except on the root gaps from n = 40 on: there from a Taylor
+series of the Laguerre equation about each gap centre, whose coefficients
+one recurrence over the centres starts and every node-count pass shares.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,21 +61,6 @@ _RULE_MAX_POWER = 8
 # the node range of specfun.gauss_laguerre, whose start row exp(-x/2) keeps
 # the rows in range up to m = 3000
 _RULE_MAX_NODES = 3000
-_SLICE_BUDGET = 6000
-_LOG_VARIATION_CAP = 16.0
-# Gauss-Jacobi nodes per panel in the first pass of specfun.settled, for the
-# Renyi norm integral and the log-weighted Shannon rules alike (passes of
-# 24, 36 and 54 nodes).  Head slices hold a log-variation of at most
-# _LOG_VARIATION_CAP, each root gap is one panel and the tail is graded
-# (_norm_panels).  Worst first-pass error against a 96-node pass on the same
-# panels, over n <= 800, l in {0, 1, 2, 3, 10, 20}, p in 0.02..12:
-#     nodes    16       20        24        32
-#     error    3.9e-8   3.3e-12   3.5e-14   6.4e-14
-# From 24 nodes on that is the rounding of the panel sum at n = 800; it is
-# 6.7e-15 at n <= 400.  The Shannon rules at p = 1 are 4.1e-15 off at 24
-# nodes and 9.1e-12 at 20.  The angular engine keeps 48: its panels are not
-# cut by variation, and 24 nodes are 6.5e-6 off there at (l, m, p) = (100, 50, 8).
-_NODES = 24
 # From n = _TAYLOR_MIN_N on, the nodes of root gaps take the Taylor series of
 # _gap_series: one recurrence over the gap centres and a fixed cost per
 # panel list, then _TAYLOR_TERMS multiply-adds a node, against an n-step
@@ -186,55 +172,11 @@ def radial_density(state: QuantumState, params: OscillatorParams | None = None):
 # ---------------------------------------------------------------------------
 # quadrature engine
 
-def _variation(a: float, b: float, q2: float, gma: float, roots) -> float:
-    """Upper estimate for the log-range of the regular factor on a slice.
-
-    Serves only the head [0, r_1] (_root_slices): counts e^(-px), x^gma off
-    the edge, and the nearest root right of the slice.  Roots further out
-    only contribute smooth analytic factors that a panel with endpoint
-    weights resolves; summing their log terms would grow with the root
-    count and force pointless splitting.
-    """
-    v = 0.5 * q2 * (b - a)  # e^{-p x}
-    if a > 0:
-        v += gma * math.log(b / a)
-    j = bisect.bisect_right(roots, b)
-    if j < len(roots):
-        v += q2 * math.log((roots[j] - a) / (roots[j] - b))
-    return v
-
-
-def _emit_slices(a, b, bk, ak, q2, gma, roots, out, depth=0):
-    # past the budget each pending slice is emitted whole; the caller raises
-    if (len(out) > _SLICE_BUDGET or depth >= 48 or (b - a) < 1e-12 * (1.0 + b)
-            or _variation(a, b, q2, gma, roots) <= _LOG_VARIATION_CAP):
-        out.append((a, b, bk, ak))
-        return
-    mid = 0.5 * (a + b)
-    _emit_slices(a, mid, bk, "plain", q2, gma, roots, out, depth + 1)
-    _emit_slices(mid, b, "plain", ak, q2, gma, roots, out, depth + 1)
-
-
-def _root_slices(n: int, l: int, p: float, rts: list, c0: float) -> list[tuple]:
-    """Panels of [0, last root], or of [0, c0] at n = 0.
-
-    The head [0, r_1] holds x^(pl + 1/2) and is split to a log-variation of
-    at most _LOG_VARIATION_CAP.  Each gap [r_i, r_(i+1)] is one panel: its
-    root-end weights take |x - r|^(2p), and the weighted polynomial's growth
-    cancels e^(-px), which leaves a smooth envelope.
-    """
-    head: list[tuple] = []
-    _emit_slices(0.0, rts[0] if n else c0, "edge", "root" if n else "plain",
-                 2.0 * p, p * l + 0.5, rts, head)
-    if len(head) > _SLICE_BUDGET:
-        raise AccuracyError(
-            f"head panel [0, r_1] needs more than {_SLICE_BUDGET} slices "
-            f"for n={n}, l={l}, p={p}")
-    return head + [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
-
-
 def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
     """Panels (lo, hi, lo_kind, hi_kind) covering (0, inf) for N_{n,l}(p).
+
+    specfun.plan_panels slices the head [0, r_1] ([0, e] at n = 0).  Each
+    root gap stays whole: the polynomial's growth cancels e^(-px) there.
 
     Past the last root the integrand f = C x^gma prod (x - r_i)^{2p} e^{-p x}
     is log-concave, so the mass beyond a point e where log f falls is at most
@@ -249,21 +191,22 @@ def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
     grow to 16 d / 2p, which leaves 24 nodes 2e-9 short at p = 0.1.
     """
     gma, q2 = p * l + 0.5, 2.0 * p
-    rts = [float(r) for r in specfun.gauss_laguerre(n, l + 0.5)[0]]
-    r = np.array(rts)
-    e = rts[-1] if n else (gma + 4.0) / p
-    panels = _root_slices(n, l, p, rts, e)
+    rts = specfun.gauss_laguerre(n, l + 0.5)[0].astype(float)
+    e = float(rts[-1]) if n else (gma + 4.0) / p
+    panels = specfun.plan_panels(
+        [0.0] + (rts.tolist() if n else [e]), ["edge"] + (["root"] * n if n else ["plain"]),
+        ((0.0, gma), None), q2, p, f"head panel [0, r_1] for n={n}, l={l}, p={p}")
 
     def log_f(x):
-        return q2 * np.sum(np.log(x - r)) + gma * math.log(x) - p * x
+        return q2 * np.sum(np.log(x - rts)) + gma * math.log(x) - p * x
 
     lf, log_mass, prev_w = (-math.inf if n else log_f(e)), -math.inf, None
     for _ in range(400):
-        w = _LOG_VARIATION_CAP / (p + gma / e + (
+        w = specfun._LOG_VARIATION_CAP / (p + gma / e + (
             max(q2, 1.0) / max(e - rts[-1], prev_w or 1e-3) if n else 0.0))
         panels.append((e, e + w, "root" if n and prev_w is None else "plain",
                        "plain"))
-        slope = q2 * np.sum(1.0 / (e - r)) + gma / e - p if lf > -math.inf else 0.0
+        slope = q2 * np.sum(1.0 / (e - rts)) + gma / e - p if lf > -math.inf else 0.0
         if slope < 0 and lf - math.log(-slope) < log_mass + math.log(1e-25):
             return panels
         lf_next = log_f(e + w)
@@ -374,8 +317,8 @@ def _norm_quadrature(n: int, l: int, p: float) -> LaguerreNorm:
     panels = _norm_panels(n, l, p)
     psi = _panel_psi(n, l, panels)
     what = f"radial quadrature for n={n}, l={l}, p={p}"
-    v, escalated = specfun.settled(
-        lambda m: _panel_pass(n, l, p, panels, psi, m).sum(), _NODES, _RENYI_TOL, what)
+    v, escalated = specfun.settled(lambda m: _panel_pass(n, l, p, panels, psi, m).sum(),
+                                   specfun._NODES, _RENYI_TOL, what)
     if not 0 < v < np.inf:
         raise AccuracyError(f"{what}: panel sum {float(v)} is not positive and finite")
     warns = ("node count escalated to reach tolerance",) if escalated else ()
@@ -573,5 +516,5 @@ def shannon_radial_exact(state: QuantumState,
             raise AccuracyError(f"{what}: the density integrates to {norm}, not 1")
         return logs.sum()
 
-    j, _ = specfun.settled(value, _NODES, _SHANNON_TOL, what, floor=1.0)
+    j, _ = specfun.settled(value, specfun._NODES, _SHANNON_TOL, what, floor=1.0)
     return -_LN_2 - 1.5 * math.log(params.lam) - float(j)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 from scipy.special import lpmv, roots_jacobi, roots_legendre
 
-from oscent import angular
+from oscent import angular, specfun
 from oscent.angular import (AngularState, lambda_bell, lambda_closed,
                             lambda_linearization, lambda_quadrature,
                             renyi_angular, shannon_angular)
@@ -275,3 +275,45 @@ def test_angular_table_check_gates_the_quadrature_gap(monkeypatch, capsys):
     monkeypatch.setattr(table, "lambda_quadrature", off)
     assert table.main(argv) == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the margin of the angular node count: the first 24-node pass against a
+# 108-node pass on its own panels
+
+
+@pytest.mark.parametrize("l,m", [(600, 300), (1000, 500)])
+def test_large_m_shannon_matches_a_108_node_pass(l, m):
+    # each unsliced edge panel [-1, t_1], [t_n, 1] holds (1 -+ t)^(mp)
+    # varying by about e^23 at (600, 300), and did not settle there
+    ref = -2 * math.pi * float(angular._angular_panels(
+        AngularState(l, m), 1.0, "test", (m, m))(108)[1].sum())
+    assert abs(shannon_angular(AngularState(l, m)) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("l", [10, 30, 60, 100, 200])
+def test_angular_first_pass_error_is_pinned(l):
+    # the worst over this set is 3.9e-16 for Lambda at (200, 1, 8) and
+    # 3.5e-19 for the Shannon log integral J, relative to max(|J|, 1); with
+    # edge slices not bound by _ROOT_REACH, J is 1.1e-5 off at (200, 100)
+    for m in sorted({0, 1, l // 4, l // 2, 3 * l // 4, l - 2}):
+        for p in (0.5, 1.0, 2.5, 8.0):
+            passes = angular._angular_panels(AngularState(l, m), p, "test",
+                                             (m, m) if p == 1.0 else None)
+            if p == 1.0:
+                got, ref = (passes(k)[1].sum() for k in (specfun._NODES, 108))
+                err = abs(got - ref) / max(abs(ref), 1)
+            else:
+                got, ref = (passes(k).sum() for k in (specfun._NODES, 108))
+                err = abs(got - ref) / ref
+            assert err <= 1e-15, (l, m, p)
+
+
+@pytest.mark.parametrize("l,m,want", [(30, 28, 1.5791416670756884601),
+                                      (60, 58, 1.2609668226245452556),
+                                      (100, 97, 1.1236939063915294623)])
+def test_shannon_quadrature_matches_30_digit_references(l, m, want):
+    # -2 pi integral y ln y from 30-digit mpmath quad over the root gaps of
+    # (1 - t^2)^m C(t)^2, normalised there; unsliced edge panels were 8e-15,
+    # 2.2e-14 and 3.7e-14 off
+    assert abs(shannon_angular(AngularState(l, m)) - want) <= 2e-15

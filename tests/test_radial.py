@@ -447,7 +447,7 @@ def test_tail_self_check_sees_a_missing_lobe(monkeypatch):
 @pytest.mark.parametrize("p", [0.5, 1.5, 2.0, 1.3])
 def test_batched_engine_matches_per_slice_reference(n, l, p):
     got = laguerre_norm(n, l, p, path="quadrature")
-    m = radial._NODES
+    m = specfun._NODES
     m_nodes = 2 * m + m // 4 if got.warnings else m + m // 2
     assert got.value == pytest.approx(per_slice_value(n, l, p, m_nodes),
                                       rel=1e-13)
@@ -490,7 +490,7 @@ def test_tail_panels_grow_at_most_the_cap_past_the_last_root(n, l, p):
     tail = [s for s in radial._norm_panels(n, l, p) if s[0] > last]
     assert len(tail) > 2
     for lo, hi, _, _ in tail:
-        assert hi - lo <= radial._LOG_VARIATION_CAP * (lo - last) * (1 + 1e-12)
+        assert hi - lo <= specfun._LOG_VARIATION_CAP * (lo - last) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("n,l", [(10, 20), (50, 0)])
@@ -557,7 +557,7 @@ def test_large_degree_high_order_settles(n, l, p):
     got = laguerre_norm(n, l, p, path="quadrature")
     assert not got.warnings
     ref = panel_pass(n, l, p, radial._norm_panels(n, l, p),
-                     radial._NODES * 2 + radial._NODES // 4).sum()
+                     specfun._NODES * 2 + specfun._NODES // 4).sum()
     assert float(abs(got.value - ref) / ref) <= 1e-13
 
 
@@ -673,7 +673,7 @@ def test_root_gap_nodes_reach_the_recurrence_only_below_the_threshold(
     rts = specfun.gauss_laguerre(n, 0.5)[0].astype(float)
     on_gaps = np.count_nonzero((x > rts[0]) & (x < rts[-1]))
     panels = len(radial._norm_panels(n, 0, p))
-    nodes = 2 * radial._NODES + radial._NODES // 2  # the 24- and 36-node passes
+    nodes = 2 * specfun._NODES + specfun._NODES // 2  # the 24- and 36-node passes
     if n < radial._TAYLOR_MIN_N:
         assert on_gaps == (n - 1) * nodes and x.size == panels * nodes
     else:

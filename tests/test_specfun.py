@@ -596,3 +596,90 @@ def test_settled_escalates_once_then_raises():
     # a NaN never counts as settled
     with pytest.raises(AccuracyError):
         specfun.settled(lambda m: math.nan, 48, 1e-12, "nan")
+
+
+# ---------------------------------------------------------------------------
+# the panel planner shared by the radial head and the angular edges
+
+
+def radial_head_plan(n, l, p):
+    """plan_panels on the ends radial._norm_panels gives it (n >= 1)."""
+    rts = [float(r) for r in specfun.gauss_laguerre(n, l + 0.5)[0]]
+    return ([0.0] + rts, ["edge"] + ["root"] * n, ((0.0, p * l + 0.5), None),
+            2.0 * p, p)
+
+
+def angular_plan(l, m, p):
+    """plan_panels on the ends angular._angular_panels gives it."""
+    ends = np.concatenate(([-1.0], specfun.gegenbauer_roots(l - m, m + 0.5), [1.0]))
+    return (ends, ["edge"] + ["root"] * (l - m) + ["edge"],
+            ((-1.0, m * p), (1.0, m * p)), 2.0 * p, 0.0)
+
+
+PLANS = [radial_head_plan(100, 20, 12.0), radial_head_plan(400, 100, 1.0),
+         radial_head_plan(5, 0, 0.02), angular_plan(100, 50, 8.0),
+         angular_plan(600, 300, 1.0), angular_plan(30, 0, 2.5),
+         angular_plan(5, 5, 2.0)]
+
+
+@pytest.mark.parametrize("plan", PLANS)
+def test_planned_slices_cover_each_panel_with_its_end_kinds(plan):
+    ends, kinds = plan[:2]
+    out = specfun.plan_panels(*plan, "test")
+    assert out[0][0] == ends[0] and out[-1][1] == ends[-1]
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(out, out[1:]))
+    for a, b, ak, bk in zip(ends[:-1], ends[1:], kinds[:-1], kinds[1:]):
+        cut = [s for s in out if a <= s[0] and s[1] <= b]
+        assert cut[0][0] == a and cut[-1][1] == b
+        assert cut[0][2] == ak and cut[-1][3] == bk
+        assert all(s[3] == "plain" for s in cut[:-1])
+        assert all(s[2] == "plain" for s in cut[1:])
+        if "edge" not in (ak, bk):
+            assert cut == [(a, b, ak, bk)]  # root gaps stay whole
+    # the slices keep the precision of the ends
+    assert all(np.asarray(s[0]).dtype == np.asarray(ends).dtype for s in out)
+
+
+def slice_spread(a, b, plan):
+    """The log-variation of the factors no end weight of [a, b] holds, and
+    its distance from the nearest root off its ends, written out apart from
+    plan_panels."""
+    ends, kinds, edges, q2, rate = plan
+    roots = [r for r, k in zip(ends, kinds) if k == "root"]
+    left = [r for r in roots if r < a][-1:]
+    right = [r for r in roots if r > b][:1]
+    v = rate * (b - a)
+    if edges[0] is not None and a != edges[0][0]:
+        v += edges[0][1] * math.log((b - edges[0][0]) / (a - edges[0][0]))
+    if edges[1] is not None and b != edges[1][0]:
+        v += edges[1][1] * math.log((edges[1][0] - a) / (edges[1][0] - b))
+    v += sum(q2 * math.log((b - r) / (a - r)) for r in left)
+    v += sum(q2 * math.log((r - a) / (r - b)) for r in right)
+    return v, min([a - r for r in left] + [r - b for r in right], default=math.inf)
+
+
+@pytest.mark.parametrize("plan", PLANS)
+def test_every_slice_is_within_the_cap_or_at_a_floor(plan):
+    ends, kinds = plan[:2]
+    out = specfun.plan_panels(*plan, "test")
+    for lo, hi, lk, hk in zip(ends[:-1], ends[1:], kinds[:-1], kinds[1:]):
+        if "edge" not in (lk, hk):
+            continue
+        for a, b, _, _ in (s for s in out if lo <= s[0] and s[1] <= hi):
+            v, d = slice_spread(a, b, plan)
+            assert ((v <= specfun._LOG_VARIATION_CAP and b - a <= specfun._ROOT_REACH * d)
+                    or b - a < 1e-12 * (1.0 + abs(b)) or b - a <= (hi - lo) * 2.0 ** -48)
+
+
+def test_slice_budget_raises_with_the_name_it_is_given(monkeypatch):
+    monkeypatch.setattr(specfun, "_SLICE_BUDGET", 3)
+    with pytest.raises(AccuracyError, match="the head of x needs more than 3 slices"):
+        specfun.plan_panels(*radial_head_plan(100, 20, 12.0), "the head of x")
+
+
+def test_panel_ends_are_not_their_own_nearest_roots():
+    # the ends are long double; a root compared in float sits a rounding
+    # away from its own end, counted as the nearest root of its own panel,
+    # and cut (4, 0, 2.5) into 79 panels where 5 hold
+    assert len(specfun.plan_panels(*angular_plan(4, 0, 2.5), "test")) == 5
+    assert len(angular._angular_panels(angular.AngularState(4, 0), 2.5, "test")(24)) == 5
