@@ -275,6 +275,7 @@ def test_bad_inputs_exit_without_traceback(capsys, argv, code):
     ["radial", "--n", "1", "--l", "3500", "--p", "1"],
     ["total", "--n", "1", "--l", "3500", "--m", "3500", "--p", "1.3"],
     ["angular", "--l", "1000", "--m", "500", "--p", "2.5"],
+    ["angular", "--l", "1000", "--m", "500", "--p", "1"],
     ["asymptotic", "--n", "100", "--l", "160", "--p", "8"],
     ["asymptotic", "--n", "100", "--l", "300", "--p", "8"],
     ["asymptotic", "--n", "100", "--l", "3000", "--p", "8"],
