@@ -22,7 +22,7 @@ from .entropy import (
     tsallis_from_renyi,
     uncertainty_sum,
 )
-from .errors import AccuracyError, DomainError, UnboundedGrowthError
+from .errors import AccuracyError, DomainError
 from .oracle import full_density, renyi_full, shannon_full
 from .order import EntropyOrder, as_order
 from .radial import (
@@ -52,8 +52,7 @@ __all__ = [
     "UncertaintyRecord", "disequilibrium", "momentum_renyi",
     "renyi_sum_bound", "renyi_total", "shannon_total", "tsallis_from_renyi",
     "uncertainty_sum",
-    "AccuracyError", "DomainError", "UnboundedGrowthError",
-    "full_density", "renyi_full", "shannon_full",
+    "AccuracyError", "DomainError", "full_density", "renyi_full", "shannon_full",
     "EntropyOrder", "as_order",
     "LaguerreNorm", "OscillatorParams", "QuantumState", "closed_n1l",
     "energy", "laguerre_norm", "radial_density", "renyi_radial_exact",

@@ -1,14 +1,14 @@
 """Entropies of the angular factor of central-potential eigenstates.
 
 The squared spherical harmonic |Y_{l,m}|^2 integrates against its own p-th
-power through three independent routes: an exact linearization of the
-Gegenbauer power into hypergeometric-type rational sums, an exact
-Bell-polynomial expansion of the orthonormal Jacobi power, and Gauss-Jacobi
-panel quadrature of orthonormal Jacobi rows between the Gegenbauer roots.
-Closed forms cover the (l, l), (l, l-1) families.  shannon_angular takes
-the digamma closed form of those families and log-weighted panel
-quadrature for every other state.  The tolerances are module constants;
-the panel planner and node count are specfun's, shared with radial.
+power by closed forms for the (l, l), (l, l-1) families, one exact
+Gauss-Jacobi rule at even 2p and Gauss-Jacobi panel quadrature of the
+orthonormal Jacobi row between the Gegenbauer roots at any real p.  The
+paper's two analytic procedures are exact rational references: a
+linearization of the Gegenbauer power into hypergeometric-type sums and a
+Bell-polynomial expansion of the orthonormal Jacobi power.  shannon_angular
+takes the digamma closed forms of the families and log-weighted panels
+elsewhere.  The panel planner, node count and rule cap are specfun's.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ _LN_2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
 _LN_2PI = specfun._LN_2 + specfun._LN_PI  # long double, as the panel sums
 
-# exact polynomial-power routes are supported on this lattice
+# the rational reference routes are supported on this lattice
 MAX_TWO_P = 8
 MAX_DEGREE = 8
 
@@ -218,26 +218,49 @@ def lambda_bell(state: AngularState, p) -> AngularResult:
     return _result(logmag, order, "bell")
 
 
-def _angular_panels(state: AngularState, p: float, what: str, log_coefs=None):
-    """The pass m_nodes -> specfun.power_panels of |A C(t)|^{2p} (1 - t^2)^{mp}
-    from -1 over the Gegenbauer roots to 1, on the long-double panels of
-    specfun.plan_panels (what names the state): the panel integrals and,
-    with log_coefs, the log-weighted ones.  A C_n = p_n / sqrt(2 pi), the row of
-    specfun._rows for the weight (1 - t^2)^m from p_0 = exp(-(ln mu0 +
-    ln 2 pi) / 2), which every pass shares."""
+def _integrand(state: AngularState, p: float):
+    """poly, q2 and edges of power_panels for |A C(t)|^{2p} (1 - t^2)^{mp}, with
+    A C_n = p_n / sqrt(2 pi) from _rows for (1 - t^2)^m, p_0 = e^-(ln mu0 + ln 2 pi)/2."""
     m, n = state.m_abs, state.l - state.m_abs
-    edges = ((-1.0, m * p), (1.0, m * p))
-    lo, hi, lo_kind, hi_kind = zip(*specfun.plan_panels(
-        np.concatenate(([-1.0], specfun.gegenbauer_roots(n, m + 0.5), [1.0])),
-        ["edge"] + ["root"] * n + ["edge"], edges, 2.0 * p, 0.0, what))
     diag, off = specfun._jacobi_recurrence(n, m, m)
     start = np.exp(-(specfun._jacobi_log_mass(m, m) + _LN_2PI) / 2)
 
     def poly(t, _):
         return specfun._last_rows(t, diag, off, np.full_like(t, start))[1]
 
+    return poly, 2.0 * p, ((-1.0, m * p), (1.0, m * p))
+
+
+def _angular_panels(state: AngularState, p: float, what: str, log_coefs=None):
+    """The pass m_nodes -> power_panels of _integrand on the long-double panels of
+    plan_panels from -1 over the Gegenbauer roots to 1 (what names the state):
+    the panel integrals and, with log_coefs, the log-weighted ones."""
+    m, n = state.m_abs, state.l - state.m_abs
+    poly, q2, edges = _integrand(state, p)
+    lo, hi, lo_kind, hi_kind = zip(*specfun.plan_panels(
+        np.concatenate(([-1.0], specfun.gegenbauer_roots(n, m + 0.5), [1.0])),
+        ["edge"] + ["root"] * n + ["edge"], edges, q2, 0.0, what))
     return lambda m_nodes: specfun.power_panels(
-        lo, hi, lo_kind, hi_kind, poly, 2.0 * p, edges, m_nodes, log_coefs)
+        lo, hi, lo_kind, hi_kind, poly, q2, edges, m_nodes, log_coefs)
+
+
+def _from_sum(v, order: EntropyOrder, method: str, what: str) -> AngularResult:
+    """The AngularResult of a panel sum v = Lambda / 2 pi, by ln v in long double."""
+    if not 0 < v < np.inf:
+        raise AccuracyError(f"{what}: panel sum {float(v)} is not positive and finite")
+    log_lam = _LN_2PI + np.log(np.longdouble(v))
+    return _result(float(log_lam), order, method, _TWO_PI * float(v))
+
+
+def _lambda_gauss_jacobi(state: AngularState, order: EntropyOrder) -> AngularResult:
+    """Power integral of |Y_{l,m}|^2 at even 2p = q (or l = |m|), exact up to
+    rounding: |A C(t)|^q has degree n q, n = l - |m|, against the weight
+    (1 - t^2)^{mp}, so power_panels' one Gauss rule of n q/2 + 1 nodes on the
+    single panel [-1, 1], both ends "edge", sums it term by positive term."""
+    n, q = state.l - state.m_abs, order.two_p
+    v = specfun.power_panels([np.longdouble(-1)], [1.0], ["edge"], ["edge"],
+                             *_integrand(state, order.p), n * q // 2 + 1)[0]
+    return _from_sum(v, order, "gauss_jacobi", f"Gauss-Jacobi rule for {state}, p={order.p}")
 
 
 def lambda_quadrature(state: AngularState, p) -> AngularResult:
@@ -246,19 +269,13 @@ def lambda_quadrature(state: AngularState, p) -> AngularResult:
     2 pi times the integral of |A C(t)|^{2p} (1 - t^2)^{mp} over [-1, 1],
     valid for any real p > 0: panels end at the Gegenbauer roots, where
     |.|^{2p} loses smoothness, and their end weights absorb it
-    (_angular_panels).  Certified by a second node count, like the radial
-    engine.  ln Lambda = ln 2 pi + ln v is taken in long double, where the
-    panel sum v stays in range after Lambda underflows; a sum that is not
-    positive and finite raises AccuracyError.
+    (_angular_panels).  Certified by a second node count, like radial's.
     """
     order = as_order(p)
     what = f"angular quadrature for l={state.l}, m={state.m_abs}, p={order.p}"
     panels = _angular_panels(state, order.p, what)
     v, _ = specfun.settled(lambda k: panels(k).sum(), specfun._NODES, _RENYI_TOL, what)
-    if not 0 < v < np.inf:
-        raise AccuracyError(f"{what}: panel sum {float(v)} is not positive and finite")
-    log_lam = _LN_2PI + np.log(np.longdouble(v))
-    return _result(float(log_lam), order, "quadrature", _TWO_PI * float(v))
+    return _from_sum(v, order, "quadrature", what)
 
 
 def lambda_closed(state: AngularState, p) -> AngularResult | None:
@@ -290,21 +307,19 @@ def lambda_closed(state: AngularState, p) -> AngularResult | None:
 def renyi_angular(state: AngularState, p) -> AngularResult:
     """Renyi entropy of the angular density, best available route.
 
-    Dispatch: closed form when the state belongs to a closed family (any
-    real p), else the exact linearization at even 2p on the lattice, else
-    quadrature.  Outside the families l - |m| >= 2, so the polynomial factor
-    changes sign and an odd 2p has no exact route.
+    Dispatch: closed form for a closed family (any real p), else the exact
+    Gauss-Jacobi rule at even 2p <= specfun._RULE_MAX_POWER, else quadrature.
+    Outside the families l - |m| >= 2, so the polynomial factor changes sign
+    and an odd 2p has no exact route.
     """
     order = as_order(p)
     if order.is_unity:
         raise DomainError("p = 1 is the Shannon limit; use shannon_angular")
-    closed = lambda_closed(state, order)
-    if closed is not None:
-        return closed
+    if state.closed_family:
+        return lambda_closed(state, order)
     q = order.two_p
-    if (q is not None and q % 2 == 0 and q <= MAX_TWO_P
-            and (state.l - state.m_abs) <= MAX_DEGREE):
-        return lambda_linearization(state, order)
+    if q is not None and q % 2 == 0 and q <= specfun._RULE_MAX_POWER:
+        return _lambda_gauss_jacobi(state, order)
     return lambda_quadrature(state, order)
 
 

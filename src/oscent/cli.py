@@ -305,12 +305,11 @@ def _cmd_verify(args) -> tuple[list[dict], bool]:
         for l, m in ((2, 1), (3, 1), (4, 2)):
             st = AngularState(l, m)
             lin = angular.lambda_linearization(st, 2.0).lambda_value
-            bell = angular.lambda_bell(st, 2.0).lambda_value
-            quad = angular.lambda_quadrature(st, 2.0).lambda_value
-            add(f"angular route agreement l={l} m={m} (exact pair)",
-                abs(lin / bell - 1.0), 1e-9)
-            add(f"angular route agreement l={l} m={m} (vs quadrature)",
-                abs(lin / quad - 1.0), 1e-7)
+            for what, route, tol in (("exact pair", angular.lambda_bell, 1e-9),
+                                     ("vs quadrature", angular.lambda_quadrature, 1e-7),
+                                     ("vs production route", angular.renyi_angular, 1e-12)):
+                add(f"angular route agreement l={l} m={m} ({what})",
+                    abs(lin / route(st, 2.0).lambda_value - 1.0), tol)
     if suite in ("all", "radial"):
         for n, l in ((0, 0), (3, 1), (7, 2)):
             norm = radial.laguerre_norm(n, l, 1.0)

@@ -1,6 +1,4 @@
-"""Shared exception types for domain, accuracy and growth failures."""
-
-from __future__ import annotations
+"""Shared exception types for domain and accuracy failures."""
 
 
 class DomainError(ValueError):
@@ -20,14 +18,3 @@ class AccuracyError(RuntimeError):
         self.estimate = estimate
         self.error_bound = error_bound
 
-
-class UnboundedGrowthError(ArithmeticError):
-    """Growth beyond floating-point range.
-
-    Public for callers that catch it; no routine raises it: a power integral
-    past the float range is reported as None beside its finite logarithm.
-    """
-
-    def __init__(self, message: str, context: tuple | None = None):
-        super().__init__(message)
-        self.context = context

@@ -43,23 +43,8 @@ __all__ = [
 _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 
-# auto integrates even 2p up to _RULE_MAX_POWER by one Gauss-Laguerre rule of
-# n p + 1 nodes (_norm_gauss_laguerre), the panels above.  The rule costs
-# about (n 2p)^2 recurrence steps.  The panels cost about n^2 below
-# _TAYLOR_MIN_N and grow more slowly above it, where the root gaps take a
-# series, so the crossover moves to smaller 2p as n grows and no single cap
-# on 2p marks it.  Cold ms per value, l = 0, on one x86-64 core (median of
-# 1 to 5 runs, every rule cache cleared first):
-#     rule / panels    2p = 4        2p = 8       2p = 10
-#     n = 10           0.4 / 4.7     0.6 / 5.0    0.6 / 5.3
-#     n = 100          4.7 / 16      11 / 16      16 / 16
-#     n = 400          43 / 61       137 / 64     212 / 68
-#     n = 1500         560 / 380
-# The cap stays at 8: up to it the rule wins at n <= 100 and at 2p = 4 at
-# n = 400, and at n = 400 it costs at most 2.2x the panels.
-_RULE_MAX_POWER = 8
-# the node range of specfun.gauss_laguerre, whose start row exp(-x/2) keeps
-# the rows in range up to m = 3000
+# auto's rule (up to specfun._RULE_MAX_POWER) stays in gauss_laguerre's node
+# range: its start row exp(-x/2) keeps the rows in range up to m = 3000
 _RULE_MAX_NODES = 3000
 # From n = _TAYLOR_MIN_N on, the nodes of root gaps take the Taylor series of
 # _gap_series: one recurrence over the gap centres and a fixed cost per
@@ -450,7 +435,7 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto") -> LaguerreNorm:
     if path == "auto":
         if n == 0:
             return _norm_symbolic_n0(l, pf)
-        if (q is not None and q % 2 == 0 and q <= _RULE_MAX_POWER
+        if (q is not None and q % 2 == 0 and q <= specfun._RULE_MAX_POWER
                 and n * q // 2 + 1 <= _RULE_MAX_NODES):
             return _norm_gauss_laguerre(n, l, q, pf)
         return _norm_quadrature(n, l, pf)

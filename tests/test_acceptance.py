@@ -19,6 +19,7 @@ from oscent.entropy import (SHANNON_SUM_BOUND, disequilibrium, renyi_total,
                             shannon_total, uncertainty_sum)
 from oscent.errors import DomainError
 from oscent.oracle import renyi_full, shannon_full
+from oscent.order import as_order
 from oscent.radial import (QuantumState, closed_n1l, laguerre_norm,
                            renyi_radial_exact, shannon_radial_exact)
 from oscent.rydberg import (bessel_constant, renyi_radial_asymptotic,
@@ -47,7 +48,7 @@ def test_uniform_harmonic_renyi_all_orders():
         assert got == pytest.approx(math.log(FOUR_PI), abs=1e-9)
 
 
-# -- 2: the two exact angular routes against quadrature ---------------------
+# -- 2: the exact angular routes against quadrature ------------------------
 
 def test_angular_cross_method_suite():
     start = time.monotonic()
@@ -66,10 +67,14 @@ def test_angular_cross_method_suite():
                 lin = lambda_linearization(state, p)
                 bell = lambda_bell(state, p)
                 quad = lambda_quadrature(state, p)
+                # the production rule, exact here: even 2p, or l = |m|
+                rule = angular._lambda_gauss_jacobi(state, as_order(p))
                 assert lin.lambda_value == pytest.approx(
                     bell.lambda_value, rel=1e-9), (l, m, q)
                 assert lin.lambda_value == pytest.approx(
                     quad.lambda_value, rel=1e-7), (l, m, q)
+                assert lin.lambda_value == pytest.approx(
+                    rule.lambda_value, rel=1e-9), (l, m, q)
     assert time.monotonic() - start < 120.0
 
 
