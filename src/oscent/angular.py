@@ -38,6 +38,9 @@ _LN_2PI = specfun._LN_2 + specfun._LN_PI  # long double, as the panel sums
 # the rational reference routes are supported on this lattice
 MAX_TWO_P = 8
 MAX_DEGREE = 8
+# the Gauss-Jacobi rule's Christoffel sums reach ln K = 0.85 to 0.995 of
+# 2|m|p ln(l/|m|) (measured to l = 3000), and long double ends at e^11356
+_RULE_MAX_LOG_K = 11000.0
 
 # panel quadrature: the agreement the second pass of specfun.settled must reach
 _RENYI_TOL = 1e-12
@@ -165,8 +168,7 @@ def lambda_linearization(state: AngularState, p) -> AngularResult:
     """
     order, q = _exact_route_order(state, p, "linearization")
     l, m = state.l, state.m_abs
-    context = (l, m, order.p)
-    core = _positive(_ctilde0(l, m, q), context)
+    core = _positive(_ctilde0(l, m, q), (l, m, order.p))
     logmag = _lin_log_prefactor(l, m, 0.5 * q) + specfun.log_fraction(core)
     return _result(logmag, order, "linearization")
 
@@ -207,9 +209,8 @@ def lambda_bell(state: AngularState, p) -> AngularResult:
     """
     order, q = _exact_route_order(state, p, "Bell")
     l, m = state.l, state.m_abs
-    context = (l, m, order.p)
     acc, pi_half, norm_sq = _bell_core(l, m, q)
-    acc = _positive(acc, context)
+    acc = _positive(acc, (l, m, order.p))
     gm, hm = specfun.gamma_half_exact(m * q + 2)  # Gamma(m p + 1)
     logmag = (specfun.log_fraction(gm) + 0.5 * hm * _LN_PI
               - 0.5 * q * _LN_2 + (1.0 - 0.5 * q) * _LN_PI
@@ -308,17 +309,18 @@ def renyi_angular(state: AngularState, p) -> AngularResult:
     """Renyi entropy of the angular density, best available route.
 
     Dispatch: closed form for a closed family (any real p), else the exact
-    Gauss-Jacobi rule at even 2p <= specfun._RULE_MAX_POWER, else quadrature.
-    Outside the families l - |m| >= 2, so the polynomial factor changes sign
-    and an odd 2p has no exact route.
+    Gauss-Jacobi rule at even 2p <= specfun._RULE_MAX_POWER in long-double
+    range (_RULE_MAX_LOG_K), else quadrature.  Outside the families l - |m| >= 2,
+    so the polynomial factor changes sign and an odd 2p has no exact route.
     """
     order = as_order(p)
     if order.is_unity:
         raise DomainError("p = 1 is the Shannon limit; use shannon_angular")
     if state.closed_family:
         return lambda_closed(state, order)
-    q = order.two_p
-    if q is not None and q % 2 == 0 and q <= specfun._RULE_MAX_POWER:
+    m, q = state.m_abs, order.two_p
+    if (q is not None and q % 2 == 0 and q <= specfun._RULE_MAX_POWER
+            and (m == 0 or 2 * m * order.p * math.log(state.l / m) <= _RULE_MAX_LOG_K)):
         return _lambda_gauss_jacobi(state, order)
     return lambda_quadrature(state, order)
 

@@ -746,9 +746,8 @@ def plan_panels(ends, kinds, edges, q2: float, rate: float, what: str) -> list[t
 _NODES = 24
 # Even 2p up to _RULE_MAX_POWER takes one Gauss rule of n p + 1 nodes, exact for
 # the polynomial power (radial._norm_gauss_laguerre, angular._lambda_gauss_jacobi
-# with n = l - |m|).  It costs about (n 2p)^2 recurrence steps and the panels
-# about n^2 (less from radial._TAYLOR_MIN_N on), so no cap on 2p marks the
-# crossover.  Cold ms, rule / panels, one x86-64 core, rule caches cleared:
+# with n = l - |m|), at about (n 2p)^2 recurrence steps against n^2 or less for
+# the panels.  Cold ms, rule / panels, one x86-64 core, rule caches cleared:
 #     2p =                     4            8            10 radial, 12 angular
 #     radial l = 0, n = 100    4.7 / 16     11 / 16      16 / 16
 #                   n = 400    43 / 61      137 / 64     212 / 68
@@ -756,8 +755,7 @@ _NODES = 24
 #     angular m = 3, l = 100   4.5 / 19     11 / 19      25 / 27
 #                    l = 300   29 / 163     109 / 122    190 / 152
 #                    l = 1000  331 / 2370   1170 / 1950  2300 / 2030
-# The cap stays at 8: up to it the rule wins on the angular side and radially
-# at n <= 100, and at n = 400 it costs at most 2.2x the panels.
+# Cap 8: the rule wins angularly and radially at n <= 100, and costs at most 2.2x at n = 400.
 _RULE_MAX_POWER = 8
 
 

@@ -52,7 +52,7 @@ def test_uniform_harmonic_renyi_all_orders():
 
 def test_angular_cross_method_suite():
     start = time.monotonic()
-    for l in range(7):
+    for l in range(9):
         for m in range(l + 1):
             state = AngularState(l, m)
             sign_definite = (m == l)  # polynomial factor has no roots
@@ -67,14 +67,16 @@ def test_angular_cross_method_suite():
                 lin = lambda_linearization(state, p)
                 bell = lambda_bell(state, p)
                 quad = lambda_quadrature(state, p)
-                # the production rule, exact here: even 2p, or l = |m|
+                # the production rule, exact here: even 2p, or l = |m|; measured
+                # at most 6.8e-14 off the linearization in ln Lambda, 7.5e-15 off Bell
                 rule = angular._lambda_gauss_jacobi(state, as_order(p))
                 assert lin.lambda_value == pytest.approx(
                     bell.lambda_value, rel=1e-9), (l, m, q)
                 assert lin.lambda_value == pytest.approx(
                     quad.lambda_value, rel=1e-7), (l, m, q)
-                assert lin.lambda_value == pytest.approx(
-                    rule.lambda_value, rel=1e-9), (l, m, q)
+                for ref in (lin, bell):
+                    assert abs(math.log(rule.lambda_value / ref.lambda_value)) <= 1e-13, \
+                        (l, m, q, ref.method)
     assert time.monotonic() - start < 120.0
 
 
