@@ -133,14 +133,16 @@ def _ctilde0(l: int, m: int, q: int) -> Fraction:
 
 
 def _lin_log_prefactor(l: int, m: int, p: float) -> float:
-    lg = math.lgamma
-    return ((2 * p * (2 * m - 1) + 2) * _LN_2
-            + p * math.log(2 * l + 1)
-            - (2 * p - 1) * _LN_PI
-            + 2 * lg(m * p + 1) - lg(2 * m * p + 2)
-            + p * (2 * lg(m + 0.5) + 2 * lg(m + 1.0)
-                   + lg(l - m + 1.0) + lg(l + m + 1.0)
-                   - 2 * lg(2 * m + 1.0) - 2 * lg(l + 1.0)))
+    # in long double: most of the fifteen terms carry a factor p, and float
+    # log-Gammas put the sum up to 1.2e-13 off at (11, 7, 2p = 8)
+    lg, ln_2, ln_pi = specfun._lgamma, specfun._LN_2, specfun._LN_PI
+    p = np.longdouble(p)
+    return float((2 * p * (2 * m - 1) + 2) * ln_2
+                 + p * np.log(np.longdouble(2 * l + 1))
+                 - (2 * p - 1) * ln_pi
+                 + 2 * lg(m * p + 1) - lg(2 * m * p + 2)
+                 + p * (2 * lg(m + 0.5) + 2 * lg(m + 1) + lg(l - m + 1) + lg(l + m + 1)
+                        - 2 * lg(2 * m + 1) - 2 * lg(l + 1)))
 
 
 def _positive(exact: Fraction, context) -> Fraction:

@@ -15,10 +15,12 @@ for even 2p <= 8 and the panels otherwise.
 
 specfun.plan_panels slices the head panel, as it does the angular edges,
 and specfun._NODES, beside its table of first-pass errors, sets the node
-count of both engines.  The integrand comes from the long-double Laguerre
-recurrence, except on the root gaps from n = 40 on: there from a Taylor
-series of the Laguerre equation about each gap centre, whose coefficients
-one recurrence over the centres starts and every node-count pass shares.
+count of both engines.  From n = 40 on, the integrand on each panel (head
+slice, root gap or tail panel) comes from a Taylor series of the Laguerre
+equation about the panel centre, whose coefficients one recurrence over the
+centres starts and every node-count pass shares; a panel whose own last
+coefficients do not certify the series, and every panel below that n, takes
+the long-double Laguerre recurrence.
 """
 
 from __future__ import annotations
@@ -46,27 +48,51 @@ _LN_PI = math.log(math.pi)
 # auto's rule (up to specfun._RULE_MAX_POWER) stays in gauss_laguerre's node
 # range: its start row exp(-x/2) keeps the rows in range up to m = 3000
 _RULE_MAX_NODES = 3000
-# From n = _TAYLOR_MIN_N on, the nodes of root gaps take the Taylor series of
-# _gap_series: one recurrence over the gap centres and a fixed cost per
+# From n = _TAYLOR_MIN_N on, the panels take the Taylor series of
+# _panel_series: one recurrence over the panel centres and a fixed cost per
 # panel list, then _TAYLOR_TERMS multiply-adds a node, against an n-step
-# recurrence per node below.  Warm ms per value, recurrence / series, by
-# _norm_quadrature (p = 0.7, 2.5) and shannon_radial_exact (p = 1):
+# recurrence per node below.  Warm ms per value, recurrence / series, medians
+# of 25 alternated calls, by _norm_quadrature (p = 0.7, 2.5) and
+# shannon_radial_exact (p = 1):
 #     n              10        30        40        60         100
-#     p=0.7, l=0     2.0/3.0   5.2/5.4   6.5/5.9   12.2/8.5   25.1/12.9
-#     p=2.5, l=0     2.5/3.5   6.2/6.4   8.6/7.3   14.5/10.7  29.0/16.3
-#     p=2.5, l=3     2.1/3.0   5.1/5.5   7.9/7.4   12.8/10.3  28.8/17.2
-#     p=1,   l=3     2.4/3.2   5.9/6.3   8.2/7.6   14.5/10.7  32.3/17.8
+#     p=0.7, l=0     1.8/2.7   4.6/4.5   7.7/7.0   13.2/9.6   28.1/13.7
+#     p=2.5, l=0     2.5/3.8   6.1/5.6   8.2/6.8   14.2/8.8   29.4/12.4
+#     p=2.5, l=3     2.5/3.9   6.0/6.2   8.3/7.1   14.3/9.5   31.1/14.2
+#     p=1,   l=3     2.6/3.9   6.1/7.1   8.5/8.1   14.2/10.5  29.2/14.6
+#     p=0.7, l=20    2.2/3.5   5.3/6.1   7.7/7.6   12.7/10.0  27.3/15.1
 _TAYLOR_MIN_N = 40
 # Worst deviation of the series from the recurrence, relative to the largest
-# |psi| on the panel, over the 36 nodes of every root gap at l in
-# {0, 1, 20, 300, 1000}:
-#     terms       16        20        24        28
-#     n = 40      1.6e-8    6.1e-12   5.9e-16   1.4e-16
-#     n = 400     1.1e-8    3.3e-12   2.3e-15   2.3e-15
-#     n = 1500    1.1e-8    2.6e-12   2.9e-14   2.9e-14
+# |psi| on the panel, at the 36 nodes of every root gap at l in
+# {0, 1, 20, 300, 1000} (cut or not), and of every head slice and tail panel that
+# _SERIES_CUT keeps at that many terms, at l in {0, 1, 3, 20, 60, 300, 1000}
+# and p in {0.1, 0.5, 1, 1.3, 2.5, 8} (share kept):
+#     terms         16             20             24             28
+#     n = 40        1.6e-8         6.1e-12        5.9e-16        1.4e-16
+#     n = 400       1.1e-8         3.3e-12        2.3e-15        2.3e-15
+#     n = 1500      1.1e-8         2.6e-12        2.9e-14        2.9e-14
+#     head, n = 40  3.9e-16 (92%)  8.8e-16 (98%)  2.6e-15 (99%)  1.4e-14 (99%)
+#          n = 400  1.4e-15 (91%)  2.5e-15 (97%)  2.5e-15 (98%)  1.6e-14 (99%)
+#     tail, n = 40  8.6e-15 (47%)  8.6e-15 (64%)  8.6e-15 (80%)  8.6e-15 (86%)
+#          n = 400  4.9e-14 (61%)  4.9e-14 (80%)  4.9e-14 (88%)  4.9e-14 (91%)
 # From 24 terms on it is rounding: at (n, l) = (1500, 1), on the first gap,
 # against 60-digit mpmath, the series is 1.3e-14 off and the recurrence 2.2e-14.
+# The tail's worst node is next to the last root, where the recurrence is the
+# one further off: 6.8e-15 against the series' 2.0e-15 at (40, 1000, 8).
 _TAYLOR_TERMS = 24
+# A panel keeps its series while its last two coefficients are within
+# _SERIES_CUT of its largest.  Share of panels kept at 24 terms, and the worst
+# deviation of a kept head slice over n, over n in {40, 100, 400, 1500} and
+# the l and p above:
+#     cut           1e-18     1e-17     1e-16     1e-15     1e-14
+#     head          97.3%     98.0%     98.6%     98.9%     99.1%
+#     root gap      0.5%      11.0%     99.1%     99.7%     99.96%
+#     tail          81.3%     83.2%     85.6%     86.8%     88.5%
+#     worst head/n  1.2e-17   2.2e-17   6.6e-17   3.4e-16   5.8e-16
+# The gaps' last coefficients sit at rounding, 1e-17 to 1e-15 of the largest,
+# where the series is already within 4e-17 n; from 1e-15 on, head slices at
+# l = 1000 keep series up to 1.6e-14 off.  Most panels the cut sends back are
+# wide far-tail panels at small p, where 24 terms fall short.
+_SERIES_CUT = 1e-16
 # agreement the second pass must reach: relative to N for Renyi, to max(|J|, 1)
 # for the Shannon log integral J
 _RENYI_TOL = 1e-11
@@ -200,17 +226,19 @@ def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
     raise AccuracyError(f"radial tail failed to converge for n={n}, l={l}, p={p}")
 
 
-def _gap_series(n: int, l: int, s: int, c, h) -> np.ndarray:
-    """Scaled Taylor coefficients v_k = w_k h^k, k < _TAYLOR_TERMS, of
-    w = (x/c)^s psi about the centres c of root gaps of half-length h.
+def _panel_series(n: int, l: int, panels: list[tuple]):
+    """Centres c, half-lengths h, exponents s and scaled Taylor coefficients
+    v_k = w_k h^k, k < _TAYLOR_TERMS, of w = (x/c)^s psi about the centre of
+    each panel, each of shape (panels, 1) and v of (_TAYLOR_TERMS, panels, 1).
 
     psi, row n of laguerre_orthonormal_weighted at a = l + 1/2, solves
     x psi'' + (a + 1) psi' + (B - x/4) psi = 0 with B = n + (a + 1)/2
-    (DLMF 18.8).  With the integer s = floor((a + 1)/2), w is entire and
-    nearly flat across a gap even at l = 1000, where psi varies by e^15 over
-    one; w solves x^2 w'' + A x w' + (s(s - a) + B x - x^2/4) w = 0 with
-    A = a + 1 - 2s, so about c (Glaser, Liu and Rokhlin, SIAM J. Sci.
-    Comput. 29, 2007, 1420), with r = h / c,
+    (DLMF 18.8).  On root gaps s = floor((a + 1)/2): w is entire and nearly
+    flat across a gap even at l = 1000, where psi varies by e^15 over one.
+    The head slices and tail panels take s = 0, psi itself: (x/c)^s is
+    singular at x = 0.  w solves x^2 w'' + A x w' + (s(s - a) + B x - x^2/4) w
+    = 0 with A = a + 1 - 2s, so about c (Glaser, Liu and Rokhlin, SIAM J.
+    Sci. Comput. 29, 2007, 1420), with r = h / c,
         (k+2)(k+1) v_(k+2) = -[r (k+1)(2k + A) v_(k+1)
                                + r^2 (k(k-1) + A k + s(s-a) + Bc - c^2/4) v_k
                                + r^2 h (B - c/2) v_(k-1) - r^2 h^2 v_(k-2)/4],
@@ -218,6 +246,11 @@ def _gap_series(n: int, l: int, s: int, c, h) -> np.ndarray:
     long-double recurrence over the centres.  Then
     psi(c + h t) = exp(-s log1p(h t / c)) sum_k v_k t^k.
     """
+    lo, hi = (np.array(col, dtype=np.longdouble)[:, None]
+              for col in list(zip(*panels))[:2])
+    c, h = (lo + hi) / 2, (hi - lo) / 2
+    s = np.array([[(2 * l + 3) // 4 if lk == hk == "root" else 0]
+                  for _, _, lk, hk in panels])
     a = np.longdouble(l) + np.longdouble(0.5)
     big_a, b = a + 1 - 2 * s, n + (a + 1) / 2
     psi, dpsi = specfun.laguerre_orthonormal_weighted_d1(n, l + 0.5, c)
@@ -234,42 +267,42 @@ def _gap_series(n: int, l: int, s: int, c, h) -> np.ndarray:
         if k >= 2:
             nxt -= back2 * v[k - 2]
         v.append(-nxt / ((k + 2) * (k + 1)))
-    return np.array(v)
+    return c, h, s, np.array(v)
 
 
 def _panel_psi(n: int, l: int, panels: list[tuple]):
     """The integrand psi(x, rows) of specfun.power_panels on the panel list.
 
-    From n = _TAYLOR_MIN_N on, the nodes of root gaps take the Taylor series
-    of _gap_series, whose coefficients every pass on these panels shares;
-    the head slices, the tail panels and every node below that n take the
-    recurrence.
+    From n = _TAYLOR_MIN_N on, every panel whose own last two coefficients
+    of _panel_series are within _SERIES_CUT of its largest takes that series;
+    every pass on these panels shares the coefficients.  The other panels,
+    and every panel below that n, take the recurrence.
     """
     alpha = Fraction(2 * l + 1, 2)
     if n < _TAYLOR_MIN_N:
         return lambda x, rows: specfun.laguerre_orthonormal_weighted(n, alpha, x)
-    gap = np.array([lk == hk == "root" for _, _, lk, hk in panels])
-    index = np.cumsum(gap) - 1  # the gap of each panel
-    lo, hi = (np.array(col, dtype=np.longdouble)[gap, None]
-              for col in list(zip(*panels))[:2])
-    c, h = (lo + hi) / 2, (hi - lo) / 2
-    s = (2 * l + 3) // 4
-    coefs = _gap_series(n, l, s, c, h)
+    c, h, s, coefs = _panel_series(n, l, panels)
+    mag = np.abs(coefs)
+    cut = _SERIES_CUT * mag.max(axis=0)
+    # a cut below the normal range certifies nothing: psi(c) has underflowed
+    kept = ((mag[-1] + mag[-2] <= cut) & (cut >= np.finfo(cut.dtype).tiny)).ravel()
+    index = np.arange(len(panels))
 
     def series(x, k):
         u = x - c[k]
         t, acc = u / h[k], coefs[-1, k]
         for v in coefs[-2::-1, k]:
             acc = acc * t + v
-        return acc * np.exp(-s * np.log1p(u / c[k])) if s else acc
+        # s = 0 on every panel at l = 0
+        return acc * np.exp(-s[k] * np.log1p(u / c[k])) if l else acc
 
     def psi(x, rows):
-        on_gap = gap[rows]
+        on = kept[rows]
         y = np.empty_like(x)
-        if not on_gap.all():
-            y[~on_gap] = specfun.laguerre_orthonormal_weighted(n, alpha, x[~on_gap])
-        if on_gap.any():
-            y[on_gap] = series(x[on_gap], index[rows][on_gap])
+        if not on.all():
+            y[~on] = specfun.laguerre_orthonormal_weighted(n, alpha, x[~on])
+        if on.any():
+            y[on] = series(x[on], index[rows][on])
         return y
 
     return psi

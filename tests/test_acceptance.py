@@ -68,14 +68,14 @@ def test_angular_cross_method_suite():
                 bell = lambda_bell(state, p)
                 quad = lambda_quadrature(state, p)
                 # the production rule, exact here: even 2p, or l = |m|; measured
-                # at most 6.8e-14 off the linearization in ln Lambda, 7.5e-15 off Bell
+                # at most 1.3e-15 off the linearization in ln Lambda, 1.5e-14 off Bell
                 rule = angular._lambda_gauss_jacobi(state, as_order(p))
                 assert lin.lambda_value == pytest.approx(
                     bell.lambda_value, rel=1e-9), (l, m, q)
                 assert lin.lambda_value == pytest.approx(
                     quad.lambda_value, rel=1e-7), (l, m, q)
-                for ref in (lin, bell):
-                    assert abs(math.log(rule.lambda_value / ref.lambda_value)) <= 1e-13, \
+                for ref, bound in ((lin, 4e-15), (bell, 3e-14)):
+                    assert abs(math.log(rule.lambda_value / ref.lambda_value)) <= bound, \
                         (l, m, q, ref.method)
     assert time.monotonic() - start < 120.0
 

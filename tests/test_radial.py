@@ -568,8 +568,8 @@ def test_slice_budget_names_the_head_and_the_state():
 
 
 # ---------------------------------------------------------------------------
-# root gaps from n = _TAYLOR_MIN_N on: a Taylor series of the Laguerre
-# equation about each gap centre, against the recurrence it stands in for
+# panels from n = _TAYLOR_MIN_N on: a Taylor series of the Laguerre equation
+# about each panel centre, against the recurrence it stands in for
 
 
 def gap_nodes(n, l, m=36):
@@ -605,8 +605,12 @@ def test_gap_series_matches_the_recurrence(n, l):
 
 @pytest.mark.parametrize("n,l", [(40, 1000), (400, 0)])
 def test_gap_series_cut_to_16_terms_misses_the_recurrence(monkeypatch, n, l):
-    # 16 terms are about 1e-8 off: the sweep above can see truncation
+    # 16 terms are about 1e-8 off: their own last coefficients send every
+    # gap back to the recurrence, and forced past that check the sweep above
+    # sees the truncation
     monkeypatch.setattr(radial, "_TAYLOR_TERMS", 16)
+    assert series_deviation(n, l) == 0.0
+    monkeypatch.setattr(radial, "_SERIES_CUT", math.inf)
     assert series_deviation(n, l) > series_bound(n)
 
 
@@ -646,15 +650,34 @@ def test_gap_series_keeps_the_shannon_values_of_the_recurrence(monkeypatch, n, l
 
 
 def test_small_order_above_the_threshold_still_fails_loudly():
-    # p = 1e-3 does not settle at n = 45 on the recurrence either
+    # p = 1e-3 does not settle at n = 45 on the recurrence either: from about
+    # x = 22,700 its start row exp(-x/2) leaves the long-double range, and
+    # the tail panel there loses its far nodes.  A series whose centre value
+    # underflowed would give that panel 0 and settle 3.1e-9 below 30-digit
+    # mpmath (40608.0239992205); it must fall back to the recurrence and raise
     with pytest.raises(AccuracyError, match="did not settle"):
         laguerre_norm(45, 3, 1e-3)
 
 
+def series_misses(n, l, panels):
+    """Panels whose last two series coefficients exceed _SERIES_CUT of their
+    largest, or whose cut underflows: those _panel_psi hands to the
+    recurrence."""
+    mag = np.abs(radial._panel_series(n, l, panels)[3])
+    cut = radial._SERIES_CUT * mag.max(axis=0)
+    return ((mag[-1] + mag[-2] > cut) | (cut < np.finfo(cut.dtype).tiny)).ravel()
+
+
+def panel_kinds(n, l, panels):
+    """Each panel's kind: head slice, root gap or tail panel."""
+    rts = specfun.gauss_laguerre(n, l + 0.5)[0].astype(float)
+    return np.array(["head" if hi <= rts[0] else "gap" if lk == hk == "root"
+                     else "tail" for _, hi, lk, hk in panels])
+
+
 @pytest.mark.parametrize("n", [10, 400])
 @pytest.mark.parametrize("p", [0.7, 1.0])
-def test_root_gap_nodes_reach_the_recurrence_only_below_the_threshold(
-        monkeypatch, n, p):
+def test_nodes_reach_the_recurrence_only_where_the_series_misses(monkeypatch, n, p):
     # values agree either way, so only the nodes the recurrence sees show
     # whether a pass fell back to it
     seen = []
@@ -670,14 +693,57 @@ def test_root_gap_nodes_reach_the_recurrence_only_below_the_threshold(
     else:
         assert not laguerre_norm(n, 0, p, path="quadrature").warnings
     x = np.concatenate(seen)
-    rts = specfun.gauss_laguerre(n, 0.5)[0].astype(float)
-    on_gaps = np.count_nonzero((x > rts[0]) & (x < rts[-1]))
-    panels = len(radial._norm_panels(n, 0, p))
+    panels = radial._norm_panels(n, 0, p)
     nodes = 2 * specfun._NODES + specfun._NODES // 2  # the 24- and 36-node passes
     if n < radial._TAYLOR_MIN_N:
-        assert on_gaps == (n - 1) * nodes and x.size == panels * nodes
-    else:
-        assert on_gaps == 0 and x.size == (panels - (n - 1)) * nodes
+        assert x.size == len(panels) * nodes
+        return
+    misses = series_misses(n, 0, panels)
+    assert x.size == np.count_nonzero(misses) * nodes
+    # all but a few of the 399 root gaps keep the series, and most tail
+    # panels; the one head slice [0, r_1] reaches the singular point x = 0
+    # and falls back
+    kinds = panel_kinds(n, 0, panels)
+    for kind, most in [("gap", 0.99), ("tail", 0.75)]:
+        assert np.mean(~misses[kinds == kind]) >= most
+
+
+@pytest.mark.parametrize("n", [40, 400])
+@pytest.mark.parametrize("l", [0, 1, 3, 20, 60, 300])
+@pytest.mark.parametrize("p", [0.5, 1.3, 8.0])
+def test_head_and_tail_series_match_the_recurrence(n, l, p):
+    # every head slice and tail panel, kept or sent back by the cut, at the
+    # 36 nodes of a pass.  The worst node (1.5e-16 n at (40, 60, 8)) is on
+    # the tail panel next to the last root, where the recurrence is the one
+    # further off: by 50-digit mpmath at (40, 60, 8) the series is 3.4e-16
+    # off there and the recurrence 5.7e-15
+    panels = radial._norm_panels(n, l, p)
+    kinds = panel_kinds(n, l, panels)
+    ends = [pan for pan, kind in zip(panels, kinds) if kind != "gap"]
+    kinds = kinds[kinds != "gap"]
+    t = specfun.gauss_jacobi(36, 2.0, 2.0)[0]
+    lo, hi = (np.array(col, dtype=np.longdouble)[:, None] for col in list(zip(*ends))[:2])
+    x = lo + (hi - lo) / 2 * (1 + t)
+    got = radial._panel_psi(n, l, ends)(x, slice(0, len(ends)))
+    ref = specfun.laguerre_orthonormal_weighted(n, l + 0.5, x)
+    dev = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
+    assert float(np.max(dev)) <= 2e-16 * n
+    # the series serves: some tail panels keep it at every p, and at p = 8
+    # from l = 20 on every head slice but the one at x = 0
+    kept = ~series_misses(n, l, ends)
+    assert kept[kinds == "tail"].any()
+    if p == 8.0 and l >= 20:
+        heads = kept[kinds == "head"]
+        assert np.count_nonzero(heads) >= heads.size - 1
+
+
+@pytest.mark.parametrize("n,l,p", [(100, 20, 1.3), (100, 0, 0.1)])
+def test_panels_the_series_misses_keep_the_norms_of_the_recurrence(monkeypatch, n, l, p):
+    # taken on every panel, the series is 9.7e-9 off at (100, 20, 1.3), on
+    # its head, and does not settle at (100, 0, 0.1), on its wide tail panels
+    got = laguerre_norm(n, l, p, path="quadrature").log_value
+    monkeypatch.setattr(radial, "_TAYLOR_MIN_N", 10 ** 9)
+    assert abs(got - laguerre_norm(n, l, p, path="quadrature").log_value) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
