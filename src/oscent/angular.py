@@ -247,10 +247,8 @@ def _angular_panels(state: AngularState, p: float, what: str, log_coefs=None):
         lo, hi, lo_kind, hi_kind, poly, q2, edges, m_nodes, log_coefs)
 
 
-def _from_sum(v, order: EntropyOrder, method: str, what: str) -> AngularResult:
-    """The AngularResult of a panel sum v = Lambda / 2 pi, by ln v in long double."""
-    if not 0 < v < np.inf:
-        raise AccuracyError(f"{what}: panel sum {float(v)} is not positive and finite")
+def _from_sum(v, order: EntropyOrder, method: str) -> AngularResult:
+    """The AngularResult of a positive sum v = Lambda / 2 pi, by ln v in long double."""
     log_lam = _LN_2PI + np.log(np.longdouble(v))
     return _result(float(log_lam), order, method, _TWO_PI * float(v))
 
@@ -263,7 +261,10 @@ def _lambda_gauss_jacobi(state: AngularState, order: EntropyOrder) -> AngularRes
     n, q = state.l - state.m_abs, order.two_p
     v = specfun.power_panels([np.longdouble(-1)], [1.0], ["edge"], ["edge"],
                              *_integrand(state, order.p), n * q // 2 + 1)[0]
-    return _from_sum(v, order, "gauss_jacobi", f"Gauss-Jacobi rule for {state}, p={order.p}")
+    if not 0 < v < np.inf:
+        raise AccuracyError(f"Gauss-Jacobi rule sum {float(v)} is not positive and finite "
+                            f"for {state}, p={order.p}")
+    return _from_sum(v, order, "gauss_jacobi")
 
 
 def lambda_quadrature(state: AngularState, p) -> AngularResult:
@@ -276,9 +277,8 @@ def lambda_quadrature(state: AngularState, p) -> AngularResult:
     """
     order = as_order(p)
     what = f"angular quadrature for l={state.l}, m={state.m_abs}, p={order.p}"
-    panels = _angular_panels(state, order.p, what)
-    v, _ = specfun.settled(lambda k: panels(k).sum(), specfun._NODES, _RENYI_TOL, what)
-    return _from_sum(v, order, "quadrature", what)
+    v, _ = specfun.settled(_angular_panels(state, order.p, what), _RENYI_TOL, what)
+    return _from_sum(v, order, "quadrature")
 
 
 def lambda_closed(state: AngularState, p) -> AngularResult | None:
@@ -345,24 +345,12 @@ def _shannon_closed(state: AngularState) -> float:
 
 
 def _shannon_quadrature(state: AngularState) -> float:
-    """-2 pi integral y ln y dt, y = A^2 C(t)^2 (1 - t^2)^m, on the p = 1 panels.
-
-    Each pass also checks that its panels integrate the density, 2 pi y,
-    to 1: a node where y underflows adds 0 to both integrals, and only the
-    norm shows what is lost.
-    """
+    """-2 pi integral y ln y dt, y = A^2 C(t)^2 (1 - t^2)^m, on the p = 1 panels,
+    certified by specfun.settled with the density 2 pi y."""
     m = state.m_abs
     what = f"angular Shannon quadrature for l={state.l}, m={m}"
-    panels = _angular_panels(state, 1.0, what, (m, m))
-
-    def value(m_nodes):
-        parts, logs = panels(m_nodes)
-        norm = float(_TWO_PI * parts.sum())
-        if not abs(norm - 1.0) <= _SHANNON_TOL:
-            raise AccuracyError(f"{what}: the density integrates to {norm}, not 1")
-        return logs.sum()
-
-    v, _ = specfun.settled(value, specfun._NODES, _SHANNON_TOL, what, floor=1.0)
+    v, _ = specfun.settled(_angular_panels(state, 1.0, what, (m, m)),
+                           _SHANNON_TOL, what, density=_TWO_PI)
     return -_TWO_PI * float(v)
 
 

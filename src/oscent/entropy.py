@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import angular as _ang
 from . import radial as _rad
 from . import rydberg as _ryd
+from . import specfun
 from .errors import DomainError
 from .order import EntropyOrder, as_order
 from .radial import OscillatorParams, QuantumState
@@ -142,25 +143,29 @@ def shannon_total(state: QuantumState, params: OscillatorParams | None = None,
                  warns)
 
 
-def tsallis_from_renyi(r: float, p) -> float:
+def tsallis_from_renyi(r: float, p) -> float | None:
     """Tsallis entropy T_p = (e^{(1-p) r} - 1)/(1 - p); T_1 = r.
 
     A formula in r alone, which expm1 keeps smooth up to p = 1: unlike the
     entropies it takes the orders of the near-1 band, which EntropyOrder
-    rejects.
+    rejects.  None past the float range.
     """
     pf = float(p)
     if not (pf > 0 and math.isfinite(pf)):
         raise DomainError(f"entropic order must be positive and finite, got {pf}")
     if pf == 1.0:
         return r
-    return math.expm1((1.0 - pf) * r) / (1.0 - pf)
+    try:
+        return math.expm1((1.0 - pf) * r) / (1.0 - pf)
+    except OverflowError:  # e^x - 1 = e^x here, and |1 - p| > 1 may bring T back
+        t = specfun._exp_or_none((1.0 - pf) * r - math.log(abs(1.0 - pf)))
+        return None if t is None else math.copysign(t, 1.0 - pf)
 
 
 def disequilibrium(state: QuantumState,
-                   params: OscillatorParams | None = None) -> float:
-    """Average density <rho> = exp(-R_2), the distance from equiprobability."""
-    return math.exp(-renyi_total(state, params, 2.0).total)
+                   params: OscillatorParams | None = None) -> float | None:
+    """Average density <rho> = exp(-R_2), None past the float range."""
+    return specfun._exp_or_none(-renyi_total(state, params, 2.0).total)
 
 
 def momentum_renyi(position_value: float,

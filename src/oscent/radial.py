@@ -335,10 +335,8 @@ def _norm_quadrature(n: int, l: int, p: float) -> LaguerreNorm:
     panels = _norm_panels(n, l, p)
     psi = _panel_psi(n, l, panels)
     what = f"radial quadrature for n={n}, l={l}, p={p}"
-    v, escalated = specfun.settled(lambda m: _panel_pass(n, l, p, panels, psi, m).sum(),
-                                   specfun._NODES, _RENYI_TOL, what)
-    if not 0 < v < np.inf:
-        raise AccuracyError(f"{what}: panel sum {float(v)} is not positive and finite")
+    v, escalated = specfun.settled(lambda m: _panel_pass(n, l, p, panels, psi, m),
+                                   _RENYI_TOL, what)
     warns = ("node count escalated to reach tolerance",) if escalated else ()
     return LaguerreNorm(float(v), float(np.log(v)), "quadrature", p, warns)
 
@@ -516,23 +514,14 @@ def shannon_radial_exact(state: QuantumState,
 
     S = -ln(2 lam^{3/2}) - J, J = integral psi^2 x^{l+1/2} (ln psi^2 + l ln x) dx
     with psi the weighted orthonormal Laguerre function: the log-weighted
-    power_panels integrals on the p = 1 norm panels, certified like the norm
-    quadrature.  Each pass also checks that its panels integrate the density
-    to N_{n,l}(1) = 1: a node where psi underflows adds 0 to both integrals,
-    and only the norm shows what is lost.
+    power_panels integrals on the p = 1 norm panels, certified by
+    specfun.settled with the density N_{n,l}(1) = 1.
     """
     n, l = state.n, state.l
     params = params or OscillatorParams()
     what = f"Shannon radial quadrature for n={n}, l={l}"
     panels = _norm_panels(n, l, 1.0)
     psi = _panel_psi(n, l, panels)
-
-    def value(m):
-        parts, logs = _panel_pass(n, l, 1.0, panels, psi, m, (l, 0))
-        norm = float(parts.sum())
-        if not abs(norm - 1.0) <= _SHANNON_TOL:
-            raise AccuracyError(f"{what}: the density integrates to {norm}, not 1")
-        return logs.sum()
-
-    j, _ = specfun.settled(value, specfun._NODES, _SHANNON_TOL, what, floor=1.0)
+    j, _ = specfun.settled(lambda m: _panel_pass(n, l, 1.0, panels, psi, m, (l, 0)),
+                           _SHANNON_TOL, what, density=1.0)
     return -_LN_2 - 1.5 * math.log(params.lam) - float(j)

@@ -6,9 +6,9 @@ regions of the half-line depending on the order p: the oscillatory bulk
 functions (p > 3/2), or the matching region between the two (p = 3/2).
 Each branch carries its own constant; the transition branch has an unknown
 O(1) remainder and is flagged with a caveat.  The Bessel constant sums
-panels between the zeros of J_alpha(2t); its head panel [0, z_1] holds
-nearly all of it, is certified by a second node count on its own and
-raises AccuracyError where it falls below the next lobe.
+panels between the zeros of J_alpha(2t); its head [0, z_1] holds nearly all
+of it, is sliced by specfun.plan_panels and certified by specfun.settled like
+the radial head, and raises AccuracyError where it falls below the next lobe.
 """
 
 from __future__ import annotations
@@ -40,11 +40,8 @@ _TRANSITION_CONST = 8.0 * math.sqrt(2.0) / (3.0 * math.pi ** 2.5)
 
 # agreement of the Bessel-constant estimates at 40, 80 (and 160) zeros
 _BESSEL_TOL = 1e-7
-# the head panel [0, z_1]: Gauss-Jacobi nodes in the first pass of
-# specfun.settled and the agreement the second pass must reach.  The head
-# holds nearly all of C_B (99.4% at alpha = 100.5, p = 8), so its error is
-# C_B's; it is certified two digits below _BESSEL_TOL
-_HEAD_NODES = 32
+# specfun.settled's tolerance on the head [0, z_1]: it holds nearly all of C_B
+# (99.4% at alpha = 100.5, p = 8), so it is certified two digits below _BESSEL_TOL
 _HEAD_TOL = 1e-9
 
 
@@ -139,8 +136,7 @@ def bessel_zeros(alpha: float, count: int) -> tuple[float, ...]:
     return tuple(float(v) for v in z)
 
 
-def _bessel_partial_terms(alpha: float, beta: float, p: float,
-                          kzeros: int, m_nodes: int) -> np.ndarray:
+def _bessel_partial_terms(alpha: float, beta: float, p: float, kzeros: int) -> np.ndarray:
     """Head plus inter-zero contributions to the C_B integral, in t.
 
     specfun.power_panels of |J_alpha(2t) / t^alpha|^{2p} t^{2 beta + 1 + 2p alpha}
@@ -148,12 +144,11 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float,
     zeros, where J_alpha(2t) / t^alpha underflows at high alpha p.  The
     head's ratio is exp(ln|J| - alpha ln t) in long double, so no float power
     of t is taken; a node where the ratio underflows adds 0.  The head sits
-    beside the turning point 2t = alpha, where the ratio falls steeply, so it
-    is certified by specfun.settled from _HEAD_NODES nodes on its own, and
-    m_nodes serve the inter-zero panels.  For p > 3/2 the lobes of the
-    integrand shrink past the first: a head below the first inter-zero panel
-    has lost its lobe (at alpha = 3000.5 the ratio is e^-21960 and
-    underflows), and AccuracyError is raised.
+    beside the turning point 2t = alpha, where the ratio falls steeply, and
+    specfun.plan_panels slices it against its edge power and the decay rate
+    p; specfun.settled certifies it, and the inter-zero panels take one pass.
+    For p > 3/2 the lobes shrink past the first: a head below the first
+    inter-zero panel has lost its lobe, and AccuracyError is raised.
     """
     q2 = 2.0 * p
     zs = np.array(bessel_zeros(alpha, kzeros + 1)) / 2.0  # zeros of J_a(2t)
@@ -164,14 +159,13 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float,
         return np.exp(ln_j - alpha * np.log(t, dtype=np.longdouble))
 
     what = f"Bessel head panel for (alpha={alpha}, p={p})"
+    edges = ((0.0, 2.0 * beta + 1.0 + q2 * alpha), None)
+    slices = specfun.plan_panels([0.0, zs[0]], ["edge", "root"], edges, q2, p, what)
     head, _ = specfun.settled(
-        lambda m: specfun.power_panels(
-            [0.0], zs[:1], ["edge"], ["root"], ratio, q2,
-            ((0.0, 2.0 * beta + 1.0 + q2 * alpha), None), m)[0],
-        _HEAD_NODES, _HEAD_TOL, what)
-    rest = specfun.power_panels(
-        zs[:-1], zs[1:], ["root"] * kzeros, ["root"] * kzeros,
-        lambda t, _: jv(alpha, 2.0 * t), q2, ((0.0, 2.0 * beta + 1.0), None), m_nodes)
+        lambda m: specfun.power_panels(*zip(*slices), ratio, q2, edges, m), _HEAD_TOL, what)
+    rest = specfun.power_panels(zs[:-1], zs[1:], ["root"] * kzeros, ["root"] * kzeros,
+                                lambda t, _: jv(alpha, 2.0 * t), q2,
+                                ((0.0, 2.0 * beta + 1.0), None), specfun._NODES)
     if not head >= rest[0]:
         raise AccuracyError(f"{what}: {float(head)} is below the first inter-zero "
                             f"panel {rest[0]}, so its lobe is lost")
@@ -187,7 +181,8 @@ def bessel_constant(alpha: float, p: float) -> RegimeConstant:
     (s = p - 2 beta - 1 = 2p - 2 > 1, from the t^{2 beta + 1 - p} envelope)
     is closed with a three-term Hurwitz-zeta fit.  Plain averaging cannot
     accelerate this monotone tail, so the remainder is modelled explicitly
-    instead.
+    instead.  The estimates at 40 and 80 zeros share one list of terms, the
+    first 41 of the 81; a third at 160 zeros decides when they disagree.
     """
     if alpha < 0:
         raise DomainError(f"Bessel order must be >= 0, got {alpha}")
@@ -201,24 +196,22 @@ def bessel_constant(alpha: float, p: float) -> RegimeConstant:
             f"origin exponent {mu} <= -1: integral diverges at zero")
     s = p - 2.0 * beta - 1.0
 
-    def estimate(kzeros: int) -> float:
-        terms = _bessel_partial_terms(alpha, beta, p, kzeros, 32)
+    def estimate(terms: np.ndarray) -> float:
+        k = len(terms)  # the head and k - 1 inter-zero panels
         partial = float(np.sum(terms))
         # fit T_k = a0 k^{-s} + a1 k^{-s-1} + a2 k^{-s-2} on the last panels
-        nfit = min(12, kzeros - 4)
-        ks = np.arange(kzeros - nfit + 1, kzeros + 1, dtype=float)
+        nfit = min(12, k - 5)
+        ks = np.arange(k - nfit, k, dtype=float)
         design = np.stack([ks ** (-s), ks ** (-s - 1), ks ** (-s - 2)], axis=1)
         coef, *_ = np.linalg.lstsq(design, terms[-nfit:], rcond=None)
-        rem = (coef[0] * zeta(s, kzeros + 1)
-               + coef[1] * zeta(s + 1, kzeros + 1)
-               + coef[2] * zeta(s + 2, kzeros + 1))
+        rem = coef[0] * zeta(s, k) + coef[1] * zeta(s + 1, k) + coef[2] * zeta(s + 2, k)
         return partial + float(rem)
 
-    v1 = estimate(40)
-    v2 = estimate(80)
+    terms = _bessel_partial_terms(alpha, beta, p, 80)
+    v1, v2 = estimate(terms[:41]), estimate(terms)
     # written as `not <=` so that a NaN estimate fails the test
     if not abs(v1 - v2) <= _BESSEL_TOL * abs(v2):
-        v3 = estimate(160)
+        v3 = estimate(_bessel_partial_terms(alpha, beta, p, 160))
         if not abs(v2 - v3) <= _BESSEL_TOL * abs(v3):
             raise AccuracyError(
                 f"Bessel-constant tail did not converge for "

@@ -632,9 +632,9 @@ def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: 
     nodes unless one panel holds more, which bounds the memory of a pass.
     Every power is formed from long-double logs, the panel scale
     h^(e_lo + e_hi + 1) for the half-length h and the weight's end exponents
-    included: each node adds one positive exp(ln w + ...), which cannot
-    exceed its panel's integral, so nothing leaves the float range while
-    that integral is in range.  A node where |poly| underflows to 0 adds 0.
+    included: each node adds one positive exp(ln w + ...), at most its panel's
+    integral, so nothing leaves the float range while that integral is in
+    range, and one past it comes back inf.  A node where |poly| is 0 adds 0.
 
     Returns each panel's integral.  With log_coefs = (ca, cb) it also
     returns each panel's integral of the integrand times 2 ln|poly| +
@@ -676,8 +676,9 @@ def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: 
     def off_edge(ca, cb):  # ca ln(x - a) + cb ln(b - x) where no weight holds it
         return np.where(lo_edge, 0.0, ca) * ln_a + np.where(hi_edge, 0.0, cb) * ln_b
 
-    terms = np.exp(ln_w + (e_lo + e_hi + 1) * ln_h + q2 * ln_g + off_edge(ea, eb))
-    parts = np.sum(terms, axis=1).astype(dtype)
+    with np.errstate(over="ignore"):  # past the range: inf, which settled rejects
+        terms = np.exp(ln_w + (e_lo + e_hi + 1) * ln_h + q2 * ln_g + off_edge(ea, eb))
+        parts = np.sum(terms, axis=1).astype(dtype)
     if log_coefs is None:
         return parts
     ca, cb = log_coefs
@@ -733,16 +734,21 @@ def plan_panels(ends, kinds, edges, q2: float, rate: float, what: str) -> list[t
     return out
 
 
-# Gauss-Jacobi nodes per panel in the first pass of settled, radial and
-# angular alike.  Worst first-pass error against 96 nodes (radial: n <= 800,
-# l in {0, 1, 2, 3, 10, 20}, p in 0.02..12) and 108 (angular: l in {10, 30,
-# 60, 100, 200}, six m each, p in {0.5, 2.5, 8}; J the p = 1 log integral):
+# Gauss-Jacobi nodes per panel in the first pass of settled, every engine
+# alike.  Worst first-pass error against 96 nodes (radial: n <= 800, l in {0,
+# 1, 2, 3, 10, 20}, p in 0.02..12; Bessel head slices and 80 inter-zero
+# panels: l <= 10, p in 1.55..6, and l up to 300 at p = 8) and 108 (angular:
+# l in {10, 30, 60, 100, 200}, six m each, p in {0.5, 2.5, 8}; J the p = 1 log
+# integral):
 #     nodes        16        20        24        32
 #     radial       3.9e-8    3.3e-12   3.5e-14   6.4e-14
 #     radial J               9.1e-12   4.1e-15
 #     angular      1.9e-11   3.5e-16   3.9e-16   1.1e-15
 #     angular J    3.5e-13   1.6e-17   3.5e-19   4.9e-19
-# From 24 nodes on the radial error is panel-sum rounding at n = 800.
+#     Bessel head  3.5e-14   2.4e-14   1.8e-14   1.5e-14
+#     inter-zero   7.1e-14   3.9e-14   3.6e-14   5.4e-14
+# From 24 nodes on the radial error is panel-sum rounding at n = 800; Bessel's
+# is rounding throughout.
 _NODES = 24
 # Even 2p up to _RULE_MAX_POWER takes one Gauss rule of n p + 1 nodes, exact for
 # the polynomial power (radial._norm_gauss_laguerre, angular._lambda_gauss_jacobi
@@ -759,18 +765,36 @@ _NODES = 24
 _RULE_MAX_POWER = 8
 
 
-def settled(value: Callable[[int], float], m: int, tol: float, what: str,
-            floor: float = 0.0) -> tuple[float, bool]:
-    """value(m) certified by a second node count, with one escalation.
-
-    value(m) and value(1.5 m) must agree to tol relative to max(|v|, floor);
-    otherwise 1.5 m and 2.25 m must.  Returns the value at the larger count
+def settled(panel_pass: Callable[[int], np.ndarray], tol: float, what: str,
+            density: float | None = None) -> tuple[np.floating, bool]:
+    """The sum of the panel integrals panel_pass(m), certified by a second
+    node count: the passes at _NODES and 1.5 _NODES must agree to tol of the
+    sum, or else those at 1.5 and 2.25 _NODES must.  Each sum must be
+    positive and finite.  With density = c a pass returns (parts, logs), and
+    c parts.sum() must be 1 to tol in each (a node where the density
+    underflows adds 0 to both, and only the norm shows it); the log sum is
+    certified to tol of max(|sum|, 1).  Returns the sum at the larger count
     and whether it escalated; AccuracyError names `what`.
     """
-    v1, v2 = value(m), value(m + m // 2)
+    floor = 0.0 if density is None else 1.0
+
+    def value(m):
+        out = panel_pass(m)
+        if density is not None:
+            norm = float(density * out[0].sum())
+            if not abs(norm - 1.0) <= tol:
+                raise AccuracyError(f"{what}: the density integrates to {norm}, not 1")
+            return out[1].sum()
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            v = out.sum()
+        if not 0 < v < np.inf:
+            raise AccuracyError(f"{what}: panel sum {float(v)} is not positive and finite")
+        return v
+
+    v1, v2 = value(_NODES), value(_NODES * 3 // 2)
     if abs(v1 - v2) <= tol * max(abs(v2), floor):
         return v2, False
-    v3 = value(m * 2 + m // 4)
+    v3 = value(_NODES * 9 // 4)
     err = float(abs(v2 - v3) / max(abs(v3), floor))
     if not err <= tol:
         raise AccuracyError(f"{what} did not settle", estimate=float(v3),

@@ -217,6 +217,18 @@ def test_disequilibrium_reuses_an_order_two_total(monkeypatch, extra, calls):
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("p,extra", [("2", "--tsallis"), ("2", "--disequilibrium"),
+                                     ("3", "--disequilibrium")])
+def test_total_extras_past_the_float_range_print_null(capsys, p, extra):
+    # at lam = 1e300 the total is about -1033: e^1033 has no float
+    code, payload = invoke_json(capsys, "total", "--n", "1", "--l", "1", "--p", p,
+                                extra, "--lam", "1e300")
+    assert code == 0
+    rec = payload["results"][0]
+    assert math.isfinite(rec["total"])
+    assert rec[extra[2:]] is None
+
+
 def test_disequilibrium_from_total_is_bitwise_unchanged():
     for n, l, m, lam in ((0, 0, 0, 1.0), (3, 1, 1, 1.0), (5, 2, 0, 1.7)):
         rec = total_record("--n", str(n), "--l", str(l), "--m", str(m),
@@ -279,6 +291,9 @@ def test_bad_inputs_exit_without_traceback(capsys, argv, code):
     ["asymptotic", "--n", "100", "--l", "160", "--p", "8"],
     ["asymptotic", "--n", "100", "--l", "300", "--p", "8"],
     ["asymptotic", "--n", "100", "--l", "3000", "--p", "8"],
+    ["asymptotic", "--n", "100", "--l", "0", "--p", "1e4"],
+    ["asymptotic", "--n", "100", "--l", "0", "--p", "1e5"],
+    ["asymptotic", "--n", "100", "--l", "0", "--p", "1e6"],
 ])
 def test_large_quantum_numbers_exit_cleanly(capsys, argv):
     # a value, a domain error or an accuracy error, never a float warning

@@ -47,6 +47,15 @@ def test_tsallis_limits_and_values():
         tsallis_from_renyi(2.5, 0.0)
 
 
+def test_tsallis_past_the_float_range_is_none():
+    # e^800 and e^712 / 2 leave the float range; e^710.4 / 2 = e^709.7 does not
+    assert tsallis_from_renyi(-800.0, 2.0) is None
+    assert tsallis_from_renyi(-356.0, 3.0) is None
+    assert tsallis_from_renyi(-355.2, 3.0) == pytest.approx(
+        -math.exp(710.4 - math.log(2.0)), rel=1e-12)
+    assert tsallis_from_renyi(-700.0, 2.0) == -math.expm1(700.0)
+
+
 def test_momentum_shift_is_order_independent():
     params = OscillatorParams(lam=2.5)
     shift = 3.0 * math.log(2.5)

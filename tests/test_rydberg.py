@@ -88,28 +88,47 @@ def test_bessel_constant_high_order_power_stays_finite():
 
 
 def test_bessel_head_at_high_order_matches_mpmath():
-    # at alpha = 100.5 one 32-node head panel was 6.4e-6 off; the settled head
-    # holds a 25-digit Gauss-Legendre value over 80 sub-panels of [0, z_1],
-    # and C_B a period-by-period mpmath integral over 300 zeros
-    terms = rydberg._bessel_partial_terms(100.5, -3.5, 8.0, 40, 32)
+    # at alpha = 100.5 one unsliced 24-node head panel is 5.6e-3 off; the
+    # planned and settled head holds a 25-digit Gauss-Legendre value over 80
+    # sub-panels of [0, z_1], and C_B a period-by-period mpmath integral over
+    # 300 zeros
+    terms = rydberg._bessel_partial_terms(100.5, -3.5, 8.0, 40)
     assert terms[0] == pytest.approx(2.0258143902684920e-24, rel=1e-10, abs=0)
     assert bessel_constant(100.5, 8.0).value == \
         pytest.approx(4.0766828215682742e-24, rel=1e-9, abs=0)
 
 
+# period-by-period mpmath integrals of C_B at p = 8 over 300 zeros: each period
+# in 4 pieces, the head [0, z_1] in 32, each piece by mpmath's Gauss-Legendre
+# nodes at 30 digits; the 24- and 48-node totals agree to all digits shown
+BESSEL_P8_REFS = {200.5: 2.2941225821438686e-27, 300.5: 2.8050720246525842e-29}
+
+
 @pytest.mark.parametrize("alpha", [200.5, 300.5, 3000.5])
 def test_bessel_head_past_its_nodes_raises(alpha):
-    # the head's 48 and 72 nodes disagree at 200.5 and 300.5; at 3000.5 the
-    # ratio J_alpha(2t) / t^alpha, about e^-21960 on the head nodes,
-    # underflows even in long double, and the lost lobe leaves a head below
-    # the first inter-zero panel
+    # one unsliced head panel does not settle at 200.5 and 300.5 (36 and 54
+    # nodes differ by 4.9e-4 and 1.1e-2); sliced by specfun.plan_panels, the
+    # head settles there at 24 and 36 nodes.  At 3000.5 the ratio J_alpha(2t) / t^alpha, about e^-21960
+    # on the head nodes, underflows even in long double, and the planner
+    # runs out of slices before the head can come out 0
+    if alpha in BESSEL_P8_REFS:
+        assert bessel_constant.__wrapped__(alpha, 8.0).value == \
+            pytest.approx(BESSEL_P8_REFS[alpha], rel=1e-9, abs=0)
+        return
     with pytest.raises(AccuracyError, match="Bessel head panel"):
         bessel_constant.__wrapped__(alpha, 8.0)
 
 
+def test_bessel_head_that_underflows_is_rejected_by_settled():
+    # at (3000.5, 1.6) the planner stays inside its budget and every head
+    # node underflows: settled rejects the sum 0.0 before the lobe check
+    with pytest.raises(AccuracyError, match="Bessel head panel .* not positive"):
+        bessel_constant.__wrapped__(3000.5, 1.6)
+
+
 def test_bessel_constant_nan_estimate_raises(monkeypatch):
     monkeypatch.setattr(rydberg, "_bessel_partial_terms",
-                        lambda alpha, beta, p, kzeros, m: np.full(kzeros + 1, np.nan))
+                        lambda alpha, beta, p, kzeros: np.full(kzeros + 1, np.nan))
     with pytest.raises(AccuracyError, match="did not converge"):
         bessel_constant.__wrapped__(0.5, 2.0)
 

@@ -584,18 +584,28 @@ def test_power_panels_match_beta_closed_forms(q2, a):
 def test_settled_escalates_once_then_raises():
     calls = []
 
-    def converging(m):
+    def converging(m):  # panel integrals 1 and 10^(-m/6): 1e-4, 1e-6, 1e-9
         calls.append(m)
-        return 1.0 + 10.0 ** -m
+        return np.array([1.0, 10.0 ** (-m / 6)])
 
-    assert specfun.settled(converging, 4, 1e-6, "x") == (1.0 + 1e-9, True)
-    assert calls == [4, 6, 9]
-    assert specfun.settled(converging, 20, 1e-12, "x") == (1.0 + 1e-30, False)
+    assert specfun.settled(converging, 1e-5, "x") == (1.0 + 1e-9, True)
+    assert calls == [24, 36, 54]
+    assert specfun.settled(converging, 1e-3, "x") == (1.0 + 1e-6, False)
     with pytest.raises(AccuracyError, match="wandering did not settle"):
-        specfun.settled(float, 48, 1e-12, "wandering")
+        specfun.settled(lambda m: np.array([float(m)]), 1e-12, "wandering")
     # a NaN never counts as settled
     with pytest.raises(AccuracyError):
-        specfun.settled(lambda m: math.nan, 48, 1e-12, "nan")
+        specfun.settled(lambda m: np.array([math.nan]), 1e-12, "nan")
+    # a Renyi sum that agrees with itself must still be positive and finite
+    for bad in (0.0, -1.0, math.inf):
+        with pytest.raises(AccuracyError, match="zero: panel sum .* not positive"):
+            specfun.settled(lambda m: np.array([bad, 0.0]), 1e-12, "zero")
+    # a density that integrates to 1 + 5e-10 raises, whatever its log sum does
+    with pytest.raises(AccuracyError, match="lost: the density integrates to"):
+        specfun.settled(lambda m: (np.array([0.25, 0.25 + 2.5e-10]), np.array([3.0])),
+                        1e-11, "lost", density=2.0)
+    assert specfun.settled(lambda m: (np.array([0.25, 0.25]), np.array([3.0, -4.0])),
+                           1e-11, "kept", density=2.0) == (-1.0, False)
 
 
 # ---------------------------------------------------------------------------
