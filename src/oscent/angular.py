@@ -38,9 +38,6 @@ _LN_2PI = specfun._LN_2 + specfun._LN_PI  # long double, as the panel sums
 # the rational reference routes are supported on this lattice
 MAX_TWO_P = 8
 MAX_DEGREE = 8
-# the Gauss-Jacobi rule's Christoffel sums reach ln K = 0.85 to 0.995 of
-# 2|m|p ln(l/|m|) (measured to l = 3000), and long double ends at e^11356
-_RULE_MAX_LOG_K = 11000.0
 
 # panel quadrature: the agreement the second pass of specfun.settled must reach
 _RENYI_TOL = 1e-12
@@ -311,18 +308,17 @@ def renyi_angular(state: AngularState, p) -> AngularResult:
     """Renyi entropy of the angular density, best available route.
 
     Dispatch: closed form for a closed family (any real p), else the exact
-    Gauss-Jacobi rule at even 2p <= specfun._RULE_MAX_POWER in long-double
-    range (_RULE_MAX_LOG_K), else quadrature.  Outside the families l - |m| >= 2,
-    so the polynomial factor changes sign and an odd 2p has no exact route.
+    Gauss-Jacobi rule at even 2p <= specfun._RULE_MAX_POWER, else quadrature.
+    Outside the families l - |m| >= 2, so the polynomial factor changes sign
+    and an odd 2p has no exact route.
     """
     order = as_order(p)
     if order.is_unity:
         raise DomainError("p = 1 is the Shannon limit; use shannon_angular")
     if state.closed_family:
         return lambda_closed(state, order)
-    m, q = state.m_abs, order.two_p
-    if (q is not None and q % 2 == 0 and q <= specfun._RULE_MAX_POWER
-            and (m == 0 or 2 * m * order.p * math.log(state.l / m) <= _RULE_MAX_LOG_K)):
+    q = order.two_p
+    if q is not None and q % 2 == 0 and q <= specfun._RULE_MAX_POWER:
         return _lambda_gauss_jacobi(state, order)
     return lambda_quadrature(state, order)
 

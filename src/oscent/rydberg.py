@@ -47,17 +47,18 @@ _HEAD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RegimeConstant:
-    """Constant of one asymptotic regime; value = inf marks divergence."""
+    """Constant of one asymptotic regime and its log; log_value = inf marks divergence."""
 
     kind: str                 # "cosine" | "bessel"
-    value: float
+    value: float | None       # None past the float range
+    log_value: float
     alpha: float | None       # Bessel order; None for the cosine kind
     beta: float
     p: float
 
     @property
     def divergent(self) -> bool:
-        return math.isinf(self.value)
+        return self.log_value == math.inf
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,14 @@ def cosine_constant(p) -> RegimeConstant:
     num_args = (1.5 - pf, 1.0 - 0.5 * pf, pf + 0.5)
     den_args = (beta + 2.0 - pf, 1.0 + pf)
     if any(_is_pole(a) for a in num_args):
-        return RegimeConstant("cosine", math.inf, None, beta, pf)
+        return RegimeConstant("cosine", math.inf, math.inf, None, beta, pf)
     if any(_is_pole(a) for a in den_args):
-        return RegimeConstant("cosine", 0.0, None, beta, pf)
+        return RegimeConstant("cosine", 0.0, -math.inf, None, beta, pf)
     value = (2.0 ** (beta + 1.0) / math.pi ** (pf + 0.5)
              * math.gamma(num_args[0]) * math.gamma(num_args[1])
              * math.gamma(num_args[2])
              / (math.gamma(den_args[0]) * math.gamma(den_args[1])))
-    return RegimeConstant("cosine", value, None, beta, pf)
+    return RegimeConstant("cosine", value, math.log(value), None, beta, pf)
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +143,9 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float, kzeros: int) -> n
     specfun.power_panels of |J_alpha(2t) / t^alpha|^{2p} t^{2 beta + 1 + 2p alpha}
     on [0, z_1], and of |J_alpha(2t)|^{2p} t^{2 beta + 1} between consecutive
     zeros, where J_alpha(2t) / t^alpha underflows at high alpha p.  The
-    head's ratio is exp(ln|J| - alpha ln t) in long double, so no float power
-    of t is taken; a node where the ratio underflows adds 0.  The head sits
+    head's ratio is exp(ln|J| - alpha ln t), and its ends, panels and sum, in
+    long double: no float power of t is taken, the head holds past the float
+    range, and a node where the ratio underflows adds 0.  The head sits
     beside the turning point 2t = alpha, where the ratio falls steeply, and
     specfun.plan_panels slices it against its edge power and the decay rate
     p; specfun.settled certifies it, and the inter-zero panels take one pass.
@@ -155,12 +157,13 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float, kzeros: int) -> n
 
     def ratio(t, _):
         with np.errstate(divide="ignore"):  # ln 0 = -inf: the node adds 0
-            ln_j = np.log(np.abs(jv(alpha, 2.0 * t)), dtype=np.longdouble)
-        return np.exp(ln_j - alpha * np.log(t, dtype=np.longdouble))
+            ln_j = np.log(np.abs(jv(alpha, 2.0 * t.astype(float))), dtype=np.longdouble)
+        return np.exp(ln_j - alpha * np.log(t))
 
     what = f"Bessel head panel for (alpha={alpha}, p={p})"
     edges = ((0.0, 2.0 * beta + 1.0 + q2 * alpha), None)
-    slices = specfun.plan_panels([0.0, zs[0]], ["edge", "root"], edges, q2, p, what)
+    slices = specfun.plan_panels(np.longdouble([0, zs[0]]), ["edge", "root"], edges, q2,
+                                 p, what)
     head, _ = specfun.settled(
         lambda m: specfun.power_panels(*zip(*slices), ratio, q2, edges, m), _HEAD_TOL, what)
     rest = specfun.power_panels(zs[:-1], zs[1:], ["root"] * kzeros, ["root"] * kzeros,
@@ -179,10 +182,10 @@ def bessel_constant(alpha: float, p: float) -> RegimeConstant:
 
     Summed between consecutive Bessel zeros; the algebraic k^{-s} tail
     (s = p - 2 beta - 1 = 2p - 2 > 1, from the t^{2 beta + 1 - p} envelope)
-    is closed with a three-term Hurwitz-zeta fit.  Plain averaging cannot
-    accelerate this monotone tail, so the remainder is modelled explicitly
-    instead.  The estimates at 40 and 80 zeros share one list of terms, the
-    first 41 of the 81; a third at 160 zeros decides when they disagree.
+    is closed with a three-term Hurwitz-zeta fit, as averaging cannot speed
+    up this monotone tail.  The estimates at 40 and 80 zeros share one list of
+    terms, the first 41 of the 81; a third at 160 zeros decides when they
+    disagree.  They are long double, and ln C_B is carried beside C_B.
     """
     if alpha < 0:
         raise DomainError(f"Bessel order must be >= 0, got {alpha}")
@@ -198,14 +201,14 @@ def bessel_constant(alpha: float, p: float) -> RegimeConstant:
 
     def estimate(terms: np.ndarray) -> float:
         k = len(terms)  # the head and k - 1 inter-zero panels
-        partial = float(np.sum(terms))
+        partial = np.sum(terms)
         # fit T_k = a0 k^{-s} + a1 k^{-s-1} + a2 k^{-s-2} on the last panels
         nfit = min(12, k - 5)
         ks = np.arange(k - nfit, k, dtype=float)
         design = np.stack([ks ** (-s), ks ** (-s - 1), ks ** (-s - 2)], axis=1)
-        coef, *_ = np.linalg.lstsq(design, terms[-nfit:], rcond=None)
+        coef, *_ = np.linalg.lstsq(design, terms[-nfit:].astype(float), rcond=None)
         rem = coef[0] * zeta(s, k) + coef[1] * zeta(s + 1, k) + coef[2] * zeta(s + 2, k)
-        return partial + float(rem)
+        return partial + rem
 
     terms = _bessel_partial_terms(alpha, beta, p, 80)
     v1, v2 = estimate(terms[:41]), estimate(terms)
@@ -216,9 +219,10 @@ def bessel_constant(alpha: float, p: float) -> RegimeConstant:
             raise AccuracyError(
                 f"Bessel-constant tail did not converge for "
                 f"(alpha={alpha}, p={p})",
-                estimate=2.0 * v3, error_bound=abs(v2 - v3) / abs(v3))
+                estimate=float(2 * v3), error_bound=float(abs(v2 - v3) / abs(v3)))
         v2 = v3
-    return RegimeConstant("bessel", 2.0 * v2, alpha, beta, p)
+    return RegimeConstant("bessel", float(2 * v2) if v2 < np.finfo(float).max / 2 else None,
+                          float(np.log(2 * v2)), alpha, beta, p)
 
 
 def renyi_radial_asymptotic(n: int, l: int, params=None, p=2.0) -> AsymptoticValue:
@@ -243,7 +247,7 @@ def renyi_radial_asymptotic(n: int, l: int, params=None, p=2.0) -> AsymptoticVal
     lnlam = math.log(params.lam)
     if pf < P_STAR:
         c = cosine_constant(pf)
-        value = ((1.5 * (pf - 1.0) * lnlam + math.log(c.value)) / (1.0 - pf)
+        value = ((1.5 * (pf - 1.0) * lnlam + c.log_value) / (1.0 - pf)
                  + 0.5 * _LN_2 + 1.5 * math.log(n))
         return AsymptoticValue(value, "cosine", 1.5, False, n, l, pf)
     if pf == P_STAR:
@@ -253,7 +257,7 @@ def renyi_radial_asymptotic(n: int, l: int, params=None, p=2.0) -> AsymptoticVal
                         - 0.75 * math.log(n) + math.log(math.log(n)))
         return AsymptoticValue(value, "transition", 1.5, True, n, l, pf)
     cb = bessel_constant(l + 0.5, pf)
-    value = (((pf - 1.0) * (_LN_2 + 1.5 * lnlam) + math.log(cb.value))
+    value = (((pf - 1.0) * (_LN_2 + 1.5 * lnlam) + cb.log_value)
              / (1.0 - pf) + 0.5 * (pf - 3.0) / (1.0 - pf) * math.log(n))
     return AsymptoticValue(value, "bessel", 0.5 * (pf - 3.0) / (1.0 - pf),
                            False, n, l, pf)

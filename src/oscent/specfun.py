@@ -5,13 +5,13 @@ the half-integer lattice, partial Bell polynomials, powers by convolution
 (the Bell expansion is a test oracle), one long-double orthonormal
 recurrence, _rows, behind every production polynomial value (the classical
 Laguerre and Gegenbauer recurrences serve the oracle), one Gauss rule
-generator (Golub-Welsch start, one Newton pass of _rows on the family's
-structure relation and equation, log Christoffel weights) behind every
-Gauss-Laguerre and Gauss-Jacobi rule and the Gegenbauer roots, the
-log-weighted Gauss-Jacobi product rule, the one panel function, which
-maps those rules onto panels, hands its integrand whole panels and forms
-every power of a power integral and of its Shannon log terms from logs,
-the two-node-count check and adaptive quadrature plumbing.
+generator (Golub-Welsch start, one Newton pass of _rows under the square root
+of the weight on the family's structure relation and equation, log
+Christoffel weights) behind every Gauss-Laguerre and Gauss-Jacobi rule and
+the Gegenbauer roots, the log-weighted Gauss-Jacobi product rule, the one
+panel function, which maps those rules onto panels, hands its integrand whole
+panels and forms every power of a power integral and of its Shannon log terms
+from logs, the two-node-count check and adaptive quadrature plumbing.
 """
 
 from __future__ import annotations
@@ -382,7 +382,7 @@ def laguerre_orthonormal_weighted(n: int, alpha: float, x):
 
 def laguerre_orthonormal_weighted_d1(n: int, alpha: float, x):
     """laguerre_orthonormal_weighted and its x-derivative at x > 0, in long
-    double: x r_n' = (n - x/2) r_n + b_n r_(n-1) (gauss_laguerre's family).
+    double, from the structure relation x r_n' = (n - x/2) r_n + b_n r_(n-1).
 
     The two terms cancel as x -> 0, yet at the root-gap centres of (1500,
     0.5), from x = 0.004, the derivative is within 2.7e-14 of mpmath.
@@ -438,28 +438,31 @@ def _last_rows(x, diag, off, p):
     return prev, p
 
 
-def _gauss_rule(diag, off, ln_mu0, ln_start, family) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_rule(diag, off, ln_mu0, ln_weight, family) -> tuple[np.ndarray, np.ndarray]:
     """Long-double Gauss nodes and log Christoffel weights of _rows' recurrence.
 
-    ln_mu0 is the log of the weight's mass, ln_start(x) the log of the row p_0
-    (-x/2 keeps Laguerre rows in range).  family(x) gives the identities of
-    the rows at degree m = len(diag), with b_m = off[-1]: P, Q, R_m - R_(m-1),
-    A_m and B_m / b_m of the structure relation P p_m' = A_m p_m + B_m p_(m-1)
-    and the equation P p_k'' + Q p_k' + R_k p_k = 0.
+    ln_mu0 is the log of the weight's mass, ln_weight(x) the log of the weight
+    w.  family(x) gives the textbook identities of the rows p_k at degree
+    m = len(diag), with b_m = off[-1] (DLMF Table 18.8.1): P, P', Q,
+    R_m - R_(m-1), A_m and B_m / b_m of the structure relation P p_m' = A_m p_m
+    + B_m p_(m-1) and the equation P p_k'' + Q p_k' + R_k p_k = 0.  Every
+    family's rows start at sqrt(w / mu0): they are r_k = sqrt(w) p_k, and
+    K = sum_{k<m} r_k^2, w over the Christoffel function, stays bounded for
+    any weight.  By Pearson's equation (P w)' = Q w they keep both identities
+    with A_m + (Q - P')/2 for A_m and P' for Q.
 
     Golub-Welsch eigenvalues (Math. Comp. 23, 1969) start one pass of the
-    recurrence that sums K = sum_{k<m} p_k^2 and takes one Newton step
-    s = p_m / p_m' from the structure relation.  Newton's next step would be
-    |Q/(2P)| s^2 (p_m''/p_m' = -Q/P at a root); the pass is done when that is
-    a few ulp of |x| plus the Gershgorin bound, and another pass from the
-    stepped nodes (up to 8) is only a fallback.  K moves to the stepped
-    nodes by its derivative, the differentiated Christoffel-Darboux identity
-    K' = b_m (p_m'' p_(m-1) - p_(m-1)'' p_m) = -(Q K + b_m (R_m - R_(m-1))
-    p_m p_(m-1)) / P, and gives the weights mu0 p_0^2 / K (Gautschi 2004),
-    returned as ln mu0 + 2 ln p_0 - ln K, which stay in range where mu0 or
-    the weights leave it.  The checks: only the m distinct roots increase
-    strictly and alternate the sign of p_(m-1) (interlacing), and every log
-    weight is finite.
+    recurrence that sums K and takes one Newton step s = r_m / r_m' from the
+    structure relation.  Newton's next step would be |P'/(2P)| s^2; the pass
+    is done when that is a few ulp of |x| plus the Gershgorin bound, and
+    another pass from the stepped nodes (up to 8) is only a fallback.  The
+    weights w / K (Gautschi 2004) come back as ln w - ln K, in range where mu0
+    or the weights leave it.  They are taken at the start x and moved to the
+    nodes by the differentiated Christoffel-Darboux identity for w / K =
+    1 / sum p_k^2, (Q + b_m (R_m - R_(m-1)) p_m p_(m-1) / sum p_k^2) / P, so
+    a node's rounding next to a singular end of w does not enter.  The checks:
+    only the m distinct roots increase strictly and alternate the sign of
+    r_(m-1) (interlacing), and every log weight is finite.
     """
     m = len(diag)
     x = np.longdouble(eigvalsh_tridiagonal(diag.astype(float), off[:-1].astype(float)))
@@ -469,16 +472,16 @@ def _gauss_rule(diag, off, ln_mu0, ln_start, family) -> tuple[np.ndarray, np.nda
     # an end of the interval (P = 0) makes the predicted step NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(8):
-            rows = _rows(x, diag, off, np.exp(ln_start(x)))
+            rows = _rows(x, diag, off, np.exp((ln_weight(x) - ln_mu0) / 2))
             k_sum = 0
             for pm1 in islice(rows, m):
                 k_sum = k_sum + pm1 * pm1
             pm = next(rows)
-            big_p, q, dr, a_m, b_ratio = family(x)
+            big_p, d_p, q, dr, a_m, b_ratio = family(x)
             b_pm1 = off[-1] * pm1
-            step = big_p * pm / (a_m * pm + b_ratio * b_pm1)
+            step = big_p * pm / ((a_m + (q - d_p) / 2) * pm + b_ratio * b_pm1)
             nodes = x - step
-            if np.all(np.abs(q / (2 * big_p)) * step * step
+            if np.all(np.abs(d_p / (2 * big_p)) * step * step
                       <= 4 * eps * (scale + np.abs(nodes))):
                 break
             x = nodes
@@ -488,8 +491,8 @@ def _gauss_rule(diag, off, ln_mu0, ln_start, family) -> tuple[np.ndarray, np.nda
         if not (np.all(np.diff(nodes) > 0) and np.all(sign[:-1] * sign[1:] < 0)):
             raise AccuracyError(f"Gauss rule of {m} nodes: the nodes are not "
                                 f"{m} distinct roots")
-        # K(x - s) = K - s K'
-        ln_w = (ln_mu0 + 2 * ln_start(nodes) - np.log(k_sum)
+        # lambda(x - s) = lambda - s lambda', all at the start x
+        ln_w = (ln_weight(x) - np.log(k_sum)
                 - np.log1p(step * (q + dr * b_pm1 * pm / k_sum) / big_p))
     if not np.all(np.isfinite(ln_w)):
         raise AccuracyError(f"Gauss rule of {m} nodes: the log weights are not finite")
@@ -547,11 +550,11 @@ def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     s = 2 * m + a_ + b_
 
     def family(x):
-        return ((1 - x) * (1 + x), b_ - a_ - (a_ + b_ + 2) * x, s,
+        return ((1 - x) * (1 + x), -2 * x, b_ - a_ - (a_ + b_ + 2) * x, s,
                 m * ((a_ - b_) / s - x), s + 1)
 
     return _gauss_rule(*_jacobi_recurrence(m, a, b), _jacobi_log_mass(a_, b_),
-                       np.zeros_like, family)
+                       lambda x: a_ * np.log1p(-x) + b_ * np.log1p(x), family)
 
 
 @lru_cache(maxsize=None)
@@ -559,23 +562,19 @@ def gauss_laguerre(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss rule of m nodes for x^a e^-x on (0, inf):
     nodes and log weights, from _gauss_rule's one Newton pass.
 
-    The rows r_k = p_k e^(-x/2) start at exp(-x/2), which keeps them in range
-    up to m = 3000, and the log weights stay finite past x = 11,000, where
-    the weights underflow.  Their identities (DLMF §18.9, Table 18.8.1):
-    x r_m' = (m - x/2) r_m + b_m r_(m-1) and
-    x r_k'' + (a + 1) r_k' + (k + (a + 1)/2 - x/4) r_k = 0.
+    The rows p_k, (-1)^k times the orthonormal L_k^(a), keep the identities
+    of L_k^(a) (DLMF §18.9, Table 18.8.1): x p_m' = m p_m + b_m p_(m-1) and
+    x p_k'' + (a + 1 - x) p_k' + k p_k = 0.
     """
     if m == 0:
         return np.zeros(0, dtype=np.longdouble), np.zeros(0, dtype=np.longdouble)
     a_ = np.longdouble(a)
 
     def family(x):
-        return x, a_ + 1, 1, m - x / 2, 1
+        return x, 1, a_ + 1 - x, 1, m, 1
 
-    # near a = 11,000 the Christoffel sums underflow, and the generator's
-    # checks raise AccuracyError
     return _gauss_rule(*_laguerre_coefficients(m, a), _lgamma(a + 1.0),
-                       lambda x: -x / 2, family)
+                       lambda x: a_ * np.log(x) - x, family)
 
 
 def _log_moments(m: int, a, b) -> np.ndarray:

@@ -264,26 +264,15 @@ def test_dispatch_takes_the_rule_at_even_2p_up_to_the_cap(p, route):
     assert abs(res.renyi - want) <= 1e-13 * abs(want)
 
 
-@pytest.mark.parametrize("l,m", [(100, 30), (300, 100), (1000, 370), (1000, 990)])
-def test_rule_range_bound_is_above_its_christoffel_sums(l, m):
-    # renyi_angular takes the rule while 2|m|p ln(l/|m|) <= _RULE_MAX_LOG_K,
-    # which holds only if that bounds ln K = ln mu0 - ln w_min from above
-    p = 4
-    a = np.longdouble(m * p)
-    _, ln_w = specfun.gauss_jacobi((l - m) * p + 1, m * p, m * p)
-    ln_k = float(specfun._jacobi_log_mass(a, a) - ln_w.min())
-    assert 0.8 < ln_k / (2 * m * p * math.log(l / m)) < 1.0
-
-
-@pytest.mark.parametrize("l,m,route", [(3000, 1000, "_lambda_gauss_jacobi"),
-                                       (3000, 0, "_lambda_gauss_jacobi"),
-                                       (4000, 1470, "lambda_quadrature")])
-def test_dispatch_keeps_the_rule_in_long_double_range(monkeypatch, l, m, route):
-    # at (4000, 1470, p=4) the bound reads 11773 and the rule's log weights
-    # are not finite; the routes are stubbed, as each takes 5 to 30 s here
+@pytest.mark.parametrize("l,m", [(3000, 1000), (3000, 0), (4000, 1470)])
+def test_dispatch_takes_the_rule_at_large_l(monkeypatch, l, m):
+    # the rule's rows run under the square root of the weight, so its
+    # Christoffel sums stay in range at any l; at (4000, 1470, p=4) rows
+    # started at 1 would reach e^11773, past long double.  The routes are
+    # stubbed, as each takes 5 to 35 s here
     for name in ("_lambda_gauss_jacobi", "lambda_quadrature"):
         monkeypatch.setattr(angular, name, lambda state, order, name=name: name)
-    assert renyi_angular(AngularState(l, m), 4.0) == route
+    assert renyi_angular(AngularState(l, m), 4.0) == "_lambda_gauss_jacobi"
 
 
 def test_invalid_order_rejected():

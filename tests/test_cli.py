@@ -274,7 +274,7 @@ def test_domain_errors_exit_2(capsys):
       "--mode", "asymptotic"], 64),
     (["sweep", "--quantity", "angular-renyi", "--l", "2", "--m", "1",
       "--n", "7,8"], 64),
-    # the rules' log mass stays in range at 2p = 2e300; the Newton steps raise
+    # at p = 1e300 the angular panels need more than 6000 slices
     (["angular", "--l", "5", "--m", "0", "--p", "1e300"], 3),
 ])
 def test_bad_inputs_exit_without_traceback(capsys, argv, code):
@@ -294,6 +294,7 @@ def test_bad_inputs_exit_without_traceback(capsys, argv, code):
     ["asymptotic", "--n", "100", "--l", "0", "--p", "1e4"],
     ["asymptotic", "--n", "100", "--l", "0", "--p", "1e5"],
     ["asymptotic", "--n", "100", "--l", "0", "--p", "1e6"],
+    ["asymptotic", "--n", "100", "--l", "0", "--p", "3000"],
 ])
 def test_large_quantum_numbers_exit_cleanly(capsys, argv):
     # a value, a domain error or an accuracy error, never a float warning

@@ -345,8 +345,10 @@ def test_rule_sums_its_terms_in_logs_at_large_l():
         assert got.path == "gauss_laguerre"
         want = laguerre_norm(n, l, p, path="symbolic")
         assert abs(got.log_value - want.log_value) <= 1e-14
-    # past the long-double range the rule fails its own checks, with no
-    # float warning on the way (warnings are errors here)
+    # the rules themselves return here (a = 12000.5 and 3500.5), but the
+    # integrand rows start at exp(-x/2 - ln Gamma(l + 3/2)/2), below e^-11400,
+    # and underflow to 0 even in long double: every term is 0 and the sum
+    # raises, with no float warning on the way (warnings are errors here)
     for n, l, p in ((3, 3000, 4.0), (1, 3500, 1.0)):
         with pytest.raises(AccuracyError):
             laguerre_norm(n, l, p)

@@ -87,21 +87,21 @@ def test_bessel_constant_high_order_power_stays_finite():
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_bessel_head_at_high_order_matches_mpmath():
-    # at alpha = 100.5 one unsliced 24-node head panel is 5.6e-3 off; the
-    # planned and settled head holds a 25-digit Gauss-Legendre value over 80
-    # sub-panels of [0, z_1], and C_B a period-by-period mpmath integral over
-    # 300 zeros
-    terms = rydberg._bessel_partial_terms(100.5, -3.5, 8.0, 40)
-    assert terms[0] == pytest.approx(2.0258143902684920e-24, rel=1e-10, abs=0)
-    assert bessel_constant(100.5, 8.0).value == \
-        pytest.approx(4.0766828215682742e-24, rel=1e-9, abs=0)
-
-
 # period-by-period mpmath integrals of C_B at p = 8 over 300 zeros: each period
 # in 4 pieces, the head [0, z_1] in 32, each piece by mpmath's Gauss-Legendre
 # nodes at 30 digits; the 24- and 48-node totals agree to all digits shown
-BESSEL_P8_REFS = {200.5: 2.2941225821438686e-27, 300.5: 2.8050720246525842e-29}
+BESSEL_P8_REFS = {100.5: 4.0766828200954129e-24, 200.5: 2.2941225821438686e-27,
+                  300.5: 2.8050720246525842e-29}
+
+
+def test_bessel_head_at_high_order_matches_mpmath():
+    # at alpha = 100.5 one unsliced 24-node head panel is 5.6e-3 off; the
+    # planned and settled head holds a 25-digit Gauss-Legendre value over 80
+    # sub-panels of [0, z_1], and C_B its period-by-period reference
+    terms = rydberg._bessel_partial_terms(100.5, -3.5, 8.0, 40)
+    assert terms[0] == pytest.approx(2.0258143902684920e-24, rel=1e-10, abs=0)
+    assert bessel_constant(100.5, 8.0).value == \
+        pytest.approx(BESSEL_P8_REFS[100.5], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("alpha", [200.5, 300.5, 3000.5])
@@ -117,6 +117,16 @@ def test_bessel_head_past_its_nodes_raises(alpha):
         return
     with pytest.raises(AccuracyError, match="Bessel head panel"):
         bessel_constant.__wrapped__(alpha, 8.0)
+
+
+def test_bessel_constant_past_the_float_range_carries_its_log():
+    # J_(1/2)(2t) = sin(2t) / sqrt(pi t), so C_B(1/2, p) = pi^-p 4^(p-1)
+    # int u^(2-2p) sin(u)^2p du; at p = 3000 that is e^712.13, past the
+    # float range.  The reference takes the integral over [0, pi] by mpmath
+    # at 30 digits (the rest is below pi^-6000)
+    const = bessel_constant(0.5, 3000.0)
+    assert const.value is None
+    assert const.log_value == pytest.approx(712.1314441109057, rel=0, abs=1e-10)
 
 
 def test_bessel_head_that_underflows_is_rejected_by_settled():

@@ -379,12 +379,13 @@ def test_gauss_jacobi_log_mass_past_the_long_double_range(m, a, b):
     assert abs(got / want - 1.0) <= 1e-14
 
 
-def test_gauss_laguerre_log_weights_past_the_long_double_range():
+@pytest.mark.parametrize("a", [2000.5, 12000.5, 24000.5])
+def test_gauss_laguerre_log_weights_past_the_long_double_range(a):
     # at a = 2000.5 the weights reach e^13209 and their mass Gamma(a + 1) is
     # e^13210; the log weights integrate 1 and x to ln Gamma(a + 1) and
-    # ln Gamma(a + 2)
+    # ln Gamma(a + 2).  Rows started at exp(-x/2) would leave the long-double
+    # range near a = 11,000; under sqrt(w / mu0) they stay in it
     mpmath = pytest.importorskip("mpmath")
-    a = 2000.5
     x, ln_w = specfun.gauss_laguerre(40, a)
     assert np.all(np.isfinite(ln_w))
     for k in (0, 1):
@@ -394,6 +395,19 @@ def test_gauss_laguerre_log_weights_past_the_long_double_range():
         with mpmath.workdps(40):
             want = float(mpmath.loggamma(a + 1 + k))
         assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_gauss_chebyshev_log_weights_hold_next_to_the_singular_ends():
+    # (1 - x^2)^(-1/2) has the closed rule x_j = cos((2j - 1) pi / 2m), w_j =
+    # pi / m.  The outermost nodes sit 3e-7 from the ends, where ln w moves by
+    # 1/(2 delta) per unit of x.  The log weights are taken at the starts the
+    # rows ran on; at the rounded stepped nodes they were 6e-15 off here
+    m = 2001
+    x, ln_w = specfun.gauss_jacobi(m, -0.5, -0.5)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    j = np.arange(m, 0, -1, dtype=np.longdouble)
+    assert np.max(np.abs(x - np.cos((2 * j - 1) * pi / (2 * m)))) <= 1e-18
+    assert np.max(np.abs(ln_w - np.log(pi / m))) <= 1e-15
 
 
 def test_gauss_rule_rejects_starts_that_miss_a_root(monkeypatch):
@@ -448,7 +462,7 @@ def test_every_sweep_rule_builds_in_one_pass(monkeypatch):
 def test_gauss_rule_takes_a_second_pass_from_a_start_off_the_root(monkeypatch):
     # 6e-9 off the smallest root x_0 = 0.0245 of (100, 0.5): the step s is
     # within the tolerance's square root, but Newton's next step
-    # |Q/(2P)| s^2 = 1.5/(2 x_0) s^2 is not, so a second pass follows
+    # |P'/(2P)| s^2 = s^2 / (2 x_0) is not, so a second pass follows
     want_x, want_w = specfun.gauss_laguerre(100, 0.5)
     real_eig, real_rows = specfun.eigvalsh_tridiagonal, specfun._rows
     passes = []
@@ -461,7 +475,7 @@ def test_gauss_rule_takes_a_second_pass_from_a_start_off_the_root(monkeypatch):
                         lambda d, e: real_eig(d, e) + np.append(6e-9, np.zeros(len(d) - 1)))
     monkeypatch.setattr(specfun, "_rows", counting)
     x, ln_w = specfun.gauss_laguerre.__wrapped__(100, 0.5)
-    # one pass would leave x_0 4e-14 and ln w_0 7e-14 off
+    # one pass would leave x_0 3e-14 and ln w_0 7e-14 off
     assert len(passes) == 2
     assert np.max(np.abs(x / want_x - 1)) <= 1e-15
     assert np.max(np.abs(ln_w - want_w)) <= 1e-15
