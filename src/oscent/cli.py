@@ -143,8 +143,7 @@ def _cmd_asymptotic(args) -> list[dict]:
                  "p": 1.0, "lam": args.lam, "value": val,
                  "regime": "shannon", "caveat": False, "warnings": ()}]
     res = rydberg.renyi_radial_asymptotic(args.n, args.l, params, args.p)
-    warns = ("asymptotic value carries an undetermined order-one remainder",) \
-        if res.caveat else ()
+    warns = (rydberg.CAVEAT,) if res.caveat else ()
     return [{"quantity": "asymptotic-renyi", "n": args.n, "l": args.l,
              "p": args.p, "lam": args.lam, "value": res.value,
              "regime": res.regime, "leading_exponent": res.leading_exponent,

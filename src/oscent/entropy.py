@@ -54,12 +54,15 @@ class ConjugatePair:
     q: float
 
     def __post_init__(self):
-        if not (self.p > 0.5 and self.q > 0.5):
-            raise DomainError(
-                f"both orders must exceed 1/2, got p={self.p}, q={self.q}")
-        if abs(1.0 / self.p + 1.0 / self.q - 2.0) > 1e-12:
-            raise DomainError(
-                f"orders are not conjugate: 1/{self.p} + 1/{self.q} != 2")
+        if not self.conjugate(self.p, self.q):
+            raise DomainError(f"orders are not conjugate: 1/{self.p} + 1/{self.q} != 2")
+
+    @staticmethod
+    def conjugate(p: float, q: float) -> bool:
+        """Whether 1/p + 1/q = 2 to 1e-12; DomainError unless both exceed 1/2."""
+        if not (p > 0.5 and q > 0.5):
+            raise DomainError(f"both orders must exceed 1/2, got p={p}, q={q}")
+        return abs(1.0 / p + 1.0 / q - 2.0) <= 1e-12
 
     @classmethod
     def of(cls, p: float) -> "ConjugatePair":
@@ -118,8 +121,7 @@ def renyi_total(state: QuantumState, params: OscillatorParams | None = None,
         asym = _ryd.renyi_radial_asymptotic(state.n, state.l, params, order.p)
         rad = asym.value
         if asym.caveat:
-            warns += ("asymptotic value carries an undetermined order-one "
-                      "remainder",)
+            warns += (_ryd.CAVEAT,)
     else:
         raise DomainError(f"unknown mode {mode!r}")
     return _pack(_in_space(rad, space, params), ang.renyi, space, mode, order,
@@ -225,13 +227,9 @@ def uncertainty_sum(state: QuantumState,
             pv, qv = pair.p, pair.q
         else:
             pv, qv = float(pair[0]), float(pair[1])
-            if not (pv > 0.5 and qv > 0.5):
-                raise DomainError(
-                    f"both orders must exceed 1/2, got p={pv}, q={qv}")
-            if abs(1.0 / pv + 1.0 / qv - 2.0) > 1e-12:
-                if not allow_nonconjugate:
-                    raise DomainError(
-                        f"orders are not conjugate: 1/{pv} + 1/{qv} != 2")
+            if not allow_nonconjugate:
+                ConjugatePair(pv, qv)
+            elif not ConjugatePair.conjugate(pv, qv):
                 warns += ("order pair is not conjugate; the reported bound "
                           "is the formula value, not a guaranteed minimum",)
         pos = renyi_total(state, params, pv, mode)

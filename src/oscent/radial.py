@@ -13,14 +13,14 @@ power up to rounding, and a panel quadrature with Gauss-Jacobi endpoint
 weights valid for any real p > 0.  auto takes the n = 0 formula, the rule
 for even 2p <= 8 and the panels otherwise.
 
-specfun.plan_panels slices the head panel, as it does the angular edges,
-and specfun._NODES, beside its table of first-pass errors, sets the node
-count of both engines.  From n = 40 on, the integrand on each panel (head
-slice, root gap or tail panel) comes from a Taylor series of the Laguerre
-equation about the panel centre, whose coefficients one recurrence over the
-centres starts and every node-count pass shares; a panel whose own last
-coefficients do not certify the series, and every panel below that n, takes
-the long-double Laguerre recurrence.
+specfun.plan_panels plans the panel list, as the angular one: one mass
+bound starts its head and ends its tail, and power_panels checks each piece
+dropped.  specfun._NODES sets the node count of both engines.  From n = 40
+on, the integrand on each panel (head slice, root gap or tail panel) comes
+from a Taylor series of the Laguerre equation about the panel centre, whose
+coefficients one recurrence over the centres starts and every node-count
+pass shares; a panel whose own last coefficients do not certify the series,
+and every panel below that n, takes the long-double Laguerre recurrence.
 """
 
 from __future__ import annotations
@@ -185,46 +185,12 @@ def radial_density(state: QuantumState, params: OscillatorParams | None = None):
 # quadrature engine
 
 def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
-    """Panels (lo, hi, lo_kind, hi_kind) covering (0, inf) for N_{n,l}(p).
-
-    specfun.plan_panels slices the head [0, r_1] ([0, e] at n = 0).  Each
-    root gap stays whole: the polynomial's growth cancels e^(-px) there.
-
-    Past the last root the integrand f = C x^gma prod (x - r_i)^{2p} e^{-p x}
-    is log-concave, so the mass beyond a point e where log f falls is at most
-    f(e) / |(log f)'(e)|.  The tail list ends with the first panel whose start
-    has that bound below 1e-25 of a lower bound on the tail mass: never before
-    the last lobe's maximum, and with a last panel of negligible share.
-
-    Each tail panel after the first is at most _LOG_VARIATION_CAP times as
-    wide as its distance d from the last root.  That root is a branch point
-    of the panel's regular factor, and a Gauss rule converges at a rate set
-    by w / d.  The log-variation of (x - r_n)^{2p} alone would let a panel
-    grow to 16 d / 2p, which leaves 24 nodes 2e-9 short at p = 0.1.
-    """
-    gma, q2 = p * l + 0.5, 2.0 * p
-    rts = specfun.gauss_laguerre(n, l + 0.5)[0].astype(float)
-    e = float(rts[-1]) if n else (gma + 4.0) / p
-    panels = specfun.plan_panels(
-        [0.0] + (rts.tolist() if n else [e]), ["edge"] + (["root"] * n if n else ["plain"]),
-        ((0.0, gma), None), q2, p, f"head panel [0, r_1] for n={n}, l={l}, p={p}")
-
-    def log_f(x):
-        return q2 * np.sum(np.log(x - rts)) + gma * math.log(x) - p * x
-
-    lf, log_mass, prev_w = (-math.inf if n else log_f(e)), -math.inf, None
-    for _ in range(400):
-        w = specfun._LOG_VARIATION_CAP / (p + gma / e + (
-            max(q2, 1.0) / max(e - rts[-1], prev_w or 1e-3) if n else 0.0))
-        panels.append((e, e + w, "root" if n and prev_w is None else "plain",
-                       "plain"))
-        slope = q2 * np.sum(1.0 / (e - rts)) + gma / e - p if lf > -math.inf else 0.0
-        if slope < 0 and lf - math.log(-slope) < log_mass + math.log(1e-25):
-            return panels
-        lf_next = log_f(e + w)
-        log_mass = np.logaddexp(log_mass, math.log(w) + min(lf, lf_next))
-        e, lf, prev_w = e + w, lf_next, w
-    raise AccuracyError(f"radial tail failed to converge for n={n}, l={l}, p={p}")
+    """Panels (lo, hi, lo_kind, hi_kind) of N_{n,l}(p) by specfun.plan_panels: the head
+    [0, r_1] sliced, each root gap whole, the tail past r_n (the mode at n = 0)."""
+    ends = specfun.gauss_laguerre(n, l + 0.5)[0].astype(float).tolist() if n else [l + 0.5 / p]
+    return specfun.plan_panels(
+        [0.0, *ends, math.inf], ["edge"] + (["root"] * n if n else ["plain"]) + ["plain"],
+        ((0.0, p * l + 0.5), None), 2.0 * p, p, f"radial panels for n={n}, l={l}, p={p}")
 
 
 def _panel_series(n: int, l: int, panels: list[tuple]):
@@ -309,35 +275,15 @@ def _panel_psi(n: int, l: int, panels: list[tuple]):
     return psi
 
 
-def _panel_pass(n: int, l: int, p: float, panels: list[tuple], psi, m_nodes: int,
-                log_coefs=None):
-    """specfun.power_panels of N_{n,l}(p) on the panel list, tail-checked.
-
-    psi is _panel_psi on the same panels.  Returns the panel integrals and,
-    with log_coefs, the log-weighted ones.
-    """
-    lo, hi, lo_kind, hi_kind = zip(*panels)
-    out = specfun.power_panels(
-        np.array(lo, dtype=np.longdouble), np.array(hi, dtype=np.longdouble),
-        lo_kind, hi_kind, psi, 2.0 * p, ((0.0, p * l + 0.5), None), m_nodes,
-        log_coefs)
-    parts = out if log_coefs is None else out[0]
-    # node doubling cannot see a region the panels miss; a list that ends on
-    # a negligible, decaying panel has passed the last lobe
-    if parts[-1] > min(1e-20 * parts.sum(), parts[-2]):
-        raise AccuracyError(
-            f"radial tail list ends inside a lobe for n={n}, l={l}, p={p}",
-            estimate=float(parts.sum()))
-    return out
-
-
 def _norm_quadrature(n: int, l: int, p: float) -> LaguerreNorm:
     """Panel quadrature of N_{n,l}(p), certified by a second node count."""
     panels = _norm_panels(n, l, p)
     psi = _panel_psi(n, l, panels)
+    lo, hi, lo_kind, hi_kind = zip(*panels)
     what = f"radial quadrature for n={n}, l={l}, p={p}"
-    v, escalated = specfun.settled(lambda m: _panel_pass(n, l, p, panels, psi, m),
-                                   _RENYI_TOL, what)
+    v, escalated = specfun.settled(lambda m: specfun.power_panels(
+        np.longdouble(lo), hi, lo_kind, hi_kind, psi, 2.0 * p, ((0.0, p * l + 0.5), None), m),
+        _RENYI_TOL, what)
     warns = ("node count escalated to reach tolerance",) if escalated else ()
     return LaguerreNorm(float(v), float(np.log(v)), "quadrature", p, warns)
 
@@ -523,6 +469,8 @@ def shannon_radial_exact(state: QuantumState,
     what = f"Shannon radial quadrature for n={n}, l={l}"
     panels = _norm_panels(n, l, 1.0)
     psi = _panel_psi(n, l, panels)
-    j, _ = specfun.settled(lambda m: _panel_pass(n, l, 1.0, panels, psi, m, (l, 0)),
-                           _SHANNON_TOL, what, density=1.0)
+    lo, hi, lo_kind, hi_kind = zip(*panels)
+    j, _ = specfun.settled(lambda m: specfun.power_panels(
+        np.longdouble(lo), hi, lo_kind, hi_kind, psi, 2.0, ((0.0, l + 0.5), None), m, (l, 0)),
+        _SHANNON_TOL, what, density=1.0)
     return -_LN_2 - 1.5 * math.log(params.lam) - float(j)

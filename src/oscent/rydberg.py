@@ -7,8 +7,9 @@ functions (p > 3/2), or the matching region between the two (p = 3/2).
 Each branch carries its own constant; the transition branch has an unknown
 O(1) remainder and is flagged with a caveat.  The Bessel constant sums
 panels between the zeros of J_alpha(2t); its head [0, z_1] holds nearly all
-of it, is sliced by specfun.plan_panels and certified by specfun.settled like
-the radial head, and raises AccuracyError where it falls below the next lobe.
+of it, is started by specfun.plan_panels' mass bound, its dropped piece checked
+by power_panels and its sum certified by settled, as the radial head is; a head
+below the next lobe raises AccuracyError.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from .errors import AccuracyError, DomainError
 from .order import as_order
 
 __all__ = [
-    "P_STAR", "RegimeConstant", "AsymptoticValue", "cosine_constant",
+    "P_STAR", "CAVEAT", "RegimeConstant", "AsymptoticValue", "cosine_constant",
     "bessel_constant", "bessel_zeros", "renyi_radial_asymptotic",
     "shannon_radial_asymptotic",
 ]
 
 P_STAR = 1.5
+CAVEAT = "asymptotic value carries an undetermined order-one remainder"
 
 _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
@@ -101,7 +103,7 @@ def cosine_constant(p) -> RegimeConstant:
     return RegimeConstant("cosine", value, math.log(value), None, beta, pf)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=specfun._RULE_CACHE)
 def bessel_zeros(alpha: float, count: int) -> tuple[float, ...]:
     """First `count` positive zeros of J_alpha: sign-scan brackets, Newton polish.
 
@@ -147,10 +149,13 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float, kzeros: int) -> n
     long double: no float power of t is taken, the head holds past the float
     range, and a node where the ratio underflows adds 0.  The head sits
     beside the turning point 2t = alpha, where the ratio falls steeply, and
-    specfun.plan_panels slices it against its edge power and the decay rate
-    p; specfun.settled certifies it, and the inter-zero panels take one pass.
-    For p > 3/2 the lobes shrink past the first: a head below the first
-    inter-zero panel has lost its lobe, and AccuracyError is raised.
+    specfun.plan_panels slices it against its edge power, the root z_1 and
+    the rate (2 alpha + 1) p / z_1: the head is the planner's integrand times
+    e^(rate t) (1 + t/z_1)^2p prod_(k>=2) (1 - t^2/z_k^2)^2p (DLMF 10.21.15),
+    which never falls, so the planner's mass bound holds for the head, and
+    power_panels checks the piece dropped.  specfun.settled certifies it, and
+    the inter-zero panels take one pass.  For p > 3/2 the lobes shrink past
+    the first: a head below the first inter-zero panel raises AccuracyError.
     """
     q2 = 2.0 * p
     zs = np.array(bessel_zeros(alpha, kzeros + 1)) / 2.0  # zeros of J_a(2t)
@@ -163,7 +168,7 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float, kzeros: int) -> n
     what = f"Bessel head panel for (alpha={alpha}, p={p})"
     edges = ((0.0, 2.0 * beta + 1.0 + q2 * alpha), None)
     slices = specfun.plan_panels(np.longdouble([0, zs[0]]), ["edge", "root"], edges, q2,
-                                 p, what)
+                                 (2.0 * alpha + 1.0) * p / zs[0], what)
     head, _ = specfun.settled(
         lambda m: specfun.power_panels(*zip(*slices), ratio, q2, edges, m), _HEAD_TOL, what)
     rest = specfun.power_panels(zs[:-1], zs[1:], ["root"] * kzeros, ["root"] * kzeros,
@@ -175,7 +180,7 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float, kzeros: int) -> n
     return np.concatenate(([head], rest))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=specfun._RULE_CACHE)
 def bessel_constant(alpha: float, p: float) -> RegimeConstant:
     """Origin-regime constant C_B = 2 int_0^inf t^{2 beta + 1} |J_alpha(2t)|^{2p} dt
     at beta = (1 - p)/2.

@@ -8,10 +8,10 @@ Laguerre and Gegenbauer recurrences serve the oracle), one Gauss rule
 generator (Golub-Welsch start, one Newton pass of _rows under the square root
 of the weight on the family's structure relation and equation, log
 Christoffel weights) behind every Gauss-Laguerre and Gauss-Jacobi rule and
-the Gegenbauer roots, the log-weighted Gauss-Jacobi product rule, the one
-panel function, which maps those rules onto panels, hands its integrand whole
-panels and forms every power of a power integral and of its Shannon log terms
-from logs, the two-node-count check and adaptive quadrature plumbing.
+the Gegenbauer roots, the log-weighted Gauss-Jacobi product rule, the panel
+planner with its one mass bound, the one panel function, which maps those rules
+onto panels, hands its integrand whole panels, forms every power from logs and
+checks the pieces dropped, the two-node-count check and quadrature plumbing.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _POINT_CAP = 200000  # nodes per call of a power_panels integrand, whole panels
+# entries kept by each cache of Gauss rules, Bessel zeros and constants, above the
+# 270 a whole benchmark pool fills (gauss_jacobi on grid); new orders evict the oldest
+_RULE_CACHE = 512
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +539,7 @@ def _jacobi_log_mass(a, b) -> np.longdouble:
     return (a + b + 1) * _LN_2 + _lgamma(a + 1) + _lgamma(b + 1) - _lgamma(a + b + 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RULE_CACHE)
 def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1]:
     nodes and log weights, from _gauss_rule's one Newton pass.
@@ -557,7 +560,7 @@ def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
                        lambda x: a_ * np.log1p(-x) + b_ * np.log1p(x), family)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RULE_CACHE)
 def gauss_laguerre(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss rule of m nodes for x^a e^-x on (0, inf):
     nodes and log weights, from _gauss_rule's one Newton pass.
@@ -589,7 +592,7 @@ def _log_moments(m: int, a, b) -> np.ndarray:
     return np.concatenate(([nu0], nu1 * np.cumprod(np.append(1, steps))))[:m]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RULE_CACHE)
 def gauss_jacobi_log(m: int, a: float, b: float) -> tuple[np.ndarray, ...]:
     """Gauss-Jacobi rule plus the weights of ln(1+t) and ln(1-t) on its nodes.
 
@@ -678,6 +681,13 @@ def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: 
     with np.errstate(over="ignore"):  # past the range: inf, which settled rejects
         terms = np.exp(ln_w + (e_lo + e_hi + 1) * ln_h + q2 * ln_g + off_edge(ea, eb))
         parts = np.sum(terms, axis=1).astype(dtype)
+        total = parts.sum()
+    # an outer end "plain" marks a dropped piece (plan_panels): the panel there must
+    # be negligible and below its neighbour, or the list ends inside a lobe
+    for i, j, kind in ((0, 1, lo_kind[0, 0]), (-1, -2, hi_kind[-1, 0])):
+        if kind == "plain" and not parts[i] <= min(1e-20 * total, parts[j]):
+            raise AccuracyError(f"panel list ends inside a lobe: its outer panel holds "
+                                f"{float(parts[i])} of {float(total)}", estimate=float(total))
     if log_coefs is None:
         return parts
     ca, cb = log_coefs
@@ -697,17 +707,46 @@ _SLICE_BUDGET = 6000
 
 
 def plan_panels(ends, kinds, edges, q2: float, rate: float, what: str) -> list[tuple]:
-    """Panels (lo, hi, lo_kind, hi_kind) between consecutive ends, for power_panels.
+    """Panels (lo, hi, lo_kind, hi_kind) from the first end to the last, for power_panels.
 
-    kinds, edges and q2 are as there; e^(-rate x) is the integrand's decay.
-    Panels with an "edge" end are halved, keeping their outer end kinds, to
-    slices within the cap and the reach, 48 halvings deep or 1e-12 of their
-    scale wide; more than _SLICE_BUDGET slices raise AccuracyError.  The
-    log-variation counts e^(-rate x), each edge power off its own end and
-    |x - r|^q2 for the nearest "root" end r on either side but the slice's
-    own, compared in the ends' precision.
+    kinds, edges and q2 are as there; an infinite last end, "plain", marks a
+    tail.  f = e^(-rate x) times each edge power and |x - r|^q2 at each root
+    end r is log-concave between roots and edges, so past a point e where it
+    falls away from its mass it holds at most f(e) / |(ln f)'(e)|: the one
+    bound, negligible below 1e-25 of the mass the slices so far hold at least.
+    An "edge" panel is halved, keeping its outer end kinds, to slices within
+    the cap and the reach (the log-variation of e^(-rate x), each edge power
+    off its own end and |x - r|^q2 for the nearest root r off the slice's
+    ends, in their precision), 48 halvings deep or 1e-12 of its scale wide,
+    the half away from the edge first; where the bound at their shared end is
+    negligible, the edge's half stays whole and the rest to the edge drops.
+    The tail grows by slices tried at 1.5 times the one before, shrunk by a
+    third until they hold, up to the first that starts at a negligible bound.
+    A dropped piece leaves an outer end "plain", which power_panels checks.
+    Past _SLICE_BUDGET slices: AccuracyError.
     """
-    ends, kinds, out = list(ends), list(kinds), []
+    ends, kinds, out, log_mass = list(ends), list(kinds), [], -math.inf
+    pts, exps = np.array([(float(r), q2) for r, kind in zip(ends, kinds) if kind == "root"]
+                         + [(float(a), e) for a, e in filter(None, edges)]).T
+
+    @lru_cache(maxsize=None)  # each tail slice's start is the end of the one before
+    def log_f(x):  # ln f and (ln f)' off the roots and edges; inf or nan: no bound
+        x, d = float(x), float(x) - pts
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.array([exps @ np.log(np.abs(d)) - rate * x, exps @ (1 / d) - rate])
+
+    def negligible(x, side):  # the bound past x, below (side -1) or above (1)
+        lf, u = log_f(x) * (1, -side)
+        return 0 < u < math.inf and lf - math.log(u) < log_mass + math.log(1e-25)
+
+    def emit(a, b, ak, bk):
+        nonlocal log_mass
+        if len(out) > len(ends) + _SLICE_BUDGET:
+            raise AccuracyError(f"{what} needs more than {_SLICE_BUDGET} slices")
+        out.append((a, b, ak, bk))
+        if ak == bk == "plain":  # f is at least its lesser end on the slice
+            lf = np.minimum(log_f(a), log_f(b))[0]
+            log_mass = np.logaddexp(log_mass, math.log(b - a) + lf)
 
     def holds(a, b, k):
         # the nearest roots off the slice's ends: panel k's ends, or those past
@@ -719,18 +758,28 @@ def plan_panels(ends, kinds, edges, q2: float, rate: float, what: str) -> list[t
         d = min((min(abs(r - a), abs(r - b)) for r in near), default=math.inf)
         return v <= _LOG_VARIATION_CAP and b - a <= _ROOT_REACH * d
 
-    def cut(k, a, b, ak, bk, depth):
-        if len(out) > len(ends) + _SLICE_BUDGET:
-            raise AccuracyError(f"{what} needs more than {_SLICE_BUDGET} slices")
-        if depth < 48 and b - a >= 1e-12 * (1.0 + abs(b)) and not holds(a, b, k):
-            cut(k, a, (a + b) / 2, ak, "plain", depth + 1)
-            cut(k, (a + b) / 2, b, "plain", bk, depth + 1)
-        else:
-            out.append((a, b, ak, bk))
+    def cut(k, a, b, ak, bk, depth, side):  # side: the edge's, -1 at a or 1 at b
+        if depth >= 48 or b - a < 1e-12 * (1.0 + abs(b)) or holds(a, b, k):
+            return emit(a, b, ak, bk)
+        m = (a + b) / 2  # the outer half is the one on the edge's side
+        outer, inner = ((a, m, ak, "plain"), (m, b, "plain", bk))[::-side]
+        if cut(k, *inner, depth + 1, side):  # the edge side ended there: drop the outer
+            return True
+        if negligible(m, side):  # the edge side ends with the outer half, whole
+            return emit(*outer) or True
+        return cut(k, *outer, depth + 1, side)
 
     for k, (a, b, ak, bk) in enumerate(zip(ends, ends[1:], kinds, kinds[1:])):
-        cut(k, a, b, ak, bk, 0 if "edge" in (ak, bk) else 48)
-    return out
+        if b < math.inf:
+            cut(k, a, b, ak, bk, 0 if "edge" in (ak, bk) else 48, 1 if ak != "edge" else -1)
+        w, done = a - ends[k - 1], b < math.inf
+        while not done:
+            b = a + 1.5 * w
+            while b - a >= 1e-12 * (1.0 + abs(b)) and not holds(a, b, k):
+                b = a + (b - a) / 1.5
+            emit(a, b, ak, "plain")
+            done, a, ak, w = ak == "plain" and negligible(a, 1), b, "plain", b - a
+    return sorted(out, key=lambda s: s[0])
 
 
 # Gauss-Jacobi nodes per panel in the first pass of settled, every engine

@@ -440,6 +440,27 @@ def test_tail_self_check_sees_a_missing_lobe(monkeypatch):
         laguerre_norm(10, 0, 3.0, path="quadrature")
 
 
+def test_head_self_check_sees_a_missing_lobe(monkeypatch):
+    # the head twin: at n = 0 the plan ends its head at the integrand's peak,
+    # the mode (pl + 1/2)/p of x^(pl + 1/2) e^(-px).  The whole plan, whose
+    # head starts at x = 5.0 past a dropped piece, returns the closed form; one
+    # whose head starts at the peak has dropped half the lobe, and node
+    # doubling agrees with itself.  A planner that starts its heads where f
+    # rises, or a check that sees only tails, fails here
+    l, p = 20, 8.0
+    assert laguerre_norm(0, l, p, path="quadrature").log_value == pytest.approx(
+        laguerre_norm(0, l, p).log_value, rel=0, abs=1e-13)
+    full, mode = radial._norm_panels, l + 0.5 / p
+
+    def from_peak(n, l, p):
+        return [(lo, hi, "plain" if lo == mode else lk, hk)
+                for lo, hi, lk, hk in full(n, l, p) if lo >= mode]
+
+    monkeypatch.setattr(radial, "_norm_panels", from_peak)
+    with pytest.raises(AccuracyError, match="lobe"):
+        laguerre_norm(0, l, p, path="quadrature")
+
+
 # ---------------------------------------------------------------------------
 # batched panel engine and polished roots
 
@@ -461,8 +482,10 @@ def test_batched_engine_matches_per_slice_reference(n, l, p):
 
 
 def panel_pass(n, l, p, panels, m_nodes, log_coefs=None):
-    psi = radial._panel_psi(n, l, panels)
-    return radial._panel_pass(n, l, p, panels, psi, m_nodes, log_coefs)
+    lo, hi, lo_kind, hi_kind = zip(*panels)
+    return specfun.power_panels(np.longdouble(lo), hi, lo_kind, hi_kind,
+                                radial._panel_psi(n, l, panels), 2.0 * p,
+                                ((0.0, p * l + 0.5), None), m_nodes, log_coefs)
 
 
 @pytest.mark.parametrize("n", [1, 10, 50, 150])
@@ -563,10 +586,23 @@ def test_large_degree_high_order_settles(n, l, p):
     assert float(abs(got.value - ref) / ref) <= 1e-13
 
 
-def test_slice_budget_names_the_head_and_the_state():
+def test_slice_budget_names_the_head_and_the_state(monkeypatch):
+    # the budget covers the whole list: the head, the root gaps and the tail
+    monkeypatch.setattr(specfun, "_SLICE_BUDGET", 3)
     with pytest.raises(AccuracyError,
-                       match=r"head panel \[0, r_1\] .* n=10, l=1000, p=12"):
+                       match=r"radial panels for n=10, l=1000, p=12.0 needs more than 3"):
         laguerre_norm(10, 1000, 12.0, path="quadrature")
+
+
+def test_head_that_starts_where_the_mass_is_matches_the_exact_rule():
+    # sliced from x = 0 against its edge power x^12000.5, the head [0, r_1]
+    # at (10, 1000, 12) needs more than 6000 slices; started where its mass
+    # bound is negligible it takes 186.  The reference is the Gauss-Laguerre
+    # rule of 121 nodes, exact at 2p = 24 and 1.3e-14 off here; the symbolic
+    # route agrees to 1e-10 but takes 44 s, on Gamma values of 44,000 digits
+    got = laguerre_norm(10, 1000, 12.0, path="quadrature")
+    assert got.value == pytest.approx(
+        radial._norm_gauss_laguerre(10, 1000, 24, 12.0).value, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +766,12 @@ def test_head_and_tail_series_match_the_recurrence(n, l, p):
     ref = specfun.laguerre_orthonormal_weighted(n, l + 0.5, x)
     dev = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert float(np.max(dev)) <= 2e-16 * n
-    # the series serves: some tail panels keep it at every p, and at p = 8
-    # from l = 20 on every head slice but the one at x = 0
+    # the series serves: some tail panels keep it at every p but at
+    # (n, p) = (40, 0.5), where every tail panel spans 17 to 26 and 24 terms
+    # of e^(-x/2) fall short (the recurrence takes 40 steps a node there);
+    # at p = 8 from l = 20 on every head slice but the one at x = 0
     kept = ~series_misses(n, l, ends)
-    assert kept[kinds == "tail"].any()
+    assert kept[kinds == "tail"].any() == ((n, p) != (40, 0.5))
     if p == 8.0 and l >= 20:
         heads = kept[kinds == "head"]
         assert np.count_nonzero(heads) >= heads.size - 1

@@ -89,9 +89,12 @@ def test_bessel_constant_high_order_power_stays_finite():
 
 # period-by-period mpmath integrals of C_B at p = 8 over 300 zeros: each period
 # in 4 pieces, the head [0, z_1] in 32, each piece by mpmath's Gauss-Legendre
-# nodes at 30 digits; the 24- and 48-node totals agree to all digits shown
+# nodes at 30 digits; the 24- and 48-node totals agree to all digits shown.
+# At 1000.5 each period takes 2 pieces and the head [0.8 z_1, z_1] 64 (below
+# 0.8 z_1 the integrand is under e^-1300 of its peak); the periods past the
+# 300th hold 2e-11 of the total
 BESSEL_P8_REFS = {100.5: 4.0766828200954129e-24, 200.5: 2.2941225821438686e-27,
-                  300.5: 2.8050720246525842e-29}
+                  300.5: 2.8050720246525842e-29, 1000.5: 5.4766456403074688e-35}
 
 
 def test_bessel_head_at_high_order_matches_mpmath():
@@ -104,13 +107,15 @@ def test_bessel_head_at_high_order_matches_mpmath():
         pytest.approx(BESSEL_P8_REFS[100.5], rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("alpha", [200.5, 300.5, 3000.5])
+@pytest.mark.parametrize("alpha", [200.5, 300.5, 1000.5, 3000.5])
 def test_bessel_head_past_its_nodes_raises(alpha):
     # one unsliced head panel does not settle at 200.5 and 300.5 (36 and 54
     # nodes differ by 4.9e-4 and 1.1e-2); sliced by specfun.plan_panels, the
-    # head settles there at 24 and 36 nodes.  At 3000.5 the ratio J_alpha(2t) / t^alpha, about e^-21960
-    # on the head nodes, underflows even in long double, and the planner
-    # runs out of slices before the head can come out 0
+    # head settles there at 24 and 36 nodes.  At 1000.5 its slices start
+    # where the mass bound is negligible, and 400 of them hold it; slices
+    # from t = 0 would pass the budget.  At 3000.5 the ratio
+    # J_alpha(2t) / t^alpha, about e^-21960 on the head nodes, underflows
+    # even in long double: every node adds 0 and settled rejects the sum
     if alpha in BESSEL_P8_REFS:
         assert bessel_constant.__wrapped__(alpha, 8.0).value == \
             pytest.approx(BESSEL_P8_REFS[alpha], rel=1e-9, abs=0)

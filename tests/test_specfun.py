@@ -8,7 +8,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as hst
 
-from oscent import angular, specfun
+from oscent import angular, rydberg, specfun
 from oscent.errors import AccuracyError, DomainError
 
 
@@ -226,9 +226,10 @@ def test_laguerre_weighted_derivative_matches_mpmath(n, alpha):
 
 def test_log_weighted_panels_skip_nodes_where_the_power_underflows():
     # nodes where |poly| is 0 add 0 to both integrals, with no 0 * (-inf)
-    # warning (the suite turns warnings into errors)
+    # warning (the suite turns warnings into errors).  The ends are "edge"
+    # ends of no edge, weight 1: an outer "plain" end marks a dropped piece
     parts, logs = specfun.power_panels(
-        [0.0], [1.0], ["plain"], ["plain"], lambda x, _: np.where(x > 0.5, x, 0.0),
+        [0.0], [1.0], ["edge"], ["edge"], lambda x, _: np.where(x > 0.5, x, 0.0),
         2.0, (None, None), 24, (0.0, 0.0))
     t, ln_w = specfun.gauss_jacobi(24, 0.0, 0.0)
     x = (1 + t.astype(float)) / 2
@@ -285,8 +286,8 @@ def test_power_panels_map_the_rule_to_beta_closed_forms():
         seen.append(x.dtype)
         return np.ones_like(x)
 
-    parts = specfun.power_panels(lo.astype(np.longdouble), hi, ["plain"] * 6,
-                                 ["plain"] * 6, one, 1.0, (None, None), 4)
+    parts = specfun.power_panels(lo.astype(np.longdouble), hi, ["edge"] + ["plain"] * 5,
+                                 ["plain"] * 5 + ["edge"], one, 1.0, (None, None), 4)
     assert seen == [parts.dtype] == [np.longdouble]
     assert np.allclose(parts.astype(float), span, rtol=1e-15)
 
@@ -646,19 +647,33 @@ PLANS = [radial_head_plan(100, 20, 12.0), radial_head_plan(400, 100, 1.0),
          angular_plan(5, 5, 2.0)]
 
 
+def kept_ends(out, ends, kinds):
+    """The ends and kinds of the panels the slices cover: the first and last
+    end, or the start and end of the kept piece of an edge panel past a
+    dropped one, whose outer end is "plain"."""
+    ends, kinds = list(ends), list(kinds)
+    for i, j, s in ((0, 1, out[0][:3:2]), (-1, -2, out[-1][1::2])):
+        if s[1] == "plain" and kinds[i] == "edge":
+            assert min(ends[i], ends[j]) < s[0] < max(ends[i], ends[j])
+            ends[i], kinds[i] = s
+    return ends, kinds
+
+
 @pytest.mark.parametrize("plan", PLANS)
 def test_planned_slices_cover_each_panel_with_its_end_kinds(plan):
-    ends, kinds = plan[:2]
     out = specfun.plan_panels(*plan, "test")
+    ends, kinds = kept_ends(out, *plan[:2])
+    # the first slice starts at the head start, the last ends at the last end
     assert out[0][0] == ends[0] and out[-1][1] == ends[-1]
     assert all(prev[1] == nxt[0] for prev, nxt in zip(out, out[1:]))
-    for a, b, ak, bk in zip(ends[:-1], ends[1:], kinds[:-1], kinds[1:]):
+    for a, b, ak, bk, edged in zip(ends[:-1], ends[1:], kinds[:-1], kinds[1:],
+                                   ["edge" in pair for pair in zip(plan[1], plan[1][1:])]):
         cut = [s for s in out if a <= s[0] and s[1] <= b]
         assert cut[0][0] == a and cut[-1][1] == b
         assert cut[0][2] == ak and cut[-1][3] == bk
         assert all(s[3] == "plain" for s in cut[:-1])
         assert all(s[2] == "plain" for s in cut[1:])
-        if "edge" not in (ak, bk):
+        if not edged:
             assert cut == [(a, b, ak, bk)]  # root gaps stay whole
     # the slices keep the precision of the ends
     assert all(np.asarray(s[0]).dtype == np.asarray(ends).dtype for s in out)
@@ -682,17 +697,39 @@ def slice_spread(a, b, plan):
     return v, min([a - r for r in left] + [r - b for r in right], default=math.inf)
 
 
+def log_f(x, plan):
+    """ln f and (ln f)' of the planner's integrand, e^(-rate x) times each
+    edge power and |x - r|^q2 at every root, written out apart from plan_panels."""
+    ends, kinds, edges, q2, rate = plan
+    at = [(float(r), q2) for r, k in zip(ends, kinds) if k == "root"]
+    at += [(float(a), e) for a, e in filter(None, edges)]
+    x = float(x)
+    return (sum(e * math.log(abs(x - a)) for a, e in at) - rate * x,
+            sum(e / (x - a) for a, e in at) - rate)
+
+
 @pytest.mark.parametrize("plan", PLANS)
 def test_every_slice_is_within_the_cap_or_at_a_floor(plan):
-    ends, kinds = plan[:2]
+    # but the outer slice of an edge panel that the planner closed unsliced:
+    # its inner end bounds the mass on its edge side, f / |(ln f)'|, below
+    # 1e-25 of the least mass the plain-ended slices hold
     out = specfun.plan_panels(*plan, "test")
+    ends, kinds = plan[:2]
+    log_mass = np.logaddexp.reduce([math.log(b - a) + min(log_f(a, plan)[0], log_f(b, plan)[0])
+                                    for a, b, ak, bk in out if ak == bk == "plain"])
     for lo, hi, lk, hk in zip(ends[:-1], ends[1:], kinds[:-1], kinds[1:]):
         if "edge" not in (lk, hk):
             continue
-        for a, b, _, _ in (s for s in out if lo <= s[0] and s[1] <= hi):
+        cut = [s for s in out if lo <= s[0] and s[1] <= hi]
+        for a, b, _, _ in cut:
             v, d = slice_spread(a, b, plan)
-            assert ((v <= specfun._LOG_VARIATION_CAP and b - a <= specfun._ROOT_REACH * d)
-                    or b - a < 1e-12 * (1.0 + abs(b)) or b - a <= (hi - lo) * 2.0 ** -48)
+            if ((v <= specfun._LOG_VARIATION_CAP and b - a <= specfun._ROOT_REACH * d)
+                    or b - a < 1e-12 * (1.0 + abs(b)) or b - a <= (hi - lo) * 2.0 ** -48):
+                continue
+            inner = b if (a, b) == cut[0][:2] and lk == "edge" else a
+            assert (a, b) in (cut[0][:2], cut[-1][:2]) and inner not in (lo, hi)
+            lf, slope = log_f(inner, plan)
+            assert lf - math.log(abs(slope)) < log_mass + math.log(1e-25)
 
 
 def test_slice_budget_raises_with_the_name_it_is_given(monkeypatch):
@@ -707,3 +744,21 @@ def test_panel_ends_are_not_their_own_nearest_roots():
     # and cut (4, 0, 2.5) into 79 panels where 5 hold
     assert len(specfun.plan_panels(*angular_plan(4, 0, 2.5), "test")) == 5
     assert len(angular._angular_panels(angular.AngularState(4, 0), 2.5, "test")(24)) == 5
+
+
+def test_rule_caches_stay_within_their_bound():
+    # distinct orders past the bound evict the oldest entries instead of
+    # growing memory, and a rule built again after its eviction is bitwise
+    # the cold one
+    caches = [specfun.gauss_jacobi, specfun.gauss_jacobi_log, specfun.gauss_laguerre,
+              rydberg.bessel_zeros, rydberg.bessel_constant]
+    assert all(f.cache_parameters()["maxsize"] == specfun._RULE_CACHE for f in caches)
+    specfun.gauss_jacobi.cache_clear()
+    cold = specfun.gauss_jacobi(6, 0.25, 1.5)
+    for k in range(specfun._RULE_CACHE + 100):
+        specfun.gauss_jacobi(6, 0.25, 2.0 + k / 8)
+    assert specfun.gauss_jacobi.cache_info().currsize == specfun._RULE_CACHE
+    again = specfun.gauss_jacobi(6, 0.25, 1.5)
+    assert again is not cold
+    for a, b in zip(cold, again):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
