@@ -8,7 +8,10 @@ paper's two analytic procedures are exact rational references: a
 linearization of the Gegenbauer power into hypergeometric-type sums and a
 Bell-polynomial expansion of the orthonormal Jacobi power.  shannon_angular
 takes the digamma closed forms of the families and log-weighted panels
-elsewhere.  The panel planner, node count and rule cap are specfun's.
+elsewhere.  The panel planner, node count and rule cap are specfun's, and
+so is the panels' integrand: specfun.panel_rows on the Jacobi family at
+a = b = |m|, a Taylor series of its equation about each panel centre from
+l - |m| = 40 on, as radial's.
 """
 
 from __future__ import annotations
@@ -219,16 +222,14 @@ def lambda_bell(state: AngularState, p) -> AngularResult:
 
 
 def _integrand(state: AngularState, p: float):
-    """poly, q2 and edges of power_panels for |A C(t)|^{2p} (1 - t^2)^{mp}, with
-    A C_n = p_n / sqrt(2 pi) from _rows for (1 - t^2)^m, p_0 = e^-(ln mu0 + ln 2 pi)/2."""
+    """poly_on, q2 and edges of |A C(t)|^{2p} (1 - t^2)^{mp}: poly_on(panels) is
+    power_panels' poly, A C_n = p_n / sqrt(2 pi) by specfun.panel_rows, row
+    n = l - |m| of the Jacobi family at a = b = |m|, orthonormal against
+    2 pi (1 - t^2)^|m|."""
     m, n = state.m_abs, state.l - state.m_abs
-    diag, off = specfun._jacobi_recurrence(n, m, m)
-    start = np.exp(-(specfun._jacobi_log_mass(m, m) + _LN_2PI) / 2)
-
-    def poly(t, _):
-        return specfun._last_rows(t, diag, off, np.full_like(t, start))[1]
-
-    return poly, 2.0 * p, ((-1.0, m * p), (1.0, m * p))
+    fam = specfun.jacobi_family(n, m, m)
+    return (lambda panels: specfun.panel_rows(fam, panels, ln_scale=_LN_2PI),
+            2.0 * p, ((-1.0, m * p), (1.0, m * p)))
 
 
 def _angular_panels(state: AngularState, p: float, what: str, log_coefs=None):
@@ -236,10 +237,11 @@ def _angular_panels(state: AngularState, p: float, what: str, log_coefs=None):
     plan_panels from -1 over the Gegenbauer roots to 1 (what names the state):
     the panel integrals and, with log_coefs, the log-weighted ones."""
     m, n = state.m_abs, state.l - state.m_abs
-    poly, q2, edges = _integrand(state, p)
-    lo, hi, lo_kind, hi_kind = zip(*specfun.plan_panels(
+    poly_on, q2, edges = _integrand(state, p)
+    panels = specfun.plan_panels(
         np.concatenate(([-1.0], specfun.gegenbauer_roots(n, m + 0.5), [1.0])),
-        ["edge"] + ["root"] * n + ["edge"], edges, q2, 0.0, what))
+        ["edge"] + ["root"] * n + ["edge"], edges, q2, 0.0, what)
+    poly, (lo, hi, lo_kind, hi_kind) = poly_on(panels), zip(*panels)
     return lambda m_nodes: specfun.power_panels(
         lo, hi, lo_kind, hi_kind, poly, q2, edges, m_nodes, log_coefs)
 
@@ -256,8 +258,9 @@ def _lambda_gauss_jacobi(state: AngularState, order: EntropyOrder) -> AngularRes
     (1 - t^2)^{mp}, so power_panels' one Gauss rule of n q/2 + 1 nodes on the
     single panel [-1, 1], both ends "edge", sums it term by positive term."""
     n, q = state.l - state.m_abs, order.two_p
-    v = specfun.power_panels([np.longdouble(-1)], [1.0], ["edge"], ["edge"],
-                             *_integrand(state, order.p), n * q // 2 + 1)[0]
+    poly_on, q2, edges = _integrand(state, order.p)
+    panel = [(np.longdouble(-1), 1.0, "edge", "edge")]
+    v = specfun.power_panels(*zip(*panel), poly_on(panel), q2, edges, n * q // 2 + 1)[0]
     if not 0 < v < np.inf:
         raise AccuracyError(f"Gauss-Jacobi rule sum {float(v)} is not positive and finite "
                             f"for {state}, p={order.p}")

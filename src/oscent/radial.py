@@ -15,12 +15,11 @@ for even 2p <= 8 and the panels otherwise.
 
 specfun.plan_panels plans the panel list, as the angular one: one mass
 bound starts its head and ends its tail, and power_panels checks each piece
-dropped.  specfun._NODES sets the node count of both engines.  From n = 40
-on, the integrand on each panel (head slice, root gap or tail panel) comes
-from a Taylor series of the Laguerre equation about the panel centre, whose
-coefficients one recurrence over the centres starts and every node-count
-pass shares; a panel whose own last coefficients do not certify the series,
-and every panel below that n, takes the long-double Laguerre recurrence.
+dropped.  specfun._NODES sets the node count of both engines.  The
+integrand is specfun.panel_rows on the Laguerre family at a = l + 1/2 under
+e^(-x/2), its root gaps under (x/c)^s: from n = 40 on a Taylor series of
+the family's equation about each panel centre where its own coefficients
+certify it, and the long-double recurrence elsewhere.
 """
 
 from __future__ import annotations
@@ -49,51 +48,6 @@ _LN_PI = math.log(math.pi)
 # (2p = 8, n = 749) the cold panels, and one Newton pass builds gauss_laguerre's
 # rules up to 4000 nodes (at 6000 the steps near x = 0 do not settle in 8 passes)
 _RULE_MAX_NODES = 3000
-# From n = _TAYLOR_MIN_N on, the panels take the Taylor series of
-# _panel_series: one recurrence over the panel centres and a fixed cost per
-# panel list, then _TAYLOR_TERMS multiply-adds a node, against an n-step
-# recurrence per node below.  Warm ms per value, recurrence / series, medians
-# of 25 alternated calls, by _norm_quadrature (p = 0.7, 2.5) and
-# shannon_radial_exact (p = 1):
-#     n              10        30        40        60         100
-#     p=0.7, l=0     1.8/2.7   4.6/4.5   7.7/7.0   13.2/9.6   28.1/13.7
-#     p=2.5, l=0     2.5/3.8   6.1/5.6   8.2/6.8   14.2/8.8   29.4/12.4
-#     p=2.5, l=3     2.5/3.9   6.0/6.2   8.3/7.1   14.3/9.5   31.1/14.2
-#     p=1,   l=3     2.6/3.9   6.1/7.1   8.5/8.1   14.2/10.5  29.2/14.6
-#     p=0.7, l=20    2.2/3.5   5.3/6.1   7.7/7.6   12.7/10.0  27.3/15.1
-_TAYLOR_MIN_N = 40
-# Worst deviation of the series from the recurrence, relative to the largest
-# |psi| on the panel, at the 36 nodes of every root gap at l in
-# {0, 1, 20, 300, 1000} (cut or not), and of every head slice and tail panel that
-# _SERIES_CUT keeps at that many terms, at l in {0, 1, 3, 20, 60, 300, 1000}
-# and p in {0.1, 0.5, 1, 1.3, 2.5, 8} (share kept):
-#     terms         16             20             24             28
-#     n = 40        1.6e-8         6.1e-12        5.9e-16        1.4e-16
-#     n = 400       1.1e-8         3.3e-12        2.3e-15        2.3e-15
-#     n = 1500      1.1e-8         2.6e-12        2.9e-14        2.9e-14
-#     head, n = 40  3.9e-16 (92%)  8.8e-16 (98%)  2.6e-15 (99%)  1.4e-14 (99%)
-#          n = 400  1.4e-15 (91%)  2.5e-15 (97%)  2.5e-15 (98%)  1.6e-14 (99%)
-#     tail, n = 40  8.6e-15 (47%)  8.6e-15 (64%)  8.6e-15 (80%)  8.6e-15 (86%)
-#          n = 400  4.9e-14 (61%)  4.9e-14 (80%)  4.9e-14 (88%)  4.9e-14 (91%)
-# From 24 terms on it is rounding: at (n, l) = (1500, 1), on the first gap,
-# against 60-digit mpmath, the series is 1.3e-14 off and the recurrence 2.2e-14.
-# The tail's worst node is next to the last root, where the recurrence is the
-# one further off: 6.8e-15 against the series' 2.0e-15 at (40, 1000, 8).
-_TAYLOR_TERMS = 24
-# A panel keeps its series while its last two coefficients are within
-# _SERIES_CUT of its largest.  Share of panels kept at 24 terms, and the worst
-# deviation of a kept head slice over n, over n in {40, 100, 400, 1500} and
-# the l and p above:
-#     cut           1e-18     1e-17     1e-16     1e-15     1e-14
-#     head          97.3%     98.0%     98.6%     98.9%     99.1%
-#     root gap      0.5%      11.0%     99.1%     99.7%     99.96%
-#     tail          81.3%     83.2%     85.6%     86.8%     88.5%
-#     worst head/n  1.2e-17   2.2e-17   6.6e-17   3.4e-16   5.8e-16
-# The gaps' last coefficients sit at rounding, 1e-17 to 1e-15 of the largest,
-# where the series is already within 4e-17 n; from 1e-15 on, head slices at
-# l = 1000 keep series up to 1.6e-14 off.  Most panels the cut sends back are
-# wide far-tail panels at small p, where 24 terms fall short.
-_SERIES_CUT = 1e-16
 # agreement the second pass must reach: relative to N for Renyi, to max(|J|, 1)
 # for the Shannon log integral J
 _RENYI_TOL = 1e-11
@@ -193,97 +147,22 @@ def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
         ((0.0, p * l + 0.5), None), 2.0 * p, p, f"radial panels for n={n}, l={l}, p={p}")
 
 
-def _panel_series(n: int, l: int, panels: list[tuple]):
-    """Centres c, half-lengths h, exponents s and scaled Taylor coefficients
-    v_k = w_k h^k, k < _TAYLOR_TERMS, of w = (x/c)^s psi about the centre of
-    each panel, each of shape (panels, 1) and v of (_TAYLOR_TERMS, panels, 1).
-
-    psi, row n of laguerre_orthonormal_weighted at a = l + 1/2, solves
-    x psi'' + (a + 1) psi' + (B - x/4) psi = 0 with B = n + (a + 1)/2
-    (DLMF 18.8).  On root gaps s = floor((a + 1)/2): w is entire and nearly
-    flat across a gap even at l = 1000, where psi varies by e^15 over one.
-    The head slices and tail panels take s = 0, psi itself: (x/c)^s is
-    singular at x = 0.  w solves x^2 w'' + A x w' + (s(s - a) + B x - x^2/4) w
-    = 0 with A = a + 1 - 2s, so about c (Glaser, Liu and Rokhlin, SIAM J.
-    Sci. Comput. 29, 2007, 1420), with r = h / c,
-        (k+2)(k+1) v_(k+2) = -[r (k+1)(2k + A) v_(k+1)
-                               + r^2 (k(k-1) + A k + s(s-a) + Bc - c^2/4) v_k
-                               + r^2 h (B - c/2) v_(k-1) - r^2 h^2 v_(k-2)/4],
-    from w_0 = psi(c) and w_1 = psi'(c) + s psi(c)/c, both from one
-    long-double recurrence over the centres.  Then
-    psi(c + h t) = exp(-s log1p(h t / c)) sum_k v_k t^k.
-    """
-    lo, hi = (np.array(col, dtype=np.longdouble)[:, None]
-              for col in list(zip(*panels))[:2])
-    c, h = (lo + hi) / 2, (hi - lo) / 2
-    s = np.array([[(2 * l + 3) // 4 if lk == hk == "root" else 0]
-                  for _, _, lk, hk in panels])
-    a = np.longdouble(l) + np.longdouble(0.5)
-    big_a, b = a + 1 - 2 * s, n + (a + 1) / 2
-    psi, dpsi = specfun.laguerre_orthonormal_weighted_d1(n, l + 0.5, c)
-    r = h / c
-    r2 = r * r
-    mid = r2 * (b * c - c * c / 4 + s * (s - a))
-    back1, back2 = r2 * h * (b - c / 2), r2 * h * h / 4
-    v = [psi, h * (dpsi + s * psi / c)]
-    for k in range(_TAYLOR_TERMS - 2):
-        nxt = r * ((k + 1) * (2 * k + big_a)) * v[k + 1] \
-            + (r2 * (k * (k - 1) + big_a * k) + mid) * v[k]
-        if k >= 1:
-            nxt += back1 * v[k - 1]
-        if k >= 2:
-            nxt -= back2 * v[k - 2]
-        v.append(-nxt / ((k + 2) * (k + 1)))
-    return c, h, s, np.array(v)
-
-
-def _panel_psi(n: int, l: int, panels: list[tuple]):
-    """The integrand psi(x, rows) of specfun.power_panels on the panel list.
-
-    From n = _TAYLOR_MIN_N on, every panel whose own last two coefficients
-    of _panel_series are within _SERIES_CUT of its largest takes that series;
-    every pass on these panels shares the coefficients.  The other panels,
-    and every panel below that n, take the recurrence.
-    """
-    alpha = Fraction(2 * l + 1, 2)
-    if n < _TAYLOR_MIN_N:
-        return lambda x, rows: specfun.laguerre_orthonormal_weighted(n, alpha, x)
-    c, h, s, coefs = _panel_series(n, l, panels)
-    mag = np.abs(coefs)
-    cut = _SERIES_CUT * mag.max(axis=0)
-    # a cut below the normal range certifies nothing: psi(c) has underflowed
-    kept = ((mag[-1] + mag[-2] <= cut) & (cut >= np.finfo(cut.dtype).tiny)).ravel()
-    index = np.arange(len(panels))
-
-    def series(x, k):
-        u = x - c[k]
-        t, acc = u / h[k], coefs[-1, k]
-        for v in coefs[-2::-1, k]:
-            acc = acc * t + v
-        # s = 0 on every panel at l = 0
-        return acc * np.exp(-s[k] * np.log1p(u / c[k])) if l else acc
-
-    def psi(x, rows):
-        on = kept[rows]
-        y = np.empty_like(x)
-        if not on.all():
-            y[~on] = specfun.laguerre_orthonormal_weighted(n, alpha, x[~on])
-        if on.any():
-            y[on] = series(x[on], index[rows][on])
-        return y
-
-    return psi
+def _norm_pass(n: int, l: int, p: float, panels: list[tuple], log_coefs=None):
+    """The pass m -> power_panels of N_{n,l}(p) on the panels: psi is row n of
+    specfun.panel_rows for the Laguerre family at a = l + 1/2 under e^(-x/2),
+    its root gaps under (x/c)^s, s = floor((a + 1)/2), where w = (x/c)^s psi is
+    entire and nearly flat even at l = 1000 (psi varies by e^15 over a gap)."""
+    fam = specfun.laguerre_family(n, l + 0.5)
+    psi = specfun.panel_rows(fam, panels, -0.5, s=(2 * l + 3) // 4)
+    lo, hi, lo_kind, hi_kind = zip(*panels)
+    return lambda m: specfun.power_panels(np.longdouble(lo), hi, lo_kind, hi_kind, psi, 2.0 * p,
+                                          ((0.0, p * l + 0.5), None), m, log_coefs)
 
 
 def _norm_quadrature(n: int, l: int, p: float) -> LaguerreNorm:
     """Panel quadrature of N_{n,l}(p), certified by a second node count."""
-    panels = _norm_panels(n, l, p)
-    psi = _panel_psi(n, l, panels)
-    lo, hi, lo_kind, hi_kind = zip(*panels)
     what = f"radial quadrature for n={n}, l={l}, p={p}"
-    v, escalated = specfun.settled(lambda m: specfun.power_panels(
-        np.longdouble(lo), hi, lo_kind, hi_kind, psi, 2.0 * p, ((0.0, p * l + 0.5), None), m),
-        _RENYI_TOL, what)
+    v, escalated = specfun.settled(_norm_pass(n, l, p, _norm_panels(n, l, p)), _RENYI_TOL, what)
     warns = ("node count escalated to reach tolerance",) if escalated else ()
     return LaguerreNorm(float(v), float(np.log(v)), "quadrature", p, warns)
 
@@ -467,10 +346,6 @@ def shannon_radial_exact(state: QuantumState,
     n, l = state.n, state.l
     params = params or OscillatorParams()
     what = f"Shannon radial quadrature for n={n}, l={l}"
-    panels = _norm_panels(n, l, 1.0)
-    psi = _panel_psi(n, l, panels)
-    lo, hi, lo_kind, hi_kind = zip(*panels)
-    j, _ = specfun.settled(lambda m: specfun.power_panels(
-        np.longdouble(lo), hi, lo_kind, hi_kind, psi, 2.0, ((0.0, l + 0.5), None), m, (l, 0)),
-        _SHANNON_TOL, what, density=1.0)
+    j, _ = specfun.settled(_norm_pass(n, l, 1.0, _norm_panels(n, l, 1.0), (l, 0)),
+                           _SHANNON_TOL, what, density=1.0)
     return -_LN_2 - 1.5 * math.log(params.lam) - float(j)

@@ -4,13 +4,15 @@ Exact rational orthogonal-polynomial coefficients, Gamma-family helpers on
 the half-integer lattice, partial Bell polynomials, powers by convolution
 (the Bell expansion is a test oracle), one long-double orthonormal
 recurrence, _rows, behind every production polynomial value (the classical
-Laguerre and Gegenbauer recurrences serve the oracle), one Gauss rule
-generator (Golub-Welsch start, one Newton pass of _rows under the square root
-of the weight on the family's structure relation and equation, log
+Laguerre and Gegenbauer recurrences serve the oracle), each family's
+equation and structure relation stated once (laguerre_family,
+jacobi_family), one Gauss rule generator (Golub-Welsch start, one Newton
+pass of _rows under the square root of the weight on those identities, log
 Christoffel weights) behind every Gauss-Laguerre and Gauss-Jacobi rule and
-the Gegenbauer roots, the log-weighted Gauss-Jacobi product rule, the panel
-planner with its one mass bound, the one panel function, which maps those rules
-onto panels, hands its integrand whole panels, forms every power from logs and
+the Gegenbauer roots, the log-weighted Gauss-Jacobi product rule, one panel
+Taylor-series engine for both families (panel_rows), the panel planner with
+its one mass bound, the one panel function, which maps those rules onto
+panels, hands its integrand whole panels, forms every power from logs and
 checks the pieces dropped, the two-node-count check and quadrature plumbing.
 """
 
@@ -20,8 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from typing import Callable, Sequence
+from itertools import islice, zip_longest
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.special
@@ -34,10 +36,10 @@ __all__ = [
     "binomial_exact", "RationalPoly", "OrthonormalPoly", "bell_partial",
     "poly_power", "jacobi_poly", "orthonormal_jacobi", "gegenbauer_eval",
     "gegenbauer_roots", "laguerre_poly", "laguerre_eval",
-    "laguerre_orthonormal_weighted", "laguerre_orthonormal_weighted_d1",
-    "laguerre_eval_negparam", "integrate",
-    "gauss_legendre", "gauss_jacobi", "gauss_laguerre", "gauss_jacobi_log",
-    "plan_panels", "power_panels", "settled",
+    "laguerre_orthonormal_weighted", "laguerre_eval_negparam", "integrate",
+    "Family", "jacobi_family", "laguerre_family", "gauss_legendre", "gauss_jacobi",
+    "gauss_laguerre", "gauss_jacobi_log", "panel_rows", "plan_panels", "power_panels",
+    "settled",
 ]
 
 _POINT_CAP = 200000  # nodes per call of a power_panels integrand, whole panels
@@ -332,13 +334,6 @@ def laguerre_poly(n: int, alpha) -> RationalPoly:
     return _laguerre_cached(n, a)
 
 
-def _laguerre_coefficients(n: int, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """_rows coefficients for x^alpha e^-x: row k is (-1)^k times orthonormal L_k."""
-    a = np.longdouble(alpha)
-    k = np.arange(n, dtype=np.longdouble)
-    return 2 * k + a + 1, np.sqrt((k + 1) * (k + 1 + a))
-
-
 def laguerre_eval(n: int, alpha: float, x):
     """L_n^{(alpha)}(x) by the classical three-term recurrence.
 
@@ -360,39 +355,20 @@ def laguerre_eval(n: int, alpha: float, x):
     return np.asarray(out, dtype=float)
 
 
-def _weighted_rows(n: int, alpha: float, x):
-    """Long-double nodes and the last two rows r_(n-1), r_n of _rows for the
-    weighted orthonormal Laguerre recurrence, from r_0 = Lhat_0 exp(-x/2)."""
-    if n < 0:
-        raise DomainError(f"laguerre degree must be >= 0, got {n}")
-    if not alpha > -1:
-        raise DomainError(f"laguerre parameter must exceed -1, got {alpha}")
-    xs = np.asarray(x, dtype=np.longdouble)
-    alpha = float(alpha)
-    return (xs, *_last_rows(xs, *_laguerre_coefficients(n, alpha),
-                            np.exp(-xs / 2 - _lgamma(alpha + 1.0) / 2)))
-
-
 def laguerre_orthonormal_weighted(n: int, alpha: float, x):
-    """Orthonormal Laguerre times exp(-x/2), the bounded oscillator kernel.
+    """Orthonormal Laguerre times exp(-x/2), the bounded oscillator kernel:
+    row n of laguerre_family's _rows under exp(-x/2), its sign (-1)^n undone.
 
     Returned in extended precision; the square times x**alpha integrates
     to one over (0, inf).
     """
-    p = _weighted_rows(n, alpha, x)[2]
+    if n < 0:
+        raise DomainError(f"laguerre degree must be >= 0, got {n}")
+    if not alpha > -1:
+        raise DomainError(f"laguerre parameter must exceed -1, got {alpha}")
+    xs, fam = np.asarray(x, dtype=np.longdouble), laguerre_family(n, alpha)
+    p = _last_rows(xs, fam.diag, fam.off, np.exp(-xs / 2 - fam.ln_mu0 / 2))[1]
     return -p if n % 2 else p
-
-
-def laguerre_orthonormal_weighted_d1(n: int, alpha: float, x):
-    """laguerre_orthonormal_weighted and its x-derivative at x > 0, in long
-    double, from the structure relation x r_n' = (n - x/2) r_n + b_n r_(n-1).
-
-    The two terms cancel as x -> 0, yet at the root-gap centres of (1500,
-    0.5), from x = 0.004, the derivative is within 2.7e-14 of mpmath.
-    """
-    xs, prev, p = _weighted_rows(n, alpha, x)
-    dp = ((n - xs / 2) * p + np.sqrt(n * (n + np.longdouble(alpha))) * prev) / xs
-    return (-p, -dp) if n % 2 else (p, dp)
 
 
 def laguerre_eval_negparam(n: int, alpha, x):
@@ -441,15 +417,10 @@ def _last_rows(x, diag, off, p):
     return prev, p
 
 
-def _gauss_rule(diag, off, ln_mu0, ln_weight, family) -> tuple[np.ndarray, np.ndarray]:
-    """Long-double Gauss nodes and log Christoffel weights of _rows' recurrence.
+def _gauss_rule(diag, off, ln_mu0, ln_weight, identities) -> tuple[np.ndarray, np.ndarray]:
+    """Long-double Gauss nodes and log Christoffel weights of a Family's rows.
 
-    ln_mu0 is the log of the weight's mass, ln_weight(x) the log of the weight
-    w.  family(x) gives the textbook identities of the rows p_k at degree
-    m = len(diag), with b_m = off[-1] (DLMF Table 18.8.1): P, P', Q,
-    R_m - R_(m-1), A_m and B_m / b_m of the structure relation P p_m' = A_m p_m
-    + B_m p_(m-1) and the equation P p_k'' + Q p_k' + R_k p_k = 0.  Every
-    family's rows start at sqrt(w / mu0): they are r_k = sqrt(w) p_k, and
+    Here the rows start at sqrt(w / mu0): they are r_k = sqrt(w) p_k, and
     K = sum_{k<m} r_k^2, w over the Christoffel function, stays bounded for
     any weight.  By Pearson's equation (P w)' = Q w they keep both identities
     with A_m + (Q - P')/2 for A_m and P' for Q.
@@ -480,7 +451,7 @@ def _gauss_rule(diag, off, ln_mu0, ln_weight, family) -> tuple[np.ndarray, np.nd
             for pm1 in islice(rows, m):
                 k_sum = k_sum + pm1 * pm1
             pm = next(rows)
-            big_p, d_p, q, dr, a_m, b_ratio = family(x)
+            (big_p, d_p, *_), (q, _), _, dr, a_m, b_ratio = identities(x)
             b_pm1 = off[-1] * pm1
             step = big_p * pm / ((a_m + (q - d_p) / 2) * pm + b_ratio * b_pm1)
             nodes = x - step
@@ -500,18 +471,6 @@ def _gauss_rule(diag, off, ln_mu0, ln_weight, family) -> tuple[np.ndarray, np.nd
     if not np.all(np.isfinite(ln_w)):
         raise AccuracyError(f"Gauss rule of {m} nodes: the log weights are not finite")
     return nodes, ln_w
-
-
-def _jacobi_recurrence(m: int, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """diag and off of _rows for the weight (1-t)^a (1+t)^b, in long double."""
-    a, b = np.longdouble(a), np.longdouble(b)
-    k = np.arange(1, m + 1, dtype=np.longdouble)
-    s = 2 * k + a + b
-    diag = np.append((b - a) / (a + b + 2), (b * b - a * a) / (s * (s + 2)))[:m]
-    # at k = 1 the factor (k + a + b) / (s - 1) of off_k^2 is exactly 1
-    off = np.sqrt(4 * k * (k + a) * (k + b) / (s * s * (s + 1))
-                  * np.append(1, (k[1:] + a + b) / (s[1:] - 1)))
-    return diag, off
 
 
 _STIRLING = tuple(np.longdouble(num) / den for num, den in (
@@ -534,50 +493,64 @@ def _lgamma(x) -> np.longdouble:
         - np.log(shift)
 
 
-def _jacobi_log_mass(a, b) -> np.longdouble:
-    """ln mu0 = ln(2^(a+b+1) B(a+1, b+1)) of the weight (1-t)^a (1+t)^b."""
-    return (a + b + 1) * _LN_2 + _lgamma(a + 1) + _lgamma(b + 1) - _lgamma(a + b + 2)
+class Family(NamedTuple):
+    """A classical weight w = exp(ln_weight) of mass mu0 = exp(ln_mu0), the
+    recurrence (diag, off) of _rows for its orthonormal p_k to degree m =
+    len(diag), and identities(x), stated once for _gauss_rule and _panel_series
+    (DLMF Table 18.8.1): P and Q as Taylor coefficients at x and R_m of P p_k''
+    + Q p_k' + R_k p_k = 0, R_m - R_(m-1), and A_m and B_m / b_m of the structure
+    relation P p_m' = A_m p_m + B_m p_(m-1), b_m = off[-1]."""
+
+    diag: np.ndarray
+    off: np.ndarray
+    ln_mu0: np.longdouble
+    ln_weight: Callable
+    identities: Callable
+
+
+def jacobi_family(m: int, a: float, b: float) -> Family:
+    """(1-x)^a (1+x)^b on [-1, 1], mu0 = 2^(a+b+1) B(a+1, b+1): p_k keeps the
+    identities of P_k^(a,b) (DLMF §18.9), with s = 2m + a + b in the structure
+    relation (1 - x^2) p_m' = m ((a - b)/s - x) p_m + (s + 1) b_m p_(m-1)."""
+    a_, b_ = np.longdouble(a), np.longdouble(b)
+    k = np.arange(1, m + 1, dtype=np.longdouble)
+    s = 2 * k + a_ + b_
+    diag = np.append((b_ - a_) / (a_ + b_ + 2), (b_ * b_ - a_ * a_) / (s * (s + 2)))[:m]
+    # at k = 1 the factor (k + a + b) / (s - 1) of off_k^2 is exactly 1
+    off = np.sqrt(4 * k * (k + a_) * (k + b_) / (s * s * (s + 1))
+                  * np.append(1, (k[1:] + a_ + b_) / (s[1:] - 1)))
+    s = 2 * m + a_ + b_
+    return Family(diag, off, (a_ + b_ + 1) * _LN_2 + _lgamma(a_ + 1) + _lgamma(b_ + 1)
+                  - _lgamma(a_ + b_ + 2), lambda x: a_ * np.log1p(-x) + b_ * np.log1p(x),
+                  lambda x: (((1 - x) * (1 + x), -2 * x, -1),
+                             (b_ - a_ - (a_ + b_ + 2) * x, -(a_ + b_ + 2)),
+                             m * (m + a_ + b_ + 1), s, m * ((a_ - b_) / s - x), s + 1))
+
+
+def laguerre_family(m: int, a: float) -> Family:
+    """x^a e^-x on (0, inf), mu0 = Gamma(a + 1): p_k, (-1)^k times the
+    orthonormal L_k^(a), keeps the identities of L_k^(a) (DLMF §18.9),
+    x p_m' = m p_m + b_m p_(m-1) and x p_k'' + (a + 1 - x) p_k' + k p_k = 0."""
+    a_, k = np.longdouble(float(a)), np.arange(m, dtype=np.longdouble)
+    return Family(2 * k + a_ + 1, np.sqrt((k + 1) * (k + 1 + a_)), _lgamma(float(a) + 1.0),
+                  lambda x: a_ * np.log(x) - x,
+                  lambda x: ((x, 1), (a_ + 1 - x, -1), m, 1, m, 1))
 
 
 @lru_cache(maxsize=_RULE_CACHE)
 def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1]:
-    nodes and log weights, from _gauss_rule's one Newton pass.
-
-    The orthonormal rows p_k keep the identities of P_k^(a,b) (DLMF §18.9,
-    Table 18.8.1): (1 - x^2) p_m' = m ((a - b)/s - x) p_m + (s + 1) b_m p_(m-1)
-    with s = 2m + a + b, and (1 - x^2) p_k'' + (b - a - (a + b + 2) x) p_k'
-    + k (k + a + b + 1) p_k = 0.
-    """
-    a_, b_ = np.longdouble(a), np.longdouble(b)
-    s = 2 * m + a_ + b_
-
-    def family(x):
-        return ((1 - x) * (1 + x), -2 * x, b_ - a_ - (a_ + b_ + 2) * x, s,
-                m * ((a_ - b_) / s - x), s + 1)
-
-    return _gauss_rule(*_jacobi_recurrence(m, a, b), _jacobi_log_mass(a_, b_),
-                       lambda x: a_ * np.log1p(-x) + b_ * np.log1p(x), family)
+    nodes and log weights of jacobi_family, from _gauss_rule's one Newton pass."""
+    return _gauss_rule(*jacobi_family(m, a, b))
 
 
 @lru_cache(maxsize=_RULE_CACHE)
 def gauss_laguerre(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss rule of m nodes for x^a e^-x on (0, inf):
-    nodes and log weights, from _gauss_rule's one Newton pass.
-
-    The rows p_k, (-1)^k times the orthonormal L_k^(a), keep the identities
-    of L_k^(a) (DLMF §18.9, Table 18.8.1): x p_m' = m p_m + b_m p_(m-1) and
-    x p_k'' + (a + 1 - x) p_k' + k p_k = 0.
-    """
+    nodes and log weights of laguerre_family, from _gauss_rule's one Newton pass."""
     if m == 0:
         return np.zeros(0, dtype=np.longdouble), np.zeros(0, dtype=np.longdouble)
-    a_ = np.longdouble(a)
-
-    def family(x):
-        return x, 1, a_ + 1 - x, 1, m, 1
-
-    return _gauss_rule(*_laguerre_coefficients(m, a), _lgamma(a + 1.0),
-                       lambda x: a_ * np.log(x) - x, family)
+    return _gauss_rule(*laguerre_family(m, a))
 
 
 def _log_moments(m: int, a, b) -> np.ndarray:
@@ -612,9 +585,155 @@ def gauss_jacobi_log(m: int, a: float, b: float) -> tuple[np.ndarray, ...]:
     t, ln_w = gauss_jacobi(m, a, b)
     a_, b_ = np.longdouble(a), np.longdouble(b)
     # sqrt(mu0) p_k(t_i) in row k < m
-    p = np.array(list(_rows(t, *_jacobi_recurrence(m - 1, a, b), np.ones_like(t))))
+    p = np.array(list(_rows(t, *jacobi_family(m - 1, a, b)[:2], np.ones_like(t))))
     return (t, ln_w, _log_moments(m, a_, b_) @ p,
             (_log_moments(m, b_, a_) * (-1.0) ** np.arange(m)) @ p)
+
+
+# ---------------------------------------------------------------------------
+# Panel rows: a Taylor series of the family's equation about each panel centre
+
+# From degree _TAYLOR_MIN_N on, panel_rows takes the series of _panel_series:
+# one recurrence over the panel centres and a fixed cost per panel list, then
+# _TAYLOR_TERMS multiply-adds a node, against an m-step recurrence per node
+# below.  Warm ms per value, recurrence / series, medians of 25 alternated calls,
+# by quadrature (p = 0.7, 2.5) and Shannon (p = 1), radial and angular (n = l - |m|):
+#     n              10        30        40        60         100
+#     p=0.7, l=0     2.2/3.6   5.4/6.2   7.5/7.2   13.8/9.7   28.3/13.3
+#     p=2.5, l=0     2.2/3.2   5.4/5.2   7.5/5.0   14.4/9.3   31.1/13.6
+#     p=2.5, l=3     2.7/4.1   5.7/6.5   8.0/7.7   15.1/10.7  30.8/14.9
+#     p=1,   l=3     2.4/3.8   6.1/6.9   8.5/8.3   14.8/10.7  30.4/15.3
+#     p=0.7, l=20    2.5/4.0   6.0/7.2   8.1/8.2   13.7/10.9  28.8/16.5
+#     p=2.5, m=5     1.5/2.9   4.5/5.2   6.3/6.0   11.5/7.9   25.6/11.7
+#     p=1,   m=5     1.6/3.1   4.8/5.4   6.9/6.5   12.1/8.6   27.8/13.2
+_TAYLOR_MIN_N = 40
+# Worst deviation of the series from the recurrence, relative to the largest
+# |row| on the panel, at the 36 nodes of every root gap, cut or not: radial
+# at l in {0, 1, 20, 300, 1000}, angular (no gauge) at m in {0, 5, 50}; and
+# of every radial head slice and tail panel that _SERIES_CUT keeps at that
+# many terms, at l in {0, 1, 3, 20, 60, 300, 1000} and p in {0.1, 0.5, 1,
+# 1.3, 2.5, 8} (share kept):
+#     terms         16             20             24             28
+#     n = 40        1.6e-8         6.1e-12        6.1e-16        1.2e-16
+#     n = 400       1.1e-8         3.3e-12        2.3e-15        2.3e-15
+#     n = 1500      1.1e-8         2.6e-12        3.2e-14        3.2e-14
+#     angular l=100 1.4e-9         3.2e-14        4.6e-17        4.6e-17
+#          l = 1000 2.9e-8         2.2e-12        7.7e-16        7.7e-16
+#          l = 3000 3.0e-8         2.3e-12        5.6e-15        5.6e-15
+#     head, n = 40  3.9e-16 (92%)  8.8e-16 (98%)  2.6e-15 (99%)  1.4e-14 (99%)
+#          n = 400  1.4e-15 (91%)  2.5e-15 (97%)  2.5e-15 (98%)  1.6e-14 (99%)
+#     tail, n = 40  8.6e-15 (47%)  8.6e-15 (64%)  8.6e-15 (80%)  8.6e-15 (86%)
+#          n = 400  4.9e-14 (61%)  4.9e-14 (80%)  4.9e-14 (88%)  4.9e-14 (91%)
+# From 24 terms on it is rounding: at (n, l) = (1500, 1), on the first gap,
+# against 60-digit mpmath, the series is 1.2e-14 off and the recurrence 2.0e-14.
+# The tail's worst node is next to the last root, where the recurrence is the
+# one further off: 6.8e-15 against the series' 2.0e-15 at (40, 1000, 8).
+_TAYLOR_TERMS = 24
+# A panel keeps its series while its last two coefficients are within
+# _SERIES_CUT of its largest.  Share of panels kept at 24 terms, and the
+# worst deviation of a kept head slice over n: radial over n in {40, 100,
+# 400, 1500} and the l and p above, angular over l in {100, 300, 1000}, m in
+# {0, 5, 50} and p in {0.5, 2.5, 8} (edge slices: [-1, t_1] and [t_n, 1] sliced):
+#     cut           1e-18     1e-17     1e-16     1e-15     1e-14
+#     head          97.3%     98.0%     98.6%     98.9%     99.1%
+#     root gap      0.5%      11.0%     99.1%     99.7%     99.96%
+#     tail          81.3%     83.2%     85.6%     86.8%     88.5%
+#     worst head/n  1.2e-17   2.2e-17   6.6e-17   3.4e-16   5.8e-16
+#     angular gap   1.6%      25.3%     98.5%     99.4%     99.75%
+#     edge slice    79.4%     85.8%     86.5%     87.2%     92.9%
+#     worst edge/n  3.3e-19   1.1e-18   1.1e-18   1.2e-18   5.7e-17
+# The gaps' last coefficients sit at rounding, 1e-17 to 1e-15 of the largest,
+# where the series is already within 4e-17 n; from 1e-15 on, head slices at
+# l = 1000 keep series up to 1.6e-14 off.  Most panels the cut sends back are
+# wide far-tail panels at small p, where 24 terms fall short.
+_SERIES_CUT = 1e-16
+
+
+def _conv(f, g) -> list:
+    """The product of two polynomials given by their coefficient lists."""
+    return [sum(f[i] * g[k - i] for i in range(max(0, k + 1 - len(g)), min(k + 1, len(f))))
+            for k in range(len(f) + len(g) - 1)]
+
+
+def _plus(*fs) -> list:
+    """The sum of polynomials given by their coefficient lists."""
+    return [sum(e) for e in zip_longest(*fs, fillvalue=0)]
+
+
+def _panel_series(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0):
+    """Centres c, half-lengths h, gauge exponents s, (panels, 1) each, and the
+    scaled Taylor coefficients v_k = w_k h^k, k < _TAYLOR_TERMS, of w = (P/P(c))^s
+    y about each centre, for y = e^(tau x) p_m e^(-(ln mu0 + ln_scale)/2); s
+    holds on root gaps (both ends "root"), 0 where a panel may end on a zero of P.
+    With g = tau P + s P', w solves P^2 w'' + P (Q - 2g) w' + (P (R_m - g')
+    + g (g + P' - Q)) w = 0, whose coefficients L, F and Z in powers of x - c
+    give (Glaser, Liu and Rokhlin, SIAM J. Sci. Comput. 29, 2007, 1420)
+        k (k-1) v_k = -sum_(d>=1) h^d (L_d i(i-1) + F_(d-1) i + Z_(d-2)) v_i / L_0,
+    i = k - d, from w_0 = y(c) and w_1 = ((A_m + g) y + B_m y_(m-1)) / P at c:
+    one _last_rows pass over the centres and the structure relation."""
+    lo, hi = (np.array(col, dtype=np.longdouble)[:, None] for col in list(zip(*panels))[:2])
+    c, h = (lo + hi) / 2, (hi - lo) / 2
+    s = np.array([[s if lk == hk == "root" else 0] for *_, lk, hk in panels])
+    prev, row = _last_rows(c, fam.diag, fam.off, np.exp(tau * c - (fam.ln_mu0 + ln_scale) / 2))
+    pp, qq, r, _, a_m, b_ratio = fam.identities(c)
+    dp = [j * e for j, e in enumerate(pp)][1:]
+    g = _plus([tau * e for e in pp], [s * e for e in dp])
+    dg = [j * e for j, e in enumerate(g)][1:]
+    eq = (_conv(pp, pp), _conv(pp, _plus(qq, [-2 * e for e in g])),
+          _plus(_conv(pp, _plus([r], [-e for e in dg])),
+                _conv(g, _plus(g, dp, [-e for e in qq]))))
+    top = len(eq[2]) + 1  # shifts d = 1 .. top: h^d / L_0 times L_d, F_(d-1) and Z_(d-2)
+    h_d = np.cumprod(np.broadcast_to(h, (top, *h.shape)), axis=0) / eq[0][0]
+    pad = [([0] * j + e + [0] * top)[1:top + 1] for j, e in enumerate(eq)]
+    lead, first, zero = (h_d * np.array(np.broadcast_arrays(c, *e))[1:] for e in pad)
+    k = np.arange(2, _TAYLOR_TERMS, dtype=np.longdouble)[:, None, None, None]
+    i = k - np.arange(1, top + 1)[:, None, None]
+    # v_k = sum_d f[k - 2, d] v_(k-d) over d <= k: (k, d, panels, 1)
+    f = ((lead * (i - 1) + first) * i + zero) / (-k * (k - 1))
+    v = np.zeros((_TAYLOR_TERMS, *c.shape), dtype=row.dtype)
+    b_m = fam.off[-1] if len(fam.off) else 0
+    v[0], v[1] = row, h * ((a_m + g[0]) * row + b_ratio * b_m * prev) / pp[0]
+    for k in range(2, _TAYLOR_TERMS):
+        v[k] = (f[k - 2, :k] * v[k - 1::-1][:top]).sum(axis=0)
+    return c, h, s, v
+
+
+def panel_rows(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0) -> Callable:
+    """The integrand poly(x, rows) of power_panels on the panel list: row m =
+    len(fam.diag) of _rows from r_0 = exp(tau x - (ln mu0 + ln_scale)/2).  From
+    m = _TAYLOR_MIN_N on, each panel whose own last two coefficients of
+    _panel_series are within _SERIES_CUT of its largest takes that series, shared
+    by every pass; the other panels, and all below that m, the recurrence."""
+    def recurrence(x):
+        return _last_rows(x, fam.diag, fam.off,
+                          np.exp(tau * x - (fam.ln_mu0 + ln_scale) / 2))[1]
+
+    if len(fam.diag) < _TAYLOR_MIN_N:
+        return lambda x, rows: recurrence(x)
+    c, h, s, coefs = _panel_series(fam, panels, tau, ln_scale, s)
+    mag = np.abs(coefs)
+    cut = _SERIES_CUT * mag.max(axis=0)
+    # a cut below the normal range certifies nothing: the row at c has underflowed
+    kept = ((mag[-1] + mag[-2] <= cut) & (cut >= np.finfo(cut.dtype).tiny)).ravel()
+    pc = fam.identities(c)[0][0]  # P(c)
+
+    def series(x, k):
+        u = x - c[k]
+        t, acc = u / h[k], coefs[-1, k]
+        for v in coefs[-2::-1, k]:
+            acc = acc * t + v
+        return acc * np.exp(-s[k] * np.log(fam.identities(x)[0][0] / pc[k])) if s.any() else acc
+
+    def poly(x, rows):
+        on = kept[rows]
+        y = np.empty_like(x)
+        if not on.all():
+            y[~on] = recurrence(x[~on])
+        if on.any():
+            y[on] = series(x[on], np.arange(len(panels))[rows][on])
+        return y
+
+    return poly
 
 
 def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: int,
@@ -822,12 +941,15 @@ def settled(panel_pass: Callable[[int], np.ndarray], tol: float, what: str,
     c parts.sum() must be 1 to tol in each (a node where the density
     underflows adds 0 to both, and only the norm shows it); the log sum is
     certified to tol of max(|sum|, 1).  Returns the sum at the larger count
-    and whether it escalated; AccuracyError names `what`.
+    and whether it escalated; every AccuracyError names `what`.
     """
     floor = 0.0 if density is None else 1.0
 
     def value(m):
-        out = panel_pass(m)
+        try:
+            out = panel_pass(m)
+        except AccuracyError as exc:
+            raise AccuracyError(f"{what}: {exc}", exc.estimate, exc.error_bound) from exc
         if density is not None:
             norm = float(density * out[0].sum())
             if not abs(norm - 1.0) <= tol:

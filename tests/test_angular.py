@@ -372,3 +372,85 @@ def test_shannon_quadrature_matches_30_digit_references(l, m, want):
     # (1 - t^2)^m C(t)^2, normalised there; unsliced edge panels were 8e-15,
     # 2.2e-14 and 3.7e-14 off
     assert abs(shannon_angular(AngularState(l, m)) - want) <= 2e-15
+
+
+# ---------------------------------------------------------------------------
+# panels from l - |m| = specfun._TAYLOR_MIN_N on: specfun.panel_rows' Taylor
+# series of the Jacobi equation about each panel centre, against the
+# recurrence it stands in for
+
+
+def jacobi_gaps(l, m, nodes=24):
+    """_integrand's row on every root gap and its nodes x, shape (gaps, nodes),
+    with the same row by the n-step recurrence from 1 / sqrt(2 pi mu0)."""
+    n = l - m
+    rts = specfun.gegenbauer_roots(n, m + 0.5)
+    gaps = [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
+    t = specfun.gauss_jacobi(nodes, 2.0, 2.0)[0]
+    x = rts[:-1, None] + (rts[1:] - rts[:-1])[:, None] / 2 * (1 + t)
+    fam = specfun.jacobi_family(n, m, m)
+    start = np.exp(-(fam.ln_mu0 + angular._LN_2PI) / 2)
+    ref = specfun._last_rows(x, fam.diag, fam.off, np.full_like(x, start))[1]
+    poly = angular._integrand(AngularState(l, m), 1.0)[0](gaps)
+    return gaps, poly(x, slice(0, len(gaps))), ref
+
+
+def jacobi_kept(l, m, gaps):
+    """Whether each gap keeps its series: its last two coefficients within
+    _SERIES_CUT of its largest, as panel_rows decides."""
+    mag = np.abs(specfun._panel_series(specfun.jacobi_family(l - m, m, m), gaps,
+                                       ln_scale=angular._LN_2PI)[3])
+    return (mag[-1] + mag[-2] <= specfun._SERIES_CUT * mag.max(axis=0)).ravel()
+
+
+def jacobi_deviation(got, ref):
+    """The largest |series - recurrence| over the nodes of every gap, relative
+    to the largest |row| on the node's gap."""
+    return float(np.max(np.abs(got - ref) / np.max(np.abs(ref), axis=1, keepdims=True)))
+
+
+@pytest.mark.parametrize("l", [100, 1000])
+@pytest.mark.parametrize("m", [0, 5, 50])
+def test_jacobi_gap_series_matches_the_recurrence(l, m):
+    # no gauge: the worst over l in {100, 300, 1000, 3000} was 4.6e-17 at
+    # l = 100 and 5.6e-15 at 3000, below the radial 4e-17 n.  The series
+    # serves: every gap keeps it at m <= 5, and 89% to 99% at m = 50, where
+    # the gaps next to the turning points reach towards t = +-1
+    gaps, got, ref = jacobi_gaps(l, m)
+    assert jacobi_deviation(got, ref) <= 4e-17 * (l - m)
+    assert np.mean(jacobi_kept(l, m, gaps)) >= (0.85 if m == 50 else 1.0)
+
+
+@pytest.mark.parametrize("l,m", [(100, 0), (300, 50)])
+def test_jacobi_gap_series_cut_to_16_terms_misses_the_recurrence(monkeypatch, l, m):
+    # 16 terms are 6e-11 to 3e-8 off: their own last coefficients send every
+    # gap back to the recurrence, and forced past that check the sweep above
+    # sees the truncation
+    monkeypatch.setattr(specfun, "_TAYLOR_TERMS", 16)
+    gaps, got, ref = jacobi_gaps(l, m)
+    assert not jacobi_kept(l, m, gaps).any() and jacobi_deviation(got, ref) == 0.0
+    monkeypatch.setattr(specfun, "_SERIES_CUT", math.inf)
+    assert jacobi_deviation(*jacobi_gaps(l, m)[1:]) > 4e-17 * (l - m)
+
+
+@pytest.mark.parametrize("l,m,p", [(100, 0, 0.5), (100, 50, 2.5), (300, 5, 8.0), (300, 5, 1.0)])
+def test_jacobi_series_keeps_the_values_of_the_recurrence(monkeypatch, l, m, p):
+    def value():
+        state = AngularState(l, m)
+        return shannon_angular(state) if p == 1.0 else renyi_angular(state, p).renyi
+
+    got = value()
+    monkeypatch.setattr(specfun, "_TAYLOR_MIN_N", 10 ** 9)
+    assert abs(got - value()) <= 1e-14
+
+
+@pytest.mark.parametrize("p,want", [(0.5, 2.2311045362825417), (2.5, 0.3053969806883779),
+                                    (1.0, 1.9852251407014307)])
+def test_large_l_values_keep_the_recurrence_values(p, want):
+    # the values of the n-step recurrence at every node, which took 2.3 s
+    # (p = 0.5) and 2.1 s (Shannon); Lambda within 2e-12, Shannon within 2e-11
+    state = AngularState(1000, 5)
+    if p == 1.0:
+        assert abs(shannon_angular(state) - want) <= 2e-11
+    else:
+        assert abs(renyi_angular(state, p).renyi - want) <= 2e-12 / abs(1 - p)

@@ -431,13 +431,16 @@ def test_tail_self_check_sees_a_missing_lobe(monkeypatch):
 
     # two panels past the last root, far too small to matter, then a stop:
     # the outer lobe is lost and node doubling agrees with itself
+    # settled names the state in front of the pass's own message
+    named = r"radial quadrature for n=10, l=0, p=3.0: panel list ends inside a lobe"
     monkeypatch.setattr(radial, "_norm_panels", cut(2))
-    with pytest.raises(AccuracyError, match="lobe"):
+    with pytest.raises(AccuracyError, match=named):
         laguerre_norm(10, 0, 3.0, path="quadrature")
     # a list cut inside the lobe
     monkeypatch.setattr(radial, "_norm_panels", cut(5))
-    with pytest.raises(AccuracyError, match="lobe"):
+    with pytest.raises(AccuracyError, match=named) as err:
         laguerre_norm(10, 0, 3.0, path="quadrature")
+    assert err.value.estimate > 0
 
 
 def test_head_self_check_sees_a_missing_lobe(monkeypatch):
@@ -457,7 +460,8 @@ def test_head_self_check_sees_a_missing_lobe(monkeypatch):
                 for lo, hi, lk, hk in full(n, l, p) if lo >= mode]
 
     monkeypatch.setattr(radial, "_norm_panels", from_peak)
-    with pytest.raises(AccuracyError, match="lobe"):
+    with pytest.raises(AccuracyError, match=r"radial quadrature for n=0, l=20, p=8.0: "
+                                            r"panel list ends inside a lobe"):
         laguerre_norm(0, l, p, path="quadrature")
 
 
@@ -482,10 +486,7 @@ def test_batched_engine_matches_per_slice_reference(n, l, p):
 
 
 def panel_pass(n, l, p, panels, m_nodes, log_coefs=None):
-    lo, hi, lo_kind, hi_kind = zip(*panels)
-    return specfun.power_panels(np.longdouble(lo), hi, lo_kind, hi_kind,
-                                radial._panel_psi(n, l, panels), 2.0 * p,
-                                ((0.0, p * l + 0.5), None), m_nodes, log_coefs)
+    return radial._norm_pass(n, l, p, panels, log_coefs)(m_nodes)
 
 
 @pytest.mark.parametrize("n", [1, 10, 50, 150])
@@ -606,8 +607,21 @@ def test_head_that_starts_where_the_mass_is_matches_the_exact_rule():
 
 
 # ---------------------------------------------------------------------------
-# panels from n = _TAYLOR_MIN_N on: a Taylor series of the Laguerre equation
-# about each panel centre, against the recurrence it stands in for
+# panels from n = specfun._TAYLOR_MIN_N on: specfun.panel_rows' Taylor series of
+# the Laguerre equation about each panel centre, against the recurrence it
+# stands in for
+
+
+def psi_rows(n, l, panels):
+    """The integrand of radial._norm_pass on the panels: (-1)^n psi, row n of
+    the Laguerre family under e^(-x/2), with (x/c)^s on the root gaps."""
+    return specfun.panel_rows(specfun.laguerre_family(n, l + 0.5), panels, -0.5,
+                              s=(2 * l + 3) // 4)
+
+
+def recurrence_psi(n, l, x):
+    """(-1)^n psi by the recurrence, the sign of the rows."""
+    return (-1) ** n * specfun.laguerre_orthonormal_weighted(n, l + 0.5, x)
 
 
 def gap_nodes(n, l, m=36):
@@ -623,15 +637,15 @@ def series_deviation(n, l):
     """The largest |series - recurrence| over the nodes of every root gap,
     relative to the largest |psi| on the node's panel."""
     x, gaps = gap_nodes(n, l)
-    got = radial._panel_psi(n, l, gaps)(x, slice(0, len(gaps)))
-    ref = specfun.laguerre_orthonormal_weighted(n, l + 0.5, x)
+    got = psi_rows(n, l, gaps)(x, slice(0, len(gaps)))
+    ref = recurrence_psi(n, l, x)
     return float(np.max(np.abs(got - ref) / np.max(np.abs(ref), axis=1, keepdims=True)))
 
 
 def series_bound(n):
     # the rounding of the recurrence grows with n: the worst deviation over
-    # the l of the sweep was 5.9e-16 at n = 40, 6.3e-16 at 100, 2.3e-15 at
-    # 400 and 2.9e-14 at 1500, where the recurrence is the one further off
+    # the l of the sweep was 6.1e-16 at n = 40, 6.5e-16 at 100, 2.3e-15 at
+    # 400 and 3.2e-14 at 1500, where the recurrence is the one further off
     return 4e-17 * n
 
 
@@ -646,9 +660,9 @@ def test_gap_series_cut_to_16_terms_misses_the_recurrence(monkeypatch, n, l):
     # 16 terms are about 1e-8 off: their own last coefficients send every
     # gap back to the recurrence, and forced past that check the sweep above
     # sees the truncation
-    monkeypatch.setattr(radial, "_TAYLOR_TERMS", 16)
+    monkeypatch.setattr(specfun, "_TAYLOR_TERMS", 16)
     assert series_deviation(n, l) == 0.0
-    monkeypatch.setattr(radial, "_SERIES_CUT", math.inf)
+    monkeypatch.setattr(specfun, "_SERIES_CUT", math.inf)
     assert series_deviation(n, l) > series_bound(n)
 
 
@@ -659,10 +673,10 @@ def ld_to_mpf(v):
 
 def test_gap_series_matches_mpmath_on_its_worst_gap():
     # the sweep's worst node is next to r_1 on the first gap at (1500, 1);
-    # there the series is 1.3e-14 off, the recurrence 2.2e-14
+    # there the series is 1.2e-14 off, the recurrence 2.0e-14
     n, l = 1500, 1
     x, gaps = gap_nodes(n, l)
-    got = radial._panel_psi(n, l, gaps[:1])(x[:1], slice(0, 1))[0]
+    got = (-1) ** n * psi_rows(n, l, gaps[:1])(x[:1], slice(0, 1))[0]
     with mpmath.workdps(60):
         a = mpmath.mpf(2 * l + 1) / 2
         norm = mpmath.sqrt(mpmath.gamma(n + a + 1) / mpmath.factorial(n))
@@ -676,14 +690,14 @@ def test_gap_series_matches_mpmath_on_its_worst_gap():
                                    (100, 300, 0.3), (40, 1000, 8.0)])
 def test_gap_series_keeps_the_norms_of_the_recurrence(monkeypatch, n, l, p):
     got = laguerre_norm(n, l, p, path="quadrature").log_value
-    monkeypatch.setattr(radial, "_TAYLOR_MIN_N", 10 ** 9)
+    monkeypatch.setattr(specfun, "_TAYLOR_MIN_N", 10 ** 9)
     assert abs(got - laguerre_norm(n, l, p, path="quadrature").log_value) <= 1e-14
 
 
 @pytest.mark.parametrize("n,l", [(400, 0), (800, 1)])
 def test_gap_series_keeps_the_shannon_values_of_the_recurrence(monkeypatch, n, l):
     got = shannon_radial_exact(QuantumState(n, l, 0))
-    monkeypatch.setattr(radial, "_TAYLOR_MIN_N", 10 ** 9)
+    monkeypatch.setattr(specfun, "_TAYLOR_MIN_N", 10 ** 9)
     assert abs(got - shannon_radial_exact(QuantumState(n, l, 0))) <= 1e-14
 
 
@@ -699,10 +713,11 @@ def test_small_order_above_the_threshold_still_fails_loudly():
 
 def series_misses(n, l, panels):
     """Panels whose last two series coefficients exceed _SERIES_CUT of their
-    largest, or whose cut underflows: those _panel_psi hands to the
+    largest, or whose cut underflows: those panel_rows hands to the
     recurrence."""
-    mag = np.abs(radial._panel_series(n, l, panels)[3])
-    cut = radial._SERIES_CUT * mag.max(axis=0)
+    mag = np.abs(specfun._panel_series(specfun.laguerre_family(n, l + 0.5), panels, -0.5,
+                                       s=(2 * l + 3) // 4)[3])
+    cut = specfun._SERIES_CUT * mag.max(axis=0)
     return ((mag[-1] + mag[-2] > cut) | (cut < np.finfo(cut.dtype).tiny)).ravel()
 
 
@@ -717,27 +732,29 @@ def panel_kinds(n, l, panels):
 @pytest.mark.parametrize("p", [0.7, 1.0])
 def test_nodes_reach_the_recurrence_only_where_the_series_misses(monkeypatch, n, p):
     # values agree either way, so only the nodes the recurrence sees show
-    # whether a pass fell back to it
+    # whether a pass fell back to it; the series start is one more pass of
+    # the recurrence, over the panel centres, shape (panels, 1)
     seen = []
-    recurrence = specfun.laguerre_orthonormal_weighted
+    recurrence = specfun._last_rows
 
-    def counting(n_, alpha, x):
-        seen.append(np.asarray(x, dtype=float).ravel())
-        return recurrence(n_, alpha, x)
+    def counting(x, *args):
+        seen.append(np.shape(x))
+        return recurrence(x, *args)
 
-    monkeypatch.setattr(specfun, "laguerre_orthonormal_weighted", counting)
+    monkeypatch.setattr(specfun, "_last_rows", counting)
     if p == 1.0:
         shannon_radial_exact(QuantumState(n, 0, 0))
     else:
         assert not laguerre_norm(n, 0, p, path="quadrature").warnings
-    x = np.concatenate(seen)
     panels = radial._norm_panels(n, 0, p)
+    starts = [shape for shape in seen if shape == (len(panels), 1)]
+    size = sum(math.prod(shape) for shape in seen if shape[-1] > 1)
     nodes = 2 * specfun._NODES + specfun._NODES // 2  # the 24- and 36-node passes
-    if n < radial._TAYLOR_MIN_N:
-        assert x.size == len(panels) * nodes
+    if n < specfun._TAYLOR_MIN_N:
+        assert not starts and size == len(panels) * nodes
         return
     misses = series_misses(n, 0, panels)
-    assert x.size == np.count_nonzero(misses) * nodes
+    assert len(starts) == 1 and size == np.count_nonzero(misses) * nodes
     # all but a few of the 399 root gaps keep the series, and most tail
     # panels; the one head slice [0, r_1] reaches the singular point x = 0
     # and falls back
@@ -762,8 +779,8 @@ def test_head_and_tail_series_match_the_recurrence(n, l, p):
     t = specfun.gauss_jacobi(36, 2.0, 2.0)[0]
     lo, hi = (np.array(col, dtype=np.longdouble)[:, None] for col in list(zip(*ends))[:2])
     x = lo + (hi - lo) / 2 * (1 + t)
-    got = radial._panel_psi(n, l, ends)(x, slice(0, len(ends)))
-    ref = specfun.laguerre_orthonormal_weighted(n, l + 0.5, x)
+    got = psi_rows(n, l, ends)(x, slice(0, len(ends)))
+    ref = recurrence_psi(n, l, x)
     dev = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert float(np.max(dev)) <= 2e-16 * n
     # the series serves: some tail panels keep it at every p but at
@@ -782,7 +799,7 @@ def test_panels_the_series_misses_keep_the_norms_of_the_recurrence(monkeypatch, 
     # taken on every panel, the series is 9.7e-9 off at (100, 20, 1.3), on
     # its head, and does not settle at (100, 0, 0.1), on its wide tail panels
     got = laguerre_norm(n, l, p, path="quadrature").log_value
-    monkeypatch.setattr(radial, "_TAYLOR_MIN_N", 10 ** 9)
+    monkeypatch.setattr(specfun, "_TAYLOR_MIN_N", 10 ** 9)
     assert abs(got - laguerre_norm(n, l, p, path="quadrature").log_value) <= 1e-14
 
 

@@ -207,10 +207,14 @@ def test_laguerre_orthonormal_weighted_high_degree_is_finite():
 
 @pytest.mark.parametrize("n,alpha", [(0, 0.5), (1, 2.5), (7, 0.5), (60, 20.5)])
 def test_laguerre_weighted_derivative_matches_mpmath(n, alpha):
-    # the derivative from the last two rows and the structure relation
+    # the series start values of _panel_series at the panel centres x, h = 1:
+    # the last row under e^(-x/2), (-1)^n psi, and its derivative from the
+    # last two rows and the structure relation
     mpmath = pytest.importorskip("mpmath")
     x = [0.25, 2.0, 15.0, 90.0]
-    psi, dpsi = specfun.laguerre_orthonormal_weighted_d1(n, alpha, np.array(x))
+    panels = [(xi - 1, xi + 1, "plain", "plain") for xi in x]
+    v = specfun._panel_series(specfun.laguerre_family(n, alpha), panels, -0.5)[3]
+    psi, dpsi = (-1) ** n * v[0, :, 0], (-1) ** n * v[1, :, 0]
     with mpmath.workdps(40):
         norm = mpmath.sqrt(mpmath.gamma(n + alpha + 1) / mpmath.factorial(n))
 
