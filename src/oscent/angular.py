@@ -120,12 +120,11 @@ def _ctilde0(l: int, m: int, q: int) -> Fraction:
     u = [specfun.pochhammer(m - l, j) * specfun.pochhammer(l + m + 1, j)
          / (specfun.pochhammer(m + 1, j) * math.factorial(j))
          for j in range(n + 1)]
-    upoly = specfun.RationalPoly.from_list(u)
-    upow = specfun.poly_power(upoly, q) if n > 0 else specfun.RationalPoly.from_list([1])
+    upow = specfun.poly_power(tuple(u), q) if n > 0 else (1,)
     c = Fraction(m * q, 2) + 1        # m p + 1
     d = Fraction(m * q + 2)           # 2 m p + 2
     acc = Fraction(0)
-    for big_j, coeff in enumerate(upow.coeffs):
+    for big_j, coeff in enumerate(upow):
         if coeff == 0:
             continue
         acc += specfun.pochhammer(c, big_j) / specfun.pochhammer(d, big_j) * coeff
@@ -179,8 +178,7 @@ def lambda_linearization(state: AngularState, p) -> AngularResult:
 def _bell_core(l: int, m: int, q: int) -> tuple[Fraction, int, Fraction]:
     """Exact even-k sum of the Bell route: (sum, pi-half-power, norm_square)."""
     n = l - m
-    onj = specfun.orthonormal_jacobi(n, m, m)
-    cs = onj.base.coeffs
+    cs, norm_square = specfun.orthonormal_jacobi(n, m, m)
     top = n * q
     args = [math.factorial(i + 1) * (cs[i] if i <= n else Fraction(0))
             for i in range(top + 1)]
@@ -198,7 +196,7 @@ def _bell_core(l: int, m: int, q: int) -> tuple[Fraction, int, Fraction]:
         if b == 0:
             continue
         acc += Fraction(qfact, math.factorial(k + q)) * b * 2 * g1 / g2
-    return acc, (0 if pi_half is None else pi_half), onj.norm_square
+    return acc, (0 if pi_half is None else pi_half), norm_square
 
 
 def lambda_bell(state: AngularState, p) -> AngularResult:

@@ -211,13 +211,12 @@ def _norm_symbolic_n0(l: int, p: float) -> LaguerreNorm:
 def _norm_symbolic(n: int, l: int, q: int, p: float) -> LaguerreNorm:
     """Exact rational evaluation for even 2p = q via the polynomial power."""
     alpha = Fraction(2 * l + 1, 2)
-    lpoly = specfun.laguerre_poly(n, alpha)
-    power = specfun.poly_power(lpoly, q)
+    power = specfun.poly_power(specfun.laguerre_poly(n, alpha), q)
     ql = q * l
     base = Fraction(q, 2)
     int_exp_shift = (ql + 2) // 2 if ql % 2 == 0 else (ql + 3) // 2
     acc = Fraction(0)
-    for k, a in enumerate(power.coeffs):
+    for k, a in enumerate(power):
         if a == 0:
             continue
         g, half = specfun.gamma_half_exact(2 * k + ql + 3)

@@ -24,6 +24,7 @@ from scipy.special import jv, jvp, zeta
 from . import specfun
 from .errors import AccuracyError, DomainError
 from .order import as_order
+from .radial import OscillatorParams
 
 __all__ = [
     "P_STAR", "CAVEAT", "RegimeConstant", "AsymptoticValue", "cosine_constant",
@@ -239,7 +240,6 @@ def renyi_radial_asymptotic(n: int, l: int, params=None, p=2.0) -> AsymptoticVal
     Bessel branch (p > 3/2):   [ (p-1) ln(2 lam^{3/2}) + ln C_B + ((p-3)/2) ln n ]/(1-p),
     with C_B at order alpha = l + 1/2.
     """
-    from .radial import OscillatorParams  # cycle-free late import
     if n < 1:
         raise DomainError(f"asymptotic value needs n >= 1, got {n}")
     if l < 0:
@@ -273,7 +273,6 @@ def shannon_radial_asymptotic(n: int, params=None) -> float:
 
     S ~ (3/2) ln n - (3/2) ln lam + ln pi - 1.
     """
-    from .radial import OscillatorParams
     if n < 1:
         raise DomainError(f"asymptotic value needs n >= 1, got {n}")
     params = params or OscillatorParams()

@@ -2,7 +2,9 @@
 
 Exact rational orthogonal-polynomial coefficients, Gamma-family helpers on
 the half-integer lattice, partial Bell polynomials, powers by convolution
-(the Bell expansion is a test oracle), one long-double orthonormal
+(the Bell expansion is a test oracle), every polynomial a coefficient tuple
+under one arithmetic, _conv, _plus and _horner, shared by the exact
+references and the Taylor-series engine, one long-double orthonormal
 recurrence, _rows, behind every production polynomial value (the classical
 Laguerre and Gegenbauer recurrences serve the oracle), each family's
 equation and structure relation stated once (laguerre_family,
@@ -19,7 +21,6 @@ checks the pieces dropped, the two-node-count check and quadrature plumbing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, zip_longest
@@ -33,9 +34,9 @@ from .errors import AccuracyError, DomainError
 
 __all__ = [
     "digamma", "gamma_half_exact", "log_fraction", "pochhammer",
-    "binomial_exact", "RationalPoly", "OrthonormalPoly", "bell_partial",
-    "poly_power", "jacobi_poly", "orthonormal_jacobi", "gegenbauer_eval",
-    "gegenbauer_roots", "laguerre_poly", "laguerre_eval",
+    "binomial_exact", "bell_partial", "poly_power", "jacobi_poly",
+    "orthonormal_jacobi", "gegenbauer_eval", "gegenbauer_roots", "laguerre_poly",
+    "laguerre_eval",
     "laguerre_orthonormal_weighted", "laguerre_eval_negparam", "integrate",
     "Family", "jacobi_family", "laguerre_family", "gauss_legendre", "gauss_jacobi",
     "gauss_laguerre", "gauss_jacobi_log", "panel_rows", "plan_panels", "power_panels",
@@ -115,68 +116,26 @@ def binomial_exact(x, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomials
+# Exact polynomials: a polynomial is a tuple cs of exact or long-double
+# coefficients, cs[k] multiplying x**k
 
-@dataclass(frozen=True)
-class RationalPoly:
-    """Dense univariate polynomial with exact rational coefficients.
-
-    coeffs[k] multiplies x**k; trailing zeros are trimmed so the last
-    coefficient is nonzero unless the polynomial is identically zero.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_list(cs: Sequence) -> "RationalPoly":
-        cs = [Fraction(c) for c in cs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        return RationalPoly(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        """Horner evaluation; exact for Fraction input."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[i] += c
-        return RationalPoly.from_list(cs)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalPoly):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RationalPoly.from_list(out)
-        s = Fraction(other)
-        return RationalPoly.from_list([c * s for c in self.coeffs])
-
-    __rmul__ = __mul__
+def _conv(f, g) -> tuple:
+    """The product of two polynomials given by their coefficient tuples."""
+    return tuple(sum(f[i] * g[k - i] for i in range(max(0, k + 1 - len(g)), min(k + 1, len(f))))
+                 for k in range(len(f) + len(g) - 1))
 
 
-@dataclass(frozen=True)
-class OrthonormalPoly:
-    """Classical polynomial together with its exact squared norm."""
+def _plus(*fs) -> tuple:
+    """The sum of polynomials given by their coefficient tuples."""
+    return tuple(sum(e) for e in zip_longest(*fs, fillvalue=0))
 
-    base: RationalPoly
-    norm_square: Fraction
+
+def _horner(cs, x):
+    """The polynomial with coefficients cs at x, from the last coefficient down."""
+    acc = cs[-1]
+    for c in cs[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
 def bell_partial(n: int, k: int, xs: Sequence):
@@ -209,7 +168,7 @@ def bell_partial(n: int, k: int, xs: Sequence):
     return table[n][k]
 
 
-def poly_power(poly: RationalPoly, q: int) -> RationalPoly:
+def poly_power(poly: tuple, q: int) -> tuple:
     """q-th power of an exact polynomial, q >= 1.
 
     Powers by convolution; the Bell expansion is a test oracle
@@ -217,33 +176,33 @@ def poly_power(poly: RationalPoly, q: int) -> RationalPoly:
     """
     if q < 1:
         raise DomainError(f"poly_power requires q >= 1, got {q}")
-    out = RationalPoly.from_list([1])
+    out = (1,)
     for _ in range(q):
-        out = out * poly
+        out = _conv(out, poly)
     return out
 
 
 @lru_cache(maxsize=None)
-def _jacobi_cached(n: int, a2: int, b2: int) -> RationalPoly:
+def _jacobi_cached(n: int, a2: int, b2: int) -> tuple:
     a = Fraction(a2, 2)
     b = Fraction(b2, 2)
-    half_minus = RationalPoly.from_list([Fraction(-1, 2), Fraction(1, 2)])  # (x-1)/2
-    half_plus = RationalPoly.from_list([Fraction(1, 2), Fraction(1, 2)])    # (x+1)/2
-    out = RationalPoly.from_list([0])
+    half_minus = (Fraction(-1, 2), Fraction(1, 2))  # (x-1)/2
+    half_plus = (Fraction(1, 2), Fraction(1, 2))    # (x+1)/2
+    out = (Fraction(0),)
     for s in range(n + 1):
         coef = binomial_exact(n + a, n - s) * binomial_exact(n + b, s)
         if coef == 0:
             continue
-        term = RationalPoly.from_list([coef])
+        term = (coef,)
         for _ in range(s):
-            term = term * half_minus
+            term = _conv(term, half_minus)
         for _ in range(n - s):
-            term = term * half_plus
-        out = out + term
+            term = _conv(term, half_plus)
+        out = _plus(out, term)
     return out
 
 
-def jacobi_poly(n: int, a, b) -> RationalPoly:
+def jacobi_poly(n: int, a, b) -> tuple:
     """Classical Jacobi polynomial P_n^{(a,b)} with exact coefficients.
 
     Parameters a, b may be rationals on the half-integer lattice; both must
@@ -260,8 +219,8 @@ def jacobi_poly(n: int, a, b) -> RationalPoly:
     return _jacobi_cached(n, int(2 * a), int(2 * b))
 
 
-def orthonormal_jacobi(n: int, a, b) -> OrthonormalPoly:
-    """Jacobi polynomial plus its exact squared norm for weight (1-x)^a (1+x)^b.
+def orthonormal_jacobi(n: int, a, b) -> tuple[tuple, Fraction]:
+    """Jacobi polynomial and its exact squared norm for weight (1-x)^a (1+x)^b.
 
     norm_square = 2^{a+b+1} G(a+n+1) G(b+n+1) / (n! (a+b+2n+1) G(a+b+n+1));
     kept as an exact rational, which requires integer a and b.
@@ -273,10 +232,9 @@ def orthonormal_jacobi(n: int, a, b) -> OrthonormalPoly:
     if a < 0 or b < 0:
         raise DomainError(f"orthonormal_jacobi requires a, b >= 0, got ({a}, {b})")
     ai, bi = int(a), int(b)
-    base = jacobi_poly(n, ai, bi)
     ns = (Fraction(2 ** (ai + bi + 1)) * math.factorial(ai + n) * math.factorial(bi + n)
           / (math.factorial(n) * (ai + bi + 2 * n + 1) * math.factorial(ai + bi + n)))
-    return OrthonormalPoly(base=base, norm_square=ns)
+    return jacobi_poly(n, ai, bi), ns
 
 
 def gegenbauer_eval(n: int, lam, t):
@@ -313,18 +271,18 @@ def gegenbauer_roots(n: int, lam) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Laguerre family
 
-def _laguerre_exact(n: int, a: Fraction) -> RationalPoly:
+def _laguerre_exact(n: int, a: Fraction) -> tuple:
     """L_n^{(a)} for any rational a, from its explicit finite sum."""
-    return RationalPoly.from_list([
+    return tuple(
         (-1) ** k * pochhammer(a + k + 1, n - k) / (math.factorial(n - k) * math.factorial(k))
-        for k in range(n + 1)])
+        for k in range(n + 1))
 
 
 # the half-integer lattice of laguerre_poly only: other parameters are not kept
 _laguerre_cached = lru_cache(maxsize=None)(_laguerre_exact)
 
 
-def laguerre_poly(n: int, alpha) -> RationalPoly:
+def laguerre_poly(n: int, alpha) -> tuple:
     """Generalised Laguerre L_n^{(alpha)} with exact coefficients (alpha > -1)."""
     a = Fraction(alpha)
     if a <= -1:
@@ -380,7 +338,7 @@ def laguerre_eval_negparam(n: int, alpha, x):
     """
     if n < 0:
         raise DomainError(f"laguerre degree must be >= 0, got {n}")
-    acc = _laguerre_exact(n, Fraction(alpha))(Fraction(x))
+    acc = _horner(_laguerre_exact(n, Fraction(alpha)), Fraction(x))
     if isinstance(alpha, Fraction) or isinstance(x, Fraction):
         return acc
     return float(acc)
@@ -649,17 +607,6 @@ _TAYLOR_TERMS = 24
 _SERIES_CUT = 1e-16
 
 
-def _conv(f, g) -> list:
-    """The product of two polynomials given by their coefficient lists."""
-    return [sum(f[i] * g[k - i] for i in range(max(0, k + 1 - len(g)), min(k + 1, len(f))))
-            for k in range(len(f) + len(g) - 1)]
-
-
-def _plus(*fs) -> list:
-    """The sum of polynomials given by their coefficient lists."""
-    return [sum(e) for e in zip_longest(*fs, fillvalue=0)]
-
-
 def _panel_series(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0):
     """Centres c, half-lengths h, gauge exponents s, (panels, 1) each, and the
     scaled Taylor coefficients v_k = w_k h^k, k < _TAYLOR_TERMS, of w = (P/P(c))^s
@@ -684,7 +631,7 @@ def _panel_series(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0):
                 _conv(g, _plus(g, dp, [-e for e in qq]))))
     top = len(eq[2]) + 1  # shifts d = 1 .. top: h^d / L_0 times L_d, F_(d-1) and Z_(d-2)
     h_d = np.cumprod(np.broadcast_to(h, (top, *h.shape)), axis=0) / eq[0][0]
-    pad = [([0] * j + e + [0] * top)[1:top + 1] for j, e in enumerate(eq)]
+    pad = [((0,) * j + e + (0,) * top)[1:top + 1] for j, e in enumerate(eq)]
     lead, first, zero = (h_d * np.array(np.broadcast_arrays(c, *e))[1:] for e in pad)
     k = np.arange(2, _TAYLOR_TERMS, dtype=np.longdouble)[:, None, None, None]
     i = k - np.arange(1, top + 1)[:, None, None]
@@ -718,10 +665,7 @@ def panel_rows(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0) -> Callable:
     pc = fam.identities(c)[0][0]  # P(c)
 
     def series(x, k):
-        u = x - c[k]
-        t, acc = u / h[k], coefs[-1, k]
-        for v in coefs[-2::-1, k]:
-            acc = acc * t + v
+        acc = _horner(coefs[:, k], (x - c[k]) / h[k])
         return acc * np.exp(-s[k] * np.log(fam.identities(x)[0][0] / pc[k])) if s.any() else acc
 
     def poly(x, rows):
@@ -919,16 +863,20 @@ def plan_panels(ends, kinds, edges, q2: float, rate: float, what: str) -> list[t
 _NODES = 24
 # Even 2p up to _RULE_MAX_POWER takes one Gauss rule of n p + 1 nodes, exact for
 # the polynomial power (radial._norm_gauss_laguerre, angular._lambda_gauss_jacobi
-# with n = l - |m|), at about (n 2p)^2 recurrence steps against n^2 or less for
-# the panels.  Cold ms, rule / panels, one x86-64 core, rule caches cleared:
-#     2p =                     4            8            10 radial, 12 angular
-#     radial l = 0, n = 100    4.7 / 16     11 / 16      16 / 16
-#                   n = 400    43 / 61      137 / 64     212 / 68
-#                   n = 1500   560 / 380
-#     angular m = 3, l = 100   4.5 / 19     11 / 19      25 / 27
-#                    l = 300   29 / 163     109 / 122    190 / 152
-#                    l = 1000  331 / 2370   1170 / 1950  2300 / 2030
-# Cap 8: the rule wins angularly and radially at n <= 100, and costs at most 2.2x at n = 400.
+# with n = l - |m|): about (n 2p)^2 recurrence steps to build the rule and n^2 p
+# on a cached one, against n^2 or less for the panels.  ms, rule/panels, medians
+# of 7 alternated in-process runs, cold (rule caches cleared) and warm (again):
+#                           cold                          warm
+#     2p =                  4        8        10 or 12    4        8        10 or 12
+#     radial l=0, n = 100   4.1/12   11/13    16/13       1.0/7.5  1.3/8.1  1.6/8.0
+#                 n = 400   43/56    147/43   234/46      9.5/31   16/29    18/32
+#                 n = 1500  521/254                       97/147
+#     angular m=3, l = 100  6.0/13   12/10    33/15       2.1/6.7  2.3/6.4  4.3/9.2
+#                  l = 300  40/32    82/27    175/28      10/23    9.7/18   14/19
+#                  l = 1000 255/146  963/153  1993/157    51/91    106/97   144/85
+# (2p = 10 radial, 12 angular.)  Cap 8: warm, as in one process's repeated values, the
+# rule wins to 2p = 8 but at (l = 1000, 2p = 8), 10% behind; cold, the panels win
+# from 2p = 8 at n = 400 and l = 100 and from 2p = 4 at n = 1500 and l = 300, up to 6.3x.
 _RULE_MAX_POWER = 8
 
 

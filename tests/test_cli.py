@@ -1,10 +1,12 @@
 """End-to-end checks of the command line front end."""
 
 import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -14,6 +16,13 @@ import oscent
 from oscent import entropy
 from oscent.cli import _cmd_total, build_parser, run
 from oscent.radial import OscillatorParams, QuantumState
+
+
+@pytest.mark.parametrize("name", ["oscent", *(f"oscent.{m.name}" for m in
+                                             pkgutil.iter_modules(oscent.__path__))])
+def test_every_all_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 def invoke(capsys, *argv):
