@@ -223,7 +223,8 @@ def _integrand(state: AngularState, p: float):
     """poly_on, q2 and edges of |A C(t)|^{2p} (1 - t^2)^{mp}: poly_on(panels) is
     power_panels' poly, A C_n = p_n / sqrt(2 pi) by specfun.panel_rows, row
     n = l - |m| of the Jacobi family at a = b = |m|, orthonormal against
-    2 pi (1 - t^2)^|m|."""
+    2 pi (1 - t^2)^|m|; poly_on(None) is that row by the plain recurrence, which
+    the rule's one panel takes: no Taylor series serves a panel so wide."""
     m, n = state.m_abs, state.l - state.m_abs
     fam = specfun.jacobi_family(n, m, m)
     return (lambda panels: specfun.panel_rows(fam, panels, ln_scale=_LN_2PI),
@@ -239,9 +240,8 @@ def _angular_panels(state: AngularState, p: float, what: str, log_coefs=None):
     panels = specfun.plan_panels(
         np.concatenate(([-1.0], specfun.gegenbauer_roots(n, m + 0.5), [1.0])),
         ["edge"] + ["root"] * n + ["edge"], edges, q2, 0.0, what)
-    poly, (lo, hi, lo_kind, hi_kind) = poly_on(panels), zip(*panels)
-    return lambda m_nodes: specfun.power_panels(
-        lo, hi, lo_kind, hi_kind, poly, q2, edges, m_nodes, log_coefs)
+    poly = poly_on(panels)
+    return lambda m_nodes: specfun.power_panels(panels, poly, q2, edges, m_nodes, log_coefs)
 
 
 def _from_sum(v, order: EntropyOrder, method: str) -> AngularResult:
@@ -257,8 +257,8 @@ def _lambda_gauss_jacobi(state: AngularState, order: EntropyOrder) -> AngularRes
     single panel [-1, 1], both ends "edge", sums it term by positive term."""
     n, q = state.l - state.m_abs, order.two_p
     poly_on, q2, edges = _integrand(state, order.p)
-    panel = [(np.longdouble(-1), 1.0, "edge", "edge")]
-    v = specfun.power_panels(*zip(*panel), poly_on(panel), q2, edges, n * q // 2 + 1)[0]
+    v = specfun.power_panels([(-1.0, 1.0, "edge", "edge")], poly_on(None), q2, edges,
+                             n * q // 2 + 1)[0]
     if not 0 < v < np.inf:
         raise AccuracyError(f"Gauss-Jacobi rule sum {float(v)} is not positive and finite "
                             f"for {state}, p={order.p}")

@@ -48,6 +48,9 @@ _LN_PI = math.log(math.pi)
 # (2p = 8, n = 749) the cold panels, and one Newton pass builds gauss_laguerre's
 # rules up to 4000 nodes (at 6000 the steps near x = 0 do not settle in 8 passes)
 _RULE_MAX_NODES = 3000
+# the exact routes expand a power of degree n 2p in rationals, at a cost without
+# bound in 2p (closed_n1l takes 3 s at degree 1000): past this degree they refuse
+_EXACT_MAX_DEGREE = 1000
 # agreement the second pass must reach: relative to N for Renyi, to max(|J|, 1)
 # for the Shannon log integral J
 _RENYI_TOL = 1e-11
@@ -154,9 +157,8 @@ def _norm_pass(n: int, l: int, p: float, panels: list[tuple], log_coefs=None):
     entire and nearly flat even at l = 1000 (psi varies by e^15 over a gap)."""
     fam = specfun.laguerre_family(n, l + 0.5)
     psi = specfun.panel_rows(fam, panels, -0.5, s=(2 * l + 3) // 4)
-    lo, hi, lo_kind, hi_kind = zip(*panels)
-    return lambda m: specfun.power_panels(np.longdouble(lo), hi, lo_kind, hi_kind, psi, 2.0 * p,
-                                          ((0.0, p * l + 0.5), None), m, log_coefs)
+    return lambda m: specfun.power_panels(panels, psi, 2.0 * p, ((0.0, p * l + 0.5), None), m,
+                                          log_coefs)
 
 
 def _norm_quadrature(n: int, l: int, p: float) -> LaguerreNorm:
@@ -234,6 +236,12 @@ def _norm_symbolic(n: int, l: int, q: int, p: float) -> LaguerreNorm:
     return LaguerreNorm(specfun._exp_or_none(logn), logn, "symbolic", p)
 
 
+def _check_exact_degree(n: int, q: int, p: float, route: str) -> None:
+    if n * q > _EXACT_MAX_DEGREE:
+        raise DomainError(f"{route} route expands a power of degree n 2p > {_EXACT_MAX_DEGREE} "
+                          f"in rationals, got n={n}, p={p}; use --path auto")
+
+
 def closed_n1l(l: int, p) -> LaguerreNorm:
     """Closed form of N_{1,l}(p) through a negative-parameter Laguerre value.
 
@@ -242,7 +250,8 @@ def closed_n1l(l: int, p) -> LaguerreNorm:
 
     The expansion behind this identity raises the linear Laguerre factor to
     the power 2p without taking absolute values.  L_1 changes sign, so the
-    identity holds for even 2p only; odd 2p raises DomainError.
+    identity holds for even 2p only; odd 2p raises DomainError, and so does
+    a degree 2p above _EXACT_MAX_DEGREE.
     """
     if l < 0:
         raise DomainError(f"orbital number must be >= 0, got l={l}")
@@ -252,6 +261,7 @@ def closed_n1l(l: int, p) -> LaguerreNorm:
         raise DomainError(
             f"closed n=1 norm needs an even integer 2p: L_1 changes sign, so "
             f"odd 2p is sign-ambiguous; got p={p}")
+    _check_exact_degree(1, q, order.p, "closed n=1")
     pf = order.p
     a = -Fraction((l + 2) * q + 3, 2)
     x = -Fraction((2 * l + 3) * q, 4)
@@ -280,8 +290,8 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto") -> LaguerreNorm:
     polynomial power; panel quadrature otherwise, the faster route above
     2p = 8.  For odd 2p with n >= 1 the polynomial power is signed, so
     quadrature is the faithful route.  path="symbolic" gives the exact
-    rational value at any even 2p, "closed_n1" the n = 1 closed form and
-    "quadrature" the panels.
+    rational value at any even 2p up to degree n 2p = _EXACT_MAX_DEGREE,
+    "closed_n1" the n = 1 closed form and "quadrature" the panels.
     """
     if n < 0 or l < 0:
         raise DomainError(f"quantum numbers must be >= 0, got n={n}, l={l}")
@@ -304,6 +314,7 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto") -> LaguerreNorm:
             raise DomainError(
                 "symbolic route is sign-ambiguous for odd 2p with n >= 1; "
                 "use quadrature")
+        _check_exact_degree(n, q, pf, "symbolic")
         return _norm_symbolic(n, l, q, pf)
     if path == "closed_n1":
         if n != 1:

@@ -161,7 +161,7 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float, kzeros: int) -> n
     q2 = 2.0 * p
     zs = np.array(bessel_zeros(alpha, kzeros + 1)) / 2.0  # zeros of J_a(2t)
 
-    def ratio(t, _):
+    def ratio(t):
         with np.errstate(divide="ignore"):  # ln 0 = -inf: the node adds 0
             ln_j = np.log(np.abs(jv(alpha, 2.0 * t.astype(float))), dtype=np.longdouble)
         return np.exp(ln_j - alpha * np.log(t))
@@ -171,9 +171,9 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float, kzeros: int) -> n
     slices = specfun.plan_panels(np.longdouble([0, zs[0]]), ["edge", "root"], edges, q2,
                                  (2.0 * alpha + 1.0) * p / zs[0], what)
     head, _ = specfun.settled(
-        lambda m: specfun.power_panels(*zip(*slices), ratio, q2, edges, m), _HEAD_TOL, what)
-    rest = specfun.power_panels(zs[:-1], zs[1:], ["root"] * kzeros, ["root"] * kzeros,
-                                lambda t, _: jv(alpha, 2.0 * t), q2,
+        lambda m: specfun.power_panels(slices, ratio, q2, edges, m), _HEAD_TOL, what)
+    rest = specfun.power_panels([(a, b, "root", "root") for a, b in zip(zs, zs[1:])],
+                                lambda t: jv(alpha, 2.0 * t.astype(float)), q2,
                                 ((0.0, 2.0 * beta + 1.0), None), specfun._NODES)
     if not head >= rest[0]:
         raise AccuracyError(f"{what}: {float(head)} is below the first inter-zero "

@@ -14,8 +14,9 @@ Christoffel weights) behind every Gauss-Laguerre and Gauss-Jacobi rule and
 the Gegenbauer roots, the log-weighted Gauss-Jacobi product rule, one panel
 Taylor-series engine for both families (panel_rows), the panel planner with
 its one mass bound, the one panel function, which maps those rules onto
-panels, hands its integrand whole panels, forms every power from logs and
-checks the pieces dropped, the two-node-count check and quadrature plumbing.
+panels in long double, calls its integrand once on all their nodes, forms
+every power from logs and checks the pieces dropped, the two-node-count check
+and quadrature plumbing.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "settled",
 ]
 
-_POINT_CAP = 200000  # nodes per call of a power_panels integrand, whole panels
 # entries kept by each cache of Gauss rules, Bessel zeros and constants, above the
 # 270 a whole benchmark pool fills (gauss_jacobi on grid); new orders evict the oldest
 _RULE_CACHE = 512
@@ -315,7 +315,8 @@ def laguerre_eval(n: int, alpha: float, x):
 
 def laguerre_orthonormal_weighted(n: int, alpha: float, x):
     """Orthonormal Laguerre times exp(-x/2), the bounded oscillator kernel:
-    row n of laguerre_family's _rows under exp(-x/2), its sign (-1)^n undone.
+    row n of laguerre_family's _rows under exp(-x/2) by panel_rows' recurrence,
+    its sign (-1)^n undone.
 
     Returned in extended precision; the square times x**alpha integrates
     to one over (0, inf).
@@ -324,8 +325,7 @@ def laguerre_orthonormal_weighted(n: int, alpha: float, x):
         raise DomainError(f"laguerre degree must be >= 0, got {n}")
     if not alpha > -1:
         raise DomainError(f"laguerre parameter must exceed -1, got {alpha}")
-    xs, fam = np.asarray(x, dtype=np.longdouble), laguerre_family(n, alpha)
-    p = _last_rows(xs, fam.diag, fam.off, np.exp(-xs / 2 - fam.ln_mu0 / 2))[1]
+    p = panel_rows(laguerre_family(n, alpha), None, -0.5)(np.asarray(x, dtype=np.longdouble))
     return -p if n % 2 else p
 
 
@@ -646,71 +646,62 @@ def _panel_series(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0):
 
 
 def panel_rows(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0) -> Callable:
-    """The integrand poly(x, rows) of power_panels on the panel list: row m =
-    len(fam.diag) of _rows from r_0 = exp(tau x - (ln mu0 + ln_scale)/2).  From
-    m = _TAYLOR_MIN_N on, each panel whose own last two coefficients of
-    _panel_series are within _SERIES_CUT of its largest takes that series, shared
-    by every pass; the other panels, and all below that m, the recurrence."""
+    """The integrand poly(x) of power_panels on the panel list: row m =
+    len(fam.diag) of _rows from r_0 = exp(tau x - (ln mu0 + ln_scale)/2), x of
+    shape (len(panels), k), a row of nodes a panel.  From m = _TAYLOR_MIN_N on,
+    each panel whose own last two coefficients of _panel_series are within
+    _SERIES_CUT of its largest takes that series, shared by every pass; the
+    other panels, and all below that m or with panels None, the recurrence."""
     def recurrence(x):
         return _last_rows(x, fam.diag, fam.off,
                           np.exp(tau * x - (fam.ln_mu0 + ln_scale) / 2))[1]
 
-    if len(fam.diag) < _TAYLOR_MIN_N:
-        return lambda x, rows: recurrence(x)
+    if panels is None or len(fam.diag) < _TAYLOR_MIN_N:
+        return recurrence
     c, h, s, coefs = _panel_series(fam, panels, tau, ln_scale, s)
     mag = np.abs(coefs)
     cut = _SERIES_CUT * mag.max(axis=0)
     # a cut below the normal range certifies nothing: the row at c has underflowed
     kept = ((mag[-1] + mag[-2] <= cut) & (cut >= np.finfo(cut.dtype).tiny)).ravel()
+    c, h, s, coefs = c[kept], h[kept], s[kept], coefs[:, kept]
     pc = fam.identities(c)[0][0]  # P(c)
 
-    def series(x, k):
-        acc = _horner(coefs[:, k], (x - c[k]) / h[k])
-        return acc * np.exp(-s[k] * np.log(fam.identities(x)[0][0] / pc[k])) if s.any() else acc
-
-    def poly(x, rows):
-        on = kept[rows]
-        y = np.empty_like(x)
-        if not on.all():
-            y[~on] = recurrence(x[~on])
-        if on.any():
-            y[on] = series(x[on], np.arange(len(panels))[rows][on])
+    def poly(x):
+        y, xk = np.empty_like(x), x[kept]
+        if not kept.all():
+            y[~kept] = recurrence(x[~kept])
+        acc = _horner(coefs, (xk - c) / h)
+        y[kept] = acc * np.exp(-s * np.log(fam.identities(xk)[0][0] / pc)) if s.any() else acc
         return y
 
     return poly
 
 
-def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: int,
-                 log_coefs=None):
+def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=None):
     """Panel integrals of |poly(x)|^q2 (x - a)^ea (b - x)^eb on Gauss-Jacobi panels.
 
+    panels is a list of (lo, hi, lo_kind, hi_kind), as plan_panels returns;
     edges = ((a, ea), (b, eb)), None for an edge that does not exist.  Each
     end of each panel has a kind, which says what goes into the panel's
     cached gauss_jacobi weight:
       "root"   a root r of poly: |x - r|^q2, the distance divided out of |poly|;
       "edge"   the end is a (at lo) or b (at hi): that edge's power;
       "plain"  nothing.
-    The nodes and poly run in the wider of float and the dtype of lo and hi,
-    and the results come back in it.  poly(x, rows) gets the nodes x, of
-    shape (k, m), of the panels rows, a slice of the panel list, and returns
-    its values there; each call takes whole panels, at most _POINT_CAP
-    nodes unless one panel holds more, which bounds the memory of a pass.
-    Every power is formed from long-double logs, the panel scale
-    h^(e_lo + e_hi + 1) for the half-length h and the weight's end exponents
-    included: each node adds one positive exp(ln w + ...), at most its panel's
-    integral, so nothing leaves the float range while that integral is in
-    range, and one past it comes back inf.  A node where |poly| is 0 adds 0.
+    poly is called once, on every node: x of shape (len(panels), m), a row of
+    long-double nodes a panel.  Every power is formed from long-double logs,
+    the panel scale h^(e_lo + e_hi + 1) for the half-length h and the weight's
+    end exponents included: each node adds one positive exp(ln w + ...), at
+    most its panel's integral, so nothing leaves the float range while that
+    integral is in range, and one past it comes back inf.  A node where |poly|
+    is 0 adds 0.
 
-    Returns each panel's integral.  With log_coefs = (ca, cb) it also
-    returns each panel's integral of the integrand times 2 ln|poly| +
+    Returns each panel's integral, in long double.  With log_coefs = (ca, cb)
+    it also returns each panel's integral of the integrand times 2 ln|poly| +
     ca ln(x - a) + cb ln(b - x), whose kinks at root ends and edges take
     the gauss_jacobi_log weights on the same nodes.
     """
-    dtype = np.result_type(np.asarray(lo), np.asarray(hi), np.float64)
-    lo = np.asarray(lo, dtype=dtype).reshape(-1, 1)
-    hi = np.asarray(hi, dtype=dtype).reshape(-1, 1)
-    lo_kind = np.asarray(lo_kind).reshape(-1, 1)
-    hi_kind = np.asarray(hi_kind).reshape(-1, 1)
+    lo, hi, lo_kind, hi_kind = (np.array(col)[:, None] for col in zip(*panels))
+    lo, hi = lo.astype(np.longdouble), hi.astype(np.longdouble)
     lo_root, hi_root = lo_kind == "root", hi_kind == "root"
     lo_edge, hi_edge = lo_kind == "edge", hi_kind == "edge"
     (a, ea), (b, eb) = edges[0] or (None, 0.0), edges[1] or (None, 0.0)
@@ -721,29 +712,24 @@ def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: 
     pairs = zip(e_hi.ravel().tolist(), e_lo.ravel().tolist())
     which = [kinds.setdefault(k, len(kinds)) for k in pairs]
     rule = gauss_jacobi if log_coefs is None else gauss_jacobi_log
-    # the log weights, and the log-term weights per unit weight, stay in the
-    # rules' long double
+    # the nodes, log weights and log-term weights per unit weight: long double
     t, ln_w, *logs = (np.array(col)[which] for col in zip(*(rule(m, *k) for k in kinds)))
-    t = t.astype(dtype)
     h = (hi - lo) / 2
-    ln_h = np.log(h, dtype=np.longdouble)
+    ln_h = np.log(h)
     x = lo + h * (1 + t)
-    step = max(1, _POINT_CAP // m)
-    y = np.concatenate([poly(x[i:i + step], slice(i, i + step))
-                        for i in range(0, len(x), step)])
-    g = np.abs(y) / np.where(lo_root, x - lo, 1.0)
+    g = np.abs(poly(x)) / np.where(lo_root, x - lo, 1.0)
     g = g / np.where(hi_root, hi - x, 1.0)
     with np.errstate(divide="ignore"):  # ln 0 = -inf: the node adds exp(-inf) = 0
-        ln_g = np.log(g, dtype=np.longdouble)
-    ln_a = 0.0 if a is None else np.log(x - a, dtype=np.longdouble)
-    ln_b = 0.0 if b is None else np.log(b - x, dtype=np.longdouble)
+        ln_g = np.log(g)
+    ln_a = 0.0 if a is None else np.log(x - a)
+    ln_b = 0.0 if b is None else np.log(b - x)
 
     def off_edge(ca, cb):  # ca ln(x - a) + cb ln(b - x) where no weight holds it
         return np.where(lo_edge, 0.0, ca) * ln_a + np.where(hi_edge, 0.0, cb) * ln_b
 
     with np.errstate(over="ignore"):  # past the range: inf, which settled rejects
         terms = np.exp(ln_w + (e_lo + e_hi + 1) * ln_h + q2 * ln_g + off_edge(ea, eb))
-        parts = np.sum(terms, axis=1).astype(dtype)
+        parts = np.sum(terms, axis=1)
         total = parts.sum()
     # an outer end "plain" marks a dropped piece (plan_panels): the panel there must
     # be negligible and below its neighbour, or the list ends inside a lobe
@@ -758,7 +744,7 @@ def power_panels(lo, hi, lo_kind, hi_kind, poly: Callable, q2: float, edges, m: 
     c_hi = np.where(hi_root, 2.0, np.where(hi_edge, cb, 0.0))
     s = 2 * ln_g + off_edge(ca, cb) + c_lo * (logs[0] + ln_h) + c_hi * (logs[1] + ln_h)
     # a node that adds 0 adds 0 to the log integral too, not 0 * (-inf)
-    return parts, np.sum(terms * np.where(terms > 0, s, 0.0), axis=1).astype(dtype)
+    return parts, np.sum(terms * np.where(terms > 0, s, 0.0), axis=1)
 
 
 # plan_panels caps each slice's log-variation and, for the Shannon rules (exact

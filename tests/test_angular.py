@@ -392,7 +392,7 @@ def jacobi_gaps(l, m, nodes=24):
     start = np.exp(-(fam.ln_mu0 + angular._LN_2PI) / 2)
     ref = specfun._last_rows(x, fam.diag, fam.off, np.full_like(x, start))[1]
     poly = angular._integrand(AngularState(l, m), 1.0)[0](gaps)
-    return gaps, poly(x, slice(0, len(gaps))), ref
+    return gaps, poly(x), ref
 
 
 def jacobi_kept(l, m, gaps):

@@ -7,8 +7,11 @@ import json
 import math
 import os
 import pkgutil
+import random
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -292,6 +295,18 @@ def test_bad_inputs_exit_without_traceback(capsys, argv, code):
 
 
 @pytest.mark.parametrize("argv", [
+    ["radial", "--n", "5", "--l", "5", "--p", "1e300", "--path", "symbolic"],
+    ["radial", "--n", "1", "--l", "0", "--p", "1e300", "--path", "closed_n1"],
+])
+def test_exact_routes_refuse_orders_they_never_finish(capsys, argv):
+    # 2p = 2e300 is an even integer, and the rational powers would take 2p steps
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "--path auto" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["radial", "--n", "1", "--l", "3500", "--p", "1.3"],
     ["radial", "--n", "1", "--l", "3500", "--p", "1"],
     ["total", "--n", "1", "--l", "3500", "--m", "3500", "--p", "1.3"],
@@ -443,3 +458,77 @@ def test_closed_output_pipe_exits_141_without_traceback():
     code = proc.wait(timeout=60)
     assert code == 141
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# a fixed-seed fuzz of the command line: each subcommand's own options, with
+# its own values or edge values, and the common flags
+
+_FUZZ_EDGES = ("-1", "x", "nan", "inf", "1e-300", "1e300", "1.000001", "", "0,1", "2,x,3")
+_FUZZ_INT = ("0", "1", "2", "3", "5", "8")
+_FUZZ_P = ("0.5", "0.7", "1", "1.5", "2", "2.5", "3", "4")
+_FUZZ_OPTIONS = {  # subcommand: {option: own values}; a value-less option is a flag
+    "angular": {"--l": _FUZZ_INT, "--m": _FUZZ_INT, "--p": _FUZZ_P},
+    "radial": {"--n": _FUZZ_INT, "--l": _FUZZ_INT, "--p": _FUZZ_P,
+               "--path": ("auto", "symbolic", "closed_n1", "quadrature")},
+    "asymptotic": {"--n": ("1", "2", "50", "400"), "--l": _FUZZ_INT, "--p": _FUZZ_P},
+    "total": {"--n": _FUZZ_INT, "--l": _FUZZ_INT, "--m": _FUZZ_INT, "--p": _FUZZ_P,
+              "--mode": ("exact", "asymptotic"), "--space": ("position", "momentum"),
+              "--tsallis": (), "--disequilibrium": ()},
+    "uncertainty": {"--n": _FUZZ_INT, "--l": _FUZZ_INT, "--m": _FUZZ_INT, "--p": _FUZZ_P,
+                    "--q": _FUZZ_P, "--kind": ("renyi", "shannon"),
+                    "--mode": ("exact", "asymptotic"), "--allow-nonconjugate": ()},
+    "sweep": {"--quantity": ("angular-renyi", "radial-renyi", "radial-shannon",
+                             "total-renyi", "total-shannon"),
+              "--n": ("1", "2,3", "0,1,2", "3,2"), "--l": ("0", "1", "2,3"),
+              "--m": _FUZZ_INT, "--p": _FUZZ_P, "--mode": ("exact", "asymptotic")},
+    "verify": {"--suite": ("angular", "radial", "total", "uncertainty")},
+}
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(list(_FUZZ_OPTIONS))
+    argv = [command]
+    for opt, own in _FUZZ_OPTIONS[command].items():
+        if rng.random() < 0.9:
+            argv.append(opt)
+            if own:
+                argv.append(rng.choice(own) if rng.random() < 0.8 else rng.choice(_FUZZ_EDGES))
+    for extra in (["--bits"], ["--format", "csv"],
+                  ["--lam", rng.choice(("0.5", "2", *_FUZZ_EDGES))]):
+        if rng.random() < 0.2:
+            argv += extra
+    return argv
+
+
+class _Overrun(Exception):
+    pass
+
+
+def _overrun(signum, frame):
+    raise _Overrun
+
+
+def test_fuzzed_command_lines_exit_cleanly(capsys):
+    # every run returns a known exit status within 5 s; no exception escapes
+    # run, and none may be a float warning, which the suite turns into errors
+    rng, bad = random.Random(8), []
+    old = signal.signal(signal.SIGALRM, _overrun)
+    try:
+        for _ in range(1000):
+            argv = _fuzz_argv(rng)
+            signal.setitimer(signal.ITIMER_REAL, 5.0)
+            try:
+                code = run(argv)
+            except _Overrun:
+                code = "over 5 s"
+            except Exception as exc:  # noqa: BLE001 - reported with its argv
+                code = repr(exc)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            capsys.readouterr()
+            if code not in (0, 2, 3, 64):
+                bad.append((" ".join(argv), code))
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert bad == []

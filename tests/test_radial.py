@@ -125,6 +125,14 @@ def test_closed_n1_rejects_offlattice_order():
         closed_n1l(0, 1.25)
 
 
+@pytest.mark.parametrize("n,p,path", [(1, 501.0, "closed_n1"), (1, 1e300, "closed_n1"),
+                                      (126, 4.0, "symbolic"), (5, 1e300, "symbolic")])
+def test_exact_routes_refuse_degrees_past_1000(n, p, path):
+    # degree n 2p: 1002, 2e300, 1008 and 1e301; the rational powers take 2p steps
+    with pytest.raises(DomainError, match="--path auto"):
+        laguerre_norm(n, 3, p, path=path)
+
+
 def test_path_dispatch_errors():
     with pytest.raises(DomainError):
         laguerre_norm(2, 0, 1.3, path="symbolic")
@@ -637,7 +645,7 @@ def series_deviation(n, l):
     """The largest |series - recurrence| over the nodes of every root gap,
     relative to the largest |psi| on the node's panel."""
     x, gaps = gap_nodes(n, l)
-    got = psi_rows(n, l, gaps)(x, slice(0, len(gaps)))
+    got = psi_rows(n, l, gaps)(x)
     ref = recurrence_psi(n, l, x)
     return float(np.max(np.abs(got - ref) / np.max(np.abs(ref), axis=1, keepdims=True)))
 
@@ -676,7 +684,7 @@ def test_gap_series_matches_mpmath_on_its_worst_gap():
     # there the series is 1.2e-14 off, the recurrence 2.0e-14
     n, l = 1500, 1
     x, gaps = gap_nodes(n, l)
-    got = (-1) ** n * psi_rows(n, l, gaps[:1])(x[:1], slice(0, 1))[0]
+    got = (-1) ** n * psi_rows(n, l, gaps[:1])(x[:1])[0]
     with mpmath.workdps(60):
         a = mpmath.mpf(2 * l + 1) / 2
         norm = mpmath.sqrt(mpmath.gamma(n + a + 1) / mpmath.factorial(n))
@@ -779,7 +787,7 @@ def test_head_and_tail_series_match_the_recurrence(n, l, p):
     t = specfun.gauss_jacobi(36, 2.0, 2.0)[0]
     lo, hi = (np.array(col, dtype=np.longdouble)[:, None] for col in list(zip(*ends))[:2])
     x = lo + (hi - lo) / 2 * (1 + t)
-    got = psi_rows(n, l, ends)(x, slice(0, len(ends)))
+    got = psi_rows(n, l, ends)(x)
     ref = recurrence_psi(n, l, x)
     dev = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert float(np.max(dev)) <= 2e-16 * n

@@ -179,6 +179,17 @@ def test_asymptotic_tracks_exact_at_second_order():
     assert asym.value == pytest.approx(exact, abs=5e-3)
 
 
+@pytest.mark.parametrize("l,bound", [(0, 1e-8), (3, 2e-7)])
+def test_bessel_branch_gap_falls_as_n_to_the_minus_2(l, bound):
+    # exact minus asymptotic radial Renyi entropy at p = 3 reads -6.95e-9 (l = 0)
+    # and -1.31e-7 (l = 3) at n = 3000, with log-log slopes -2.0002 and -2.0006
+    # from n = 1600; C_B scaled by 1 + 1e-6 moves every gap by ln(1 + 1e-6) / 2 = 5e-7
+    gap = {n: renyi_radial_exact(QuantumState(n, l, 0), p=3.0)
+           - renyi_radial_asymptotic(n, l, p=3.0).value for n in (1600, 3000)}
+    assert abs(gap[3000]) < bound
+    assert math.log(gap[3000] / gap[1600]) / math.log(3000 / 1600) == pytest.approx(-2, abs=0.05)
+
+
 def test_shannon_asymptote_formula():
     # (3/2) ln n - (3/2) ln lam + ln pi - 1
     for n in (50, 300):

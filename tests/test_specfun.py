@@ -232,7 +232,7 @@ def test_log_weighted_panels_skip_nodes_where_the_power_underflows():
     # warning (the suite turns warnings into errors).  The ends are "edge"
     # ends of no edge, weight 1: an outer "plain" end marks a dropped piece
     parts, logs = specfun.power_panels(
-        [0.0], [1.0], ["edge"], ["edge"], lambda x, _: np.where(x > 0.5, x, 0.0),
+        [(0.0, 1.0, "edge", "edge")], lambda x: np.where(x > 0.5, x, 0.0),
         2.0, (None, None), 24, (0.0, 0.0))
     t, ln_w = specfun.gauss_jacobi(24, 0.0, 0.0)
     x = (1 + t.astype(float)) / 2
@@ -275,24 +275,40 @@ def test_power_panels_map_the_rule_to_beta_closed_forms():
     lo_exp = np.array([0.5, 2.5, 4.4, 0.0, 6.6, 3.0])
     hi_exp = np.array([1.5, 0.0, 4.4, 6.6, 0.0, 3.0])
     j = np.array([0, 3, 1, 2, 4, 0])
-    got = [specfun.power_panels([a], [b], ["edge"], ["edge"],
-                                lambda x, _, a=a, k=k: (x - a) ** k, 1.0,
+    got = [specfun.power_panels([(a, b, "edge", "edge")],
+                                lambda x, a=a, k=k: (x - a) ** k, 1.0,
                                 ((a, ea), (b, eb)), 12)[0]
            for a, b, ea, eb, k in zip(lo, hi, lo_exp, hi_exp, j)]
     span = hi - lo
     want = span ** (lo_exp + hi_exp + j + 1) * sp.beta(lo_exp + j + 1, hi_exp + 1)
     assert np.allclose(got, want, rtol=1e-13, atol=0)
-    # long-double ends keep long-double nodes and integrals
+    # float ends give long-double nodes and integrals
     seen = []
 
-    def one(x, rows):
+    def one(x):
         seen.append(x.dtype)
         return np.ones_like(x)
 
-    parts = specfun.power_panels(lo.astype(np.longdouble), hi, ["edge"] + ["plain"] * 5,
-                                 ["plain"] * 5 + ["edge"], one, 1.0, (None, None), 4)
+    parts = specfun.power_panels(list(zip(lo, hi, ["edge"] + ["plain"] * 5,
+                                          ["plain"] * 5 + ["edge"])), one, 1.0, (None, None), 4)
     assert seen == [parts.dtype] == [np.longdouble]
     assert np.allclose(parts.astype(float), span, rtol=1e-15)
+
+
+def test_power_panels_call_the_integrand_once_a_pass():
+    # 4000 panels of 54 nodes, 216,000 nodes in all: one call on every node,
+    # mapped in long double from float ends
+    seen = []
+
+    def one(x):
+        seen.append((x.shape, x.dtype))
+        return np.ones_like(x)
+
+    ends = np.linspace(0.0, 1.0, 4001)
+    parts = specfun.power_panels([(a, b, "edge", "edge") for a, b in zip(ends, ends[1:])],
+                                 one, 1.0, (None, None), 54)
+    assert seen == [((4000, 54), np.longdouble)]
+    assert float(parts.sum()) == pytest.approx(1.0, rel=1e-15)
 
 
 def _jacobi_moment(a, b, j, log):
@@ -556,8 +572,8 @@ def test_power_panels_map_the_log_rule_to_digamma_closed_forms():
     j = np.array([0, 3, 1, 2, 4, 0])
 
     def panels(log_coefs):  # (integrals, log-weighted integrals) per panel
-        out = [specfun.power_panels([a], [b], ["edge"], ["edge"],
-                                    lambda x, _: np.ones_like(x), 1.0,
+        out = [specfun.power_panels([(a, b, "edge", "edge")],
+                                    lambda x: np.ones_like(x), 1.0,
                                     ((a, ea + k), (b, eb)), 12, log_coefs)
                for a, b, ea, eb, k in zip(lo, hi, lo_exp, hi_exp, j)]
         assert all(v.dtype == np.longdouble for pair in out for v in pair)
@@ -582,8 +598,8 @@ def test_power_panels_match_beta_closed_forms(q2, a):
     # half of it on each side of the root
     lo = np.array([-1.0, 0.0, 0.5], dtype=np.longdouble)
     hi = np.array([0.0, 0.5, 1.0], dtype=np.longdouble)
-    args = (lo, hi, ["edge", "root", "plain"], ["root", "plain", "edge"],
-            lambda x, _: x, q2, ((-1.0, a), (1.0, a)), 48)
+    args = (list(zip(lo, hi, ["edge", "root", "plain"], ["root", "plain", "edge"])),
+            lambda x: x, q2, ((-1.0, a), (1.0, a)), 48)
     parts = specfun.power_panels(*args)
     assert parts.dtype == np.longdouble and parts.shape == (3,)
     want = sp.beta((q2 + 1) / 2, a + 1)
