@@ -12,6 +12,11 @@ elsewhere.  The panel planner, node count and rule cap are specfun's, and
 so is the panels' integrand: specfun.panel_rows on the Jacobi family at
 a = b = |m|, a Taylor series of its equation about each panel centre from
 l - |m| = 40 on, as radial's.
+
+renyi_angular keeps each result by (l, |m|, p) and shannon_angular each
+value by (l, |m|), in caches of specfun._RULE_CACHE entries that keep no
+error; the lambda_* routes stay uncached, so each reference is computed on
+its own.
 """
 
 from __future__ import annotations
@@ -311,11 +316,18 @@ def renyi_angular(state: AngularState, p) -> AngularResult:
     Dispatch: closed form for a closed family (any real p), else the exact
     Gauss-Jacobi rule at even 2p <= specfun._RULE_MAX_POWER, else quadrature.
     Outside the families l - |m| >= 2, so the polynomial factor changes sign
-    and an odd 2p has no exact route.
+    and an odd 2p has no exact route.  Each result is computed once per
+    (l, |m|, p) (_renyi_angular).
     """
     order = as_order(p)
     if order.is_unity:
         raise DomainError("p = 1 is the Shannon limit; use shannon_angular")
+    return _renyi_angular(state.l, state.m_abs, order.p)
+
+
+@lru_cache(maxsize=specfun._RULE_CACHE)
+def _renyi_angular(l: int, m: int, p: float) -> AngularResult:
+    state, order = AngularState(l, m), as_order(p)
     if state.closed_family:
         return lambda_closed(state, order)
     q = order.two_p
@@ -361,8 +373,15 @@ def shannon_angular(state: AngularState) -> float:
     """Shannon entropy of the angular density.
 
     The digamma closed forms for the (l, l) and (l, l-1) families, else
-    quadrature of -y ln y (shannon_route).
+    quadrature of -y ln y (shannon_route).  Each value is computed once per
+    (l, |m|) (_shannon_angular).
     """
+    return _shannon_angular(state.l, state.m_abs)
+
+
+@lru_cache(maxsize=specfun._RULE_CACHE)
+def _shannon_angular(l: int, m: int) -> float:
+    state = AngularState(l, m)
     if shannon_route(state) == "closed_form":
         return _shannon_closed(state)
     return _shannon_quadrature(state)

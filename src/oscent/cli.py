@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from . import __version__, angular, entropy, oracle, radial, rydberg, specfun
+from . import __version__, angular, entropy, oracle, radial, rydberg
 from .angular import AngularState
 from .errors import AccuracyError, DomainError
 from .order import as_order
@@ -167,11 +167,7 @@ def _cmd_total(args) -> list[dict]:
     if args.tsallis:
         rec["tsallis"] = entropy.tsallis_from_renyi(dec.total, args.p)
     if args.disequilibrium:
-        # <rho> = exp(-R_2): reuse the total when it already is R_2
-        if args.p == 2.0 and dec.mode == "exact" and dec.space == "position":
-            rec["disequilibrium"] = specfun._exp_or_none(-dec.total)
-        else:
-            rec["disequilibrium"] = entropy.disequilibrium(state, params)
+        rec["disequilibrium"] = entropy.disequilibrium(state, params)
     return [rec]
 
 

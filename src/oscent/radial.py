@@ -20,6 +20,10 @@ integrand is specfun.panel_rows on the Laguerre family at a = l + 1/2 under
 e^(-x/2), its root gaps under (x/c)^s: from n = 40 on a Taylor series of
 the family's equation about each panel centre where its own coefficients
 certify it, and the long-double recurrence elsewhere.
+
+laguerre_norm keeps each value by (n, l, p, path) and shannon_radial_exact
+its log integral J by (n, l), in caches of specfun._RULE_CACHE entries that
+keep no error; closed_n1l and the routes under them stay uncached.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -291,13 +296,17 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto") -> LaguerreNorm:
     2p = 8.  For odd 2p with n >= 1 the polynomial power is signed, so
     quadrature is the faithful route.  path="symbolic" gives the exact
     rational value at any even 2p up to degree n 2p = _EXACT_MAX_DEGREE,
-    "closed_n1" the n = 1 closed form and "quadrature" the panels.
+    "closed_n1" the n = 1 closed form and "quadrature" the panels.  Each
+    value is computed once per (n, l, p, path) (_laguerre_norm).
     """
     if n < 0 or l < 0:
         raise DomainError(f"quantum numbers must be >= 0, got n={n}, l={l}")
-    order = as_order(p)
-    pf = order.p
-    q = order.two_p
+    return _laguerre_norm(n, l, as_order(p).p, path)
+
+
+@lru_cache(maxsize=specfun._RULE_CACHE)
+def _laguerre_norm(n: int, l: int, pf: float, path: str) -> LaguerreNorm:
+    q = as_order(pf).two_p
     if path == "auto":
         if n == 0:
             return _norm_symbolic_n0(l, pf)
@@ -351,11 +360,16 @@ def shannon_radial_exact(state: QuantumState,
     S = -ln(2 lam^{3/2}) - J, J = integral psi^2 x^{l+1/2} (ln psi^2 + l ln x) dx
     with psi the weighted orthonormal Laguerre function: the log-weighted
     power_panels integrals on the p = 1 norm panels, certified by
-    specfun.settled with the density N_{n,l}(1) = 1.
+    specfun.settled with the density N_{n,l}(1) = 1.  J is computed once
+    per (n, l) (_shannon_log_integral).
     """
-    n, l = state.n, state.l
     params = params or OscillatorParams()
+    return -_LN_2 - 1.5 * math.log(params.lam) - _shannon_log_integral(state.n, state.l)
+
+
+@lru_cache(maxsize=specfun._RULE_CACHE)
+def _shannon_log_integral(n: int, l: int) -> float:
     what = f"Shannon radial quadrature for n={n}, l={l}"
     j, _ = specfun.settled(_norm_pass(n, l, 1.0, _norm_panels(n, l, 1.0), (l, 0)),
                            _SHANNON_TOL, what, density=1.0)
-    return -_LN_2 - 1.5 * math.log(params.lam) - float(j)
+    return float(j)

@@ -275,6 +275,34 @@ def test_dispatch_takes_the_rule_at_large_l(monkeypatch, l, m):
     assert renyi_angular(AngularState(l, m), 4.0) == "_lambda_gauss_jacobi"
 
 
+@pytest.mark.parametrize("l,m,p", [(60, 5, 0.7), (20, 3, 2.0), (6, 5, 2.5)])
+def test_repeated_angular_value_is_the_cached_object(monkeypatch, l, m, p):
+    # quadrature, the Gauss-Jacobi rule and a closed form: the second call,
+    # at m or -m, reaches no recurrence and returns the first call's result
+    seen, rows = [], specfun._last_rows
+
+    def counting(x, *args):
+        seen.append(np.shape(x))
+        return rows(x, *args)
+
+    monkeypatch.setattr(specfun, "_last_rows", counting)
+    first = renyi_angular(AngularState(l, m), p)
+    assert bool(seen) == (first.method != "closed_form")
+    seen.clear()
+    assert renyi_angular(AngularState(l, m), p) is first
+    assert renyi_angular(AngularState(l, -m), as_order(p)) is first
+    assert not seen
+    info = angular._renyi_angular.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("l,m", [(30, 4), (5, 4)])
+def test_angular_shannon_at_m_and_minus_m_share_one_entry(l, m):
+    assert shannon_angular(AngularState(l, -m)) == shannon_angular(AngularState(l, m))
+    info = angular._shannon_angular.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
 def test_invalid_order_rejected():
     with pytest.raises(DomainError):
         renyi_angular(AngularState(1, 0), 0.0)
@@ -434,13 +462,15 @@ def test_jacobi_gap_series_cut_to_16_terms_misses_the_recurrence(monkeypatch, l,
 
 
 @pytest.mark.parametrize("l,m,p", [(100, 0, 0.5), (100, 50, 2.5), (300, 5, 8.0), (300, 5, 1.0)])
-def test_jacobi_series_keeps_the_values_of_the_recurrence(monkeypatch, l, m, p):
+def test_jacobi_series_keeps_the_values_of_the_recurrence(monkeypatch, fresh_components,
+                                                          l, m, p):
     def value():
         state = AngularState(l, m)
         return shannon_angular(state) if p == 1.0 else renyi_angular(state, p).renyi
 
     got = value()
     monkeypatch.setattr(specfun, "_TAYLOR_MIN_N", 10 ** 9)
+    fresh_components()
     assert abs(got - value()) <= 1e-14
 
 

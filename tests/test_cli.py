@@ -16,7 +16,7 @@ import time
 import pytest
 
 import oscent
-from oscent import entropy
+from oscent import angular, entropy, radial
 from oscent.cli import _cmd_total, build_parser, run
 from oscent.radial import OscillatorParams, QuantumState
 
@@ -209,24 +209,25 @@ def total_record(*argv):
     return _cmd_total(build_parser().parse_args(["total", *argv]))[0]
 
 
-@pytest.mark.parametrize("extra,calls", [
-    ((), 1),
+@pytest.mark.parametrize("extra,added", [
+    ((), 0),
     (("--p", "3"), 2),
-    (("--mode", "asymptotic"), 2),
-    (("--space", "momentum"), 2),
+    (("--mode", "asymptotic"), 1),
+    (("--space", "momentum"), 0),
 ])
-def test_disequilibrium_reuses_an_order_two_total(monkeypatch, extra, calls):
-    seen = []
-    renyi_total = entropy.renyi_total
+def test_disequilibrium_reuses_an_order_two_total(fresh_components, extra, added):
+    # <rho> = exp(-R_2) takes the radial and angular parts at p = 2 from the
+    # component caches: an exact p = 2 total has computed both, in either
+    # space; at p = 3 both are new, and an asymptotic total leaves the exact
+    # radial part to compute
+    def misses(*argv):
+        fresh_components()
+        total_record("--n", "3", "--l", "1", "--m", "1", "--p", "2", *argv, *extra)
+        return sum(cache.cache_info().misses for cache in (
+            radial._laguerre_norm, radial._shannon_log_integral,
+            angular._renyi_angular, angular._shannon_angular))
 
-    def counting(*args, **kwargs):
-        seen.append(args)
-        return renyi_total(*args, **kwargs)
-
-    monkeypatch.setattr(entropy, "renyi_total", counting)
-    total_record("--n", "3", "--l", "1", "--m", "1", "--p", "2",
-                 "--disequilibrium", *extra)
-    assert len(seen) == calls
+    assert misses("--disequilibrium") - misses() == added
 
 
 @pytest.mark.parametrize("p,extra", [("2", "--tsallis"), ("2", "--disequilibrium"),

@@ -12,6 +12,7 @@ from scipy.special import roots_genlaguerre
 
 from oscent import radial, specfun
 from oscent.errors import AccuracyError, DomainError
+from oscent.order import as_order
 from oscent.radial import (OscillatorParams, QuantumState, closed_n1l, energy,
                            laguerre_norm, radial_density, renyi_radial_exact,
                            shannon_radial_exact)
@@ -451,7 +452,7 @@ def test_tail_self_check_sees_a_missing_lobe(monkeypatch):
     assert err.value.estimate > 0
 
 
-def test_head_self_check_sees_a_missing_lobe(monkeypatch):
+def test_head_self_check_sees_a_missing_lobe(monkeypatch, fresh_components):
     # the head twin: at n = 0 the plan ends its head at the integrand's peak,
     # the mode (pl + 1/2)/p of x^(pl + 1/2) e^(-px).  The whole plan, whose
     # head starts at x = 5.0 past a dropped piece, returns the closed form; one
@@ -468,6 +469,7 @@ def test_head_self_check_sees_a_missing_lobe(monkeypatch):
                 for lo, hi, lk, hk in full(n, l, p) if lo >= mode]
 
     monkeypatch.setattr(radial, "_norm_panels", from_peak)
+    fresh_components()
     with pytest.raises(AccuracyError, match=r"radial quadrature for n=0, l=20, p=8.0: "
                                             r"panel list ends inside a lobe"):
         laguerre_norm(0, l, p, path="quadrature")
@@ -696,16 +698,19 @@ def test_gap_series_matches_mpmath_on_its_worst_gap():
 
 @pytest.mark.parametrize("n,l,p", [(100, 0, 0.7), (400, 3, 0.6), (800, 0, 3.3),
                                    (100, 300, 0.3), (40, 1000, 8.0)])
-def test_gap_series_keeps_the_norms_of_the_recurrence(monkeypatch, n, l, p):
+def test_gap_series_keeps_the_norms_of_the_recurrence(monkeypatch, fresh_components, n, l, p):
     got = laguerre_norm(n, l, p, path="quadrature").log_value
     monkeypatch.setattr(specfun, "_TAYLOR_MIN_N", 10 ** 9)
+    fresh_components()
     assert abs(got - laguerre_norm(n, l, p, path="quadrature").log_value) <= 1e-14
 
 
 @pytest.mark.parametrize("n,l", [(400, 0), (800, 1)])
-def test_gap_series_keeps_the_shannon_values_of_the_recurrence(monkeypatch, n, l):
+def test_gap_series_keeps_the_shannon_values_of_the_recurrence(monkeypatch, fresh_components,
+                                                              n, l):
     got = shannon_radial_exact(QuantumState(n, l, 0))
     monkeypatch.setattr(specfun, "_TAYLOR_MIN_N", 10 ** 9)
+    fresh_components()
     assert abs(got - shannon_radial_exact(QuantumState(n, l, 0))) <= 1e-14
 
 
@@ -717,6 +722,56 @@ def test_small_order_above_the_threshold_still_fails_loudly():
     # mpmath (40608.0239992205); it must fall back to the recurrence and raise
     with pytest.raises(AccuracyError, match="did not settle"):
         laguerre_norm(45, 3, 1e-3)
+
+
+def test_small_order_raises_again_on_every_call():
+    # an error is not cached: the second call runs the quadrature again
+    for _ in range(2):
+        with pytest.raises(AccuracyError, match="did not settle"):
+            laguerre_norm(45, 3, 1e-3)
+    assert radial._laguerre_norm.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# component caches
+
+
+def counting_rows(monkeypatch):
+    """The shapes of every specfun._last_rows call from here on."""
+    seen, rows = [], specfun._last_rows
+
+    def counting(x, *args):
+        seen.append(np.shape(x))
+        return rows(x, *args)
+
+    monkeypatch.setattr(specfun, "_last_rows", counting)
+    return seen
+
+
+@pytest.mark.parametrize("n,l,p,path", [(100, 2, 0.7, "quadrature"), (5, 1, 2.0, "auto")])
+def test_repeated_norm_is_the_cached_object(monkeypatch, n, l, p, path):
+    seen = counting_rows(monkeypatch)
+    first = laguerre_norm(n, l, p, path=path)
+    assert seen
+    seen.clear()
+    # the key is taken after as_order, so an EntropyOrder of p is the same key
+    assert laguerre_norm(n, l, p, path=path) is first
+    assert laguerre_norm(n, l, as_order(p), path=path) is first
+    assert not seen
+    info = radial._laguerre_norm.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_radial_shannon_shares_its_log_integral_across_lam(monkeypatch):
+    seen = counting_rows(monkeypatch)
+    state = QuantumState(40, 1, 1)
+    one = shannon_radial_exact(state)
+    seen.clear()
+    scaled = shannon_radial_exact(QuantumState(40, 1, -1), OscillatorParams(2.0))
+    assert not seen
+    assert one - scaled == pytest.approx(1.5 * math.log(2.0), rel=1e-15)
+    info = radial._shannon_log_integral.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def series_misses(n, l, panels):
@@ -803,11 +858,13 @@ def test_head_and_tail_series_match_the_recurrence(n, l, p):
 
 
 @pytest.mark.parametrize("n,l,p", [(100, 20, 1.3), (100, 0, 0.1)])
-def test_panels_the_series_misses_keep_the_norms_of_the_recurrence(monkeypatch, n, l, p):
+def test_panels_the_series_misses_keep_the_norms_of_the_recurrence(monkeypatch,
+                                                                   fresh_components, n, l, p):
     # taken on every panel, the series is 9.7e-9 off at (100, 20, 1.3), on
     # its head, and does not settle at (100, 0, 0.1), on its wide tail panels
     got = laguerre_norm(n, l, p, path="quadrature").log_value
     monkeypatch.setattr(specfun, "_TAYLOR_MIN_N", 10 ** 9)
+    fresh_components()
     assert abs(got - laguerre_norm(n, l, p, path="quadrature").log_value) <= 1e-14
 
 

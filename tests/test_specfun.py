@@ -8,7 +8,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as hst
 
-from oscent import angular, rydberg, specfun
+from oscent import angular, radial, rydberg, specfun
 from oscent.errors import AccuracyError, DomainError
 
 
@@ -770,7 +770,8 @@ def test_rule_caches_stay_within_their_bound():
     # growing memory, and a rule built again after its eviction is bitwise
     # the cold one
     caches = [specfun.gauss_jacobi, specfun.gauss_jacobi_log, specfun.gauss_laguerre,
-              rydberg.bessel_zeros, rydberg.bessel_constant]
+              rydberg.bessel_zeros, rydberg.bessel_constant, radial._laguerre_norm,
+              radial._shannon_log_integral, angular._renyi_angular, angular._shannon_angular]
     assert all(f.cache_parameters()["maxsize"] == specfun._RULE_CACHE for f in caches)
     specfun.gauss_jacobi.cache_clear()
     cold = specfun.gauss_jacobi(6, 0.25, 1.5)
