@@ -36,14 +36,12 @@ from .radial import (
     renyi_radial_exact,
     shannon_radial_exact,
 )
-from .rydberg import (
-    AsymptoticValue,
-    RegimeConstant,
-    bessel_constant,
-    cosine_constant,
-    renyi_radial_asymptotic,
-    shannon_radial_asymptotic,
-)
+
+# the large-n names load on first use, with rydberg's module-level import of
+# scipy.special, which importing oscent or oscent.cli leaves out
+_RYDBERG = ("AsymptoticValue", "RegimeConstant", "bessel_constant",
+            "cosine_constant", "renyi_radial_asymptotic",
+            "shannon_radial_asymptotic")
 
 __all__ = [
     "__version__",
@@ -57,7 +55,12 @@ __all__ = [
     "LaguerreNorm", "OscillatorParams", "QuantumState", "closed_n1l",
     "energy", "laguerre_norm", "radial_density", "renyi_radial_exact",
     "shannon_radial_exact",
-    "AsymptoticValue", "RegimeConstant", "bessel_constant",
-    "cosine_constant", "renyi_radial_asymptotic",
-    "shannon_radial_asymptotic",
+    *_RYDBERG,
 ]
+
+
+def __getattr__(name: str):
+    if name in _RYDBERG:
+        from . import rydberg
+        return getattr(rydberg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,9 +15,10 @@ import functools
 import json
 import math
 import os
+import select
 import sys
 
-from . import __version__, angular, entropy, oracle, radial, rydberg
+from . import __version__, angular, entropy, oracle, radial
 from .angular import AngularState
 from .errors import AccuracyError, DomainError
 from .order import as_order
@@ -90,8 +91,12 @@ def _emit(request: dict, records: list[dict], fmt: str, stream) -> None:
     if fmt == "json":
         payload = {"request": request, "results": records,
                    "warnings": warnings, "version": __version__}
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
+        text = json.dumps(payload, indent=2) + "\n"
+        # one write per PIPE_BUF bytes (the text is ASCII): a pipe never cuts
+        # such a write short, so under an unbuffered stdout a reader that
+        # left still raises BrokenPipeError instead of losing the rest
+        for i in range(0, len(text), select.PIPE_BUF):
+            stream.write(text[i:i + select.PIPE_BUF])
     else:
         keys = list(records[0].keys()) if records else []
         writer = csv.writer(stream)
@@ -136,6 +141,7 @@ def _cmd_radial(args) -> list[dict]:
 
 
 def _cmd_asymptotic(args) -> list[dict]:
+    from . import rydberg
     params = OscillatorParams(args.lam)
     if as_order(args.p).is_unity:
         val = rydberg.shannon_radial_asymptotic(args.n, params)
@@ -204,6 +210,7 @@ def emit_convergence_table(p, l: int, lam: float,
         raise UsageError("empty n ladder")
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise UsageError("n ladder must be strictly ascending")
+    from . import rydberg
     params = OscillatorParams(lam)
     shannon = as_order(p).is_unity
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from . import angular as _ang
 from . import radial as _rad
-from . import rydberg as _ryd
 from . import specfun
 from .errors import DomainError
 from .order import EntropyOrder, as_order
@@ -118,6 +117,7 @@ def renyi_total(state: QuantumState, params: OscillatorParams | None = None,
     if mode == "exact":
         rad = _rad.renyi_radial_exact(state, params, order.p)
     elif mode == "asymptotic":
+        from . import rydberg as _ryd
         asym = _ryd.renyi_radial_asymptotic(state.n, state.l, params, order.p)
         rad = asym.value
         if asym.caveat:
@@ -138,6 +138,7 @@ def shannon_total(state: QuantumState, params: OscillatorParams | None = None,
     if mode == "exact":
         rad = _rad.shannon_radial_exact(state, params)
     elif mode == "asymptotic":
+        from . import rydberg as _ryd
         rad = _ryd.shannon_radial_asymptotic(state.n, params)
     else:
         raise DomainError(f"unknown mode {mode!r}")

@@ -11,7 +11,9 @@ one tanh-sinh rule: a different rule family from the Gauss-Jacobi panels of
 the main modules, so the check stays independent of them.  The integrand
 is assembled from the Laguerre and Gegenbauer recurrences alone.  The rule's
 half-width m = 48 and the radial reach are fixed below; the reach grows as
-1/sqrt(p) below p = 1, where rho^p decays more slowly than rho.
+1/sqrt(p) below p = 1, where rho^p decays more slowly than rho.  The sweep
+forms the full density in 512 KB blocks of radial rows and applies the
+functional to each in place, so its memory stays flat whatever the state.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ _TWO_PI = 2.0 * math.pi
 # tanh-sinh half-width: each radial or polar panel carries 2 m + 1 points at
 # step 3.2/m
 _NODES = 48
+# bytes of one block of full-density rows, from the timings in CHANGES.md
+_BLOCK_BYTES = 2 ** 19
 # radial reach in lengths sqrt((2n + l + 3/2)/(lam min(p, 1))): rho^p decays
 # like exp(-p lam r^2); a ghost panel past it certifies the tail small
 _CUTOFF = 6.0
@@ -147,33 +151,37 @@ def _tensor_value(state, params, p: float, apply_f) -> float:
     """Triple integral of apply_f(rho) over R^3 on the tensor grid.
 
     Radial and polar axes carry panels at the density oscillation nodes;
-    the azimuthal axis contributes 2 pi directly because the integrand has
-    no phi dependence.  Contractions run through fixed-order matrix
-    products in radial chunks, so the reduction is reproducible and memory
-    stays bounded.  apply_f(rho) decays like rho^p, which sets the radial
-    reach.
+    the azimuthal axis contributes 2 pi directly.  The sweep walks the radial
+    rows in blocks of _BLOCK_BYTES of the full density, which apply_f(block,
+    scratch) overwrites in place, and contracts each in a fixed order, so the
+    sum is reproducible and memory stays flat however large the grid.
+    apply_f(rho) decays like rho^p, which sets the radial reach.
     """
-    rad = _radial_profile(state, params)
-    ang = _polar_profile(state)
     r_edges = _radial_edges(state, params, p)
     r_pts, r_w = _dim_rule(r_edges, _NODES)
-    t_pts, t_w = _dim_rule(_polar_edges(state), _NODES)
-    ang_vals = ang(t_pts)
-
-    def sweep(pts, wts) -> float:
-        vals = apply_f(np.outer(rad(pts), ang_vals))
-        return float(((wts * pts * pts) @ vals) @ t_w) * _TWO_PI
-
-    chunk = max(1, 40_000_000 // (8 * max(1, t_pts.size)))
-    parts = [sweep(r_pts[i:i + chunk], r_w[i:i + chunk])
-             for i in range(0, r_pts.size, chunk)]
-    total = float(np.sum(parts))
-
     # certify the cutoff: one ghost panel past it must carry nothing, and
     # the Gaussian decay makes everything beyond the ghost smaller still
     w_last = 2.0 * (r_edges[-1] - r_edges[-2])
     g_pts, g_w = _dim_rule([r_edges[-1], r_edges[-1] + w_last], _NODES)
-    ghost = sweep(g_pts, g_w)
+    t_pts, t_w = _dim_rule(_polar_edges(state), _NODES)
+    ang_vals = _polar_profile(state)(t_pts)
+    pts = np.concatenate([r_pts, g_pts])
+    rho_r = _radial_profile(state, params)(pts)
+    w_r = np.concatenate([r_w, g_w]) * pts * pts
+    rows = min(pts.size, max(1, _BLOCK_BYTES // (8 * t_pts.size)))
+    block, scratch = np.empty((2, rows, t_pts.size))
+
+    def sweep(lo: int, hi: int) -> float:
+        parts = []
+        for i in range(lo, hi, rows):
+            k = min(rows, hi - i)
+            d = np.outer(rho_r[i:i + k], ang_vals, out=block[:k])
+            apply_f(d, scratch[:k])
+            parts.append(float((w_r[i:i + k] @ d) @ t_w) * _TWO_PI)
+        return float(np.sum(parts))
+
+    total = sweep(0, r_pts.size)
+    ghost = sweep(r_pts.size, pts.size)
     if not abs(ghost) <= 1e-10 * max(abs(total), 1e-300):
         raise AccuracyError(
             f"radial cutoff leaves a visible tail for {state}",
@@ -184,7 +192,8 @@ def _tensor_value(state, params, p: float, apply_f) -> float:
 def normalization(state: QuantumState,
                   params: OscillatorParams | None = None) -> float:
     """Quadrature value of the total probability; equals 1 for any state."""
-    return _tensor_value(state, params or OscillatorParams(), 1.0, lambda d: d)
+    return _tensor_value(state, params or OscillatorParams(), 1.0,
+                         lambda d, s: None)
 
 
 def renyi_full(state: QuantumState, params: OscillatorParams | None = None,
@@ -195,7 +204,7 @@ def renyi_full(state: QuantumState, params: OscillatorParams | None = None,
         raise DomainError("p = 1 is the Shannon limit; use shannon_full")
     params = params or OscillatorParams()
     pf = order.p
-    val = _tensor_value(state, params, pf, lambda d: d ** pf)
+    val = _tensor_value(state, params, pf, lambda d, s: np.power(d, pf, out=d))
     if not val > 0:
         raise AccuracyError(f"power integral came out nonpositive: {val}")
     return math.log(val) / (1.0 - pf)
@@ -206,8 +215,9 @@ def shannon_full(state: QuantumState,
     """Full-space Shannon entropy -integral rho ln rho, zeros guarded."""
     params = params or OscillatorParams()
 
-    def neg_rho_ln_rho(d):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(d > 0.0, -d * np.log(np.where(d > 0.0, d, 1.0)), 0.0)
+    def neg_rho_ln_rho(d, s):
+        # ln(d + [d = 0]) is ln d where d > 0 and 0 where the density is 0
+        np.log(np.add(np.equal(d, 0.0, out=s), d, out=s), out=s)
+        np.multiply(np.negative(d, out=d), s, out=d)
 
     return _tensor_value(state, params, 1.0, neg_rho_ln_rho)

@@ -28,7 +28,6 @@ from itertools import islice, zip_longest
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.special
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import AccuracyError, DomainError
@@ -49,6 +48,21 @@ __all__ = [
 _RULE_CACHE = 512
 
 
+def _require_long_double(finfo) -> None:
+    """Raise ImportError unless long double carries the x87 64-bit mantissa.
+
+    With float64 in its place some recurrence values drift past their
+    tolerance with no error raised, so the kernel refuses to load.
+    """
+    if finfo.nmant < 63:
+        raise ImportError(
+            "oscent needs an 80-bit extended long double (64-bit mantissa, as "
+            f"on x86-64 Linux); numpy.longdouble here has {finfo.nmant + 1} bits")
+
+
+_require_long_double(np.finfo(np.longdouble))
+
+
 # ---------------------------------------------------------------------------
 # Gamma family
 
@@ -56,6 +70,7 @@ def digamma(x: float) -> float:
     """Logarithmic derivative of Gamma at x > 0."""
     if not x > 0:
         raise DomainError(f"digamma requires x > 0, got {x}")
+    import scipy.special  # only here: importing oscent loads no scipy.special
     return float(scipy.special.digamma(x))
 
 
@@ -517,8 +532,7 @@ def _log_moments(m: int, a, b) -> np.ndarray:
     h_step = ((2 * k + a + b + 1) * (k + a + 1) * (k + b + 1)
               / ((2 * k + a + b + 3) * (k + a + b + 1) * (k + 1)))
     steps = -(k + 1 + a) * k / ((k + 1) * (k + a + b + 2)) / np.sqrt(h_step)
-    nu0 = (math.log(2.0) + scipy.special.digamma(float(b) + 1)
-           - scipy.special.digamma(float(a + b) + 2))
+    nu0 = math.log(2.0) + digamma(float(b) + 1) - digamma(float(a + b) + 2)
     nu1 = (1 + a) / (a + b + 2) / np.sqrt((a + 1) * (b + 1) / (a + b + 3))
     return np.concatenate(([nu0], nu1 * np.cumprod(np.append(1, steps))))[:m]
 

@@ -426,6 +426,19 @@ def test_import_leaves_out_scipy_integrate_and_optimize():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_leaves_out_scipy_special_until_a_large_n_name_is_used():
+    # only oscent.rydberg's Bessel and zeta values need scipy.special at import
+    code = ("import sys, oscent, oscent.cli; "
+            "print(sorted({'scipy.special', 'oscent.rydberg'} & set(sys.modules))); "
+            "print(callable(oscent.bessel_constant), 'oscent.rydberg' in sys.modules); "
+            "ns = {}; exec('from oscent import *', ns); "
+            "print([n for n in oscent.__all__ if n not in ns])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["[]", "True True", "[]"]
+
+
 def test_repeated_runs_share_one_parser(capsys):
     argv = ("total", "--n", "2", "--l", "1", "--m", "1", "--p", "2.5")
     first = invoke(capsys, *argv)

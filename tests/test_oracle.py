@@ -1,6 +1,8 @@
 """Checks for the independent full-space reference integrator."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +94,37 @@ def test_grid_doubling_is_stable(monkeypatch, p):
     monkeypatch.setattr(oracle, "_NODES", 96)
     fine = [value(s) for s in states]
     assert fine == pytest.approx(base, abs=1e-13)
+
+
+@pytest.mark.parametrize("state", [QuantumState(10, 4, 1), QuantumState(7, 4, 4)])
+def test_block_size_moves_values_by_rounding_only(monkeypatch, state):
+    def values():
+        return [renyi_full(state, p=0.7), renyi_full(state, p=2.8),
+                shannon_full(state)]
+
+    base = values()
+    monkeypatch.setattr(oracle, "_BLOCK_BYTES", 1)  # one radial row per block
+    assert values() == pytest.approx(base, rel=0, abs=1e-14)
+
+
+def test_sweep_memory_stays_flat_at_a_large_state():
+    # the full grid holds 4753 x 2037 doubles, 77 MB; the sweep holds blocks
+    state = QuantumState(40, 20, 0)
+    tracemalloc.start()
+    try:
+        shannon_full(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("state", [QuantumState(3, 3, 3), QuantumState(10, 4, 0)])
+def test_shannon_zero_density_raises_no_warning(state):
+    # (1 - t^2)^3 rounds to 0 at the polar ends, exp(-lam r^2) in the far tail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(shannon_full(state))
 
 
 def test_ground_state_below_unit_order():

@@ -26,6 +26,12 @@ def test_digamma_recurrence(x):
     assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
 
+def test_kernel_refuses_a_float64_long_double():
+    specfun._require_long_double(np.finfo(np.longdouble))
+    with pytest.raises(ImportError, match="80-bit"):
+        specfun._require_long_double(np.finfo(np.float64))
+
+
 def test_gamma_half_exact_matches_float_gamma():
     for two_x in range(1, 16):
         fr, pw = specfun.gamma_half_exact(two_x)
