@@ -38,7 +38,8 @@ from .radial import (
 )
 
 # the large-n names load on first use, with rydberg's module-level import of
-# scipy.special, which importing oscent or oscent.cli leaves out
+# scipy.special: importing oscent or oscent.cli loads no scipy module, and
+# scipy.linalg waits for the first Gauss rule above 64 nodes
 _RYDBERG = ("AsymptoticValue", "RegimeConstant", "bessel_constant",
             "cosine_constant", "renyi_radial_asymptotic",
             "shannon_radial_asymptotic")

@@ -28,7 +28,6 @@ from itertools import islice, zip_longest
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import AccuracyError, DomainError
 
@@ -66,12 +65,24 @@ _require_long_double(np.finfo(np.longdouble))
 # ---------------------------------------------------------------------------
 # Gamma family
 
+# B_2k / 2k of DLMF 5.11.2, k = 1..6
+_DIGAMMA_SERIES = tuple(np.longdouble(num) / den for num, den in (
+    (1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132), (-691, 32760)))
+
+
 def digamma(x: float) -> float:
-    """Logarithmic derivative of Gamma at x > 0."""
+    """Logarithmic derivative of Gamma at x > 0, rounded from long double:
+    psi(x) = psi(x + 1) - 1/x (DLMF 5.5.2) shifts x up to >= 24, where the
+    asymptotic series (DLMF 5.11.2) leaves out a term below 1e-20."""
     if not x > 0:
         raise DomainError(f"digamma requires x > 0, got {x}")
-    import scipy.special  # only here: importing oscent loads no scipy.special
-    return float(scipy.special.digamma(x))
+    x, shift = np.longdouble(x), np.longdouble(0)
+    while x < 24:
+        x, shift = x + 1, shift + 1 / x
+    series = np.longdouble(0)
+    for c in reversed(_DIGAMMA_SERIES):
+        series = c + series / (x * x)
+    return float(np.log(x) - 1 / (2 * x) - series / (x * x) - shift)
 
 
 def gamma_half_exact(two_x: int) -> tuple[Fraction, int]:
@@ -390,6 +401,25 @@ def _last_rows(x, diag, off, p):
     return prev, p
 
 
+# the most nodes whose start comes from numpy's dense solver: 0.14 ms at 64 nodes,
+# and with OpenBLAS threads on 2 CPUs 0.6-16 ms at 100 and 36-40 ms at 200, against
+# 0.3 and 0.9 ms for scipy's tridiagonal solver, whose import takes 0.2 s alone
+_DENSE_START_MAX = 64
+
+
+def _eigen_start(diag, off) -> np.ndarray:
+    """Float64 eigenvalues of the m x m Jacobi matrix of (diag, off[:-1]), in
+    ascending order: the roots of p_m, which start _gauss_rule's Newton pass.
+    Up to _DENSE_START_MAX nodes from the dense matrix (eigvalsh reads its
+    lower triangle), above that from scipy's tridiagonal solver, imported here
+    on the first such rule."""
+    d, e = diag.astype(float), off[:-1].astype(float)
+    if len(d) > _DENSE_START_MAX:
+        from scipy.linalg import eigvalsh_tridiagonal
+        return eigvalsh_tridiagonal(d, e)
+    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, -1))
+
+
 def _gauss_rule(diag, off, ln_mu0, ln_weight, identities) -> tuple[np.ndarray, np.ndarray]:
     """Long-double Gauss nodes and log Christoffel weights of a Family's rows.
 
@@ -398,11 +428,14 @@ def _gauss_rule(diag, off, ln_mu0, ln_weight, identities) -> tuple[np.ndarray, n
     any weight.  By Pearson's equation (P w)' = Q w they keep both identities
     with A_m + (Q - P')/2 for A_m and P' for Q.
 
-    Golub-Welsch eigenvalues (Math. Comp. 23, 1969) start one pass of the
-    recurrence that sums K and takes one Newton step s = r_m / r_m' from the
-    structure relation.  Newton's next step would be |P'/(2P)| s^2; the pass
-    is done when that is a few ulp of |x| plus the Gershgorin bound, and
-    another pass from the stepped nodes (up to 8) is only a fallback.  The
+    Golub-Welsch eigenvalues (Math. Comp. 23, 1969), numpy's dense ones up to
+    64 nodes and scipy's tridiagonal ones above (_eigen_start), start one pass
+    of the recurrence that sums K and takes one Newton step s = r_m / r_m'
+    from the structure relation.  Either start gives the same rule bit for
+    bit: the step leaves the float64 start's rounding far below a long-double
+    ulp.  Newton's next step would be |P'/(2P)| s^2; the pass is done when
+    that is a few ulp of |x| plus the Gershgorin bound, and another pass from
+    the stepped nodes (up to 8) is only a fallback.  The
     weights w / K (Gautschi 2004) come back as ln w - ln K, in range where mu0
     or the weights leave it.  They are taken at the start x and moved to the
     nodes by the differentiated Christoffel-Darboux identity for w / K =
@@ -412,7 +445,7 @@ def _gauss_rule(diag, off, ln_mu0, ln_weight, identities) -> tuple[np.ndarray, n
     r_(m-1) (interlacing), and every log weight is finite.
     """
     m = len(diag)
-    x = np.longdouble(eigvalsh_tridiagonal(diag.astype(float), off[:-1].astype(float)))
+    x = np.longdouble(_eigen_start(diag, off))
     eps = np.finfo(np.longdouble).eps
     scale = np.max(np.abs(diag)) + 2 * np.max(off)
     # a float fault ends in a check below: NaN never settles, and a start on
@@ -513,14 +546,16 @@ def laguerre_family(m: int, a: float) -> Family:
 @lru_cache(maxsize=_RULE_CACHE)
 def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1]:
-    nodes and log weights of jacobi_family, from _gauss_rule's one Newton pass."""
+    nodes and log weights of jacobi_family, from _gauss_rule's one Newton pass.
+    A rule above 64 nodes loads scipy.linalg for its start (_eigen_start)."""
     return _gauss_rule(*jacobi_family(m, a, b))
 
 
 @lru_cache(maxsize=_RULE_CACHE)
 def gauss_laguerre(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss rule of m nodes for x^a e^-x on (0, inf):
-    nodes and log weights of laguerre_family, from _gauss_rule's one Newton pass."""
+    nodes and log weights of laguerre_family, from _gauss_rule's one Newton pass.
+    A rule above 64 nodes loads scipy.linalg for its start (_eigen_start)."""
     if m == 0:
         return np.zeros(0, dtype=np.longdouble), np.zeros(0, dtype=np.longdouble)
     return _gauss_rule(*laguerre_family(m, a))

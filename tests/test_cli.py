@@ -426,6 +426,31 @@ def test_import_leaves_out_scipy_integrate_and_optimize():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_and_low_lying_one_shots_load_no_scipy():
+    # a one-shot call pays for numpy only: scipy.linalg and scipy.special
+    # each cost about a quarter of a second to import
+    code = ("import sys, oscent, oscent.cli; "
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "print(scipy()); "
+            "[oscent.cli.run(f'total --n 3 --l 2 --m 1 --p {p}'.split()) for p in ('2.5', '1')]; "
+            "print(scipy(), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "[]"
+    assert proc.stderr.strip() == "[]"
+
+
+def test_gauss_rules_above_64_nodes_load_scipy_linalg_on_first_build():
+    code = ("import sys; from oscent import specfun; "
+            "specfun.gauss_laguerre(64, 0.5); print('scipy.linalg' in sys.modules); "
+            "specfun.gauss_laguerre(65, 0.5); print('scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_import_leaves_out_scipy_special_until_a_large_n_name_is_used():
     # only oscent.rydberg's Bessel and zeta values need scipy.special at import
     code = ("import sys, oscent, oscent.cli; "

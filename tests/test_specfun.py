@@ -17,6 +17,22 @@ def test_digamma_matches_scipy():
         assert specfun.digamma(x) == pytest.approx(sp.digamma(x), rel=1e-13)
 
 
+DIGAMMA_ARGS = ([round(1 + 0.1 * i, 1) for i in range(200)] + list(range(21, 200))
+                + [1e-300, 1e-5, 0.25, 0.5, 1.4616321449683622, 250.5, 1e5, 1e300])
+
+
+def test_digamma_matches_mpmath():
+    # rounded from long double: within half a float ulp of the 40-digit
+    # value, plus a few long-double ulps where psi at the shifted argument
+    # and the shift cancel next to the zero at 1.4616 (3.9e-20 there)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in DIGAMMA_ARGS:
+            want = mpmath.digamma(x)
+            got = specfun.digamma(x)
+            assert abs(got - want) <= math.ulp(float(want)) / 2 + 2e-19 * max(1.0, abs(got)), x
+
+
 @given(hst.floats(min_value=0.25, max_value=60.0))
 @settings(max_examples=60, deadline=None)
 def test_digamma_recurrence(x):
@@ -437,21 +453,36 @@ def test_gauss_chebyshev_log_weights_hold_next_to_the_singular_ends():
 
 
 def test_gauss_rule_rejects_starts_that_miss_a_root(monkeypatch):
-    real = specfun.eigvalsh_tridiagonal
+    real = specfun._eigen_start
 
     def repeated(d, e):
         x = real(d, e)
         x[3] = x[2] * (1 + 1e-12)  # two starts drawn to one root
         return x
 
-    monkeypatch.setattr(specfun, "eigvalsh_tridiagonal", repeated)
+    monkeypatch.setattr(specfun, "_eigen_start", repeated)
     with pytest.raises(AccuracyError, match="not 20 distinct roots"):
         specfun.gauss_jacobi.__wrapped__(20, 2.0, 0.5)
     # the roots of p_{m-1} repel the steps: starts there drift, never settle
-    monkeypatch.setattr(specfun, "eigvalsh_tridiagonal",
+    monkeypatch.setattr(specfun, "_eigen_start",
                         lambda d, e: np.append(real(d[:-1], e[:-1]), 1.0))
     with pytest.raises(AccuracyError, match="did not settle"):
         specfun.gauss_jacobi.__wrapped__(20, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("family,args", [
+    *((specfun.laguerre_family, (a,)) for a in (0.5, 3.5, 20.5, 300.5, 2000.5)),
+    *((specfun.jacobi_family, ab) for ab in ((0.0, 0.0), (-0.5, -0.5), (2.5, 0.0), (0.0, 2.5),
+                                             (8.0, 8.0), (45.0, 70.0), (59.0, 59.0),
+                                             (700.0, 400.0)))])
+def test_dense_and_tridiagonal_starts_give_the_same_rules(monkeypatch, family, args):
+    # the Newton pass leaves the float64 start's rounding below a long-double
+    # ulp, so numpy's dense start and scipy's tridiagonal one agree bit for bit
+    dense = [specfun._gauss_rule(*family(m, *args)) for m in range(2, specfun._DENSE_START_MAX + 1)]
+    monkeypatch.setattr(specfun, "_DENSE_START_MAX", 1)
+    for m, (x, ln_w) in enumerate(dense, start=2):
+        x_tri, ln_w_tri = specfun._gauss_rule(*family(m, *args))
+        assert np.array_equal(x, x_tri) and np.array_equal(ln_w, ln_w_tri), m
 
 
 # rules of the kinds the radial, angular and Bessel routes build: Laguerre up
@@ -490,14 +521,14 @@ def test_gauss_rule_takes_a_second_pass_from_a_start_off_the_root(monkeypatch):
     # within the tolerance's square root, but Newton's next step
     # |P'/(2P)| s^2 = s^2 / (2 x_0) is not, so a second pass follows
     want_x, want_w = specfun.gauss_laguerre(100, 0.5)
-    real_eig, real_rows = specfun.eigvalsh_tridiagonal, specfun._rows
+    real_eig, real_rows = specfun._eigen_start, specfun._rows
     passes = []
 
     def counting(*args):
         passes.append(1)
         return real_rows(*args)
 
-    monkeypatch.setattr(specfun, "eigvalsh_tridiagonal",
+    monkeypatch.setattr(specfun, "_eigen_start",
                         lambda d, e: real_eig(d, e) + np.append(6e-9, np.zeros(len(d) - 1)))
     monkeypatch.setattr(specfun, "_rows", counting)
     x, ln_w = specfun.gauss_laguerre.__wrapped__(100, 0.5)
