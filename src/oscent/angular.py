@@ -8,10 +8,10 @@ paper's two analytic procedures are exact rational references: a
 linearization of the Gegenbauer power into hypergeometric-type sums and a
 Bell-polynomial expansion of the orthonormal Jacobi power.  shannon_angular
 takes the digamma closed forms of the families and log-weighted panels
-elsewhere.  The panel planner, node count and rule cap are specfun's, and
-so is the panels' integrand: specfun.panel_rows on the Jacobi family at
-a = b = |m|, a Taylor series of its equation about each panel centre from
-l - |m| = 40 on, as radial's.
+elsewhere.  The rule and the panels take the power-integral core the radial
+part shares, specfun._rule_sum and specfun._panel_pass, whose integrand is
+specfun.panel_rows on the Jacobi family at a = b = |m|, a Taylor series of
+its equation about each panel centre from l - |m| = 40 on, as radial's.
 
 renyi_angular keeps each result by (l, |m|, p) and shannon_angular each
 value by (l, |m|), in caches of specfun._RULE_CACHE entries that keep no
@@ -224,50 +224,32 @@ def lambda_bell(state: AngularState, p) -> AngularResult:
     return _result(logmag, order, "bell")
 
 
-def _integrand(state: AngularState, p: float):
-    """poly_on, q2 and edges of |A C(t)|^{2p} (1 - t^2)^{mp}: poly_on(panels) is
-    power_panels' poly, A C_n = p_n / sqrt(2 pi) by specfun.panel_rows, row
-    n = l - |m| of the Jacobi family at a = b = |m|, orthonormal against
-    2 pi (1 - t^2)^|m|; poly_on(None) is that row by the plain recurrence, which
-    the rule's one panel takes: no Taylor series serves a panel so wide."""
+def _angular_pass(state: AngularState, p: float, what: str, log_coefs=None):
+    """The pass m -> power_panels of |A C(t)|^{2p} (1 - t^2)^{mp} from -1 over the roots
+    to 1 (what names the state): A C_n = p_n / sqrt(2 pi), row n = l - |m| of the Jacobi
+    family at a = b = |m|, orthonormal against 2 pi (1 - t^2)^|m|."""
     m, n = state.m_abs, state.l - state.m_abs
-    fam = specfun.jacobi_family(n, m, m)
-    return (lambda panels: specfun.panel_rows(fam, panels, ln_scale=_LN_2PI),
-            2.0 * p, ((-1.0, m * p), (1.0, m * p)))
-
-
-def _angular_panels(state: AngularState, p: float, what: str, log_coefs=None):
-    """The pass m_nodes -> power_panels of _integrand on the long-double panels of
-    plan_panels from -1 over the Gegenbauer roots to 1 (what names the state):
-    the panel integrals and, with log_coefs, the log-weighted ones."""
-    m, n = state.m_abs, state.l - state.m_abs
-    poly_on, q2, edges = _integrand(state, p)
-    panels = specfun.plan_panels(
+    return specfun._panel_pass(
+        specfun.jacobi_family(n, m, m),
         np.concatenate(([-1.0], specfun.gegenbauer_roots(n, m + 0.5), [1.0])),
-        ["edge"] + ["root"] * n + ["edge"], edges, q2, 0.0, what)
-    poly = poly_on(panels)
-    return lambda m_nodes: specfun.power_panels(panels, poly, q2, edges, m_nodes, log_coefs)
-
-
-def _from_sum(v, order: EntropyOrder, method: str) -> AngularResult:
-    """The AngularResult of a positive sum v = Lambda / 2 pi, by ln v in long double."""
-    log_lam = _LN_2PI + np.log(np.longdouble(v))
-    return _result(float(log_lam), order, method, _TWO_PI * float(v))
+        ["edge"] + ["root"] * n + ["edge"], ((-1.0, m * p), (1.0, m * p)), 0.0, 2.0 * p, what,
+        log_coefs, ln_scale=_LN_2PI)
 
 
 def _lambda_gauss_jacobi(state: AngularState, order: EntropyOrder) -> AngularResult:
     """Power integral of |Y_{l,m}|^2 at even 2p = q (or l = |m|), exact up to
     rounding: |A C(t)|^q has degree n q, n = l - |m|, against the weight
-    (1 - t^2)^{mp}, so power_panels' one Gauss rule of n q/2 + 1 nodes on the
-    single panel [-1, 1], both ends "edge", sums it term by positive term."""
-    n, q = state.l - state.m_abs, order.two_p
-    poly_on, q2, edges = _integrand(state, order.p)
-    v = specfun.power_panels([(-1.0, 1.0, "edge", "edge")], poly_on(None), q2, edges,
-                             n * q // 2 + 1)[0]
-    if not 0 < v < np.inf:
-        raise AccuracyError(f"Gauss-Jacobi rule sum {float(v)} is not positive and finite "
-                            f"for {state}, p={order.p}")
-    return _from_sum(v, order, "gauss_jacobi")
+    (1 - t^2)^{mp}, so one Gauss rule of n q/2 + 1 nodes sums it term by positive
+    term (specfun._rule_sum), its nodes mapped onto [-1, 1] as power_panels maps them."""
+    m, n, q = state.m_abs, state.l - state.m_abs, order.two_p
+    t, ln_w = specfun.gauss_jacobi(n * q // 2 + 1, m * order.p, m * order.p)
+    ln_v = specfun._rule_sum(specfun.panel_rows(specfun.jacobi_family(n, m, m), None,
+                                                ln_scale=_LN_2PI), -1 + (1 + t), ln_w, q,
+                             f"Gauss-Jacobi rule for {state}, p={order.p}")
+    if not np.isfinite(ln_v):
+        raise AccuracyError(f"Gauss-Jacobi rule sum {float(np.exp(ln_v))} is not positive and "
+                            f"finite for {state}, p={order.p}")
+    return _result(float(_LN_2PI + ln_v), order, "gauss_jacobi", _TWO_PI * float(np.exp(ln_v)))
 
 
 def lambda_quadrature(state: AngularState, p) -> AngularResult:
@@ -276,12 +258,12 @@ def lambda_quadrature(state: AngularState, p) -> AngularResult:
     2 pi times the integral of |A C(t)|^{2p} (1 - t^2)^{mp} over [-1, 1],
     valid for any real p > 0: panels end at the Gegenbauer roots, where
     |.|^{2p} loses smoothness, and their end weights absorb it
-    (_angular_panels).  Certified by a second node count, like radial's.
+    (_angular_pass).  Certified by a second node count, like radial's.
     """
     order = as_order(p)
     what = f"angular quadrature for l={state.l}, m={state.m_abs}, p={order.p}"
-    v, _ = specfun.settled(_angular_panels(state, order.p, what), _RENYI_TOL, what)
-    return _from_sum(v, order, "quadrature")
+    v, _ = specfun.settled(_angular_pass(state, order.p, what), _RENYI_TOL, what)
+    return _result(float(_LN_2PI + np.log(v)), order, "quadrature", _TWO_PI * float(v))
 
 
 def lambda_closed(state: AngularState, p) -> AngularResult | None:
@@ -358,8 +340,8 @@ def _shannon_quadrature(state: AngularState) -> float:
     certified by specfun.settled with the density 2 pi y."""
     m = state.m_abs
     what = f"angular Shannon quadrature for l={state.l}, m={m}"
-    v, _ = specfun.settled(_angular_panels(state, 1.0, what, (m, m)),
-                           _SHANNON_TOL, what, density=_TWO_PI)
+    v, _ = specfun.settled(_angular_pass(state, 1.0, what, (m, m)), _SHANNON_TOL, what,
+                           density=_TWO_PI)
     return -_TWO_PI * float(v)
 
 

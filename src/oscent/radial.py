@@ -13,13 +13,13 @@ power up to rounding, and a panel quadrature with Gauss-Jacobi endpoint
 weights valid for any real p > 0.  auto takes the n = 0 formula, the rule
 for even 2p <= 8 and the panels otherwise.
 
-specfun.plan_panels plans the panel list, as the angular one: one mass
-bound starts its head and ends its tail, and power_panels checks each piece
-dropped.  specfun._NODES sets the node count of both engines.  The
-integrand is specfun.panel_rows on the Laguerre family at a = l + 1/2 under
-e^(-x/2), its root gaps under (x/c)^s: from n = 40 on a Taylor series of
-the family's equation about each panel centre where its own coefficients
-certify it, and the long-double recurrence elsewhere.
+The rule and the panels take the power-integral core the angular part
+shares: specfun._rule_sum, at x = y / p, and specfun._panel_pass, whose
+panels run from x = 0 over the roots to a tail (one mass bound starts the
+head and ends the tail) and whose integrand is specfun.panel_rows on the
+Laguerre family at a = l + 1/2 under e^(-x/2), its root gaps under (x/c)^s:
+from n = 40 on a Taylor series of the family's equation about each panel
+centre where its own coefficients certify it, the recurrence elsewhere.
 
 laguerre_norm keeps each value by (n, l, p, path) and shannon_radial_exact
 its log integral J by (n, l), in caches of specfun._RULE_CACHE entries that
@@ -144,38 +144,27 @@ def radial_density(state: QuantumState, params: OscillatorParams | None = None):
 
 
 # ---------------------------------------------------------------------------
-# quadrature engine
+# the panels and the Gauss-Laguerre rule, on specfun's power-integral core
 
-def _norm_panels(n: int, l: int, p: float) -> list[tuple]:
-    """Panels (lo, hi, lo_kind, hi_kind) of N_{n,l}(p) by specfun.plan_panels: the head
-    [0, r_1] sliced, each root gap whole, the tail past r_n (the mode at n = 0)."""
+def _radial_pass(n: int, l: int, p: float, log_coefs=None):
+    """The pass m -> power_panels of N_{n,l}(p) from x = 0 over the roots (the mode at
+    n = 0) to a tail: psi is row n of the Laguerre family at a = l + 1/2 under e^(-x/2),
+    its root gaps under (x/c)^s, s = floor((a + 1)/2), where w = (x/c)^s psi is entire
+    and nearly flat even at l = 1000 (psi varies by e^15 over a gap)."""
     ends = specfun.gauss_laguerre(n, l + 0.5)[0].astype(float).tolist() if n else [l + 0.5 / p]
-    return specfun.plan_panels(
-        [0.0, *ends, math.inf], ["edge"] + (["root"] * n if n else ["plain"]) + ["plain"],
-        ((0.0, p * l + 0.5), None), 2.0 * p, p, f"radial panels for n={n}, l={l}, p={p}")
-
-
-def _norm_pass(n: int, l: int, p: float, panels: list[tuple], log_coefs=None):
-    """The pass m -> power_panels of N_{n,l}(p) on the panels: psi is row n of
-    specfun.panel_rows for the Laguerre family at a = l + 1/2 under e^(-x/2),
-    its root gaps under (x/c)^s, s = floor((a + 1)/2), where w = (x/c)^s psi is
-    entire and nearly flat even at l = 1000 (psi varies by e^15 over a gap)."""
-    fam = specfun.laguerre_family(n, l + 0.5)
-    psi = specfun.panel_rows(fam, panels, -0.5, s=(2 * l + 3) // 4)
-    return lambda m: specfun.power_panels(panels, psi, 2.0 * p, ((0.0, p * l + 0.5), None), m,
-                                          log_coefs)
+    return specfun._panel_pass(
+        specfun.laguerre_family(n, l + 0.5), [0.0, *ends, math.inf],
+        ["edge"] + (["root"] * n if n else ["plain"]) + ["plain"], ((0.0, p * l + 0.5), None),
+        p, 2.0 * p, f"radial panels for n={n}, l={l}, p={p}", log_coefs, -0.5, s=(2 * l + 3) // 4)
 
 
 def _norm_quadrature(n: int, l: int, p: float) -> LaguerreNorm:
     """Panel quadrature of N_{n,l}(p), certified by a second node count."""
     what = f"radial quadrature for n={n}, l={l}, p={p}"
-    v, escalated = specfun.settled(_norm_pass(n, l, p, _norm_panels(n, l, p)), _RENYI_TOL, what)
+    v, escalated = specfun.settled(_radial_pass(n, l, p), _RENYI_TOL, what)
     warns = ("node count escalated to reach tolerance",) if escalated else ()
     return LaguerreNorm(float(v), float(np.log(v)), "quadrature", p, warns)
 
-
-# ---------------------------------------------------------------------------
-# Gauss-Laguerre path
 
 def _norm_gauss_laguerre(n: int, l: int, q: int, p: float) -> LaguerreNorm:
     """N_{n,l}(p) at even 2p = q by one Gauss rule, exact up to rounding.
@@ -184,22 +173,16 @@ def _norm_gauss_laguerre(n: int, l: int, q: int, p: float) -> LaguerreNorm:
     a polynomial of degree n 2p against a Laguerre weight, so the rule of
     n p + 1 nodes integrates it exactly, term by positive term:
     N = p^-(pl + 3/2) sum_j w_j e^(y_j) psi(y_j / p)^2p, with
-    psi = Lhat_n e^(-x/2).
+    psi = Lhat_n e^(-x/2), by specfun._rule_sum.
     """
     a = p * l + 0.5
     y, ln_w = specfun.gauss_laguerre(n * q // 2 + 1, a)
-    psi = specfun.laguerre_orthonormal_weighted(n, l + 0.5, y / p)
-    # the terms are summed in logs: at large l, psi_j^2p turns subnormal
-    # (2p = 6, l = 600) as w_j e^(y_j) grows, and a plain product loses its
-    # digits without a warning
-    with np.errstate(divide="ignore"):
-        t = ln_w + y + q * np.log(np.abs(psi))
-    top = np.max(t)
-    if not np.isfinite(top):
+    ln_v = specfun._rule_sum(lambda x: specfun.laguerre_orthonormal_weighted(n, l + 0.5, x),
+                             y / p, ln_w + y, q, f"Gauss-Laguerre rule for n={n}, l={l}, q={q}")
+    if not np.isfinite(ln_v):
         raise AccuracyError(
             f"Gauss-Laguerre norm sum not positive for n={n}, l={l}, q={q}")
-    logn = float(top + np.log(np.sum(np.exp(t - top)))
-                 - (a + 1) * np.log(np.longdouble(p)))
+    logn = float(ln_v - (a + 1) * np.log(np.longdouble(p)))
     return LaguerreNorm(specfun._exp_or_none(logn), logn, "gauss_laguerre", p)
 
 
@@ -370,6 +353,5 @@ def shannon_radial_exact(state: QuantumState,
 @lru_cache(maxsize=specfun._RULE_CACHE)
 def _shannon_log_integral(n: int, l: int) -> float:
     what = f"Shannon radial quadrature for n={n}, l={l}"
-    j, _ = specfun.settled(_norm_pass(n, l, 1.0, _norm_panels(n, l, 1.0), (l, 0)),
-                           _SHANNON_TOL, what, density=1.0)
+    j, _ = specfun.settled(_radial_pass(n, l, 1.0, (l, 0)), _SHANNON_TOL, what, density=1.0)
     return float(j)

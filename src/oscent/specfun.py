@@ -15,15 +15,16 @@ the Gegenbauer roots, the log-weighted Gauss-Jacobi product rule, one panel
 Taylor-series engine for both families (panel_rows), the panel planner with
 its one mass bound, the one panel function, which maps those rules onto
 panels in long double, calls its integrand once on all their nodes, forms
-every power from logs and checks the pieces dropped, the two-node-count check
-and quadrature plumbing.
+every power from logs and checks the pieces dropped and the rows that
+underflow, the two-node-count check, and the one panel pass and one even-2p
+rule sum of both parts (_panel_pass, _rule_sum).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice, zip_longest
 from typing import Callable, NamedTuple, Sequence
 
@@ -726,6 +727,16 @@ def panel_rows(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0) -> Callable:
     return poly
 
 
+def _check_underflow(ln_held, ln_sum, prefix="") -> None:
+    """AccuracyError unless the nodes whose row is below the smallest normal value, each
+    bounded by its term there, hold at most a float ulp of the sum: past that, every node
+    count loses the mass alike (the start row e^(-x/2) from x = 22,710 at p = 1e-3)."""
+    if ln_held - ln_sum > math.log(np.finfo(float).eps):
+        share = math.exp(min(float(ln_held - ln_sum), 709.0))
+        raise AccuracyError(f"{prefix}rows underflow where the integrand may hold {share:.2g} "
+                            f"of the sum", error_bound=share)
+
+
 def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=None):
     """Panel integrals of |poly(x)|^q2 (x - a)^ea (b - x)^eb on Gauss-Jacobi panels.
 
@@ -742,7 +753,7 @@ def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=Non
     end exponents included: each node adds one positive exp(ln w + ...), at
     most its panel's integral, so nothing leaves the float range while that
     integral is in range, and one past it comes back inf.  A node where |poly|
-    is 0 adds 0.
+    is 0 adds 0; where it underflows, _check_underflow bounds what it misses.
 
     Returns each panel's integral, in long double.  With log_coefs = (ca, cb)
     it also returns each panel's integral of the integrand times 2 ln|poly| +
@@ -766,7 +777,8 @@ def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=Non
     h = (hi - lo) / 2
     ln_h = np.log(h)
     x = lo + h * (1 + t)
-    g = np.abs(poly(x)) / np.where(lo_root, x - lo, 1.0)
+    row = np.abs(poly(x))
+    g = row / np.where(lo_root, x - lo, 1.0)
     g = g / np.where(hi_root, hi - x, 1.0)
     with np.errstate(divide="ignore"):  # ln 0 = -inf: the node adds exp(-inf) = 0
         ln_g = np.log(g)
@@ -776,10 +788,19 @@ def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=Non
     def off_edge(ca, cb):  # ca ln(x - a) + cb ln(b - x) where no weight holds it
         return np.where(lo_edge, 0.0, ca) * ln_a + np.where(hi_edge, 0.0, cb) * ln_b
 
+    def terms_at(ln_g):
+        return np.exp(ln_w + (e_lo + e_hi + 1) * ln_h + q2 * ln_g + off_edge(ea, eb))
+
     with np.errstate(over="ignore"):  # past the range: inf, which settled rejects
-        terms = np.exp(ln_w + (e_lo + e_hi + 1) * ln_h + q2 * ln_g + off_edge(ea, eb))
+        terms = terms_at(ln_g)
         parts = np.sum(terms, axis=1)
         total = parts.sum()
+        under = row < np.finfo(row.dtype).tiny
+        if under.any() and 0 < total < np.inf:  # bounded by their terms at |row| = tiny
+            held = terms_at(np.log(np.finfo(row.dtype).tiny / np.where(lo_root, x - lo, 1.0)
+                                   / np.where(hi_root, hi - x, 1.0)))[under].sum()
+            with np.errstate(divide="ignore"):  # held 0: ln 0 = -inf passes
+                _check_underflow(np.log(held), np.log(total))
     # an outer end "plain" marks a dropped piece (plan_panels): the panel there must
     # be negligible and below its neighbour, or the list ends inside a lobe
     for i, j, kind in ((0, 1, lo_kind[0, 0]), (-1, -2, hi_kind[-1, 0])):
@@ -900,10 +921,11 @@ def plan_panels(ends, kinds, edges, q2: float, rate: float, what: str) -> list[t
 # is rounding throughout.
 _NODES = 24
 # Even 2p up to _RULE_MAX_POWER takes one Gauss rule of n p + 1 nodes, exact for
-# the polynomial power (radial._norm_gauss_laguerre, angular._lambda_gauss_jacobi
-# with n = l - |m|): about (n 2p)^2 recurrence steps to build the rule and n^2 p
-# on a cached one, against n^2 or less for the panels.  ms, rule/panels, medians
-# of 7 alternated in-process runs, cold (rule caches cleared) and warm (again):
+# the polynomial power, summed by _rule_sum (radial: Gauss-Laguerre; angular:
+# Gauss-Jacobi, n = l - |m|): about (n 2p)^2 recurrence steps to build the rule and
+# n^2 p on a cached one, against n^2 or less for the panels of _panel_pass.  ms,
+# rule/panels, medians of 7 alternated in-process runs, cold (rule caches cleared)
+# and warm (again):
 #                           cold                          warm
 #     2p =                  4        8        10 or 12    4        8        10 or 12
 #     radial l=0, n = 100   4.1/12   11/13    16/13       1.0/7.5  1.3/8.1  1.6/8.0
@@ -956,6 +978,36 @@ def settled(panel_pass: Callable[[int], np.ndarray], tol: float, what: str,
         raise AccuracyError(f"{what} did not settle", estimate=float(v3),
                             error_bound=err)
     return v3, True
+
+
+def _panel_pass(fam: Family, ends, kinds, edges, rate: float, q2: float, what: str,
+                log_coefs=None, tau=0.0, ln_scale=0.0, s=0) -> Callable:
+    """The pass m -> power_panels of |row m of fam|^q2 under edges on the panels that
+    plan_panels lays from ends, kinds, edges and rate, the row by panel_rows under the
+    gauge tau, ln_scale and s: a partial, whose args[0] is the panel list."""
+    panels = plan_panels(ends, kinds, edges, q2, rate, what)
+    return partial(power_panels, panels, panel_rows(fam, panels, tau, ln_scale, s), q2,
+                   edges, log_coefs=log_coefs)
+
+
+def _rule_sum(rows: Callable, x, ln_w, q: int, what: str):
+    """ln sum_j exp(ln_w_j + q ln|rows(x_j)|) over an even-2p Gauss rule's nodes mapped
+    to x, ln_w its log weights plus what undoes them, rows a part's row by its plain
+    recurrence (panel_rows with panels None); in logs, as |row|^q turns subnormal where
+    w_j grows (2p = 6, l = 600).  Not finite where no term is positive; rows that
+    underflow raise as in power_panels, named by what."""
+    row = np.abs(rows(x))
+    with np.errstate(divide="ignore"):
+        t = ln_w + q * np.log(row)
+    top = np.max(t)
+    if not np.isfinite(top):
+        return top
+    ln_sum = top + np.log(np.sum(np.exp(t - top)))
+    under = row < np.finfo(row.dtype).tiny
+    if under.any():
+        _check_underflow(np.logaddexp.reduce(ln_w[under] + q * np.log(np.finfo(row.dtype).tiny)),
+                         ln_sum, f"{what}: ")
+    return ln_sum
 
 
 def integrate(f: Callable[[float], float], lo: float, hi: float,

@@ -369,7 +369,7 @@ def test_angular_table_check_gates_the_quadrature_gap(monkeypatch, capsys):
 def test_large_m_shannon_matches_a_108_node_pass(l, m):
     # each unsliced edge panel [-1, t_1], [t_n, 1] holds (1 -+ t)^(mp)
     # varying by about e^23 at (600, 300), and did not settle there
-    ref = -2 * math.pi * float(angular._angular_panels(
+    ref = -2 * math.pi * float(angular._angular_pass(
         AngularState(l, m), 1.0, "test", (m, m))(108)[1].sum())
     assert abs(shannon_angular(AngularState(l, m)) - ref) <= 1e-12
 
@@ -381,8 +381,8 @@ def test_angular_first_pass_error_is_pinned(l):
     # edge slices not bound by _ROOT_REACH, J is 1.1e-5 off at (200, 100)
     for m in sorted({0, 1, l // 4, l // 2, 3 * l // 4, l - 2}):
         for p in (0.5, 1.0, 2.5, 8.0):
-            passes = angular._angular_panels(AngularState(l, m), p, "test",
-                                             (m, m) if p == 1.0 else None)
+            passes = angular._angular_pass(AngularState(l, m), p, "test",
+                                           (m, m) if p == 1.0 else None)
             if p == 1.0:
                 got, ref = (passes(k)[1].sum() for k in (specfun._NODES, 108))
                 err = abs(got - ref) / max(abs(ref), 1)
@@ -409,8 +409,9 @@ def test_shannon_quadrature_matches_30_digit_references(l, m, want):
 
 
 def jacobi_gaps(l, m, nodes=24):
-    """_integrand's row on every root gap and its nodes x, shape (gaps, nodes),
-    with the same row by the n-step recurrence from 1 / sqrt(2 pi mu0)."""
+    """The row of angular's pass (panel_rows under ln_scale = ln 2 pi) on every root
+    gap and its nodes x, shape (gaps, nodes), with the same row by the n-step
+    recurrence from 1 / sqrt(2 pi mu0)."""
     n = l - m
     rts = specfun.gegenbauer_roots(n, m + 0.5)
     gaps = [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
@@ -419,7 +420,7 @@ def jacobi_gaps(l, m, nodes=24):
     fam = specfun.jacobi_family(n, m, m)
     start = np.exp(-(fam.ln_mu0 + angular._LN_2PI) / 2)
     ref = specfun._last_rows(x, fam.diag, fam.off, np.full_like(x, start))[1]
-    poly = angular._integrand(AngularState(l, m), 1.0)[0](gaps)
+    poly = specfun.panel_rows(fam, gaps, ln_scale=angular._LN_2PI)
     return gaps, poly(x), ref
 
 

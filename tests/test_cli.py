@@ -509,6 +509,13 @@ def test_tail_past_the_float_range_exits_3_without_traceback(argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_small_order_whose_rows_underflow_on_its_mass_exits_3(capsys):
+    # both node counts lose the mass past x = 22,700 alike: this printed a
+    # norm 6.9e-10 off with exit 0 before the underflow bound
+    assert run(["radial", "--n", "1", "--l", "0", "--p", "0.001"]) == 3
+    assert "rows underflow where the integrand" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # a fixed-seed fuzz of the command line: each subcommand's own options, with
 # its own values or edge values, and the common flags

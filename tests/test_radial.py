@@ -282,12 +282,17 @@ def mpmath_norm(n, l, p):
         return float(mpmath.quad(f, pts + [mpmath.inf]) / h ** p)
 
 
+def norm_panels(n, l, p):
+    """The panel list radial's pass integrates: the first argument it gives power_panels."""
+    return radial._radial_pass(n, l, p).args[0]
+
+
 def per_slice_value(n, l, p, m_nodes):
     """The panel sum evaluated one panel at a time, as a reference."""
     alpha = Fraction(2 * l + 1, 2)
     gma, q2 = p * l + 0.5, 2.0 * p
     total = np.longdouble(0.0)
-    for lo, hi, bk, ak in radial._norm_panels(n, l, p):
+    for lo, hi, bk, ak in norm_panels(n, l, p):
         A = q2 if ak == "root" else 0.0
         B = gma if bk == "edge" else (q2 if bk == "root" else 0.0)
         t, ln_w = specfun.gauss_jacobi(m_nodes, A, B)
@@ -429,11 +434,11 @@ def test_odd_two_p_quadrature_matches_mpmath(n, l):
 
 
 def test_tail_self_check_sees_a_missing_lobe(monkeypatch):
-    full = radial._norm_panels
+    full = specfun.plan_panels
 
     def cut(keep_tail):
-        def panels(n, l, p):
-            out = full(n, l, p)
+        def panels(*plan):
+            out = full(*plan)
             first_tail = 1 + max(i for i, s in enumerate(out) if s[3] == "root")
             return out[:first_tail + keep_tail]
         return panels
@@ -442,11 +447,11 @@ def test_tail_self_check_sees_a_missing_lobe(monkeypatch):
     # the outer lobe is lost and node doubling agrees with itself
     # settled names the state in front of the pass's own message
     named = r"radial quadrature for n=10, l=0, p=3.0: panel list ends inside a lobe"
-    monkeypatch.setattr(radial, "_norm_panels", cut(2))
+    monkeypatch.setattr(specfun, "plan_panels", cut(2))
     with pytest.raises(AccuracyError, match=named):
         laguerre_norm(10, 0, 3.0, path="quadrature")
     # a list cut inside the lobe
-    monkeypatch.setattr(radial, "_norm_panels", cut(5))
+    monkeypatch.setattr(specfun, "plan_panels", cut(5))
     with pytest.raises(AccuracyError, match=named) as err:
         laguerre_norm(10, 0, 3.0, path="quadrature")
     assert err.value.estimate > 0
@@ -462,13 +467,13 @@ def test_head_self_check_sees_a_missing_lobe(monkeypatch, fresh_components):
     l, p = 20, 8.0
     assert laguerre_norm(0, l, p, path="quadrature").log_value == pytest.approx(
         laguerre_norm(0, l, p).log_value, rel=0, abs=1e-13)
-    full, mode = radial._norm_panels, l + 0.5 / p
+    full, mode = specfun.plan_panels, l + 0.5 / p
 
-    def from_peak(n, l, p):
+    def from_peak(*plan):
         return [(lo, hi, "plain" if lo == mode else lk, hk)
-                for lo, hi, lk, hk in full(n, l, p) if lo >= mode]
+                for lo, hi, lk, hk in full(*plan) if lo >= mode]
 
-    monkeypatch.setattr(radial, "_norm_panels", from_peak)
+    monkeypatch.setattr(specfun, "plan_panels", from_peak)
     fresh_components()
     with pytest.raises(AccuracyError, match=r"radial quadrature for n=0, l=20, p=8.0: "
                                             r"panel list ends inside a lobe"):
@@ -495,8 +500,10 @@ def test_batched_engine_matches_per_slice_reference(n, l, p):
 # 96-node pass on its own panels, far above the 24/36 nodes it is taken at
 
 
-def panel_pass(n, l, p, panels, m_nodes, log_coefs=None):
-    return radial._norm_pass(n, l, p, panels, log_coefs)(m_nodes)
+def panel_pass(n, l, p, panels, m_nodes):
+    """radial's pass at m_nodes on the given panels: its q2 and edges, psi_rows there."""
+    q2, edges = radial._radial_pass(n, l, p).args[2:]
+    return specfun.power_panels(panels, psi_rows(n, l, panels), q2, edges, m_nodes)
 
 
 @pytest.mark.parametrize("n", [1, 10, 50, 150])
@@ -505,7 +512,7 @@ def panel_pass(n, l, p, panels, m_nodes, log_coefs=None):
 def test_radial_node_count_settles_without_escalation(n, l, p):
     got = laguerre_norm(n, l, p, path="quadrature")
     assert not got.warnings
-    ref = panel_pass(n, l, p, radial._norm_panels(n, l, p), 96).sum()
+    ref = radial._radial_pass(n, l, p)(96).sum()
     assert float(abs(got.value - ref) / ref) <= 2e-14
 
 
@@ -523,7 +530,7 @@ def test_small_order_tail_stays_within_the_node_count(p):
 @pytest.mark.parametrize("p", [0.02, 0.1, 0.3])
 def test_tail_panels_grow_at_most_the_cap_past_the_last_root(n, l, p):
     last = float(specfun.gauss_laguerre(n, l + 0.5)[0][-1])
-    tail = [s for s in radial._norm_panels(n, l, p) if s[0] > last]
+    tail = [s for s in norm_panels(n, l, p) if s[0] > last]
     assert len(tail) > 2
     for lo, hi, _, _ in tail:
         assert hi - lo <= specfun._LOG_VARIATION_CAP * (lo - last) * (1 + 1e-12)
@@ -531,8 +538,7 @@ def test_tail_panels_grow_at_most_the_cap_past_the_last_root(n, l, p):
 
 @pytest.mark.parametrize("n,l", [(10, 20), (50, 0)])
 def test_radial_shannon_node_count_margin(n, l):
-    panels = radial._norm_panels(n, l, 1.0)
-    j = panel_pass(n, l, 1.0, panels, 96, (l, 0))[1].sum()
+    j = radial._radial_pass(n, l, 1.0, (l, 0))(96)[1].sum()
     assert shannon_radial_exact(QuantumState(n, l, 0)) == pytest.approx(
         -math.log(2.0) - float(j), rel=0, abs=1e-14)
 
@@ -564,7 +570,7 @@ def test_polished_roots_bracketed_by_sign_changes(n):
 def test_each_root_gap_is_one_panel():
     n, l, p = 100, 0, 3.0
     rts = [float(r) for r in specfun.gauss_laguerre(n, l + 0.5)[0]]
-    gaps = [s for s in radial._norm_panels(n, l, p) if rts[0] <= s[0] < rts[-1]]
+    gaps = [s for s in norm_panels(n, l, p) if rts[0] <= s[0] < rts[-1]]
     assert gaps == [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
 
 
@@ -572,7 +578,7 @@ def test_split_head_matches_a_finer_panel_list():
     # the reference cuts every panel into four and takes 96 nodes, so it
     # does not rest on the choice of panels the way the margin tests do
     n, l, p = 100, 20, 12.0
-    panels = radial._norm_panels(n, l, p)
+    panels = norm_panels(n, l, p)
     r1 = float(specfun.gauss_laguerre(n, l + 0.5)[0][0])
     assert sum(1 for s in panels if s[1] <= r1) > 1
     fine = []
@@ -592,8 +598,7 @@ def test_large_degree_high_order_settles(n, l, p):
     # the returned 36-node pass must agree with a 54-node one
     got = laguerre_norm(n, l, p, path="quadrature")
     assert not got.warnings
-    ref = panel_pass(n, l, p, radial._norm_panels(n, l, p),
-                     specfun._NODES * 2 + specfun._NODES // 4).sum()
+    ref = radial._radial_pass(n, l, p)(specfun._NODES * 2 + specfun._NODES // 4).sum()
     assert float(abs(got.value - ref) / ref) <= 1e-13
 
 
@@ -623,7 +628,7 @@ def test_head_that_starts_where_the_mass_is_matches_the_exact_rule():
 
 
 def psi_rows(n, l, panels):
-    """The integrand of radial._norm_pass on the panels: (-1)^n psi, row n of
+    """The integrand of radial._radial_pass on the panels: (-1)^n psi, row n of
     the Laguerre family under e^(-x/2), with (x/c)^s on the root gaps."""
     return specfun.panel_rows(specfun.laguerre_family(n, l + 0.5), panels, -0.5,
                               s=(2 * l + 3) // 4)
@@ -715,21 +720,39 @@ def test_gap_series_keeps_the_shannon_values_of_the_recurrence(monkeypatch, fres
 
 
 def test_small_order_above_the_threshold_still_fails_loudly():
-    # p = 1e-3 does not settle at n = 45 on the recurrence either: from about
-    # x = 22,700 its start row exp(-x/2) leaves the long-double range, and
-    # the tail panel there loses its far nodes.  A series whose centre value
-    # underflowed would give that panel 0 and settle 3.1e-9 below 30-digit
-    # mpmath (40608.0239992205); it must fall back to the recurrence and raise
-    with pytest.raises(AccuracyError, match="did not settle"):
+    # from about x = 22,700 the start row exp(-x/2) leaves the long-double
+    # range, and at p = 1e-3 the integrand still holds mass there.  A series
+    # whose centre value underflowed would give that panel 0 and settle 3.1e-9
+    # below 30-digit mpmath (40608.0239992205); the nodes whose rows underflow,
+    # bounded by their terms at the smallest normal row, must raise instead
+    with pytest.raises(AccuracyError, match="rows underflow where the integrand"):
         laguerre_norm(45, 3, 1e-3)
 
 
 def test_small_order_raises_again_on_every_call():
     # an error is not cached: the second call runs the quadrature again
     for _ in range(2):
-        with pytest.raises(AccuracyError, match="did not settle"):
+        with pytest.raises(AccuracyError, match="rows underflow where the integrand"):
             laguerre_norm(45, 3, 1e-3)
     assert radial._laguerre_norm.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n,l,path", [(1, 0, "auto"), (0, 20, "quadrature")])
+def test_small_order_that_settles_on_lost_mass_raises(n, l, path):
+    # both node counts lose the mass past x = 22,700 alike, so settled
+    # certified (1, 0) at 28408.690711210736, 6.9e-10 below 40-digit mpmath
+    # (28408.69073087781), against _RENYI_TOL = 1e-11
+    with pytest.raises(AccuracyError, match=f"radial quadrature for n={n}, l={l}, p=0.001: "
+                                            "rows underflow where the integrand"):
+        laguerre_norm(n, l, 1e-3, path=path)
+
+
+@pytest.mark.parametrize("n,l,p", [(3, 0, 2e-3), (45, 3, 2e-3), (1000, 2000, 0.5)])
+def test_rows_that_underflow_where_no_mass_is_still_return(n, l, p):
+    # at p = 2e-3 the far tail's rows underflow too, but their bound at the
+    # smallest normal row, about 2e-20 of a node's weight, stays below a float
+    # ulp of N; (1000, 2000, 0.5) is the large-l state that returns
+    assert laguerre_norm(n, l, p).path == "quadrature"
 
 
 @pytest.mark.parametrize("p", [1e-307, 2.2250738585072014e-308, 1e-320, 5e-324])
@@ -804,6 +827,7 @@ def test_nodes_reach_the_recurrence_only_where_the_series_misses(monkeypatch, n,
     # values agree either way, so only the nodes the recurrence sees show
     # whether a pass fell back to it; the series start is one more pass of
     # the recurrence, over the panel centres, shape (panels, 1)
+    panels = norm_panels(n, 0, p)
     seen = []
     recurrence = specfun._last_rows
 
@@ -816,7 +840,6 @@ def test_nodes_reach_the_recurrence_only_where_the_series_misses(monkeypatch, n,
         shannon_radial_exact(QuantumState(n, 0, 0))
     else:
         assert not laguerre_norm(n, 0, p, path="quadrature").warnings
-    panels = radial._norm_panels(n, 0, p)
     starts = [shape for shape in seen if shape == (len(panels), 1)]
     size = sum(math.prod(shape) for shape in seen if shape[-1] > 1)
     nodes = 2 * specfun._NODES + specfun._NODES // 2  # the 24- and 36-node passes
@@ -842,7 +865,7 @@ def test_head_and_tail_series_match_the_recurrence(n, l, p):
     # the tail panel next to the last root, where the recurrence is the one
     # further off: by 50-digit mpmath at (40, 60, 8) the series is 3.4e-16
     # off there and the recurrence 5.7e-15
-    panels = radial._norm_panels(n, l, p)
+    panels = norm_panels(n, l, p)
     kinds = panel_kinds(n, l, panels)
     ends = [pan for pan, kind in zip(panels, kinds) if kind != "gap"]
     kinds = kinds[kinds != "gap"]
@@ -894,7 +917,7 @@ def graded_shannon(n, l, m_nodes=30):
         return [lo] + [hi - w * 2.0 ** -j for j in range(1, levels + 1)] + [hi]
 
     edges = []
-    for lo, hi, bk, ak in radial._norm_panels(n, l, 1.0):
+    for lo, hi, bk, ak in norm_panels(n, l, 1.0):
         lev_lo = 44 if bk == "edge" else 24
         if bk != "plain" and ak == "root":
             mid = 0.5 * (lo + hi)

@@ -652,6 +652,30 @@ def test_power_panels_match_beta_closed_forms(q2, a):
         assert float(logs[1] + logs[2]) == pytest.approx(want / 2, rel=1e-15)
 
 
+def test_rows_that_underflow_on_the_mass_raise_in_both_sums():
+    # a row that is 0 past x = 1/2: at q2 = 2 a node there would hold at most
+    # tiny^2 of its weight, and the sum is the half the other nodes hold; at
+    # q2 = 1e-3 the bound tiny^q2 = 1.2e-5 of a weight is far above a float
+    # ulp of the sum, and the mass there is lost to every node count alike
+    panels, edges = [(0.0, 1.0, "edge", "edge")], ((0.0, 0.0), (1.0, 0.0))
+    step = lambda x: np.where(x < 0.5, 1.0, 0.0).astype(np.longdouble)  # noqa: E731
+    assert float(specfun.power_panels(panels, step, 2.0, edges, 24).sum()) == \
+        pytest.approx(0.5, rel=1e-15)
+    with pytest.raises(AccuracyError, match="rows underflow where the integrand"):
+        specfun.power_panels(panels, step, 1e-3, edges, 24)
+    # a sum that is 0 stays for settled to reject as not positive
+    zero = specfun.power_panels(panels, lambda x: 0 * x, 1e-3, edges, 24)
+    assert not zero.any()
+    # the rule sum: e^(-x/2) underflows long double at x = 30000, harmless
+    # against a weight of 1 and not against one of e^30000
+    rows, x = specfun.panel_rows(specfun.laguerre_family(1, 0.5), None, -0.5), \
+        np.longdouble([1.0, 30000.0])
+    assert specfun._rule_sum(rows, x, np.longdouble([0.0, 0.0]), 2, "x") == \
+        2 * np.log(np.abs(rows(x[:1])[0]))
+    with pytest.raises(AccuracyError, match="x: rows underflow where the integrand"):
+        specfun._rule_sum(rows, x, np.longdouble([0.0, 30000.0]), 2, "x")
+
+
 def test_settled_escalates_once_then_raises():
     calls = []
 
@@ -684,14 +708,14 @@ def test_settled_escalates_once_then_raises():
 
 
 def radial_head_plan(n, l, p):
-    """plan_panels on the ends radial._norm_panels gives it (n >= 1)."""
+    """plan_panels on the ends radial._radial_pass gives it (n >= 1)."""
     rts = [float(r) for r in specfun.gauss_laguerre(n, l + 0.5)[0]]
     return ([0.0] + rts, ["edge"] + ["root"] * n, ((0.0, p * l + 0.5), None),
             2.0 * p, p)
 
 
 def angular_plan(l, m, p):
-    """plan_panels on the ends angular._angular_panels gives it."""
+    """plan_panels on the ends angular._angular_pass gives it."""
     ends = np.concatenate(([-1.0], specfun.gegenbauer_roots(l - m, m + 0.5), [1.0]))
     return (ends, ["edge"] + ["root"] * (l - m) + ["edge"],
             ((-1.0, m * p), (1.0, m * p)), 2.0 * p, 0.0)
@@ -799,7 +823,38 @@ def test_panel_ends_are_not_their_own_nearest_roots():
     # away from its own end, counted as the nearest root of its own panel,
     # and cut (4, 0, 2.5) into 79 panels where 5 hold
     assert len(specfun.plan_panels(*angular_plan(4, 0, 2.5), "test")) == 5
-    assert len(angular._angular_panels(angular.AngularState(4, 0), 2.5, "test")(24)) == 5
+    assert len(angular._angular_pass(angular.AngularState(4, 0), 2.5, "test")(24)) == 5
+
+
+# float.hex of each part's even-2p rule, panel and Shannon routes, taken before
+# both parts shared specfun._panel_pass and specfun._rule_sum: a refactor of
+# that core, or of the routes over it, shows here as drift in any bit
+PINNED_NORMS = [((50, 1, 2.0), "gauss_laguerre", "-0x1.eead431b13f28p+1"),
+                ((10, 0, 4.0), "gauss_laguerre", "-0x1.24c4d018345a0p-1"),
+                ((40, 20, 1.3), "quadrature", "-0x1.02bddfbc2cb83p+1"),
+                ((100, 0, 0.5), "quadrature", "0x1.0a5746d17c9f0p+2"),
+                ((10, 0, 5.0), "quadrature", "0x1.1533648911f0bp-1")]
+PINNED_ANGULAR = [((8, 1, 2.0), "gauss_jacobi", "0x1.c8351857dc75dp+0"),
+                  ((60, 5, 4.0), "gauss_jacobi", "0x1.73a5e49c99e19p-1"),
+                  ((60, 5, 2.5), "quadrature", "0x1.4b5d77cd12a10p+0"),
+                  ((20, 3, 0.7), "quadrature", "0x1.15c15ee73a1f3p+1")]
+PINNED_SHANNON = [(radial, (10, 3), "0x1.10cf9113b953ep+2"),
+                  (radial, (50, 0), "0x1.8ced876826a56p+2"),
+                  (angular, (60, 5), "0x1.02eb96bd4ca5bp+1"),
+                  (angular, (8, 1), "0x1.0996bc4c597c3p+1")]
+
+
+def test_both_parts_keep_their_values_bitwise():
+    for (n, l, p), path, want in PINNED_NORMS:
+        got = radial.laguerre_norm(n, l, p)
+        assert (got.path, got.log_value.hex()) == (path, want), (n, l, p)
+    for (l, m, p), method, want in PINNED_ANGULAR:
+        got = angular.renyi_angular(angular.AngularState(l, m), p)
+        assert (got.method, got.renyi.hex()) == (method, want), (l, m, p)
+    for part, (a, b), want in PINNED_SHANNON:
+        got = (radial.shannon_radial_exact(radial.QuantumState(a, b)) if part is radial
+               else angular.shannon_angular(angular.AngularState(a, b)))
+        assert got.hex() == want, (part.__name__, a, b)
 
 
 def test_rule_caches_stay_within_their_bound():
