@@ -6,7 +6,8 @@ Gauss-Jacobi rule at even 2p and Gauss-Jacobi panel quadrature of the
 orthonormal Jacobi row between the Gegenbauer roots at any real p.  The
 paper's two analytic procedures are exact rational references: a
 linearization of the Gegenbauer power into hypergeometric-type sums and a
-Bell-polynomial expansion of the orthonormal Jacobi power.  shannon_angular
+Bell-polynomial expansion of the orthonormal Jacobi power, each one call of
+specfun._power_moments, up to degree (l - |m|) 2p = 1000.  shannon_angular
 takes the digamma closed forms of the families and log-weighted panels
 elsewhere.  The rule and the panels take the power-integral core the radial
 part shares, specfun._rule_sum and specfun._panel_pass, whose integrand is
@@ -42,10 +43,6 @@ _LN_PI = math.log(math.pi)
 _LN_2 = math.log(2.0)
 _TWO_PI = 2.0 * math.pi
 _LN_2PI = specfun._LN_2 + specfun._LN_PI  # long double, as the panel sums
-
-# the rational reference routes are supported on this lattice
-MAX_TWO_P = 8
-MAX_DEGREE = 8
 
 # panel quadrature: the agreement the second pass of specfun.settled must reach
 _RENYI_TOL = 1e-12
@@ -102,14 +99,11 @@ def _exact_route_order(state: AngularState, p, route: str) -> tuple[EntropyOrder
     if q is None:
         raise DomainError(f"{route} route needs 2p integer, got p={order.p}")
     l, m = state.l, state.m_abs
-    if q > MAX_TWO_P or (l - m) > MAX_DEGREE:
-        raise DomainError(
-            f"exact routes support 2p <= {MAX_TWO_P} and l-|m| <= {MAX_DEGREE}, "
-            f"got l={l}, m={m}, 2p={q}")
     if q % 2 == 1 and l > m:
         raise DomainError(
             f"{route} route is sign-ambiguous for odd 2p with l > |m|, got "
             f"l={l}, m={m}, 2p={q}; use quadrature")
+    specfun._check_exact_degree(l - m, q, route, f"l={l}, m={m}, 2p={q}")
     return order, q
 
 
@@ -119,21 +113,16 @@ def _ctilde0(l: int, m: int, q: int) -> Fraction:
 
     The nested sum over indices j_1 .. j_q in [0, l-m] collapses through the
     generating polynomial U(z) = sum_j u_j z^j: grouping by the total degree
-    J = j_1 + ... + j_q turns it into sum_J (c)_J/(d)_J [z^J] U(z)^q.
+    J = j_1 + ... + j_q turns it into sum_J (c)_J/(d)_J [z^J] U(z)^q, c = mp + 1
+    and d = 2mp + 2, with u_j = (m-l)_j (l+m+1)_j / ((m+1)_j j!) and the
+    Pochhammer ratios by their steps (specfun._power_moments).
     """
-    n = l - m
-    u = [specfun.pochhammer(m - l, j) * specfun.pochhammer(l + m + 1, j)
-         / (specfun.pochhammer(m + 1, j) * math.factorial(j))
-         for j in range(n + 1)]
-    upow = specfun.poly_power(tuple(u), q) if n > 0 else (1,)
-    c = Fraction(m * q, 2) + 1        # m p + 1
-    d = Fraction(m * q + 2)           # 2 m p + 2
-    acc = Fraction(0)
-    for big_j, coeff in enumerate(upow):
-        if coeff == 0:
-            continue
-        acc += specfun.pochhammer(c, big_j) / specfun.pochhammer(d, big_j) * coeff
-    return Fraction(math.comb(l, n)) ** q * acc
+    u = [Fraction(1)]
+    for j in range(l - m):
+        u.append(u[-1] * Fraction((j + m - l) * (j + l + m + 1), (j + m + 1) * (j + 1)))
+    c, d = Fraction(m * q, 2) + 1, Fraction(m * q + 2)
+    return Fraction(math.comb(l, l - m)) ** q * specfun._power_moments(
+        u, q, lambda j: (c + j) / (d + j))
 
 
 def _lin_log_prefactor(l: int, m: int, p: float) -> float:
@@ -181,36 +170,23 @@ def lambda_linearization(state: AngularState, p) -> AngularResult:
 
 @lru_cache(maxsize=None)
 def _bell_core(l: int, m: int, q: int) -> tuple[Fraction, int, Fraction]:
-    """Exact even-k sum of the Bell route: (sum, pi-half-power, norm_square)."""
-    n = l - m
-    cs, norm_square = specfun.orthonormal_jacobi(n, m, m)
-    top = n * q
-    args = [math.factorial(i + 1) * (cs[i] if i <= n else Fraction(0))
-            for i in range(top + 1)]
-    qfact = math.factorial(q)
-    acc = Fraction(0)
-    pi_half = None
-    for k in range(0, top + 1, 2):
-        b = specfun.bell_partial(k + q, q, args[:k + 1])
-        g1, h1 = specfun.gamma_half_exact(k + 1)
-        g2, h2 = specfun.gamma_half_exact(3 + k + m * q)
-        if pi_half is None:
-            pi_half = h1 - h2
-        elif pi_half != h1 - h2:  # parity is fixed for even k
-            raise AssertionError("inconsistent pi powers in Bell sum")
-        if b == 0:
-            continue
-        acc += Fraction(qfact, math.factorial(k + q)) * b * 2 * g1 / g2
-    return acc, (0 if pi_half is None else pi_half), norm_square
+    """Exact even-k sum of the Bell route, (sum, pi-half-power, norm_square): over
+    k even, q!/(k+q)! B_(k+q,q)(1! c_0, 2! c_1, ...) 2 G((k+1)/2) / G((k+3+mq)/2), c_i
+    the orthonormal Jacobi coefficients, whose Bell values are [t^k] C(t)^q (Comtet,
+    Advanced Combinatorics, 1974, §3.3), the Gamma ratio by steps (k+1)/(k+3+mq)."""
+    cs, norm_square = specfun.orthonormal_jacobi(l - m, m, m)
+    g2, h2 = specfun.gamma_half_exact(3 + m * q)  # and G(1/2) = pi^(1/2)
+    acc = 2 / g2 * specfun._power_moments(cs, q, lambda k: Fraction(k + 1, k + 3 + m * q), 2)
+    return acc, 1 - h2, norm_square
 
 
 def lambda_bell(state: AngularState, p) -> AngularResult:
     """Power integral of |Y_{l,m}|^2 via the Bell-polynomial route.
 
     Expands the 2p-th power of the orthonormal Jacobi factor with partial
-    Bell polynomials over its exact coefficients; only the final assembly
-    leaves rational arithmetic.  Requires a sign-definite power
-    (_exact_route_order).
+    Bell polynomials over its exact coefficients, the coefficients of the
+    power (_bell_core); only the final assembly leaves rational arithmetic.
+    Requires a sign-definite power (_exact_route_order).
     """
     order, q = _exact_route_order(state, p, "Bell")
     l, m = state.l, state.m_abs

@@ -55,9 +55,10 @@ def _radial_profile(state: QuantumState, params: OscillatorParams):
 
     def profile(r):
         r = np.asarray(r, dtype=float)
-        x = lam * r * r
-        lag = np.asarray(specfun.laguerre_eval(n, l + 0.5, x), dtype=float)
-        return pref * r ** (2 * l) * np.exp(-x) * lag * lag
+        x = (lam * r * r).astype(np.longdouble)
+        # e^(-x/2) L_n(x) in long double: L_n alone passes the float range from n = 120
+        psi = np.asarray(specfun.laguerre_eval(n, l + 0.5, x) * np.exp(-x / 2), dtype=float)
+        return pref * r ** (2 * l) * psi * psi
 
     return profile
 

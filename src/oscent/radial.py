@@ -6,8 +6,9 @@ reduces to a norm-like integral
 
     N_{n,l}(p) = integral_0^inf |Lhat_n^(l+1/2)(x)|^{2p} e^{-p x} x^{p l + 1/2} dx.
 
-Four evaluation paths: a symbolic path (exact rational sums) when 2p is an
-even integer or n = 0, a closed form for n = 1 at even 2p, one
+Four evaluation paths: a symbolic path when 2p is an even integer (an exact
+rational sum, one call of specfun._power_moments) or n = 0, a closed form
+for n = 1 at even 2p, both exact routes capped at degree n 2p = 1000, one
 Gauss-Laguerre rule of n p + 1 nodes at even 2p, exact for the polynomial
 power up to rounding, and a panel quadrature with Gauss-Jacobi endpoint
 weights valid for any real p > 0.  auto takes the n = 0 formula, the rule
@@ -53,9 +54,6 @@ _LN_PI = math.log(math.pi)
 # (2p = 8, n = 749) the cold panels, and one Newton pass builds gauss_laguerre's
 # rules up to 4000 nodes (at 6000 the steps near x = 0 do not settle in 8 passes)
 _RULE_MAX_NODES = 3000
-# the exact routes expand a power of degree n 2p in rationals, at a cost without
-# bound in 2p (closed_n1l takes 3 s at degree 1000): past this degree they refuse
-_EXACT_MAX_DEGREE = 1000
 # agreement the second pass must reach: relative to N for Renyi, to max(|J|, 1)
 # for the Shannon log integral J
 _RENYI_TOL = 1e-11
@@ -199,35 +197,22 @@ def _norm_symbolic_n0(l: int, p: float) -> LaguerreNorm:
 
 
 def _norm_symbolic(n: int, l: int, q: int, p: float) -> LaguerreNorm:
-    """Exact rational evaluation for even 2p = q via the polynomial power."""
-    alpha = Fraction(2 * l + 1, 2)
-    power = specfun.poly_power(specfun.laguerre_poly(n, alpha), q)
-    ql = q * l
-    base = Fraction(q, 2)
-    int_exp_shift = (ql + 2) // 2 if ql % 2 == 0 else (ql + 3) // 2
-    acc = Fraction(0)
-    for k, a in enumerate(power):
-        if a == 0:
-            continue
-        g, half = specfun.gamma_half_exact(2 * k + ql + 3)
-        assert half == (1 if ql % 2 == 0 else 0)
-        acc += a * g / base ** (k + int_exp_shift)
+    """Exact rational evaluation for even 2p = q via the polynomial power:
+    sum_k [x^k] L_n^q Gamma(k + (ql + 3)/2) / (q/2)^(k + (ql + 3)/2), the Gamma
+    factors over pi^(1/2) by their ratios (2k + ql + 3)/q (specfun._power_moments)."""
+    ql, base = q * l, Fraction(q, 2)
+    g0, _ = specfun.gamma_half_exact(ql + 3)
+    acc = g0 / base ** ((ql + 3) // 2) * specfun._power_moments(
+        specfun.laguerre_poly(n, Fraction(2 * l + 1, 2)), q,
+        lambda k: Fraction(2 * k + ql + 3, q))
     if not acc > 0:
         raise AccuracyError(f"symbolic norm sum not positive for n={n}, l={l}, q={q}")
-    gh, hp = specfun.gamma_half_exact(2 * n + 2 * l + 3)
-    assert hp == 1
+    gh, _ = specfun.gamma_half_exact(2 * n + 2 * l + 3)
     hn = gh / math.factorial(n)  # Gamma(n + l + 3/2) = hn sqrt(pi) n! / n!
-    # one log of the exact ratio: the logs of acc and hn^(q/2) would cancel
+    # one log of the exact ratio: the logs of acc and hn^(q/2) would cancel; ql is even
     logn = specfun.log_fraction(acc / hn ** (q // 2)) - 0.25 * q * _LN_PI
-    if ql % 2 == 0:
-        logn += 0.5 * _LN_PI - 0.5 * math.log(float(base))
+    logn += 0.5 * _LN_PI - 0.5 * math.log(float(base))
     return LaguerreNorm(specfun._exp_or_none(logn), logn, "symbolic", p)
-
-
-def _check_exact_degree(n: int, q: int, p: float, route: str) -> None:
-    if n * q > _EXACT_MAX_DEGREE:
-        raise DomainError(f"{route} route expands a power of degree n 2p > {_EXACT_MAX_DEGREE} "
-                          f"in rationals, got n={n}, p={p}; use --path auto")
 
 
 def closed_n1l(l: int, p) -> LaguerreNorm:
@@ -239,7 +224,7 @@ def closed_n1l(l: int, p) -> LaguerreNorm:
     The expansion behind this identity raises the linear Laguerre factor to
     the power 2p without taking absolute values.  L_1 changes sign, so the
     identity holds for even 2p only; odd 2p raises DomainError, and so does
-    a degree 2p above _EXACT_MAX_DEGREE.
+    a degree 2p above specfun._EXACT_MAX_DEGREE.
     """
     if l < 0:
         raise DomainError(f"orbital number must be >= 0, got l={l}")
@@ -249,7 +234,7 @@ def closed_n1l(l: int, p) -> LaguerreNorm:
         raise DomainError(
             f"closed n=1 norm needs an even integer 2p: L_1 changes sign, so "
             f"odd 2p is sign-ambiguous; got p={p}")
-    _check_exact_degree(1, q, order.p, "closed n=1")
+    specfun._check_exact_degree(1, q, "closed n=1", f"n=1, p={order.p}; use --path auto")
     pf = order.p
     a = -Fraction((l + 2) * q + 3, 2)
     x = -Fraction((2 * l + 3) * q, 4)
@@ -278,7 +263,7 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto") -> LaguerreNorm:
     polynomial power; panel quadrature otherwise, the faster route above
     2p = 8.  For odd 2p with n >= 1 the polynomial power is signed, so
     quadrature is the faithful route.  path="symbolic" gives the exact
-    rational value at any even 2p up to degree n 2p = _EXACT_MAX_DEGREE,
+    rational value at any even 2p up to degree n 2p = specfun._EXACT_MAX_DEGREE,
     "closed_n1" the n = 1 closed form and "quadrature" the panels.  Each
     value is computed once per (n, l, p, path) (_laguerre_norm).
     """
@@ -306,7 +291,7 @@ def _laguerre_norm(n: int, l: int, pf: float, path: str) -> LaguerreNorm:
             raise DomainError(
                 "symbolic route is sign-ambiguous for odd 2p with n >= 1; "
                 "use quadrature")
-        _check_exact_degree(n, q, pf, "symbolic")
+        specfun._check_exact_degree(n, q, "symbolic", f"n={n}, p={pf}; use --path auto")
         return _norm_symbolic(n, l, q, pf)
     if path == "closed_n1":
         if n != 1:

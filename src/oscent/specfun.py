@@ -1,23 +1,25 @@
 """Special-function kernel.
 
 Exact rational orthogonal-polynomial coefficients, Gamma-family helpers on
-the half-integer lattice, partial Bell polynomials, powers by convolution
-(the Bell expansion is a test oracle), every polynomial a coefficient tuple
-under one arithmetic, _conv, _plus and _horner, shared by the exact
-references and the Taylor-series engine, one long-double orthonormal
-recurrence, _rows, behind every production polynomial value (the classical
-Laguerre and Gegenbauer recurrences serve the oracle), each family's
-equation and structure relation stated once (laguerre_family,
-jacobi_family), one Gauss rule generator (Golub-Welsch start, one Newton
-pass of _rows under the square root of the weight on those identities, log
-Christoffel weights) behind every Gauss-Laguerre and Gauss-Jacobi rule and
-the Gegenbauer roots, the log-weighted Gauss-Jacobi product rule, one panel
-Taylor-series engine for both families (panel_rows), the panel planner with
-its one mass bound, the one panel function, which maps those rules onto
-panels in long double, calls its integrand once on all their nodes, forms
-every power from logs and checks the pieces dropped and the rows that
-underflow, the two-node-count check, and the one panel pass and one even-2p
-rule sum of both parts (_panel_pass, _rule_sum).
+the half-integer lattice, one exact engine behind every exact route (powers
+by Kronecker substitution in integers, _int_power, and their moment sums,
+_power_moments, under one degree cap), partial Bell polynomials (a test
+oracle), every polynomial a coefficient tuple under one arithmetic, _conv,
+_plus and _horner, shared by the exact references and the Taylor-series
+engine, one long-double orthonormal recurrence, _rows, behind every
+production polynomial value (the classical Laguerre and Gegenbauer
+recurrences serve the oracle), each family's equation and structure
+relation stated once (laguerre_family, jacobi_family), one Gauss rule
+generator (Golub-Welsch start, one Newton pass of _rows under the square
+root of the weight on those identities, log Christoffel weights) behind
+every Gauss-Laguerre and Gauss-Jacobi rule and the Gegenbauer roots, the
+log-weighted Gauss-Jacobi product rule, one panel Taylor-series engine for
+both families (panel_rows), the panel planner with its one mass bound, the
+one panel function, which maps those rules onto panels in long double,
+calls its integrand once on all their nodes, forms every power from logs
+and checks the pieces dropped and the rows that underflow, the
+two-node-count check, and the one panel pass and one even-2p rule sum of
+both parts (_panel_pass, _rule_sum).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import islice, zip_longest
+from itertools import accumulate, islice, zip_longest
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -33,11 +35,10 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "digamma", "gamma_half_exact", "log_fraction", "pochhammer",
-    "binomial_exact", "bell_partial", "poly_power", "jacobi_poly",
-    "orthonormal_jacobi", "gegenbauer_eval", "gegenbauer_roots", "laguerre_poly",
-    "laguerre_eval",
-    "laguerre_orthonormal_weighted", "laguerre_eval_negparam", "integrate",
+    "digamma", "gamma_half_exact", "log_fraction", "bell_partial", "poly_power",
+    "jacobi_poly", "orthonormal_jacobi", "gegenbauer_eval", "gegenbauer_roots",
+    "laguerre_poly", "laguerre_eval", "laguerre_orthonormal_weighted",
+    "laguerre_eval_negparam", "integrate",
     "Family", "jacobi_family", "laguerre_family", "gauss_legendre", "gauss_jacobi",
     "gauss_laguerre", "gauss_jacobi_log", "panel_rows", "plan_panels", "power_panels",
     "settled",
@@ -124,24 +125,6 @@ def _exp_or_none(x: float) -> float | None:
         return None
 
 
-def pochhammer(x, n: int) -> Fraction:
-    """Rising factorial (x)_n over exact rationals."""
-    if n < 0:
-        raise DomainError(f"pochhammer order must be >= 0, got {n}")
-    x = Fraction(x)
-    out = Fraction(1)
-    for k in range(n):
-        out *= x + k
-    return out
-
-
-def binomial_exact(x, k: int) -> Fraction:
-    """Generalised binomial coefficient C(x, k) with rational x."""
-    if k < 0:
-        raise DomainError(f"binomial order must be >= 0, got {k}")
-    return pochhammer(Fraction(x) - k + 1, k) / math.factorial(k)
-
-
 # ---------------------------------------------------------------------------
 # Exact polynomials: a polynomial is a tuple cs of exact or long-double
 # coefficients, cs[k] multiplying x**k
@@ -195,38 +178,70 @@ def bell_partial(n: int, k: int, xs: Sequence):
     return table[n][k]
 
 
-def poly_power(poly: tuple, q: int) -> tuple:
-    """q-th power of an exact polynomial, q >= 1.
+def _int_power(poly, q: int) -> tuple[tuple[int, ...], int]:
+    """poly^q over the rationals as integers cs over d^q, d poly's common denominator,
+    by Kronecker substitution: d poly's coefficients, digits at 2^B with B bits above
+    q times their l1 norm's (a bound on every coefficient of the power), each shifted
+    by 2^(B-1) so that none borrows, make one integer; its power, unpacked, gives cs."""
+    d = math.lcm(*(c.denominator for c in poly))
+    ints = [c.numerator * (d // c.denominator) for c in poly]
+    width = (q * sum(map(abs, ints)).bit_length() + 8) // 8  # bytes a digit
+    bias, count = 1 << (8 * width - 1), (len(ints) - 1) * q + 1
+    biased = bytes(width - 1) + b"\x80"  # one digit holding the bias, little-endian
+    packed = int.from_bytes(b"".join((c + bias).to_bytes(width, "little") for c in ints),
+                            "little") - int.from_bytes(biased * len(ints), "little")
+    raw = (packed ** q + int.from_bytes(biased * count, "little")).to_bytes(
+        count * width, "little")
+    return tuple(int.from_bytes(raw[i:i + width], "little") - bias
+                 for i in range(0, len(raw), width)), d ** q
 
-    Powers by convolution; the Bell expansion is a test oracle
-    (``_poly_power_bell`` in ``tests/test_specfun.py``).
-    """
+
+def poly_power(poly: tuple, q: int) -> tuple:
+    """q-th power of an exact polynomial, q >= 1, in Fractions (_int_power); the Bell
+    expansion is a test oracle (``_poly_power_bell`` in ``tests/test_specfun.py``)."""
     if q < 1:
         raise DomainError(f"poly_power requires q >= 1, got {q}")
-    out = (1,)
-    for _ in range(q):
-        out = _conv(out, poly)
-    return out
+    cs, d = _int_power(poly, q)
+    return tuple(Fraction(c, d) for c in cs)
+
+
+def _power_moments(poly, q: int, ratio: Callable, step: int = 1) -> Fraction:
+    """sum_k [x^k] poly^q mu_k over k = 0, step, 2 step, ... as one Fraction, mu_0 = 1
+    and mu_(k + step) = ratio(k) mu_k: the power by _int_power, the moments' running
+    products nested from the top (Horner's rule), in integers."""
+    cs, d = _int_power(poly, q)
+    num, den = 0, 1
+    for k in reversed(range(0, len(cs), step)):
+        r = Fraction(ratio(k))
+        num, den = cs[k] * den * r.denominator + r.numerator * num, den * r.denominator
+    return Fraction(num, den * d)
+
+
+# every exact route's cap on the degree n 2p of its power, 2p alone at n = 0 (l = |m|,
+# whose Gamma factors still grow with 2p): closed_n1l takes 0.13 s at 2p = 1000 and
+# l = 0, 6.7 s at l = 100
+_EXACT_MAX_DEGREE = 1000
+
+
+def _check_exact_degree(n: int, q: int, route: str, got: str) -> None:
+    if max(n, 1) * q > _EXACT_MAX_DEGREE:
+        raise DomainError(f"{route} route expands a power of degree n 2p > "
+                          f"{_EXACT_MAX_DEGREE} in rationals, got {got}")
 
 
 @lru_cache(maxsize=None)
 def _jacobi_cached(n: int, a2: int, b2: int) -> tuple:
-    a = Fraction(a2, 2)
-    b = Fraction(b2, 2)
-    half_minus = (Fraction(-1, 2), Fraction(1, 2))  # (x-1)/2
-    half_plus = (Fraction(1, 2), Fraction(1, 2))    # (x+1)/2
-    out = (Fraction(0),)
-    for s in range(n + 1):
-        coef = binomial_exact(n + a, n - s) * binomial_exact(n + b, s)
-        if coef == 0:
-            continue
-        term = (coef,)
-        for _ in range(s):
-            term = _conv(term, half_minus)
-        for _ in range(n - s):
-            term = _conv(term, half_plus)
-        out = _plus(out, term)
-    return out
+    """P_n^(a,b), a = a2/2 and b = b2/2, by the three-term recurrence (DLMF 18.9.1)
+    from P_0 = 1 and P_1 = ((a - b) + (a + b + 2) x)/2."""
+    a, b = Fraction(a2, 2), Fraction(b2, 2)
+    prev, out = (Fraction(1),), ((a - b) / 2, (a + b + 2) / 2)
+    for k in range(1, n):
+        s = 2 * k + a + b
+        den = 2 * (k + 1) * (k + a + b + 1) * s
+        lin = ((s + 1) * (a * a - b * b) / den, (s + 1) * (s + 2) * s / den)
+        back = 2 * (k + a) * (k + b) * (s + 2) / den
+        prev, out = out, _plus(_conv(out, lin), [-back * c for c in prev])
+    return out if n else prev
 
 
 def jacobi_poly(n: int, a, b) -> tuple:
@@ -299,10 +314,10 @@ def gegenbauer_roots(n: int, lam) -> np.ndarray:
 # Laguerre family
 
 def _laguerre_exact(n: int, a: Fraction) -> tuple:
-    """L_n^{(a)} for any rational a, from its explicit finite sum."""
-    return tuple(
-        (-1) ** k * pochhammer(a + k + 1, n - k) / (math.factorial(n - k) * math.factorial(k))
-        for k in range(n + 1))
+    """L_n^{(a)} for any rational a, from its explicit finite sum: c_n = (-1)^n / n!
+    and c_(k-1) = -k (k + a) c_k / (n - k + 1) down to k = 1."""
+    return tuple(accumulate(range(n, 0, -1), lambda c, k: c * (-k * (k + a) / (n - k + 1)),
+                            initial=Fraction((-1) ** n, math.factorial(n))))[::-1]
 
 
 # the half-integer lattice of laguerre_poly only: other parameters are not kept
@@ -324,20 +339,22 @@ def laguerre_eval(n: int, alpha: float, x):
 
     The recurrence is accumulated in extended precision (80-bit significand
     on x86) so that degrees up to a few hundred keep full double accuracy.
+    Long-double input gives long-double output, anything else float.
     """
     if n < 0:
         raise DomainError(f"laguerre degree must be >= 0, got {n}")
     if not alpha > -1:
         raise DomainError(f"laguerre parameter must exceed -1, got {alpha}")
-    xs = np.asarray(x, dtype=np.longdouble)
+    x = np.asarray(x)
+    xs = x.astype(np.longdouble)
     a = np.longdouble(float(alpha))
     p0, p1 = np.ones_like(xs), a + 1 - xs
     for k in range(1, n):
         p0, p1 = p1, ((2 * k + a + 1 - xs) * p1 - (k + a) * p0) / (k + 1)
     out = p0 if n == 0 else p1
-    if np.ndim(x) == 0:
+    if x.ndim == 0:
         return float(out)
-    return np.asarray(out, dtype=float)
+    return out if x.dtype == np.longdouble else out.astype(float)
 
 
 def laguerre_orthonormal_weighted(n: int, alpha: float, x):
@@ -805,8 +822,10 @@ def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=Non
     # be negligible and below its neighbour, or the list ends inside a lobe
     for i, j, kind in ((0, 1, lo_kind[0, 0]), (-1, -2, hi_kind[-1, 0])):
         if kind == "plain" and not parts[i] <= min(1e-20 * total, parts[j]):
+            # in logs: the sums may pass the float range (e^-1115 at (40, 100, 200))
+            ln_part, ln_total = float(np.log(parts[i])), float(np.log(total))
             raise AccuracyError(f"panel list ends inside a lobe: its outer panel holds "
-                                f"{float(parts[i])} of {float(total)}", estimate=float(total))
+                                f"e^{ln_part:.6g} of e^{ln_total:.6g}", estimate=float(total))
     if log_coefs is None:
         return parts
     ca, cb = log_coefs

@@ -114,6 +114,37 @@ def test_exact_routes_agree(l, m, p):
     assert lin.lambda_value == pytest.approx(quad.lambda_value, rel=1e-8)
 
 
+@pytest.mark.parametrize("n,m,q", [(n, m, q) for n in (20, 60) for m in (0, 5)
+                                   for q in (4, 8)])
+def test_exact_routes_match_the_rule_past_the_old_lattice(n, m, q):
+    # l - |m| up to 60 and 2p = 8, once refused as past l - |m| <= 8: 1.8e-15 at
+    # worst in ln Lambda against the Gauss-Jacobi rule, (25, 5, 8)
+    state = AngularState(n + m, m)
+    want = _ln_rule(n + m, m, q / 2)
+    for route in (lambda_linearization, lambda_bell):
+        assert abs(math.log(route(state, q / 2).lambda_value) - want) <= 4e-15, route
+
+
+@pytest.mark.parametrize("l", [3, 10, 40])
+@pytest.mark.parametrize("q", [9, 11, 15])
+def test_exact_routes_match_the_closed_form_at_odd_powers(l, q):
+    # l = |m|: the factor is constant, so odd 2p past the old 2p <= 8 is exact too.
+    # In ln Lambda, linearization comes within 1.8e-15 of lambda_closed and Bell
+    # within 2.4e-13, (40, 40, 2p = 15), where its float assembly adds logs near 1400
+    state = AngularState(l, l)
+    want = math.log(lambda_closed(state, q / 2).lambda_value)
+    for route, tol in ((lambda_linearization, 4e-15), (lambda_bell, 5e-13)):
+        assert abs(math.log(route(state, q / 2).lambda_value) - want) <= tol, route
+
+
+@pytest.mark.parametrize("l,m,p", [(501, 0, 1.0), (131, 5, 4.0), (3, 3, 500.5)])
+def test_exact_routes_refuse_degrees_past_1000(l, m, p):
+    # degree (l - |m|) 2p: 1002, 1008, and 2p = 1001 alone at l = |m|
+    for route in (lambda_linearization, lambda_bell):
+        with pytest.raises(DomainError, match="power of degree n 2p > 1000"):
+            route(AngularState(l, m), p)
+
+
 @pytest.mark.parametrize("l", [1, 2, 4, 6])
 @pytest.mark.parametrize("p", [0.7, 2.0, 3.5])
 def test_closed_family_sectoral_and_next(l, p):

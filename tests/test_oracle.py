@@ -69,6 +69,17 @@ def test_full_space_matches_decomposition_at_fractional_2p(state, p):
     assert got == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [200, 400])
+def test_radial_profile_stays_in_range_at_large_n(n):
+    # L_n alone passes the float range on the ghost panel from n = 120: cast to
+    # float it overflowed (NaN ghost sum at n = 400); the profile forms e^(-x/2) L_n
+    # in long double.  6.0e-12 and 6.8e-11 off the decomposition, against the
+    # oracle's certification limit of 1e-7 (ORACLE_ABS_TOL in bench/workloads.py)
+    state = QuantumState(n, 0, 0)
+    assert renyi_full(state, p=2.2) == pytest.approx(renyi_total(state, p=2.2).total,
+                                                     abs=1e-7)
+
+
 def test_full_shannon_matches_decomposition():
     for state in (GROUND, QuantumState(1, 1, 0)):
         want = shannon_total(state).total

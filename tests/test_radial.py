@@ -1,6 +1,7 @@
 """Checks for radial norm integrals and radial entropies."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -132,6 +133,19 @@ def test_exact_routes_refuse_degrees_past_1000(n, p, path):
     # degree n 2p: 1002, 2e300, 1008 and 1e301; the rational powers take 2p steps
     with pytest.raises(DomainError, match="--path auto"):
         laguerre_norm(n, 3, p, path=path)
+
+
+@pytest.mark.parametrize("n,l,q,panels,tol", [(125, 0, 8, False, 2e-15),
+                                               (50, 0, 20, True, 8e-15),
+                                               (10, 0, 100, True, 3e-14),
+                                               (10, 1000, 12, True, 1.5e-14)])
+def test_symbolic_route_at_degree_1000(n, l, q, panels, tol):
+    # degree n 2p = 1000 (120 at l = 1000), each within a second on integer powers.
+    # In ln N the exact sum is 0.0 off the Gauss-Laguerre rule at (125, 0, 8) and
+    # 3.6e-15, 1.4e-14 and 7.1e-15 off the panels at the other three
+    want = (laguerre_norm(n, l, q / 2, path="quadrature") if panels
+            else radial._norm_gauss_laguerre(n, l, q, q / 2))
+    assert abs(laguerre_norm(n, l, q / 2, path="symbolic").log_value - want.log_value) <= tol
 
 
 def test_path_dispatch_errors():
@@ -455,6 +469,14 @@ def test_tail_self_check_sees_a_missing_lobe(monkeypatch):
     with pytest.raises(AccuracyError, match=named) as err:
         laguerre_norm(10, 0, 3.0, path="quadrature")
     assert err.value.estimate > 0
+
+
+def test_lobe_check_names_its_sums_in_logs():
+    # at (40, 100, 200) both sums are near e^-1115, which float() printed as 0.0
+    with pytest.raises(AccuracyError, match="panel list ends inside a lobe") as err:
+        laguerre_norm(40, 100, 200.0)
+    logs = re.search(r"holds e\^(\S+) of e\^(\S+)$", str(err.value)).groups()
+    assert all(math.isfinite(float(v)) for v in logs), logs
 
 
 def test_head_self_check_sees_a_missing_lobe(monkeypatch, fresh_components):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 from oscent import angular, radial, rydberg, specfun
 from oscent.errors import AccuracyError, DomainError
@@ -55,13 +55,6 @@ def test_gamma_half_exact_matches_float_gamma():
         assert value == pytest.approx(math.gamma(two_x / 2.0), rel=1e-14)
 
 
-def test_pochhammer_and_binomial():
-    assert specfun.pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
-    assert specfun.pochhammer(5, 0) == 1
-    assert specfun.binomial_exact(Fraction(7, 2), 2) == Fraction(35, 8)
-    assert specfun.binomial_exact(6, 3) == 20
-
-
 def test_rational_poly_arithmetic():
     p = (Fraction(1), Fraction(1))
     q = specfun._conv(p, p)
@@ -88,7 +81,7 @@ def _poly_power_bell(poly, q):
     """Oracle: [sum_k c_k x^k]^q by partial Bell polynomials.
 
     [z^k] = q!/(k+q)! B_{k+q,q}(1! c_0, 2! c_1, ...), an expansion that
-    shares no arithmetic with the convolution in ``specfun.poly_power``.
+    shares no arithmetic with the Kronecker substitution in ``specfun.poly_power``.
     """
     deg = len(poly) - 1
     cs = list(poly)
@@ -110,20 +103,36 @@ def test_poly_power_matches_bell_oracle_on_laguerre(n, l, q):
 
 
 def test_poly_power_matches_bell_oracle_on_angular_generator(monkeypatch):
-    # the generating polynomial _ctilde0 raises to 2p, at the exact routes' limits
+    # the generating polynomial _ctilde0 raises to 2p, at degree 8 and 2p = 8: fixed,
+    # not the exact routes' cap, as the Bell oracle takes 25 s at degree 40
     seen = []
-    conv = specfun.poly_power
+    moments = specfun._power_moments
 
-    def spy(poly, q):
+    def spy(poly, q, *args):
         seen.append((poly, q))
-        return conv(poly, q)
+        return moments(poly, q, *args)
 
-    monkeypatch.setattr(specfun, "poly_power", spy)
+    monkeypatch.setattr(specfun, "_power_moments", spy)
     m = 1
-    angular._ctilde0.__wrapped__(angular.MAX_DEGREE + m, m, angular.MAX_TWO_P)
+    angular._ctilde0.__wrapped__(8 + m, m, 8)
     [(upoly, q)] = seen
-    assert (len(upoly) - 1, q) == (angular.MAX_DEGREE, angular.MAX_TWO_P)
-    assert conv(upoly, q) == _poly_power_bell(upoly, q)
+    assert (len(upoly) - 1, q) == (8, 8)
+    assert specfun.poly_power(upoly, q) == _poly_power_bell(upoly, q)
+
+
+@example([Fraction(-3)], 5)
+@example([0, Fraction(-3)], 4)
+@example([Fraction(-1, 3), 0, Fraction(5, 7), Fraction(-2)], 5)
+@example([Fraction(10 ** 30, 7), Fraction(-1, 10 ** 12), Fraction(-10 ** 30, 11)], 3)
+@given(hst.lists(hst.fractions(min_value=-4, max_value=4, max_denominator=12), min_size=1,
+                 max_size=5),
+       hst.integers(min_value=1, max_value=5))
+@settings(max_examples=60, deadline=None)
+def test_poly_power_matches_bell_oracle_on_rationals(coeffs, q):
+    # mixed denominators, zero coefficients and negative or zero leading terms, and
+    # a monomial, whose power reaches the l1 bound the digit width rests on: where
+    # a digit packed too narrow or with the wrong sign would show
+    assert specfun.poly_power(tuple(coeffs), q) == _poly_power_bell(tuple(coeffs), q)
 
 
 @given(hst.lists(hst.integers(min_value=-4, max_value=4), min_size=1,
