@@ -6,11 +6,12 @@ Gauss-Jacobi rule at even 2p and Gauss-Jacobi panel quadrature of the
 orthonormal Jacobi row between the Gegenbauer roots at any real p.  The
 paper's two analytic procedures are exact rational references: a
 linearization of the Gegenbauer power into hypergeometric-type sums and a
-Bell-polynomial expansion of the orthonormal Jacobi power, each one call of
-specfun._power_moments, up to degree (l - |m|) 2p = 1000.  shannon_angular
-takes the digamma closed forms of the families and log-weighted panels
-elsewhere.  The rule and the panels take the power-integral core the radial
-part shares, specfun._rule_sum and specfun._panel_pass, whose integrand is
+Bell-polynomial expansion of the Jacobi power, each one call of
+specfun._power_moments under long-double Gamma factors, up to degree
+(l - |m|) 2p = 1000 (specfun._exact_two_p).  shannon_angular takes the
+digamma closed forms of the families and log-weighted panels elsewhere.
+The rule and the panels take the power-integral core the radial part
+shares, specfun._rule_sum and specfun._panel_pass, whose integrand is
 specfun.panel_rows on the Jacobi family at a = b = |m|, a Taylor series of
 its equation about each panel centre from l - |m| = 40 on, as radial's.
 
@@ -88,26 +89,14 @@ class AngularResult:
 
 
 def _exact_route_order(state: AngularState, p, route: str) -> tuple[EntropyOrder, int]:
-    """The order and 2p of an exact polynomial-power route, or DomainError.
-
-    The routes expand the 2p-th power of the polynomial factor without an
-    absolute value, so they serve only a sign-definite power: 2p even, or
-    l = |m|, where the factor is constant.
-    """
+    """The order and 2p of an exact route on the degree-(l - |m|) factor, or DomainError
+    (specfun._exact_two_p): 2p even or l = |m|, where the factor is constant."""
     order = as_order(p)
-    q = order.two_p
-    if q is None:
-        raise DomainError(f"{route} route needs 2p integer, got p={order.p}")
     l, m = state.l, state.m_abs
-    if q % 2 == 1 and l > m:
-        raise DomainError(
-            f"{route} route is sign-ambiguous for odd 2p with l > |m|, got "
-            f"l={l}, m={m}, 2p={q}; use quadrature")
-    specfun._check_exact_degree(l - m, q, route, f"l={l}, m={m}, 2p={q}")
-    return order, q
+    return order, specfun._exact_two_p(order, l - m, route,
+                                       f"l={l}, m={m}, p={order.p}; use quadrature")
 
 
-@lru_cache(maxsize=None)
 def _ctilde0(l: int, m: int, q: int) -> Fraction:
     """Exact rational core of the linearized 2p-fold Gegenbauer product.
 
@@ -168,36 +157,28 @@ def lambda_linearization(state: AngularState, p) -> AngularResult:
     return _result(logmag, order, "linearization")
 
 
-@lru_cache(maxsize=None)
-def _bell_core(l: int, m: int, q: int) -> tuple[Fraction, int, Fraction]:
-    """Exact even-k sum of the Bell route, (sum, pi-half-power, norm_square): over
-    k even, q!/(k+q)! B_(k+q,q)(1! c_0, 2! c_1, ...) 2 G((k+1)/2) / G((k+3+mq)/2), c_i
-    the orthonormal Jacobi coefficients, whose Bell values are [t^k] C(t)^q (Comtet,
-    Advanced Combinatorics, 1974, §3.3), the Gamma ratio by steps (k+1)/(k+3+mq)."""
-    cs, norm_square = specfun.orthonormal_jacobi(l - m, m, m)
-    g2, h2 = specfun.gamma_half_exact(3 + m * q)  # and G(1/2) = pi^(1/2)
-    acc = 2 / g2 * specfun._power_moments(cs, q, lambda k: Fraction(k + 1, k + 3 + m * q), 2)
-    return acc, 1 - h2, norm_square
-
-
 def lambda_bell(state: AngularState, p) -> AngularResult:
     """Power integral of |Y_{l,m}|^2 via the Bell-polynomial route.
 
-    Expands the 2p-th power of the orthonormal Jacobi factor with partial
-    Bell polynomials over its exact coefficients, the coefficients of the
-    power (_bell_core); only the final assembly leaves rational arithmetic.
+    Lambda = (2 pi)^(1-p) h_n^-p integral P_n^(m,m)(t)^2p (1 - t^2)^(mp) dt, n = l - |m|
+    and h_n the exact squared norm of P_n^(m,m): the power's coefficients, the partial
+    Bell values q!/(k+q)! B_(k+q,q)(1! c_0, 2! c_1, ...) = [t^k] C(t)^q of the exact
+    coefficients c_i (specfun._jacobi_exact; Comtet, Advanced Combinatorics, 1974,
+    §3.3), summed against the even moments over the first, sqrt(pi) Gamma(mp + 1) /
+    Gamma(mp + 3/2), by their steps (k+1)/(k+3+mq) (specfun._power_moments).  The
+    first moment and (2 pi)^(1-p) are long double, as the linearization's prefactor.
     Requires a sign-definite power (_exact_route_order).
     """
     order, q = _exact_route_order(state, p, "Bell")
-    l, m = state.l, state.m_abs
-    acc, pi_half, norm_sq = _bell_core(l, m, q)
-    acc = _positive(acc, (l, m, order.p))
-    gm, hm = specfun.gamma_half_exact(m * q + 2)  # Gamma(m p + 1)
-    logmag = (specfun.log_fraction(gm) + 0.5 * hm * _LN_PI
-              - 0.5 * q * _LN_2 + (1.0 - 0.5 * q) * _LN_PI
-              - 0.5 * q * specfun.log_fraction(norm_sq)
-              + specfun.log_fraction(acc) + 0.5 * pi_half * _LN_PI)
-    return _result(logmag, order, "bell")
+    l, m, n = state.l, state.m_abs, state.l - state.m_abs
+    acc = _positive(specfun._power_moments(specfun._jacobi_exact(n, m), q,
+                                           lambda k: Fraction(k + 1, k + 3 + m * q), 2),
+                    (l, m, order.p))
+    h_n = Fraction(2 ** (2 * m + 1) * math.factorial(l) ** 2,
+                   math.factorial(n) * (2 * l + 1) * math.factorial(l + m))
+    lg, pf, log = specfun._lgamma, np.longdouble(0.5 * q), specfun.log_fraction
+    return _result(float((1 - pf) * _LN_2PI + specfun._LN_PI / 2 + lg(m * pf + 1)
+                         - lg(m * pf + 1.5) + log(acc) - pf * log(h_n)), order, "bell")
 
 
 def _angular_pass(state: AngularState, p: float, what: str, log_coefs=None):

@@ -8,11 +8,12 @@ reduces to a norm-like integral
 
 Four evaluation paths: a symbolic path when 2p is an even integer (an exact
 rational sum, one call of specfun._power_moments) or n = 0, a closed form
-for n = 1 at even 2p, both exact routes capped at degree n 2p = 1000, one
-Gauss-Laguerre rule of n p + 1 nodes at even 2p, exact for the polynomial
-power up to rounding, and a panel quadrature with Gauss-Jacobi endpoint
-weights valid for any real p > 0.  auto takes the n = 0 formula, the rule
-for even 2p <= 8 and the panels otherwise.
+for n = 1 at even 2p, both exact routes capped at degree n 2p = 1000 and at
+l 2p = 50,000 (specfun._exact_two_p), one Gauss-Laguerre rule of n p + 1
+nodes at even 2p, exact for the polynomial power up to rounding, and a
+panel quadrature with Gauss-Jacobi endpoint weights valid for any real
+p > 0.  auto takes the n = 0 formula, the rule for even 2p <= 8 and the
+panels otherwise.
 
 The rule and the panels take the power-integral core the angular part
 shares: specfun._rule_sum, at x = y / p, and specfun._panel_pass, whose
@@ -223,19 +224,14 @@ def closed_n1l(l: int, p) -> LaguerreNorm:
 
     The expansion behind this identity raises the linear Laguerre factor to
     the power 2p without taking absolute values.  L_1 changes sign, so the
-    identity holds for even 2p only; odd 2p raises DomainError, and so does
-    a degree 2p above specfun._EXACT_MAX_DEGREE.
+    identity holds for even 2p only; odd 2p raises DomainError, and so do
+    the caps of specfun._exact_two_p on 2p and on l 2p.
     """
     if l < 0:
         raise DomainError(f"orbital number must be >= 0, got l={l}")
     order = as_order(p)
-    q = order.two_p
-    if q is None or q % 2 == 1:
-        raise DomainError(
-            f"closed n=1 norm needs an even integer 2p: L_1 changes sign, so "
-            f"odd 2p is sign-ambiguous; got p={p}")
-    specfun._check_exact_degree(1, q, "closed n=1", f"n=1, p={order.p}; use --path auto")
     pf = order.p
+    q = specfun._exact_two_p(order, 1, "closed n=1", f"n=1, l={l}, p={pf}; use --path auto", l)
     a = -Fraction((l + 2) * q + 3, 2)
     x = -Fraction((2 * l + 3) * q, 4)
     lval = specfun.laguerre_eval_negparam(q, a, x)
@@ -263,9 +259,10 @@ def laguerre_norm(n: int, l: int, p, *, path: str = "auto") -> LaguerreNorm:
     polynomial power; panel quadrature otherwise, the faster route above
     2p = 8.  For odd 2p with n >= 1 the polynomial power is signed, so
     quadrature is the faithful route.  path="symbolic" gives the exact
-    rational value at any even 2p up to degree n 2p = specfun._EXACT_MAX_DEGREE,
-    "closed_n1" the n = 1 closed form and "quadrature" the panels.  Each
-    value is computed once per (n, l, p, path) (_laguerre_norm).
+    rational value at any even 2p up to degree n 2p = 1000 and l 2p = 50,000
+    (specfun._exact_two_p), "closed_n1" the n = 1 closed form and
+    "quadrature" the panels.  Each value is computed once per
+    (n, l, p, path) (_laguerre_norm).
     """
     if n < 0 or l < 0:
         raise DomainError(f"quantum numbers must be >= 0, got n={n}, l={l}")
@@ -285,14 +282,8 @@ def _laguerre_norm(n: int, l: int, pf: float, path: str) -> LaguerreNorm:
     if path == "symbolic":
         if n == 0:
             return _norm_symbolic_n0(l, pf)
-        if q is None:
-            raise DomainError(f"symbolic route needs 2p integer, got p={pf}")
-        if q % 2 == 1:
-            raise DomainError(
-                "symbolic route is sign-ambiguous for odd 2p with n >= 1; "
-                "use quadrature")
-        specfun._check_exact_degree(n, q, "symbolic", f"n={n}, p={pf}; use --path auto")
-        return _norm_symbolic(n, l, q, pf)
+        return _norm_symbolic(n, l, specfun._exact_two_p(
+            as_order(pf), n, "symbolic", f"n={n}, l={l}, p={pf}; use --path auto", l), pf)
     if path == "closed_n1":
         if n != 1:
             raise DomainError(f"closed_n1 route applies only to n=1, got n={n}")

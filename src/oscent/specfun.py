@@ -1,13 +1,14 @@
 """Special-function kernel.
 
-Exact rational orthogonal-polynomial coefficients, Gamma-family helpers on
-the half-integer lattice, one exact engine behind every exact route (powers
-by Kronecker substitution in integers, _int_power, and their moment sums,
-_power_moments, under one degree cap), partial Bell polynomials (a test
-oracle), every polynomial a coefficient tuple under one arithmetic, _conv,
-_plus and _horner, shared by the exact references and the Taylor-series
-engine, one long-double orthonormal recurrence, _rows, behind every
-production polynomial value (the classical Laguerre and Gegenbauer
+Exact rational orthogonal-polynomial coefficients (Jacobi P_n^(m,m) and
+Laguerre, each by its explicit-sum ratios), Gamma-family helpers on the
+half-integer lattice, one exact engine behind every exact route (powers by
+Kronecker substitution in integers, _int_power, and their moment sums,
+_power_moments, under one guard on 2p, _exact_two_p), partial Bell
+polynomials (a test oracle), every polynomial a coefficient tuple under one
+arithmetic, _conv, _plus and _horner, shared by the exact references and the
+Taylor-series engine, one long-double orthonormal recurrence, _rows, behind
+every production polynomial value (the classical Laguerre and Gegenbauer
 recurrences serve the oracle), each family's equation and structure
 relation stated once (laguerre_family, jacobi_family), one Gauss rule
 generator (Golub-Welsch start, one Newton pass of _rows under the square
@@ -36,7 +37,7 @@ from .errors import AccuracyError, DomainError
 
 __all__ = [
     "digamma", "gamma_half_exact", "log_fraction", "bell_partial", "poly_power",
-    "jacobi_poly", "orthonormal_jacobi", "gegenbauer_eval", "gegenbauer_roots",
+    "gegenbauer_eval", "gegenbauer_roots",
     "laguerre_poly", "laguerre_eval", "laguerre_orthonormal_weighted",
     "laguerre_eval_negparam", "integrate",
     "Family", "jacobi_family", "laguerre_family", "gauss_legendre", "gauss_jacobi",
@@ -217,66 +218,43 @@ def _power_moments(poly, q: int, ratio: Callable, step: int = 1) -> Fraction:
     return Fraction(num, den * d)
 
 
-# every exact route's cap on the degree n 2p of its power, 2p alone at n = 0 (l = |m|,
-# whose Gamma factors still grow with 2p): closed_n1l takes 0.13 s at 2p = 1000 and
-# l = 0, 6.7 s at l = 100
+# every exact route's cap on the degree n 2p of its power (2p alone at n = 0, l = |m|),
+# where symbolic (125, 0, 8) takes about 1 s, and the radial routes' cap on l 2p, which
+# sizes their exact Gamma factors gamma_half_exact(l 2p + 3): 0.7-2.6 s at 50,000 and
+# 3.8-8.3 s at 100,000.  The angular routes hold no factorial of m p
 _EXACT_MAX_DEGREE = 1000
+_EXACT_MAX_L_TWO_P = 50_000
 
 
-def _check_exact_degree(n: int, q: int, route: str, got: str) -> None:
+def _exact_two_p(order, n: int, route: str, got: str, l: int = 0) -> int:
+    """2p of an exact route's power of a degree-n factor, or DomainError: the routes
+    expand that power without an absolute value, so 2p must be an integer, even
+    where the factor changes sign (n >= 1), within the caps on n 2p and l 2p."""
+    q = order.two_p
+    if q is None:
+        raise DomainError(f"{route} route needs 2p integer, got {got}")
+    if q % 2 == 1 and n >= 1:
+        raise DomainError(f"{route} route is sign-ambiguous for odd 2p, where its factor "
+                          f"of degree n >= 1 changes sign, got {got}")
     if max(n, 1) * q > _EXACT_MAX_DEGREE:
         raise DomainError(f"{route} route expands a power of degree n 2p > "
                           f"{_EXACT_MAX_DEGREE} in rationals, got {got}")
+    if l * q > _EXACT_MAX_L_TWO_P:
+        raise DomainError(f"{route} route takes exact Gamma factors of l 2p > "
+                          f"{_EXACT_MAX_L_TWO_P}, got {got}")
+    return q
 
 
-@lru_cache(maxsize=None)
-def _jacobi_cached(n: int, a2: int, b2: int) -> tuple:
-    """P_n^(a,b), a = a2/2 and b = b2/2, by the three-term recurrence (DLMF 18.9.1)
-    from P_0 = 1 and P_1 = ((a - b) + (a + b + 2) x)/2."""
-    a, b = Fraction(a2, 2), Fraction(b2, 2)
-    prev, out = (Fraction(1),), ((a - b) / 2, (a + b + 2) / 2)
-    for k in range(1, n):
-        s = 2 * k + a + b
-        den = 2 * (k + 1) * (k + a + b + 1) * s
-        lin = ((s + 1) * (a * a - b * b) / den, (s + 1) * (s + 2) * s / den)
-        back = 2 * (k + a) * (k + b) * (s + 2) / den
-        prev, out = out, _plus(_conv(out, lin), [-back * c for c in prev])
-    return out if n else prev
-
-
-def jacobi_poly(n: int, a, b) -> tuple:
-    """Classical Jacobi polynomial P_n^{(a,b)} with exact coefficients.
-
-    Parameters a, b may be rationals on the half-integer lattice; both must
-    exceed -1.
-    """
-    if n < 0:
-        raise DomainError(f"jacobi_poly degree must be >= 0, got {n}")
-    a = Fraction(a)
-    b = Fraction(b)
-    if a <= -1 or b <= -1:
-        raise DomainError(f"jacobi parameters must exceed -1, got ({a}, {b})")
-    if a.denominator not in (1, 2) or b.denominator not in (1, 2):
-        raise DomainError("jacobi parameters must lie on the half-integer lattice")
-    return _jacobi_cached(n, int(2 * a), int(2 * b))
-
-
-def orthonormal_jacobi(n: int, a, b) -> tuple[tuple, Fraction]:
-    """Jacobi polynomial and its exact squared norm for weight (1-x)^a (1+x)^b.
-
-    norm_square = 2^{a+b+1} G(a+n+1) G(b+n+1) / (n! (a+b+2n+1) G(a+b+n+1));
-    kept as an exact rational, which requires integer a and b.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a.denominator != 1 or b.denominator != 1:
-        raise DomainError("orthonormal_jacobi keeps the norm exact only for integer parameters")
-    if a < 0 or b < 0:
-        raise DomainError(f"orthonormal_jacobi requires a, b >= 0, got ({a}, {b})")
-    ai, bi = int(a), int(b)
-    ns = (Fraction(2 ** (ai + bi + 1)) * math.factorial(ai + n) * math.factorial(bi + n)
-          / (math.factorial(n) * (ai + bi + 2 * n + 1) * math.factorial(ai + bi + n)))
-    return jacobi_poly(n, ai, bi), ns
+def _jacobi_exact(n: int, m: int) -> tuple:
+    """P_n^(m,m) from its explicit sum, a multiple of the Gegenbauer C_n^(m+1/2)
+    (DLMF 18.7.1, 18.5.10): c_n = (2n+2m)!/(2^n n! (n+2m)!) and c_(j-2) = -j (j-1) c_j
+    / ((n-j+2)(n+j+2m-1)) down to j = 2; the coefficients of the other parity are 0."""
+    cs = [Fraction(0)] * (n + 1)
+    cs[n] = Fraction(math.factorial(2 * n + 2 * m),
+                     2 ** n * math.factorial(n) * math.factorial(n + 2 * m))
+    for j in range(n, 1, -2):
+        cs[j - 2] = cs[j] * Fraction(-j * (j - 1), (n - j + 2) * (n + j + 2 * m - 1))
+    return tuple(cs)
 
 
 def gegenbauer_eval(n: int, lam, t):

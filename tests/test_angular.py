@@ -129,12 +129,24 @@ def test_exact_routes_match_the_rule_past_the_old_lattice(n, m, q):
 @pytest.mark.parametrize("q", [9, 11, 15])
 def test_exact_routes_match_the_closed_form_at_odd_powers(l, q):
     # l = |m|: the factor is constant, so odd 2p past the old 2p <= 8 is exact too.
-    # In ln Lambda, linearization comes within 1.8e-15 of lambda_closed and Bell
-    # within 2.4e-13, (40, 40, 2p = 15), where its float assembly adds logs near 1400
+    # In ln Lambda, both come within 1.8e-15 of lambda_closed, at (40, 40, 15) for Bell,
+    # whose Gamma factors of m p, with logs near 1400 there, are long double
     state = AngularState(l, l)
     want = math.log(lambda_closed(state, q / 2).lambda_value)
-    for route, tol in ((lambda_linearization, 4e-15), (lambda_bell, 5e-13)):
-        assert abs(math.log(route(state, q / 2).lambda_value) - want) <= tol, route
+    for route in (lambda_linearization, lambda_bell):
+        assert abs(math.log(route(state, q / 2).lambda_value) - want) <= 4e-15, route
+
+
+@pytest.mark.parametrize("l,m,q,tol", [(300, 300, 1000, 2e-12), (2000, 2000, 1000, 1e-11),
+                                       (505, 5, 2, 4e-16)])
+def test_bell_at_the_degree_cap(l, m, q, tol):
+    # degree (l - |m|) 2p = 1000, each within a tenth of a second.  In ln Lambda, of
+    # sizes 218 and 691, Bell is 4.8e-13 and 3.3e-12 off lambda_closed; at (505, 5)
+    # 1.1e-16 off the Gauss-Jacobi rule
+    state = AngularState(l, m)
+    want = (math.log(lambda_closed(state, q / 2).lambda_value) if state.closed_family
+            else _ln_rule(l, m, q / 2))
+    assert abs(math.log(lambda_bell(state, q / 2).lambda_value) - want) <= tol
 
 
 @pytest.mark.parametrize("l,m,p", [(501, 0, 1.0), (131, 5, 4.0), (3, 3, 500.5)])

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 from fractions import Fraction
 
 import mpmath
@@ -133,6 +134,22 @@ def test_exact_routes_refuse_degrees_past_1000(n, p, path):
     # degree n 2p: 1002, 2e300, 1008 and 1e301; the rational powers take 2p steps
     with pytest.raises(DomainError, match="--path auto"):
         laguerre_norm(n, 3, p, path=path)
+
+
+@pytest.mark.parametrize("route", [lambda: closed_n1l(300, 500.0),
+                                   lambda: laguerre_norm(1, 1000, 500.0, path="symbolic")])
+def test_exact_routes_refuse_gamma_factors_past_l_2p_50000(route):
+    # degree n 2p = 1000, but l 2p = 300,000 and 1,000,000: gamma_half_exact(l 2p + 3)
+    # ran past 60 s.  The refusal comes before any exact arithmetic
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="l 2p > 50000.*--path auto"):
+        route()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_symbolic_route_at_l_2p_50000():
+    # at the bound, about 1.1 s: N_{n,l}(1) = 1, whose log the exact sum gives as 0.0
+    assert laguerre_norm(1, 25000, 1.0, path="symbolic").log_value == 0.0
 
 
 @pytest.mark.parametrize("n,l,q,panels,tol", [(125, 0, 8, False, 2e-15),

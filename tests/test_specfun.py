@@ -114,7 +114,7 @@ def test_poly_power_matches_bell_oracle_on_angular_generator(monkeypatch):
 
     monkeypatch.setattr(specfun, "_power_moments", spy)
     m = 1
-    angular._ctilde0.__wrapped__(8 + m, m, 8)
+    angular._ctilde0(8 + m, m, 8)
     [(upoly, q)] = seen
     assert (len(upoly) - 1, q) == (8, 8)
     assert specfun.poly_power(upoly, q) == _poly_power_bell(upoly, q)
@@ -154,24 +154,39 @@ def test_poly_power_matches_numpy(coeffs, q):
         assert float(c) == pytest.approx(w, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("n,a,b", [(0, 0.5, 0.5), (2, 1.5, 0.5),
-                                   (4, 2.5, 2.5), (5, 3.5, 1.5)])
-def test_jacobi_poly_matches_scipy(n, a, b):
-    poly = specfun.jacobi_poly(n, Fraction(a), Fraction(b))
-    for t in (-0.9, -0.3, 0.0, 0.4, 0.85):
-        assert float(specfun._horner(poly, Fraction(t).limit_denominator(10 ** 9))) == \
-            pytest.approx(sp.eval_jacobi(n, a, b, t), rel=1e-12, abs=1e-12)
+def _jacobi_by_recurrence(n_max, a, b):
+    """P_0^(a,b) .. P_n_max^(a,b) in Fractions by the three-term recurrence (DLMF
+    18.9.1) from P_0 = 1 and P_1 = ((a - b) + (a + b + 2) x)/2: the oracle of
+    specfun._jacobi_exact, which takes the explicit sum."""
+    a, b = Fraction(a), Fraction(b)
+    prev, out = (Fraction(1),), ((a - b) / 2, (a + b + 2) / 2)
+    yield prev
+    for k in range(1, n_max + 1):
+        yield out
+        s = 2 * k + a + b
+        den = 2 * (k + 1) * (k + a + b + 1) * s
+        lin = ((s + 1) * (a * a - b * b) / den, (s + 1) * (s + 2) * s / den)
+        back = 2 * (k + a) * (k + b) * (s + 2) / den
+        prev, out = out, specfun._plus(specfun._conv(out, lin), [-back * c for c in prev])
 
 
-def test_orthonormal_jacobi_norm_square():
-    nodes, ln_w = specfun.gauss_jacobi(40, 2.0, 2.0)
-    weights = np.exp(ln_w)
-    for n in (0, 1, 3, 5):
-        base, norm_square = specfun.orthonormal_jacobi(n, 2, 2)
-        vals = np.array([float(specfun._horner(
-            base, Fraction(float(t)).limit_denominator(10 ** 12))) for t in nodes])
-        assert weights @ vals ** 2 == \
-            pytest.approx(float(norm_square), rel=1e-12)
+@pytest.mark.parametrize("m", [0, 1, 3, 7, 20])
+def test_jacobi_exact_matches_the_recurrence(m):
+    # the same Fractions, coefficient for coefficient, at every degree n <= 60
+    for n, want in enumerate(_jacobi_by_recurrence(60, m, m)):
+        assert specfun._jacobi_exact(n, m) == want, n
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 7, 20])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 20, 60])
+def test_jacobi_exact_matches_scipy(n, m):
+    # summed exactly at each rational t, then rounded: 1.2e-15 at worst, (5, 0), of
+    # the largest |P_n^(m,m)| on the grid, which reaches 3.5e18 at (60, 20)
+    cs = specfun._jacobi_exact(n, m)
+    ts = (-0.95, -0.6, -0.1, 0.0, 0.3, 0.77, 1.0)
+    got = [float(specfun._horner(cs, Fraction(t))) for t in ts]
+    want = sp.eval_jacobi(n, m, m, np.array(ts))
+    assert np.allclose(got, want, rtol=0, atol=4e-15 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("n,lam", [(1, 0.5), (3, 1.5), (5, 2.5), (6, 0.5)])
