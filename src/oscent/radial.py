@@ -20,8 +20,10 @@ shares: specfun._rule_sum, at x = y / p, and specfun._panel_pass, whose
 panels run from x = 0 over the roots to a tail (one mass bound starts the
 head and ends the tail) and whose integrand is specfun.panel_rows on the
 Laguerre family at a = l + 1/2 under e^(-x/2), its root gaps under (x/c)^s:
-from n = 40 on a Taylor series of the family's equation about each panel
-centre where its own coefficients certify it, the recurrence elsewhere.
+from n = 40 on a Taylor series of the family's equation on every panel, in
+equal pieces where its coefficients ask, the slice at x = 0 about x = 0;
+the recurrence only where no piece certifies its series (the slice at x = 0
+from about l = 60 on).
 
 laguerre_norm keeps each value by (n, l, p, path) and shannon_radial_exact
 its log integral J by (n, l), in caches of specfun._RULE_CACHE entries that

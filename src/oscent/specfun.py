@@ -12,15 +12,20 @@ every production polynomial value (the classical Laguerre and Gegenbauer
 recurrences serve the oracle), each family's equation and structure
 relation stated once (laguerre_family, jacobi_family), one Gauss rule
 generator (Golub-Welsch start, one Newton pass of _rows under the square
-root of the weight on those identities, log Christoffel weights) behind
-every Gauss-Laguerre and Gauss-Jacobi rule and the Gegenbauer roots, the
-log-weighted Gauss-Jacobi product rule, one panel Taylor-series engine for
-both families (panel_rows), the panel planner with its one mass bound, the
-one panel function, which maps those rules onto panels in long double,
-calls its integrand once on all their nodes, forms every power from logs
-and checks the pieces dropped and the rows that underflow, the
-two-node-count check, and the one panel pass and one even-2p rule sum of
-both parts (_panel_pass, _rule_sum).
+root of the weight on those identities, log Christoffel weights, several
+rules side by side in one pass, _gauss_rules) behind every Gauss-Laguerre
+and Gauss-Jacobi rule and the Gegenbauer roots, the log-weighted
+Gauss-Jacobi product rule, one panel Taylor-series engine for both families
+(panel_rows: from degree 40 on, every panel in equal pieces, each on a
+series of the family's equation, about an end where P vanishes, a root
+gap's pieces kept for the next list; the recurrence only where no piece's
+series certifies itself), the panel planner with its one mass bound, the
+one panel function, which maps the rules of its store (_panel_rules: a
+list's missing ones built in one pass) onto panels in long double, calls
+its integrand once on all their nodes (a series by one product with a
+rule's node powers), forms every power from logs and checks the pieces
+dropped and the rows that underflow, the two-node-count check, and the one
+panel pass and one even-2p rule sum of both parts (_panel_pass, _rule_sum).
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ __all__ = [
 ]
 
 # entries kept by each cache of Gauss rules, Bessel zeros and constants, above the
-# 270 a whole benchmark pool fills (gauss_jacobi on grid); new orders evict the oldest
+# 172 a whole benchmark pool fills (power_panels' rules on grid, 140 on ladder, with
+# 98 gauss_jacobi rules on grid); new orders evict the oldest
 _RULE_CACHE = 512
 
 
@@ -408,12 +414,18 @@ def _eigen_start(diag, off) -> np.ndarray:
     ascending order: the roots of p_m, which start _gauss_rule's Newton pass.
     Up to _DENSE_START_MAX nodes from the dense matrix (eigvalsh reads its
     lower triangle), above that from scipy's tridiagonal solver, imported here
-    on the first such rule."""
+    on the first such rule.  Columns (m, R) of several rules give one column
+    each, from one stacked eigvalsh call up to _DENSE_START_MAX nodes."""
     d, e = diag.astype(float), off[:-1].astype(float)
     if len(d) > _DENSE_START_MAX:
         from scipy.linalg import eigvalsh_tridiagonal
+        if d.ndim == 2:
+            return np.stack([eigvalsh_tridiagonal(*col) for col in zip(d.T, e.T)], axis=-1)
         return eigvalsh_tridiagonal(d, e)
-    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, -1))
+    i = np.arange(len(d))
+    mats = np.zeros(d.shape[1:] + (len(d), len(d)))
+    mats[..., i, i], mats[..., i[1:], i[:-1]] = d.T, e.T
+    return np.linalg.eigvalsh(mats).T
 
 
 def _gauss_rule(diag, off, ln_mu0, ln_weight, identities) -> tuple[np.ndarray, np.ndarray]:
@@ -438,41 +450,67 @@ def _gauss_rule(diag, off, ln_mu0, ln_weight, identities) -> tuple[np.ndarray, n
     1 / sum p_k^2, (Q + b_m (R_m - R_(m-1)) p_m p_(m-1) / sum p_k^2) / P, so
     a node's rounding next to a singular end of w does not enter.  The checks:
     only the m distinct roots increase strictly and alternate the sign of
-    r_(m-1) (interlacing), and every log weight is finite.
+    r_(m-1) (interlacing), and every log weight is finite.  Columns of several
+    rules (jacobi_family of exponent arrays) take one pass, each its rule alone.
     """
-    m = len(diag)
-    x = np.longdouble(_eigen_start(diag, off))
+    return _gauss_rules([Family(diag, off, ln_mu0, ln_weight, identities)])[0]
+
+
+def _gauss_rules(fams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_gauss_rule of families of increasing size m over one weight, whose recurrences
+    agree where they overlap (jacobi_family(m, a, b) for several m): their nodes side
+    by side along one pass of the largest's rows, each family's rows, Christoffel sum
+    and Newton step taken at its own m, so each rule is bitwise its _gauss_rule."""
+    big, sizes = fams[-1], [len(f.diag) for f in fams]
+    x = np.concatenate([np.longdouble(_eigen_start(f.diag, f.off)) for f in fams])
+    at = [slice(a, b) for a, b in zip(np.cumsum([0, *sizes]), np.cumsum(sizes))]
     eps = np.finfo(np.longdouble).eps
-    scale = np.max(np.abs(diag)) + 2 * np.max(off)
+    # each rule's nodes and log weights from the pass that settles it
+    done = [np.zeros(x.shape[1:], dtype=bool) for _ in fams]
+    out, ln_w = [np.empty_like(x[i]) for i in at], [np.empty_like(x[i]) for i in at]
     # a float fault ends in a check below: NaN never settles, and a start on
     # an end of the interval (P = 0) makes the predicted step NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(8):
-            rows = _rows(x, diag, off, np.exp((ln_weight(x) - ln_mu0) / 2))
-            k_sum = 0
-            for pm1 in islice(rows, m):
-                k_sum = k_sum + pm1 * pm1
-            pm = next(rows)
-            (big_p, d_p, *_), (q, _), _, dr, a_m, b_ratio = identities(x)
-            b_pm1 = off[-1] * pm1
-            step = big_p * pm / ((a_m + (q - d_p) / 2) * pm + b_ratio * b_pm1)
-            nodes = x - step
-            if np.all(np.abs(d_p / (2 * big_p)) * step * step
-                      <= 4 * eps * (scale + np.abs(nodes))):
+            rows = _rows(x, big.diag, big.off, np.exp((big.ln_weight(x) - big.ln_mu0) / 2))
+            k_sum, pm1, sums = 0, None, {}
+            for k, row in enumerate(rows):
+                if k in sizes:  # the sum over rows < k, row k - 1 and row k
+                    sums[k] = k_sum, pm1, row
+                    if k == sizes[-1]:
+                        break
+                k_sum, pm1 = k_sum + row * row, row
+            for f, i, m, n in zip(fams, at, sizes, range(len(fams))):
+                if done[n].all():
+                    continue
+                k_sum, pm1, pm, xi = *(a[i] for a in sums[m]), x[i]
+                (big_p, d_p, *_), (q, _), _, dr, a_m, b_ratio = f.identities(xi)
+                b_pm1 = f.off[-1] * pm1
+                step = big_p * pm / ((a_m + (q - d_p) / 2) * pm + b_ratio * b_pm1)
+                nodes = xi - step
+                scale = np.max(np.abs(f.diag), axis=0) + 2 * np.max(f.off, axis=0)
+                now = ~done[n] & np.all(np.abs(d_p / (2 * big_p)) * step * step
+                                        <= 4 * eps * (scale + np.abs(nodes)), axis=0)
+                if now.any():
+                    sign = np.sign(pm1)
+                    if not np.all((np.all(np.diff(nodes, axis=0) > 0, axis=0)
+                                   & np.all(sign[:-1] * sign[1:] < 0, axis=0))[now]):
+                        raise AccuracyError(f"Gauss rule of {m} nodes: the nodes are not "
+                                            f"{m} distinct roots")
+                    # lambda(x - s) = lambda - s lambda', all at the start x
+                    out[n] = np.where(now, nodes, out[n])
+                    ln_w[n] = np.where(now, f.ln_weight(xi) - np.log(k_sum) - np.log1p(
+                        step * (q + dr * b_pm1 * pm / k_sum) / big_p), ln_w[n])
+                    done[n] = done[n] | now
+                x[i] = nodes
+            if all(dn.all() for dn in done):
                 break
-            x = nodes
         else:
-            raise AccuracyError(f"Gauss rule of {m} nodes: Newton steps did not settle")
-        sign = np.sign(pm1)
-        if not (np.all(np.diff(nodes) > 0) and np.all(sign[:-1] * sign[1:] < 0)):
-            raise AccuracyError(f"Gauss rule of {m} nodes: the nodes are not "
-                                f"{m} distinct roots")
-        # lambda(x - s) = lambda - s lambda', all at the start x
-        ln_w = (ln_weight(x) - np.log(k_sum)
-                - np.log1p(step * (q + dr * b_pm1 * pm / k_sum) / big_p))
-    if not np.all(np.isfinite(ln_w)):
-        raise AccuracyError(f"Gauss rule of {m} nodes: the log weights are not finite")
-    return nodes, ln_w
+            raise AccuracyError(f"Gauss rule of {sizes[-1]} nodes: Newton steps did not settle")
+    for m, w in zip(sizes, ln_w):
+        if not np.all(np.isfinite(w)):
+            raise AccuracyError(f"Gauss rule of {m} nodes: the log weights are not finite")
+    return list(zip(out, ln_w))
 
 
 _STIRLING = tuple(np.longdouble(num) / den for num, den in (
@@ -510,20 +548,34 @@ class Family(NamedTuple):
     identities: Callable
 
 
-def jacobi_family(m: int, a: float, b: float) -> Family:
+@lru_cache(maxsize=_RULE_CACHE)
+def _jacobi_ln_mu0(a: float, b: float) -> np.longdouble:
+    """ln mu0 = ln(2^(a+b+1) B(a+1, b+1)) in long double, once for every rule size."""
+    a_, b_ = np.longdouble(a), np.longdouble(b)
+    return (a_ + b_ + 1) * _LN_2 + _lgamma(a_ + 1) + _lgamma(b_ + 1) - _lgamma(a_ + b_ + 2)
+
+
+def jacobi_family(m: int, a, b) -> Family:
     """(1-x)^a (1+x)^b on [-1, 1], mu0 = 2^(a+b+1) B(a+1, b+1): p_k keeps the
     identities of P_k^(a,b) (DLMF §18.9), with s = 2m + a + b in the structure
-    relation (1 - x^2) p_m' = m ((a - b)/s - x) p_m + (s + 1) b_m p_(m-1)."""
-    a_, b_ = np.longdouble(a), np.longdouble(b)
+    relation (1 - x^2) p_m' = m ((a - b)/s - x) p_m + (s + 1) b_m p_(m-1).
+    With a and b arrays (R,), diag and off hold one column a family, (m, R),
+    each bitwise its family's alone, for _gauss_rule to build R rules at once."""
+    a_, b_ = (np.asarray(v, dtype=np.longdouble)[()] for v in (a, b))
     k = np.arange(1, m + 1, dtype=np.longdouble)
+    if np.ndim(a_):
+        k = k[:, None]
     s = 2 * k + a_ + b_
-    diag = np.append((b_ - a_) / (a_ + b_ + 2), (b_ * b_ - a_ * a_) / (s * (s + 2)))[:m]
+    diag = np.concatenate((np.asarray((b_ - a_) / (a_ + b_ + 2))[None],
+                           (b_ * b_ - a_ * a_) / (s * (s + 2))))[:m]
     # at k = 1 the factor (k + a + b) / (s - 1) of off_k^2 is exactly 1
     off = np.sqrt(4 * k * (k + a_) * (k + b_) / (s * s * (s + 1))
-                  * np.append(1, (k[1:] + a_ + b_) / (s[1:] - 1)))
+                  * np.concatenate((np.ones_like(s[:1]), (k[1:] + a_ + b_) / (s[1:] - 1))))
+    ln_mu0 = np.array([_jacobi_ln_mu0(*ab) for ab in zip(np.ravel(a_).tolist(),
+                                                         np.ravel(b_).tolist())])
+    ln_mu0 = ln_mu0 if np.ndim(a_) else ln_mu0[0]
     s = 2 * m + a_ + b_
-    return Family(diag, off, (a_ + b_ + 1) * _LN_2 + _lgamma(a_ + 1) + _lgamma(b_ + 1)
-                  - _lgamma(a_ + b_ + 2), lambda x: a_ * np.log1p(-x) + b_ * np.log1p(x),
+    return Family(diag, off, ln_mu0, lambda x: a_ * np.log1p(-x) + b_ * np.log1p(x),
                   lambda x: (((1 - x) * (1 + x), -2 * x, -1),
                              (b_ - a_ - (a_ + b_ + 2) * x, -(a_ + b_ + 2)),
                              m * (m + a_ + b_ + 1), s, m * ((a_ - b_) / s - x), s + 1))
@@ -583,24 +635,77 @@ def gauss_jacobi_log(m: int, a: float, b: float) -> tuple[np.ndarray, ...]:
     (Chu-Vandermonde differentiated in the exponent of 1+t); lm mirrors
     t -> -t.  t and ln_w are gauss_jacobi's long-double nodes and log
     Christoffel weights, which the log weights must match; lp and lm are
-    long double.
+    long double (_log_weights).
     """
     t, ln_w = gauss_jacobi(m, a, b)
-    a_, b_ = np.longdouble(a), np.longdouble(b)
-    # sqrt(mu0) p_k(t_i) in row k < m
-    p = np.array(list(_rows(t, *jacobi_family(m - 1, a, b)[:2], np.ones_like(t))))
-    return (t, ln_w, _log_moments(m, a_, b_) @ p,
-            (_log_moments(m, b_, a_) * (-1.0) ** np.arange(m)) @ p)
+    (lp, lm), = _log_weights((m,), np.array([a]), np.array([b]), t[:, None])
+    return t, ln_w, lp[:, 0], lm[:, 0]
+
+
+def _log_weights(ms, a, b, t) -> list[tuple[np.ndarray, np.ndarray]]:
+    """lp and lm of gauss_jacobi_log for rules of exponents a and b, (R,), at the node
+    counts ms, their nodes side by side in t, (sum ms, R): one pass of _rows for all,
+    sqrt(mu0) p_k(t_i) in row k < m, against each rule's moments (the first m of the
+    largest count's, _log_moments)."""
+    top = max(ms)
+    p = np.array(list(_rows(t, *jacobi_family(top - 1, a, b)[:2], np.ones_like(t))))
+    sign = (-1.0) ** np.arange(top)
+    moments = [(_log_moments(top, a_, b_), _log_moments(top, b_, a_) * sign)
+               for a_, b_ in zip(np.longdouble(a), np.longdouble(b))]
+    out, start = [], 0
+    for m in ms:
+        block, start = p[:m, start:start + m], start + m
+        out.append(tuple(np.stack([mom[j][:m] @ block[..., r] for r, mom in enumerate(moments)],
+                                  axis=-1) for j in (0, 1)))
+    return out
+
+
+# power_panels' Gauss-Jacobi rules by (m, a, b), at most _RULE_CACHE of them, the
+# least recently used out first: [nodes, log weights, lp, lm, node powers], the last
+# three filled once a pass asks for them
+_PANEL_RULES: dict = {}
+
+
+def _panel_rules(m: int, pairs, logs: bool) -> list[list]:
+    """power_panels' rule of m nodes for each exponent pair (a, b), from _PANEL_RULES:
+    the pairs it lacks built in one pass of _gauss_rules over their families' columns,
+    at m = _NODES together with the 1.5 _NODES that settled's second pass takes, and
+    with logs the log-term weights it lacks in one _log_weights pass, each bitwise
+    gauss_jacobi's and gauss_jacobi_log's built alone."""
+    keys = [(m, a, b) for a, b in pairs]
+    sizes = (m, m * 3 // 2) if m == _NODES else (m,)
+    new = [k[1:] for k in keys if any((n, *k[1:]) not in _PANEL_RULES for n in sizes)]
+    if new:
+        a, b = np.array(new).T
+        for n, (t, ln_w) in zip(sizes, _gauss_rules([jacobi_family(n, a, b) for n in sizes])):
+            for ab, col_t, col_w in zip(new, t.T, ln_w.T):
+                _PANEL_RULES.setdefault((n, *ab), [np.ascontiguousarray(col_t),
+                                                   np.ascontiguousarray(col_w), None, None, {}])
+    new = [k[1:] for k in keys if logs and _PANEL_RULES[k][2] is None]
+    if new:
+        a, b = np.array(new).T
+        entries = [[_PANEL_RULES[(n, *ab)] for ab in new] for n in sizes]
+        t = np.concatenate([np.stack([rule[0] for rule in group], axis=-1) for group in entries])
+        for group, (lp, lm) in zip(entries, _log_weights(sizes, a, b, t)):
+            for rule, col_p, col_m in zip(group, lp.T, lm.T):
+                rule[2:4] = np.ascontiguousarray(col_p), np.ascontiguousarray(col_m)
+    rules = [_PANEL_RULES.pop(k) for k in keys]
+    _PANEL_RULES.update(zip(keys, rules))  # the most recently used last
+    for k in list(islice(_PANEL_RULES, max(0, len(_PANEL_RULES) - _RULE_CACHE))):
+        del _PANEL_RULES[k]
+    return rules
 
 
 # ---------------------------------------------------------------------------
-# Panel rows: a Taylor series of the family's equation about each panel centre
+# Panel rows: a Taylor series of the family's equation on each panel's pieces
 
-# From degree _TAYLOR_MIN_N on, panel_rows takes the series of _panel_series:
-# one recurrence over the panel centres and a fixed cost per panel list, then
+# From degree _TAYLOR_MIN_N on, panel_rows takes the series of _series:
+# one recurrence over the pieces' centres and a fixed cost per panel list, then
 # _TAYLOR_TERMS multiply-adds a node, against an m-step recurrence per node
 # below.  Warm ms per value, recurrence / series, medians of 25 alternated calls,
-# by quadrature (p = 0.7, 2.5) and Shannon (p = 1), radial and angular (n = l - |m|):
+# by quadrature (p = 0.7, 2.5) and Shannon (p = 1), radial and angular (n = l - |m|),
+# measured while panels the cut missed took the recurrence and the series ran
+# Horner's rule at each node; the series columns are lower since:
 #     n              10        30        40        60         100
 #     p=0.7, l=0     2.2/3.6   5.4/6.2   7.5/7.2   13.8/9.7   28.3/13.3
 #     p=2.5, l=0     2.2/3.2   5.4/5.2   7.5/5.0   14.4/9.3   31.1/13.6
@@ -647,25 +752,59 @@ _TAYLOR_TERMS = 24
 #     worst edge/n  3.3e-19   1.1e-18   1.1e-18   1.2e-18   5.7e-17
 # The gaps' last coefficients sit at rounding, 1e-17 to 1e-15 of the largest,
 # where the series is already within 4e-17 n; from 1e-15 on, head slices at
-# l = 1000 keep series up to 1.6e-14 off.  Most panels the cut sends back are
-# wide far-tail panels at small p, where 24 terms fall short.
+# l = 1000 keep series up to 1.6e-14 off.  The shares are of whole panels about
+# their centres, measured before a panel the cut misses was cut into pieces
+# (panel_rows): most misses were wide far-tail panels at small p, where 24 terms
+# fall short, and the slice at x = 0, which now takes its series about x = 0.
 _SERIES_CUT = 1e-16
 
 
 def _panel_series(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0):
-    """Centres c, half-lengths h, gauge exponents s, (panels, 1) each, and the
-    scaled Taylor coefficients v_k = w_k h^k, k < _TAYLOR_TERMS, of w = (P/P(c))^s
-    y about each centre, for y = e^(tau x) p_m e^(-(ln mu0 + ln_scale)/2); s
-    holds on root gaps (both ends "root"), 0 where a panel may end on a zero of P.
-    With g = tau P + s P', w solves P^2 w'' + P (Q - 2g) w' + (P (R_m - g')
-    + g (g + P' - Q)) w = 0, whose coefficients L, F and Z in powers of x - c
-    give (Glaser, Liu and Rokhlin, SIAM J. Sci. Comput. 29, 2007, 1420)
-        k (k-1) v_k = -sum_(d>=1) h^d (L_d i(i-1) + F_(d-1) i + Z_(d-2)) v_i / L_0,
-    i = k - d, from w_0 = y(c) and w_1 = ((A_m + g) y + B_m y_(m-1)) / P at c:
-    one _last_rows pass over the centres and the structure relation."""
+    """_series on a panel list: lo and hi its ends, s the gauge exponent on root gaps
+    (both ends "root") and 0 elsewhere.  Returns c, h, s and v, as _series does."""
     lo, hi = (np.array(col, dtype=np.longdouble)[:, None] for col in list(zip(*panels))[:2])
-    c, h = (lo + hi) / 2, (hi - lo) / 2
-    s = np.array([[s if lk == hk == "root" else 0] for *_, lk, hk in panels])
+    return _series(fam, lo, hi, np.array([[s if lk == hk == "root" else 0]
+                                          for *_, lk, hk in panels]), tau, ln_scale)
+
+
+def _factors(shifts, h_d, ks) -> np.ndarray:
+    """f[k, d - 1] = h_d[d - 1] (L_d i (i - 1) + F_d i + Z_d) at i = k - d, for k in ks
+    and the shifts d = 1, 2, ... given as (L_d, F_d, Z_d), shape (ks, shifts, panels, 1):
+    per shift one product of the weights i (i - 1), i and 1 with its coefficients, the
+    terms that are 0 by degree left out."""
+    i = ks[:, None] - np.arange(1, len(shifts) + 1)
+    f = np.zeros((len(ks), len(shifts), *h_d.shape[1:]), dtype=h_d.dtype)
+    for d, coefs in enumerate(shifts):
+        terms = [(w, np.broadcast_to(h_d[d] * e, h_d.shape[1:])[:, 0])
+                 for w, e in zip(((i[:, d] - 1) * i[:, d], i[:, d], np.ones_like(ks)), coefs)
+                 if not (type(e) is int and e == 0)]
+        if terms:
+            f[:, d, :, 0] = np.dot(np.stack([w for w, _ in terms], axis=1),
+                                   np.stack([e for _, e in terms]))
+    return f
+
+
+def _series(fam: Family, lo, hi, s, tau=0.0, ln_scale=0.0):
+    """Expansion points c, scales h, gauge exponents s, (panels, 1) each, and the
+    scaled Taylor coefficients v_k = w_k h^k, k < _TAYLOR_TERMS, of w = (P/P(c))^s y
+    about c, for y = e^(tau x) p_m e^(-(ln mu0 + ln_scale)/2) on the panels [lo, hi]:
+    about the centre, h the half-length, or, on a panel with an end where P is 0,
+    about that end, h the length and s = 0.  With g = tau P + s P', w solves
+    P^2 w'' + P (Q - 2g) w' + (P (R_m - g') + g (g + P' - Q)) w = 0, whose
+    coefficients L, F and Z in powers of x - c give (Glaser, Liu and Rokhlin, SIAM J.
+    Sci. Comput. 29, 2007, 1420)
+        k (k-1) v_k = -sum_(d>=1) h^d (L_d i(i-1) + F_(d-1) i + Z_(d-2)) v_i / L_0,
+    i = k - d, from w_0 = y(c) and w_1 = ((A_m + g) y + B_m y_(m-1)) / P at c: one
+    _last_rows pass over the points c and the structure relation.  At an end where
+    P is 0, a regular singular point, y is the solution regular there: L_0, L_1, F_0
+    and Z_0 vanish, and the equation two powers up gives
+        (L_2 k(k-1) + F_1 k) v_k = -sum_(d>=1) h^d (L_(d+2) i(i-1) + F_(d+1) i + Z_d) v_i
+    from w_0 = y(c) alone (for x^a e^-x at 0, k (k + a) times the scale)."""
+    p_lo, p_hi = fam.identities(lo)[0][0], fam.identities(hi)[0][0]
+    end = (p_lo == 0) | (p_hi == 0)
+    c = np.where(p_lo == 0, lo, np.where(p_hi == 0, hi, (lo + hi) / 2))
+    h = np.where(end, hi - lo, (hi - lo) / 2)
+    s = np.where(end, 0, s)
     prev, row = _last_rows(c, fam.diag, fam.off, np.exp(tau * c - (fam.ln_mu0 + ln_scale) / 2))
     pp, qq, r, _, a_m, b_ratio = fam.identities(c)
     dp = [j * e for j, e in enumerate(pp)][1:]
@@ -674,51 +813,223 @@ def _panel_series(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0):
     eq = (_conv(pp, pp), _conv(pp, _plus(qq, [-2 * e for e in g])),
           _plus(_conv(pp, _plus([r], [-e for e in dg])),
                 _conv(g, _plus(g, dp, [-e for e in qq]))))
-    top = len(eq[2]) + 1  # shifts d = 1 .. top: h^d / L_0 times L_d, F_(d-1) and Z_(d-2)
-    h_d = np.cumprod(np.broadcast_to(h, (top, *h.shape)), axis=0) / eq[0][0]
-    pad = [((0,) * j + e + (0,) * top)[1:top + 1] for j, e in enumerate(eq)]
-    lead, first, zero = (h_d * np.array(np.broadcast_arrays(c, *e))[1:] for e in pad)
-    k = np.arange(2, _TAYLOR_TERMS, dtype=np.longdouble)[:, None, None, None]
-    i = k - np.arange(1, top + 1)[:, None, None]
-    # v_k = sum_d f[k - 2, d] v_(k-d) over d <= k: (k, d, panels, 1)
-    f = ((lead * (i - 1) + first) * i + zero) / (-k * (k - 1))
+    top = len(eq[2]) + 1  # shifts d = 1 .. top: L_d, F_(d-1) and Z_(d-2)
+    pad = list(zip(*(((0,) * j + tuple(e) + (0,) * top)[:top + 1] for j, e in enumerate(eq))))
+    k = np.arange(2, _TAYLOR_TERMS, dtype=np.longdouble)
+    # about the centres: h^d / L_0, L_0 = P(c)^2 taken as 1 at the ends
+    h_d = np.cumprod(np.broadcast_to(h, (top, *h.shape)), axis=0) / np.where(end, 1, eq[0][0])
+    f = _factors(pad[1:], h_d, k) / (-k * (k - 1))[:, None, None, None]  # (k - 2, d - 1, ...)
     v = np.zeros((_TAYLOR_TERMS, *c.shape), dtype=row.dtype)
     b_m = fam.off[-1] if len(fam.off) else 0
-    v[0], v[1] = row, h * ((a_m + g[0]) * row + b_ratio * b_m * prev) / pp[0]
+    v[0], v[1] = row, h * ((a_m + g[0]) * row + b_ratio * b_m * prev) / np.where(end, 1, pp[0])
+    if end.any():
+        at = end.ravel()
+
+        def sub(e):
+            return e[at] if np.ndim(e) else e
+
+        ends = [tuple(map(sub, t)) for t in pad]
+        k1 = np.arange(1, _TAYLOR_TERMS, dtype=np.longdouble)
+        (l2, f1, z0), h_e = ends[2], np.cumprod(np.broadcast_to(h[at], (top - 2, *h[at].shape)),
+                                                axis=0)
+        k1_ = k1[:, None, None]
+        f_end = _factors(ends[3:], h_e, k1) / -((l2 * (k1_ - 1) + f1) * k1_ + z0)[:, None]
+        v[1][at] = f_end[0, 0] * v[0][at]
+        f[:, :, at] = 0
+        f[:, :top - 2, at] = f_end[1:]
     for k in range(2, _TAYLOR_TERMS):
-        v[k] = (f[k - 2, :k] * v[k - 1::-1][:top]).sum(axis=0)
+        v[k] = np.einsum("d...,d...->...", f[k - 2, :k], v[k - 1::-1][:top])
     return c, h, s, v
+
+
+def _node_powers(rule, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The piece j of each node t of a rule among 2^d equal pieces of [-1, 1], and u^k,
+    (k, nodes) for k < _TAYLOR_TERMS, at u = 2^d t + 2^d - 1 - 2j, the node on its
+    piece mapped to [-1, 1] (u = t at d = 0): kept in the rule's entry."""
+    key = (d, _TAYLOR_TERMS)
+    if key not in rule[4]:
+        t = rule[0]
+        j = np.minimum(((t + 1) * 2.0 ** (d - 1)).astype(int), 2 ** d - 1)  # t + 1 >= 0
+        u = t * 2 ** d + (2 ** d - 1 - 2 * j) if d else t
+        rule[4][key] = j, np.ascontiguousarray(np.vander(u, _TAYLOR_TERMS, increasing=True).T)
+    return rule[4][key]
+
+
+@lru_cache(maxsize=None)
+def _reach(terms: int, cut: float) -> float:
+    """The largest u at which e^(u t), t in [-1, 1], keeps its series within the cut:
+    its last two scaled coefficients u^k / k! within cut of its largest, by bisection."""
+    if cut == math.inf:
+        return math.inf
+
+    def within(u):
+        ln_v = [k * math.log(u) - math.lgamma(k + 1) for k in range(terms)]
+        return np.logaddexp(ln_v[-1], ln_v[-2]) <= math.log(cut) + max(ln_v)
+
+    lo, hi = 0.0, 1.0
+    while within(hi):
+        lo, hi = hi, 2 * hi
+    for _ in range(60):
+        lo, hi = ((lo + hi) / 2, hi) if within((lo + hi) / 2) else (lo, (lo + hi) / 2)
+    return lo
+
+
+def _depths(tau: float, half) -> np.ndarray:
+    """The halvings d that bring the series of e^(tau x), a factor of every row, within
+    _SERIES_CUT on each of 2^d pieces of a panel of half-length half: its scaled
+    coefficients are (tau h)^k / k! on a piece of half-length h (_reach)."""
+    over = abs(tau) * half / _reach(_TAYLOR_TERMS, _SERIES_CUT)
+    return np.ceil(np.log2(np.maximum(over, 1.0))).astype(int)
+
+
+def _pieces(fam: Family, lo_p, hi_p, s, tau, ln_scale):
+    """The panels [lo_p, hi_p] cut into 2^d equal pieces, each with its series of
+    _series under the gauge exponent s: d starts where e^(tau x) alone meets
+    _SERIES_CUT (_depths), and a panel where a piece misses the cut takes, once, the
+    halvings the h^k scaling of its coefficients asks; where that largest coefficient
+    is among the last two, a cut falls below the normal range (the row at c has
+    underflowed) or the pieces still miss, the panel is lost to the recurrence.
+    Returns d, lost and the pieces' panels, c, h and v, (pieces, terms, 1), panel by
+    panel in order along each."""
+    width = hi_p - lo_p
+    d = _depths(tau, width.astype(float) / 2)
+    lost, parts, todo = np.zeros(len(lo_p), dtype=bool), [], np.arange(len(lo_p))
+    for last in (False, True):
+        owner = np.repeat(todo, 2 ** d[todo])
+        j = np.arange(len(owner)) - np.repeat(np.cumsum(2 ** d[todo]) - 2 ** d[todo],
+                                              2 ** d[todo])  # each piece's place on its panel
+        lo, hi = ((lo_p[owner] + width[owner] * (j + e) / 2.0 ** d[owner])[:, None]
+                  for e in (0, 1))
+        c, h, _, v = _series(fam, lo, hi, s[owner, None] if np.ndim(s) else s, tau, ln_scale)
+        mag = np.abs(v)[..., 0]
+        top, tail = mag.max(axis=0), mag[-1] + mag[-2]
+        # each halving scales the last two coefficients by 2^-(terms - 2 - k) against
+        # the largest, at k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            need = np.ceil(np.log2(tail / (_SERIES_CUT * top))
+                           / (_TAYLOR_TERMS - 2 - np.argmax(mag, axis=0)))
+        need[tail <= _SERIES_CUT * top] = 0
+        need[~(_SERIES_CUT * top >= np.finfo(top.dtype).tiny) | ~(need >= 0)] = np.inf
+        if last:
+            need[need > 0] = np.inf
+        need = np.maximum.reduceat(need, np.flatnonzero(np.diff(owner, prepend=-1))) \
+            if len(owner) else need
+        lost[todo[need == np.inf]] = True
+        keep = (need == 0)[np.searchsorted(todo, owner)]
+        parts.append((owner[keep], c[keep], h[keep], v[:, keep].swapaxes(0, 1)))
+        d[todo] += np.where(need < np.inf, need, 0).astype(int)
+        todo = todo[(need > 0) & (need < np.inf)]
+        if not len(todo):
+            break
+    owner, c, h, v = map(np.concatenate, zip(*parts))
+    order = np.argsort(owner, kind="stable")
+    return d, lost, owner[order], c[order], h[order], v[order]
+
+
+# the root gaps' pieces of a panel list (_pieces), by family, gauge and gap ends, for
+# every list that holds the same gaps (radial (n, l) at any order); _GAP_CACHE sets,
+# the least recently used out first: a ladder round reuses those of (50, l) and
+# (100, l), up to about 170 KB a set at n = 400
+_GAP_PIECES: dict = {}
+_GAP_CACHE = 16
 
 
 def panel_rows(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0) -> Callable:
     """The integrand poly(x) of power_panels on the panel list: row m =
     len(fam.diag) of _rows from r_0 = exp(tau x - (ln mu0 + ln_scale)/2), x of
-    shape (len(panels), k), a row of nodes a panel.  From m = _TAYLOR_MIN_N on,
-    each panel whose own last two coefficients of _panel_series are within
-    _SERIES_CUT of its largest takes that series, shared by every pass; the
-    other panels, and all below that m or with panels None, the recurrence."""
+    shape (len(panels), k), a row of nodes a panel.  Below m = _TAYLOR_MIN_N, or
+    with panels None, the recurrence.  From there on, each panel in 2^d equal
+    pieces, each with its own series (_pieces), shared by every pass; the root gaps
+    (both ends "root") under (P/P(c))^s, and their pieces kept for the next list
+    with the same gaps (_GAP_PIECES).  A panel _pieces loses takes the recurrence.
+    A node sums its piece's coefficients against u^k, u = (x - c)/h, and
+    poly.at_nodes(x, which, powers) does the same at the nodes of power_panels'
+    rules, which[i] panel i's rule and powers(r, d) rule r's pieces and powers
+    (_node_powers): one product a rule, piece and depth."""
     def recurrence(x):
         return _last_rows(x, fam.diag, fam.off,
                           np.exp(tau * x - (fam.ln_mu0 + ln_scale) / 2))[1]
 
     if panels is None or len(fam.diag) < _TAYLOR_MIN_N:
         return recurrence
-    c, h, s, coefs = _panel_series(fam, panels, tau, ln_scale, s)
-    mag = np.abs(coefs)
-    cut = _SERIES_CUT * mag.max(axis=0)
-    # a cut below the normal range certifies nothing: the row at c has underflowed
-    kept = ((mag[-1] + mag[-2] <= cut) & (cut >= np.finfo(cut.dtype).tiny)).ravel()
-    c, h, s, coefs = c[kept], h[kept], s[kept], coefs[:, kept]
-    pc = fam.identities(c)[0][0]  # P(c)
+    lo_p, hi_p = (np.array(col, dtype=np.longdouble) for col in list(zip(*panels))[:2])
+    width = hi_p - lo_p
+    gap = np.array([lk == hk == "root" for *_, lk, hk in panels])
+    gaps, rest = np.flatnonzero(gap), np.flatnonzero(~gap)
+    key = tuple(a.astype(float).tobytes() for a in (fam.diag, fam.off, lo_p[gaps], hi_p[gaps]))
+    key += (float(fam.ln_mu0), tau, ln_scale, s, _TAYLOR_TERMS, _SERIES_CUT)
+    gauge = np.where(gap, s, 0)
+    kept = _GAP_PIECES.pop(key, None)
+    if kept is None:  # every panel in one pass; the gaps' pieces kept for the next list
+        d, lost, owner, c, h, v = _pieces(fam, lo_p, hi_p, gauge, tau, ln_scale)
+        on = gap[owner]
+        kept = (d[gaps], lost[gaps], np.searchsorted(gaps, owner[on]), c[on], h[on], v[on])
+    else:  # the other panels only, merged with the gaps' pieces in order
+        d, lost = np.empty(len(panels), dtype=int), np.empty(len(panels), dtype=bool)
+        d[gaps], lost[gaps] = kept[:2]
+        d[rest], lost[rest], *others = _pieces(fam, lo_p[rest], hi_p[rest], 0, tau, ln_scale)
+        owner = np.concatenate((gaps[kept[2]], rest[others[0]]))
+        order = np.argsort(owner, kind="stable")
+        owner, c, h, v = owner[order], *(np.concatenate(col)[order]
+                                         for col in zip(kept[3:], others[1:]))
+    _GAP_PIECES[key] = kept
+    for old in list(islice(_GAP_PIECES, max(0, len(_GAP_PIECES) - _GAP_CACHE))):
+        del _GAP_PIECES[old]
+    v = v.swapaxes(0, 1)
+    ser = ~lost
+    first = np.searchsorted(owner, np.arange(len(panels)))
+    pc = fam.identities(c)[0][0]  # P(c), 0 where the series is about an end
+    # panels with no piece about an end, where P(c) = 0: their nodes map as the rule's
+    centred = ser & (np.bincount(owner, (pc == 0).ravel(), len(panels)) == 0)
 
-    def poly(x):
-        y, xk = np.empty_like(x), x[kept]
-        if not kept.all():
-            y[~kept] = recurrence(x[~kept])
-        acc = _horner(coefs, (xk - c) / h)
-        y[kept] = acc * np.exp(-s * np.log(fam.identities(xk)[0][0] / pc)) if s.any() else acc
+    def gauged(x, y, rows, at):
+        """y at the nodes x of the panels rows, pieces at, times (P(c)/P(x))^s on
+        those with a gauge (root gaps, with no piece about an end)."""
+        on = gauge[rows] != 0
+        if on.all():
+            return y * (pc[at, 0] / fam.identities(x)[0][0]) ** s
+        if on.any():
+            y[on] *= (pc[at[on], 0] / fam.identities(x[on])[0][0]) ** s
         return y
 
+    def series(x, rows):
+        """The panels rows at their nodes x from their pieces' series, powers formed here."""
+        scale = (2.0 ** d[rows])[:, None]
+        at = first[rows][:, None] + np.clip(np.floor(
+            (x - lo_p[rows, None]) / width[rows, None] * scale), 0, scale - 1).astype(int)
+        u = (x - c[at, 0]) / h[at, 0]
+        powers = np.cumprod(np.concatenate((np.ones_like(u)[..., None], np.broadcast_to(
+            u[..., None], (*u.shape, _TAYLOR_TERMS - 1))), axis=-1), axis=-1)
+        return gauged(x, np.einsum("...k,k...->...", powers, v[:, at, 0]), rows, at)
+
+    def rows_on(x, rows):
+        """y at the nodes x: the lost panels by the recurrence, rows by their series."""
+        y = np.empty_like(x)
+        if lost.any():
+            y[lost] = recurrence(x[lost])
+        rows = np.flatnonzero(rows)
+        if len(rows):
+            y[rows] = series(x[rows], rows)
+        return y
+
+    def poly(x):
+        return rows_on(x, ser)
+
+    def at_nodes(x, which, powers):
+        y = rows_on(x, ser & ~centred)
+        rows = np.flatnonzero(centred)
+        codes, group = np.unique(np.asarray(which)[rows] * (d.max() + 1) + d[rows],
+                                 return_inverse=True)
+        for code, sel in zip(codes.tolist(), (rows[group == i] for i in range(len(codes)))):
+            j, tk = powers(*divmod(code, d.max() + 1))
+            ends = np.searchsorted(j, np.arange(j[-1] + 2))  # j ascends with the nodes
+            y[sel] = gauged(x[sel], np.concatenate(
+                [np.dot(v[:, first[sel] + q, 0].T, tk[:, a:b])
+                 for q, (a, b) in enumerate(zip(ends, ends[1:]))], axis=1),
+                sel, first[sel][:, None] + j)
+        return y
+
+    poly.at_nodes = at_nodes
     return poly
 
 
@@ -743,7 +1054,11 @@ def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=Non
       "edge"   the end is a (at lo) or b (at hi): that edge's power;
       "plain"  nothing.
     poly is called once, on every node: x of shape (len(panels), m), a row of
-    long-double nodes a panel.  Every power is formed from long-double logs,
+    long-double nodes a panel; an integrand with an at_nodes attribute, as
+    panel_rows' has, is called as poly.at_nodes(x, which, powers), which[i] the
+    index of panel i's rule among those of _panel_rules and powers(r, d) rule
+    r's node powers for pieces 2^-d of a panel (_node_powers).  Every power is
+    formed from long-double logs,
     the panel scale h^(e_lo + e_hi + 1) for the half-length h and the weight's
     end exponents included: each node adds one positive exp(ln w + ...), at
     most its panel's integral, so nothing leaves the float range while that
@@ -766,13 +1081,16 @@ def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=Non
     kinds = {}
     pairs = zip(e_hi.ravel().tolist(), e_lo.ravel().tolist())
     which = [kinds.setdefault(k, len(kinds)) for k in pairs]
-    rule = gauss_jacobi if log_coefs is None else gauss_jacobi_log
+    rules = _panel_rules(m, kinds, log_coefs is not None)
     # the nodes, log weights and log-term weights per unit weight: long double
-    t, ln_w, *logs = (np.array(col)[which] for col in zip(*(rule(m, *k) for k in kinds)))
+    t, ln_w, *logs = (np.array(col)[which] for col in
+                      zip(*(rule[:2 if log_coefs is None else 4] for rule in rules)))
     h = (hi - lo) / 2
     ln_h = np.log(h)
     x = lo + h * (1 + t)
-    row = np.abs(poly(x))
+    at_nodes = getattr(poly, "at_nodes", None)
+    row = np.abs(poly(x) if at_nodes is None else
+                 at_nodes(x, which, lambda r, d: _node_powers(rules[r], d)))
     g = row / np.where(lo_root, x - lo, 1.0)
     g = g / np.where(hi_root, hi - x, 1.0)
     with np.errstate(divide="ignore"):  # ln 0 = -inf: the node adds exp(-inf) = 0
@@ -887,6 +1205,9 @@ def plan_panels(ends, kinds, edges, q2: float, rate: float, what: str) -> list[t
         return cut(k, *outer, depth + 1, side)
 
     for k, (a, b, ak, bk) in enumerate(zip(ends, ends[1:], kinds, kinds[1:])):
+        if ak == bk == "root":  # a root gap stays whole, as cut would leave it
+            emit(a, b, ak, bk)
+            continue
         if b < math.inf:
             cut(k, a, b, ak, bk, 0 if "edge" in (ak, bk) else 48, 1 if ak != "edge" else -1)
         w, done = a - ends[k - 1], b < math.inf

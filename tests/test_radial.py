@@ -711,11 +711,15 @@ def test_gap_series_matches_the_recurrence(n, l):
 
 @pytest.mark.parametrize("n,l", [(40, 1000), (400, 0)])
 def test_gap_series_cut_to_16_terms_misses_the_recurrence(monkeypatch, n, l):
-    # 16 terms are about 1e-8 off: their own last coefficients send every
-    # gap back to the recurrence, and forced past that check the sweep above
+    # 16 terms are about 1e-8 off: their own last coefficients reject every
+    # whole gap, panel_rows halves each as often as the h^k scaling of those
+    # coefficients asks, and the halves come within the bound (1.2e-16 at
+    # (40, 1000), 2.0e-15 at (400, 0)); forced past that check the sweep above
     # sees the truncation
     monkeypatch.setattr(specfun, "_TAYLOR_TERMS", 16)
-    assert series_deviation(n, l) == 0.0
+    gaps = gap_nodes(n, l)[1]
+    assert series_misses(n, l, gaps).all()
+    assert 0.0 < series_deviation(n, l) <= series_bound(n)
     monkeypatch.setattr(specfun, "_SERIES_CUT", math.inf)
     assert series_deviation(n, l) > series_bound(n)
 
@@ -843,6 +847,21 @@ def test_radial_shannon_shares_its_log_integral_across_lam(monkeypatch):
     assert (info.misses, info.hits) == (1, 1)
 
 
+@pytest.mark.parametrize("n", [40, 50, 100, 200, 400])
+@pytest.mark.parametrize("l", [0, 1, 2, 20])
+def test_no_radial_panel_leaves_its_series(monkeypatch, n, l):
+    # from n = 40 on every panel of every pass is on its series, the wide tail
+    # panels at small p and the slice at x = 0 among them: the recurrence sees
+    # only the points the series start at, shape (pieces, 1), never a row of nodes
+    seen = counting_rows(monkeypatch)
+    for p in (0.5, 0.7, 1.0, 1.3, 2.2, 2.5, 8.0):
+        if p == 1.0:
+            shannon_radial_exact(QuantumState(n, l, 0))
+        else:
+            laguerre_norm(n, l, p, path="quadrature")
+    assert seen and all(shape[-1] == 1 for shape in seen)
+
+
 def series_misses(n, l, panels):
     """Panels whose last two series coefficients exceed _SERIES_CUT of their
     largest, or whose cut underflows: those panel_rows hands to the
@@ -864,66 +883,51 @@ def panel_kinds(n, l, panels):
 @pytest.mark.parametrize("p", [0.7, 1.0])
 def test_nodes_reach_the_recurrence_only_where_the_series_misses(monkeypatch, n, p):
     # values agree either way, so only the nodes the recurrence sees show
-    # whether a pass fell back to it; the series start is one more pass of
-    # the recurrence, over the panel centres, shape (panels, 1)
+    # whether a pass fell back to it.  Below _TAYLOR_MIN_N every node of the
+    # 24- and 36-node passes does; from there on no panel misses: each takes
+    # a series on its pieces (the slice [0, r_1] about x = 0), and the
+    # recurrence sees only the points the series start at, shape (pieces, 1)
     panels = norm_panels(n, 0, p)
-    seen = []
-    recurrence = specfun._last_rows
-
-    def counting(x, *args):
-        seen.append(np.shape(x))
-        return recurrence(x, *args)
-
-    monkeypatch.setattr(specfun, "_last_rows", counting)
+    seen = counting_rows(monkeypatch)
     if p == 1.0:
         shannon_radial_exact(QuantumState(n, 0, 0))
     else:
         assert not laguerre_norm(n, 0, p, path="quadrature").warnings
-    starts = [shape for shape in seen if shape == (len(panels), 1)]
     size = sum(math.prod(shape) for shape in seen if shape[-1] > 1)
-    nodes = 2 * specfun._NODES + specfun._NODES // 2  # the 24- and 36-node passes
     if n < specfun._TAYLOR_MIN_N:
-        assert not starts and size == len(panels) * nodes
+        nodes = 2 * specfun._NODES + specfun._NODES // 2
+        assert all(shape[-1] > 1 for shape in seen) and size == len(panels) * nodes
         return
-    misses = series_misses(n, 0, panels)
-    assert len(starts) == 1 and size == np.count_nonzero(misses) * nodes
-    # all but a few of the 399 root gaps keep the series, and most tail
-    # panels; the one head slice [0, r_1] reaches the singular point x = 0
-    # and falls back
-    kinds = panel_kinds(n, 0, panels)
-    for kind, most in [("gap", 0.99), ("tail", 0.75)]:
-        assert np.mean(~misses[kinds == kind]) >= most
+    assert seen and size == 0
 
 
 @pytest.mark.parametrize("n", [40, 400])
 @pytest.mark.parametrize("l", [0, 1, 3, 20, 60, 300])
 @pytest.mark.parametrize("p", [0.5, 1.3, 8.0])
-def test_head_and_tail_series_match_the_recurrence(n, l, p):
-    # every head slice and tail panel, kept or sent back by the cut, at the
-    # 36 nodes of a pass.  The worst node (1.5e-16 n at (40, 60, 8)) is on
-    # the tail panel next to the last root, where the recurrence is the one
-    # further off: by 50-digit mpmath at (40, 60, 8) the series is 3.4e-16
-    # off there and the recurrence 5.7e-15
+def test_head_and_tail_series_match_the_recurrence(monkeypatch, n, l, p):
+    # every head slice and tail panel at the 36 nodes of a pass.  The worst
+    # node (1.5e-16 n at (40, 60, 8)) is on the tail panel next to the last
+    # root, where the recurrence is the one further off: by 50-digit mpmath
+    # at (40, 60, 8) the series is 3.4e-16 off there and the recurrence 5.7e-15
     panels = norm_panels(n, l, p)
     kinds = panel_kinds(n, l, panels)
     ends = [pan for pan, kind in zip(panels, kinds) if kind != "gap"]
-    kinds = kinds[kinds != "gap"]
     t = specfun.gauss_jacobi(36, 2.0, 2.0)[0]
     lo, hi = (np.array(col, dtype=np.longdouble)[:, None] for col in list(zip(*ends))[:2])
     x = lo + (hi - lo) / 2 * (1 + t)
+    # the series serves them: no node reaches the recurrence up to l = 20, not
+    # at (n, p) = (40, 0.5), where every tail panel spans 17 to 26 and 24 terms
+    # of e^(-x/2) fall short of one piece, nor on the slice at x = 0, whose
+    # series is about x = 0.  From l = 60 on that slice may still take it:
+    # pieces next to x = 0 carry the solution x^(-a) of their rounding at
+    # h/c = 2/3 however far halved
+    seen = counting_rows(monkeypatch)
     got = psi_rows(n, l, ends)(x)
+    assert seen and sum(math.prod(shape) for shape in seen
+                        if shape[-1] > 1) <= (0 if l <= 20 else x.shape[1])
     ref = recurrence_psi(n, l, x)
     dev = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert float(np.max(dev)) <= 2e-16 * n
-    # the series serves: some tail panels keep it at every p but at
-    # (n, p) = (40, 0.5), where every tail panel spans 17 to 26 and 24 terms
-    # of e^(-x/2) fall short (the recurrence takes 40 steps a node there);
-    # at p = 8 from l = 20 on every head slice but the one at x = 0
-    kept = ~series_misses(n, l, ends)
-    assert kept[kinds == "tail"].any() == ((n, p) != (40, 0.5))
-    if p == 8.0 and l >= 20:
-        heads = kept[kinds == "head"]
-        assert np.count_nonzero(heads) >= heads.size - 1
 
 
 @pytest.mark.parametrize("n,l,p", [(100, 20, 1.3), (100, 0, 0.1)])
