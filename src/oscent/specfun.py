@@ -14,14 +14,14 @@ relation stated once (laguerre_family, jacobi_family), one Gauss rule
 generator (Golub-Welsch start, one Newton pass of _rows under the square
 root of the weight on those identities, log Christoffel weights, several
 rules side by side in one pass, _gauss_rules) behind every Gauss-Laguerre
-and Gauss-Jacobi rule and the Gegenbauer roots, the log-weighted
-Gauss-Jacobi product rule, one panel Taylor-series engine for both families
-(panel_rows: from degree 40 on, every panel in equal pieces, each on a
-series of the family's equation, about an end where P vanishes, a root
-gap's pieces kept for the next list; the recurrence only where no piece's
-series certifies itself), the panel planner with its one mass bound, the
-one panel function, which maps the rules of its store (_panel_rules: a
-list's missing ones built in one pass) onto panels in long double, calls
+and Gauss-Jacobi rule and the Gegenbauer roots, one bounded store of the
+Jacobi rules with their log-weighted product rules (_jacobi_rules: the
+rules a caller lacks built in one pass), one panel Taylor-series engine for
+both families (panel_rows: from degree 40 on, every panel in equal pieces,
+each on a series of the family's equation, about an end where P vanishes;
+the recurrence only where the pieces that certify a series would outnumber
+the nodes), the panel planner with its one mass bound, the one panel
+function, which maps the store's rules onto panels in long double, calls
 its integrand once on all their nodes (a series by one product with a
 rule's node powers), forms every power from logs and checks the pieces
 dropped and the rows that underflow, the two-node-count check, and the one
@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 # entries kept by each cache of Gauss rules, Bessel zeros and constants, above the
-# 172 a whole benchmark pool fills (power_panels' rules on grid, 140 on ladder, with
-# 98 gauss_jacobi rules on grid); new orders evict the oldest
+# 270 a whole benchmark pool fills (the one store of Jacobi rules on grid, 140 on
+# ladder and 102 on certify); new orders evict the oldest
 _RULE_CACHE = 512
 
 
@@ -463,8 +463,10 @@ def _gauss_rules(fams) -> list[tuple[np.ndarray, np.ndarray]]:
     and Newton step taken at its own m, so each rule is bitwise its _gauss_rule."""
     big, sizes = fams[-1], [len(f.diag) for f in fams]
     x = np.concatenate([np.longdouble(_eigen_start(f.diag, f.off)) for f in fams])
-    at = [slice(a, b) for a, b in zip(np.cumsum([0, *sizes]), np.cumsum(sizes))]
+    ends = list(accumulate(sizes, initial=0))
+    at = [slice(a, b) for a, b in zip(ends, ends[1:])]
     eps = np.finfo(np.longdouble).eps
+    scales = [np.abs(f.diag).max(axis=0) + 2 * f.off.max(axis=0) for f in fams]
     # each rule's nodes and log weights from the pass that settles it
     done = [np.zeros(x.shape[1:], dtype=bool) for _ in fams]
     out, ln_w = [np.empty_like(x[i]) for i in at], [np.empty_like(x[i]) for i in at]
@@ -480,7 +482,7 @@ def _gauss_rules(fams) -> list[tuple[np.ndarray, np.ndarray]]:
                     if k == sizes[-1]:
                         break
                 k_sum, pm1 = k_sum + row * row, row
-            for f, i, m, n in zip(fams, at, sizes, range(len(fams))):
+            for f, i, m, n, scale in zip(fams, at, sizes, range(len(fams)), scales):
                 if done[n].all():
                     continue
                 k_sum, pm1, pm, xi = *(a[i] for a in sums[m]), x[i]
@@ -488,13 +490,12 @@ def _gauss_rules(fams) -> list[tuple[np.ndarray, np.ndarray]]:
                 b_pm1 = f.off[-1] * pm1
                 step = big_p * pm / ((a_m + (q - d_p) / 2) * pm + b_ratio * b_pm1)
                 nodes = xi - step
-                scale = np.max(np.abs(f.diag), axis=0) + 2 * np.max(f.off, axis=0)
-                now = ~done[n] & np.all(np.abs(d_p / (2 * big_p)) * step * step
-                                        <= 4 * eps * (scale + np.abs(nodes)), axis=0)
+                now = ~done[n] & (np.abs(d_p / (2 * big_p)) * step * step
+                                  <= 4 * eps * (scale + np.abs(nodes))).all(axis=0)
                 if now.any():
                     sign = np.sign(pm1)
-                    if not np.all((np.all(np.diff(nodes, axis=0) > 0, axis=0)
-                                   & np.all(sign[:-1] * sign[1:] < 0, axis=0))[now]):
+                    if not (((nodes[1:] > nodes[:-1]).all(axis=0)
+                             & (sign[:-1] * sign[1:] < 0).all(axis=0))[now].all()):
                         raise AccuracyError(f"Gauss rule of {m} nodes: the nodes are not "
                                             f"{m} distinct roots")
                     # lambda(x - s) = lambda - s lambda', all at the start x
@@ -508,7 +509,7 @@ def _gauss_rules(fams) -> list[tuple[np.ndarray, np.ndarray]]:
         else:
             raise AccuracyError(f"Gauss rule of {sizes[-1]} nodes: Newton steps did not settle")
     for m, w in zip(sizes, ln_w):
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise AccuracyError(f"Gauss rule of {m} nodes: the log weights are not finite")
     return list(zip(out, ln_w))
 
@@ -591,12 +592,12 @@ def laguerre_family(m: int, a: float) -> Family:
                   lambda x: ((x, 1), (a_ + 1 - x, -1), m, 1, m, 1))
 
 
-@lru_cache(maxsize=_RULE_CACHE)
 def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1]:
-    nodes and log weights of jacobi_family, from _gauss_rule's one Newton pass.
-    A rule above 64 nodes loads scipy.linalg for its start (_eigen_start)."""
-    return _gauss_rule(*jacobi_family(m, a, b))
+    nodes and log weights of jacobi_family, from _gauss_rule's one Newton pass,
+    kept with every other Jacobi rule (_jacobi_rules).  A rule above 64 nodes
+    loads scipy.linalg for its start (_eigen_start)."""
+    return tuple(_jacobi_rules([(a, b)], (m,))[0][:2])
 
 
 @lru_cache(maxsize=_RULE_CACHE)
@@ -620,7 +621,6 @@ def _log_moments(m: int, a, b) -> np.ndarray:
     return np.concatenate(([nu0], nu1 * np.cumprod(np.append(1, steps))))[:m]
 
 
-@lru_cache(maxsize=_RULE_CACHE)
 def gauss_jacobi_log(m: int, a: float, b: float) -> tuple[np.ndarray, ...]:
     """Gauss-Jacobi rule plus the weights of ln(1+t) and ln(1-t) on its nodes.
 
@@ -635,11 +635,9 @@ def gauss_jacobi_log(m: int, a: float, b: float) -> tuple[np.ndarray, ...]:
     (Chu-Vandermonde differentiated in the exponent of 1+t); lm mirrors
     t -> -t.  t and ln_w are gauss_jacobi's long-double nodes and log
     Christoffel weights, which the log weights must match; lp and lm are
-    long double (_log_weights).
+    long double (_log_weights).  Cached with the rule (_jacobi_rules).
     """
-    t, ln_w = gauss_jacobi(m, a, b)
-    (lp, lm), = _log_weights((m,), np.array([a]), np.array([b]), t[:, None])
-    return t, ln_w, lp[:, 0], lm[:, 0]
+    return tuple(_jacobi_rules([(a, b)], (m,), True)[0][:4])
 
 
 def _log_weights(ms, a, b, t) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -660,39 +658,38 @@ def _log_weights(ms, a, b, t) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-# power_panels' Gauss-Jacobi rules by (m, a, b), at most _RULE_CACHE of them, the
-# least recently used out first: [nodes, log weights, lp, lm, node powers], the last
-# three filled once a pass asks for them
-_PANEL_RULES: dict = {}
+# the Gauss-Jacobi rules by (m, a, b), at most _RULE_CACHE of them, the least
+# recently used out first: [nodes, log weights, lp, lm, node powers], the last three
+# filled once gauss_jacobi_log or power_panels asks for them
+_JACOBI_RULES: dict = {}
 
 
-def _panel_rules(m: int, pairs, logs: bool) -> list[list]:
-    """power_panels' rule of m nodes for each exponent pair (a, b), from _PANEL_RULES:
-    the pairs it lacks built in one pass of _gauss_rules over their families' columns,
-    at m = _NODES together with the 1.5 _NODES that settled's second pass takes, and
-    with logs the log-term weights it lacks in one _log_weights pass, each bitwise
-    gauss_jacobi's and gauss_jacobi_log's built alone."""
-    keys = [(m, a, b) for a, b in pairs]
-    sizes = (m, m * 3 // 2) if m == _NODES else (m,)
-    new = [k[1:] for k in keys if any((n, *k[1:]) not in _PANEL_RULES for n in sizes)]
+def _jacobi_rules(pairs, sizes, logs: bool = False) -> list[list]:
+    """The rule of sizes[0] nodes for each exponent pair (a, b), from _JACOBI_RULES:
+    the pairs it lacks at any of sizes built in one pass of _gauss_rules over their
+    families' columns, and with logs the log-term weights they lack in one
+    _log_weights pass, each bitwise its rule built alone (_gauss_rule, and
+    _log_weights on its one column)."""
+    keys = [(sizes[0], a, b) for a, b in pairs]
+    new = [k[1:] for k in keys if any((n, *k[1:]) not in _JACOBI_RULES for n in sizes)]
     if new:
-        a, b = np.array(new).T
+        a, b = np.array(new).T if len(new) > 1 else new[0]  # one pair: scalar, cheaper
         for n, (t, ln_w) in zip(sizes, _gauss_rules([jacobi_family(n, a, b) for n in sizes])):
-            for ab, col_t, col_w in zip(new, t.T, ln_w.T):
-                _PANEL_RULES.setdefault((n, *ab), [np.ascontiguousarray(col_t),
-                                                   np.ascontiguousarray(col_w), None, None, {}])
-    new = [k[1:] for k in keys if logs and _PANEL_RULES[k][2] is None]
+            for ab, col_t, col_w in zip(new, t.reshape(n, -1).T, ln_w.reshape(n, -1).T):
+                _JACOBI_RULES.setdefault((n, *ab), [np.ascontiguousarray(col_t),
+                                                    np.ascontiguousarray(col_w), None, None, {}])
+    new = [k[1:] for k in keys if logs and _JACOBI_RULES[k][2] is None]
     if new:
         a, b = np.array(new).T
-        entries = [[_PANEL_RULES[(n, *ab)] for ab in new] for n in sizes]
+        entries = [[_JACOBI_RULES[(n, *ab)] for ab in new] for n in sizes]
         t = np.concatenate([np.stack([rule[0] for rule in group], axis=-1) for group in entries])
         for group, (lp, lm) in zip(entries, _log_weights(sizes, a, b, t)):
             for rule, col_p, col_m in zip(group, lp.T, lm.T):
                 rule[2:4] = np.ascontiguousarray(col_p), np.ascontiguousarray(col_m)
-    rules = [_PANEL_RULES.pop(k) for k in keys]
-    _PANEL_RULES.update(zip(keys, rules))  # the most recently used last
-    for k in list(islice(_PANEL_RULES, max(0, len(_PANEL_RULES) - _RULE_CACHE))):
-        del _PANEL_RULES[k]
+    rules = [_JACOBI_RULES.pop(k) for k in keys]
+    _JACOBI_RULES.update(zip(keys, rules))  # the most recently used last
+    for k in list(islice(_JACOBI_RULES, max(0, len(_JACOBI_RULES) - _RULE_CACHE))):
+        del _JACOBI_RULES[k]
     return rules
 
 
@@ -885,16 +882,20 @@ def _depths(tau: float, half) -> np.ndarray:
 def _pieces(fam: Family, lo_p, hi_p, s, tau, ln_scale):
     """The panels [lo_p, hi_p] cut into 2^d equal pieces, each with its series of
     _series under the gauge exponent s: d starts where e^(tau x) alone meets
-    _SERIES_CUT (_depths), and a panel where a piece misses the cut takes, once, the
-    halvings the h^k scaling of its coefficients asks; where that largest coefficient
-    is among the last two, a cut falls below the normal range (the row at c has
-    underflowed) or the pieces still miss, the panel is lost to the recurrence.
-    Returns d, lost and the pieces' panels, c, h and v, (pieces, terms, 1), panel by
-    panel in order along each."""
+    _SERIES_CUT (_depths), and a panel where a piece misses the cut takes the fewest
+    halvings that bring it within the cut as its coefficients scale by h^k, again
+    while one misses.  A panel is lost to the recurrence where its pieces would
+    outnumber the nodes of settled's first two passes, each of which costs the
+    recurrence what a piece costs, or where a cut falls below the normal range (the
+    row at c has underflowed).  Returns d, lost and the pieces' panels, c, h and v,
+    (pieces, terms, 1), panel by panel in order along each."""
     width = hi_p - lo_p
     d = _depths(tau, width.astype(float) / 2)
-    lost, parts, todo = np.zeros(len(lo_p), dtype=bool), [], np.arange(len(lo_p))
-    for last in (False, True):
+    most = _NODES + _NODES * 3 // 2
+    lost = 2.0 ** d > most
+    none = np.zeros((0, _TAYLOR_TERMS, 1), dtype=np.longdouble)  # a part with no pieces
+    parts, todo = [(np.zeros(0, dtype=int), none[:, 0], none[:, 0], none)], np.flatnonzero(~lost)
+    while len(todo):  # d grows each pass: at most log2(most) passes
         owner = np.repeat(todo, 2 ** d[todo])
         j = np.arange(len(owner)) - np.repeat(np.cumsum(2 ** d[todo]) - 2 ** d[todo],
                                               2 ** d[todo])  # each piece's place on its panel
@@ -903,35 +904,24 @@ def _pieces(fam: Family, lo_p, hi_p, s, tau, ln_scale):
         c, h, _, v = _series(fam, lo, hi, s[owner, None] if np.ndim(s) else s, tau, ln_scale)
         mag = np.abs(v)[..., 0]
         top, tail = mag.max(axis=0), mag[-1] + mag[-2]
-        # each halving scales the last two coefficients by 2^-(terms - 2 - k) against
-        # the largest, at k
+        need = np.where(tail <= _SERIES_CUT * top, 0.0, np.inf)
+        miss = need > 0
+        # a halving scales v_k by about 2^-k: the last two meet the cut against v_k
+        # after log2(tail / (cut v_k)) / (terms - 2 - k) halvings, the fewest over k
         with np.errstate(divide="ignore", invalid="ignore"):
-            need = np.ceil(np.log2(tail / (_SERIES_CUT * top))
-                           / (_TAYLOR_TERMS - 2 - np.argmax(mag, axis=0)))
-        need[tail <= _SERIES_CUT * top] = 0
+            need[miss] = np.ceil(np.min(np.log2(tail[miss] / (_SERIES_CUT * mag[:-2, miss]))
+                                        / np.arange(_TAYLOR_TERMS - 2, 0, -1)[:, None], axis=0))
         need[~(_SERIES_CUT * top >= np.finfo(top.dtype).tiny) | ~(need >= 0)] = np.inf
-        if last:
-            need[need > 0] = np.inf
-        need = np.maximum.reduceat(need, np.flatnonzero(np.diff(owner, prepend=-1))) \
-            if len(owner) else need
+        need = np.maximum.reduceat(need, np.flatnonzero(np.diff(owner, prepend=-1)))
+        need[2.0 ** (d[todo] + need) > most] = np.inf
         lost[todo[need == np.inf]] = True
         keep = (need == 0)[np.searchsorted(todo, owner)]
         parts.append((owner[keep], c[keep], h[keep], v[:, keep].swapaxes(0, 1)))
         d[todo] += np.where(need < np.inf, need, 0).astype(int)
         todo = todo[(need > 0) & (need < np.inf)]
-        if not len(todo):
-            break
     owner, c, h, v = map(np.concatenate, zip(*parts))
     order = np.argsort(owner, kind="stable")
     return d, lost, owner[order], c[order], h[order], v[order]
-
-
-# the root gaps' pieces of a panel list (_pieces), by family, gauge and gap ends, for
-# every list that holds the same gaps (radial (n, l) at any order); _GAP_CACHE sets,
-# the least recently used out first: a ladder round reuses those of (50, l) and
-# (100, l), up to about 170 KB a set at n = 400
-_GAP_PIECES: dict = {}
-_GAP_CACHE = 16
 
 
 def panel_rows(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0) -> Callable:
@@ -940,8 +930,7 @@ def panel_rows(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0) -> Callable:
     shape (len(panels), k), a row of nodes a panel.  Below m = _TAYLOR_MIN_N, or
     with panels None, the recurrence.  From there on, each panel in 2^d equal
     pieces, each with its own series (_pieces), shared by every pass; the root gaps
-    (both ends "root") under (P/P(c))^s, and their pieces kept for the next list
-    with the same gaps (_GAP_PIECES).  A panel _pieces loses takes the recurrence.
+    (both ends "root") under (P/P(c))^s.  A panel _pieces loses takes the recurrence.
     A node sums its piece's coefficients against u^k, u = (x - c)/h, and
     poly.at_nodes(x, which, powers) does the same at the nodes of power_panels'
     rules, which[i] panel i's rule and powers(r, d) rule r's pieces and powers
@@ -954,27 +943,8 @@ def panel_rows(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0) -> Callable:
         return recurrence
     lo_p, hi_p = (np.array(col, dtype=np.longdouble) for col in list(zip(*panels))[:2])
     width = hi_p - lo_p
-    gap = np.array([lk == hk == "root" for *_, lk, hk in panels])
-    gaps, rest = np.flatnonzero(gap), np.flatnonzero(~gap)
-    key = tuple(a.astype(float).tobytes() for a in (fam.diag, fam.off, lo_p[gaps], hi_p[gaps]))
-    key += (float(fam.ln_mu0), tau, ln_scale, s, _TAYLOR_TERMS, _SERIES_CUT)
-    gauge = np.where(gap, s, 0)
-    kept = _GAP_PIECES.pop(key, None)
-    if kept is None:  # every panel in one pass; the gaps' pieces kept for the next list
-        d, lost, owner, c, h, v = _pieces(fam, lo_p, hi_p, gauge, tau, ln_scale)
-        on = gap[owner]
-        kept = (d[gaps], lost[gaps], np.searchsorted(gaps, owner[on]), c[on], h[on], v[on])
-    else:  # the other panels only, merged with the gaps' pieces in order
-        d, lost = np.empty(len(panels), dtype=int), np.empty(len(panels), dtype=bool)
-        d[gaps], lost[gaps] = kept[:2]
-        d[rest], lost[rest], *others = _pieces(fam, lo_p[rest], hi_p[rest], 0, tau, ln_scale)
-        owner = np.concatenate((gaps[kept[2]], rest[others[0]]))
-        order = np.argsort(owner, kind="stable")
-        owner, c, h, v = owner[order], *(np.concatenate(col)[order]
-                                         for col in zip(kept[3:], others[1:]))
-    _GAP_PIECES[key] = kept
-    for old in list(islice(_GAP_PIECES, max(0, len(_GAP_PIECES) - _GAP_CACHE))):
-        del _GAP_PIECES[old]
+    gauge = np.where([lk == hk == "root" for *_, lk, hk in panels], s, 0)
+    d, lost, owner, c, h, v = _pieces(fam, lo_p, hi_p, gauge, tau, ln_scale)
     v = v.swapaxes(0, 1)
     ser = ~lost
     first = np.searchsorted(owner, np.arange(len(panels)))
@@ -985,11 +955,15 @@ def panel_rows(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0) -> Callable:
     def gauged(x, y, rows, at):
         """y at the nodes x of the panels rows, pieces at, times (P(c)/P(x))^s on
         those with a gauge (root gaps, with no piece about an end)."""
+        def factor(c_at, x):  # long double ** 1 takes powl, 60 us a pass at n = 100
+            ratio = c_at / fam.identities(x)[0][0]
+            return ratio if s == 1 else ratio ** s
+
         on = gauge[rows] != 0
         if on.all():
-            return y * (pc[at, 0] / fam.identities(x)[0][0]) ** s
+            return y * factor(pc[at, 0], x)
         if on.any():
-            y[on] *= (pc[at[on], 0] / fam.identities(x[on])[0][0]) ** s
+            y[on] *= factor(pc[at[on], 0], x[on])
         return y
 
     def series(x, rows):
@@ -1022,11 +996,9 @@ def panel_rows(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0) -> Callable:
                                  return_inverse=True)
         for code, sel in zip(codes.tolist(), (rows[group == i] for i in range(len(codes)))):
             j, tk = powers(*divmod(code, d.max() + 1))
-            ends = np.searchsorted(j, np.arange(j[-1] + 2))  # j ascends with the nodes
-            y[sel] = gauged(x[sel], np.concatenate(
-                [np.dot(v[:, first[sel] + q, 0].T, tk[:, a:b])
-                 for q, (a, b) in enumerate(zip(ends, ends[1:]))], axis=1),
-                sel, first[sel][:, None] + j)
+            at = first[sel][:, None] + j
+            y[sel] = gauged(x[sel], np.einsum("kpn,kn->pn", v[:, at, 0], tk) if j[-1] else
+                            np.dot(v[:, first[sel], 0].T, tk), sel, at)
         return y
 
     poly.at_nodes = at_nodes
@@ -1056,7 +1028,7 @@ def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=Non
     poly is called once, on every node: x of shape (len(panels), m), a row of
     long-double nodes a panel; an integrand with an at_nodes attribute, as
     panel_rows' has, is called as poly.at_nodes(x, which, powers), which[i] the
-    index of panel i's rule among those of _panel_rules and powers(r, d) rule
+    index of panel i's rule among those of _jacobi_rules and powers(r, d) rule
     r's node powers for pieces 2^-d of a panel (_node_powers).  Every power is
     formed from long-double logs,
     the panel scale h^(e_lo + e_hi + 1) for the half-length h and the weight's
@@ -1081,7 +1053,9 @@ def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=Non
     kinds = {}
     pairs = zip(e_hi.ravel().tolist(), e_lo.ravel().tolist())
     which = [kinds.setdefault(k, len(kinds)) for k in pairs]
-    rules = _panel_rules(m, kinds, log_coefs is not None)
+    # at _NODES with the 1.5 _NODES of settled's second pass, in one build
+    rules = _jacobi_rules(kinds, (m, m * 3 // 2) if m == _NODES else (m,),
+                          log_coefs is not None)
     # the nodes, log weights and log-term weights per unit weight: long double
     t, ln_w, *logs = (np.array(col)[which] for col in
                       zip(*(rule[:2 if log_coefs is None else 4] for rule in rules)))
@@ -1205,9 +1179,6 @@ def plan_panels(ends, kinds, edges, q2: float, rate: float, what: str) -> list[t
         return cut(k, *outer, depth + 1, side)
 
     for k, (a, b, ak, bk) in enumerate(zip(ends, ends[1:], kinds, kinds[1:])):
-        if ak == bk == "root":  # a root gap stays whole, as cut would leave it
-            emit(a, b, ak, bk)
-            continue
         if b < math.inf:
             cut(k, a, b, ak, bk, 0 if "edge" in (ak, bk) else 48, 1 if ak != "edge" else -1)
         w, done = a - ends[k - 1], b < math.inf

@@ -508,7 +508,8 @@ def test_jacobi_gap_series_cut_to_16_terms_misses_the_recurrence(monkeypatch, l,
     assert jacobi_deviation(*jacobi_gaps(l, m)[1:]) > 4e-17 * (l - m)
 
 
-@pytest.mark.parametrize("l,m,p", [(100, 0, 0.5), (100, 50, 2.5), (300, 5, 8.0), (300, 5, 1.0)])
+@pytest.mark.parametrize("l,m,p", [(100, 0, 0.5), (100, 50, 2.5), (300, 5, 8.0), (300, 5, 1.0),
+                                   (1000, 900, 0.7), (300, 100, 1.0)])
 def test_jacobi_series_keeps_the_values_of_the_recurrence(monkeypatch, fresh_components,
                                                           l, m, p):
     def value():

@@ -909,6 +909,24 @@ def test_head_and_tail_series_match_the_recurrence(monkeypatch, n, l, p):
     # node (1.5e-16 n at (40, 60, 8)) is on the tail panel next to the last
     # root, where the recurrence is the one further off: by 50-digit mpmath
     # at (40, 60, 8) the series is 3.4e-16 off there and the recurrence 5.7e-15
+    check_head_and_tail(monkeypatch, n, l, p)
+
+
+@pytest.mark.parametrize("l", [100, 150, 200])
+@pytest.mark.parametrize("p", [0.5, 1.3, 8.0])
+def test_head_pieces_match_the_recurrence_at_large_l(monkeypatch, l, p):
+    # at n = 400 the largest scaled coefficient of the head slices moves
+    # through k = 12..23 as l grows, where one estimate of the halvings from
+    # it asked for 2^18 pieces at l = 150: each panel stays within the nodes
+    # of two passes, and only the slice at x = 0 falls back
+    nodes = specfun._NODES + specfun._NODES * 3 // 2
+    assert check_head_and_tail(monkeypatch, 400, l, p) <= nodes
+
+
+def check_head_and_tail(monkeypatch, n, l, p):
+    """The head slices and tail panels of (n, l, p) by panel_rows at the 36 nodes
+    of a pass against the recurrence, and the nodes that reach it; returns the
+    most series centres one pass of _pieces took, per panel."""
     panels = norm_panels(n, l, p)
     kinds = panel_kinds(n, l, panels)
     ends = [pan for pan, kind in zip(panels, kinds) if kind != "gap"]
@@ -925,9 +943,11 @@ def test_head_and_tail_series_match_the_recurrence(monkeypatch, n, l, p):
     got = psi_rows(n, l, ends)(x)
     assert seen and sum(math.prod(shape) for shape in seen
                         if shape[-1] > 1) <= (0 if l <= 20 else x.shape[1])
+    centres = max(shape[0] for shape in seen if shape[-1] == 1)
     ref = recurrence_psi(n, l, x)
     dev = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
     assert float(np.max(dev)) <= 2e-16 * n
+    return centres / len(ends)
 
 
 @pytest.mark.parametrize("n,l,p", [(100, 20, 1.3), (100, 0, 0.1)])

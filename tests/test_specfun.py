@@ -486,12 +486,12 @@ def test_gauss_rule_rejects_starts_that_miss_a_root(monkeypatch):
 
     monkeypatch.setattr(specfun, "_eigen_start", repeated)
     with pytest.raises(AccuracyError, match="not 20 distinct roots"):
-        specfun.gauss_jacobi.__wrapped__(20, 2.0, 0.5)
+        specfun._gauss_rule(*specfun.jacobi_family(20, 2.0, 0.5))
     # the roots of p_{m-1} repel the steps: starts there drift, never settle
     monkeypatch.setattr(specfun, "_eigen_start",
                         lambda d, e: np.append(real(d[:-1], e[:-1]), 1.0))
     with pytest.raises(AccuracyError, match="did not settle"):
-        specfun.gauss_jacobi.__wrapped__(20, 2.0, 0.5)
+        specfun._gauss_rule(*specfun.jacobi_family(20, 2.0, 0.5))
 
 
 @pytest.mark.parametrize("family,args", [
@@ -536,7 +536,7 @@ def test_every_sweep_rule_builds_in_one_pass(monkeypatch):
         specfun.gauss_laguerre.__wrapped__(m, a)
     for m, a, b in SWEEP_JACOBI:
         passes.append(0)
-        specfun.gauss_jacobi.__wrapped__(m, a, b)
+        specfun._gauss_rule(*specfun.jacobi_family(m, a, b))
     assert passes == [1] * (len(SWEEP_LAGUERRE) + len(SWEEP_JACOBI))
 
 
@@ -881,21 +881,21 @@ def test_both_parts_keep_their_values_bitwise():
         assert got.hex() == want, (part.__name__, a, b)
 
 
-def test_rule_caches_stay_within_their_bound():
+def test_rule_caches_stay_within_their_bound(monkeypatch):
     # distinct orders past the bound evict the oldest entries instead of
     # growing memory, and a rule built again after its eviction is bitwise
-    # the cold one
-    caches = [specfun.gauss_jacobi, specfun.gauss_jacobi_log, specfun.gauss_laguerre,
+    # the cold one; the Gauss-Jacobi rules live in one store (_JACOBI_RULES)
+    caches = [specfun.gauss_laguerre,
               rydberg.bessel_zeros, rydberg.bessel_constant, radial._laguerre_norm,
               radial._shannon_log_integral, angular._renyi_angular, angular._shannon_angular]
     assert all(f.cache_parameters()["maxsize"] == specfun._RULE_CACHE for f in caches)
-    specfun.gauss_jacobi.cache_clear()
+    monkeypatch.setattr(specfun, "_JACOBI_RULES", {})
     cold = specfun.gauss_jacobi(6, 0.25, 1.5)
     for k in range(specfun._RULE_CACHE + 100):
         specfun.gauss_jacobi(6, 0.25, 2.0 + k / 8)
-    assert specfun.gauss_jacobi.cache_info().currsize == specfun._RULE_CACHE
+    assert len(specfun._JACOBI_RULES) == specfun._RULE_CACHE
     again = specfun.gauss_jacobi(6, 0.25, 1.5)
-    assert again is not cold
+    assert again[0] is not cold[0]
     for a, b in zip(cold, again):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -910,32 +910,31 @@ BATCH_PAIRS = [(0.0, 0.0), (4.4, 4.4), (4.4, 0.0), (0.0, 4.4), (0.0, 2.7),
 def test_batched_rules_are_bitwise_their_single_builds(monkeypatch, m):
     # the pairs power_panels meets at 2p = 4.4 and pl + 1/2 = 2.7 (radial)
     # and at mp = 12.5, 2p = 5 (angular edges), built in one batch, with the
-    # log-term weights: each rule bit for bit gauss_jacobi_log's built alone
-    monkeypatch.setattr(specfun, "_PANEL_RULES", {})
-    for (a, b), rule in zip(BATCH_PAIRS, specfun._panel_rules(m, BATCH_PAIRS, True)):
-        alone = specfun.gauss_jacobi_log.__wrapped__(m, a, b)
-        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(rule, alone))
+    # log-term weights, at m nodes with 1.5 m as power_panels builds them:
+    # each rule bit for bit _gauss_rule's built alone, and its log weights
+    # those of _log_weights on its nodes alone
+    monkeypatch.setattr(specfun, "_JACOBI_RULES", {})
+    sizes = (m, m * 3 // 2)
+    specfun._jacobi_rules(BATCH_PAIRS, sizes, True)
+    for n in sizes:
+        for a, b in BATCH_PAIRS:
+            t, ln_w = specfun._gauss_rule(*specfun.jacobi_family(n, a, b))
+            (lp, lm), = specfun._log_weights((n,), np.array([a]), np.array([b]), t[:, None])
+            rule = specfun.gauss_jacobi_log(n, a, b)
+            assert all(x.dtype == y.dtype and np.array_equal(x, y)
+                       for x, y in zip(rule, (t, ln_w, lp[:, 0], lm[:, 0])))
+    assert len(specfun._JACOBI_RULES) == len(sizes) * len(BATCH_PAIRS)
 
 
-def test_panel_rule_store_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(specfun, "_PANEL_RULES", {})
+def test_jacobi_rule_store_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(specfun, "_JACOBI_RULES", {})
     monkeypatch.setattr(specfun, "_RULE_CACHE", 8)
     for k in range(6):
-        specfun._panel_rules(24, [(2.0 + k / 8, 0.0), (0.0, 2.0 + k / 8)], False)
+        specfun._jacobi_rules([(2.0 + k / 8, 0.0), (0.0, 2.0 + k / 8)], (24, 36))
     # each call builds its pairs at 24 and 36 nodes; the oldest went first
-    assert len(specfun._PANEL_RULES) == 8
-    assert (36, 0.0, 2.625) in specfun._PANEL_RULES
-    assert (24, 2.0, 0.0) not in specfun._PANEL_RULES
-
-
-def test_gap_pieces_stay_within_their_bound(monkeypatch):
-    monkeypatch.setattr(specfun, "_GAP_PIECES", {})
-    monkeypatch.setattr(specfun, "_GAP_CACHE", 2)
-    for n in (40, 41, 42):
-        rts = specfun.gauss_laguerre(n, 0.5)[0].astype(float)
-        specfun.panel_rows(specfun.laguerre_family(n, 0.5),
-                           [(a, b, "root", "root") for a, b in zip(rts, rts[1:])], -0.5)
-    assert len(specfun._GAP_PIECES) == 2
+    assert len(specfun._JACOBI_RULES) == 8
+    assert (36, 0.0, 2.625) in specfun._JACOBI_RULES
+    assert (24, 2.0, 0.0) not in specfun._JACOBI_RULES
 
 
 @pytest.mark.parametrize("n,l", [(40, 0), (100, 1), (400, 0), (1500, 1), (100, 300)])
@@ -945,7 +944,6 @@ def test_series_contraction_matches_horner(monkeypatch, n, l, m):
     # by one product with the rule's node powers t^k, against Horner's rule on
     # the same coefficients of _panel_series; measured within 4.2e-19 of each
     # gap's largest |row|
-    monkeypatch.setattr(specfun, "_GAP_PIECES", {})
     rts = specfun.gauss_laguerre(n, l + 0.5)[0].astype(float)
     gaps = [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
     fam, s = specfun.laguerre_family(n, l + 0.5), (2 * l + 3) // 4
@@ -954,7 +952,7 @@ def test_series_contraction_matches_horner(monkeypatch, n, l, m):
     whole = ((mag[-1] + mag[-2] <= specfun._SERIES_CUT * mag.max(axis=0)).ravel()
              & (specfun._depths(-0.5, (h.ravel()).astype(float)) == 0))
     assert np.mean(whole) > 0.5
-    rule = specfun._panel_rules(m, [(2.0, 2.0)], False)[0]
+    rule = specfun._jacobi_rules([(2.0, 2.0)], (m,))[0]
     t = rule[0]
     x = c + h * t
     got = specfun.panel_rows(fam, gaps, -0.5, s=s).at_nodes(
