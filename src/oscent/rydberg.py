@@ -161,7 +161,7 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float, kzeros: int) -> n
     q2 = 2.0 * p
     zs = np.array(bessel_zeros(alpha, kzeros + 1)) / 2.0  # zeros of J_a(2t)
 
-    def ratio(t):
+    def ratio(t, *_):
         with np.errstate(divide="ignore"):  # ln 0 = -inf: the node adds 0
             ln_j = np.log(np.abs(jv(alpha, 2.0 * t.astype(float))), dtype=np.longdouble)
         return np.exp(ln_j - alpha * np.log(t))
@@ -173,7 +173,7 @@ def _bessel_partial_terms(alpha: float, beta: float, p: float, kzeros: int) -> n
     head, _ = specfun.settled(
         lambda m: specfun.power_panels(slices, ratio, q2, edges, m), _HEAD_TOL, what)
     rest = specfun.power_panels([(a, b, "root", "root") for a, b in zip(zs, zs[1:])],
-                                lambda t: jv(alpha, 2.0 * t.astype(float)), q2,
+                                lambda t, *_: jv(alpha, 2.0 * t.astype(float)), q2,
                                 ((0.0, 2.0 * beta + 1.0), None), specfun._NODES)
     if not head >= rest[0]:
         raise AccuracyError(f"{what}: {float(head)} is below the first inter-zero "

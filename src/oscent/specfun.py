@@ -18,14 +18,16 @@ and Gauss-Jacobi rule and the Gegenbauer roots, one bounded store of the
 Jacobi rules with their log-weighted product rules (_jacobi_rules: the
 rules a caller lacks built in one pass), one panel Taylor-series engine for
 both families (panel_rows: from degree 40 on, every panel in equal pieces,
-each on a series of the family's equation, about an end where P vanishes;
-the recurrence only where the pieces that certify a series would outnumber
-the nodes), the panel planner with its one mass bound, the one panel
-function, which maps the store's rules onto panels in long double, calls
-its integrand once on all their nodes (a series by one product with a
-rule's node powers), forms every power from logs and checks the pieces
-dropped and the rows that underflow, the two-node-count check, and the one
-panel pass and one even-2p rule sum of both parts (_panel_pass, _rule_sum).
+each on a series of the family's equation about its centre, one with an end
+where P vanishes cut on its series about that end and then re-expanded;
+every series panel evaluated one way, by products with its rule's node
+powers, and the recurrence only where the pieces that certify a series
+would outnumber the nodes), the panel planner with its one mass bound, the
+one panel function, which maps the store's rules onto panels in long
+double, calls its integrand once on all their nodes with their rules,
+forms every power from logs and checks the pieces dropped and the rows that
+underflow, the two-node-count check, and the one panel pass and one even-2p
+rule sum of both parts (_panel_pass, _rule_sum).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ __all__ = [
     "laguerre_poly", "laguerre_eval", "laguerre_orthonormal_weighted",
     "laguerre_eval_negparam", "integrate",
     "Family", "jacobi_family", "laguerre_family", "gauss_legendre", "gauss_jacobi",
-    "gauss_laguerre", "gauss_jacobi_log", "panel_rows", "plan_panels", "power_panels",
+    "gauss_laguerre", "panel_rows", "plan_panels", "power_panels",
     "settled",
 ]
 
@@ -411,7 +413,7 @@ _DENSE_START_MAX = 64
 
 def _eigen_start(diag, off) -> np.ndarray:
     """Float64 eigenvalues of the m x m Jacobi matrix of (diag, off[:-1]), in
-    ascending order: the roots of p_m, which start _gauss_rule's Newton pass.
+    ascending order: the roots of p_m, which start _gauss_rules' Newton pass.
     Up to _DENSE_START_MAX nodes from the dense matrix (eigvalsh reads its
     lower triangle), above that from scipy's tridiagonal solver, imported here
     on the first such rule.  Columns (m, R) of several rules give one column
@@ -428,8 +430,8 @@ def _eigen_start(diag, off) -> np.ndarray:
     return np.linalg.eigvalsh(mats).T
 
 
-def _gauss_rule(diag, off, ln_mu0, ln_weight, identities) -> tuple[np.ndarray, np.ndarray]:
-    """Long-double Gauss nodes and log Christoffel weights of a Family's rows.
+def _gauss_rules(fams) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Long-double Gauss nodes and log Christoffel weights of each Family's rows.
 
     Here the rows start at sqrt(w / mu0): they are r_k = sqrt(w) p_k, and
     K = sum_{k<m} r_k^2, w over the Christoffel function, stays bounded for
@@ -450,17 +452,15 @@ def _gauss_rule(diag, off, ln_mu0, ln_weight, identities) -> tuple[np.ndarray, n
     1 / sum p_k^2, (Q + b_m (R_m - R_(m-1)) p_m p_(m-1) / sum p_k^2) / P, so
     a node's rounding next to a singular end of w does not enter.  The checks:
     only the m distinct roots increase strictly and alternate the sign of
-    r_(m-1) (interlacing), and every log weight is finite.  Columns of several
-    rules (jacobi_family of exponent arrays) take one pass, each its rule alone.
+    r_(m-1) (interlacing), and every log weight is finite.
+
+    One pass serves several rules, each bitwise the one it gives alone:
+    columns of several weights (jacobi_family of exponent arrays), and
+    families of increasing size m over one weight, whose recurrences agree
+    where they overlap (jacobi_family(m, a, b) for several m), their nodes
+    side by side along the largest's rows, each family's rows, Christoffel
+    sum and Newton step taken at its own m.
     """
-    return _gauss_rules([Family(diag, off, ln_mu0, ln_weight, identities)])[0]
-
-
-def _gauss_rules(fams) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_gauss_rule of families of increasing size m over one weight, whose recurrences
-    agree where they overlap (jacobi_family(m, a, b) for several m): their nodes side
-    by side along one pass of the largest's rows, each family's rows, Christoffel sum
-    and Newton step taken at its own m, so each rule is bitwise its _gauss_rule."""
     big, sizes = fams[-1], [len(f.diag) for f in fams]
     x = np.concatenate([np.longdouble(_eigen_start(f.diag, f.off)) for f in fams])
     ends = list(accumulate(sizes, initial=0))
@@ -537,7 +537,7 @@ def _lgamma(x) -> np.longdouble:
 class Family(NamedTuple):
     """A classical weight w = exp(ln_weight) of mass mu0 = exp(ln_mu0), the
     recurrence (diag, off) of _rows for its orthonormal p_k to degree m =
-    len(diag), and identities(x), stated once for _gauss_rule and _panel_series
+    len(diag), and identities(x), stated once for _gauss_rules and _series
     (DLMF Table 18.8.1): P and Q as Taylor coefficients at x and R_m of P p_k''
     + Q p_k' + R_k p_k = 0, R_m - R_(m-1), and A_m and B_m / b_m of the structure
     relation P p_m' = A_m p_m + B_m p_(m-1), b_m = off[-1]."""
@@ -561,7 +561,7 @@ def jacobi_family(m: int, a, b) -> Family:
     identities of P_k^(a,b) (DLMF §18.9), with s = 2m + a + b in the structure
     relation (1 - x^2) p_m' = m ((a - b)/s - x) p_m + (s + 1) b_m p_(m-1).
     With a and b arrays (R,), diag and off hold one column a family, (m, R),
-    each bitwise its family's alone, for _gauss_rule to build R rules at once."""
+    each bitwise its family's alone, for _gauss_rules to build R rules at once."""
     a_, b_ = (np.asarray(v, dtype=np.longdouble)[()] for v in (a, b))
     k = np.arange(1, m + 1, dtype=np.longdouble)
     if np.ndim(a_):
@@ -594,7 +594,7 @@ def laguerre_family(m: int, a: float) -> Family:
 
 def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1]:
-    nodes and log weights of jacobi_family, from _gauss_rule's one Newton pass,
+    nodes and log weights of jacobi_family, from _gauss_rules' one Newton pass,
     kept with every other Jacobi rule (_jacobi_rules).  A rule above 64 nodes
     loads scipy.linalg for its start (_eigen_start)."""
     return tuple(_jacobi_rules([(a, b)], (m,))[0][:2])
@@ -603,11 +603,11 @@ def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=_RULE_CACHE)
 def gauss_laguerre(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss rule of m nodes for x^a e^-x on (0, inf):
-    nodes and log weights of laguerre_family, from _gauss_rule's one Newton pass.
+    nodes and log weights of laguerre_family, from _gauss_rules' one Newton pass.
     A rule above 64 nodes loads scipy.linalg for its start (_eigen_start)."""
     if m == 0:
         return np.zeros(0, dtype=np.longdouble), np.zeros(0, dtype=np.longdouble)
-    return _gauss_rule(*laguerre_family(m, a))
+    return _gauss_rules([laguerre_family(m, a)])[0]
 
 
 def _log_moments(m: int, a, b) -> np.ndarray:
@@ -621,28 +621,20 @@ def _log_moments(m: int, a, b) -> np.ndarray:
     return np.concatenate(([nu0], nu1 * np.cumprod(np.append(1, steps))))[:m]
 
 
-def gauss_jacobi_log(m: int, a: float, b: float) -> tuple[np.ndarray, ...]:
-    """Gauss-Jacobi rule plus the weights of ln(1+t) and ln(1-t) on its nodes.
-
-    Returns (t, ln_w, lp, lm) for the weight (1-t)^a (1+t)^b, with lp and lm
-    per unit Christoffel weight: sum(w lp f(t)) and sum(w lm f(t)),
-    w = exp(ln_w), integrate it times ln(1+t) f and ln(1-t) f, exactly for
-    polynomials f of degree < m.  A product rule from modified moments
-    (Gautschi 2004): lp_i = sum_k p_k(t_i) nu_k / sqrt(h_k) over the
-    orthonormal p_k = P_k / sqrt(h_k), with nu_k = int weight ln(1+t) P_k:
-    nu_0 = mu0 [ln 2 + psi(b+1) - psi(a+b+2)], mu0 = 2^{a+b+1} B(a+1, b+1),
-    and nu_k = (-1)^{k-1} mu0 C(k+a, k) (k-1)! / (a+b+2)_k for k >= 1
-    (Chu-Vandermonde differentiated in the exponent of 1+t); lm mirrors
-    t -> -t.  t and ln_w are gauss_jacobi's long-double nodes and log
-    Christoffel weights, which the log weights must match; lp and lm are
-    long double (_log_weights).  Cached with the rule (_jacobi_rules).
-    """
-    return tuple(_jacobi_rules([(a, b)], (m,), True)[0][:4])
-
-
 def _log_weights(ms, a, b, t) -> list[tuple[np.ndarray, np.ndarray]]:
-    """lp and lm of gauss_jacobi_log for rules of exponents a and b, (R,), at the node
-    counts ms, their nodes side by side in t, (sum ms, R): one pass of _rows for all,
+    """The weights lp and lm of ln(1+t) and ln(1-t) on the nodes of Gauss-Jacobi rules
+    of exponents a and b, (R,), at the node counts ms, their nodes side by side in t,
+    (sum ms, R).
+
+    Per unit Christoffel weight: with w the rule's weights, sum(w lp f(t)) and
+    sum(w lm f(t)) integrate (1-t)^a (1+t)^b times ln(1+t) f and ln(1-t) f, exactly
+    for polynomials f of degree < m.  A product rule from modified moments (Gautschi
+    2004): lp_i = sum_k p_k(t_i) nu_k / sqrt(h_k) over the orthonormal p_k = P_k /
+    sqrt(h_k), with nu_k = int weight ln(1+t) P_k: nu_0 = mu0 [ln 2 + psi(b+1) -
+    psi(a+b+2)], mu0 = 2^{a+b+1} B(a+1, b+1), and nu_k = (-1)^{k-1} mu0 C(k+a, k)
+    (k-1)! / (a+b+2)_k for k >= 1 (Chu-Vandermonde differentiated in the exponent of
+    1+t); lm mirrors t -> -t.  The nodes must be the rules' own long-double ones
+    (_jacobi_rules keeps lp and lm with them).  One pass of _rows for all,
     sqrt(mu0) p_k(t_i) in row k < m, against each rule's moments (the first m of the
     largest count's, _log_moments)."""
     top = max(ms)
@@ -660,7 +652,7 @@ def _log_weights(ms, a, b, t) -> list[tuple[np.ndarray, np.ndarray]]:
 
 # the Gauss-Jacobi rules by (m, a, b), at most _RULE_CACHE of them, the least
 # recently used out first: [nodes, log weights, lp, lm, node powers], the last three
-# filled once gauss_jacobi_log or power_panels asks for them
+# filled once power_panels asks for them (_log_weights, _node_powers)
 _JACOBI_RULES: dict = {}
 
 
@@ -668,8 +660,8 @@ def _jacobi_rules(pairs, sizes, logs: bool = False) -> list[list]:
     """The rule of sizes[0] nodes for each exponent pair (a, b), from _JACOBI_RULES:
     the pairs it lacks at any of sizes built in one pass of _gauss_rules over their
     families' columns, and with logs the log-term weights they lack in one
-    _log_weights pass, each bitwise its rule built alone (_gauss_rule, and
-    _log_weights on its one column)."""
+    _log_weights pass, each bitwise its rule built alone (_gauss_rules of its one
+    family, and _log_weights on its one column)."""
     keys = [(sizes[0], a, b) for a, b in pairs]
     new = [k[1:] for k in keys if any((n, *k[1:]) not in _JACOBI_RULES for n in sizes)]
     if new:
@@ -756,14 +748,6 @@ _TAYLOR_TERMS = 24
 _SERIES_CUT = 1e-16
 
 
-def _panel_series(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0):
-    """_series on a panel list: lo and hi its ends, s the gauge exponent on root gaps
-    (both ends "root") and 0 elsewhere.  Returns c, h, s and v, as _series does."""
-    lo, hi = (np.array(col, dtype=np.longdouble)[:, None] for col in list(zip(*panels))[:2])
-    return _series(fam, lo, hi, np.array([[s if lk == hk == "root" else 0]
-                                          for *_, lk, hk in panels]), tau, ln_scale)
-
-
 def _factors(shifts, h_d, ks) -> np.ndarray:
     """f[k, d - 1] = h_d[d - 1] (L_d i (i - 1) + F_d i + Z_d) at i = k - d, for k in ks
     and the shifts d = 1, 2, ... given as (L_d, F_d, Z_d), shape (ks, shifts, panels, 1):
@@ -782,11 +766,12 @@ def _factors(shifts, h_d, ks) -> np.ndarray:
 
 
 def _series(fam: Family, lo, hi, s, tau=0.0, ln_scale=0.0):
-    """Expansion points c, scales h, gauge exponents s, (panels, 1) each, and the
-    scaled Taylor coefficients v_k = w_k h^k, k < _TAYLOR_TERMS, of w = (P/P(c))^s y
-    about c, for y = e^(tau x) p_m e^(-(ln mu0 + ln_scale)/2) on the panels [lo, hi]:
-    about the centre, h the half-length, or, on a panel with an end where P is 0,
-    about that end, h the length and s = 0.  With g = tau P + s P', w solves
+    """Expansion points c, (panels, 1), and the scaled Taylor coefficients v_k = w_k h^k,
+    k < _TAYLOR_TERMS, of w = (P/P(c))^s y about c, for y = e^(tau x) p_m
+    e^(-(ln mu0 + ln_scale)/2) on the panels [lo, hi], s the gauge exponents: about the
+    centre, h the half-length, or, on a panel with an end where P is 0, about that
+    end, h the length and s = 0 (_pieces re-expands it about the centre, after the
+    cut).  With g = tau P + s P', w solves
     P^2 w'' + P (Q - 2g) w' + (P (R_m - g') + g (g + P' - Q)) w = 0, whose
     coefficients L, F and Z in powers of x - c give (Glaser, Liu and Rokhlin, SIAM J.
     Sci. Comput. 29, 2007, 1420)
@@ -836,7 +821,7 @@ def _series(fam: Family, lo, hi, s, tau=0.0, ln_scale=0.0):
         f[:, :top - 2, at] = f_end[1:]
     for k in range(2, _TAYLOR_TERMS):
         v[k] = np.einsum("d...,d...->...", f[k - 2, :k], v[k - 1::-1][:top])
-    return c, h, s, v
+    return c, v
 
 
 def _node_powers(rule, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -879,6 +864,16 @@ def _depths(tau: float, half) -> np.ndarray:
     return np.ceil(np.log2(np.maximum(over, 1.0))).astype(int)
 
 
+@lru_cache(maxsize=None)
+def _end_to_centre(terms: int) -> np.ndarray:
+    """M[j, k] = C(k, j) 2^-k, k >= j, exact in long double: a series sum_k v_k u^k
+    about the end lo of a piece, u = (x - lo) / (hi - lo), is sum_j (M v)_j t^j about
+    its centre, t = (x - c) / ((hi - lo) / 2), as u = (t + 1) / 2.  About the end hi,
+    u = (t - 1) / 2, the same map takes v_k (-1)^k to w_j (-1)^j."""
+    return np.array([[math.comb(k, j) / 2 ** k for k in range(terms)] for j in range(terms)],
+                    dtype=np.longdouble)
+
+
 def _pieces(fam: Family, lo_p, hi_p, s, tau, ln_scale):
     """The panels [lo_p, hi_p] cut into 2^d equal pieces, each with its series of
     _series under the gauge exponent s: d starts where e^(tau x) alone meets
@@ -887,8 +882,11 @@ def _pieces(fam: Family, lo_p, hi_p, s, tau, ln_scale):
     while one misses.  A panel is lost to the recurrence where its pieces would
     outnumber the nodes of settled's first two passes, each of which costs the
     recurrence what a piece costs, or where a cut falls below the normal range (the
-    row at c has underflowed).  Returns d, lost and the pieces' panels, c, h and v,
-    (pieces, terms, 1), panel by panel in order along each."""
+    row at c has underflowed).  The cut decides on a piece's series as _series gives
+    it; a kept piece about an end is then re-expanded about its centre
+    (_end_to_centre), so every piece's series is in t = (x - c) / h, c its centre and
+    h its half-length.  Returns d, lost and the pieces' panels, c and v, (pieces,
+    terms, 1), panel by panel in order along each."""
     width = hi_p - lo_p
     d = _depths(tau, width.astype(float) / 2)
     most = _NODES + _NODES * 3 // 2
@@ -901,7 +899,7 @@ def _pieces(fam: Family, lo_p, hi_p, s, tau, ln_scale):
                                               2 ** d[todo])  # each piece's place on its panel
         lo, hi = ((lo_p[owner] + width[owner] * (j + e) / 2.0 ** d[owner])[:, None]
                   for e in (0, 1))
-        c, h, _, v = _series(fam, lo, hi, s[owner, None] if np.ndim(s) else s, tau, ln_scale)
+        c, v = _series(fam, lo, hi, s[owner, None] if np.ndim(s) else s, tau, ln_scale)
         mag = np.abs(v)[..., 0]
         top, tail = mag.max(axis=0), mag[-1] + mag[-2]
         need = np.where(tail <= _SERIES_CUT * top, 0.0, np.inf)
@@ -916,92 +914,56 @@ def _pieces(fam: Family, lo_p, hi_p, s, tau, ln_scale):
         need[2.0 ** (d[todo] + need) > most] = np.inf
         lost[todo[need == np.inf]] = True
         keep = (need == 0)[np.searchsorted(todo, owner)]
-        parts.append((owner[keep], c[keep], h[keep], v[:, keep].swapaxes(0, 1)))
+        parts.append((owner[keep], c[keep], ((lo + hi) / 2)[keep], v[:, keep].swapaxes(0, 1)))
         d[todo] += np.where(need < np.inf, need, 0).astype(int)
         todo = todo[(need > 0) & (need < np.inf)]
-    owner, c, h, v = map(np.concatenate, zip(*parts))
+    owner, c, mid, v = map(np.concatenate, zip(*parts))
+    # the pieces about an end, the only ones whose c is not their centre (bit for bit)
+    end = (c != mid).ravel()
+    sign = np.where(c[end] < mid[end], 1.0, -1.0) ** np.arange(_TAYLOR_TERMS)
+    v[end, :, 0] = sign * ((sign * v[end, :, 0]) @ _end_to_centre(_TAYLOR_TERMS).T)
     order = np.argsort(owner, kind="stable")
-    return d, lost, owner[order], c[order], h[order], v[order]
+    return d, lost, owner[order], mid[order], v[order]
 
 
 def panel_rows(fam: Family, panels, tau=0.0, ln_scale=0.0, s=0) -> Callable:
-    """The integrand poly(x) of power_panels on the panel list: row m =
-    len(fam.diag) of _rows from r_0 = exp(tau x - (ln mu0 + ln_scale)/2), x of
-    shape (len(panels), k), a row of nodes a panel.  Below m = _TAYLOR_MIN_N, or
-    with panels None, the recurrence.  From there on, each panel in 2^d equal
-    pieces, each with its own series (_pieces), shared by every pass; the root gaps
-    (both ends "root") under (P/P(c))^s.  A panel _pieces loses takes the recurrence.
-    A node sums its piece's coefficients against u^k, u = (x - c)/h, and
-    poly.at_nodes(x, which, powers) does the same at the nodes of power_panels'
-    rules, which[i] panel i's rule and powers(r, d) rule r's pieces and powers
-    (_node_powers): one product a rule, piece and depth."""
-    def recurrence(x):
+    """The integrand poly(x, which, rules) of power_panels on the panel list: row m =
+    len(fam.diag) of _rows from r_0 = exp(tau x - (ln mu0 + ln_scale)/2), x of shape
+    (len(panels), k), panel i's row the nodes of rules[which[i]] mapped onto it.
+    Below m = _TAYLOR_MIN_N, or with panels None, the recurrence, which reads x alone
+    and takes any points.  From there on, each panel in 2^d equal pieces, each with
+    its own series about its centre (_pieces), shared by every pass; the root gaps
+    (both ends "root") under (P/P(c))^s.  A panel _pieces loses takes the recurrence,
+    and every other its pieces' coefficients against the powers of its rule's nodes
+    on them (_node_powers): one product a rule and depth."""
+    def recurrence(x, *_):
         return _last_rows(x, fam.diag, fam.off,
                           np.exp(tau * x - (fam.ln_mu0 + ln_scale) / 2))[1]
 
     if panels is None or len(fam.diag) < _TAYLOR_MIN_N:
         return recurrence
     lo_p, hi_p = (np.array(col, dtype=np.longdouble) for col in list(zip(*panels))[:2])
-    width = hi_p - lo_p
     gauge = np.where([lk == hk == "root" for *_, lk, hk in panels], s, 0)
-    d, lost, owner, c, h, v = _pieces(fam, lo_p, hi_p, gauge, tau, ln_scale)
-    v = v.swapaxes(0, 1)
-    ser = ~lost
+    d, lost, owner, c, v = _pieces(fam, lo_p, hi_p, gauge, tau, ln_scale)
+    v, pc = v.swapaxes(0, 1), fam.identities(c)[0][0]  # P(c), for the gauge
     first = np.searchsorted(owner, np.arange(len(panels)))
-    pc = fam.identities(c)[0][0]  # P(c), 0 where the series is about an end
-    # panels with no piece about an end, where P(c) = 0: their nodes map as the rule's
-    centred = ser & (np.bincount(owner, (pc == 0).ravel(), len(panels)) == 0)
+    rows, top, gauged = np.flatnonzero(~lost), d.max() + 1, (gauge != 0) & ~lost
 
-    def gauged(x, y, rows, at):
-        """y at the nodes x of the panels rows, pieces at, times (P(c)/P(x))^s on
-        those with a gauge (root gaps, with no piece about an end)."""
-        def factor(c_at, x):  # long double ** 1 takes powl, 60 us a pass at n = 100
-            ratio = c_at / fam.identities(x)[0][0]
-            return ratio if s == 1 else ratio ** s
-
-        on = gauge[rows] != 0
-        if on.all():
-            return y * factor(pc[at, 0], x)
-        if on.any():
-            y[on] *= factor(pc[at[on], 0], x[on])
-        return y
-
-    def series(x, rows):
-        """The panels rows at their nodes x from their pieces' series, powers formed here."""
-        scale = (2.0 ** d[rows])[:, None]
-        at = first[rows][:, None] + np.clip(np.floor(
-            (x - lo_p[rows, None]) / width[rows, None] * scale), 0, scale - 1).astype(int)
-        u = (x - c[at, 0]) / h[at, 0]
-        powers = np.cumprod(np.concatenate((np.ones_like(u)[..., None], np.broadcast_to(
-            u[..., None], (*u.shape, _TAYLOR_TERMS - 1))), axis=-1), axis=-1)
-        return gauged(x, np.einsum("...k,k...->...", powers, v[:, at, 0]), rows, at)
-
-    def rows_on(x, rows):
-        """y at the nodes x: the lost panels by the recurrence, rows by their series."""
-        y = np.empty_like(x)
+    def poly(x, which, rules):
+        y, at = np.empty_like(x), np.empty(x.shape, dtype=int)  # at: each node's piece
         if lost.any():
             y[lost] = recurrence(x[lost])
-        rows = np.flatnonzero(rows)
-        if len(rows):
-            y[rows] = series(x[rows], rows)
-        return y
-
-    def poly(x):
-        return rows_on(x, ser)
-
-    def at_nodes(x, which, powers):
-        y = rows_on(x, ser & ~centred)
-        rows = np.flatnonzero(centred)
-        codes, group = np.unique(np.asarray(which)[rows] * (d.max() + 1) + d[rows],
-                                 return_inverse=True)
+        codes, group = np.unique(np.asarray(which)[rows] * top + d[rows], return_inverse=True)
         for code, sel in zip(codes.tolist(), (rows[group == i] for i in range(len(codes)))):
-            j, tk = powers(*divmod(code, d.max() + 1))
-            at = first[sel][:, None] + j
-            y[sel] = gauged(x[sel], np.einsum("kpn,kn->pn", v[:, at, 0], tk) if j[-1] else
-                            np.dot(v[:, first[sel], 0].T, tk), sel, at)
+            j, tk = _node_powers(rules[code // top], code % top)
+            piece = at[sel] = first[sel][:, None] + j
+            y[sel] = (np.einsum("kpn,kn->pn", v[:, piece, 0], tk) if j[-1] else
+                      np.dot(v[:, first[sel], 0].T, tk))
+        if gauged.any():  # long double ** 1 takes powl, 60 us a pass at n = 100
+            ratio = pc[at[gauged], 0] / fam.identities(x[gauged])[0][0]
+            y[gauged] *= ratio if s == 1 else ratio ** s
         return y
 
-    poly.at_nodes = at_nodes
     return poly
 
 
@@ -1025,12 +987,11 @@ def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=Non
       "root"   a root r of poly: |x - r|^q2, the distance divided out of |poly|;
       "edge"   the end is a (at lo) or b (at hi): that edge's power;
       "plain"  nothing.
-    poly is called once, on every node: x of shape (len(panels), m), a row of
-    long-double nodes a panel; an integrand with an at_nodes attribute, as
-    panel_rows' has, is called as poly.at_nodes(x, which, powers), which[i] the
-    index of panel i's rule among those of _jacobi_rules and powers(r, d) rule
-    r's node powers for pieces 2^-d of a panel (_node_powers).  Every power is
-    formed from long-double logs,
+    poly is called once, on every node, as poly(x, which, rules): x of shape
+    (len(panels), m), a row of long-double nodes a panel, rules the store entries
+    of _jacobi_rules and which[i] the index of panel i's rule among them, whose
+    node powers panel_rows' integrand reads (_node_powers); an integrand that
+    needs only x ignores the rest.  Every power is formed from long-double logs,
     the panel scale h^(e_lo + e_hi + 1) for the half-length h and the weight's
     end exponents included: each node adds one positive exp(ln w + ...), at
     most its panel's integral, so nothing leaves the float range while that
@@ -1040,7 +1001,7 @@ def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=Non
     Returns each panel's integral, in long double.  With log_coefs = (ca, cb)
     it also returns each panel's integral of the integrand times 2 ln|poly| +
     ca ln(x - a) + cb ln(b - x), whose kinks at root ends and edges take
-    the gauss_jacobi_log weights on the same nodes.
+    the log-term weights of _log_weights on the same nodes.
     """
     lo, hi, lo_kind, hi_kind = (np.array(col)[:, None] for col in zip(*panels))
     lo, hi = lo.astype(np.longdouble), hi.astype(np.longdouble)
@@ -1062,9 +1023,7 @@ def power_panels(panels, poly: Callable, q2: float, edges, m: int, log_coefs=Non
     h = (hi - lo) / 2
     ln_h = np.log(h)
     x = lo + h * (1 + t)
-    at_nodes = getattr(poly, "at_nodes", None)
-    row = np.abs(poly(x) if at_nodes is None else
-                 at_nodes(x, which, lambda r, d: _node_powers(rules[r], d)))
+    row = np.abs(poly(x, which, rules))
     g = row / np.where(lo_root, x - lo, 1.0)
     g = g / np.where(hi_root, hi - x, 1.0)
     with np.errstate(divide="ignore"):  # ln 0 = -inf: the node adds exp(-inf) = 0

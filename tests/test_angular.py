@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 from scipy.special import lpmv, roots_jacobi, roots_legendre
 
+from conftest import rows_at_rule_nodes
 from oscent import angular, specfun
 from oscent.angular import (AngularState, lambda_bell, lambda_closed,
                             lambda_linearization, lambda_quadrature,
@@ -447,31 +448,30 @@ def test_shannon_quadrature_matches_30_digit_references(l, m, want):
 
 # ---------------------------------------------------------------------------
 # panels from l - |m| = specfun._TAYLOR_MIN_N on: specfun.panel_rows' Taylor
-# series of the Jacobi equation about each panel centre, against the
-# recurrence it stands in for
+# series of the Jacobi equation about each piece's centre, at a rule's nodes
+# as power_panels evaluates it (rows_at_rule_nodes), against the recurrence it
+# stands in for
 
 
-def jacobi_gaps(l, m, nodes=24):
+def jacobi_gaps(l, m):
     """The row of angular's pass (panel_rows under ln_scale = ln 2 pi) on every root
-    gap and its nodes x, shape (gaps, nodes), with the same row by the n-step
+    gap at its nodes x, shape (gaps, 36), with the same row by the n-step
     recurrence from 1 / sqrt(2 pi mu0)."""
     n = l - m
     rts = specfun.gegenbauer_roots(n, m + 0.5)
     gaps = [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
-    t = specfun.gauss_jacobi(nodes, 2.0, 2.0)[0]
-    x = rts[:-1, None] + (rts[1:] - rts[:-1])[:, None] / 2 * (1 + t)
     fam = specfun.jacobi_family(n, m, m)
+    x, got = rows_at_rule_nodes(specfun.panel_rows(fam, gaps, ln_scale=angular._LN_2PI), gaps)
     start = np.exp(-(fam.ln_mu0 + angular._LN_2PI) / 2)
-    ref = specfun._last_rows(x, fam.diag, fam.off, np.full_like(x, start))[1]
-    poly = specfun.panel_rows(fam, gaps, ln_scale=angular._LN_2PI)
-    return gaps, poly(x), ref
+    return gaps, got, specfun._last_rows(x, fam.diag, fam.off, np.full_like(x, start))[1]
 
 
 def jacobi_kept(l, m, gaps):
-    """Whether each gap keeps its series: its last two coefficients within
+    """Whether each gap keeps its whole series: its last two coefficients within
     _SERIES_CUT of its largest, as panel_rows decides."""
-    mag = np.abs(specfun._panel_series(specfun.jacobi_family(l - m, m, m), gaps,
-                                       ln_scale=angular._LN_2PI)[3])
+    lo, hi = (np.array(col, dtype=np.longdouble)[:, None] for col in list(zip(*gaps))[:2])
+    mag = np.abs(specfun._series(specfun.jacobi_family(l - m, m, m), lo, hi, 0,
+                                 ln_scale=angular._LN_2PI)[1])
     return (mag[-1] + mag[-2] <= specfun._SERIES_CUT * mag.max(axis=0)).ravel()
 
 

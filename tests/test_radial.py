@@ -12,6 +12,7 @@ import scipy.integrate as si
 from hypothesis import given, settings, strategies as hst
 from scipy.special import roots_genlaguerre
 
+from conftest import rows_at_rule_nodes
 from oscent import radial, specfun
 from oscent.errors import AccuracyError, DomainError
 from oscent.order import as_order
@@ -662,7 +663,8 @@ def test_head_that_starts_where_the_mass_is_matches_the_exact_rule():
 
 # ---------------------------------------------------------------------------
 # panels from n = specfun._TAYLOR_MIN_N on: specfun.panel_rows' Taylor series of
-# the Laguerre equation about each panel centre, against the recurrence it
+# the Laguerre equation about each piece's centre, at a rule's nodes as
+# power_panels evaluates it (rows_at_rule_nodes), against the recurrence it
 # stands in for
 
 
@@ -678,20 +680,17 @@ def recurrence_psi(n, l, x):
     return (-1) ** n * specfun.laguerre_orthonormal_weighted(n, l + 0.5, x)
 
 
-def gap_nodes(n, l, m=36):
-    """The m nodes of every root gap at p = 1, shape (gaps, m), and the gaps."""
+def root_gaps(n, l):
+    """The panels between consecutive roots."""
     rts = specfun.gauss_laguerre(n, l + 0.5)[0].astype(float)
-    gaps = [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
-    t = specfun.gauss_jacobi(m, 2.0, 2.0)[0]
-    lo, hi = (r[:, None].astype(np.longdouble) for r in (rts[:-1], rts[1:]))
-    return lo + (hi - lo) / 2 * (1 + t), gaps
+    return [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
 
 
 def series_deviation(n, l):
     """The largest |series - recurrence| over the nodes of every root gap,
     relative to the largest |psi| on the node's panel."""
-    x, gaps = gap_nodes(n, l)
-    got = psi_rows(n, l, gaps)(x)
+    gaps = root_gaps(n, l)
+    x, got = rows_at_rule_nodes(psi_rows(n, l, gaps), gaps)
     ref = recurrence_psi(n, l, x)
     return float(np.max(np.abs(got - ref) / np.max(np.abs(ref), axis=1, keepdims=True)))
 
@@ -717,8 +716,7 @@ def test_gap_series_cut_to_16_terms_misses_the_recurrence(monkeypatch, n, l):
     # (40, 1000), 2.0e-15 at (400, 0)); forced past that check the sweep above
     # sees the truncation
     monkeypatch.setattr(specfun, "_TAYLOR_TERMS", 16)
-    gaps = gap_nodes(n, l)[1]
-    assert series_misses(n, l, gaps).all()
+    assert series_misses(n, l, root_gaps(n, l)).all()
     assert 0.0 < series_deviation(n, l) <= series_bound(n)
     monkeypatch.setattr(specfun, "_SERIES_CUT", math.inf)
     assert series_deviation(n, l) > series_bound(n)
@@ -733,8 +731,9 @@ def test_gap_series_matches_mpmath_on_its_worst_gap():
     # the sweep's worst node is next to r_1 on the first gap at (1500, 1);
     # there the series is 1.2e-14 off, the recurrence 2.0e-14
     n, l = 1500, 1
-    x, gaps = gap_nodes(n, l)
-    got = (-1) ** n * psi_rows(n, l, gaps[:1])(x[:1])[0]
+    gaps = root_gaps(n, l)[:1]
+    x, got = rows_at_rule_nodes(psi_rows(n, l, gaps), gaps)
+    got = (-1) ** n * got[0]
     with mpmath.workdps(60):
         a = mpmath.mpf(2 * l + 1) / 2
         norm = mpmath.sqrt(mpmath.gamma(n + a + 1) / mpmath.factorial(n))
@@ -862,12 +861,13 @@ def test_no_radial_panel_leaves_its_series(monkeypatch, n, l):
     assert seen and all(shape[-1] == 1 for shape in seen)
 
 
-def series_misses(n, l, panels):
-    """Panels whose last two series coefficients exceed _SERIES_CUT of their
-    largest, or whose cut underflows: those panel_rows hands to the
-    recurrence."""
-    mag = np.abs(specfun._panel_series(specfun.laguerre_family(n, l + 0.5), panels, -0.5,
-                                       s=(2 * l + 3) // 4)[3])
+def series_misses(n, l, gaps):
+    """Root gaps whose whole series has its last two coefficients above
+    _SERIES_CUT of its largest, or a cut that underflows: those panel_rows
+    cuts into pieces, or hands to the recurrence."""
+    lo, hi = (np.array(col, dtype=np.longdouble)[:, None] for col in list(zip(*gaps))[:2])
+    mag = np.abs(specfun._series(specfun.laguerre_family(n, l + 0.5), lo, hi,
+                                 (2 * l + 3) // 4, -0.5)[1])
     cut = specfun._SERIES_CUT * mag.max(axis=0)
     return ((mag[-1] + mag[-2] > cut) | (cut < np.finfo(cut.dtype).tiny)).ravel()
 
@@ -930,17 +930,15 @@ def check_head_and_tail(monkeypatch, n, l, p):
     panels = norm_panels(n, l, p)
     kinds = panel_kinds(n, l, panels)
     ends = [pan for pan, kind in zip(panels, kinds) if kind != "gap"]
-    t = specfun.gauss_jacobi(36, 2.0, 2.0)[0]
-    lo, hi = (np.array(col, dtype=np.longdouble)[:, None] for col in list(zip(*ends))[:2])
-    x = lo + (hi - lo) / 2 * (1 + t)
     # the series serves them: no node reaches the recurrence up to l = 20, not
     # at (n, p) = (40, 0.5), where every tail panel spans 17 to 26 and 24 terms
     # of e^(-x/2) fall short of one piece, nor on the slice at x = 0, whose
-    # series is about x = 0.  From l = 60 on that slice may still take it:
+    # series is cut about x = 0 and then re-expanded about its centre.  From
+    # l = 60 on that slice may still take it:
     # pieces next to x = 0 carry the solution x^(-a) of their rounding at
     # h/c = 2/3 however far halved
     seen = counting_rows(monkeypatch)
-    got = psi_rows(n, l, ends)(x)
+    x, got = rows_at_rule_nodes(psi_rows(n, l, ends), ends)
     assert seen and sum(math.prod(shape) for shape in seen
                         if shape[-1] > 1) <= (0 if l <= 20 else x.shape[1])
     centres = max(shape[0] for shape in seen if shape[-1] == 1)

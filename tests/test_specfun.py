@@ -8,6 +8,7 @@ import pytest
 import scipy.special as sp
 from hypothesis import example, given, settings, strategies as hst
 
+from conftest import rows_at_rule_nodes
 from oscent import angular, radial, rydberg, specfun
 from oscent.errors import AccuracyError, DomainError
 
@@ -252,14 +253,19 @@ def test_laguerre_orthonormal_weighted_high_degree_is_finite():
 
 @pytest.mark.parametrize("n,alpha", [(0, 0.5), (1, 2.5), (7, 0.5), (60, 20.5)])
 def test_laguerre_weighted_derivative_matches_mpmath(n, alpha):
-    # the series start values of _panel_series at the panel centres x, h = 1:
-    # the last row under e^(-x/2), (-1)^n psi, and its derivative from the
-    # last two rows and the structure relation
+    # the series start values of _series at the panel centres x, h = 1: the
+    # last row under e^(-x/2), (-1)^n psi, and its derivative from the last
+    # two rows and the structure relation; and the rows panel_rows gives at a
+    # rule's nodes on those panels, as power_panels evaluates them (the
+    # recurrence below n = 40, the series from there on), 3.1e-17 off at most
     mpmath = pytest.importorskip("mpmath")
     x = [0.25, 2.0, 15.0, 90.0]
     panels = [(xi - 1, xi + 1, "plain", "plain") for xi in x]
-    v = specfun._panel_series(specfun.laguerre_family(n, alpha), panels, -0.5)[3]
+    fam = specfun.laguerre_family(n, alpha)
+    lo, hi = (np.array(col, dtype=np.longdouble)[:, None] for col in list(zip(*panels))[:2])
+    v = specfun._series(fam, lo, hi, 0, -0.5)[1]
     psi, dpsi = (-1) ** n * v[0, :, 0], (-1) ** n * v[1, :, 0]
+    nodes, rows = rows_at_rule_nodes(specfun.panel_rows(fam, panels, -0.5), panels)
     with mpmath.workdps(40):
         norm = mpmath.sqrt(mpmath.gamma(n + alpha + 1) / mpmath.factorial(n))
 
@@ -271,6 +277,10 @@ def test_laguerre_weighted_derivative_matches_mpmath(n, alpha):
             scale = max(abs(want), abs(dwant))
             assert abs(float(got) - want) <= 1e-15 * scale
             assert abs(float(dgot) - dwant) <= 1e-15 * scale
+        for t, row in zip(nodes, rows):
+            want = [f(_mpf(mpmath, ti)) for ti in t]
+            err = max(abs(_mpf(mpmath, (-1) ** n * r) - w) for r, w in zip(row, want))
+            assert err <= 1e-16 * max(map(abs, want))
 
 
 def test_log_weighted_panels_skip_nodes_where_the_power_underflows():
@@ -278,7 +288,7 @@ def test_log_weighted_panels_skip_nodes_where_the_power_underflows():
     # warning (the suite turns warnings into errors).  The ends are "edge"
     # ends of no edge, weight 1: an outer "plain" end marks a dropped piece
     parts, logs = specfun.power_panels(
-        [(0.0, 1.0, "edge", "edge")], lambda x: np.where(x > 0.5, x, 0.0),
+        [(0.0, 1.0, "edge", "edge")], lambda x, *_: np.where(x > 0.5, x, 0.0),
         2.0, (None, None), 24, (0.0, 0.0))
     t, ln_w = specfun.gauss_jacobi(24, 0.0, 0.0)
     x = (1 + t.astype(float)) / 2
@@ -322,7 +332,7 @@ def test_power_panels_map_the_rule_to_beta_closed_forms():
     hi_exp = np.array([1.5, 0.0, 4.4, 6.6, 0.0, 3.0])
     j = np.array([0, 3, 1, 2, 4, 0])
     got = [specfun.power_panels([(a, b, "edge", "edge")],
-                                lambda x, a=a, k=k: (x - a) ** k, 1.0,
+                                lambda x, *_, a=a, k=k: (x - a) ** k, 1.0,
                                 ((a, ea), (b, eb)), 12)[0]
            for a, b, ea, eb, k in zip(lo, hi, lo_exp, hi_exp, j)]
     span = hi - lo
@@ -331,7 +341,7 @@ def test_power_panels_map_the_rule_to_beta_closed_forms():
     # float ends give long-double nodes and integrals
     seen = []
 
-    def one(x):
+    def one(x, *_):
         seen.append(x.dtype)
         return np.ones_like(x)
 
@@ -343,17 +353,19 @@ def test_power_panels_map_the_rule_to_beta_closed_forms():
 
 def test_power_panels_call_the_integrand_once_a_pass():
     # 4000 panels of 54 nodes, 216,000 nodes in all: one call on every node,
-    # mapped in long double from float ends
+    # mapped in long double from float ends, with each panel's rule
     seen = []
 
-    def one(x):
-        seen.append((x.shape, x.dtype))
+    def one(x, which, rules):
+        seen.append((x.shape, x.dtype, list(which), [rule[0] for rule in rules]))
         return np.ones_like(x)
 
     ends = np.linspace(0.0, 1.0, 4001)
     parts = specfun.power_panels([(a, b, "edge", "edge") for a, b in zip(ends, ends[1:])],
                                  one, 1.0, (None, None), 54)
-    assert seen == [((4000, 54), np.longdouble)]
+    (shape, dtype, which, nodes), = seen
+    assert (shape, dtype, which) == ((4000, 54), np.longdouble, [0] * 4000)
+    assert len(nodes) == 1 and np.array_equal(nodes[0], specfun.gauss_jacobi(54, 0.0, 0.0)[0])
     assert float(parts.sum()) == pytest.approx(1.0, rel=1e-15)
 
 
@@ -381,7 +393,7 @@ def _jacobi_moment(a, b, j, log):
                                  (2.0, 1.5), (7.0, 2.0), (2.0, 59.0)])
 def test_log_weights_integrate_log_moments_exactly(a, b):
     m = 20
-    t, ln_w, lp, lm = specfun.gauss_jacobi_log(m, a, b)
+    t, ln_w, lp, lm = specfun._jacobi_rules([(a, b)], (m,), True)[0][:4]
     w = np.exp(ln_w)
     lp, lm = w * lp, w * lm
     for j in range(m):
@@ -486,12 +498,12 @@ def test_gauss_rule_rejects_starts_that_miss_a_root(monkeypatch):
 
     monkeypatch.setattr(specfun, "_eigen_start", repeated)
     with pytest.raises(AccuracyError, match="not 20 distinct roots"):
-        specfun._gauss_rule(*specfun.jacobi_family(20, 2.0, 0.5))
+        specfun._gauss_rules([specfun.jacobi_family(20, 2.0, 0.5)])
     # the roots of p_{m-1} repel the steps: starts there drift, never settle
     monkeypatch.setattr(specfun, "_eigen_start",
                         lambda d, e: np.append(real(d[:-1], e[:-1]), 1.0))
     with pytest.raises(AccuracyError, match="did not settle"):
-        specfun._gauss_rule(*specfun.jacobi_family(20, 2.0, 0.5))
+        specfun._gauss_rules([specfun.jacobi_family(20, 2.0, 0.5)])
 
 
 @pytest.mark.parametrize("family,args", [
@@ -502,10 +514,11 @@ def test_gauss_rule_rejects_starts_that_miss_a_root(monkeypatch):
 def test_dense_and_tridiagonal_starts_give_the_same_rules(monkeypatch, family, args):
     # the Newton pass leaves the float64 start's rounding below a long-double
     # ulp, so numpy's dense start and scipy's tridiagonal one agree bit for bit
-    dense = [specfun._gauss_rule(*family(m, *args)) for m in range(2, specfun._DENSE_START_MAX + 1)]
+    dense = [specfun._gauss_rules([family(m, *args)])[0]
+             for m in range(2, specfun._DENSE_START_MAX + 1)]
     monkeypatch.setattr(specfun, "_DENSE_START_MAX", 1)
     for m, (x, ln_w) in enumerate(dense, start=2):
-        x_tri, ln_w_tri = specfun._gauss_rule(*family(m, *args))
+        x_tri, ln_w_tri = specfun._gauss_rules([family(m, *args)])[0]
         assert np.array_equal(x, x_tri) and np.array_equal(ln_w, ln_w_tri), m
 
 
@@ -536,7 +549,7 @@ def test_every_sweep_rule_builds_in_one_pass(monkeypatch):
         specfun.gauss_laguerre.__wrapped__(m, a)
     for m, a, b in SWEEP_JACOBI:
         passes.append(0)
-        specfun._gauss_rule(*specfun.jacobi_family(m, a, b))
+        specfun._gauss_rules([specfun.jacobi_family(m, a, b)])
     assert passes == [1] * (len(SWEEP_LAGUERRE) + len(SWEEP_JACOBI))
 
 
@@ -634,7 +647,7 @@ def test_power_panels_map_the_log_rule_to_digamma_closed_forms():
 
     def panels(log_coefs):  # (integrals, log-weighted integrals) per panel
         out = [specfun.power_panels([(a, b, "edge", "edge")],
-                                    lambda x: np.ones_like(x), 1.0,
+                                    lambda x, *_: np.ones_like(x), 1.0,
                                     ((a, ea + k), (b, eb)), 12, log_coefs)
                for a, b, ea, eb, k in zip(lo, hi, lo_exp, hi_exp, j)]
         assert all(v.dtype == np.longdouble for pair in out for v in pair)
@@ -660,7 +673,7 @@ def test_power_panels_match_beta_closed_forms(q2, a):
     lo = np.array([-1.0, 0.0, 0.5], dtype=np.longdouble)
     hi = np.array([0.0, 0.5, 1.0], dtype=np.longdouble)
     args = (list(zip(lo, hi, ["edge", "root", "plain"], ["root", "plain", "edge"])),
-            lambda x: x, q2, ((-1.0, a), (1.0, a)), 48)
+            lambda x, *_: x, q2, ((-1.0, a), (1.0, a)), 48)
     parts = specfun.power_panels(*args)
     assert parts.dtype == np.longdouble and parts.shape == (3,)
     want = sp.beta((q2 + 1) / 2, a + 1)
@@ -682,13 +695,13 @@ def test_rows_that_underflow_on_the_mass_raise_in_both_sums():
     # q2 = 1e-3 the bound tiny^q2 = 1.2e-5 of a weight is far above a float
     # ulp of the sum, and the mass there is lost to every node count alike
     panels, edges = [(0.0, 1.0, "edge", "edge")], ((0.0, 0.0), (1.0, 0.0))
-    step = lambda x: np.where(x < 0.5, 1.0, 0.0).astype(np.longdouble)  # noqa: E731
+    step = lambda x, *_: np.where(x < 0.5, 1.0, 0.0).astype(np.longdouble)  # noqa: E731
     assert float(specfun.power_panels(panels, step, 2.0, edges, 24).sum()) == \
         pytest.approx(0.5, rel=1e-15)
     with pytest.raises(AccuracyError, match="rows underflow where the integrand"):
         specfun.power_panels(panels, step, 1e-3, edges, 24)
     # a sum that is 0 stays for settled to reject as not positive
-    zero = specfun.power_panels(panels, lambda x: 0 * x, 1e-3, edges, 24)
+    zero = specfun.power_panels(panels, lambda x, *_: 0 * x, 1e-3, edges, 24)
     assert not zero.any()
     # the rule sum: e^(-x/2) underflows long double at x = 30000, harmless
     # against a weight of 1 and not against one of e^30000
@@ -911,16 +924,16 @@ def test_batched_rules_are_bitwise_their_single_builds(monkeypatch, m):
     # the pairs power_panels meets at 2p = 4.4 and pl + 1/2 = 2.7 (radial)
     # and at mp = 12.5, 2p = 5 (angular edges), built in one batch, with the
     # log-term weights, at m nodes with 1.5 m as power_panels builds them:
-    # each rule bit for bit _gauss_rule's built alone, and its log weights
-    # those of _log_weights on its nodes alone
+    # each rule in the store bit for bit its family's built alone, and its log
+    # weights those of _log_weights on its nodes alone
     monkeypatch.setattr(specfun, "_JACOBI_RULES", {})
     sizes = (m, m * 3 // 2)
     specfun._jacobi_rules(BATCH_PAIRS, sizes, True)
     for n in sizes:
         for a, b in BATCH_PAIRS:
-            t, ln_w = specfun._gauss_rule(*specfun.jacobi_family(n, a, b))
+            (t, ln_w), = specfun._gauss_rules([specfun.jacobi_family(n, a, b)])
             (lp, lm), = specfun._log_weights((n,), np.array([a]), np.array([b]), t[:, None])
-            rule = specfun.gauss_jacobi_log(n, a, b)
+            rule = specfun._JACOBI_RULES[(n, a, b)][:4]
             assert all(x.dtype == y.dtype and np.array_equal(x, y)
                        for x, y in zip(rule, (t, ln_w, lp[:, 0], lm[:, 0])))
     assert len(specfun._JACOBI_RULES) == len(sizes) * len(BATCH_PAIRS)
@@ -937,25 +950,101 @@ def test_jacobi_rule_store_stays_within_its_bound(monkeypatch):
     assert (24, 2.0, 0.0) not in specfun._JACOBI_RULES
 
 
-@pytest.mark.parametrize("n,l", [(40, 0), (100, 1), (400, 0), (1500, 1), (100, 300)])
+def series_pass(part, a, b, p):
+    """The family, the panel list and the gauge (tau, ln_scale, s) of a part's
+    pass: radial (n, l) = (a, b), angular (l, m) = (a, b)."""
+    if part == "radial":
+        return (specfun.laguerre_family(a, b + 0.5), radial._radial_pass(a, b, p).args[0],
+                -0.5, 0.0, (2 * b + 3) // 4)
+    return (specfun.jacobi_family(a - b, b, b),
+            angular._angular_pass(angular.AngularState(a, b), p, "test").args[0],
+            0.0, angular._LN_2PI, 0)
+
+
+def series_pieces(fam, panels, tau, ln_scale, s):
+    """_pieces on the panel list as panel_rows takes it: d, lost, the first piece
+    of each panel, the pieces' centres c and their coefficients v, (pieces, terms)."""
+    lo, hi = (np.array(col, dtype=np.longdouble) for col in list(zip(*panels))[:2])
+    gauge = np.where([lk == hk == "root" for *_, lk, hk in panels], s, 0)
+    d, lost, owner, c, v = specfun._pieces(fam, lo, hi, gauge, tau, ln_scale)
+    return d, lost, np.searchsorted(owner, np.arange(len(panels))), c[:, 0], v[..., 0]
+
+
+def touches_an_end(panels):
+    """Whether each panel has an end where P is 0, an "edge" end: x = 0, t = -1 or 1."""
+    return np.array(["edge" in pan[2:] for pan in panels])
+
+
+# whole lists: every root gap, the head or edge slices and the tail; the radial
+# slice at x = 0 whole and in two pieces, (400, 20, 8), and lost to the
+# recurrence from l = 60 on, (100, 300, 0.7); the angular edge slices at -1 and
+# 1, and none left at (1000, 900, 0.7), where the planner drops both edges.
+# The radial ids name (n, l)
+CONTRACTION_CASES = [
+    *(pytest.param(("radial", n, l, p), id=f"{n}-{l}")
+      for n, l, p in ((40, 0, 0.7), (100, 1, 2.5), (400, 0, 1.3), (1500, 1, 0.7),
+                      (100, 300, 0.7))),
+    pytest.param(("radial", 400, 20, 8.0), id="400-20-p8"),
+    *(pytest.param(("angular", l, m, p), id=f"angular-{l}-{m}")
+      for l, m, p in ((100, 0, 0.7), (100, 3, 0.7), (300, 0, 2.5), (1000, 900, 0.7)))]
+
+
+@pytest.mark.parametrize("case", CONTRACTION_CASES)
 @pytest.mark.parametrize("m", [24, 36])
-def test_series_contraction_matches_horner(monkeypatch, n, l, m):
-    # power_panels' integrand at its rules' nodes: each whole root gap's series
-    # by one product with the rule's node powers t^k, against Horner's rule on
-    # the same coefficients of _panel_series; measured within 4.2e-19 of each
-    # gap's largest |row|
-    rts = specfun.gauss_laguerre(n, l + 0.5)[0].astype(float)
-    gaps = [(a, b, "root", "root") for a, b in zip(rts, rts[1:])]
-    fam, s = specfun.laguerre_family(n, l + 0.5), (2 * l + 3) // 4
-    c, h, _, v = specfun._panel_series(fam, gaps, -0.5, s=s)
-    mag = np.abs(v)
-    whole = ((mag[-1] + mag[-2] <= specfun._SERIES_CUT * mag.max(axis=0)).ravel()
-             & (specfun._depths(-0.5, (h.ravel()).astype(float)) == 0))
-    assert np.mean(whole) > 0.5
-    rule = specfun._jacobi_rules([(2.0, 2.0)], (m,))[0]
-    t = rule[0]
-    x = c + h * t
-    got = specfun.panel_rows(fam, gaps, -0.5, s=s).at_nodes(
-        x, [0] * len(gaps), lambda r, d: specfun._node_powers(rule, d))[whole]
-    want = (specfun._horner(v, t) * (c / x) ** s)[whole]
-    assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=1, keepdims=True)) <= 1e-18
+def test_series_contraction_matches_horner(case, m):
+    # power_panels' integrand at its rules' nodes: each piece's series by one
+    # product with the rule's node powers, against Horner's rule on the same
+    # coefficients at the node's place on its piece, u = 2^d (1 + t) - 2j - 1
+    # for the rule's node t on piece j of 2^d, times the gauge; the end slices'
+    # series re-expanded about their centres among them.  Measured within
+    # 7.2e-19 of each panel's largest |row|
+    fam, panels, tau, ln_scale, s = series_pass(*case)
+    d, lost, first, c, v = series_pieces(fam, panels, tau, ln_scale, s)
+    ends = touches_an_end(panels)
+    assert lost[ends].all() if case[2] >= 60 and case[0] == "radial" else not lost.any()
+    assert ends.any() == (case[2:] != (900, 0.7))
+    x, got = rows_at_rule_nodes(specfun.panel_rows(fam, panels, tau, ln_scale, s), panels, m)
+    scale = 2.0 ** d[:, None]
+    t = specfun.gauss_jacobi(m, 2.0, 2.0)[0]
+    j = np.clip(np.floor((1 + t) * scale / 2), 0, scale - 1)
+    at = first[:, None] + j.astype(int)
+    want = specfun._horner(np.moveaxis(v[at], -1, 0), (1 + t) * scale - 2 * j - 1)
+    gauge = np.array([lk == hk == "root" for *_, lk, hk in panels])[:, None]
+    want = np.where(gauge, want * (fam.identities(c[at])[0][0] / fam.identities(x)[0][0]) ** s,
+                    want)
+    on = ~lost
+    assert np.max(np.abs(got - want)[on] / np.max(np.abs(want[on]), axis=1, keepdims=True)) <= 1e-18
+
+
+@pytest.mark.parametrize("case", [*(("radial", n, l, p) for n in (40, 100, 400)
+                                    for l in (0, 1, 20, 60, 300) for p in (0.5, 1.3, 8.0)),
+                                  *(("angular", l, m, p) for l, m in ((100, 0), (100, 5),
+                                                                      (300, 0), (1000, 3))
+                                    for p in (0.5, 2.5, 8.0))])
+def test_end_pieces_keep_their_end_series_about_their_centres(case):
+    # the series of a piece with an end where P is 0, as _series takes it
+    # about that end, against the same piece in _pieces, re-expanded about its
+    # centre after the cut (_end_to_centre), at 201 points across the piece,
+    # u = (x - lo) / (hi - lo): measured within 1.9e-19 of the piece's largest
+    # |row|.  The head slice at x = 0 is dropped at large p l, and lost to the
+    # recurrence from l = 60 on; the angular edge slices all keep their series
+    fam, panels, tau, ln_scale, s = series_pass(*case)
+    panels = [pan for pan, end in zip(panels, touches_an_end(panels)) if end]
+    if not panels:
+        assert case[0] == "radial" and case[2] * case[3] >= 20
+        return
+    d, lost, first, c, w = series_pieces(fam, panels, tau, ln_scale, s)
+    assert not lost.any() or case[0] == "radial" and case[2] >= 60
+    for (lo_p, hi_p, lk, _), d_i, lost_i, k in zip(panels, d, lost, first):
+        if lost_i:
+            continue
+        width = np.longdouble(hi_p) - np.longdouble(lo_p)
+        at_lo = lk == "edge"
+        j = 0 if at_lo else 2 ** d_i - 1
+        lo, hi = (np.longdouble(lo_p) + width * (j + e) / 2.0 ** d_i for e in (0, 1))
+        end, v = specfun._series(fam, np.array([[lo]]), np.array([[hi]]), 0, tau, ln_scale)
+        assert end[0, 0] == (lo if at_lo else hi) and c[k + j] == (lo + hi) / 2
+        u = np.linspace(0, 1, 201, dtype=np.longdouble)
+        want = specfun._horner(v[:, 0, 0], u if at_lo else u - 1)
+        got = specfun._horner(w[k + j], 2 * u - 1)
+        assert np.max(np.abs(got - want)) <= 1e-18 * np.max(np.abs(want))
