@@ -39,7 +39,7 @@ from .radial import (
 
 # the large-n names load on first use, with rydberg's module-level import of
 # scipy.special: importing oscent or oscent.cli loads no scipy module, and
-# scipy.linalg waits for the first Gauss rule above 64 nodes
+# neither does any exact-mode value, its Gauss rules started from numpy alone
 _RYDBERG = ("AsymptoticValue", "RegimeConstant", "bessel_constant",
             "cosine_constant", "renyi_radial_asymptotic",
             "shannon_radial_asymptotic")

@@ -253,7 +253,8 @@ def renyi_angular(state: AngularState, p) -> AngularResult:
     """Renyi entropy of the angular density, best available route.
 
     Dispatch: closed form for a closed family (any real p), else the exact
-    Gauss-Jacobi rule at even 2p <= specfun._RULE_MAX_POWER, else quadrature.
+    Gauss-Jacobi rule at even 2p while it is the cheaper cold (specfun._rule_wins:
+    up to 300 nodes), else quadrature.
     Outside the families l - |m| >= 2, so the polynomial factor changes sign
     and an odd 2p has no exact route.  Each result is computed once per
     (l, |m|, p) (_renyi_angular).
@@ -270,7 +271,7 @@ def _renyi_angular(l: int, m: int, p: float) -> AngularResult:
     if state.closed_family:
         return lambda_closed(state, order)
     q = order.two_p
-    if q is not None and q % 2 == 0 and q <= specfun._RULE_MAX_POWER:
+    if q is not None and q % 2 == 0 and specfun._rule_wins("jacobi", (l - m) * q // 2 + 1):
         return _lambda_gauss_jacobi(state, order)
     return lambda_quadrature(state, order)
 

@@ -53,10 +53,6 @@ __all__ = [
 _LN_2 = math.log(2.0)
 _LN_PI = math.log(math.pi)
 
-# auto's rule takes at most 3000 nodes: there it costs 2.6x (2p = 4, n = 1499) to 5x
-# (2p = 8, n = 749) the cold panels, and one Newton pass builds gauss_laguerre's
-# rules up to 4000 nodes (at 6000 the steps near x = 0 do not settle in 8 passes)
-_RULE_MAX_NODES = 3000
 # agreement the second pass must reach: relative to N for Renyi, to max(|J|, 1)
 # for the Shannon log integral J
 _RENYI_TOL = 1e-11
@@ -256,11 +252,11 @@ def closed_n1l(l: int, p) -> LaguerreNorm:
 def laguerre_norm(n: int, l: int, p, *, path: str = "auto") -> LaguerreNorm:
     """Norm integral N_{n,l}(p), dispatching to the best valid route.
 
-    auto order: the exact n = 0 formula for any real p; for even 2p <= 8
-    one Gauss-Laguerre rule of n p + 1 <= 3000 nodes, exact for the
-    polynomial power; panel quadrature otherwise, the faster route above
-    2p = 8.  For odd 2p with n >= 1 the polynomial power is signed, so
-    quadrature is the faithful route.  path="symbolic" gives the exact
+    auto order: the exact n = 0 formula for any real p; for even 2p one
+    Gauss-Laguerre rule of n p + 1 nodes, exact for the polynomial power,
+    while it is the cheaper cold (specfun._rule_wins: up to 400 nodes);
+    panel quadrature otherwise.  For odd 2p with n >= 1 the polynomial power
+    is signed, so quadrature is the faithful route.  path="symbolic" gives the exact
     rational value at any even 2p up to degree n 2p = 1000 and l 2p = 50,000
     (specfun._exact_two_p), "closed_n1" the n = 1 closed form and
     "quadrature" the panels.  Each value is computed once per
@@ -277,8 +273,7 @@ def _laguerre_norm(n: int, l: int, pf: float, path: str) -> LaguerreNorm:
     if path == "auto":
         if n == 0:
             return _norm_symbolic_n0(l, pf)
-        if (q is not None and q % 2 == 0 and q <= specfun._RULE_MAX_POWER
-                and n * q // 2 + 1 <= _RULE_MAX_NODES):
+        if q is not None and q % 2 == 0 and specfun._rule_wins("laguerre", n * q // 2 + 1):
             return _norm_gauss_laguerre(n, l, q, pf)
         return _norm_quadrature(n, l, pf)
     if path == "symbolic":

@@ -11,9 +11,11 @@ Taylor-series engine, one long-double orthonormal recurrence, _rows, behind
 every production polynomial value (the classical Laguerre and Gegenbauer
 recurrences serve the oracle), each family's equation and structure
 relation stated once (laguerre_family, jacobi_family), one Gauss rule
-generator (Golub-Welsch start, one Newton pass of _rows under the square
-root of the weight on those identities, log Christoffel weights, several
-rules side by side in one pass, _gauss_rules) behind every Gauss-Laguerre
+generator (numpy's Golub-Welsch start up to 64 nodes, above that the
+Liouville-Green phase start with one float64 Newton pass on a local Taylor
+series, _start; then one Newton pass of _rows under the square root of the
+weight on those identities, log Christoffel weights, several rules side by
+side in one pass, _gauss_rules) behind every Gauss-Laguerre
 and Gauss-Jacobi rule and the Gegenbauer roots, one bounded store of the
 Jacobi rules with their log-weighted product rules (_jacobi_rules: the
 rules a caller lacks built in one pass), one panel Taylor-series engine for
@@ -26,8 +28,9 @@ would outnumber the nodes), the panel planner with its one mass bound, the
 one panel function, which maps the store's rules onto panels in long
 double, calls its integrand once on all their nodes with their rules,
 forms every power from logs and checks the pieces dropped and the rows that
-underflow, the two-node-count check, and the one panel pass and one even-2p
-rule sum of both parts (_panel_pass, _rule_sum).
+underflow, the two-node-count check, the one choice between an even-2p rule
+and the panels by cold cost (_rule_wins), and the one panel pass and one
+even-2p rule sum of both parts (_panel_pass, _rule_sum).
 """
 
 from __future__ import annotations
@@ -307,7 +310,7 @@ def _laguerre_exact(n: int, a: Fraction) -> tuple:
 
 
 # the half-integer lattice of laguerre_poly only: other parameters are not kept
-_laguerre_cached = lru_cache(maxsize=None)(_laguerre_exact)
+_laguerre_cached = lru_cache(maxsize=_RULE_CACHE)(_laguerre_exact)
 
 
 def laguerre_poly(n: int, alpha) -> tuple:
@@ -406,28 +409,126 @@ def _last_rows(x, diag, off, p):
 
 
 # the most nodes whose start comes from numpy's dense solver: 0.14 ms at 64 nodes,
-# and with OpenBLAS threads on 2 CPUs 0.6-16 ms at 100 and 36-40 ms at 200, against
-# 0.3 and 0.9 ms for scipy's tridiagonal solver, whose import takes 0.2 s alone
+# and with OpenBLAS threads on 2 CPUs 0.6-16 ms at 100 and 36-40 ms at 200; above
+# it the phase start and one float64 pass of _newton_starts
 _DENSE_START_MAX = 64
+# terms of the local Taylor series of p_m that _newton_starts' step solves, and the
+# share of its gap a step may take and still leave the node settled: the truncation
+# is then about (pi/10)^10 / 10!, below 1e-11 of the gap
+_START_TERMS = 10
+_START_SETTLED = 0.1
 
 
-def _eigen_start(diag, off) -> np.ndarray:
-    """Float64 eigenvalues of the m x m Jacobi matrix of (diag, off[:-1]), in
-    ascending order: the roots of p_m, which start _gauss_rules' Newton pass.
-    Up to _DENSE_START_MAX nodes from the dense matrix (eigvalsh reads its
-    lower triangle), above that from scipy's tridiagonal solver, imported here
-    on the first such rule.  Columns (m, R) of several rules give one column
-    each, from one stacked eigvalsh call up to _DENSE_START_MAX nodes."""
-    d, e = diag.astype(float), off[:-1].astype(float)
-    if len(d) > _DENSE_START_MAX:
-        from scipy.linalg import eigvalsh_tridiagonal
-        if d.ndim == 2:
-            return np.stack([eigvalsh_tridiagonal(*col) for col in zip(d.T, e.T)], axis=-1)
-        return eigvalsh_tridiagonal(d, e)
-    i = np.arange(len(d))
-    mats = np.zeros(d.shape[1:] + (len(d), len(d)))
-    mats[..., i, i], mats[..., i[1:], i[:-1]] = d.T, e.T
-    return np.linalg.eigvalsh(mats).T
+def _phase_arc(t, lo, hi):
+    """int_lo^t sqrt((s - lo)(hi - s)) / s ds for 0 <= lo <= t <= hi, in closed form:
+    root + (lo + hi)/2 (asin u + pi/2) - sqrt(lo hi) (asin v + pi/2), u = (2t - lo - hi)
+    / (hi - lo) and v = ((lo + hi) t - 2 lo hi) / (t (hi - lo)), both -1 at t = lo."""
+    t = np.maximum(t, np.finfo(float).tiny)
+    span = hi - lo
+    u = np.clip((2 * t - lo - hi) / span, -1, 1)
+    v = np.clip(((lo + hi) * t - 2 * lo * hi) / (t * span), -1, 1)
+    return (np.sqrt(np.maximum((t - lo) * (hi - t), 0))
+            + (lo + hi) / 2 * (np.arcsin(u) + np.pi / 2)
+            - np.sqrt(lo * hi) * (np.arcsin(v) + np.pi / 2))
+
+
+def _phase_roots(fam) -> np.ndarray:
+    """Float64 starts for the m roots of p_m, O(m): where the Liouville-Green phase of
+    fam.phase, under Langer's change at the singular ends, meets first + (k - 1) pi
+    for k = 1..m, first = 3 pi / 4 for a weight exponent e >= 0 at the lower end.
+    Sampled at 2m + 1 points x = c - w cos psi (c and w the centre and half-width of
+    [lo, hi]), in which it is smooth through the turning points, interpolated in psi
+    and taken two Newton steps on.  Within 4% of the gap on each root (Laguerre:
+    m from 65 to 3000, a from 0.5 to 2000.5; Jacobi: m up to 2530, exponents up to
+    5880), 1e-5 to 1e-3 in the bulk."""
+    lo, hi, phase, first = fam.phase()
+    m = len(fam.diag)
+    k, psi = np.arange(m), np.linspace(0, np.pi, 2 * m + 1)
+    c, w = (lo + hi) / 2, (hi - lo) / 2
+    if np.ndim(lo):  # one column a rule
+        k, psi = k[:, None], psi[:, None]
+    want = first + k * np.pi
+    # the slope is 0 / 0 at an end of [-1, 1] and the Newton step there 0 / 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sample = phase(c - w * np.cos(psi))[0]
+        at = np.stack([np.interp(*cols, psi[:, 0]) for cols in zip(want.T, sample.T)],
+                      axis=-1) if np.ndim(lo) else np.interp(want, sample, psi)
+        for _ in range(2):
+            f, slope = phase(c - w * np.cos(at))
+            step = (f - want) / (slope * w * np.sin(at))
+            at = np.clip(at - np.where(np.isfinite(step), step, 0), 0, np.pi)
+    return c - w * np.cos(at)
+
+
+def _newton_starts(fam, x) -> np.ndarray:
+    """The roots of p_m from starts x, in float64: each pass runs the ratio recurrence
+    g_(k+1) = b_k p_(k+1) / p_k = (x - d_k) - b_(k-1)^2 / g_k to g_m, which neither
+    overflows nor underflows, takes p_m'/p_m from the structure relation and the
+    higher derivatives from the family's equation, _START_TERMS Taylor terms about
+    x, and steps to the root of that series.  Passes go on, up to 6, while a step
+    takes more than _START_SETTLED of its node's gap; one settles the phase starts."""
+    diag, sq, b2 = fam.diag.astype(float), fam.off[:-1].astype(float) ** 2, \
+        fam.off[-1].astype(float) ** 2
+    x = np.array(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(6):
+            g, t = x - diag[0], np.empty_like(x)
+            for d, e in zip(diag[1:], sq):  # in place: a sixth off the pass at 200 nodes
+                np.subtract(x, d, out=t)
+                np.divide(e, g, out=g)
+                np.subtract(t, g, out=g)
+            pp, qq, r, _, a_m, b_ratio = fam.identities(np.longdouble(x))
+            pp, qq = ([np.asarray(e, dtype=float) for e in v] for v in (pp, qq))
+            r, a_m, b_ratio = (np.asarray(v, dtype=float) for v in (r, a_m, b_ratio))
+            # the series sum_k c_k h^k of p_m(x + h) / p_m'(x): c_1 = 1, and P p'' +
+            # Q p' + R p = 0 in powers of h gives each c_(k+2) from those below
+            c = [pp[0] * g / (a_m * g + b_ratio * b2), np.ones_like(x)]
+            for k in range(_START_TERMS - 2):
+                acc = r * c[k] + sum(e * (k - j + 1) * c[k - j + 1] for j, e in enumerate(qq))
+                acc = acc + sum(e * (k - j + 2) * (k - j + 1) * c[k - j + 2]
+                                for j, e in enumerate(pp[1:], 1))
+                c.append(-acc / (pp[0] * (k + 2) * (k + 1)))
+            h = -c[0]
+            for _ in range(3):  # Newton on the series, from the plain Newton step
+                f, df = c[-1], 0
+                for ck in c[-2::-1]:
+                    df, f = df * h + f, f * h + ck
+                h = h - f / df
+            x = x + h
+            gap = np.minimum(np.diff(x, axis=0, prepend=-np.inf),
+                             np.diff(x, axis=0, append=np.inf))
+            if (np.abs(h) <= _START_SETTLED * gap).all():
+                break
+    return x
+
+
+def _start(fam) -> np.ndarray:
+    """Float64 starts for the roots of p_m, ascending, for _gauss_rules' Newton pass:
+    up to _DENSE_START_MAX nodes the eigenvalues of the dense m x m Jacobi matrix of
+    (diag, off[:-1]) (eigvalsh reads its lower triangle; columns (m, R) of several
+    rules from one stacked call), above that _newton_starts from _phase_roots, numpy
+    alone and O(m) before the passes.  AccuracyError where the start row sqrt(w / mu0)
+    underflows long double at a start (Laguerre past x of about 22,700, from about
+    m = 5,700 at a = 1/2): there the Newton steps cannot settle."""
+    if len(fam.diag) > _DENSE_START_MAX:
+        x = _phase_roots(fam)
+    else:
+        d, e = fam.diag.astype(float), fam.off[:-1].astype(float)
+        i = np.arange(len(d))
+        mats = np.zeros(d.shape[1:] + (len(d), len(d)))
+        mats[..., i, i], mats[..., i[1:], i[:-1]] = d.T, e.T
+        x = np.linalg.eigvalsh(mats).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_row = (fam.ln_weight(np.longdouble(x)) - fam.ln_mu0) / 2
+    under = ln_row < np.log(np.finfo(np.longdouble).tiny)
+    if under.any():
+        raise AccuracyError(f"Gauss rule of {len(fam.diag)} nodes: the start row sqrt(w / mu0) "
+                            f"underflows long double at x = {float(x[under].max()):.6g}")
+    if len(fam.diag) <= _DENSE_START_MAX:
+        return x
+    # on the grid of the largest |diag|'s long-double ulp, where x - diag[k] is exact
+    grid = np.ldexp(1.0, np.frexp(float(np.abs(fam.diag).max()))[1] - 64)
+    return np.round(_newton_starts(fam, x) / grid) * grid
 
 
 def _gauss_rules(fams) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -438,19 +539,21 @@ def _gauss_rules(fams) -> list[tuple[np.ndarray, np.ndarray]]:
     any weight.  By Pearson's equation (P w)' = Q w they keep both identities
     with A_m + (Q - P')/2 for A_m and P' for Q.
 
-    Golub-Welsch eigenvalues (Math. Comp. 23, 1969), numpy's dense ones up to
-    64 nodes and scipy's tridiagonal ones above (_eigen_start), start one pass
+    Float64 starts (_start: Golub-Welsch eigenvalues, Math. Comp. 23, 1969, from
+    numpy's dense solver up to 64 nodes, and above that the phase start and a
+    float64 Newton pass, on the grid where x - diag[k] is exact) start one pass
     of the recurrence that sums K and takes one Newton step s = r_m / r_m'
-    from the structure relation.  Either start gives the same rule bit for
-    bit: the step leaves the float64 start's rounding far below a long-double
-    ulp.  Newton's next step would be |P'/(2P)| s^2; the pass is done when
-    that is a few ulp of |x| plus the Gershgorin bound, and another pass from
-    the stepped nodes (up to 8) is only a fallback.  The
-    weights w / K (Gautschi 2004) come back as ln w - ln K, in range where mu0
-    or the weights leave it.  They are taken at the start x and moved to the
-    nodes by the differentiated Christoffel-Darboux identity for w / K =
-    1 / sum p_k^2, (Q + b_m (R_m - R_(m-1)) p_m p_(m-1) / sum p_k^2) / P, so
-    a node's rounding next to a singular end of w does not enter.  The checks:
+    from the structure relation; the step leaves the float64 start's rounding
+    far below a long-double ulp, and two starts a few float ulps apart give
+    nodes at most an ulp or two apart.  Newton's next step would be
+    |P'/(2P)| s^2; the pass is done when that is a few ulp of |x| plus the
+    Gershgorin bound, and another pass from the stepped nodes (up to 8) is
+    only a fallback.  The weights w / K (Gautschi 2004) come back as
+    ln w - ln K, in range where mu0 or the weights leave it.  They are taken
+    at the start x and moved to the nodes by the differentiated
+    Christoffel-Darboux identity for w / K = 1 / sum p_k^2, (Q + b_m (R_m -
+    R_(m-1)) p_m p_(m-1) / sum p_k^2) / P, so a node's rounding next to a
+    singular end of w does not enter.  The checks:
     only the m distinct roots increase strictly and alternate the sign of
     r_(m-1) (interlacing), and every log weight is finite.
 
@@ -462,7 +565,7 @@ def _gauss_rules(fams) -> list[tuple[np.ndarray, np.ndarray]]:
     sum and Newton step taken at its own m.
     """
     big, sizes = fams[-1], [len(f.diag) for f in fams]
-    x = np.concatenate([np.longdouble(_eigen_start(f.diag, f.off)) for f in fams])
+    x = np.concatenate([np.longdouble(_start(f)) for f in fams])
     ends = list(accumulate(sizes, initial=0))
     at = [slice(a, b) for a, b in zip(ends, ends[1:])]
     eps = np.finfo(np.longdouble).eps
@@ -540,13 +643,19 @@ class Family(NamedTuple):
     len(diag), and identities(x), stated once for _gauss_rules and _series
     (DLMF Table 18.8.1): P and Q as Taylor coefficients at x and R_m of P p_k''
     + Q p_k' + R_k p_k = 0, R_m - R_(m-1), and A_m and B_m / b_m of the structure
-    relation P p_m' = A_m p_m + B_m p_(m-1), b_m = off[-1]."""
+    relation P p_m' = A_m p_m + B_m p_(m-1), b_m = off[-1]; and phase(), the turning
+    points lo and hi of p_m, its Liouville-Green phase x -> (phase, d phase/dx) from
+    lo, float64, and the phase at its first root, which _phase_roots inverts: with
+    the weight's exponent e at the lower end, the Bessel zeros j_(e,k) ~ (k + e/2 -
+    1/4) pi (McMahon) where Langer's phase reads z - |e| pi/2, so (3/4 + (e - |e|)/2)
+    pi."""
 
     diag: np.ndarray
     off: np.ndarray
     ln_mu0: np.longdouble
     ln_weight: Callable
     identities: Callable
+    phase: Callable
 
 
 @lru_cache(maxsize=_RULE_CACHE)
@@ -579,7 +688,28 @@ def jacobi_family(m: int, a, b) -> Family:
     return Family(diag, off, ln_mu0, lambda x: a_ * np.log1p(-x) + b_ * np.log1p(x),
                   lambda x: (((1 - x) * (1 + x), -2 * x, -1),
                              (b_ - a_ - (a_ + b_ + 2) * x, -(a_ + b_ + 2)),
-                             m * (m + a_ + b_ + 1), s, m * ((a_ - b_) / s - x), s + 1))
+                             m * (m + a_ + b_ + 1), s, m * ((a_ - b_) / s - x), s + 1),
+                  partial(_jacobi_phase, m, *(np.asarray(v, dtype=float) for v in (a, b))))
+
+
+def _jacobi_phase(m: int, a, b):
+    """Family.phase of P_m^(a,b): in x = cos theta, u = sin^(a+1/2)(theta/2)
+    cos^(b+1/2)(theta/2) P_m solves u'' + (N^2 + (1/4 - a^2) / (4 sin^2(theta/2)) +
+    (1/4 - b^2) / (4 cos^2(theta/2))) u = 0, N = m + (a + b + 1)/2 (Szego 4.24.2), and
+    Langer's change takes 1/4 - a^2 and 1/4 - b^2 to -a^2 and -b^2.  Its phase,
+    int sqrt(q(x)) / (1 - x^2) dx with q = N^2 (1 - x^2) - a^2 (1 + x)/2 - b^2 (1 - x)/2
+    = N^2 (x - lo)(hi - x), splits over 1/(1 - x) and 1/(1 + x) into two _phase_arc."""
+    n2, lin = (m + (a + b + 1) / 2) ** 2, (a * a - b * b) / 2
+    root = np.sqrt(lin * lin + 4 * n2 * (n2 - (a * a + b * b) / 2))
+    lo, hi = np.maximum((-lin - root) / (2 * n2), -1.0), np.minimum((-lin + root) / (2 * n2), 1.0)
+    top = _phase_arc(1 - lo, 1 - hi, 1 - lo)
+
+    def phase(x):
+        return (np.sqrt(n2) / 2 * (_phase_arc(1 + x, 1 + lo, 1 + hi) + top
+                                   - _phase_arc(1 - x, 1 - hi, 1 - lo)),
+                np.sqrt(n2 * np.maximum((x - lo) * (hi - x), 0)) / ((1 - x) * (1 + x)))
+
+    return lo, hi, phase, (0.75 + (b - abs(b)) / 2) * np.pi
 
 
 def laguerre_family(m: int, a: float) -> Family:
@@ -589,22 +719,37 @@ def laguerre_family(m: int, a: float) -> Family:
     a_, k = np.longdouble(float(a)), np.arange(m, dtype=np.longdouble)
     return Family(2 * k + a_ + 1, np.sqrt((k + 1) * (k + 1 + a_)), _lgamma(float(a) + 1.0),
                   lambda x: a_ * np.log(x) - x,
-                  lambda x: ((x, 1), (a_ + 1 - x, -1), m, 1, m, 1))
+                  lambda x: ((x, 1), (a_ + 1 - x, -1), m, 1, m, 1),
+                  partial(_laguerre_phase, m, float(a)))
+
+
+def _laguerre_phase(m: int, a: float):
+    """Family.phase of L_m^(a): u = x^((a+1)/2) e^(-x/2) L_m^(a) solves u'' + (kappa / (2x)
+    + (1 - a^2) / (4 x^2) - 1/4) u = 0, kappa = 2m + a + 1, and Langer's change takes
+    1 - a^2 to -a^2: the phase is int sqrt((x - lo)(hi - x)) / (2x) dx, lo and hi =
+    kappa -+ sqrt(kappa^2 - a^2), one _phase_arc."""
+    kappa = 2 * m + a + 1
+    root = math.sqrt(kappa * kappa - a * a)
+    lo, hi = a * a / (kappa + root), kappa + root
+    return lo, hi, lambda x: (_phase_arc(x, lo, hi) / 2, np.sqrt(
+        np.maximum((x - lo) * (hi - x), 0)) / (2 * x)), (0.75 + (a - abs(a)) / 2) * np.pi
 
 
 def gauss_jacobi(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1]:
     nodes and log weights of jacobi_family, from _gauss_rules' one Newton pass,
-    kept with every other Jacobi rule (_jacobi_rules).  A rule above 64 nodes
-    loads scipy.linalg for its start (_eigen_start)."""
+    kept with every other Jacobi rule (_jacobi_rules), started from numpy alone
+    (_start)."""
     return tuple(_jacobi_rules([(a, b)], (m,))[0][:2])
 
 
 @lru_cache(maxsize=_RULE_CACHE)
 def gauss_laguerre(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Cached long-double Gauss rule of m nodes for x^a e^-x on (0, inf):
-    nodes and log weights of laguerre_family, from _gauss_rules' one Newton pass.
-    A rule above 64 nodes loads scipy.linalg for its start (_eigen_start)."""
+    nodes and log weights of laguerre_family, from _gauss_rules' one Newton pass,
+    started from numpy alone (_start).  Past x of about 22,700, from about m =
+    5,700 at a = 1/2, its start rows underflow: AccuracyError, before any O(m^2)
+    work."""
     if m == 0:
         return np.zeros(0, dtype=np.longdouble), np.zeros(0, dtype=np.longdouble)
     return _gauss_rules([laguerre_family(m, a)])[0]
@@ -1168,24 +1313,30 @@ def plan_panels(ends, kinds, edges, q2: float, rate: float, what: str) -> list[t
 # From 24 nodes on the radial error is panel-sum rounding at n = 800; Bessel's
 # is rounding throughout.
 _NODES = 24
-# Even 2p up to _RULE_MAX_POWER takes one Gauss rule of n p + 1 nodes, exact for
-# the polynomial power, summed by _rule_sum (radial: Gauss-Laguerre; angular:
-# Gauss-Jacobi, n = l - |m|): about (n 2p)^2 recurrence steps to build the rule and
-# n^2 p on a cached one, against n^2 or less for the panels of _panel_pass.  ms,
-# rule/panels, medians of 7 alternated in-process runs, cold (rule caches cleared)
-# and warm (again):
-#                           cold                          warm
-#     2p =                  4        8        10 or 12    4        8        10 or 12
-#     radial l=0, n = 100   4.1/12   11/13    16/13       1.0/7.5  1.3/8.1  1.6/8.0
-#                 n = 400   43/56    147/43   234/46      9.5/31   16/29    18/32
-#                 n = 1500  521/254                       97/147
-#     angular m=3, l = 100  6.0/13   12/10    33/15       2.1/6.7  2.3/6.4  4.3/9.2
-#                  l = 300  40/32    82/27    175/28      10/23    9.7/18   14/19
-#                  l = 1000 255/146  963/153  1993/157    51/91    106/97   144/85
-# (2p = 10 radial, 12 angular.)  Cap 8: warm, as in one process's repeated values, the
-# rule wins to 2p = 8 but at (l = 1000, 2p = 8), 10% behind; cold, the panels win
-# from 2p = 8 at n = 400 and l = 100 and from 2p = 4 at n = 1500 and l = 300, up to 6.3x.
-_RULE_MAX_POWER = 8
+# An even-2p value takes one Gauss rule of n p + 1 nodes, exact for the polynomial
+# power and summed by _rule_sum (radial: Gauss-Laguerre; angular: Gauss-Jacobi,
+# n = l - |m|), while _rule_wins says so, else the panels of _panel_pass: about
+# (n 2p)^2 / 4 recurrence steps to build the rule against n^2 for the roots the panels
+# sit on.  A component is computed once per session, so the cold cost decides.  Cold
+# ms, rule/panels, medians of 5 alternated in-process runs with every rule cache
+# cleared, at l = 0 and |m| = 3, by rule nodes:
+#     nodes            101       201       301       401       601        801
+#     radial  2p = 4   1.8/5.3   3.7/7.4   6.3/9.7   9.4/12.5  18.5/19.6  29/25
+#             2p = 8   1.7/4.3   3.4/5.4             8.3/8.2   16.2/10.1  26/12
+#             2p = 12                      5.6/5.6             15.8/9.4
+#     angular 2p = 4   2.0/4.4   4.0/6.8   6.4/9.0   9.6/11.2  18.0/16.4  30/23
+#             2p = 8   1.9/3.1   3.6/4.4             8.6/6.8   16.3/9.2   26/12
+#             2p = 12                      5.6/4.4             15.6/7.0
+# and at 2001 nodes (2p = 4) 153/87 radial and 155/84 angular.  The panels' roots cost
+# what a rule of n nodes costs, so the rule's lead shrinks with 2p; by node count alone
+# it takes the rule to 400 nodes radial and 300 angular, at most 1.3x off the faster.
+_RULE_NODES = {"laguerre": 400, "jacobi": 300}
+
+
+def _rule_wins(family: str, nodes: int) -> bool:
+    """Whether an even-2p value of the family ("laguerre" or "jacobi") takes its Gauss
+    rule of nodes nodes rather than the panels, the one that is cheaper cold."""
+    return nodes <= _RULE_NODES[family]
 
 
 def settled(panel_pass: Callable[[int], np.ndarray], tol: float, what: str,

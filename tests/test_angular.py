@@ -299,9 +299,10 @@ def test_rule_node_count_is_the_exact_one(monkeypatch, l, m, p):
                                      (5.0, "quadrature"), (0.7, "quadrature"),
                                      (2.3, "quadrature")])
 def test_dispatch_takes_the_rule_at_even_2p_up_to_the_cap(p, route):
-    # 2p = 10 is even but past specfun._RULE_MAX_POWER; non-lattice orders,
-    # like odd ones (above), have no polynomial integrand
-    state = AngularState(20, 3)
+    # at n = l - |m| = 70, 2p = 8 takes a rule of 281 nodes and 2p = 10 one of
+    # 351, past the 300 of specfun._rule_wins; non-lattice orders, like odd
+    # ones (above), have no polynomial integrand
+    state = AngularState(73, 3)
     res = renyi_angular(state, p)
     assert res.method == route
     want = lambda_quadrature(state, p).renyi
@@ -309,14 +310,13 @@ def test_dispatch_takes_the_rule_at_even_2p_up_to_the_cap(p, route):
 
 
 @pytest.mark.parametrize("l,m", [(3000, 1000), (3000, 0), (4000, 1470)])
-def test_dispatch_takes_the_rule_at_large_l(monkeypatch, l, m):
-    # the rule's rows run under the square root of the weight, so its
-    # Christoffel sums stay in range at any l; at (4000, 1470, p=4) rows
-    # started at 1 would reach e^11773, past long double.  The routes are
-    # stubbed, as each takes 5 to 35 s here
+def test_dispatch_takes_the_panels_at_large_l(monkeypatch, l, m):
+    # rules of 8001 to 12001 nodes: cold, the panels are the faster, 0.7 s
+    # against 5.3 s at (4000, 1470, p=4) in a fresh process.  The routes are
+    # stubbed, as each takes seconds here
     for name in ("_lambda_gauss_jacobi", "lambda_quadrature"):
         monkeypatch.setattr(angular, name, lambda state, order, name=name: name)
-    assert renyi_angular(AngularState(l, m), 4.0) == "_lambda_gauss_jacobi"
+    assert renyi_angular(AngularState(l, m), 4.0) == "lambda_quadrature"
 
 
 @pytest.mark.parametrize("l,m,p", [(60, 5, 0.7), (20, 3, 2.0), (6, 5, 2.5)])

@@ -441,14 +441,17 @@ def test_import_and_low_lying_one_shots_load_no_scipy():
     assert proc.stderr.strip() == "[]"
 
 
-def test_gauss_rules_above_64_nodes_load_scipy_linalg_on_first_build():
+def test_gauss_rules_above_64_nodes_load_no_scipy():
+    # above 64 nodes a rule starts from its phase and float64 Newton passes
+    # (specfun._start), numpy alone, up to the 3000 nodes of the largest radial rule
     code = ("import sys; from oscent import specfun; "
-            "specfun.gauss_laguerre(64, 0.5); print('scipy.linalg' in sys.modules); "
-            "specfun.gauss_laguerre(65, 0.5); print('scipy.linalg' in sys.modules)")
+            "[specfun.gauss_laguerre(m, 0.5) for m in (65, 3000)]; "
+            "[specfun.gauss_jacobi(m, 2.0, 2.0) for m in (65, 3000)]; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_import_leaves_out_scipy_special_until_a_large_n_name_is_used():
@@ -514,6 +517,21 @@ def test_small_order_whose_rows_underflow_on_its_mass_exits_3(capsys):
     # norm 6.9e-10 off with exit 0 before the underflow bound
     assert run(["radial", "--n", "1", "--l", "0", "--p", "0.001"]) == 3
     assert "rows underflow where the integrand" in capsys.readouterr().err
+
+
+def test_laguerre_roots_whose_start_row_underflows_exit_3_fast(capsys):
+    # the start row sqrt(w / mu0) of gauss_laguerre(n, 1/2) leaves long double
+    # past x = 22,700, from about n = 5,700: the Newton steps there cannot
+    # settle, and took 10.7 s to say so at n = 6000 and ran past 60 s at
+    # n = 100,000.  The phase start knows the largest root before any O(n^2)
+    # pass; n = 5600 still returns
+    for n in (6000, 100_000):
+        start = time.perf_counter()
+        assert run(["radial", "--n", str(n), "--l", "0", "--p", "0.7"]) == 3
+        assert time.perf_counter() - start < 2.0, n
+        assert "start row sqrt(w / mu0) underflows" in capsys.readouterr().err
+    code, payload = invoke_json(capsys, "radial", "--n", "5600", "--l", "0", "--p", "0.7")
+    assert code == 0 and payload["results"][0]["path"] == "quadrature"
 
 
 # ---------------------------------------------------------------------------

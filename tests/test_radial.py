@@ -365,8 +365,9 @@ def test_rule_matches_symbolic(n):
 @pytest.mark.parametrize("n,l,p", [(400, 0, 2.0), (400, 2, 2.0), (740, 0, 4.0)])
 def test_rule_matches_quadrature_at_large_degree(n, l, p):
     # at (740, 0, 4) the rule has 2961 nodes, the last past x = 11,000,
-    # where w_j underflows and w_j e^(x_j) does not
-    got = laguerre_norm(n, l, p)
+    # where w_j underflows and w_j e^(x_j) does not.  Past 400 nodes auto
+    # takes the panels (specfun._rule_wins), so the rule is called directly
+    got = radial._norm_gauss_laguerre(n, l, round(2 * p), p)
     assert got.path == "gauss_laguerre"
     want = laguerre_norm(n, l, p, path="quadrature")
     assert got.value == pytest.approx(want.value, rel=1e-13)
@@ -375,8 +376,8 @@ def test_rule_matches_quadrature_at_large_degree(n, l, p):
 @pytest.mark.parametrize("l,p", [(0, 3.0), (1, 3.0), (0, 4.0), (3, 4.0)])
 def test_rule_log_matches_quadrature_at_n_400(l, p):
     # the 1201- and 1601-node rules against the panels, in ln N: the rule's
-    # weights carry the rounding of its Christoffel sums
-    got = laguerre_norm(400, l, p)
+    # weights carry the rounding of its Christoffel sums (auto takes the panels)
+    got = radial._norm_gauss_laguerre(400, l, round(2 * p), p)
     assert got.path == "gauss_laguerre"
     want = laguerre_norm(400, l, p, path="quadrature")
     assert abs(got.log_value - want.log_value) <= 1.5e-14
@@ -413,11 +414,15 @@ def test_panels_form_their_powers_in_logs_at_large_l(n, l, p):
 
 
 @pytest.mark.parametrize("n,l,p,route", [
-    (10, 0, 4.0, "gauss_laguerre"), (10, 0, 5.0, "quadrature"),
+    (10, 0, 4.0, "gauss_laguerre"), (10, 0, 5.0, "gauss_laguerre"),
     (750, 0, 4.0, "quadrature"), (0, 2, 2.0, "symbolic"),
-    (5, 1, 1.5, "quadrature")])
+    (5, 1, 1.5, "quadrature"), (133, 0, 3.0, "gauss_laguerre"),
+    (100, 0, 4.0, "quadrature"), (39, 0, 10.0, "gauss_laguerre"),
+    (40, 0, 10.0, "quadrature"), (400, 0, 2.0, "quadrature")])
 def test_auto_dispatch(n, l, p, route):
-    # 2p = 8 at n = 750 needs 3001 nodes, one past the cap; 2p = 3 is odd
+    # the rule while its n p + 1 nodes are at most 400, whatever the even 2p:
+    # 400 at (133, 0, 3), 391 at (39, 0, 10), 401 at (100, 0, 4) and (40, 0,
+    # 10), 801 at (400, 0, 2); 2p = 3 is odd
     assert laguerre_norm(n, l, p).path == route
 
 

@@ -489,21 +489,33 @@ def test_gauss_chebyshev_log_weights_hold_next_to_the_singular_ends():
 
 
 def test_gauss_rule_rejects_starts_that_miss_a_root(monkeypatch):
-    real = specfun._eigen_start
+    real = specfun._start
 
-    def repeated(d, e):
-        x = real(d, e)
+    def repeated(fam):
+        x = real(fam)
         x[3] = x[2] * (1 + 1e-12)  # two starts drawn to one root
         return x
 
-    monkeypatch.setattr(specfun, "_eigen_start", repeated)
-    with pytest.raises(AccuracyError, match="not 20 distinct roots"):
-        specfun._gauss_rules([specfun.jacobi_family(20, 2.0, 0.5)])
+    monkeypatch.setattr(specfun, "_start", repeated)
+    for m in (20, 100):  # the dense start and the phase start
+        with pytest.raises(AccuracyError, match=f"not {m} distinct roots"):
+            specfun._gauss_rules([specfun.jacobi_family(m, 2.0, 0.5)])
     # the roots of p_{m-1} repel the steps: starts there drift, never settle
-    monkeypatch.setattr(specfun, "_eigen_start",
-                        lambda d, e: np.append(real(d[:-1], e[:-1]), 1.0))
+    monkeypatch.setattr(specfun, "_start", lambda fam: np.append(
+        real(fam._replace(diag=fam.diag[:-1], off=fam.off[:-1])), 1.0))
     with pytest.raises(AccuracyError, match="did not settle"):
         specfun._gauss_rules([specfun.jacobi_family(20, 2.0, 0.5)])
+
+
+def _tridiagonal_start(fam):
+    """The float64 eigenvalues of scipy's tridiagonal solver: the reference start."""
+    from scipy.linalg import eigvalsh_tridiagonal
+    return eigvalsh_tridiagonal(fam.diag.astype(float), fam.off[:-1].astype(float))
+
+
+def _same_node(x, want):
+    """Nodes bitwise, or within 1.5e-15 relative (a long-double eps next to 0)."""
+    return np.abs(x - want) <= 1.5e-15 * np.abs(want) + np.finfo(np.longdouble).eps
 
 
 @pytest.mark.parametrize("family,args", [
@@ -513,13 +525,76 @@ def test_gauss_rule_rejects_starts_that_miss_a_root(monkeypatch):
                                              (700.0, 400.0)))])
 def test_dense_and_tridiagonal_starts_give_the_same_rules(monkeypatch, family, args):
     # the Newton pass leaves the float64 start's rounding below a long-double
-    # ulp, so numpy's dense start and scipy's tridiagonal one agree bit for bit
+    # ulp, so numpy's dense start and scipy's tridiagonal one agree bit for
+    # bit; the phase start, which takes the tridiagonal solver's place above 64
+    # nodes, gives every node within 1.5e-15 (most bitwise, the rest an ulp or
+    # two off) and every log weight within 2e-15 down to 2 nodes
     dense = [specfun._gauss_rules([family(m, *args)])[0]
              for m in range(2, specfun._DENSE_START_MAX + 1)]
     monkeypatch.setattr(specfun, "_DENSE_START_MAX", 1)
+    real = specfun._start
     for m, (x, ln_w) in enumerate(dense, start=2):
+        x_phase, ln_w_phase = specfun._gauss_rules([family(m, *args)])[0]
+        assert _same_node(x_phase, x).all() and np.abs(ln_w_phase - ln_w).max() <= 2e-15, m
+        monkeypatch.setattr(specfun, "_start", _tridiagonal_start)
         x_tri, ln_w_tri = specfun._gauss_rules([family(m, *args)])[0]
+        monkeypatch.setattr(specfun, "_start", real)
         assert np.array_equal(x, x_tri) and np.array_equal(ln_w, ln_w_tri), m
+
+
+def _laguerre_root(mpmath, m, a, x):
+    """The root of L_m^(a) next to the long double x, by 40-digit Newton steps."""
+    def laguerre(n, alpha, t):  # L_n^(alpha)(t) by its three-term recurrence
+        p0, p1 = mpmath.mpf(1), alpha + 1 - t
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + alpha + 1 - t) * p1 - (k + alpha) * p0) / (k + 1)
+        return p1
+
+    with mpmath.workdps(40):
+        t, a_ = _mpf(mpmath, x), mpmath.mpf(a)
+        for _ in range(2):
+            t -= laguerre(m, a_, t) / -laguerre(m - 1, a_ + 1, t)
+        return t
+
+
+@pytest.mark.parametrize("m", [65, 801, 3000])
+@pytest.mark.parametrize("a", [0.5, 20.5, 300.5, 2000.5])
+def test_phase_started_laguerre_rules_meet_the_tridiagonal_ones(monkeypatch, m, a):
+    # the smallest and largest ten nodes against the rule from scipy's
+    # tridiagonal start: within 1.5e-15, or else the phase-started node is the
+    # nearer to the root (40 digits), and within 2.5e-15 of it.  The
+    # tridiagonal start holds its eigenvalues to a float ulp of the largest,
+    # 1e-11 relative at x = 8e-4, and leaves the rule's smallest node 4.3e-14
+    # off at (3000, 0.5); the phase start, on the grid where x - diag[k] is
+    # exact, 2.0e-15, the rounding of the long-double pass there
+    mpmath = pytest.importorskip("mpmath")
+    x, ln_w = specfun.gauss_laguerre.__wrapped__(m, a)
+    monkeypatch.setattr(specfun, "_start", _tridiagonal_start)
+    x_tri, ln_w_tri = specfun.gauss_laguerre.__wrapped__(m, a)
+    ends = np.r_[:10, m - 10:m]
+    for j in ends[~_same_node(x[ends], x_tri[ends])]:
+        root = _laguerre_root(mpmath, m, a, x[j])
+        with mpmath.workdps(40):
+            assert abs(_mpf(mpmath, x[j]) / root - 1) <= 2.5e-15, j
+            assert abs(_mpf(mpmath, x[j]) - root) < abs(_mpf(mpmath, x_tri[j]) - root), j
+    assert np.abs(ln_w - ln_w_tri).max() <= 6e-14
+
+
+@pytest.mark.parametrize("m,a,b", [
+    *((m, a, b) for m in (72, 108) for a, b in ((0.0, 0.0), (-0.5, -0.5), (2.5, 0.0),
+                                                (0.0, 2.5), (8.0, 8.0), (2.0, 322.0),
+                                                (45.0, 70.0), (8.0, 8000.5), (3000.5, 0.5))),
+    (2530, 1470.0, 1470.0), (2900, 100.0, 100.0), (1201, 5880.0, 5880.0),
+    (2001, 400.0, 400.0)])
+def test_phase_started_jacobi_rules_meet_the_tridiagonal_ones(monkeypatch, m, a, b):
+    # the sweep's pairs at 72 and 108 nodes, and the angular routes' exponents:
+    # (m, m) for the Gegenbauer roots at (l, m) = (4000, 1470) and (3000, 100),
+    # and (m p, m p) of an even-2p rule, up to m = 1470 at p = 4
+    x, ln_w = specfun._gauss_rules([specfun.jacobi_family(m, a, b)])[0]
+    monkeypatch.setattr(specfun, "_start", _tridiagonal_start)
+    x_tri, ln_w_tri = specfun._gauss_rules([specfun.jacobi_family(m, a, b)])[0]
+    assert _same_node(x, x_tri).all()
+    assert np.abs(ln_w - ln_w_tri).max() <= 1e-15
 
 
 # rules of the kinds the radial, angular and Bessel routes build: Laguerre up
@@ -534,7 +609,8 @@ SWEEP_JACOBI = [(m, a, b) for m in (1, 2, 24, 36, 48, 54, 72, 108)
 
 
 def test_every_sweep_rule_builds_in_one_pass(monkeypatch):
-    # the float64 eigenvalues are close enough that one Newton step settles
+    # the float64 starts (eigenvalues up to 64 nodes, the phase start above)
+    # are close enough that one Newton step settles
     # every node: one pass of the recurrence per rule
     passes = []
     real = specfun._rows
@@ -558,15 +634,15 @@ def test_gauss_rule_takes_a_second_pass_from_a_start_off_the_root(monkeypatch):
     # within the tolerance's square root, but Newton's next step
     # |P'/(2P)| s^2 = s^2 / (2 x_0) is not, so a second pass follows
     want_x, want_w = specfun.gauss_laguerre(100, 0.5)
-    real_eig, real_rows = specfun._eigen_start, specfun._rows
+    real_start, real_rows = specfun._start, specfun._rows
     passes = []
 
     def counting(*args):
         passes.append(1)
         return real_rows(*args)
 
-    monkeypatch.setattr(specfun, "_eigen_start",
-                        lambda d, e: real_eig(d, e) + np.append(6e-9, np.zeros(len(d) - 1)))
+    monkeypatch.setattr(specfun, "_start", lambda fam: real_start(fam) + np.append(
+        6e-9, np.zeros(len(fam.diag) - 1)))
     monkeypatch.setattr(specfun, "_rows", counting)
     x, ln_w = specfun.gauss_laguerre.__wrapped__(100, 0.5)
     # one pass would leave x_0 3e-14 and ln w_0 7e-14 off
@@ -585,7 +661,10 @@ def _mpf(mpmath, v):
 def test_gauss_laguerre_matches_mpmath(m, a):
     # the 12 smallest nodes, where the weights' K correction is largest, and
     # every 32nd.  Reference: roots of L_m^(a) by one 30-digit Newton step
-    # from the rule's node, w = Gamma(m + a + 1) / (m! x L_m'(x)^2)
+    # from the rule's node, w = Gamma(m + a + 1) / (m! x L_m'(x)^2).  From
+    # starts on the grid where x - diag[k] is exact the nodes reach 2.1e-16
+    # and ln w 2.7e-16; from scipy's tridiagonal eigenvalues they reached
+    # 1.1e-15 and 1.8e-15
     mpmath = pytest.importorskip("mpmath")
     x, ln_w = specfun.gauss_laguerre(m, a)
 
@@ -602,8 +681,8 @@ def test_gauss_laguerre_matches_mpmath(m, a):
             t = _mpf(mpmath, x[j])
             t -= laguerre(m, a_, t) / -laguerre(m - 1, a_ + 1, t)
             want = ln_c - mpmath.log(t) - 2 * mpmath.log(abs(laguerre(m - 1, a_ + 1, t)))
-            assert abs(_mpf(mpmath, x[j]) / t - 1) <= 1.5e-15
-            assert abs(_mpf(mpmath, ln_w[j]) - want) <= 2.5e-15
+            assert abs(_mpf(mpmath, x[j]) / t - 1) <= 5e-16
+            assert abs(_mpf(mpmath, ln_w[j]) - want) <= 5e-16
 
 
 @pytest.mark.parametrize("m,a,b", [(1, 0.0, 2.5), (24, 0.0, 2.5), (72, 0.5, 8.0),
@@ -870,7 +949,7 @@ PINNED_NORMS = [((50, 1, 2.0), "gauss_laguerre", "-0x1.eead431b13f28p+1"),
                 ((10, 0, 4.0), "gauss_laguerre", "-0x1.24c4d018345a0p-1"),
                 ((40, 20, 1.3), "quadrature", "-0x1.02bddfbc2cb83p+1"),
                 ((100, 0, 0.5), "quadrature", "0x1.0a5746d17c9f0p+2"),
-                ((10, 0, 5.0), "quadrature", "0x1.1533648911f0bp-1")]
+                ((10, 0, 5.0), "gauss_laguerre", "0x1.1533648911f0cp-1")]
 PINNED_ANGULAR = [((8, 1, 2.0), "gauss_jacobi", "0x1.c8351857dc75dp+0"),
                   ((60, 5, 4.0), "gauss_jacobi", "0x1.73a5e49c99e19p-1"),
                   ((60, 5, 2.5), "quadrature", "0x1.4b5d77cd12a10p+0"),
@@ -898,7 +977,7 @@ def test_rule_caches_stay_within_their_bound(monkeypatch):
     # distinct orders past the bound evict the oldest entries instead of
     # growing memory, and a rule built again after its eviction is bitwise
     # the cold one; the Gauss-Jacobi rules live in one store (_JACOBI_RULES)
-    caches = [specfun.gauss_laguerre,
+    caches = [specfun.gauss_laguerre, specfun._laguerre_cached,
               rydberg.bessel_zeros, rydberg.bessel_constant, radial._laguerre_norm,
               radial._shannon_log_integral, angular._renyi_angular, angular._shannon_angular]
     assert all(f.cache_parameters()["maxsize"] == specfun._RULE_CACHE for f in caches)
