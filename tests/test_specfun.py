@@ -560,9 +560,9 @@ def _laguerre_root(mpmath, m, a, x):
 @pytest.mark.parametrize("m", [65, 801, 3000])
 @pytest.mark.parametrize("a", [0.5, 20.5, 300.5, 2000.5])
 def test_phase_started_laguerre_rules_meet_the_tridiagonal_ones(monkeypatch, m, a):
-    # the smallest and largest ten nodes against the rule from scipy's
-    # tridiagonal start: within 1.5e-15, or else the phase-started node is the
-    # nearer to the root (40 digits), and within 2.5e-15 of it.  The
+    # every node against the rule from scipy's tridiagonal start: within
+    # 1.5e-15, or else, among the smallest and largest ten, the phase-started
+    # node is the nearer to the root (40 digits), and within 2.5e-15 of it.  The
     # tridiagonal start holds its eigenvalues to a float ulp of the largest,
     # 1e-11 relative at x = 8e-4, and leaves the rule's smallest node 4.3e-14
     # off at (3000, 0.5); the phase start, on the grid where x - diag[k] is
@@ -571,8 +571,9 @@ def test_phase_started_laguerre_rules_meet_the_tridiagonal_ones(monkeypatch, m, 
     x, ln_w = specfun.gauss_laguerre.__wrapped__(m, a)
     monkeypatch.setattr(specfun, "_start", _tridiagonal_start)
     x_tri, ln_w_tri = specfun.gauss_laguerre.__wrapped__(m, a)
-    ends = np.r_[:10, m - 10:m]
-    for j in ends[~_same_node(x[ends], x_tri[ends])]:
+    off = np.flatnonzero(~_same_node(x, x_tri))
+    assert np.isin(off, np.r_[:10, m - 10:m]).all(), off
+    for j in off:
         root = _laguerre_root(mpmath, m, a, x[j])
         with mpmath.workdps(40):
             assert abs(_mpf(mpmath, x[j]) / root - 1) <= 2.5e-15, j
